@@ -9,8 +9,18 @@ validates every hand-derived gradient against finite differences, and ``cli``
 wraps the workflow in subcommands.
 """
 
-from .data import DataFormatError, DatasetConfig, Sample, frequency_groups, generate_synthetic, load_jsonl, save_jsonl
-from .datastore import Datastore, DatastoreFormatError, Neighbor, retrieve_topk
+from .data import (
+    DataFormatError,
+    DatasetConfig,
+    PackedSamples,
+    Sample,
+    frequency_groups,
+    generate_synthetic,
+    load_jsonl,
+    pack_samples,
+    save_jsonl,
+)
+from .datastore import Datastore, DatastoreFormatError, Neighbor, NonFiniteQueryError, retrieve_topk
 from .encoder import (
     CheckpointError,
     EncoderConfig,
@@ -19,6 +29,7 @@ from .encoder import (
     backward,
     classify,
     forward,
+    forward_batch,
     init_state,
     load_checkpoint,
     save_checkpoint,

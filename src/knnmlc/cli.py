@@ -453,7 +453,7 @@ def cmd_gradcheck(args) -> int:
             input_dim, hidden_dim, embed_dim, num_classes, batch = (int(x) for x in args.dims.split(","))
         except ValueError as exc:
             raise ConfigError(f"--dims must be 'input,hidden,embed,classes,batch', got {args.dims!r}") from exc
-        from .data import Sample  # local import to keep the command self-contained
+        from .data import Sample, pack_samples  # local import to keep the command self-contained
 
         rng = np.random.default_rng(seed)
         config = EncoderConfig(input_dim, hidden_dim, embed_dim, num_classes, dropout_rate=0.1)
@@ -467,10 +467,8 @@ def cmd_gradcheck(args) -> int:
             samples.append(
                 Sample({int(j): float(v) for j, v in zip(idx, rng.uniform(0.5, 2.0, nnz))}, labels, f"s{i}")
             )
-        views = samples + samples
-        masks = [
-            (rng.random(hidden_dim) >= 0.1).astype(np.float64) / 0.9 for _ in views
-        ]
+        views = pack_samples(samples + samples, input_dim)
+        masks = (rng.random((len(views), hidden_dim)) >= 0.1).astype(np.float64) / 0.9
         reports = [gradient_check(state, views, masks, alpha=0.1, tau1=0.05, step=args.step)]
     else:
         reports = run_gradcheck_suite(num_configs=args.configs, seed=seed, step=args.step)

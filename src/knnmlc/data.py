@@ -9,11 +9,15 @@ Dataset file format (one JSON document per line):
 
 ``features`` maps feature index -> value (sparse); ``labels`` lists the
 positive label indices. A full worked example lives in docs/formats.md.
+
+For computation a list of samples is packed once into CSR arrays
+(``pack_samples``); the encoder works on those packed rows.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -22,11 +26,13 @@ from .mathops import make_rng
 __all__ = [
     "DataFormatError",
     "DatasetConfig",
+    "PackedSamples",
     "Sample",
     "frequency_groups",
     "generate_synthetic",
     "label_frequencies",
     "load_jsonl",
+    "pack_samples",
     "save_jsonl",
 ]
 
@@ -57,6 +63,68 @@ class Sample:
 
     def positive_labels(self) -> list[int]:
         return [int(c) for c in np.flatnonzero(self.labels)]
+
+
+@dataclass(eq=False)
+class PackedSamples:
+    """Samples as CSR arrays: row i's features are ``indices[indptr[i]:indptr[i + 1]]``
+    with ``values`` alongside, in the order of the sample's dict, so no index
+    repeats within a row. No row is empty: a sample without features holds
+    one explicit zero at index 0. ``labels`` is (n, C) int8. Every index lies
+    in [0, input_dim); ``pack_samples`` checked that once.
+    """
+
+    indptr: np.ndarray  # (n + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
+    values: np.ndarray  # (nnz,) float64
+    labels: np.ndarray  # (n, C) int8
+    input_dim: int
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def take(self, rows) -> "PackedSamples":
+        """The given rows, in the given order (repeats allowed)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(rows.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return PackedSamples(indptr, self.indices[pos], self.values[pos], self.labels[rows], self.input_dim)
+
+    def to_dense(self) -> np.ndarray:
+        """The (n, input_dim) float64 feature matrix."""
+        n = len(self)
+        dense = np.zeros((n, self.input_dim))
+        dense[np.arange(n).repeat(self.indptr[1:] - self.indptr[:-1]), self.indices] = self.values
+        return dense
+
+
+# a sample without features is packed as one explicit zero, so that no CSR row
+# is empty (np.add.reduceat cannot sum an empty segment); it adds nothing
+_EMPTY_ROW = {0: 0.0}
+
+
+def pack_samples(samples, input_dim: int) -> PackedSamples:
+    """Pack a nonempty list of samples into CSR arrays.
+
+    Raises ValueError for a feature index outside [0, input_dim): this is the
+    one place inputs are checked against the encoder's input dimension.
+    """
+    if not samples:
+        raise ValueError("cannot pack an empty list of samples")
+    features = [s.features or _EMPTY_ROW for s in samples]
+    indptr = np.array([0, *accumulate(map(len, features))], dtype=np.int64)
+    nnz = int(indptr[-1])
+    indices = np.fromiter(chain.from_iterable(features), dtype=np.int64, count=nnz)
+    values = np.fromiter(chain.from_iterable([f.values() for f in features]), dtype=np.float64, count=nnz)
+    # as unsigned, a negative index is larger than any valid one: one reduction checks both ends
+    if np.maximum.reduce(indices.view(np.uint64)) >= input_dim:
+        bad = indices[(indices < 0) | (indices >= input_dim)][0]
+        raise ValueError(f"feature index out of range for input_dim={input_dim}: {int(bad)}")
+    labels = np.array([s.labels for s in samples], dtype=np.int8)
+    return PackedSamples(indptr, indices, values, labels, input_dim)
 
 
 @dataclass

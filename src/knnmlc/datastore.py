@@ -16,22 +16,26 @@ File layout (little-endian), documented byte-exactly in docs/formats.md:
     keys     count * d float32
     labels   count rows of ceil(C/8) bytes, big bit order (label 0 = MSB)
 
-Keys are quantized to float32 on disk and promoted to float64 for all
-arithmetic in memory.
+Keys are quantized to float32 when the store is built, so an in-memory store
+and its saved-and-loaded copy hold the same keys; they are promoted to
+float64 for all arithmetic.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderState, forward
+from .data import pack_samples
+from .encoder import EncoderState, forward_batch
 
 __all__ = [
     "Datastore",
     "DatastoreFormatError",
     "Neighbor",
+    "NonFiniteQueryError",
     "build",
     "load",
     "retrieve_topk",
@@ -41,10 +45,17 @@ __all__ = [
 _MAGIC = b"NNDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHIIQ")
+# build embeds in row blocks whose dense (rows, input_dim) inputs stay near this size
+_BUILD_BLOCK_BYTES = 2 << 20
 
 
 class DatastoreFormatError(ValueError):
     """Raised for corrupt, truncated, or wrong-format datastore files."""
+
+
+class NonFiniteQueryError(ValueError):
+    """Raised for a query embedding that holds NaN or inf: every similarity
+    would be NaN and no neighbor could be ranked."""
 
 
 @dataclass
@@ -86,20 +97,27 @@ class Datastore:
 
 def build(state: EncoderState, train_samples, fraction: float = 1.0) -> Datastore:
     """One entry per training sample, in input order, embedded with the
-    deterministic dropout-off forward pass.
+    deterministic dropout-off forward pass and quantized to float32.
 
     ``fraction`` < 1 keeps only the leading portion of the training set
     (prefix sampling), so a smaller store is always an entrywise prefix of the
-    full one.
+    full one. Embedding runs in row blocks that start at fixed multiples of
+    the block size over the whole training set, and a prefix's last block is
+    computed whole and cut, so every entry comes out of the same matrix
+    product whatever the fraction.
     """
     if not train_samples:
         raise ValueError("cannot build a datastore from an empty training set")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
     n = max(1, int(np.ceil(fraction * len(train_samples))))
-    subset = train_samples[:n]
-    keys = np.stack([forward(state, s, dropout_mode="off").embedding for s in subset])
-    values = np.stack([s.labels for s in subset])
+    block = max(1, _BUILD_BLOCK_BYTES // (8 * state.config.input_dim))
+    keys = np.empty((n, state.config.embed_dim), dtype=np.float32)
+    for start in range(0, n, block):
+        rows = pack_samples(train_samples[start : start + block], state.config.input_dim)
+        stop = min(start + block, n)
+        keys[start:stop] = forward_batch(state, rows).embedding[: stop - start]
+    values = np.stack([s.labels for s in train_samples[:n]])
     return Datastore(keys=keys, values=values)
 
 
@@ -112,6 +130,9 @@ def retrieve_topk(store: Datastore, query, k: int) -> list[Neighbor]:
     if q.shape != (store.dim,):
         raise ValueError(f"query shape {q.shape} != ({store.dim},)")
     qn = np.linalg.norm(q)
+    # the norm is NaN or inf exactly when an entry is (or when it overflows)
+    if not math.isfinite(qn):
+        raise NonFiniteQueryError("cannot retrieve with a query that holds NaN or inf")
     if qn == 0.0:
         raise ValueError("cannot retrieve with a zero-norm query")
     key_norms = np.linalg.norm(store.keys, axis=1)

@@ -1,10 +1,14 @@
 """Small trainable encoder: sparse input -> hidden layer (tanh or relu, with
 inverted dropout) -> linear embedding, plus a sigmoid classifier head.
 
-Forward and backward passes are written out by hand; the backward pass is
-validated against central finite differences (see gradcheck). Dropout is
-applied to the hidden activations only, with surviving units scaled by
-1/(1 - rate) so evaluation mode needs no rescaling.
+The batch is the unit of work. ``forward_batch`` runs every row of a packed
+batch (``data.PackedSamples``) through the network in one pass of array
+operations, and ``backward`` returns the parameter gradients summed over
+those rows as matrix products. ``forward`` on a single sample is a batch of
+one. Both passes are written out by hand; the backward pass is validated
+against central finite differences (see gradcheck). Dropout is applied to
+the hidden activations only, with surviving units scaled by 1/(1 - rate) so
+evaluation mode needs no rescaling.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample
+from .data import PackedSamples, Sample, pack_samples
 from .mathops import make_rng, sigmoid
 
 __all__ = [
@@ -25,6 +29,7 @@ __all__ = [
     "backward",
     "classify",
     "forward",
+    "forward_batch",
     "init_state",
     "load_checkpoint",
     "save_checkpoint",
@@ -107,12 +112,12 @@ class ParameterGradients:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs: inputs, pre-activations,
-    activations, the dropout mask (already scaled by 1/(1-rate); all-ones when
-    dropout is off), the embedding, and the classifier logits."""
+    """Everything the backward pass needs, one row per batch row: the packed
+    inputs, pre-activations, activations, the dropout mask (already scaled by
+    1/(1-rate); all-ones when dropout is off), the embeddings, and the
+    classifier logits. ``forward`` returns the 1-d rows of a batch of one."""
 
-    feat_idx: np.ndarray
-    feat_val: np.ndarray
+    inputs: PackedSamples
     pre_hidden: np.ndarray
     hidden: np.ndarray
     mask: np.ndarray
@@ -141,16 +146,55 @@ def init_state(config: EncoderConfig, seed: int = 0) -> EncoderState:
     )
 
 
-def _feature_arrays(sample: Sample, input_dim: int):
-    if not sample.features:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    idx = np.fromiter(sample.features.keys(), dtype=np.int64, count=len(sample.features))
-    if idx.size and (idx.min() < 0 or idx.max() >= input_dim):
-        raise ValueError(
-            f"feature index out of range for input_dim={input_dim}: {int(idx.max())}"
-        )
-    val = np.fromiter(sample.features.values(), dtype=np.float64, count=len(sample.features))
-    return idx, val
+def forward_batch(
+    state: EncoderState,
+    batch: PackedSamples,
+    dropout_mode: str = "off",
+    rng: np.random.Generator | None = None,
+    masks: np.ndarray | None = None,
+) -> ForwardTrace:
+    """Run the network on every row of a packed batch.
+
+    dropout_mode "off" is fully deterministic; "on" draws one (n, hidden)
+    block of uniforms from ``rng`` (the same stream as n per-row draws) unless
+    ``masks`` gives the scaled (n, hidden) masks, which is how the gradient
+    check freezes them.
+    """
+    cfg = state.config
+    if batch.input_dim != cfg.input_dim:
+        raise ValueError(f"batch packed for input_dim={batch.input_dim}, encoder has {cfg.input_dim}")
+    if batch.indices.size < cfg.input_dim:
+        # fewer features than w_in has columns (single queries, small
+        # batches over a wide vocabulary): gather the columns the features
+        # touch, scale by the values and sum per row
+        columns = state.w_in[:, batch.indices] * batch.values
+        pre_hidden = np.add.reduceat(columns, batch.indptr[:-1], axis=1).T + state.b_in
+    else:
+        # dense enough that one matrix product over the dense rows is cheaper
+        pre_hidden = batch.to_dense() @ state.w_in.T + state.b_in
+    if cfg.activation == "tanh":
+        hidden = np.tanh(pre_hidden)
+    else:
+        hidden = np.maximum(pre_hidden, 0.0)
+
+    if masks is not None:
+        mask = np.asarray(masks, dtype=np.float64)
+        if mask.shape != hidden.shape:
+            raise ValueError(f"mask shape {mask.shape} != hidden shape {hidden.shape}")
+    elif dropout_mode == "on" and cfg.dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("dropout_mode='on' requires an rng")
+        keep = rng.random(hidden.shape) >= cfg.dropout_rate
+        mask = keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
+    elif dropout_mode in ("on", "off"):
+        mask = np.empty_like(hidden)
+        mask.fill(1.0)
+    else:
+        raise ValueError(f"dropout_mode must be 'on' or 'off', got {dropout_mode!r}")
+
+    embedding = (hidden * mask) @ state.w_emb.T + state.b_emb
+    logits = embedding @ state.w_clf.T + state.b_clf
+    return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits)
 
 
 def forward(
@@ -160,47 +204,12 @@ def forward(
     rng: np.random.Generator | None = None,
     mask_override: np.ndarray | None = None,
 ) -> ForwardTrace:
-    """Run the network on one sample.
-
-    dropout_mode "off" is fully deterministic; "on" draws one Bernoulli mask
-    over the hidden units from ``rng`` (or uses ``mask_override``, which is
-    how the gradient check freezes masks).
-    """
-    cfg = state.config
-    idx, val = _feature_arrays(sample, cfg.input_dim)
-
-    pre_hidden = state.b_in + state.w_in[:, idx] @ val
-    if cfg.activation == "tanh":
-        hidden = np.tanh(pre_hidden)
-    else:
-        hidden = np.maximum(pre_hidden, 0.0)
-
-    if mask_override is not None:
-        mask = np.asarray(mask_override, dtype=np.float64)
-        if mask.shape != hidden.shape:
-            raise ValueError(f"mask shape {mask.shape} != hidden shape {hidden.shape}")
-    elif dropout_mode == "on" and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("dropout_mode='on' requires an rng")
-        keep = rng.random(cfg.hidden_dim) >= cfg.dropout_rate
-        mask = keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
-    elif dropout_mode in ("on", "off"):
-        mask = np.ones(cfg.hidden_dim, dtype=np.float64)
-    else:
-        raise ValueError(f"dropout_mode must be 'on' or 'off', got {dropout_mode!r}")
-
-    dropped = hidden * mask
-    embedding = state.b_emb + state.w_emb @ dropped
-    logits = state.b_clf + state.w_clf @ embedding
-    return ForwardTrace(
-        feat_idx=idx,
-        feat_val=val,
-        pre_hidden=pre_hidden,
-        hidden=hidden,
-        mask=mask,
-        embedding=embedding,
-        logits=logits,
-    )
+    """Run the network on one sample, as a batch of one (see forward_batch);
+    ``mask_override`` is that row's (hidden,) mask."""
+    masks = None if mask_override is None else np.asarray(mask_override, dtype=np.float64)[None]
+    batch = pack_samples([sample], state.config.input_dim)
+    t = forward_batch(state, batch, dropout_mode, rng, masks)
+    return ForwardTrace(batch, t.pre_hidden[0], t.hidden[0], t.mask[0], t.embedding[0], t.logits[0])
 
 
 def classify(trace: ForwardTrace) -> np.ndarray:
@@ -213,43 +222,45 @@ def backward(
     trace: ForwardTrace,
     grad_embedding: np.ndarray | None = None,
     grad_logits: np.ndarray | None = None,
-    into: ParameterGradients | None = None,
 ) -> ParameterGradients:
-    """Reverse-mode gradients for every parameter, given upstream gradients on
-    the embedding (contrastive path) and/or the logits (classification path).
-
-    When ``into`` is provided, gradients are accumulated in place (used by the
-    trainer to sum over a batch); otherwise a fresh buffer is returned.
-    """
+    """Reverse-mode gradients for every parameter, summed over the rows of a
+    batch trace, given upstream (n, embed) gradients on the embeddings
+    (contrastive path) and/or (n, C) gradients on the logits (classification
+    path)."""
     cfg = state.config
-    grads = into if into is not None else ParameterGradients.zeros_like(state)
-
-    d_embedding = np.zeros(cfg.embed_dim) if grad_embedding is None else np.asarray(
-        grad_embedding, dtype=np.float64
-    )
-    if d_embedding.shape != (cfg.embed_dim,):
-        raise ValueError(f"grad_embedding shape {d_embedding.shape} != ({cfg.embed_dim},)")
-    if grad_logits is not None:
+    if trace.embedding.ndim != 2:
+        raise ValueError("backward needs a batch trace from forward_batch")
+    n = trace.embedding.shape[0]
+    if grad_embedding is None:
+        d_embedding = np.zeros((n, cfg.embed_dim))
+    else:
+        d_embedding = np.asarray(grad_embedding, dtype=np.float64)
+    if d_embedding.shape != (n, cfg.embed_dim):
+        raise ValueError(f"grad_embedding shape {d_embedding.shape} != ({n}, {cfg.embed_dim})")
+    if grad_logits is None:
+        w_clf = np.zeros_like(state.w_clf)
+        b_clf = np.zeros_like(state.b_clf)
+    else:
         d_logits = np.asarray(grad_logits, dtype=np.float64)
-        if d_logits.shape != (cfg.num_classes,):
-            raise ValueError(f"grad_logits shape {d_logits.shape} != ({cfg.num_classes},)")
-        grads.w_clf += np.outer(d_logits, trace.embedding)
-        grads.b_clf += d_logits
-        d_embedding = d_embedding + state.w_clf.T @ d_logits
+        if d_logits.shape != (n, cfg.num_classes):
+            raise ValueError(f"grad_logits shape {d_logits.shape} != ({n}, {cfg.num_classes})")
+        w_clf = d_logits.T @ trace.embedding
+        b_clf = d_logits.sum(axis=0)
+        d_embedding = d_embedding + d_logits @ state.w_clf
 
-    grads.w_emb += np.outer(d_embedding, trace.hidden * trace.mask)
-    grads.b_emb += d_embedding
-    d_dropped = state.w_emb.T @ d_embedding
-    d_hidden = d_dropped * trace.mask
+    d_hidden = (d_embedding @ state.w_emb) * trace.mask
     if cfg.activation == "tanh":
         d_pre = d_hidden * (1.0 - trace.hidden**2)
     else:
         d_pre = d_hidden * (trace.pre_hidden > 0.0)
-
-    grads.b_in += d_pre
-    if trace.feat_idx.size:
-        grads.w_in[:, trace.feat_idx] += np.outer(d_pre, trace.feat_val)
-    return grads
+    return ParameterGradients(
+        w_in=d_pre.T @ trace.inputs.to_dense(),
+        b_in=d_pre.sum(axis=0),
+        w_emb=d_embedding.T @ (trace.hidden * trace.mask),
+        b_emb=d_embedding.sum(axis=0),
+        w_clf=w_clf,
+        b_clf=b_clf,
+    )
 
 
 def state_to_payload(state: EncoderState) -> dict:

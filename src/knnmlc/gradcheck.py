@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample
+from .data import Sample, pack_samples
 from .encoder import EncoderConfig, EncoderState, ParameterGradients, init_state
 from .mathops import make_rng
 from .training import batch_gradients, batch_objective
@@ -99,8 +99,9 @@ def gradient_check(
 
 
 def random_gradcheck_problem(seed: int, variant: str = "dcl"):
-    """A random small configuration: dims, a fresh state, a duplicated batch of
-    random sparse samples, frozen dropout masks, and loss hyperparameters."""
+    """A random small configuration: dims, a fresh state, a packed duplicated
+    batch of random sparse samples, frozen (2N, hidden) dropout masks, and
+    loss hyperparameters."""
     rng = make_rng(seed)
     input_dim = int(rng.integers(4, 13))
     hidden_dim = int(rng.integers(3, 9))
@@ -136,12 +137,12 @@ def random_gradcheck_problem(seed: int, variant: str = "dcl"):
                 sample_id=f"gc-{i}",
             )
         )
-    views = samples + samples
+    views = pack_samples(samples + samples, input_dim)
     keep = 1.0 - dropout_rate
-    masks = [
-        (rng.random(hidden_dim) >= dropout_rate).astype(np.float64) / keep if keep < 1.0 else np.ones(hidden_dim)
-        for _ in views
-    ]
+    if keep < 1.0:
+        masks = (rng.random((len(views), hidden_dim)) >= dropout_rate).astype(np.float64) / keep
+    else:
+        masks = np.ones((len(views), hidden_dim))
     return state, views, masks, alpha, tau1, variant
 
 

@@ -158,18 +158,19 @@ class BatchViews:
         return (i + self.size // 2) % self.size
 
 
-def _positive_sets(labels: np.ndarray, variant: str) -> list[np.ndarray]:
+def _positive_mask(labels: np.ndarray, variant: str) -> np.ndarray:
+    """(2N, 2N) 0/1 matrix of each anchor's positives: its own augmented view,
+    plus, for scl/wscl, every other row with an identical label vector."""
     n2 = labels.shape[0]
-    half = n2 // 2
-    partners = (np.arange(n2) + half) % n2
-    if variant in ("dcl", "ucl"):
-        return [np.array([partners[i]]) for i in range(n2)]
-    positives = []
-    for i in range(n2):
-        same = np.flatnonzero(np.all(labels == labels[i], axis=1))
-        pos = np.union1d(same[same != i], [partners[i]])
-        positives.append(pos)
-    return positives
+    rows = np.arange(n2)
+    if variant in ("scl", "wscl"):
+        group = np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
+        positive = group[:, None] == group[None, :]
+    else:
+        positive = np.zeros((n2, n2), dtype=bool)
+    positive[rows, (rows + n2 // 2) % n2] = True
+    positive[rows, rows] = False
+    return positive.astype(np.float64)
 
 
 def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str = "dcl"):
@@ -197,7 +198,8 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
         w = weight_matrix(label_similarity_matrix(labels))
     else:
         w = np.ones((n2, n2), dtype=np.float64)
-    positives = _positive_sets(labels, variant)
+    positive = _positive_mask(labels, variant)
+    num_positive = positive.sum(axis=1)
 
     off_diag = ~np.eye(n2, dtype=bool)
     z = np.log(w) + s / tau1
@@ -209,14 +211,11 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
     p = expz / denom
     log_denom = np.log(denom[:, 0]) + z_max[:, 0]
 
-    loss = 0.0
-    grad = p / tau1
-    for i in range(n2):
-        pos = positives[i]
-        loss += log_denom[i] - float(np.mean(s[i, pos])) / tau1
-        grad[i, pos] -= 1.0 / (len(pos) * tau1)
+    mean_positive = (positive * s).sum(axis=1) / num_positive
+    loss = float(np.sum(log_denom - mean_positive / tau1))
+    grad = p / tau1 - positive * (1.0 / (num_positive * tau1))[:, None]
     grad[np.arange(n2), np.arange(n2)] = 0.0
-    return float(loss), grad
+    return loss, grad
 
 
 def contrastive_loss(batch: BatchViews, tau1: float, variant: str = "dcl"):

@@ -70,11 +70,13 @@ def softmax_temp(scores, tau: float) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.size == 0:
         raise ValueError("softmax_temp received empty scores")
-    if not np.all(np.isfinite(s)):
+    # direct ufunc reductions: the same arithmetic as np.all / np.max / sum
+    # without their Python-level wrappers, which dominate at k-sized inputs
+    if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise ValueError("softmax_temp received non-finite scores")
     z = s / tau
-    e = np.exp(z - np.max(z))
-    return e / e.sum()
+    e = np.exp(z - np.maximum.reduce(z, axis=None))
+    return e / np.add.reduce(e, axis=None)
 
 
 def sigmoid(x):
@@ -84,11 +86,9 @@ def sigmoid(x):
     arguments; safe for |x| well beyond 700.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    out = np.where(x >= 0, 1.0 / denom, e / denom)
     if out.ndim == 0:
         return float(out)
     return out

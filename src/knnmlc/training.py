@@ -2,42 +2,44 @@
 Adam with bias correction, validation-based model selection, and resumable
 checkpoints.
 
-Each iteration draws N samples (shuffled epochs without replacement), runs
-them through the encoder twice with independent dropout masks, sums binary
-cross entropy over all 2N classifier outputs, adds alpha times the
-contrastive loss over the 2N embeddings, backpropagates both paths, and takes
-one Adam step. The state with the best validation micro-F1 (classifier-only,
-threshold 0.5) is kept as the result.
+The training and validation sets are packed into CSR arrays once. Each
+iteration draws N row indices (shuffled epochs without replacement) and
+stacks those rows twice into one packed batch of 2N views. One forward pass
+runs all 2N views with independent dropout masks; binary cross entropy is
+summed over all 2N classifier outputs, alpha times the contrastive loss over
+the 2N embeddings is added, one backward pass carries both paths to the
+parameters, and one Adam step follows. The state with the best validation
+micro-F1 (classifier-only, threshold 0.5) is kept as the result.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import PackedSamples, pack_samples
 from .encoder import (
     CheckpointError,
     EncoderConfig,
     EncoderState,
-    ForwardTrace,
     ParameterGradients,
     backward,
     classify,
-    forward,
+    forward_batch,
     init_state,
     state_from_payload,
     state_to_payload,
 )
 from .losses import (
     CONTRASTIVE_VARIANTS,
-    BatchViews,
     bce_loss,
     contrastive_embedding_grads,
-    contrastive_loss,
+    contrastive_loss_from_similarities,
     total_loss,
 )
-from .mathops import make_rng
+from .mathops import cosine_sim_matrix, make_rng
 from .metrics import confusion, micro_prf
 
 __all__ = [
@@ -136,71 +138,54 @@ def adam_step(
     return state
 
 
-def _batch_traces(state, views, rng=None, masks=None, dropout_mode="on"):
-    traces: list[ForwardTrace] = []
-    for i, sample in enumerate(views):
-        override = None if masks is None else masks[i]
-        traces.append(forward(state, sample, dropout_mode=dropout_mode, rng=rng, mask_override=override))
-    return traces
+def _batch_losses(trace, labels, tau1, variant):
+    bce, logit_grads = bce_loss(classify(trace), labels)
+    sims = cosine_sim_matrix(trace.embedding)
+    con, grad_sims = contrastive_loss_from_similarities(sims, labels, tau1, variant)
+    return bce, con, logit_grads, grad_sims
 
 
-def _batch_losses(state, views, traces, tau1, variant):
-    labels = np.stack([s.labels for s in views])
-    embeddings = np.stack([t.embedding for t in traces])
-    bce_total = 0.0
-    logit_grads = []
-    for i, trace in enumerate(traces):
-        loss_i, grad_i = bce_loss(classify(trace), labels[i])
-        bce_total += loss_i
-        logit_grads.append(grad_i)
-    con, grad_sims = contrastive_loss(BatchViews(embeddings, labels), tau1, variant)
-    return bce_total, con, embeddings, grad_sims, logit_grads
+def batch_objective(state, views: PackedSamples, masks, alpha, tau1, variant="dcl") -> float:
+    """Total loss of a packed duplicated batch under fixed (2N, hidden)
+    dropout masks. This is the scalar the finite-difference gradient check
+    perturbs; it never touches the backward pass."""
+    trace = forward_batch(state, views, dropout_mode="on", masks=masks)
+    bce, con, _, _ = _batch_losses(trace, views.labels, tau1, variant)
+    return total_loss(bce, con, alpha)
 
 
-def batch_objective(state, views, masks, alpha, tau1, variant="dcl") -> float:
-    """Total loss of a duplicated batch under fixed dropout masks. This is the
-    scalar the finite-difference gradient check perturbs; it never touches the
-    backward pass."""
-    traces = _batch_traces(state, views, masks=masks)
-    bce_total, con, _, _, _ = _batch_losses(state, views, traces, tau1, variant)
-    return total_loss(bce_total, con, alpha)
+def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng=None, masks=None):
+    """Forward the 2N packed views in one pass, evaluate both objectives, and
+    backpropagate both paths in one pass.
 
-
-def batch_gradients(state, views, alpha, tau1, variant="dcl", rng=None, masks=None):
-    """Forward the 2N views, evaluate both objectives, and backpropagate both
-    paths into one accumulated parameter gradient.
-
-    Returns (bce, con, total, grads, masks_used).
+    Returns (bce, con, total, grads, masks_used) with masks_used (2N, hidden).
     """
-    traces = _batch_traces(state, views, rng=rng, masks=masks)
-    bce_total, con, embeddings, grad_sims, logit_grads = _batch_losses(
-        state, views, traces, tau1, variant
-    )
-    if alpha > 0.0:
-        emb_grads = alpha * contrastive_embedding_grads(embeddings, grad_sims)
-    else:
-        emb_grads = np.zeros_like(embeddings)
-    grads = ParameterGradients.zeros_like(state)
-    for i, trace in enumerate(traces):
-        backward(state, trace, grad_embedding=emb_grads[i], grad_logits=logit_grads[i], into=grads)
-    return bce_total, con, total_loss(bce_total, con, alpha), grads, [t.mask for t in traces]
+    trace = forward_batch(state, views, dropout_mode="on", rng=rng, masks=masks)
+    bce, con, logit_grads, grad_sims = _batch_losses(trace, views.labels, tau1, variant)
+    emb_grads = alpha * contrastive_embedding_grads(trace.embedding, grad_sims) if alpha > 0.0 else None
+    grads = backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
+    return bce, con, total_loss(bce, con, alpha), grads, trace.mask
 
 
 def classifier_micro_f1(state: EncoderState, samples, threshold: float = 0.5) -> float:
-    """Micro-F1 of dropout-off classifier predictions thresholded at 0.5."""
-    gold = np.stack([s.labels for s in samples])
-    pred = np.stack(
-        [(classify(forward(state, s, dropout_mode="off")) >= threshold).astype(np.int8) for s in samples]
-    )
-    return micro_prf(confusion(gold, pred))[2]
+    """Micro-F1 of dropout-off classifier predictions thresholded at 0.5, from
+    one pass over the samples (a list, or already packed)."""
+    if not isinstance(samples, PackedSamples):
+        samples = pack_samples(samples, state.config.input_dim)
+    pred = (classify(forward_batch(state, samples)) >= threshold).astype(np.int8)
+    return micro_prf(confusion(samples.labels, pred))[2]
 
 
 class Trainer:
     """Owns the encoder state, Adam buffers, RNG, and epoch bookkeeping.
 
     All randomness flows through one seeded generator in a fixed order
-    (epoch shuffle, then one mask per view), so equal seeds give bit-identical
-    trajectories and a saved checkpoint resumes exactly where it left off.
+    (epoch shuffle, then one (2N, hidden) mask block per step, the same stream
+    as one mask per view), so equal seeds give bit-identical trajectories and
+    a saved checkpoint resumes exactly where it left off.
+
+    A ``TrainConfig.dropout_rate`` override goes into a copy of the state's
+    encoder config; the caller's config object is left as it was.
     """
 
     def __init__(self, train_samples, valid_samples, state: EncoderState, cfg: TrainConfig):
@@ -208,9 +193,10 @@ class Trainer:
         if not train_samples:
             raise ValueError("training set must be nonempty")
         if cfg.dropout_rate is not None:
-            state.config.dropout_rate = cfg.dropout_rate
-        self.train_samples = list(train_samples)
-        self.valid_samples = list(valid_samples or [])
+            state.config = dataclasses.replace(state.config, dropout_rate=cfg.dropout_rate)
+        input_dim = state.config.input_dim
+        self.train_set = pack_samples(train_samples, input_dim)
+        self.valid_set = pack_samples(valid_samples, input_dim) if valid_samples else None
         self.state = state
         self.cfg = cfg
         self.adam = AdamState.zeros_like(state)
@@ -227,20 +213,22 @@ class Trainer:
     def eval_interval(self) -> int:
         if self.cfg.eval_every > 0:
             return self.cfg.eval_every
-        return max(1, len(self.train_samples) // min(self.cfg.batch_size, len(self.train_samples)))
+        n = len(self.train_set)
+        return max(1, n // min(self.cfg.batch_size, n))
 
-    def _next_batch(self):
-        n = len(self.train_samples)
+    def _next_batch(self) -> np.ndarray:
+        """Row indices of the next N training samples."""
+        n = len(self.train_set)
         size = min(self.cfg.batch_size, n)
         if self._cursor + size > self._order.size:
             self._order = self.rng.permutation(n)
             self._cursor = 0
-        idx = self._order[self._cursor : self._cursor + size]
+        rows = self._order[self._cursor : self._cursor + size]
         self._cursor += size
-        return [self.train_samples[i] for i in idx]
+        return rows
 
     def _validate(self) -> float:
-        f1 = classifier_micro_f1(self.state, self.valid_samples)
+        f1 = classifier_micro_f1(self.state, self.valid_set)
         if f1 > self._best_f1:
             self._best_f1 = f1
             self._best_state = self.state.copy()
@@ -248,8 +236,8 @@ class Trainer:
         return f1
 
     def step(self) -> dict:
-        batch = self._next_batch()
-        views = batch + batch
+        rows = self._next_batch()
+        views = self.train_set.take(np.concatenate([rows, rows]))
         bce, con, total, grads, _ = batch_gradients(
             self.state,
             views,
@@ -268,7 +256,7 @@ class Trainer:
         )
         self.iteration += 1
         record = {"iteration": self.iteration, "bce": bce, "con": con, "total": total}
-        if self.valid_samples and self.iteration % self.eval_interval == 0:
+        if self.valid_set is not None and self.iteration % self.eval_interval == 0:
             record["valid_micro_f1"] = self._validate()
         self.history.append(record)
         return record
@@ -281,7 +269,7 @@ class Trainer:
         # only once the configured run is complete (otherwise resuming from a
         # mid-run checkpoint would diverge from an uninterrupted run)
         if (
-            self.valid_samples
+            self.valid_set is not None
             and self.iteration >= self.cfg.max_iters
             and self.history
             and "valid_micro_f1" not in self.history[-1]

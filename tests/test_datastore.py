@@ -1,11 +1,19 @@
 """Datastore build, exact retrieval, and binary persistence."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from knnmlc.data import DatasetConfig, generate_synthetic
-from knnmlc.datastore import Datastore, DatastoreFormatError, build, load, retrieve_topk, save
+from knnmlc import datastore
+from knnmlc.datastore import Datastore, DatastoreFormatError, NonFiniteQueryError, build, load, retrieve_topk, save
+from knnmlc.cli import _encoder_config, load_config
 from knnmlc.encoder import EncoderConfig, init_state
+from knnmlc.inference import predict
 from knnmlc.mathops import make_rng
+from knnmlc.training import Trainer
+
+DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 HEADER_BYTES = 22  # 4s magic + u16 version + u32 dim + u32 classes + u64 count
 
@@ -58,6 +66,35 @@ class TestBuild:
         assert part.count == int(np.ceil(0.2 * len(train)))
         np.testing.assert_array_equal(part.keys, full.keys[: part.count])
         np.testing.assert_array_equal(part.values, full.values[: part.count])
+
+    def test_prefix_blocks_are_blocks_of_the_full_build(self, trained_setup, monkeypatch):
+        # blocks of 7 rows, and fractions that end inside a block: the prefix
+        # must be embedded by the very matrix products of the full build (a
+        # BLAS product may round a row differently for a different row count)
+        state, train = trained_setup
+        monkeypatch.setattr(datastore, "_BUILD_BLOCK_BYTES", 7 * 8 * state.config.input_dim)
+        blocks = []
+        real_forward = datastore.forward_batch
+
+        def spy(state, batch, *args, **kwargs):
+            blocks.append(batch.to_dense())
+            return real_forward(state, batch, *args, **kwargs)
+
+        monkeypatch.setattr(datastore, "forward_batch", spy)
+        full = build(state, train)
+        full_blocks = list(blocks)
+        for fraction in (0.01, 0.05, 0.2, 0.25, 0.5, 0.9):
+            blocks.clear()
+            part = build(state, train, fraction=fraction)
+            assert len(blocks) == -(-part.count // 7)
+            for got, want in zip(blocks, full_blocks):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(part.keys, full.keys[: part.count])
+
+    def test_keys_are_quantized_to_float32(self, trained_setup):
+        state, train = trained_setup
+        keys = build(state, train).keys
+        np.testing.assert_array_equal(keys, keys.astype(np.float32).astype(np.float64))
 
     def test_empty_input_rejected(self, trained_setup):
         state, _ = trained_setup
@@ -121,6 +158,15 @@ class TestRetrieve:
         store = random_store(rng)
         with pytest.raises(ValueError):
             retrieve_topk(store, np.zeros(5), k=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        rng = make_rng(6)
+        store = random_store(rng)
+        query = rng.normal(size=5)
+        query[2] = bad
+        with pytest.raises(NonFiniteQueryError, match="NaN or inf"):
+            retrieve_topk(store, query, k=3)
 
     def test_bad_k_and_dim(self):
         rng = make_rng(7)
@@ -190,3 +236,25 @@ class TestPersistence:
             a = [n.index for n in retrieve_topk(store, query, k=5)]
             b = [n.index for n in retrieve_topk(loaded, query, k=5)]
             assert a == b
+
+
+def test_saved_store_gives_bit_identical_bundles(tmp_path):
+    # the library path (in-memory store) and the CLI path (loaded store)
+    # must search the same keys: every bundle equal bit for bit
+    dataset_cfg, encoder_section, train_cfg, infer_cfg = load_config(str(DEFAULT_CONFIG))
+    train, valid, test = generate_synthetic(dataset_cfg)
+    ecfg = _encoder_config(encoder_section, dataset_cfg.vocab_size, dataset_cfg.num_classes)
+    trainer = Trainer(train, valid, init_state(ecfg, seed=train_cfg.seed), train_cfg)
+    trainer.run()
+    state = trainer.best_state()
+    store = build(state, train)
+    save(store, tmp_path / "store.bin")
+    loaded = load(tmp_path / "store.bin")
+    np.testing.assert_array_equal(loaded.keys, store.keys)
+    for sample in test:
+        a = predict(state, store, sample, infer_cfg)
+        b = predict(state, loaded, sample, infer_cfg)
+        for field in ("y_clf", "y_knn", "y_final"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        assert a.lam == b.lam
+        assert [(n.index, n.similarity) for n in a.neighbors] == [(n.index, n.similarity) for n in b.neighbors]

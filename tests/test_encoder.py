@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from knnmlc.data import Sample
+from knnmlc.data import Sample, pack_samples
 from knnmlc.encoder import (
     CheckpointError,
     EncoderConfig,
     backward,
     classify,
     forward,
+    forward_batch,
     init_state,
     load_checkpoint,
     save_checkpoint,
@@ -98,28 +99,35 @@ class TestClassify:
 
 
 class TestBackward:
+    def _trace(self, state):
+        return forward_batch(state, pack_samples([tiny_sample()], state.config.input_dim))
+
     def test_zero_upstream_gives_zero_gradients(self):
         state = init_state(tiny_config(), seed=1)
-        trace = forward(state, tiny_sample(), dropout_mode="off")
-        grads = backward(state, trace, grad_embedding=np.zeros(3), grad_logits=np.zeros(3))
+        grads = backward(state, self._trace(state), grad_embedding=np.zeros((1, 3)), grad_logits=np.zeros((1, 3)))
         for _, arr in grads.param_items():
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
 
     def test_classifier_gradient_is_outer_product(self):
         state = init_state(tiny_config(), seed=2)
-        trace = forward(state, tiny_sample(), dropout_mode="off")
-        g = np.array([0.3, -0.7, 1.1])
+        trace = self._trace(state)
+        g = np.array([[0.3, -0.7, 1.1]])
         grads = backward(state, trace, grad_logits=g)
-        np.testing.assert_allclose(grads.w_clf, np.outer(g, trace.embedding), atol=1e-15)
-        np.testing.assert_allclose(grads.b_clf, g, atol=1e-15)
+        np.testing.assert_allclose(grads.w_clf, np.outer(g[0], trace.embedding[0]), atol=1e-15)
+        np.testing.assert_allclose(grads.b_clf, g[0], atol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
         state = init_state(tiny_config(), seed=0)
-        trace = forward(state, tiny_sample(), dropout_mode="off")
+        trace = self._trace(state)
         with pytest.raises(ValueError):
-            backward(state, trace, grad_logits=np.zeros(5))
+            backward(state, trace, grad_logits=np.zeros((1, 5)))
         with pytest.raises(ValueError):
-            backward(state, trace, grad_embedding=np.zeros(7))
+            backward(state, trace, grad_embedding=np.zeros((1, 7)))
+        with pytest.raises(ValueError):
+            backward(state, trace, grad_logits=np.zeros(3))
+        # the 1-d trace of a single forward is not a batch trace
+        with pytest.raises(ValueError, match="batch trace"):
+            backward(state, forward(state, tiny_sample()), grad_logits=np.zeros((1, 3)))
 
     @pytest.mark.parametrize("seed", [21, 22, 23, 24])
     def test_full_gradient_check(self, seed):

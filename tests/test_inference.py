@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from knnmlc.data import DatasetConfig, generate_synthetic
-from knnmlc.datastore import Datastore, Neighbor, build
+from knnmlc.datastore import Datastore, Neighbor, NonFiniteQueryError, build
 from knnmlc.encoder import EncoderConfig, classify, forward, init_state
 from knnmlc.inference import (
     InferenceConfig,
@@ -192,6 +192,13 @@ class TestPredict:
         np.testing.assert_array_equal(bundle.y_knn, np.zeros(6))
         with pytest.raises(ValueError):
             predict(state, None, test[0], InferenceConfig(mode="denn"))
+
+    def test_non_finite_embedding_fails_at_retrieval(self, pipeline):
+        state, store, test = pipeline
+        broken = state.copy()
+        broken.b_emb[0] = np.nan
+        with pytest.raises(NonFiniteQueryError):
+            predict(broken, store, test[0], InferenceConfig(mode="denn"))
 
     def test_dimension_mismatch_rejected(self, pipeline):
         state, _, test = pipeline

@@ -184,6 +184,14 @@ class TestTrainer:
             np.testing.assert_array_equal(trainer_a.adam.m[name], trainer_c.adam.m[name])
             np.testing.assert_array_equal(trainer_a.adam.v[name], trainer_c.adam.v[name])
 
+    def test_dropout_override_leaves_caller_config(self):
+        (train_s, valid_s, _), dcfg = tiny_data()
+        ecfg = tiny_encoder_cfg(dcfg)
+        state = init_state(ecfg, seed=0)
+        trainer = Trainer(train_s, valid_s, state, TrainConfig(batch_size=8, max_iters=2, dropout_rate=0.3))
+        assert ecfg.dropout_rate == 0.1
+        assert trainer.state.config.dropout_rate == 0.3
+
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0).validate()
