@@ -1,18 +1,20 @@
 """The embedding datastore: build, exact top-k retrieval, binary persistence.
 
 After training, every training sample is embedded once (dropout off) and
-stored as a key alongside its label vector. Retrieval is exact cosine top-k
-with deterministic tie-breaking, so a brute-force sort reproduces it entry
-for entry. On disk, keys are quantized to float32 and labels packed to bits.
+stored as a float32 key alongside its label vector; each key is checked and
+normalized once, when the store is made. Retrieval takes a block of queries
+and is exact cosine top-k with deterministic tie-breaking, so a brute-force
+sort reproduces it entry for entry. On disk, keys are float32 and labels
+packed to bits.
 """
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from knnmlc.data import DatasetConfig, generate_synthetic
+from knnmlc.data import DatasetConfig, generate_synthetic, pack_samples
 from knnmlc.datastore import build, load, retrieve_topk, save
-from knnmlc.encoder import EncoderConfig, forward, init_state
+from knnmlc.encoder import EncoderConfig, forward_rowwise, init_state
 from knnmlc.training import TrainConfig, Trainer
 
 dcfg = DatasetConfig(train_size=600, valid_size=100, test_size=100, seed=3)
@@ -34,18 +36,27 @@ print(f"20% store: {fifth.count} entries, prefix of the full store: "
 
 # --- retrieval ------------------------------------------------------------------
 
+# one block of queries: row i holds test sample i's neighbors as (indices, sims) arrays
+queries = forward_rowwise(state, pack_samples(test, state.config.input_dim)).embedding
+indices, sims = retrieve_topk(store, queries, k=8)
 query_sample = test[0]
-query = forward(state, query_sample, dropout_mode="off").embedding
-neighbors = retrieve_topk(store, query, k=8)
 print(f"\nquery {query_sample.sample_id} with labels {query_sample.positive_labels()}")
 print("nearest neighbors (similarity, stored labels):")
-for n in neighbors:
-    print(f"  #{n.index:<5} sim {n.similarity:+.4f}  labels {np.flatnonzero(n.labels).tolist()}")
+for index, sim in zip(indices[0], sims[0]):
+    print(f"  #{index:<5} sim {sim:+.4f}  labels {np.flatnonzero(store.values[index]).tolist()}")
 
-# exactness: a plain full sort gives the identical ranking
-sims = np.clip(store.keys @ query / (np.linalg.norm(store.keys, axis=1) * np.linalg.norm(query)), -1, 1)
-oracle = sorted(range(store.count), key=lambda i: (-sims[i], i))[:8]
-print(f"matches a brute-force sort exactly: {[n.index for n in neighbors] == oracle}")
+# exactness: a plain full sort of the same cosines (unit keys times the unit
+# query, summed row by row) gives the identical ranking
+unit = store.keys.astype(np.float64)
+unit /= np.linalg.norm(unit, axis=1)[:, None]
+query = queries[0] / np.linalg.norm(queries[:1], axis=1)
+cos = np.clip((unit * query).sum(axis=1), -1, 1)
+oracle = sorted(range(store.count), key=lambda i: (-cos[i], i))[:8]
+print(f"matches a brute-force sort exactly: {indices[0].tolist() == oracle}")
+
+# a row does not depend on the block it was retrieved in
+alone = retrieve_topk(store, queries[:1], k=8)
+print(f"query alone gives the same bytes: {all(np.array_equal(a[0], b[0]) for a, b in zip(alone, (indices, sims)))}")
 
 # --- persistence ----------------------------------------------------------------
 
@@ -57,7 +68,6 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\nfile size {size} bytes == header + count*(4d + ceil(C/8)) = {expected}: {size == expected}")
     reloaded = load(path)
     print(f"labels exact after reload: {np.array_equal(reloaded.values, store.values)}")
-    drift = np.max(np.abs(reloaded.keys - store.keys))
-    print(f"max key drift from float32 quantization: {drift:.2e}")
-    same_topk = [n.index for n in retrieve_topk(reloaded, query, k=8)] == [n.index for n in neighbors]
+    print(f"float32 keys bit-identical after reload: {np.array_equal(reloaded.keys, store.keys)}")
+    same_topk = np.array_equal(retrieve_topk(reloaded, queries, k=8)[0], indices)
     print(f"top-8 retrieval unchanged after reload: {same_topk}")

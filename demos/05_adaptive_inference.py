@@ -12,7 +12,7 @@ import numpy as np
 from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc.datastore import build
 from knnmlc.encoder import EncoderConfig, init_state
-from knnmlc.inference import InferenceConfig, predict
+from knnmlc.inference import InferenceConfig, predict, predict_batch
 from knnmlc.metrics import confusion, macro_prf, micro_prf
 from knnmlc.training import TrainConfig, Trainer
 
@@ -37,10 +37,13 @@ print(f"  high-confidence labels (>= {cfg.gamma}): {np.flatnonzero(bundle.high_c
 print(f"  lambda = min neighbor vote on those labels = {bundle.lam:.3f}")
 print(f"  combined:                 {np.round(bundle.y_final, 3).tolist()}")
 print(f"  decisions at 0.5:         {bundle.decisions().tolist()}")
+print(f"  from neighbors {bundle.neighbor_indices[:5].tolist()}... "
+      f"with similarities {np.round(bundle.neighbor_sims[:5], 3).tolist()}...")
 
 # --- lambda varies per sample -----------------------------------------------------
 
-lams = [predict(state, store, s, cfg).lam for s in test[:200]]
+# one batch: every field gains a leading row axis, lam is one value per sample
+lams = predict_batch(state, store, test[:200], cfg).lam
 print(f"\nlambda over 200 test samples: mean {np.mean(lams):.3f}, "
       f"min {np.min(lams):.3f}, max {np.max(lams):.3f}")
 print("  (a fixed mixing weight would treat all of these alike)")
@@ -51,6 +54,6 @@ gold = np.stack([s.labels for s in test])
 print(f"\n{'mode':<18} {'micro-F1':>9} {'macro-F1':>9}")
 for mode in ("classifier_only", "knn_only", "fixed_lambda", "denn"):
     mode_cfg = InferenceConfig(k=30, tau2=0.05, gamma=0.7, mode=mode, fixed_lambda_value=0.5)
-    pred_rows = np.stack([predict(state, store, s, mode_cfg).decisions() for s in test])
+    pred_rows = predict_batch(state, store, test, mode_cfg).decisions()
     counts = confusion(gold, pred_rows)
     print(f"{mode:<18} {micro_prf(counts)[2]:>9.4f} {macro_prf(counts)[2]:>9.4f}")

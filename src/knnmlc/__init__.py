@@ -20,7 +20,7 @@ from .data import (
     pack_samples,
     save_jsonl,
 )
-from .datastore import Datastore, DatastoreFormatError, Neighbor, NonFiniteQueryError, retrieve_topk
+from .datastore import Datastore, DatastoreFormatError, InvalidKeyError, NonFiniteQueryError, retrieve_topk
 from .encoder import (
     CheckpointError,
     EncoderConfig,
@@ -30,11 +30,12 @@ from .encoder import (
     classify,
     forward,
     forward_batch,
+    forward_rowwise,
     init_state,
     load_checkpoint,
     save_checkpoint,
 )
-from .inference import InferenceConfig, PredictionBundle, combine, debiased_lambda, high_confidence_subset, knn_predict, predict
+from .inference import InferenceConfig, PredictionBundle, combine, debiased_lambda, high_confidence_subset, knn_predict, predict, predict_batch
 from .losses import (
     BatchViews,
     bce_loss,
@@ -46,6 +47,6 @@ from .losses import (
 )
 from .mathops import cosine_sim, make_rng, sigmoid, softmax_temp
 from .metrics import ConfusionCounts, confusion, group_report, hamming_loss, macro_prf, micro_prf
-from .training import AdamState, TrainConfig, Trainer, adam_step, train
+from .training import AdamState, NonFiniteLossError, TrainConfig, Trainer, adam_step, train
 
 __version__ = "0.1.0"

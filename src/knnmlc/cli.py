@@ -7,8 +7,11 @@ the schema), so `{}` is a valid config. Each command records a manifest
 (config snapshot, seed, artifact paths, timestamps) next to its outputs, and
 commands are deterministic given their config and seed.
 
-Exit codes: 0 success, 2 missing file, 3 malformed config or data file,
-4 dimension mismatch, 1 anything else.
+Exit codes: 0 success, 2 missing file, 3 malformed config or data file
+(including a datastore file with a zero-norm or non-finite key), 4 dimension
+mismatch, 5 non-finite numbers at their source (a NaN or inf training loss,
+or a zero-norm or non-finite key while building a datastore), 1 anything
+else.
 """
 from __future__ import annotations
 
@@ -33,16 +36,17 @@ from .data import (
 )
 from .encoder import CheckpointError, EncoderConfig, init_state, load_checkpoint, save_checkpoint
 from .gradcheck import gradient_check, run_gradcheck_suite
-from .inference import InferenceConfig, predict
+from .inference import InferenceConfig, predict_batch
 from .losses import CONTRASTIVE_VARIANTS
 from .metrics import confusion, group_report, hamming_loss, macro_prf, micro_prf
-from .training import TrainConfig, Trainer
+from .training import NonFiniteLossError, TrainConfig, Trainer
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MISSING_FILE = 2
 EXIT_FORMAT = 3
 EXIT_DIMENSION = 4
+EXIT_NON_FINITE = 5
 
 
 class ConfigError(ValueError):
@@ -225,20 +229,34 @@ def cmd_build_store(args) -> int:
     return EXIT_OK
 
 
+# samples per predict_batch call: bounds the (rows, k, C) neighbor-vote and
+# (features, hidden) input-layer temporaries; rows do not depend on the split
+_PREDICT_CHUNK = 1024
+
+
+def _predict_chunks(state, store, samples, infer_cfg):
+    """(chunk of samples, its PredictionBundle) over the samples in order."""
+    for start in range(0, len(samples), _PREDICT_CHUNK):
+        chunk = samples[start : start + _PREDICT_CHUNK]
+        yield chunk, predict_batch(state, store, chunk, infer_cfg)
+
+
 def _predict_records(state, store, samples, infer_cfg):
-    for sample in samples:
-        bundle = predict(state, store, sample, infer_cfg)
-        yield {
-            "id": sample.sample_id,
-            "y_clf": bundle.y_clf.tolist(),
-            "y_knn": bundle.y_knn.tolist(),
-            "lambda": bundle.lam,
-            "y_final": bundle.y_final.tolist(),
-            "y_pred": bundle.decisions(infer_cfg.decision_threshold).tolist(),
-            "neighbors": [
-                {"index": n.index, "similarity": n.similarity} for n in bundle.neighbors
-            ],
-        }
+    for chunk, bundle in _predict_chunks(state, store, samples, infer_cfg):
+        y_pred = bundle.decisions(infer_cfg.decision_threshold)
+        for i, sample in enumerate(chunk):
+            yield {
+                "id": sample.sample_id,
+                "y_clf": bundle.y_clf[i].tolist(),
+                "y_knn": bundle.y_knn[i].tolist(),
+                "lambda": float(bundle.lam[i]),
+                "y_final": bundle.y_final[i].tolist(),
+                "y_pred": y_pred[i].tolist(),
+                "neighbors": [
+                    {"index": index, "similarity": sim}
+                    for index, sim in zip(bundle.neighbor_indices[i].tolist(), bundle.neighbor_sims[i].tolist())
+                ],
+            }
 
 
 def cmd_predict(args) -> int:
@@ -372,8 +390,8 @@ def cmd_eval(args) -> int:
 def _eval_mode(state, store, samples, infer_cfg, mode=None, **overrides):
     cfg = dataclasses.replace(infer_cfg, **({"mode": mode} if mode else {}), **overrides)
     gold = np.stack([s.labels for s in samples])
-    pred = np.stack(
-        [predict(state, store, s, cfg).decisions(cfg.decision_threshold) for s in samples]
+    pred = np.concatenate(
+        [bundle.decisions(cfg.decision_threshold) for _, bundle in _predict_chunks(state, store, samples, cfg)]
     )
     counts = confusion(gold, pred)
     return micro_prf(counts)[2], macro_prf(counts)[2]
@@ -562,6 +580,9 @@ def main(argv=None) -> int:
     except DimensionMismatchError as exc:
         print(f"error: dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
+    except (NonFiniteLossError, ds.InvalidKeyError) as exc:
+        print(f"error: non-finite numbers: {exc}", file=sys.stderr)
+        return EXIT_NON_FINITE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,11 +1,6 @@
 """Key-value store of (embedding, label) pairs built from the training set,
 with exact top-k cosine retrieval and a compact binary file format.
 
-Retrieval is exact: partial selection (argpartition) narrows the candidates,
-then an explicit (similarity descending, index ascending) sort fixes the
-order, with the candidate set widened to cover ties at the cutoff. No
-approximate index is used.
-
 File layout (little-endian), documented byte-exactly in docs/formats.md:
 
     magic    4 bytes  b"NNDS"
@@ -16,15 +11,48 @@ File layout (little-endian), documented byte-exactly in docs/formats.md:
     keys     count * d float32
     labels   count rows of ceil(C/8) bytes, big bit order (label 0 = MSB)
 
-Keys are quantized to float32 when the store is built, so an in-memory store
-and its saved-and-loaded copy hold the same keys; they are promoted to
-float64 for all arithmetic.
+Keys are float32, the file's dtype, in memory too, so an in-memory store and
+its saved-and-loaded copy hold the same keys. When a store is made (by
+``build``, ``load`` or the constructor) every key is checked once: a
+zero-norm key or one holding NaN or inf has no cosine similarity and is
+rejected there (``InvalidKeyError``; ``load`` reports it as a
+``DatastoreFormatError``), never at query time. The store also keeps each
+key's unit vector rounded to float32 for the candidate search, so it holds
+as many bytes as float64 keys would. Cosine similarity is then an inner
+product of unit vectors, as in exact inner-product search (FAISS
+``IndexFlatIP``).
+
+Retrieval takes an (n, d) block of queries and is exact: the result equals a
+full sort by (similarity descending, index ascending) of the similarities
+r = clip(sum_i u_i q_i, -1, 1), with u = key / norm and q = query / norm in
+float64, summed row by row so that r does not depend on the other queries.
+Queries run in row blocks sized so the (rows, count) float32 similarity
+block stays near ``_QUERY_BLOCK_BYTES``. Per block:
+
+1. one float32 BLAS product of the unit queries with the float32 unit keys
+   gives approximate similarities b;
+2. per row, every entry with b >= min(b_k, 1) - M is a candidate, where b_k
+   is the row's k-th largest b, M = 4 gamma_{d+2}, and
+   gamma_m = m e / (1 - m e) with e = 2**-24 the float32 unit roundoff;
+3. each candidate gets its exact r (its float64 unit key formed from its
+   key row alone), and the candidates are sorted by (r descending, index
+   ascending).
+
+Why that is exact: rounding u and q to float32 and summing d products in
+float32 in any order puts b within gamma_{d+2} |u||q| of the exact inner
+product, and r is within the float64 gamma_d |u||q| of it, so with
+|u|, |q| = 1 + O(2**-53) the gap delta = |b - r| stays below 2 gamma_{d+2}
+(underflow adds under 1e-40), and clipping both keeps that bound. The k
+entries with the largest clipped b have r >= clip(b_k) - delta, so the k-th
+largest r is at least that, and any entry at or above it (ties at the cutoff
+included) has clipped b >= clip(b_k) - 2 delta > clip(b_k) - M: it is a
+candidate. Sorting the candidates therefore gives exactly the full sort's
+top k, whatever block a query sat in.
 """
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +62,7 @@ from .encoder import EncoderState, forward_batch
 __all__ = [
     "Datastore",
     "DatastoreFormatError",
-    "Neighbor",
+    "InvalidKeyError",
     "NonFiniteQueryError",
     "build",
     "load",
@@ -47,6 +75,10 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHIIQ")
 # build embeds in row blocks whose dense (rows, input_dim) inputs stay near this size
 _BUILD_BLOCK_BYTES = 2 << 20
+# retrieval runs queries in row blocks whose (rows, count) float32 similarity
+# block stays near this size (13 queries against 20k keys)
+_QUERY_BLOCK_BYTES = 1 << 20
+_FLOAT32_ROUNDOFF = 2.0**-24
 
 
 class DatastoreFormatError(ValueError):
@@ -58,22 +90,23 @@ class NonFiniteQueryError(ValueError):
     would be NaN and no neighbor could be ranked."""
 
 
-@dataclass
-class Neighbor:
-    index: int
-    similarity: float
-    labels: np.ndarray
+class InvalidKeyError(ValueError):
+    """Raised when a store is made from a key that is zero-norm or holds NaN
+    or inf: its cosine similarity with any query is undefined."""
 
 
 @dataclass
 class Datastore:
-    """Immutable after build: (count, d) float64 keys and (count, C) labels."""
+    """Immutable after construction: (count, d) float32 keys and (count, C)
+    int8 labels, plus the keys' unit vectors rounded to float32 for the
+    candidate search. Keys of another dtype are quantized to float32."""
 
     keys: np.ndarray
     values: np.ndarray
+    unit: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.keys = np.asarray(self.keys, dtype=np.float64)
+        self.keys = np.asarray(self.keys, dtype=np.float32)
         self.values = np.asarray(self.values, dtype=np.int8)
         if self.keys.ndim != 2 or self.values.ndim != 2:
             raise ValueError("keys and values must be 2-d arrays")
@@ -81,6 +114,16 @@ class Datastore:
             raise ValueError(
                 f"keys count {self.keys.shape[0]} != values count {self.values.shape[0]}"
             )
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = _unit_keys(self.keys)
+        # a zero norm (0/0) or a NaN or inf entry leaves a non-finite row
+        bad = np.flatnonzero(~np.isfinite(unit).all(axis=1))
+        if bad.size:
+            raise InvalidKeyError(
+                f"{bad.size} key(s) with zero norm or NaN/inf entries (first at index {bad[0]}); "
+                "cosine similarity is undefined"
+            )
+        self.unit = unit.astype(np.float32)
 
     @property
     def count(self) -> int:
@@ -95,6 +138,13 @@ class Datastore:
         return self.values.shape[1]
 
 
+def _unit_keys(keys: np.ndarray) -> np.ndarray:
+    """float64 unit vectors of float32 key rows, each row from itself alone."""
+    unit = keys.astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    return unit
+
+
 def build(state: EncoderState, train_samples, fraction: float = 1.0) -> Datastore:
     """One entry per training sample, in input order, embedded with the
     deterministic dropout-off forward pass and quantized to float32.
@@ -104,7 +154,8 @@ def build(state: EncoderState, train_samples, fraction: float = 1.0) -> Datastor
     full one. Embedding runs in row blocks that start at fixed multiples of
     the block size over the whole training set, and a prefix's last block is
     computed whole and cut, so every entry comes out of the same matrix
-    product whatever the fraction.
+    product whatever the fraction. Raises InvalidKeyError when an embedding
+    is zero-norm or non-finite after quantization.
     """
     if not train_samples:
         raise ValueError("cannot build a datastore from an empty training set")
@@ -121,41 +172,67 @@ def build(state: EncoderState, train_samples, fraction: float = 1.0) -> Datastor
     return Datastore(keys=keys, values=values)
 
 
-def retrieve_topk(store: Datastore, query, k: int) -> list[Neighbor]:
-    """The min(k, count) entries most cosine-similar to the query, sorted by
-    similarity descending with ties broken by ascending index."""
+def retrieve_topk(store: Datastore, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The min(k, count) entries most cosine-similar to each row of an (n, d)
+    block of queries: ``(indices, sims)``, both (n, min(k, count)), each row
+    sorted by similarity descending with ties broken by ascending index.
+
+    Exact, and each row is bit-identical whatever other rows the block holds
+    (see the module docstring). Raises NonFiniteQueryError for a query that
+    holds NaN or inf and ValueError for a zero-norm query.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = np.asarray(query, dtype=np.float64)
-    if q.shape != (store.dim,):
-        raise ValueError(f"query shape {q.shape} != ({store.dim},)")
-    qn = np.linalg.norm(q)
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != store.dim:
+        raise ValueError(f"queries shape {q.shape} != (n, {store.dim})")
+    norms = np.linalg.norm(q, axis=1)
     # the norm is NaN or inf exactly when an entry is (or when it overflows)
-    if not math.isfinite(qn):
+    if not np.isfinite(norms).all():
         raise NonFiniteQueryError("cannot retrieve with a query that holds NaN or inf")
-    if qn == 0.0:
+    if not norms.all():
         raise ValueError("cannot retrieve with a zero-norm query")
-    key_norms = np.linalg.norm(store.keys, axis=1)
-    if np.any(key_norms == 0.0):
-        raise ValueError("datastore contains zero-norm keys; cosine similarity undefined")
-    sims = np.clip((store.keys @ q) / (key_norms * qn), -1.0, 1.0)
+    q = q / norms[:, None]
 
-    n = store.count
-    k_eff = min(k, n)
-    if k_eff < n:
-        cand = np.argpartition(-sims, k_eff - 1)[:k_eff]
-        # widen to every entry tied with the current cutoff so index-order
-        # tie-breaking is decided among all tied entries, not an arbitrary subset
-        cutoff = sims[cand].min()
-        cand = np.flatnonzero(sims >= cutoff)
+    n, count = q.shape[0], store.count
+    k = min(k, count)
+    indices = np.empty((n, k), dtype=np.int64)
+    sims = np.empty((n, k))
+    # with k = count there is no similarity block, and every entry is
+    # re-scored: the (rows * count, d) float64 operands are what to bound
+    row_bytes = count * (8 * store.dim if k == count else 4)
+    block = max(1, _QUERY_BLOCK_BYTES // max(row_bytes, 1))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        indices[start:stop], sims[start:stop] = _topk_block(store, q[start:stop], k)
+    return indices, sims
+
+
+def _topk_block(store: Datastore, q: np.ndarray, k: int):
+    count, d = store.keys.shape
+    n = q.shape[0]
+    if k < count:
+        approx = q.astype(np.float32) @ store.unit.T
+        kth = np.partition(approx, count - k, axis=1)[:, count - k].astype(np.float64)
+        m = (d + 2) * _FLOAT32_ROUNDOFF
+        cutoff = np.minimum(kth, 1.0) - 4.0 * m / (1.0 - m)
+        # at or below -1 every entry clips to a candidate
+        cutoff[cutoff <= -1.0] = -np.inf
+        # rounded to float32 and stepped one ulp down: never above the cutoff
+        cutoff = np.nextafter(cutoff.astype(np.float32), np.float32(-np.inf))
+        rows, cand = np.divmod(np.flatnonzero(approx >= cutoff[:, None]), count)
     else:
-        cand = np.arange(n)
-    order = cand[np.lexsort((cand, -sims[cand]))][:k_eff]
-    return [Neighbor(index=int(i), similarity=float(sims[i]), labels=store.values[i]) for i in order]
+        rows = np.repeat(np.arange(n), count)
+        cand = np.tile(np.arange(count), n)
+    exact = np.clip((_unit_keys(store.keys[cand]) * q[rows]).sum(axis=1), -1.0, 1.0)
+    # rows ascend, so each row's candidates keep their span in the sorted order
+    order = np.lexsort((cand, -exact, rows))
+    take = order[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
+    return cand[take], exact[take]
 
 
 def save(store: Datastore, path) -> None:
-    """Write the binary format; keys are quantized to float32."""
+    """Write the binary format."""
     labels_packed = np.packbits(store.values.astype(np.uint8), axis=1, bitorder="big")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, store.dim, store.num_classes, store.count))
@@ -165,7 +242,8 @@ def save(store: Datastore, path) -> None:
 
 def load(path) -> Datastore:
     """Read the binary format back; raises DatastoreFormatError for bad magic,
-    unsupported version, or a size that disagrees with the header."""
+    unsupported version, a size that disagrees with the header, or a
+    zero-norm or non-finite key."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -182,8 +260,10 @@ def load(path) -> Datastore:
             f"{path}: size {len(blob)} bytes does not match header (expected {expected})"
         )
     keys_end = _HEADER.size + count * 4 * dim
-    keys = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=_HEADER.size)
-    keys = keys.reshape(count, dim).astype(np.float64)
+    keys = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=_HEADER.size).reshape(count, dim)
     packed = np.frombuffer(blob, dtype=np.uint8, offset=keys_end).reshape(count, label_row_bytes)
     values = np.unpackbits(packed, axis=1, bitorder="big")[:, :num_classes].astype(np.int8)
-    return Datastore(keys=keys, values=values)
+    try:
+        return Datastore(keys=keys, values=values)
+    except InvalidKeyError as exc:
+        raise DatastoreFormatError(f"{path}: {exc}") from exc

@@ -4,11 +4,20 @@ inverted dropout) -> linear embedding, plus a sigmoid classifier head.
 The batch is the unit of work. ``forward_batch`` runs every row of a packed
 batch (``data.PackedSamples``) through the network in one pass of array
 operations, and ``backward`` returns the parameter gradients summed over
-those rows as matrix products. ``forward`` on a single sample is a batch of
-one. Both passes are written out by hand; the backward pass is validated
-against central finite differences (see gradcheck). Dropout is applied to
-the hidden activations only, with surviving units scaled by 1/(1 - rate) so
-evaluation mode needs no rescaling.
+those rows as matrix products. Both passes are written out by hand; the
+backward pass is validated against central finite differences (see
+gradcheck). Dropout is applied to the hidden activations only, with
+surviving units scaled by 1/(1 - rate) so evaluation mode needs no
+rescaling.
+
+``forward_rowwise`` computes the same network so that every output row is
+bit-identical whatever batch the row sits in: a BLAS matrix product may
+round a row differently for a different row count, so it uses only
+row-local reductions. Inference runs on it, which is what lets a single
+query (``forward`` on one sample is a batch of one of it) and the same
+sample inside a CLI batch give the same bits. It is 2-3x slower than
+``forward_batch`` on training batches and store blocks, which keep the
+matrix products.
 """
 from __future__ import annotations
 
@@ -30,6 +39,7 @@ __all__ = [
     "classify",
     "forward",
     "forward_batch",
+    "forward_rowwise",
     "init_state",
     "load_checkpoint",
     "save_checkpoint",
@@ -146,6 +156,38 @@ def init_state(config: EncoderConfig, seed: int = 0) -> EncoderState:
     )
 
 
+def _activate(cfg: EncoderConfig, pre_hidden: np.ndarray) -> np.ndarray:
+    if cfg.activation == "tanh":
+        return np.tanh(pre_hidden)
+    return np.maximum(pre_hidden, 0.0)
+
+
+def _dropout_mask(cfg: EncoderConfig, hidden: np.ndarray, dropout_mode: str, rng, masks) -> np.ndarray:
+    """The scaled (n, hidden) dropout mask: the given ``masks``, one block of
+    uniforms from ``rng`` (the same stream as n per-row draws), or all ones
+    laid out like ``hidden``."""
+    if masks is not None:
+        mask = np.asarray(masks, dtype=np.float64)
+        if mask.shape != hidden.shape:
+            raise ValueError(f"mask shape {mask.shape} != hidden shape {hidden.shape}")
+        return mask
+    if dropout_mode == "on" and cfg.dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("dropout_mode='on' requires an rng")
+        keep = rng.random(hidden.shape) >= cfg.dropout_rate
+        return keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
+    if dropout_mode in ("on", "off"):
+        mask = np.empty_like(hidden)
+        mask.fill(1.0)
+        return mask
+    raise ValueError(f"dropout_mode must be 'on' or 'off', got {dropout_mode!r}")
+
+
+def _check_input_dim(state: EncoderState, batch: PackedSamples) -> None:
+    if batch.input_dim != state.config.input_dim:
+        raise ValueError(f"batch packed for input_dim={batch.input_dim}, encoder has {state.config.input_dim}")
+
+
 def forward_batch(
     state: EncoderState,
     batch: PackedSamples,
@@ -160,40 +202,47 @@ def forward_batch(
     ``masks`` gives the scaled (n, hidden) masks, which is how the gradient
     check freezes them.
     """
-    cfg = state.config
-    if batch.input_dim != cfg.input_dim:
-        raise ValueError(f"batch packed for input_dim={batch.input_dim}, encoder has {cfg.input_dim}")
-    if batch.indices.size < cfg.input_dim:
-        # fewer features than w_in has columns (single queries, small
-        # batches over a wide vocabulary): gather the columns the features
-        # touch, scale by the values and sum per row
+    _check_input_dim(state, batch)
+    if batch.indices.size < state.config.input_dim:
+        # fewer features than w_in has columns (small batches over a wide
+        # vocabulary): gather the columns the features touch, scale by the
+        # values and sum per row
         columns = state.w_in[:, batch.indices] * batch.values
         pre_hidden = np.add.reduceat(columns, batch.indptr[:-1], axis=1).T + state.b_in
     else:
         # dense enough that one matrix product over the dense rows is cheaper
         pre_hidden = batch.to_dense() @ state.w_in.T + state.b_in
-    if cfg.activation == "tanh":
-        hidden = np.tanh(pre_hidden)
-    else:
-        hidden = np.maximum(pre_hidden, 0.0)
-
-    if masks is not None:
-        mask = np.asarray(masks, dtype=np.float64)
-        if mask.shape != hidden.shape:
-            raise ValueError(f"mask shape {mask.shape} != hidden shape {hidden.shape}")
-    elif dropout_mode == "on" and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("dropout_mode='on' requires an rng")
-        keep = rng.random(hidden.shape) >= cfg.dropout_rate
-        mask = keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
-    elif dropout_mode in ("on", "off"):
-        mask = np.empty_like(hidden)
-        mask.fill(1.0)
-    else:
-        raise ValueError(f"dropout_mode must be 'on' or 'off', got {dropout_mode!r}")
-
+    hidden = _activate(state.config, pre_hidden)
+    mask = _dropout_mask(state.config, hidden, dropout_mode, rng, masks)
     embedding = (hidden * mask) @ state.w_emb.T + state.b_emb
     logits = embedding @ state.w_clf.T + state.b_clf
+    return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits)
+
+
+def forward_rowwise(
+    state: EncoderState,
+    batch: PackedSamples,
+    dropout_mode: str = "off",
+    rng: np.random.Generator | None = None,
+    masks: np.ndarray | None = None,
+) -> ForwardTrace:
+    """``forward_batch`` computed so that each output row depends on its input
+    row alone and comes out bit-identical in a batch of any size or order.
+
+    The input layer gathers the ``w_in`` columns a row's features touch as
+    C-contiguous rows and sums each segment in feature order
+    (``np.add.reduceat`` along axis 0); the two small layers use ``einsum``
+    on C-contiguous operands, which reduces each output entry over the last
+    axis on its own. Results agree with ``forward_batch`` to rounding, not
+    bit for bit. Dropout arguments are as in ``forward_batch``.
+    """
+    _check_input_dim(state, batch)
+    columns = state.w_in.T[batch.indices] * batch.values[:, None]
+    pre_hidden = np.add.reduceat(columns, batch.indptr[:-1], axis=0) + state.b_in
+    hidden = _activate(state.config, pre_hidden)
+    mask = _dropout_mask(state.config, hidden, dropout_mode, rng, masks)
+    embedding = np.einsum("ij,kj->ik", hidden * mask, state.w_emb) + state.b_emb
+    logits = np.einsum("ij,kj->ik", embedding, state.w_clf) + state.b_clf
     return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits)
 
 
@@ -204,11 +253,12 @@ def forward(
     rng: np.random.Generator | None = None,
     mask_override: np.ndarray | None = None,
 ) -> ForwardTrace:
-    """Run the network on one sample, as a batch of one (see forward_batch);
+    """Run the network on one sample, as a batch of one of ``forward_rowwise``,
+    so the result equals that sample's row in any inference batch;
     ``mask_override`` is that row's (hidden,) mask."""
     masks = None if mask_override is None else np.asarray(mask_override, dtype=np.float64)[None]
     batch = pack_samples([sample], state.config.input_dim)
-    t = forward_batch(state, batch, dropout_mode, rng, masks)
+    t = forward_rowwise(state, batch, dropout_mode, rng, masks)
     return ForwardTrace(batch, t.pre_hidden[0], t.hidden[0], t.mask[0], t.embedding[0], t.logits[0])
 
 

@@ -14,7 +14,8 @@ negative weights:
 l_ij is the label similarity: shared positive labels over the larger positive
 count. Gradients with respect to the pairwise similarities are analytic; the
 chain through cosine similarity down to the embeddings is in
-``contrastive_embedding_grads``.
+``contrastive_embedding_grads``, which reuses the norms, unit vectors and
+cosine matrix of the forward pass.
 """
 from __future__ import annotations
 
@@ -226,20 +227,17 @@ def contrastive_loss(batch: BatchViews, tau1: float, variant: str = "dcl"):
     return contrastive_loss_from_similarities(sims, batch.labels, tau1, variant)
 
 
-def contrastive_embedding_grads(embeddings: np.ndarray, grad_sims: np.ndarray) -> np.ndarray:
+def contrastive_embedding_grads(unit: np.ndarray, norms: np.ndarray, cos: np.ndarray, grad_sims: np.ndarray) -> np.ndarray:
     """Chain a similarity-space gradient back to the embeddings through the
     cosine derivative d cos(h_i, h_j)/d h_i = (u_j - s_ij u_i)/|h_i|.
 
-    Both (i, j) and (j, i) entries flow into h_i because the similarity
-    matrix is symmetric in the embeddings.
+    Takes the pieces the forward cosine already computed
+    (``mathops.unit_rows`` of the (2N, d) embeddings and the unclipped
+    ``unit @ unit.T``), so a training step forms them once. Both (i, j) and
+    (j, i) entries flow into h_i because the similarity matrix is symmetric
+    in the embeddings.
     """
-    h = np.asarray(embeddings, dtype=np.float64)
     g = np.asarray(grad_sims, dtype=np.float64)
-    norms = np.linalg.norm(h, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("cosine gradients are undefined for zero-norm embeddings")
-    u = h / norms[:, None]
-    s = u @ u.T
     m = g + g.T
     np.fill_diagonal(m, 0.0)
-    return (m @ u - np.sum(m * s, axis=1)[:, None] * u) / norms[:, None]
+    return (m @ unit - np.sum(m * cos, axis=1)[:, None] * unit) / norms[:, None]

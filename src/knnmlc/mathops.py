@@ -15,6 +15,7 @@ __all__ = [
     "make_rng",
     "sigmoid",
     "softmax_temp",
+    "unit_rows",
 ]
 
 
@@ -45,8 +46,9 @@ def cosine_sim(a, b) -> float:
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
-def cosine_sim_matrix(rows: np.ndarray) -> np.ndarray:
-    """All-pairs cosine similarities of the rows of an (n, d) array.
+def unit_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """``(unit, norms)``: the rows of an (n, d) array scaled to unit length,
+    and their Euclidean norms. Every row's result depends on that row alone.
 
     Raises ValueError if any row has zero norm.
     """
@@ -54,16 +56,25 @@ def cosine_sim_matrix(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("cosine similarity is undefined for zero-norm rows")
-    unit = rows / norms[:, None]
+    return rows / norms[:, None], norms
+
+
+def cosine_sim_matrix(rows: np.ndarray) -> np.ndarray:
+    """All-pairs cosine similarities of the rows of an (n, d) array.
+
+    Raises ValueError if any row has zero norm.
+    """
+    unit, _ = unit_rows(rows)
     return np.clip(unit @ unit.T, -1.0, 1.0)
 
 
 def softmax_temp(scores, tau: float) -> np.ndarray:
-    """Temperature softmax: exp(s/tau) normalized, computed with
-    max-subtraction so large |s|/tau cannot overflow.
+    """Temperature softmax along the last axis: exp(s/tau) normalized,
+    computed with max-subtraction so large |s|/tau cannot overflow. Each row
+    of a stack of score rows is reduced on its own.
 
-    Output is non-negative and sums to 1. Raises ValueError for tau <= 0,
-    empty or non-finite scores.
+    Output is non-negative and sums to 1 along the last axis. Raises
+    ValueError for tau <= 0, empty or non-finite scores.
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -75,8 +86,8 @@ def softmax_temp(scores, tau: float) -> np.ndarray:
     if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise ValueError("softmax_temp received non-finite scores")
     z = s / tau
-    e = np.exp(z - np.maximum.reduce(z, axis=None))
-    return e / np.add.reduce(e, axis=None)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def sigmoid(x):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,11 +40,12 @@ from .losses import (
     contrastive_loss_from_similarities,
     total_loss,
 )
-from .mathops import cosine_sim_matrix, make_rng
+from .mathops import make_rng, unit_rows
 from .metrics import confusion, micro_prf
 
 __all__ = [
     "AdamState",
+    "NonFiniteLossError",
     "TrainConfig",
     "Trainer",
     "adam_step",
@@ -54,6 +56,11 @@ __all__ = [
 
 _TRAINER_FORMAT = "knnmlc-trainer"
 _TRAINER_VERSION = 1
+
+
+class NonFiniteLossError(ValueError):
+    """Raised when a training step's BCE or contrastive loss is NaN or inf;
+    the message names the iteration. The step's update is not applied."""
 
 
 @dataclass
@@ -139,10 +146,14 @@ def adam_step(
 
 
 def _batch_losses(trace, labels, tau1, variant):
+    """Both objectives of a batch trace, their gradients on the logits and on
+    the similarities, and the cosine pieces (unit rows, norms, unclipped
+    cosine matrix) that the embedding gradient reuses."""
     bce, logit_grads = bce_loss(classify(trace), labels)
-    sims = cosine_sim_matrix(trace.embedding)
-    con, grad_sims = contrastive_loss_from_similarities(sims, labels, tau1, variant)
-    return bce, con, logit_grads, grad_sims
+    unit, norms = unit_rows(trace.embedding)
+    cos = unit @ unit.T
+    con, grad_sims = contrastive_loss_from_similarities(np.clip(cos, -1.0, 1.0), labels, tau1, variant)
+    return bce, con, logit_grads, grad_sims, (unit, norms, cos)
 
 
 def batch_objective(state, views: PackedSamples, masks, alpha, tau1, variant="dcl") -> float:
@@ -150,7 +161,7 @@ def batch_objective(state, views: PackedSamples, masks, alpha, tau1, variant="dc
     dropout masks. This is the scalar the finite-difference gradient check
     perturbs; it never touches the backward pass."""
     trace = forward_batch(state, views, dropout_mode="on", masks=masks)
-    bce, con, _, _ = _batch_losses(trace, views.labels, tau1, variant)
+    bce, con, _, _, _ = _batch_losses(trace, views.labels, tau1, variant)
     return total_loss(bce, con, alpha)
 
 
@@ -161,8 +172,8 @@ def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng
     Returns (bce, con, total, grads, masks_used) with masks_used (2N, hidden).
     """
     trace = forward_batch(state, views, dropout_mode="on", rng=rng, masks=masks)
-    bce, con, logit_grads, grad_sims = _batch_losses(trace, views.labels, tau1, variant)
-    emb_grads = alpha * contrastive_embedding_grads(trace.embedding, grad_sims) if alpha > 0.0 else None
+    bce, con, logit_grads, grad_sims, cosine = _batch_losses(trace, views.labels, tau1, variant)
+    emb_grads = alpha * contrastive_embedding_grads(*cosine, grad_sims) if alpha > 0.0 else None
     grads = backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
     return bce, con, total_loss(bce, con, alpha), grads, trace.mask
 
@@ -185,7 +196,9 @@ class Trainer:
     a saved checkpoint resumes exactly where it left off.
 
     A ``TrainConfig.dropout_rate`` override goes into a copy of the state's
-    encoder config; the caller's config object is left as it was.
+    encoder config; the caller's config object is left as it was. A step
+    whose BCE or contrastive loss is NaN or inf raises NonFiniteLossError,
+    naming the iteration, before its update is applied.
     """
 
     def __init__(self, train_samples, valid_samples, state: EncoderState, cfg: TrainConfig):
@@ -246,6 +259,11 @@ class Trainer:
             variant=self.cfg.variant,
             rng=self.rng,
         )
+        # alpha * con is NaN for a non-finite con even at alpha = 0
+        if not math.isfinite(total):
+            raise NonFiniteLossError(
+                f"iteration {self.iteration + 1}: non-finite training loss (bce={bce}, con={con})"
+            )
         adam_step(
             self.state,
             grads,

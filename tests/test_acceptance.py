@@ -129,26 +129,31 @@ def test_criterion_04_retrieval_exactness():
         count = int(rng.integers(1, 80))
         dim = int(rng.integers(2, 7))
         keys = rng.normal(size=(count, dim))
-        # engineered ties: scaled duplicates share the duplicate's cosine
+        # engineered ties: duplicates scaled by a power of two share the
+        # duplicate's unit vector exactly; other scales give near-ties
         for i in range(count):
             if count > 1 and rng.random() < 0.25:
                 j = int(rng.integers(count))
-                keys[i] = keys[j] * float(rng.uniform(0.5, 2.0))
+                scale = float(rng.choice([0.5, 2.0, 4.0])) if rng.random() < 0.5 else float(rng.uniform(0.5, 2.0))
+                keys[i] = keys[j] * scale
         values = (rng.random((count, 3)) < 0.5).astype(np.int8)
         store = Datastore(keys=keys, values=values)
         query = rng.normal(size=dim)
         k = int(rng.integers(1, count + 5))
 
-        sims = np.clip(
-            (keys @ query) / (np.linalg.norm(keys, axis=1) * np.linalg.norm(query)), -1.0, 1.0
-        )
+        # the store's similarities, from its float32 keys: unit keys times
+        # the unit query, summed along each row
+        stored = store.keys.astype(np.float64)
+        unit = stored / np.sqrt((stored * stored).sum(axis=1))[:, None]
+        sims = np.clip((unit * (query / np.sqrt((query * query).sum()))).sum(axis=1), -1.0, 1.0)
         oracle = sorted(range(count), key=lambda i: (-sims[i], i))[: min(k, count)]
-        got = retrieve_topk(store, query, k)
-        assert [n.index for n in got] == oracle
-        assert [n.similarity for n in got] == [float(sims[i]) for i in oracle]
-        if len(set(np.round(sims, 12))) < count:
+        indices, got_sims = retrieve_topk(store, query[None], k)
+        assert indices[0].tolist() == oracle
+        assert got_sims[0].tolist() == [float(sims[i]) for i in oracle]
+        if np.unique(sims).size < count:
             tie_trials += 1
-    report(4, f"1000 randomized trials match the full-sort oracle exactly ({tie_trials} with ties)")
+    assert tie_trials > 100
+    report(4, f"1000 randomized trials match the full-sort oracle exactly ({tie_trials} with exact ties)")
 
 
 # -- criterion 5: confidence pipeline ------------------------------------------

@@ -2,8 +2,9 @@
 
 The reference below is the per-view code the package used before the batch
 became the unit of work: one forward and one backward call per view, one BCE
-call per view, and a per-anchor loop over positive sets in the contrastive
-loss. It is kept here as the oracle. The batched path reorders sums (matrix
+call per view, a per-anchor loop over positive sets in the contrastive
+loss, and the embedding gradient that recomputed the cosine pieces. It is
+kept here as the oracle. The batched path reorders sums (matrix
 products instead of accumulated outer products), so losses and gradients are
 compared to 1e-12 relative; dropout masks must match bit for bit.
 """
@@ -23,7 +24,7 @@ from knnmlc.losses import (
     total_loss,
     weight_matrix,
 )
-from knnmlc.mathops import cosine_sim_matrix, make_rng, sigmoid
+from knnmlc.mathops import cosine_sim_matrix, make_rng, sigmoid, unit_rows
 from knnmlc.training import batch_gradients, batch_objective
 
 REL_TOL = 1e-12
@@ -96,6 +97,19 @@ def ref_contrastive_from_similarities(s, labels, tau1, variant):
     return loss, grad
 
 
+def ref_contrastive_embedding_grads(embeddings, grad_sims):
+    h = np.asarray(embeddings, dtype=np.float64)
+    g = np.asarray(grad_sims, dtype=np.float64)
+    norms = np.linalg.norm(h, axis=1)
+    if np.any(norms == 0.0):
+        raise ValueError("cosine gradients are undefined for zero-norm embeddings")
+    u = h / norms[:, None]
+    s = u @ u.T
+    m = g + g.T
+    np.fill_diagonal(m, 0.0)
+    return (m @ u - np.sum(m * s, axis=1)[:, None] * u) / norms[:, None]
+
+
 def ref_batch_gradients(state, views, alpha, tau1, variant, rng=None, masks=None):
     traces = [
         ref_forward(state, v, "on", rng, None if masks is None else masks[i]) for i, v in enumerate(views)
@@ -109,7 +123,7 @@ def ref_batch_gradients(state, views, alpha, tau1, variant, rng=None, masks=None
         bce += loss_i
         logit_grads.append(grad_i)
     con, grad_sims = ref_contrastive_from_similarities(cosine_sim_matrix(embeddings), labels, tau1, variant)
-    emb_grads = alpha * contrastive_embedding_grads(embeddings, grad_sims)
+    emb_grads = alpha * ref_contrastive_embedding_grads(embeddings, grad_sims)
     grads = ParameterGradients.zeros_like(state)
     for i, t in enumerate(traces):
         ref_backward(state, t, emb_grads[i], logit_grads[i], grads)
@@ -210,6 +224,22 @@ def test_positive_mask_loss_matches_per_anchor_loop(seed, n, variant, duplicated
     ref_loss, ref_grad = ref_contrastive_from_similarities(sims, labels, tau1, variant)
     assert_close(loss, ref_loss, "loss")
     assert_close(grad, ref_grad, "grad")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**20), n2=st.sampled_from([2, 4, 6, 64, 256]), d=st.integers(1, 40))
+def test_embedding_grads_from_step_pieces_are_bit_identical(seed, n2, d):
+    # the step forms norms, unit rows and the cosine matrix once; the
+    # gradient built from them equals the formula that recomputed them
+    rng = make_rng(seed)
+    h = rng.normal(size=(n2, d)) * rng.uniform(0.1, 10.0, size=(n2, 1))
+    g = rng.normal(size=(n2, n2))
+    unit, norms = unit_rows(h)
+    cos = unit @ unit.T
+    np.testing.assert_array_equal(np.clip(cos, -1.0, 1.0), cosine_sim_matrix(h))
+    np.testing.assert_array_equal(
+        contrastive_embedding_grads(unit, norms, cos, g), ref_contrastive_embedding_grads(h, g)
+    )
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])

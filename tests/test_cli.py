@@ -3,10 +3,14 @@ import json
 
 import pytest
 
+import numpy as np
+
+from knnmlc import cli
 from knnmlc.cli import (
     EXIT_DIMENSION,
     EXIT_FORMAT,
     EXIT_MISSING_FILE,
+    EXIT_NON_FINITE,
     EXIT_OK,
     main,
 )
@@ -221,6 +225,39 @@ class TestErrorPaths:
             "--out", str(tmp_path / "p.jsonl"),
         ])
         assert code == EXIT_FORMAT
+
+
+    def test_zero_key_datastore_exit_code(self, pipeline_artifacts, tmp_path):
+        # a well-formed file whose key row 3 is all zeros fails at load
+        a = pipeline_artifacts
+        zero = tmp_path / "zero.bin"
+        blob = bytearray((a["store"]).read_bytes())
+        row_bytes = 4 * SMALL_CONFIG["encoder"]["embed_dim"]
+        blob[22 + 3 * row_bytes : 22 + 4 * row_bytes] = bytes(row_bytes)
+        zero.write_bytes(bytes(blob))
+        code = main([
+            "--config", a["config"], "predict",
+            "--checkpoint", str(a["run"] / "model.json"),
+            "--store", str(zero),
+            "--test-file", str(a["data"] / "test.jsonl"),
+            "--out", str(tmp_path / "p.jsonl"),
+        ])
+        assert code == EXIT_FORMAT
+
+    def test_non_finite_training_loss_exit_code(self, pipeline_artifacts, tmp_path, monkeypatch, capsys):
+        a = pipeline_artifacts
+        real_init = cli.init_state
+
+        def poisoned_init(config, seed=0):
+            state = real_init(config, seed=seed)
+            state.w_clf[0, 0] = np.nan
+            return state
+
+        monkeypatch.setattr(cli, "init_state", poisoned_init)
+        code = main(["--config", a["config"], "train", "--data", str(a["data"]), "--out", str(tmp_path / "m")])
+        assert code == EXIT_NON_FINITE
+        assert "iteration 1" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "model.json").exists()
 
 
 class TestGradcheckCommand:

@@ -6,7 +6,16 @@ import pytest
 
 from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc import datastore
-from knnmlc.datastore import Datastore, DatastoreFormatError, NonFiniteQueryError, build, load, retrieve_topk, save
+from knnmlc.datastore import (
+    Datastore,
+    DatastoreFormatError,
+    InvalidKeyError,
+    NonFiniteQueryError,
+    build,
+    load,
+    retrieve_topk,
+    save,
+)
 from knnmlc.cli import _encoder_config, load_config
 from knnmlc.encoder import EncoderConfig, init_state
 from knnmlc.inference import predict
@@ -18,14 +27,27 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.j
 HEADER_BYTES = 22  # 4s magic + u16 version + u32 dim + u32 classes + u64 count
 
 
+def rescored_sims(keys, query):
+    """The cosine values the store ranks by: float64 unit keys times the unit
+    query, summed along each row (norms too are row sums, not BLAS dots)."""
+    keys = np.asarray(keys, dtype=np.float64)
+    unit = keys / np.sqrt((keys * keys).sum(axis=1))[:, None]
+    q = np.asarray(query, dtype=np.float64)
+    return np.clip((unit * (q / np.sqrt((q * q).sum()))).sum(axis=1), -1.0, 1.0)
+
+
 def brute_force_topk(keys, values, query, k):
     """Independent selection oracle: plain full sort by (similarity desc,
     index asc) over the same cosine values the store computes."""
-    sims = np.clip(
-        (keys @ query) / (np.linalg.norm(keys, axis=1) * np.linalg.norm(query)), -1.0, 1.0
-    )
+    sims = rescored_sims(keys, query)
     order = sorted(range(len(keys)), key=lambda i: (-sims[i], i))[: min(k, len(keys))]
     return [(i, float(sims[i])) for i in order]
+
+
+def topk_pairs(store, query, k):
+    """One query's neighbors as (index, similarity) pairs."""
+    indices, sims = retrieve_topk(store, np.asarray(query)[None], k)
+    return list(zip(indices[0].tolist(), sims[0].tolist()))
 
 
 def random_store(rng, count=50, dim=5, num_classes=4):
@@ -114,18 +136,18 @@ class TestRetrieve:
         rng = make_rng(2)
         store = random_store(rng, count=12)
         query = rng.normal(size=5)
-        out = retrieve_topk(store, query, k=50)
+        out = topk_pairs(store, query, k=50)
         assert len(out) == 12
-        sims = [n.similarity for n in out]
+        sims = [sim for _, sim in out]
         assert sims == sorted(sims, reverse=True)
 
     def test_exact_query_is_first_with_similarity_one(self):
         rng = make_rng(3)
         store = random_store(rng, count=20)
         query = store.keys[7] * 2.5  # same direction
-        out = retrieve_topk(store, query, k=3)
-        assert out[0].index == 7
-        assert out[0].similarity == pytest.approx(1.0, abs=1e-12)
+        out = topk_pairs(store, query, k=3)
+        assert out[0][0] == 7
+        assert out[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = make_rng(4)
@@ -135,46 +157,85 @@ class TestRetrieve:
             store = random_store(rng, count=count, dim=dim)
             query = rng.normal(size=dim)
             k = int(rng.integers(1, count + 4))
-            got = [(n.index, n.similarity) for n in retrieve_topk(store, query, k)]
-            assert got == brute_force_topk(store.keys, store.values, query, k)
+            assert topk_pairs(store, query, k) == brute_force_topk(store.keys, store.values, query, k)
 
     def test_ties_break_by_ascending_index(self):
         base = np.array([1.0, 0.0, 0.0])
         keys = np.stack([base, [0.0, 1.0, 0.0], base, base * 3.0, [0.0, 0.0, 1.0]])
         values = np.zeros((5, 2), dtype=np.int8)
         store = Datastore(keys=keys, values=values)
-        out = retrieve_topk(store, np.array([1.0, 0.0, 0.0]), k=3)
-        assert [n.index for n in out] == [0, 2, 3]
+        out = topk_pairs(store, np.array([1.0, 0.0, 0.0]), k=3)
+        assert [index for index, _ in out] == [0, 2, 3]
 
     def test_neighbors_carry_labels(self):
+        # the labels a neighbor carries are its store row, as in the oracle
         rng = make_rng(5)
         store = random_store(rng, count=9)
-        out = retrieve_topk(store, rng.normal(size=5), k=4)
-        for n in out:
-            np.testing.assert_array_equal(n.labels, store.values[n.index])
+        query = rng.normal(size=5)
+        indices, _ = retrieve_topk(store, query[None], k=4)
+        want = [i for i, _ in brute_force_topk(store.keys, store.values, query, 4)]
+        np.testing.assert_array_equal(store.values[indices[0]], store.values[want])
 
     def test_zero_norm_query_rejected(self):
         rng = make_rng(6)
         store = random_store(rng)
         with pytest.raises(ValueError):
-            retrieve_topk(store, np.zeros(5), k=3)
+            retrieve_topk(store, np.zeros((1, 5)), k=3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
         rng = make_rng(6)
         store = random_store(rng)
-        query = rng.normal(size=5)
-        query[2] = bad
+        queries = rng.normal(size=(3, 5))
+        queries[1, 2] = bad
         with pytest.raises(NonFiniteQueryError, match="NaN or inf"):
-            retrieve_topk(store, query, k=3)
+            retrieve_topk(store, queries, k=3)
 
     def test_bad_k_and_dim(self):
         rng = make_rng(7)
         store = random_store(rng)
         with pytest.raises(ValueError):
-            retrieve_topk(store, rng.normal(size=5), k=0)
+            retrieve_topk(store, rng.normal(size=(1, 5)), k=0)
         with pytest.raises(ValueError):
-            retrieve_topk(store, rng.normal(size=4), k=3)
+            retrieve_topk(store, rng.normal(size=(1, 4)), k=3)
+        with pytest.raises(ValueError):
+            retrieve_topk(store, rng.normal(size=5), k=3)
+
+
+class TestKeyChecks:
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_bad_key_rejected_when_the_store_is_made(self, bad):
+        rng = make_rng(14)
+        keys = rng.normal(size=(6, 4))
+        keys[3] = bad
+        with pytest.raises(InvalidKeyError, match="index 3"):
+            Datastore(keys=keys, values=np.zeros((6, 2), dtype=np.int8))
+
+    def test_build_rejects_zero_embeddings(self, trained_setup):
+        state, train = trained_setup
+        broken = state.copy()
+        broken.w_emb[:] = 0.0
+        broken.b_emb[:] = 0.0
+        with pytest.raises(InvalidKeyError):
+            build(broken, train)
+
+    def test_build_rejects_non_finite_embeddings(self, trained_setup):
+        state, train = trained_setup
+        broken = state.copy()
+        broken.b_emb[1] = np.nan
+        with pytest.raises(InvalidKeyError):
+            build(broken, train)
+
+    def test_load_rejects_a_zero_key_row(self, tmp_path):
+        rng = make_rng(15)
+        path = tmp_path / "store.bin"
+        save(random_store(rng, count=5, dim=3), path)
+        blob = bytearray(path.read_bytes())
+        row = 2
+        blob[HEADER_BYTES + row * 12 : HEADER_BYTES + (row + 1) * 12] = bytes(12)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatastoreFormatError, match="zero norm"):
+            load(path)
 
 
 class TestPersistence:
@@ -233,9 +294,7 @@ class TestPersistence:
         loaded = load(path)
         for _ in range(20):
             query = rng.normal(size=5)
-            a = [n.index for n in retrieve_topk(store, query, k=5)]
-            b = [n.index for n in retrieve_topk(loaded, query, k=5)]
-            assert a == b
+            assert topk_pairs(store, query, k=5) == topk_pairs(loaded, query, k=5)
 
 
 def test_saved_store_gives_bit_identical_bundles(tmp_path):
@@ -257,4 +316,5 @@ def test_saved_store_gives_bit_identical_bundles(tmp_path):
         for field in ("y_clf", "y_knn", "y_final"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
         assert a.lam == b.lam
-        assert [(n.index, n.similarity) for n in a.neighbors] == [(n.index, n.similarity) for n in b.neighbors]
+        np.testing.assert_array_equal(a.neighbor_indices, b.neighbor_indices)
+        np.testing.assert_array_equal(a.neighbor_sims, b.neighbor_sims)

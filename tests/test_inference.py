@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from knnmlc.data import DatasetConfig, generate_synthetic
-from knnmlc.datastore import Datastore, Neighbor, NonFiniteQueryError, build
+from knnmlc.datastore import Datastore, NonFiniteQueryError, build
 from knnmlc.encoder import EncoderConfig, classify, forward, init_state
 from knnmlc.inference import (
     InferenceConfig,
@@ -20,24 +20,27 @@ SOFTMAX_HI = 0.8807970779778824
 SOFTMAX_LO = 0.1192029220221176
 
 
-def neighbor(similarity, labels, index=0):
-    return Neighbor(index=index, similarity=similarity, labels=np.asarray(labels, dtype=np.int8))
+def neighbors(*pairs):
+    """(similarities (k,), label rows (k, C)) from (similarity, labels) pairs."""
+    sims = np.array([sim for sim, _ in pairs], dtype=np.float64)
+    labels = np.array([labels for _, labels in pairs], dtype=np.int8).reshape(len(pairs), -1)
+    return sims, labels
 
 
 class TestKnnPredict:
     def test_equal_similarities_average_labels(self):
-        ns = [neighbor(0.5, [1, 0]), neighbor(0.5, [1, 1]), neighbor(0.5, [0, 1])]
-        np.testing.assert_allclose(knn_predict(ns, tau2=0.05), [2 / 3, 2 / 3], atol=1e-12)
+        sims, labels = neighbors((0.5, [1, 0]), (0.5, [1, 1]), (0.5, [0, 1]))
+        np.testing.assert_allclose(knn_predict(sims, labels, tau2=0.05), [2 / 3, 2 / 3], atol=1e-12)
 
     def test_unanimous_label_gives_one(self):
         rng = make_rng(0)
-        ns = [neighbor(float(rng.uniform(-1, 1)), [1, int(rng.random() < 0.5)]) for _ in range(9)]
-        out = knn_predict(ns, tau2=0.05)
+        sims, labels = neighbors(*[(float(rng.uniform(-1, 1)), [1, int(rng.random() < 0.5)]) for _ in range(9)])
+        out = knn_predict(sims, labels, tau2=0.05)
         assert out[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_two_neighbor_softmax(self):
-        ns = [neighbor(0.1, [1, 0]), neighbor(0.0, [0, 1])]
-        out = knn_predict(ns, tau2=0.05)
+        sims, labels = neighbors((0.1, [1, 0]), (0.0, [0, 1]))
+        out = knn_predict(sims, labels, tau2=0.05)
         assert out[0] == pytest.approx(SOFTMAX_HI, abs=1e-5)
         assert out[1] == pytest.approx(SOFTMAX_LO, abs=1e-5)
 
@@ -45,20 +48,28 @@ class TestKnnPredict:
         rng = make_rng(1)
         for _ in range(200):
             k = int(rng.integers(1, 12))
-            ns = [
-                neighbor(float(rng.uniform(-1, 1)), (rng.random(5) < 0.5).astype(np.int8))
-                for _ in range(k)
-            ]
-            out = knn_predict(ns, tau2=float(rng.uniform(0.01, 1.0)))
+            sims, labels = neighbors(
+                *[(float(rng.uniform(-1, 1)), (rng.random(5) < 0.5).astype(np.int8)) for _ in range(k)]
+            )
+            out = knn_predict(sims, labels, tau2=float(rng.uniform(0.01, 1.0)))
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     def test_empty_neighbors_rejected(self):
         with pytest.raises(ValueError):
-            knn_predict([], tau2=0.05)
+            knn_predict(np.zeros(0), np.zeros((0, 2), dtype=np.int8), tau2=0.05)
 
     def test_bad_temperature(self):
+        sims, labels = neighbors((0.1, [1]))
         with pytest.raises(ValueError):
-            knn_predict([neighbor(0.1, [1])], tau2=0.0)
+            knn_predict(sims, labels, tau2=0.0)
+
+    def test_rows_of_a_stack_are_single_rows(self):
+        rng = make_rng(2)
+        sims = rng.uniform(-1, 1, size=(7, 5))
+        labels = (rng.random((7, 5, 3)) < 0.5).astype(np.int8)
+        stacked = knn_predict(sims, labels, tau2=0.1)
+        for i in range(7):
+            np.testing.assert_array_equal(stacked[i], knn_predict(sims[i], labels[i], tau2=0.1))
 
 
 class TestHighConfidenceSubset:
@@ -92,8 +103,10 @@ class TestDebiasedLambda:
     def test_unanimous_neighbors_give_one(self):
         assert debiased_lambda([1.0, 1.0, 0.2], [1, 1, 0]) == 1.0
 
-    def test_mean_aggregate_toggle(self):
-        assert debiased_lambda([0.8, 0.4, 0.1], [1, 1, 0], aggregate="mean") == pytest.approx(0.6)
+    def test_one_lambda_per_row(self):
+        y_knn = np.array([[0.8, 0.5, 0.1], [0.8, 0.5, 0.1], [1.0, 1.0, 0.2]])
+        mask = np.array([[1, 1, 0], [0, 0, 0], [1, 1, 0]])
+        np.testing.assert_array_equal(debiased_lambda(y_knn, mask), [0.5, 0.0, 1.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -114,6 +127,12 @@ class TestCombine:
     def test_midpoint_arithmetic(self):
         out = combine(0.5, [0.8, 0.5, 0.1], [0.9, 0.75, 0.3])
         np.testing.assert_allclose(out, [0.85, 0.625, 0.2], atol=1e-12)
+
+    def test_one_lambda_per_row(self):
+        y_knn = np.array([[0.8, 0.5], [0.2, 0.4]])
+        y_clf = np.array([[0.9, 0.75], [0.6, 0.1]])
+        out = combine(np.array([0.0, 1.0]), y_knn, y_clf)
+        np.testing.assert_array_equal(out, [y_clf[0], y_knn[1]])
 
     def test_lambda_out_of_range(self):
         with pytest.raises(ValueError):
@@ -168,7 +187,7 @@ class TestPredict:
             bundle = predict(state, store, sample, cfg)
             y_clf = classify(forward(state, sample, dropout_mode="off"))
             np.testing.assert_array_equal(bundle.y_clf, y_clf)
-            y_knn = knn_predict(bundle.neighbors, cfg.tau2)
+            y_knn = knn_predict(bundle.neighbor_sims, store.values[bundle.neighbor_indices], cfg.tau2)
             np.testing.assert_array_equal(bundle.y_knn, y_knn)
             mask = high_confidence_subset(y_clf, cfg.gamma)
             np.testing.assert_array_equal(bundle.high_conf_mask, mask)
@@ -183,12 +202,12 @@ class TestPredict:
         b = predict(state, store, test[0], cfg)
         np.testing.assert_array_equal(a.y_final, b.y_final)
         assert a.lam == b.lam
-        assert [n.index for n in a.neighbors] == [n.index for n in b.neighbors]
+        np.testing.assert_array_equal(a.neighbor_indices, b.neighbor_indices)
 
     def test_store_none_allowed_only_for_classifier_only(self, pipeline):
         state, _, test = pipeline
         bundle = predict(state, None, test[0], InferenceConfig(mode="classifier_only"))
-        assert bundle.neighbors == []
+        assert bundle.neighbor_indices.size == 0 and bundle.neighbor_sims.size == 0
         np.testing.assert_array_equal(bundle.y_knn, np.zeros(6))
         with pytest.raises(ValueError):
             predict(state, None, test[0], InferenceConfig(mode="denn"))

@@ -20,10 +20,16 @@ from knnmlc.losses import (
     total_loss,
     weight_matrix,
 )
-from knnmlc.mathops import make_rng, sigmoid
+from knnmlc.mathops import make_rng, sigmoid, unit_rows
 
 LN2 = 0.6931471805599453  # frozen 40-digit evaluation of ln 2
 LN5 = 1.6094379124341003  # frozen 40-digit evaluation of ln 5
+
+
+def cosine_pieces(embeddings):
+    """(unit rows, norms, unclipped cosine matrix), as a training step forms them."""
+    unit, norms = unit_rows(embeddings)
+    return unit, norms, unit @ unit.T
 
 
 def random_batch(rng, n=3, dim=4, num_classes=4):
@@ -290,7 +296,7 @@ class TestEmbeddingGradients:
             return contrastive_loss(BatchViews(embeddings, batch.labels), tau1=0.1)[0]
 
         _, grad_s = contrastive_loss(batch, tau1=0.1)
-        grad_h = contrastive_embedding_grads(batch.embeddings, grad_s)
+        grad_h = contrastive_embedding_grads(*cosine_pieces(batch.embeddings), grad_s)
         h = 1e-6
         for i in range(batch.size):
             for d in range(batch.embeddings.shape[1]):
@@ -302,9 +308,10 @@ class TestEmbeddingGradients:
                 assert grad_h[i, d] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_zero_norm_rejected(self):
+        # the cosine pieces the gradient takes cannot be formed
         emb = np.zeros((2, 3))
         with pytest.raises(ValueError):
-            contrastive_embedding_grads(emb, np.zeros((2, 2)))
+            contrastive_embedding_grads(*cosine_pieces(emb), np.zeros((2, 2)))
 
 
 class TestTotalLoss:

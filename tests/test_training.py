@@ -4,7 +4,7 @@ import pytest
 
 from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc.encoder import EncoderConfig, ParameterGradients, init_state
-from knnmlc.training import AdamState, TrainConfig, Trainer, adam_step, train
+from knnmlc.training import AdamState, NonFiniteLossError, TrainConfig, Trainer, adam_step, train
 
 
 def tiny_data(seed=0, label_noise=0.12, n=120):
@@ -191,6 +191,25 @@ class TestTrainer:
         trainer = Trainer(train_s, valid_s, state, TrainConfig(batch_size=8, max_iters=2, dropout_rate=0.3))
         assert ecfg.dropout_rate == 0.1
         assert trainer.state.config.dropout_rate == 0.3
+
+    @pytest.mark.parametrize("param,alpha", [("w_clf", 0.3), ("b_emb", 0.3), ("b_emb", 0.0)])
+    def test_non_finite_loss_names_the_iteration(self, param, alpha):
+        # a poisoned classifier weight makes BCE NaN; a poisoned embedding
+        # bias makes both losses NaN, caught even when alpha = 0
+        (train_s, valid_s, _), dcfg = tiny_data()
+        trainer = Trainer(
+            train_s, valid_s, init_state(tiny_encoder_cfg(dcfg), seed=0),
+            TrainConfig(batch_size=8, learning_rate=3e-3, alpha=alpha, max_iters=10, seed=0),
+        )
+        trainer.run(3)
+        getattr(trainer.state, param)[0] = np.nan
+        before = {name: arr.copy() for name, arr in trainer.state.param_items()}
+        with pytest.raises(NonFiniteLossError, match="iteration 4"):
+            trainer.step()
+        # the failing step applied no update
+        assert trainer.iteration == 3 and trainer.adam.step == 3
+        for name, arr in trainer.state.param_items():
+            np.testing.assert_array_equal(arr, before[name])
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
