@@ -17,6 +17,7 @@ from .data import (
     frequency_groups,
     generate_synthetic,
     load_jsonl,
+    load_packed,
     pack_samples,
     save_jsonl,
 )

@@ -31,7 +31,7 @@ from .data import (
     DatasetConfig,
     frequency_groups,
     generate_synthetic,
-    load_jsonl,
+    load_packed,
     save_jsonl,
 )
 from .encoder import CheckpointError, EncoderConfig, init_state, load_checkpoint, save_checkpoint
@@ -138,9 +138,10 @@ def _config_snapshot(*cfgs, **extra):
 
 
 def _load_split(path: Path):
+    """(PackedSamples, num_classes, vocab_size) of a dataset file."""
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    return load_jsonl(path)
+    return load_packed(path)
 
 
 # -- commands -------------------------------------------------------------
@@ -235,18 +236,18 @@ _PREDICT_CHUNK = 1024
 
 
 def _predict_chunks(state, store, samples, infer_cfg):
-    """(chunk of samples, its PredictionBundle) over the samples in order."""
+    """(chunk of a packed split, its PredictionBundle) over the rows in order."""
     for start in range(0, len(samples), _PREDICT_CHUNK):
-        chunk = samples[start : start + _PREDICT_CHUNK]
+        chunk = samples.take(np.arange(start, min(start + _PREDICT_CHUNK, len(samples))))
         yield chunk, predict_batch(state, store, chunk, infer_cfg)
 
 
 def _predict_records(state, store, samples, infer_cfg):
     for chunk, bundle in _predict_chunks(state, store, samples, infer_cfg):
         y_pred = bundle.decisions(infer_cfg.decision_threshold)
-        for i, sample in enumerate(chunk):
+        for i, sample_id in enumerate(chunk.ids):
             yield {
-                "id": sample.sample_id,
+                "id": sample_id,
                 "y_clf": bundle.y_clf[i].tolist(),
                 "y_knn": bundle.y_knn[i].tolist(),
                 "lambda": float(bundle.lam[i]),
@@ -352,30 +353,38 @@ def _format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _is_decision_row(row, num_classes: int) -> bool:
+    """A list of num_classes JSON integers, each 0 or 1 (not true/false or 1.0)."""
+    return (
+        isinstance(row, list)
+        and len(row) == num_classes
+        and all(type(x) is int and 0 <= x <= 1 for x in row)
+    )
+
+
 def cmd_eval(args) -> int:
     records = _read_predictions(Path(args.predictions))
-    gold_samples, num_classes, _ = _load_split(Path(args.gold))
-    if len(records) != len(gold_samples):
+    gold, num_classes, _ = _load_split(Path(args.gold))
+    if len(records) != len(gold):
         raise DataFormatError(
-            f"predictions ({len(records)}) and gold ({len(gold_samples)}) disagree on sample count"
+            f"predictions ({len(records)}) and gold ({len(gold)}) disagree on sample count"
         )
     pred_rows = []
-    for i, rec in enumerate(records):
-        row = rec.get("y_pred")
-        if row is None or len(row) != num_classes:
-            raise DataFormatError(f"{args.predictions}: record {i}: bad y_pred of width != C")
-        if rec.get("id") and gold_samples[i].sample_id and rec["id"] != gold_samples[i].sample_id:
+    for i, (rec, gold_id) in enumerate(zip(records, gold.ids)):
+        row = rec.get("y_pred") if isinstance(rec, dict) else None
+        if not _is_decision_row(row, num_classes):
             raise DataFormatError(
-                f"record {i}: prediction id {rec['id']!r} != gold id {gold_samples[i].sample_id!r}"
+                f"{args.predictions}: record {i}: y_pred must be a list of {num_classes} values in {{0, 1}}"
             )
+        if rec.get("id") and gold_id and rec["id"] != gold_id:
+            raise DataFormatError(f"record {i}: prediction id {rec['id']!r} != gold id {gold_id!r}")
         pred_rows.append(row)
-    gold_rows = np.stack([s.labels for s in gold_samples])
+    gold_rows = gold.labels
 
     groups = None
     if args.num_groups:
         source = Path(args.groups_from) if args.groups_from else Path(args.gold)
-        group_samples, _, _ = _load_split(source)
-        groups = frequency_groups(group_samples, num_groups=args.num_groups)
+        groups = frequency_groups(_load_split(source)[0], num_groups=args.num_groups)
     report = _metrics_report(gold_rows, np.asarray(pred_rows, dtype=np.int8), groups)
     print(_format_report(report))
     if args.out:
@@ -389,7 +398,7 @@ def cmd_eval(args) -> int:
 
 def _eval_mode(state, store, samples, infer_cfg, mode=None, **overrides):
     cfg = dataclasses.replace(infer_cfg, **({"mode": mode} if mode else {}), **overrides)
-    gold = np.stack([s.labels for s in samples])
+    gold = samples.labels
     pred = np.concatenate(
         [bundle.decisions(cfg.decision_threshold) for _, bundle in _predict_chunks(state, store, samples, cfg)]
     )

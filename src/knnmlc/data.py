@@ -10,14 +10,21 @@ Dataset file format (one JSON document per line):
 ``features`` maps feature index -> value (sparse); ``labels`` lists the
 positive label indices. A full worked example lives in docs/formats.md.
 
-For computation a list of samples is packed once into CSR arrays
-(``pack_samples``); the encoder works on those packed rows.
+For computation a split is held as CSR arrays (``PackedSamples``), and the
+encoder works on those packed rows. ``load_packed`` reads a file straight
+into them: it parses ``_CHUNK_LINES`` lines at a time and turns each chunk's
+records into arrays before reading on, so no list of all parsed records is
+ever alive. ``load_jsonl`` is the same parse turned into ``Sample`` objects,
+and ``pack_samples`` packs a list of samples.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import json.decoder
+import json.scanner
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -32,6 +39,7 @@ __all__ = [
     "generate_synthetic",
     "label_frequencies",
     "load_jsonl",
+    "load_packed",
     "pack_samples",
     "save_jsonl",
 ]
@@ -70,8 +78,9 @@ class PackedSamples:
     """Samples as CSR arrays: row i's features are ``indices[indptr[i]:indptr[i + 1]]``
     with ``values`` alongside, in the order of the sample's dict, so no index
     repeats within a row. No row is empty: a sample without features holds
-    one explicit zero at index 0. ``labels`` is (n, C) int8. Every index lies
-    in [0, input_dim); ``pack_samples`` checked that once.
+    one explicit zero at index 0. ``labels`` is (n, C) int8 and ``ids`` the
+    (n,) sample ids (an object array of str). Every index lies in
+    [0, input_dim); ``pack_samples`` checked that once.
     """
 
     indptr: np.ndarray  # (n + 1,) int64
@@ -79,6 +88,7 @@ class PackedSamples:
     values: np.ndarray  # (nnz,) float64
     labels: np.ndarray  # (n, C) int8
     input_dim: int
+    ids: np.ndarray  # (n,) object, str
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -91,7 +101,9 @@ class PackedSamples:
         indptr = np.zeros(rows.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
-        return PackedSamples(indptr, self.indices[pos], self.values[pos], self.labels[rows], self.input_dim)
+        return PackedSamples(
+            indptr, self.indices[pos], self.values[pos], self.labels[rows], self.input_dim, self.ids[rows]
+        )
 
     def to_dense(self) -> np.ndarray:
         """The (n, input_dim) float64 feature matrix."""
@@ -107,24 +119,36 @@ _EMPTY_ROW = {0: 0.0}
 
 
 def pack_samples(samples, input_dim: int) -> PackedSamples:
-    """Pack a nonempty list of samples into CSR arrays.
+    """Pack a nonempty list of samples into CSR arrays. An input that is
+    already packed is returned as it is, with ``input_dim`` set.
 
     Raises ValueError for a feature index outside [0, input_dim): this is the
     one place inputs are checked against the encoder's input dimension.
     """
-    if not samples:
+    if not len(samples):
         raise ValueError("cannot pack an empty list of samples")
-    features = [s.features or _EMPTY_ROW for s in samples]
-    indptr = np.array([0, *accumulate(map(len, features))], dtype=np.int64)
-    nnz = int(indptr[-1])
-    indices = np.fromiter(chain.from_iterable(features), dtype=np.int64, count=nnz)
-    values = np.fromiter(chain.from_iterable([f.values() for f in features]), dtype=np.float64, count=nnz)
+    if isinstance(samples, PackedSamples):
+        packed = samples
+        if packed.input_dim != input_dim:
+            packed = dataclasses.replace(packed, input_dim=input_dim)
+    else:
+        features = [s.features or _EMPTY_ROW for s in samples]
+        indptr = np.array([0, *accumulate(map(len, features))], dtype=np.int64)
+        nnz = int(indptr[-1])
+        packed = PackedSamples(
+            indptr,
+            np.fromiter(chain.from_iterable(features), dtype=np.int64, count=nnz),
+            np.fromiter(chain.from_iterable([f.values() for f in features]), dtype=np.float64, count=nnz),
+            np.array([s.labels for s in samples], dtype=np.int8),
+            input_dim,
+            np.array([s.sample_id for s in samples], dtype=object),
+        )
+    indices = packed.indices
     # as unsigned, a negative index is larger than any valid one: one reduction checks both ends
     if np.maximum.reduce(indices.view(np.uint64)) >= input_dim:
         bad = indices[(indices < 0) | (indices >= input_dim)][0]
         raise ValueError(f"feature index out of range for input_dim={input_dim}: {int(bad)}")
-    labels = np.array([s.labels for s in samples], dtype=np.int8)
-    return PackedSamples(indptr, indices, values, labels, input_dim)
+    return packed
 
 
 @dataclass
@@ -204,25 +228,31 @@ def cluster_layout(cfg: DatasetConfig):
     return label_sets, own_blocks, pair_blocks, priors
 
 
-def _draw_sample(cfg, rng, layout, sample_id: str) -> Sample:
-    label_sets, own_blocks, pair_blocks, priors = layout
-    g = int(rng.choice(cfg.num_clusters, p=priors))
-    in_labels = label_sets[g]
-    s = len(in_labels)
+def _cluster_draws(cfg: DatasetConfig, layout):
+    """Per cluster, what every sample of it reuses: (in-label set, out-label
+    set, leak rate, own token block, shared token block)."""
+    label_sets, own_blocks, pair_blocks, _ = layout
+    clusters = []
+    for g, in_labels in enumerate(label_sets):
+        out_labels = np.setdiff1d(np.arange(cfg.num_classes), in_labels, assume_unique=True)
+        # leak rate chosen so E[#positives] stays near the cluster-set size
+        add_p = min(1.0, cfg.label_noise * len(in_labels) / out_labels.size) if out_labels.size else 0.0
+        clusters.append((in_labels, out_labels, add_p, own_blocks[g], pair_blocks[g // 2]))
+    return clusters
+
+
+def _draw_sample(cfg, rng, clusters, cdf, sample_id: str) -> Sample:
+    # the draw rng.choice(num_clusters, p=priors) makes, from the same cdf and stream
+    in_labels, out_labels, add_p, own, shared = clusters[int(cdf.searchsorted(rng.random(), side="right"))]
 
     labels = np.zeros(cfg.num_classes, dtype=np.int8)
-    labels[in_labels] = (rng.random(s) >= cfg.label_noise).astype(np.int8)
-    out_labels = np.setdiff1d(np.arange(cfg.num_classes), in_labels, assume_unique=True)
+    labels[in_labels] = (rng.random(len(in_labels)) >= cfg.label_noise).astype(np.int8)
     if out_labels.size:
-        # leak rate chosen so E[#positives] stays near the cluster-set size
-        add_p = min(1.0, cfg.label_noise * s / out_labels.size)
         labels[out_labels] = (rng.random(out_labels.size) < add_p).astype(np.int8)
     if labels.sum() == 0:
         labels[in_labels[0]] = 1
 
     features: dict[int, float] = {}
-    own = own_blocks[g]
-    shared = pair_blocks[g // 2]
     for _ in range(cfg.tokens_per_sample):
         r = rng.random()
         if r < cfg.feature_noise:
@@ -240,11 +270,15 @@ def generate_synthetic(cfg: DatasetConfig):
     cfg.validate()
     rng = make_rng(cfg.seed)
     layout = cluster_layout(cfg)
+    clusters = _cluster_draws(cfg, layout)
+    priors = layout[3]
+    cdf = priors.cumsum()
+    cdf /= cdf[-1]
 
     splits = []
     for name, size in (("train", cfg.train_size), ("valid", cfg.valid_size), ("test", cfg.test_size)):
         splits.append(
-            [_draw_sample(cfg, rng, layout, f"{name}-{i:05d}") for i in range(size)]
+            [_draw_sample(cfg, rng, clusters, cdf, f"{name}-{i:05d}") for i in range(size)]
         )
     return tuple(splits)
 
@@ -263,53 +297,187 @@ def save_jsonl(samples, path, num_classes: int, vocab_size: int) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+# lines parsed per chunk: each chunk's records become arrays before the next
+# chunk is read, so the parsed records of a whole split are never alive at once
+_CHUNK_LINES = 256
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
+_json_space = json.decoder.WHITESPACE.match
+
+
+def _read_header(fh, path) -> tuple[int, int]:
+    header_line = fh.readline()
+    if not header_line.strip():
+        raise DataFormatError(f"{path}: missing header line")
+    try:
+        header = json.loads(header_line)
+        num_classes = int(header["num_classes"])
+        vocab_size = int(header["vocab_size"])
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: line 1: bad header ({exc})") from exc
+    if num_classes < 1 or vocab_size < 1:
+        raise DataFormatError(f"{path}: line 1: num_classes and vocab_size must be >= 1")
+    return num_classes, vocab_size
+
+
+def _check_record(line: str, num_classes: int, vocab_size: int) -> None:
+    """Raise the DataFormatError of a bad record line. Checks, in this order:
+    the record's shape and types, label bounds, feature bounds, one feature
+    index given twice."""
+    try:
+        rec = json.loads(line)
+        raw = rec["features"]
+        features = {int(k): float(v) for k, v in raw.items()}
+        positives = [int(c) for c in rec["labels"]]
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise DataFormatError(f"malformed record ({exc})") from exc
+    for c in positives:
+        if not 0 <= c < num_classes:
+            raise DataFormatError(f"label index {c} out of range for C={num_classes}")
+    for k in features:
+        if not 0 <= k < vocab_size:
+            raise DataFormatError(f"feature index {k} out of range for vocab_size={vocab_size}")
+    # two keys naming one index ("3" and "03") collapse into one dict entry
+    if len(features) != len(raw):
+        seen = set()
+        k = next(k for k in map(int, raw) if k in seen or seen.add(k))
+        raise DataFormatError(f"feature index {k} appears more than once")
+
+
+def _pack_lines(lines, num_classes: int, input_dim: int):
+    """The records among ``lines`` (blank lines skipped) as a PackedSamples,
+    and the mask of the records without features, which are packed as one
+    explicit zero. None when any line is bad: the caller then finds it with
+    ``_check_record``.
+
+    Each record only extends flat lists; the conversions, bounds and
+    repeated-index checks then run once over the chunk, and each gives what
+    ``_check_record`` would (``int``, ``float``, iteration, ``len``), so a
+    chunk packs exactly when all of its lines pass.
+    """
+    ids, counts, keys, values, label_counts, positives = [], [], [], [], [], []
+    try:
+        for line in lines:
+            if line.isspace():
+                continue
+            # json.loads(line) without its wrapper calls (it adds only checks
+            # that raise, and a failed line is parsed again by _check_record)
+            rec, end = _scan_json(line, _json_space(line, 0).end())
+            if _json_space(line, end).end() != len(line):
+                return None
+            raw = rec["features"]
+            values.extend(raw.values())
+            keys.extend(raw)
+            counts.append(len(raw))
+            labels = rec["labels"]
+            label_counts.append(len(labels))
+            positives.extend(labels)
+            ids.append(str(rec.get("id", "")))
+        keys = np.fromiter(map(int, keys), dtype=np.int64, count=len(keys))
+        values = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+        positives = np.fromiter(map(int, positives), dtype=np.int64, count=len(positives))
+    except (StopIteration, KeyError, TypeError, ValueError, AttributeError, OverflowError):
+        return None
+    # as unsigned, a negative index is larger than any valid one
+    if positives.size and np.maximum.reduce(positives.view(np.uint64)) >= num_classes:
+        return None
+    if keys.size and np.maximum.reduce(keys.view(np.uint64)) >= input_dim:
+        return None
+    n = len(ids)
+    counts = np.array(counts, dtype=np.int64)
+    # one index given twice in a record: equal (row, key rank) pairs
+    _, rank = np.unique(keys, return_inverse=True)
+    pairs = np.sort(np.arange(n).repeat(counts) * keys.size + rank)
+    if (pairs[1:] == pairs[:-1]).any():
+        return None
+
+    featureless = counts == 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts + featureless, out=indptr[1:])
+    if featureless.any():
+        present = np.ones(indptr[-1], dtype=bool)
+        present[indptr[:-1][featureless]] = False
+        keys, values = _scatter(keys, present), _scatter(values, present)
+    labels = np.zeros((n, num_classes), dtype=np.int8)
+    labels[np.arange(n).repeat(np.array(label_counts, dtype=np.int64)), positives] = 1
+    return PackedSamples(indptr, keys, values, labels, input_dim, np.array(ids, dtype=object)), featureless
+
+
+def _scatter(arr: np.ndarray, present: np.ndarray) -> np.ndarray:
+    out = np.zeros(present.size, dtype=arr.dtype)
+    out[present] = arr
+    return out
+
+
+def _parse_chunks(fh, path, num_classes: int, vocab_size: int):
+    """Yield (PackedSamples, featureless mask) for each chunk of
+    ``_CHUNK_LINES`` body lines that holds a record. A bad line raises
+    DataFormatError naming it."""
+    lineno = 1
+    while lines := list(islice(fh, _CHUNK_LINES)):
+        chunk = _pack_lines(lines, num_classes, vocab_size)
+        if chunk is None:
+            for offset, line in enumerate(lines, start=lineno + 1):
+                if not line.isspace():
+                    try:
+                        _check_record(line, num_classes, vocab_size)
+                    except DataFormatError as exc:
+                        raise DataFormatError(f"{path}: line {offset}: {exc}") from exc
+        lineno += len(lines)
+        if len(chunk[0]):
+            yield chunk
+
+
+def load_packed(path):
+    """Read a dataset file straight into CSR arrays; returns (PackedSamples,
+    num_classes, vocab_size), with ``input_dim`` = vocab_size.
+
+    Makes the checks ``load_jsonl`` makes, with the same DataFormatError
+    naming the offending line, and builds no Sample.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        num_classes, vocab_size = _read_header(fh, path)
+        parts = [packed for packed, _ in _parse_chunks(fh, path, num_classes, vocab_size)]
+    parts = parts or [_pack_lines([], num_classes, vocab_size)[0]]
+    lengths = np.concatenate([np.diff(p.indptr) for p in parts])
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    packed = PackedSamples(
+        indptr,
+        np.concatenate([p.indices for p in parts]),
+        np.concatenate([p.values for p in parts]),
+        np.concatenate([p.labels for p in parts]),
+        vocab_size,
+        np.concatenate([p.ids for p in parts]),
+    )
+    return packed, num_classes, vocab_size
+
+
 def load_jsonl(path):
     """Read a dataset file; returns (samples, num_classes, vocab_size).
 
     Raises DataFormatError naming the offending line for malformed JSON,
-    out-of-range label indices, or out-of-range feature indices.
+    out-of-range label indices, out-of-range feature indices, or a feature
+    index given twice in one record.
     """
+    samples = []
     with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
-            raise DataFormatError(f"{path}: missing header line")
-        try:
-            header = json.loads(header_line)
-            num_classes = int(header["num_classes"])
-            vocab_size = int(header["vocab_size"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}: line 1: bad header ({exc})") from exc
-
-        samples = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                features = {int(k): float(v) for k, v in rec["features"].items()}
-                positives = [int(c) for c in rec["labels"]]
-                sample_id = str(rec.get("id", ""))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise DataFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-            labels = np.zeros(num_classes, dtype=np.int8)
-            for c in positives:
-                if not 0 <= c < num_classes:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: label index {c} out of range for C={num_classes}"
-                    )
-                labels[c] = 1
-            for k in features:
-                if not 0 <= k < vocab_size:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: feature index {k} out of range for vocab_size={vocab_size}"
-                    )
-            samples.append(Sample(features=features, labels=labels, sample_id=sample_id))
+        num_classes, vocab_size = _read_header(fh, path)
+        for packed, featureless in _parse_chunks(fh, path, num_classes, vocab_size):
+            bounds = packed.indptr.tolist()
+            indices, values = packed.indices.tolist(), packed.values.tolist()
+            for i, sample_id in enumerate(packed.ids):
+                lo, hi = bounds[i], bounds[i + 1]
+                features = {} if featureless[i] else dict(zip(indices[lo:hi], values[lo:hi]))
+                samples.append(Sample(features=features, labels=packed.labels[i], sample_id=sample_id))
     return samples, num_classes, vocab_size
 
 
 def label_frequencies(samples, num_classes: int | None = None) -> np.ndarray:
-    """Count of samples with each label positive. C is taken from the first
-    sample unless given explicitly."""
+    """Count of samples with each label positive, over a PackedSamples or a
+    list of samples. For a list, C is taken from the first sample unless
+    given explicitly."""
+    if isinstance(samples, PackedSamples):
+        return samples.labels.sum(axis=0, dtype=np.int64)
     if num_classes is None:
         if not samples:
             raise ValueError("cannot infer num_classes from an empty sample list")
@@ -321,7 +489,8 @@ def label_frequencies(samples, num_classes: int | None = None) -> np.ndarray:
 
 
 def frequency_groups(train, num_groups: int = 4, thresholds=None) -> dict[int, int]:
-    """Partition labels into frequency groups.
+    """Partition labels into frequency groups by their counts in ``train``
+    (a PackedSamples or a list of samples).
 
     With explicit ``thresholds`` [t0 > t1 > ...]: group 0 holds labels with
     frequency > t0, group i holds t_{i-1} >= frequency > t_i, and the last

@@ -146,8 +146,9 @@ def _unit_keys(keys: np.ndarray) -> np.ndarray:
 
 
 def build(state: EncoderState, train_samples, fraction: float = 1.0) -> Datastore:
-    """One entry per training sample, in input order, embedded with the
-    deterministic dropout-off forward pass and quantized to float32.
+    """One entry per training sample (a list of samples or a PackedSamples),
+    in input order, embedded with the deterministic dropout-off forward pass
+    and quantized to float32.
 
     ``fraction`` < 1 keeps only the leading portion of the training set
     (prefix sampling), so a smaller store is always an entrywise prefix of the
@@ -157,19 +158,19 @@ def build(state: EncoderState, train_samples, fraction: float = 1.0) -> Datastor
     product whatever the fraction. Raises InvalidKeyError when an embedding
     is zero-norm or non-finite after quantization.
     """
-    if not train_samples:
+    if not len(train_samples):
         raise ValueError("cannot build a datastore from an empty training set")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    n = max(1, int(np.ceil(fraction * len(train_samples))))
+    train = pack_samples(train_samples, state.config.input_dim)
+    n = max(1, int(np.ceil(fraction * len(train))))
     block = max(1, _BUILD_BLOCK_BYTES // (8 * state.config.input_dim))
     keys = np.empty((n, state.config.embed_dim), dtype=np.float32)
     for start in range(0, n, block):
-        rows = pack_samples(train_samples[start : start + block], state.config.input_dim)
         stop = min(start + block, n)
+        rows = train.take(np.arange(start, min(start + block, len(train))))
         keys[start:stop] = forward_batch(state, rows).embedding[: stop - start]
-    values = np.stack([s.labels for s in train_samples[:n]])
-    return Datastore(keys=keys, values=values)
+    return Datastore(keys=keys, values=train.labels[:n].copy())
 
 
 def retrieve_topk(store: Datastore, queries, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -335,8 +335,9 @@ def state_to_payload(state: EncoderState) -> dict:
 
 
 def save_checkpoint(state: EncoderState, path) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_payload(state), fh)
+        fh.write(json.dumps(state_to_payload(state)))
 
 
 _PARAM_SHAPES = {

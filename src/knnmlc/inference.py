@@ -13,14 +13,14 @@ Modes: "denn" runs the full adaptive pipeline; "classifier_only" and
 non-adaptive baseline).
 
 The batch is the unit of work. ``predict_batch`` packs a list of samples
-once, embeds them with the row-stable dropout-off pass
-(``encoder.forward_rowwise``), retrieves every query's neighbors in blocks
-(``datastore.retrieve_topk``), and runs the vote, lambda and combination as
-array operations over (n, k) and (n, C) arrays, each reducing along one fixed
-axis of its own row. So every row is bit-identical whatever batch it sits
-in, and ``predict`` on one sample, a batch of one, gives the same bits as
-that sample's record from the CLI, which predicts the whole test file in one
-batch. The component functions act on the last axis and take one row or a
+once (a packed split it takes as it is), embeds them with the row-stable
+dropout-off pass (``encoder.forward_rowwise``), retrieves every query's
+neighbors in blocks (``datastore.retrieve_topk``), and runs the vote,
+lambda and combination as array operations over (n, k) and (n, C) arrays,
+each reducing along one fixed axis of its own row. So every row is
+bit-identical whatever batch it sits in, and ``predict`` on one sample, a
+batch of one, gives the same bits as that sample's record from the CLI,
+which predicts the whole test file in one batch. The component functions act on the last axis and take one row or a
 stack of rows alike.
 """
 from __future__ import annotations
@@ -166,9 +166,10 @@ def predict_batch(
     samples,
     cfg: InferenceConfig,
 ) -> PredictionBundle:
-    """Full pipeline for a nonempty list of samples: dropout-off forward,
-    retrieval, kNN prediction, confidence estimation, combination. Row i of
-    the bundle is bit-identical to ``predict`` on ``samples[i]`` alone.
+    """Full pipeline for a nonempty list of samples, or a PackedSamples:
+    dropout-off forward, retrieval, kNN prediction, confidence estimation,
+    combination. Row i of the bundle is bit-identical to ``predict`` on
+    sample i alone.
 
     ``store`` may be None only in classifier_only mode (y_knn is then reported
     as all zeros with no neighbors).

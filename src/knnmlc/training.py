@@ -125,7 +125,12 @@ def adam_step(
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> EncoderState:
-    """One bias-corrected Adam update, applied to the state in place."""
+    """One bias-corrected Adam update, applied to the state in place.
+
+    Computes theta -= lr * m_hat / (sqrt(v_hat) + eps) with the moments
+    updated in place and two scratch arrays per parameter, operation for
+    operation as the textbook expression, so the result is bit-identical.
+    """
     b1, b2 = betas
     adam.step += 1
     t = adam.step
@@ -135,13 +140,20 @@ def adam_step(
             raise ValueError(f"gradient shape {g.shape} != parameter {name} shape {theta.shape}")
         m = adam.m[name]
         v = adam.v[name]
+        scratch = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += scratch
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        v += scratch
+        step = np.divide(m, 1.0 - b1**t)
+        step *= lr
+        np.divide(v, 1.0 - b2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        step /= scratch
+        theta -= step
     return state
 
 
@@ -181,8 +193,7 @@ def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng
 def classifier_micro_f1(state: EncoderState, samples, threshold: float = 0.5) -> float:
     """Micro-F1 of dropout-off classifier predictions thresholded at 0.5, from
     one pass over the samples (a list, or already packed)."""
-    if not isinstance(samples, PackedSamples):
-        samples = pack_samples(samples, state.config.input_dim)
+    samples = pack_samples(samples, state.config.input_dim)
     pred = (classify(forward_batch(state, samples)) >= threshold).astype(np.int8)
     return micro_prf(confusion(samples.labels, pred))[2]
 
@@ -195,8 +206,11 @@ class Trainer:
     as one mask per view), so equal seeds give bit-identical trajectories and
     a saved checkpoint resumes exactly where it left off.
 
-    A ``TrainConfig.dropout_rate`` override goes into a copy of the state's
-    encoder config; the caller's config object is left as it was. A step
+    The training and validation sets are lists of samples or PackedSamples
+    (as ``data.load_packed`` reads them); an empty validation set means no
+    validation. A ``TrainConfig.dropout_rate`` override goes into a copy of
+    the state's encoder config; the caller's config object is left as it
+    was. A step
     whose BCE or contrastive loss is NaN or inf raises NonFiniteLossError,
     naming the iteration, before its update is applied.
     """
@@ -330,8 +344,9 @@ class Trainer:
             },
             "history": self.history,
         }
+        # json.dumps runs the C encoder; json.dump streams through the Python one
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
 
     @classmethod
     def load_checkpoint(cls, path, train_samples, valid_samples) -> "Trainer":

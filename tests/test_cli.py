@@ -162,6 +162,33 @@ class TestEvalEdgeCases:
         assert report["micro_f1"] == 1.0
         assert report["macro_f1"] == 1.0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"y_pred": [2, 0, 0, 0, 0, 0]},
+            {"y_pred": [0.9, 0, 0, 0, 0, 0]},
+            {"y_pred": [-1, 0, 0, 0, 0, 0]},
+            {"y_pred": [1.0, 0, 0, 0, 0, 0]},
+            {"y_pred": [True, 0, 0, 0, 0, 0]},
+            {"y_pred": ["1", 0, 0, 0, 0, 0]},
+            {"y_pred": [0, 0, 0, 0, 0]},
+            {"y_pred": "100000"},
+            {"y_pred": None},
+            {},
+            [1, 0, 0, 0, 0, 0],
+        ],
+    )
+    def test_decisions_other_than_c_zeros_and_ones_rejected(self, pipeline_artifacts, tmp_path, capsys, bad):
+        a = pipeline_artifacts
+        gold_path = a["data"] / "test.jsonl"
+        samples, _, _ = load_jsonl(gold_path)
+        records = [{"id": s.sample_id, "y_pred": s.labels.tolist()} for s in samples]
+        records[3] = bad
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["eval", "--predictions", str(preds), "--gold", str(gold_path)]) == EXIT_FORMAT
+        assert "record 3: y_pred must be a list of 6 values in {0, 1}" in capsys.readouterr().err
+
     def test_count_mismatch_rejected(self, pipeline_artifacts):
         a = pipeline_artifacts
         short = a["root"] / "short.jsonl"

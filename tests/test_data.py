@@ -13,6 +13,7 @@ from knnmlc.data import (
     load_jsonl,
     save_jsonl,
 )
+from knnmlc.mathops import make_rng
 
 
 def small_cfg(**kw):
@@ -87,6 +88,72 @@ class TestGenerator:
         # every cluster needs a shared core plus at least one own label
         with pytest.raises(ValueError):
             generate_synthetic(small_cfg(num_classes=5, num_clusters=4))
+
+
+def ref_draw_sample(cfg, rng, layout, sample_id):
+    """The per-sample draw before per-cluster work moved out of it: the
+    cluster by ``rng.choice(p=priors)`` and the out-label set and leak rate
+    worked out again for every sample. Kept as the generator's oracle."""
+    label_sets, own_blocks, pair_blocks, priors = layout
+    g = int(rng.choice(cfg.num_clusters, p=priors))
+    in_labels = label_sets[g]
+    s = len(in_labels)
+
+    labels = np.zeros(cfg.num_classes, dtype=np.int8)
+    labels[in_labels] = (rng.random(s) >= cfg.label_noise).astype(np.int8)
+    out_labels = np.setdiff1d(np.arange(cfg.num_classes), in_labels, assume_unique=True)
+    if out_labels.size:
+        add_p = min(1.0, cfg.label_noise * s / out_labels.size)
+        labels[out_labels] = (rng.random(out_labels.size) < add_p).astype(np.int8)
+    if labels.sum() == 0:
+        labels[in_labels[0]] = 1
+
+    features = {}
+    own = own_blocks[g]
+    shared = pair_blocks[g // 2]
+    for _ in range(cfg.tokens_per_sample):
+        r = rng.random()
+        if r < cfg.feature_noise:
+            idx = int(rng.integers(cfg.vocab_size))
+        elif rng.random() < cfg.shared_feature_frac:
+            idx = int(shared[rng.integers(shared.size)])
+        else:
+            idx = int(own[rng.integers(own.size)])
+        features[idx] = features.get(idx, 0.0) + 1.0
+    return Sample(features=features, labels=labels, sample_id=sample_id)
+
+
+def ref_generate(cfg):
+    rng = make_rng(cfg.seed)
+    layout = cluster_layout(cfg)
+    return tuple(
+        [ref_draw_sample(cfg, rng, layout, f"{name}-{i:05d}") for i in range(size)]
+        for name, size in (("train", cfg.train_size), ("valid", cfg.valid_size), ("test", cfg.test_size))
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"num_clusters": 1, "num_classes": 3},  # one cluster whose label set is every label
+        {"num_clusters": 1, "num_classes": 5},
+        {"label_noise": 0.0},
+        {"label_noise": 1.0},
+        {"feature_noise": 1.0},
+        {"feature_noise": 0.0},
+        {"shared_feature_frac": 0.0},
+        {"shared_feature_frac": 1.0},
+        {"cluster_skew": 1.0, "num_clusters": 5, "num_classes": 9},
+        {"num_classes": 48, "num_clusters": 16, "vocab_size": 2000},
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_generator_matches_the_per_sample_reference(overrides, seed):
+    cfg = small_cfg(**{**overrides, "seed": seed})
+    for got, want in zip(generate_synthetic(cfg), ref_generate(cfg)):
+        assert got == want
+        assert [list(s.features) for s in got] == [list(s.features) for s in want]
 
 
 class TestJsonl:

@@ -1,4 +1,7 @@
 """Forward/backward passes, dropout behavior, and checkpointing."""
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from knnmlc.encoder import (
     init_state,
     load_checkpoint,
     save_checkpoint,
+    state_to_payload,
 )
 from knnmlc.gradcheck import gradient_check, random_gradcheck_problem
 from knnmlc.mathops import make_rng
@@ -162,6 +166,14 @@ class TestCheckpoint:
         assert loaded.init_seed == state.init_seed
         for (name, arr), (_, arr2) in zip(state.param_items(), loaded.param_items()):
             np.testing.assert_array_equal(arr, arr2), name
+
+    def test_file_holds_the_bytes_json_dump_writes(self, tmp_path):
+        state = init_state(tiny_config(), seed=11)
+        path = tmp_path / "model.json"
+        save_checkpoint(state, path)
+        stream = io.StringIO()
+        json.dump(state_to_payload(state), stream)
+        assert path.read_text(encoding="utf-8") == stream.getvalue()
 
     def test_wrong_format_marker(self, tmp_path):
         path = tmp_path / "model.json"

@@ -1,0 +1,352 @@
+"""The chunked dataset reader against the per-line reader it replaced.
+
+``ref_load_jsonl`` below is the reader the package used before a dataset
+file was read in chunks straight into CSR arrays: one ``json.loads``, one
+int -> float dict and one label array per line. It is kept here as the
+oracle, with the one rule added since: a feature index given twice in one
+record (``"3"`` and ``"03"``) is an error, checked after the bounds. For any
+file the new readers must give the oracle's samples (``load_jsonl``), the
+oracle's samples packed (``load_packed``), or the oracle's error, message
+and line included, whatever the chunk size.
+"""
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knnmlc import data
+from knnmlc.cli import EXIT_FORMAT, EXIT_OK, main
+from knnmlc.data import DataFormatError, PackedSamples, Sample, load_jsonl, load_packed, pack_samples
+from knnmlc.datastore import build
+from knnmlc.encoder import EncoderConfig, init_state
+from knnmlc.inference import InferenceConfig, predict_batch
+from knnmlc.training import TrainConfig, Trainer
+
+NUM_CLASSES = 5
+VOCAB = 12
+
+# -- per-line reference ----------------------------------------------------
+
+
+def ref_load_jsonl(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        header_line = fh.readline()
+        if not header_line.strip():
+            raise DataFormatError(f"{path}: missing header line")
+        try:
+            header = json.loads(header_line)
+            num_classes = int(header["num_classes"])
+            vocab_size = int(header["vocab_size"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: line 1: bad header ({exc})") from exc
+
+        samples = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                features = {int(k): float(v) for k, v in rec["features"].items()}
+                positives = [int(c) for c in rec["labels"]]
+                sample_id = str(rec.get("id", ""))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise DataFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
+            labels = np.zeros(num_classes, dtype=np.int8)
+            for c in positives:
+                if not 0 <= c < num_classes:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: label index {c} out of range for C={num_classes}"
+                    )
+                labels[c] = 1
+            for k in features:
+                if not 0 <= k < vocab_size:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: feature index {k} out of range for vocab_size={vocab_size}"
+                    )
+            if len(features) != len(rec["features"]):
+                seen = set()
+                k = next(k for k in map(int, rec["features"]) if k in seen or seen.add(k))
+                raise DataFormatError(f"{path}: line {lineno}: feature index {k} appears more than once")
+            samples.append(Sample(features=features, labels=labels, sample_id=sample_id))
+    return samples, num_classes, vocab_size
+
+
+# -- record lines ------------------------------------------------------------
+
+# keys int() takes (canonical, zero-padded, signed, spaced) and keys it refuses or that are out of range
+canonical_keys = st.integers(0, VOCAB - 1).map(str)
+good_keys = st.one_of(canonical_keys, canonical_keys, canonical_keys, st.sampled_from(["01", "+1", " 2", "3 ", "1_0"]))
+bad_keys = st.sampled_from(["-1", "12", "99", "x", "", "1.5"])
+good_values = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.booleans(),
+    st.sampled_from(["2.5", "1e3", " 4 ", "nan", "inf"]),
+)
+bad_values = st.sampled_from(["x", "", None, [1]])
+good_labels = st.one_of(
+    st.lists(st.integers(0, NUM_CLASSES - 1), max_size=6),  # repeats allowed
+    st.sampled_from(["12", {"0": 1}, [True, 2.7, "3"]]),
+)
+bad_labels = st.one_of(
+    st.lists(st.one_of(st.integers(-2, NUM_CLASSES + 1), st.sampled_from(["a", None, 1.5])), min_size=1, max_size=4),
+    st.sampled_from([3, None]),
+)
+ids = st.one_of(st.text(max_size=6), st.integers(0, 9), st.none())
+
+
+@st.composite
+def record_lines(draw):
+    kind = draw(st.sampled_from(
+        ["good"] * 12 + ["mixed"] * 2 + ["featureless", "blank", "broken", "not a record", "no labels"]
+    ))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    if kind == "broken":
+        return draw(st.sampled_from([
+            "{not json}", '{"features": {}, "labels": [0]', "[1, 2]", "7", '"x"', "{} {}",
+            '{"features": {"1": 2}, "labels": [0]} x', '{"features": {}, "labels": []}]', "\ufeff{}",
+        ]))
+    if kind == "not a record":
+        return json.dumps(draw(st.sampled_from([{"features": [1], "labels": []}, {"features": "ab", "labels": []}])))
+    if kind == "featureless":
+        features = {}
+    elif kind == "mixed":
+        features = draw(st.dictionaries(st.one_of(good_keys, bad_keys), st.one_of(good_values, bad_values), max_size=6))
+    else:
+        features = draw(st.dictionaries(good_keys, good_values, max_size=6))
+    rec = {"features": features}
+    if kind != "no labels":
+        rec["labels"] = draw(st.one_of(good_labels, bad_labels) if kind == "mixed" else good_labels)
+    if draw(st.booleans()):
+        rec["id"] = draw(ids)
+    # unsorted keys: the record's own key order, shuffled; JSON whitespace around the record
+    order = draw(st.permutations(list(rec)))
+    pad = st.sampled_from(["", " ", "\t "])
+    return draw(pad) + json.dumps({k: rec[k] for k in order}) + draw(pad)
+
+
+def write_file(path, lines):
+    path.write_text(json.dumps({"num_classes": NUM_CLASSES, "vocab_size": VOCAB}) + "\n" + "\n".join(lines) + "\n")
+
+
+def outcome(fn, path):
+    try:
+        return fn(path), None
+    except DataFormatError as exc:
+        return None, str(exc)
+
+
+def assert_same_samples(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.sample_id == b.sample_id
+        assert list(a.features) == list(b.features)  # same key order
+        assert np.array_equal(list(a.features.values()), list(b.features.values()), equal_nan=True)
+        assert a.labels.dtype == np.int8 and np.array_equal(a.labels, b.labels)
+
+
+def assert_same_packed(got: PackedSamples, want: PackedSamples):
+    assert got.input_dim == want.input_dim
+    for name in ("indptr", "indices", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.values.dtype == np.float64 and np.array_equal(got.values, want.values, equal_nan=True)
+    assert got.ids.dtype == object and got.ids.tolist() == want.ids.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(record_lines(), max_size=9), chunk=st.sampled_from([1, 2, 3, 256]))
+def test_readers_match_the_per_line_reference(tmp_path_factory, lines, chunk):
+    path = tmp_path_factory.mktemp("ds") / "split.jsonl"
+    write_file(path, lines)
+    want, want_error = outcome(ref_load_jsonl, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_CHUNK_LINES", chunk)
+        got, got_error = outcome(load_jsonl, path)
+        packed, packed_error = outcome(load_packed, path)
+    assert got_error == want_error and packed_error == want_error
+    if want_error is None:
+        samples, num_classes, vocab = want
+        assert got[1:] == packed[1:] == (num_classes, vocab)
+        assert_same_samples(got[0], samples)
+        if samples:
+            assert_same_packed(packed[0], pack_samples(samples, vocab))
+        else:
+            assert len(packed[0]) == 0 and packed[0].labels.shape == (0, NUM_CLASSES)
+
+
+def test_files_written_by_save_jsonl_read_back_in_any_chunking(tmp_path, monkeypatch):
+    cfg = data.DatasetConfig(train_size=300, valid_size=1, test_size=1, seed=3)
+    train, _, _ = data.generate_synthetic(cfg)
+    train[7].features = {}
+    path = tmp_path / "train.jsonl"
+    data.save_jsonl(train, path, cfg.num_classes, cfg.vocab_size)
+    want = pack_samples(ref_load_jsonl(path)[0], cfg.vocab_size)  # keys in file order
+    for chunk in (1, 7, 256, 1000):
+        monkeypatch.setattr(data, "_CHUNK_LINES", chunk)
+        packed, num_classes, vocab = load_packed(path)
+        assert (num_classes, vocab) == (cfg.num_classes, cfg.vocab_size)
+        assert_same_packed(packed, want)
+        assert load_jsonl(path)[0] == train
+
+
+def test_featureless_record_is_one_explicit_zero_and_an_empty_dict(tmp_path):
+    path = tmp_path / "f.jsonl"
+    write_file(path, ['{"id": "a", "features": {}, "labels": [1]}', '{"id": "b", "features": {"0": 0.0}, "labels": []}'])
+    packed, _, _ = load_packed(path)
+    assert packed.indptr.tolist() == [0, 1, 2]
+    assert packed.indices.tolist() == [0, 0] and packed.values.tolist() == [0.0, 0.0]
+    samples, _, _ = load_jsonl(path)
+    assert samples[0].features == {} and samples[1].features == {0: 0.0}
+
+
+def test_one_index_given_twice_is_an_error_naming_its_line(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    write_file(path, ['{"features": {"1": 1.0}, "labels": [0]}', '{"features": {"3": 1.0, "03": 2.0}, "labels": [0]}'])
+    for reader in (load_packed, load_jsonl):
+        with pytest.raises(DataFormatError, match="line 3: feature index 3 appears more than once"):
+            reader(path)
+
+
+def test_a_value_too_large_for_a_float_is_a_format_error(tmp_path):
+    path = tmp_path / "big.jsonl"
+    write_file(path, ['{"features": {"1": 1' + "0" * 400 + '}, "labels": [0]}'])
+    for reader in (load_packed, load_jsonl):
+        with pytest.raises(DataFormatError, match="line 2: malformed record"):
+            reader(path)
+
+
+@pytest.mark.parametrize("header", ['{"num_classes": 0, "vocab_size": 4}', '{"num_classes": 3, "vocab_size": -1}'])
+def test_header_dimensions_must_be_positive(tmp_path, header):
+    path = tmp_path / "h.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(DataFormatError, match="line 1"):
+        load_packed(path)
+
+
+# -- the packed set ----------------------------------------------------------
+
+
+def _packed(n=5, input_dim=VOCAB):
+    rng = np.random.default_rng(0)
+    samples = [
+        Sample({int(k): float(k + 1) for k in rng.choice(input_dim, size=i % 3, replace=False)},
+               np.eye(NUM_CLASSES, dtype=np.int8)[i % NUM_CLASSES], f"s{i}")
+        for i in range(n)
+    ]
+    return samples, pack_samples(samples, input_dim)
+
+
+def test_take_carries_ids():
+    samples, packed = _packed(6)
+    for rows in ([3, 0, 3], [1, 2, 3], [5]):
+        assert_same_packed(packed.take(rows), pack_samples([samples[i] for i in rows], VOCAB))
+
+
+def test_pack_samples_passes_a_packed_set_through_after_the_index_check():
+    _, packed = _packed(4)
+    assert pack_samples(packed, VOCAB) is packed
+    wider = pack_samples(packed, VOCAB + 5)
+    assert wider.input_dim == VOCAB + 5 and wider.indices is packed.indices
+    with pytest.raises(ValueError, match="out of range"):
+        pack_samples(packed, int(packed.indices.max()))
+    with pytest.raises(ValueError, match="empty"):
+        pack_samples(packed.take([]), VOCAB)
+
+
+def test_label_frequencies_of_a_packed_set_equal_the_list_count():
+    samples, packed = _packed(9)
+    assert np.array_equal(data.label_frequencies(packed), data.label_frequencies(samples))
+    assert data.frequency_groups(packed, num_groups=2) == data.frequency_groups(samples, num_groups=2)
+
+
+# -- the CLI builds no Sample --------------------------------------------------
+
+TINY_CONFIG = {
+    "dataset": {"num_classes": 6, "num_clusters": 2, "train_size": 60, "valid_size": 20, "test_size": 20,
+                "vocab_size": 30, "seed": 4},
+    "encoder": {"hidden_dim": 8, "embed_dim": 4},
+    "train": {"batch_size": 8, "max_iters": 10, "seed": 4},
+    "inference": {"k": 5},
+}
+
+
+def test_cli_pipeline_creates_no_sample(tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    d = tmp_path / "data"
+    assert main(["--config", str(config), "gen-data", "--out", str(d)]) == EXIT_OK
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Sample was created")
+
+    monkeypatch.setattr(Sample, "__init__", refuse)
+    model = tmp_path / "run" / "model.json"
+    store = tmp_path / "store.bin"
+    preds = tmp_path / "preds.jsonl"
+    steps = [
+        ["train", "--data", str(d), "--out", str(model.parent)],
+        ["build-store", "--checkpoint", str(model), "--train-file", str(d / "train.jsonl"), "--out", str(store)],
+        ["predict", "--checkpoint", str(model), "--store", str(store), "--test-file", str(d / "test.jsonl"),
+         "--out", str(preds)],
+        ["eval", "--predictions", str(preds), "--gold", str(d / "test.jsonl"), "--num-groups", "2",
+         "--groups-from", str(d / "train.jsonl")],
+    ]
+    for argv in steps:
+        assert main(["--config", str(config), *argv]) == EXIT_OK, argv
+    with pytest.raises(AssertionError, match="a Sample was created"):
+        load_jsonl(d / "test.jsonl")  # the guard is live
+
+
+def test_cli_reports_a_repeated_feature_index_as_a_format_error(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    d = tmp_path / "data"
+    d.mkdir()
+    write_file(d / "train.jsonl", ['{"features": {"1": 1.0, "01": 1.0}, "labels": [0]}'])
+    assert main(["--config", str(config), "train", "--data", str(d), "--out", str(tmp_path / "run")]) == EXIT_FORMAT
+
+
+def test_library_calls_give_the_same_bits_for_the_packed_split(tmp_path):
+    cfg = data.DatasetConfig(num_classes=6, num_clusters=2, train_size=90, valid_size=20, test_size=25,
+                             vocab_size=30, seed=2)
+    paths = {}
+    for name, split in zip(("train", "valid", "test"), data.generate_synthetic(cfg)):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        data.save_jsonl(split, paths[name], cfg.num_classes, cfg.vocab_size)
+    lists = {name: load_jsonl(p)[0] for name, p in paths.items()}
+    packed = {name: load_packed(p)[0] for name, p in paths.items()}
+
+    enc = EncoderConfig(cfg.vocab_size, 8, 4, cfg.num_classes)
+    train_cfg = TrainConfig(batch_size=8, max_iters=12, eval_every=5, seed=1)
+    runs = []
+    for split in (lists, packed):
+        trainer = Trainer(split["train"], split["valid"], init_state(enc, seed=1), train_cfg)
+        trainer.run()
+        runs.append(trainer)
+    assert runs[0].history == runs[1].history
+    for (_, a), (_, b) in zip(runs[0].best_state().param_items(), runs[1].best_state().param_items()):
+        assert a.tobytes() == b.tobytes()
+
+    # resuming from a checkpoint with the packed split continues bit for bit
+    half = Trainer(packed["train"], packed["valid"], init_state(enc, seed=1), train_cfg)
+    half.run(num_iters=6)
+    half.save_checkpoint(tmp_path / "trainer.json")
+    resumed = Trainer.load_checkpoint(tmp_path / "trainer.json", packed["train"], packed["valid"])
+    resumed.run()
+    assert resumed.history == runs[1].history
+    for (_, a), (_, b) in zip(resumed.state.param_items(), runs[1].state.param_items()):
+        assert a.tobytes() == b.tobytes()
+
+    state = runs[0].best_state()
+    for fraction in (1.0, 0.3):
+        a, b = build(state, lists["train"], fraction), build(state, packed["train"], fraction)
+        assert a.keys.tobytes() == b.keys.tobytes() and np.array_equal(a.values, b.values)
+    store = build(state, packed["train"])
+    want = predict_batch(state, store, lists["test"], InferenceConfig(k=5))
+    got = predict_batch(state, store, packed["test"], InferenceConfig(k=5))
+    for field in ("y_clf", "y_knn", "lam", "y_final", "neighbor_indices", "neighbor_sims"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field

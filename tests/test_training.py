@@ -1,4 +1,7 @@
 """Adam updates, training determinism, and checkpoint resume."""
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -31,9 +34,49 @@ def tiny_encoder_cfg(data_cfg):
     )
 
 
+def ref_adam_step(state, grads, adam, lr, betas=(0.9, 0.999), eps=1e-8):
+    """Adam as the textbook expression, one temporary per operation: the
+    oracle of the in-place update."""
+    b1, b2 = betas
+    adam.step += 1
+    t = adam.step
+    for name, theta in state.param_items():
+        g = getattr(grads, name)
+        m = adam.m[name]
+        v = adam.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return state
+
+
 class TestAdam:
     def _state(self):
         return init_state(EncoderConfig(2, 2, 2, 2, dropout_rate=0.0), seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_in_place_update_is_bit_identical_to_the_expression(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = EncoderConfig(17, 9, 5, 4, dropout_rate=0.0)
+        state, ref_state = init_state(cfg, seed=seed), init_state(cfg, seed=seed)
+        adam, ref_adam = AdamState.zeros_like(state), AdamState.zeros_like(ref_state)
+        for step in range(60):
+            # random gradients at several scales, and every fourth step a zero gradient
+            scale = 0.0 if step % 4 == 3 else 10.0 ** rng.integers(-6, 3)
+            grads = ParameterGradients(
+                **{name: scale * rng.standard_normal(arr.shape) for name, arr in state.param_items()}
+            )
+            adam_step(state, grads, adam, lr=1e-3, betas=(0.85, 0.995), eps=1e-7)
+            ref_adam_step(ref_state, grads, ref_adam, lr=1e-3, betas=(0.85, 0.995), eps=1e-7)
+            for name, arr in state.param_items():
+                ref = getattr(ref_state, name)
+                assert arr.tobytes() == ref.tobytes(), (step, name)
+                assert adam.m[name].tobytes() == ref_adam.m[name].tobytes(), (step, name)
+                assert adam.v[name].tobytes() == ref_adam.v[name].tobytes(), (step, name)
 
     def test_single_step_closed_form(self):
         # from zero moments the bias-corrected update is -lr * g / (|g| + eps)
@@ -175,6 +218,12 @@ class TestTrainer:
         trainer_b.save_checkpoint(ckpt)
         trainer_c = Trainer.load_checkpoint(ckpt, train_s, valid_s)
         trainer_c.run()
+
+        # the checkpoint holds the bytes json.dump writes for its payload
+        text = ckpt.read_text()
+        stream = io.StringIO()
+        json.dump(json.loads(text), stream)
+        assert stream.getvalue() == text
 
         assert trainer_c.iteration == trainer_a.iteration
         assert trainer_c.history == trainer_a.history
