@@ -35,7 +35,7 @@ from .data import (
     save_jsonl,
 )
 from .encoder import CheckpointError, EncoderConfig, init_state, load_checkpoint, save_checkpoint
-from .gradcheck import gradient_check, run_gradcheck_suite
+from .gradcheck import duplicated_views, gradient_check, run_gradcheck_suite
 from .inference import InferenceConfig, predict_batch
 from .losses import CONTRASTIVE_VARIANTS
 from .metrics import confusion, group_report, hamming_loss, macro_prf, micro_prf
@@ -144,6 +144,26 @@ def _load_split(path: Path):
     return load_packed(path)
 
 
+def _load_matching_split(path: Path, num_classes: int, vocab_size: int, reference: Path):
+    """The PackedSamples of a dataset file whose header must agree with the
+    ``reference`` split's; DimensionMismatchError names both otherwise."""
+    samples, c, v = _load_split(path)
+    if (c, v) != (num_classes, vocab_size):
+        raise DimensionMismatchError(
+            f"{path} (vocab={v}, C={c}) does not match {reference} (vocab={vocab_size}, C={num_classes})"
+        )
+    return samples
+
+
+def _load_training_splits(data_dir: Path):
+    """(train, valid, num_classes, vocab_size) of a dataset directory; valid
+    is [] without a valid.jsonl, and must agree with train.jsonl's header."""
+    train_path, valid_path = data_dir / "train.jsonl", data_dir / "valid.jsonl"
+    train, num_classes, vocab_size = _load_split(train_path)
+    valid = _load_matching_split(valid_path, num_classes, vocab_size, train_path) if valid_path.exists() else []
+    return train, valid, num_classes, vocab_size
+
+
 # -- commands -------------------------------------------------------------
 
 
@@ -168,10 +188,7 @@ def cmd_train(args) -> int:
     _, encoder_section, train_cfg, _ = load_config(args.config)
     if args.seed is not None:
         train_cfg.seed = args.seed
-    data_dir = Path(args.data)
-    train_samples, num_classes, vocab_size = _load_split(data_dir / "train.jsonl")
-    valid_path = data_dir / "valid.jsonl"
-    valid_samples = _load_split(valid_path)[0] if valid_path.exists() else []
+    train_samples, valid_samples, num_classes, vocab_size = _load_training_splits(Path(args.data))
 
     encoder_cfg = _encoder_config(encoder_section, input_dim=vocab_size, num_classes=num_classes)
     state = init_state(encoder_cfg, seed=train_cfg.seed)
@@ -384,7 +401,12 @@ def cmd_eval(args) -> int:
     groups = None
     if args.num_groups:
         source = Path(args.groups_from) if args.groups_from else Path(args.gold)
-        groups = frequency_groups(_load_split(source)[0], num_groups=args.num_groups)
+        group_samples, group_classes, _ = _load_split(source)
+        if group_classes != num_classes:
+            raise DimensionMismatchError(
+                f"--groups-from {source} (C={group_classes}) does not match the gold file {args.gold} (C={num_classes})"
+            )
+        groups = frequency_groups(group_samples, num_groups=args.num_groups)
     report = _metrics_report(gold_rows, np.asarray(pred_rows, dtype=np.int8), groups)
     print(_format_report(report))
     if args.out:
@@ -411,9 +433,8 @@ def cmd_ablate(args) -> int:
     if args.seed is not None:
         train_cfg.seed = args.seed
     data_dir = Path(args.data)
-    train_samples, num_classes, vocab_size = _load_split(data_dir / "train.jsonl")
-    valid_samples = _load_split(data_dir / "valid.jsonl")[0] if (data_dir / "valid.jsonl").exists() else []
-    test_samples, _, _ = _load_split(data_dir / "test.jsonl")
+    train_samples, valid_samples, num_classes, vocab_size = _load_training_splits(data_dir)
+    test_samples = _load_matching_split(data_dir / "test.jsonl", num_classes, vocab_size, data_dir / "train.jsonl")
     encoder_cfg = _encoder_config(encoder_section, input_dim=vocab_size, num_classes=num_classes)
 
     rows = []
@@ -480,21 +501,17 @@ def cmd_gradcheck(args) -> int:
             input_dim, hidden_dim, embed_dim, num_classes, batch = (int(x) for x in args.dims.split(","))
         except ValueError as exc:
             raise ConfigError(f"--dims must be 'input,hidden,embed,classes,batch', got {args.dims!r}") from exc
-        from .data import Sample, pack_samples  # local import to keep the command self-contained
-
         rng = np.random.default_rng(seed)
         config = EncoderConfig(input_dim, hidden_dim, embed_dim, num_classes, dropout_rate=0.1)
         state = init_state(config, seed=seed)
-        samples = []
-        for i in range(batch):
-            nnz = max(1, input_dim // 3)
+        nnz = max(1, input_dim // 3)
+        rows = []
+        for _ in range(batch):
             idx = rng.choice(input_dim, size=nnz, replace=False)
             labels = np.zeros(num_classes, dtype=np.int8)
             labels[rng.integers(num_classes)] = 1
-            samples.append(
-                Sample({int(j): float(v) for j, v in zip(idx, rng.uniform(0.5, 2.0, nnz))}, labels, f"s{i}")
-            )
-        views = pack_samples(samples + samples, input_dim)
+            rows.append((idx, rng.uniform(0.5, 2.0, nnz), labels))
+        views = duplicated_views(*zip(*rows), input_dim)
         masks = (rng.random((len(views), hidden_dim)) >= 0.1).astype(np.float64) / 0.9
         reports = [gradient_check(state, views, masks, alpha=0.1, tau1=0.05, step=args.step)]
     else:

@@ -16,19 +16,33 @@ into them: it parses ``_CHUNK_LINES`` lines at a time and turns each chunk's
 records into arrays before reading on, so no list of all parsed records is
 ever alive. ``load_jsonl`` is the same parse turned into ``Sample`` objects,
 and ``pack_samples`` packs a list of samples.
+
+A file is parsed at most once per content: the first ``load_packed`` of a
+split writes its arrays to ``<split>.jsonl.packed`` next to it, keyed by the
+SHA-256 of the file's bytes and by ``_READER_VERSION``, and every later read
+of the same bytes is served from that copy (layout in docs/formats.md).
+Deleting the copy is always safe; the next read parses and writes it again.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
 import json
 import json.decoder
 import json.scanner
+import logging
+import os
+import struct
+import zlib
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
 import numpy as np
 
 from .mathops import make_rng
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "DataFormatError",
@@ -300,6 +314,10 @@ def save_jsonl(samples, path, num_classes: int, vocab_size: int) -> None:
 # lines parsed per chunk: each chunk's records become arrays before the next
 # chunk is read, so the parsed records of a whole split are never alive at once
 _CHUNK_LINES = 256
+# the version of the load rules below (_read_header, _check_record,
+# _pack_lines) and of the packed-copy layout: bump it whenever either changes,
+# so that a copy stands only for bytes that pass today's checks
+_READER_VERSION = 1
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 _json_space = json.decoder.WHITESPACE.match
 
@@ -432,8 +450,28 @@ def load_packed(path):
     num_classes, vocab_size), with ``input_dim`` = vocab_size.
 
     Makes the checks ``load_jsonl`` makes, with the same DataFormatError
-    naming the offending line, and builds no Sample.
+    naming the offending line, and builds no Sample. The result is served
+    from the packed copy ``<path>.packed`` when that copy was written for
+    the same bytes by this reader version and is intact; otherwise the file
+    is parsed and the copy (re)written. A copy that cannot be written is
+    logged at DEBUG and skipped; a file that fails to parse gets none, and
+    so does a path that is not a regular file (a pipe is read only once).
     """
+    if not os.path.isfile(path):
+        return _parse_packed(path)
+    copy = f"{os.fspath(path)}.packed"
+    digest = _file_digest(path)
+    loaded = _read_copy(copy, digest)
+    if loaded is None:
+        loaded = _parse_packed(path)
+        # bytes edited during the parse have no one digest to key the copy by
+        if _file_digest(path) == digest:
+            _write_copy(copy, digest, *loaded)
+    return loaded
+
+
+def _parse_packed(path):
+    """``load_packed`` without the packed copy: always parses the file."""
     with open(path, "r", encoding="utf-8") as fh:
         num_classes, vocab_size = _read_header(fh, path)
         parts = [packed for packed, _ in _parse_chunks(fh, path, num_classes, vocab_size)]
@@ -449,6 +487,106 @@ def load_packed(path):
         vocab_size,
         np.concatenate([p.ids for p in parts]),
     )
+    return packed, num_classes, vocab_size
+
+
+# packed copy: magic, reader version, SHA-256 of the source bytes, n, nnz, C,
+# V, then the CRC-32 of every other byte of the copy (see docs/formats.md)
+_COPY_MAGIC = b"NNPK"
+_COPY_HEAD = struct.Struct("<4sI32s4Q")
+_COPY_CRC = struct.Struct("<I")
+
+
+def _file_digest(path) -> bytes:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").digest()
+
+
+def _write_copy(copy: str, digest: bytes, packed: PackedSamples, num_classes: int, vocab_size: int) -> None:
+    """Write the packed copy through a temporary file and an atomic rename;
+    a failure is logged at DEBUG and leaves no temporary file. Two writers
+    racing on one temporary file can only leave a copy that fails its size
+    or CRC check, which is a miss."""
+    ids = [sample_id.encode("utf-8", "surrogatepass") for sample_id in packed.ids]
+    offsets = np.zeros(len(ids) + 1, dtype="<i8")
+    np.cumsum(np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)), out=offsets[1:])
+    head = _COPY_HEAD.pack(
+        _COPY_MAGIC, _READER_VERSION, digest, len(packed), packed.indices.size, num_classes, vocab_size
+    )
+    body = [
+        np.ascontiguousarray(packed.indptr, dtype="<i8"),
+        np.ascontiguousarray(packed.indices, dtype="<i8"),
+        np.ascontiguousarray(packed.values, dtype="<f8"),
+        np.ascontiguousarray(packed.labels, dtype=np.int8),
+        offsets,
+        b"".join(ids),
+    ]
+    crc = zlib.crc32(head)
+    for part in body:
+        crc = zlib.crc32(part, crc)
+    tmp = f"{copy}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head)
+            fh.write(_COPY_CRC.pack(crc))
+            for part in body:
+                fh.write(part)
+        os.replace(tmp, copy)
+    except OSError as exc:
+        logger.debug("packed copy %s not written: %s", copy, exc)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def _read_copy(copy: str, digest: bytes):
+    """(PackedSamples, num_classes, vocab_size) from the packed copy, or None
+    when the copy is missing, short or long, for other bytes or another
+    reader version, fails its CRC, or does not hold a valid packing."""
+    try:
+        with open(copy, "rb") as fh:
+            head = fh.read(_COPY_HEAD.size)
+            crc = fh.read(_COPY_CRC.size)
+            if len(head) != _COPY_HEAD.size or len(crc) != _COPY_CRC.size:
+                return None
+            magic, version, key, n, nnz, num_classes, vocab_size = _COPY_HEAD.unpack(head)
+            if (magic, version, key) != (_COPY_MAGIC, _READER_VERSION, digest) or min(num_classes, vocab_size) < 1:
+                return None
+            fixed = _COPY_HEAD.size + _COPY_CRC.size + 16 * (n + 1) + 16 * nnz + n * num_classes
+            ids_size = os.fstat(fh.fileno()).st_size - fixed
+            if ids_size < 0:
+                return None
+            # each array is read straight into its own buffer
+            arrays = []
+            check = zlib.crc32(head)
+            layout = [("<i8", n + 1), ("<i8", nnz), ("<f8", nnz), (np.int8, (n, num_classes)), ("<i8", n + 1)]
+            for dtype, shape in layout:
+                arr = np.empty(shape, dtype=dtype)
+                if fh.readinto(arr) != arr.nbytes:
+                    return None
+                check = zlib.crc32(arr, check)
+                arrays.append(arr)
+            blob = fh.read(ids_size)
+            if len(blob) != ids_size or fh.read(1) or zlib.crc32(blob, check) != _COPY_CRC.unpack(crc)[0]:
+                return None
+    except OSError:
+        return None
+    indptr, indices, values, labels, offsets = arrays
+    # indptr runs 0 -> nnz without an empty row; the id offsets 0 -> ids_size
+    if indptr[0] != 0 or indptr[-1] != nnz or offsets[0] != 0 or offsets[-1] != ids_size:
+        return None
+    if n and (np.diff(indptr).min() < 1 or np.diff(offsets).min() < 0):
+        return None
+    # as unsigned, a negative index is larger than any valid one
+    if nnz and np.maximum.reduce(indices.view(np.uint64)) >= vocab_size:
+        return None
+    if labels.size and np.maximum.reduce(labels.view(np.uint8), axis=None) > 1:
+        return None
+    bounds = offsets.tolist()
+    try:
+        ids = [blob[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError:
+        return None
+    packed = PackedSamples(indptr, indices, values, labels, vocab_size, np.array(ids, dtype=object))
     return packed, num_classes, vocab_size
 
 

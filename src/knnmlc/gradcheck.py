@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Sample, pack_samples
+from .data import PackedSamples
 from .encoder import EncoderConfig, EncoderState, ParameterGradients, init_state
 from .mathops import make_rng
 from .training import batch_gradients, batch_objective
 
 __all__ = [
     "GradCheckReport",
+    "duplicated_views",
     "finite_difference_gradients",
     "gradient_check",
     "random_gradcheck_problem",
@@ -98,6 +99,24 @@ def gradient_check(
     )
 
 
+def duplicated_views(indices, values, labels, input_dim: int) -> PackedSamples:
+    """The 2N views of N samples, packed straight from each sample's feature
+    indices (distinct, in [0, input_dim)), feature values and (C,) label row;
+    rows N..2N-1 repeat rows 0..N-1."""
+    n = len(indices)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, indices), dtype=np.int64, count=n), out=indptr[1:])
+    batch = PackedSamples(
+        indptr,
+        np.concatenate(indices).astype(np.int64, copy=False),
+        np.concatenate(values).astype(np.float64, copy=False),
+        np.array(labels, dtype=np.int8),
+        input_dim,
+        np.array([f"gc-{i}" for i in range(n)], dtype=object),
+    )
+    return batch.take(np.tile(np.arange(n), 2))
+
+
 def random_gradcheck_problem(seed: int, variant: str = "dcl"):
     """A random small configuration: dims, a fresh state, a packed duplicated
     batch of random sparse samples, frozen (2N, hidden) dropout masks, and
@@ -122,22 +141,16 @@ def random_gradcheck_problem(seed: int, variant: str = "dcl"):
     )
     state = init_state(config, seed=int(rng.integers(1 << 30)))
 
-    samples = []
-    for i in range(n):
+    rows = []
+    for _ in range(n):
         nnz = int(rng.integers(1, max(2, input_dim // 2) + 1))
         idx = rng.choice(input_dim, size=nnz, replace=False)
         labels = np.zeros(num_classes, dtype=np.int8)
         labels[rng.integers(num_classes)] = 1
         extra = rng.random(num_classes) < 0.3
         labels[extra] = 1
-        samples.append(
-            Sample(
-                features={int(k): float(v) for k, v in zip(idx, rng.uniform(0.5, 2.0, nnz))},
-                labels=labels,
-                sample_id=f"gc-{i}",
-            )
-        )
-    views = pack_samples(samples + samples, input_dim)
+        rows.append((idx, rng.uniform(0.5, 2.0, nnz), labels))
+    views = duplicated_views(*zip(*rows), input_dim)
     keep = 1.0 - dropout_rate
     if keep < 1.0:
         masks = (rng.random((len(views), hidden_dim)) >= dropout_rate).astype(np.float64) / keep

@@ -1,5 +1,9 @@
 """End-to-end command-line workflow on a small configuration."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +242,48 @@ class TestErrorPaths:
         ])
         assert code == EXIT_DIMENSION
 
+    @pytest.mark.parametrize("header", [{"num_classes": 6, "vocab_size": 41}, {"num_classes": 7, "vocab_size": 40}])
+    def test_train_rejects_a_valid_split_with_another_header(self, pipeline_artifacts, tmp_path, monkeypatch, capsys, header):
+        a = pipeline_artifacts
+        d = tmp_path / "data"
+        d.mkdir()
+        (d / "train.jsonl").write_bytes((a["data"] / "train.jsonl").read_bytes())
+        body = (a["data"] / "valid.jsonl").read_text().split("\n", 1)[1]
+        (d / "valid.jsonl").write_text(json.dumps(header) + "\n" + body)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "Trainer", no_training)
+        code = main(["--config", a["config"], "train", "--data", str(d), "--out", str(tmp_path / "m")])
+        assert code == EXIT_DIMENSION
+        err = capsys.readouterr().err
+        assert "valid.jsonl (vocab={vocab_size}, C={num_classes})".format(**header) in err
+        assert "train.jsonl (vocab=40, C=6)" in err
+        assert not (tmp_path / "m").exists()
+
+    def test_ablate_rejects_a_test_split_with_another_header(self, pipeline_artifacts, tmp_path, capsys):
+        a = pipeline_artifacts
+        d = tmp_path / "data"
+        d.mkdir()
+        for name in ("train.jsonl", "valid.jsonl"):
+            (d / name).write_bytes((a["data"] / name).read_bytes())
+        body = (a["data"] / "test.jsonl").read_text().split("\n", 1)[1]
+        (d / "test.jsonl").write_text(json.dumps({"num_classes": 7, "vocab_size": 40}) + "\n" + body)
+        assert main(["--config", a["config"], "ablate", "--data", str(d)]) == EXIT_DIMENSION
+        assert "test.jsonl (vocab=40, C=7)" in capsys.readouterr().err
+
+    def test_eval_rejects_groups_from_another_label_count(self, pipeline_artifacts, tmp_path, capsys):
+        a = pipeline_artifacts
+        lines = (a["data"] / "train.jsonl").read_text().split("\n", 1)
+        other = tmp_path / "train13.jsonl"
+        other.write_text(json.dumps({"num_classes": 7, "vocab_size": 40}) + "\n" + lines[1])
+        code = main(["eval", "--predictions", str(a["preds"]), "--gold", str(a["data"] / "test.jsonl"),
+                     "--num-groups", "4", "--groups-from", str(other)])
+        assert code == EXIT_DIMENSION
+        err = capsys.readouterr().err
+        assert "C=7" in err and "C=6" in err
+
     def test_corrupt_datastore_exit_code(self, pipeline_artifacts, tmp_path):
         a = pipeline_artifacts
         corrupt = tmp_path / "corrupt.bin"
@@ -299,6 +345,24 @@ class TestGradcheckCommand:
         code = main(["--seed", "5", "gradcheck", "--dims", "8,5,4,3,4"])
         assert code == EXIT_OK
         assert "pass" in capsys.readouterr().out
+
+    def test_fixed_dims_report_is_pinned(self, capsys):
+        # the report the command printed when it built Sample objects and packed them
+        assert main(["--seed", "0", "gradcheck", "--dims", "7,5,3,4,3"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "config   0: pass  max_rel_error=7.281e-09 worst=b_in params=74\n"
+            "PASS: 1 configurations, max relative error 7.281e-09\n"
+        )
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "knnmlc", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: knnmlc") and "gen-data" in result.stdout
 
 
 class TestAblateCommand:

@@ -18,7 +18,7 @@ from knnmlc.encoder import (
     save_checkpoint,
     state_to_payload,
 )
-from knnmlc.gradcheck import gradient_check, random_gradcheck_problem
+from knnmlc.gradcheck import duplicated_views, gradient_check, random_gradcheck_problem
 from knnmlc.mathops import make_rng
 
 
@@ -132,6 +132,21 @@ class TestBackward:
         # the 1-d trace of a single forward is not a batch trace
         with pytest.raises(ValueError, match="batch trace"):
             backward(state, forward(state, tiny_sample()), grad_logits=np.zeros((1, 3)))
+
+    def test_duplicated_views_equal_the_samples_packed_twice(self):
+        rng = np.random.default_rng(3)
+        rows, samples = [], []
+        for i in range(5):
+            idx = rng.choice(9, size=1 + i % 4, replace=False)
+            values = rng.uniform(0.5, 2.0, idx.size)
+            labels = (rng.random(4) < 0.5).astype(np.int8)
+            rows.append((idx, values, labels))
+            samples.append(Sample({int(j): float(v) for j, v in zip(idx, values)}, labels, f"gc-{i}"))
+        got, want = duplicated_views(*zip(*rows), 9), pack_samples(samples + samples, 9)
+        for name in ("indptr", "indices", "values", "labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.input_dim == 9 and got.ids.tolist() == want.ids.tolist()
 
     @pytest.mark.parametrize("seed", [21, 22, 23, 24])
     def test_full_gradient_check(self, seed):

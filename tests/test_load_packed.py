@@ -8,8 +8,18 @@ record (``"3"`` and ``"03"``) is an error, checked after the bounds. For any
 file the new readers must give the oracle's samples (``load_jsonl``), the
 oracle's samples packed (``load_packed``), or the oracle's error, message
 and line included, whatever the chunk size.
+
+``load_packed`` serves a file it parsed before from the packed copy beside
+it. The reference tests read each file once before any copy exists, and the
+chunking test deletes the copy before each chunk size, so all of them run
+the parser; a spy on ``data._parse_packed`` counts the parses. The copy
+tests below check that a hit is bit-identical to the parse and that every
+damaged or foreign copy is a miss.
 """
 import json
+import logging
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -94,7 +104,9 @@ bad_labels = st.one_of(
     st.lists(st.one_of(st.integers(-2, NUM_CLASSES + 1), st.sampled_from(["a", None, 1.5])), min_size=1, max_size=4),
     st.sampled_from([3, None]),
 )
-ids = st.one_of(st.text(max_size=6), st.integers(0, 9), st.none())
+ids = st.one_of(
+    st.text(max_size=6), st.integers(0, 9), st.none(), st.sampled_from(["\x00", "a\x00b", "\ud800", "x\udfffy"])
+)
 
 
 @st.composite
@@ -157,6 +169,35 @@ def assert_same_packed(got: PackedSamples, want: PackedSamples):
     assert got.ids.dtype == object and got.ids.tolist() == want.ids.tolist()
 
 
+def assert_identical_loads(got, want):
+    """Two load_packed results with the same shapes, dtypes and bits."""
+    assert got[1:] == want[1:]
+    got, want = got[0], want[0]
+    assert got.input_dim == want.input_dim
+    for name in ("indptr", "indices", "values", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.ids.dtype == object and got.ids.shape == want.ids.shape
+    assert [type(i) for i in got.ids] == [str] * len(got.ids) and got.ids.tolist() == want.ids.tolist()
+
+
+def copy_of(path):
+    return path.with_name(path.name + ".packed")
+
+
+def spy_on_parses(mp):
+    """Record the path of every parse ``load_packed`` makes."""
+    parses = []
+    real = data._parse_packed
+
+    def parse(path):
+        parses.append(path)
+        return real(path)
+
+    mp.setattr(data, "_parse_packed", parse)
+    return parses
+
+
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(record_lines(), max_size=9), chunk=st.sampled_from([1, 2, 3, 256]))
 def test_readers_match_the_per_line_reference(tmp_path_factory, lines, chunk):
@@ -165,9 +206,14 @@ def test_readers_match_the_per_line_reference(tmp_path_factory, lines, chunk):
     want, want_error = outcome(ref_load_jsonl, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data, "_CHUNK_LINES", chunk)
+        parses = spy_on_parses(mp)
         got, got_error = outcome(load_jsonl, path)
         packed, packed_error = outcome(load_packed, path)
-    assert got_error == want_error and packed_error == want_error
+        assert parses == [path]  # a fresh file: the parser ran
+        # a second read is served from the copy the first one wrote, if any
+        again, again_error = outcome(load_packed, path)
+    assert got_error == want_error and packed_error == want_error and again_error == want_error
+    assert copy_of(path).exists() == (want_error is None)
     if want_error is None:
         samples, num_classes, vocab = want
         assert got[1:] == packed[1:] == (num_classes, vocab)
@@ -176,6 +222,10 @@ def test_readers_match_the_per_line_reference(tmp_path_factory, lines, chunk):
             assert_same_packed(packed[0], pack_samples(samples, vocab))
         else:
             assert len(packed[0]) == 0 and packed[0].labels.shape == (0, NUM_CLASSES)
+        assert len(parses) == 1
+        assert_identical_loads(again, packed)
+    else:
+        assert len(parses) == 2
 
 
 def test_files_written_by_save_jsonl_read_back_in_any_chunking(tmp_path, monkeypatch):
@@ -185,9 +235,12 @@ def test_files_written_by_save_jsonl_read_back_in_any_chunking(tmp_path, monkeyp
     path = tmp_path / "train.jsonl"
     data.save_jsonl(train, path, cfg.num_classes, cfg.vocab_size)
     want = pack_samples(ref_load_jsonl(path)[0], cfg.vocab_size)  # keys in file order
-    for chunk in (1, 7, 256, 1000):
+    parses = spy_on_parses(monkeypatch)
+    for count, chunk in enumerate((1, 7, 256, 1000), start=1):
         monkeypatch.setattr(data, "_CHUNK_LINES", chunk)
+        copy_of(path).unlink(missing_ok=True)  # else every chunk size after the first reads the copy
         packed, num_classes, vocab = load_packed(path)
+        assert len(parses) == count
         assert (num_classes, vocab) == (cfg.num_classes, cfg.vocab_size)
         assert_same_packed(packed, want)
         assert load_jsonl(path)[0] == train
@@ -209,6 +262,7 @@ def test_one_index_given_twice_is_an_error_naming_its_line(tmp_path):
     for reader in (load_packed, load_jsonl):
         with pytest.raises(DataFormatError, match="line 3: feature index 3 appears more than once"):
             reader(path)
+    assert not copy_of(path).exists()
 
 
 def test_a_value_too_large_for_a_float_is_a_format_error(tmp_path):
@@ -217,6 +271,7 @@ def test_a_value_too_large_for_a_float_is_a_format_error(tmp_path):
     for reader in (load_packed, load_jsonl):
         with pytest.raises(DataFormatError, match="line 2: malformed record"):
             reader(path)
+    assert not copy_of(path).exists()
 
 
 @pytest.mark.parametrize("header", ['{"num_classes": 0, "vocab_size": 4}', '{"num_classes": 3, "vocab_size": -1}'])
@@ -225,6 +280,186 @@ def test_header_dimensions_must_be_positive(tmp_path, header):
     path.write_text(header + "\n")
     with pytest.raises(DataFormatError, match="line 1"):
         load_packed(path)
+    assert not copy_of(path).exists()
+
+
+# -- the packed copy -------------------------------------------------------------
+
+COPY_LINES = [
+    '{"id": "a", "features": {"3": 2.0, "0": "nan"}, "labels": [1, 4]}',
+    '{"id": "nul\\u0000id", "features": {}, "labels": []}',
+    '{"id": "lone \\ud800 surrogate", "features": {"11": -1.5e300, "5": 1}, "labels": [0, 0]}',
+    '{"features": {"7": "-inf"}, "labels": [2]}',
+]
+
+
+@pytest.fixture
+def split(tmp_path, monkeypatch):
+    """A small split read once, so its copy exists; the parse result, the
+    copy's bytes and a spy on later parses."""
+    path = tmp_path / "split.jsonl"
+    write_file(path, COPY_LINES)
+    parsed = load_packed(path)
+    parses = spy_on_parses(monkeypatch)
+    return path, parsed, copy_of(path).read_bytes(), parses
+
+
+def test_the_copy_holds_what_the_parse_gave(split):
+    path, parsed, blob, parses = split
+    packed = parsed[0]
+    assert np.isnan(packed.values[1]) and packed.indptr.tolist() == [0, 2, 3, 5, 6]
+    assert packed.ids.tolist() == ["a", "nul\x00id", "lone \ud800 surrogate", ""]
+    assert blob[:4] == b"NNPK" and int.from_bytes(blob[4:8], "little") == data._READER_VERSION
+    for _ in range(2):
+        assert_identical_loads(load_packed(path), parsed)
+    assert parses == []
+    assert_identical_loads(data._parse_packed(path), parsed)
+
+
+def _assert_miss(path, parsed, blob, parses):
+    assert_identical_loads(load_packed(path), parsed)
+    assert len(parses) == 1
+    assert copy_of(path).read_bytes() == blob  # rewritten
+    parses.clear()
+
+
+def test_a_truncated_or_lengthened_copy_is_a_miss(split):
+    path, parsed, blob, parses = split
+    for damaged in (b"", blob[:3], blob[:75], blob[:76], blob[:-1], blob[:-9], blob + b"\0"):
+        copy_of(path).write_bytes(damaged)
+        _assert_miss(path, parsed, blob, parses)
+
+
+def test_every_flipped_byte_is_a_miss(split):
+    path, parsed, blob, parses = split
+    for offset in range(len(blob)):
+        for flip in (0x01, 0x80):
+            damaged = bytearray(blob)
+            damaged[offset] ^= flip
+            copy_of(path).write_bytes(bytes(damaged))
+            _assert_miss(path, parsed, blob, parses)
+
+
+def test_a_copy_of_another_reader_version_is_a_miss(split, monkeypatch):
+    path, parsed, blob, parses = split
+    monkeypatch.setattr(data, "_READER_VERSION", data._READER_VERSION + 1)
+    assert_identical_loads(load_packed(path), parsed)
+    assert len(parses) == 1
+    rewritten = copy_of(path).read_bytes()
+    assert int.from_bytes(rewritten[4:8], "little") == data._READER_VERSION
+    assert_identical_loads(load_packed(path), parsed)
+    assert len(parses) == 1
+
+
+def test_a_copy_for_other_bytes_is_a_miss(split):
+    path, parsed, blob, parses = split
+    other = path.with_name("other.jsonl")
+    write_file(other, COPY_LINES[:2])
+    copy_of(other).write_bytes(blob)  # a foreign digest
+    want = data._parse_packed(other)
+    parses.clear()
+    assert_identical_loads(load_packed(other), want)
+    assert parses == [other]
+
+
+def test_a_source_edited_in_place_to_the_same_length_is_a_miss(split):
+    path, parsed, blob, parses = split
+    text = path.read_text()
+    edited = text.replace('"3": 2.0', '"3": 7.0')
+    assert edited != text and len(edited) == len(text)
+    path.write_text(edited)
+    packed, _, _ = load_packed(path)
+    assert parses == [path] and packed.values[0] == 7.0
+    assert copy_of(path).read_bytes() != blob
+
+
+@pytest.mark.parametrize(
+    "damage", ["empty row", "indptr end", "index", "negative index", "label", "id split", "id order", "id bytes"]
+)
+def test_a_copy_that_holds_no_valid_packing_is_a_miss(split, damage):
+    """Copies with an intact CRC, written by the writer from arrays no parse gives."""
+    path, parsed, blob, parses = split
+    packed, num_classes, vocab = parsed
+    indptr, indices, labels, ids = packed.indptr.copy(), packed.indices.copy(), packed.labels.copy(), packed.ids.copy()
+    if damage == "empty row":
+        indptr[1] = 0
+    elif damage == "indptr end":
+        indptr[-1] += 1  # past nnz
+    elif damage == "index":
+        indices[2] = vocab
+    elif damage == "negative index":
+        indices[0] = -1
+    elif damage == "label":
+        labels[0, 0] = 2
+    elif damage == "id split":
+        ids[0] = "\udc80"  # three bytes in the blob; below, id 0's offsets end after two
+    bad = PackedSamples(indptr, indices, packed.values, labels, vocab, ids)
+    digest = data._file_digest(path)
+    data._write_copy(str(copy_of(path)), digest, bad, num_classes, vocab)
+    if damage.startswith("id "):
+        copy = bytearray(copy_of(path).read_bytes())
+        n, nnz = len(packed), packed.indices.size
+        offsets_at = 76 + 8 * (n + 1) + 16 * nnz + n * num_classes
+        if damage == "id split":
+            copy[offsets_at + 8 : offsets_at + 16] = (2).to_bytes(8, "little")  # id 0 ends inside its 3-byte char
+        elif damage == "id order":
+            copy[offsets_at + 16 : offsets_at + 24] = bytes(8)  # offsets 0, 1, 0, ...: every slice still decodes
+        else:
+            copy[offsets_at + 8 * (n + 1)] = 0xFF  # not UTF-8
+        copy[72:76] = data.zlib.crc32(bytes(copy[:72]) + bytes(copy[76:])).to_bytes(4, "little")
+        copy_of(path).write_bytes(bytes(copy))
+    assert data._read_copy(str(copy_of(path)), digest) is None
+    _assert_miss(path, parsed, blob, parses)
+
+
+def test_a_source_edited_during_the_parse_gets_no_copy(split, monkeypatch):
+    path, parsed, blob, parses = split
+    copy_of(path).unlink()
+    real = data._parse_packed
+
+    def parse_then_edit(p):
+        result = real(p)
+        path.write_text(path.read_text().replace('"3": 2.0', '"3": 7.0'))
+        return result
+
+    monkeypatch.setattr(data, "_parse_packed", parse_then_edit)
+    assert_identical_loads(load_packed(path), parsed)
+    assert not copy_of(path).exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_is_parsed_once_and_gets_no_copy(tmp_path):
+    path = tmp_path / "split.jsonl"
+    write_file(path, COPY_LINES)
+    want = data._parse_packed(path)
+    fifo = tmp_path / "pipe.jsonl"
+    os.mkfifo(fifo)
+    loaded = []
+    # daemon threads: a reader that opened the pipe a second time would wait for a writer forever
+    reader = threading.Thread(target=lambda: loaded.append(load_packed(fifo)), daemon=True)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+    reader.start()
+    writer.start()
+    reader.join(timeout=10)
+    writer.join(timeout=10)
+    assert not reader.is_alive() and not writer.is_alive()
+    assert_identical_loads(loaded[0], want)
+    assert not copy_of(fifo).exists()
+
+
+def test_a_copy_that_cannot_be_written_is_skipped(tmp_path, monkeypatch, caplog):
+    path = tmp_path / "split.jsonl"
+    write_file(path, COPY_LINES)
+    want = data._parse_packed(path)
+
+    def refuse(src, dst):
+        raise PermissionError("read-only")
+
+    monkeypatch.setattr(data.os, "replace", refuse)
+    with caplog.at_level(logging.DEBUG, logger="knnmlc.data"):
+        assert_identical_loads(load_packed(path), want)
+    assert "not written" in caplog.text and "read-only" in caplog.text
+    assert sorted(os.listdir(tmp_path)) == ["split.jsonl"]  # no copy, no temporary file left
 
 
 # -- the packed set ----------------------------------------------------------
