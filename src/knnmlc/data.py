@@ -33,8 +33,6 @@ import json.decoder
 import json.scanner
 import logging
 import os
-import struct
-import zlib
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
@@ -317,7 +315,7 @@ _CHUNK_LINES = 256
 # the version of the load rules below (_read_header, _check_record,
 # _pack_lines) and of the packed-copy layout: bump it whenever either changes,
 # so that a copy stands only for bytes that pass today's checks
-_READER_VERSION = 1
+_READER_VERSION = 2
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 _json_space = json.decoder.WHITESPACE.match
 
@@ -490,47 +488,50 @@ def _parse_packed(path):
     return packed, num_classes, vocab_size
 
 
-# packed copy: magic, reader version, SHA-256 of the source bytes, n, nnz, C,
-# V, then the CRC-32 of every other byte of the copy (see docs/formats.md)
-_COPY_MAGIC = b"NNPK"
-_COPY_HEAD = struct.Struct("<4sI32s4Q")
-_COPY_CRC = struct.Struct("<I")
-
-
 def _file_digest(path) -> bytes:
+    """SHA-256 of the file's bytes, read 1 MiB at a time."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").digest()
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+# the packed copy is an uncompressed .npz of these arrays (see docs/formats.md):
+# numpy checks each one's dtype, shape and size on reading, and zipfile the
+# CRC-32 of each one read in full
+_COPY_DTYPES = {
+    "dims": np.int64,  # (2,): C, V
+    "indptr": np.int64,
+    "indices": np.int64,
+    "values": np.float64,
+    "labels": np.int8,
+    "id_offsets": np.int64,  # (n + 1,): id i is id_bytes[id_offsets[i]:id_offsets[i + 1]]
+    "id_bytes": np.uint8,  # every id, UTF-8 with surrogatepass
+}
 
 
 def _write_copy(copy: str, digest: bytes, packed: PackedSamples, num_classes: int, vocab_size: int) -> None:
     """Write the packed copy through a temporary file and an atomic rename;
-    a failure is logged at DEBUG and leaves no temporary file. Two writers
-    racing on one temporary file can only leave a copy that fails its size
-    or CRC check, which is a miss."""
+    a failure is logged at DEBUG and leaves no temporary file."""
     ids = [sample_id.encode("utf-8", "surrogatepass") for sample_id in packed.ids]
-    offsets = np.zeros(len(ids) + 1, dtype="<i8")
-    np.cumsum(np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)), out=offsets[1:])
-    head = _COPY_HEAD.pack(
-        _COPY_MAGIC, _READER_VERSION, digest, len(packed), packed.indices.size, num_classes, vocab_size
-    )
-    body = [
-        np.ascontiguousarray(packed.indptr, dtype="<i8"),
-        np.ascontiguousarray(packed.indices, dtype="<i8"),
-        np.ascontiguousarray(packed.values, dtype="<f8"),
-        np.ascontiguousarray(packed.labels, dtype=np.int8),
-        offsets,
-        b"".join(ids),
-    ]
-    crc = zlib.crc32(head)
-    for part in body:
-        crc = zlib.crc32(part, crc)
+    id_offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)), out=id_offsets[1:])
     tmp = f"{copy}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(head)
-            fh.write(_COPY_CRC.pack(crc))
-            for part in body:
-                fh.write(part)
+            np.savez(
+                fh,
+                version=np.int64(_READER_VERSION),
+                digest=np.frombuffer(digest, dtype=np.uint8),
+                dims=np.array([num_classes, vocab_size], dtype=np.int64),
+                indptr=packed.indptr,
+                indices=packed.indices,
+                values=packed.values,
+                labels=packed.labels,
+                id_offsets=id_offsets,
+                id_bytes=np.frombuffer(b"".join(ids), dtype=np.uint8),
+            )
         os.replace(tmp, copy)
     except OSError as exc:
         logger.debug("packed copy %s not written: %s", copy, exc)
@@ -540,39 +541,28 @@ def _write_copy(copy: str, digest: bytes, packed: PackedSamples, num_classes: in
 
 def _read_copy(copy: str, digest: bytes):
     """(PackedSamples, num_classes, vocab_size) from the packed copy, or None
-    when the copy is missing, short or long, for other bytes or another
-    reader version, fails its CRC, or does not hold a valid packing."""
+    when the copy is missing or damaged, was written for other bytes or by
+    another reader version, or does not hold a valid packing."""
     try:
-        with open(copy, "rb") as fh:
-            head = fh.read(_COPY_HEAD.size)
-            crc = fh.read(_COPY_CRC.size)
-            if len(head) != _COPY_HEAD.size or len(crc) != _COPY_CRC.size:
+        with np.load(copy, allow_pickle=False) as npz:
+            if npz["version"].tolist() != _READER_VERSION or npz["digest"].tobytes() != digest:
                 return None
-            magic, version, key, n, nnz, num_classes, vocab_size = _COPY_HEAD.unpack(head)
-            if (magic, version, key) != (_COPY_MAGIC, _READER_VERSION, digest) or min(num_classes, vocab_size) < 1:
-                return None
-            fixed = _COPY_HEAD.size + _COPY_CRC.size + 16 * (n + 1) + 16 * nnz + n * num_classes
-            ids_size = os.fstat(fh.fileno()).st_size - fixed
-            if ids_size < 0:
-                return None
-            # each array is read straight into its own buffer
-            arrays = []
-            check = zlib.crc32(head)
-            layout = [("<i8", n + 1), ("<i8", nnz), ("<f8", nnz), (np.int8, (n, num_classes)), ("<i8", n + 1)]
-            for dtype, shape in layout:
-                arr = np.empty(shape, dtype=dtype)
-                if fh.readinto(arr) != arr.nbytes:
-                    return None
-                check = zlib.crc32(arr, check)
-                arrays.append(arr)
-            blob = fh.read(ids_size)
-            if len(blob) != ids_size or fh.read(1) or zlib.crc32(blob, check) != _COPY_CRC.unpack(crc)[0]:
-                return None
-    except OSError:
+            arrays = {name: npz[name] for name in _COPY_DTYPES}
+    # a damaged zip or .npy header fails in many ways (BadZipFile, zlib.error,
+    # NotImplementedError, a bad dtype or shape, ...): each is a miss
+    except Exception:
         return None
-    indptr, indices, values, labels, offsets = arrays
-    # indptr runs 0 -> nnz without an empty row; the id offsets 0 -> ids_size
-    if indptr[0] != 0 or indptr[-1] != nnz or offsets[0] != 0 or offsets[-1] != ids_size:
+    if any(arrays[name].dtype != dtype for name, dtype in _COPY_DTYPES.items()):
+        return None
+    dims, indptr, indices, values, labels, offsets, blob = arrays.values()
+    if dims.shape != (2,) or dims.min() < 1 or indptr.ndim != 1 or not indptr.size:
+        return None
+    (num_classes, vocab_size), n, nnz = dims.tolist(), indptr.size - 1, int(indptr[-1])
+    shapes = (indices.shape, values.shape, labels.shape, offsets.shape, blob.ndim)
+    if shapes != ((nnz,), (nnz,), (n, num_classes), (n + 1,), 1):
+        return None
+    # indptr runs 0 -> nnz without an empty row; the id offsets 0 -> len(blob)
+    if indptr[0] != 0 or offsets[0] != 0 or offsets[-1] != blob.size:
         return None
     if n and (np.diff(indptr).min() < 1 or np.diff(offsets).min() < 0):
         return None
@@ -581,7 +571,7 @@ def _read_copy(copy: str, digest: bytes):
         return None
     if labels.size and np.maximum.reduce(labels.view(np.uint8), axis=None) > 1:
         return None
-    bounds = offsets.tolist()
+    blob, bounds = blob.tobytes(), offsets.tolist()
     try:
         ids = [blob[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])]
     except UnicodeDecodeError:

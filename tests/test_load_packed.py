@@ -13,13 +13,17 @@ and line included, whatever the chunk size.
 it. The reference tests read each file once before any copy exists, and the
 chunking test deletes the copy before each chunk size, so all of them run
 the parser; a spy on ``data._parse_packed`` counts the parses. The copy
-tests below check that a hit is bit-identical to the parse and that every
-damaged or foreign copy is a miss.
+tests below check that a hit is bit-identical to the parse and that a
+damaged or foreign copy is a miss, or, where the damage touches only bytes
+of the zip that the reader does not use, still gives the parse's arrays.
 """
+import hashlib
+import io
 import json
 import logging
 import os
 import threading
+import zipfile
 
 import numpy as np
 import pytest
@@ -291,17 +295,23 @@ COPY_LINES = [
     '{"id": "lone \\ud800 surrogate", "features": {"11": -1.5e300, "5": 1}, "labels": [0, 0]}',
     '{"features": {"7": "-inf"}, "labels": [2]}',
 ]
+BOTH_SPLITS = pytest.mark.parametrize("split", [COPY_LINES, []], indirect=True, ids=["records", "header only"])
 
 
 @pytest.fixture
-def split(tmp_path, monkeypatch):
-    """A small split read once, so its copy exists; the parse result, the
-    copy's bytes and a spy on later parses."""
+def split(request, tmp_path, monkeypatch):
+    """A small split (``COPY_LINES`` unless parametrized) read once, so its
+    copy exists; the parse result, the copy's bytes and a spy on later parses."""
     path = tmp_path / "split.jsonl"
-    write_file(path, COPY_LINES)
+    write_file(path, getattr(request, "param", COPY_LINES))
     parsed = load_packed(path)
     parses = spy_on_parses(monkeypatch)
     return path, parsed, copy_of(path).read_bytes(), parses
+
+
+def copy_arrays(path):
+    with np.load(copy_of(path), allow_pickle=False) as npz:
+        return dict(npz)
 
 
 def test_the_copy_holds_what_the_parse_gave(split):
@@ -309,35 +319,72 @@ def test_the_copy_holds_what_the_parse_gave(split):
     packed = parsed[0]
     assert np.isnan(packed.values[1]) and packed.indptr.tolist() == [0, 2, 3, 5, 6]
     assert packed.ids.tolist() == ["a", "nul\x00id", "lone \ud800 surrogate", ""]
-    assert blob[:4] == b"NNPK" and int.from_bytes(blob[4:8], "little") == data._READER_VERSION
+    arrays = copy_arrays(path)
+    assert arrays["version"] == data._READER_VERSION
+    assert arrays["digest"].tobytes() == hashlib.sha256(path.read_bytes()).digest()
     for _ in range(2):
         assert_identical_loads(load_packed(path), parsed)
     assert parses == []
     assert_identical_loads(data._parse_packed(path), parsed)
 
 
-def _assert_miss(path, parsed, blob, parses):
+def test_the_digest_does_not_need_hashlib_file_digest(split, monkeypatch):
+    """``hashlib.file_digest`` is new in Python 3.11; the package supports 3.10."""
+    path, parsed, blob, parses = split
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    big = path.with_name("big.bin")
+    big.write_bytes(bytes(range(256)) * 10_000)  # several read blocks
+    for file in (path, big):
+        assert data._file_digest(file) == hashlib.sha256(file.read_bytes()).digest()
+    assert_identical_loads(load_packed(path), parsed)
+    assert parses == []
+
+
+def _assert_miss(path, parsed, parses):
     assert_identical_loads(load_packed(path), parsed)
     assert len(parses) == 1
-    assert copy_of(path).read_bytes() == blob  # rewritten
+    assert_identical_loads(data._read_copy(str(copy_of(path)), data._file_digest(path)), parsed)  # rewritten
     parses.clear()
 
 
-def test_a_truncated_or_lengthened_copy_is_a_miss(split):
+@BOTH_SPLITS
+def test_a_truncated_copy_is_a_miss(split):
     path, parsed, blob, parses = split
-    for damaged in (b"", blob[:3], blob[:75], blob[:76], blob[:-1], blob[:-9], blob + b"\0"):
+    for damaged in (b"", blob[:3], blob[: len(blob) // 2], blob[:-1], blob[:-30]):
         copy_of(path).write_bytes(damaged)
-        _assert_miss(path, parsed, blob, parses)
+        _assert_miss(path, parsed, parses)
 
 
-def test_every_flipped_byte_is_a_miss(split):
+def member_data(blob):
+    """The offsets of the bytes of every member's .npy file in the zip."""
+    offsets = set()
+    with zipfile.ZipFile(io.BytesIO(blob)) as zf:
+        for info in zf.infolist():
+            local = blob[info.header_offset : info.header_offset + 30]  # name and extra lengths at 26 and 28
+            start = info.header_offset + 30 + sum(int.from_bytes(local[i : i + 2], "little") for i in (26, 28))
+            offsets.update(range(start, start + info.compress_size))
+    return offsets
+
+
+@BOTH_SPLITS
+def test_every_flipped_byte_gives_the_parse_result_or_none(split):
+    """A flip inside any stored array or .npy header is a miss (the member's
+    CRC-32, or a shape that no longer fits the others). A flip in the zip's
+    own bookkeeping is a miss or changes nothing the reader uses (a time
+    stamp, the local copy of a size). No flip gives another result."""
     path, parsed, blob, parses = split
+    digest = data._file_digest(path)
+    stored = member_data(blob)
+    assert len(stored) > len(blob) / 2
     for offset in range(len(blob)):
         for flip in (0x01, 0x80):
             damaged = bytearray(blob)
             damaged[offset] ^= flip
             copy_of(path).write_bytes(bytes(damaged))
-            _assert_miss(path, parsed, blob, parses)
+            loaded = data._read_copy(str(copy_of(path)), digest)
+            if loaded is not None:
+                assert offset not in stored, offset
+                assert_identical_loads(loaded, parsed)
 
 
 def test_a_copy_of_another_reader_version_is_a_miss(split, monkeypatch):
@@ -345,8 +392,7 @@ def test_a_copy_of_another_reader_version_is_a_miss(split, monkeypatch):
     monkeypatch.setattr(data, "_READER_VERSION", data._READER_VERSION + 1)
     assert_identical_loads(load_packed(path), parsed)
     assert len(parses) == 1
-    rewritten = copy_of(path).read_bytes()
-    assert int.from_bytes(rewritten[4:8], "little") == data._READER_VERSION
+    assert copy_arrays(path)["version"] == data._READER_VERSION
     assert_identical_loads(load_packed(path), parsed)
     assert len(parses) == 1
 
@@ -374,42 +420,69 @@ def test_a_source_edited_in_place_to_the_same_length_is_a_miss(split):
 
 
 @pytest.mark.parametrize(
-    "damage", ["empty row", "indptr end", "index", "negative index", "label", "id split", "id order", "id bytes"]
+    "damage",
+    ["empty row", "indptr end", "index", "negative index", "label", "label dtype", "label columns", "no classes",
+     "missing array", "id split", "id order", "id bytes", "id bytes short"],
 )
 def test_a_copy_that_holds_no_valid_packing_is_a_miss(split, damage):
-    """Copies with an intact CRC, written by the writer from arrays no parse gives."""
+    """Copies with intact CRCs whose arrays no parse gives."""
     path, parsed, blob, parses = split
-    packed, num_classes, vocab = parsed
-    indptr, indices, labels, ids = packed.indptr.copy(), packed.indices.copy(), packed.labels.copy(), packed.ids.copy()
+    arrays = copy_arrays(path)
+    indptr, indices, labels = arrays["indptr"], arrays["indices"], arrays["labels"]
+    offsets, id_bytes = arrays["id_offsets"], arrays["id_bytes"]
     if damage == "empty row":
         indptr[1] = 0
     elif damage == "indptr end":
         indptr[-1] += 1  # past nnz
     elif damage == "index":
-        indices[2] = vocab
+        indices[2] = VOCAB
     elif damage == "negative index":
         indices[0] = -1
     elif damage == "label":
         labels[0, 0] = 2
+    elif damage == "label dtype":
+        arrays["labels"] = labels.astype(np.int16)
+    elif damage == "label columns":
+        arrays["labels"] = np.zeros((len(labels), NUM_CLASSES + 1), dtype=np.int8)
+    elif damage == "no classes":
+        arrays["dims"][0] = 0
+        arrays["labels"] = labels[:, :0]
+    elif damage == "missing array":
+        del arrays["values"]
     elif damage == "id split":
-        ids[0] = "\udc80"  # three bytes in the blob; below, id 0's offsets end after two
-    bad = PackedSamples(indptr, indices, packed.values, labels, vocab, ids)
-    digest = data._file_digest(path)
-    data._write_copy(str(copy_of(path)), digest, bad, num_classes, vocab)
-    if damage.startswith("id "):
-        copy = bytearray(copy_of(path).read_bytes())
-        n, nnz = len(packed), packed.indices.size
-        offsets_at = 76 + 8 * (n + 1) + 16 * nnz + n * num_classes
-        if damage == "id split":
-            copy[offsets_at + 8 : offsets_at + 16] = (2).to_bytes(8, "little")  # id 0 ends inside its 3-byte char
-        elif damage == "id order":
-            copy[offsets_at + 16 : offsets_at + 24] = bytes(8)  # offsets 0, 1, 0, ...: every slice still decodes
-        else:
-            copy[offsets_at + 8 * (n + 1)] = 0xFF  # not UTF-8
-        copy[72:76] = data.zlib.crc32(bytes(copy[:72]) + bytes(copy[76:])).to_bytes(4, "little")
-        copy_of(path).write_bytes(bytes(copy))
-    assert data._read_copy(str(copy_of(path)), digest) is None
-    _assert_miss(path, parsed, blob, parses)
+        arrays["id_bytes"] = np.concatenate([np.frombuffer("€".encode(), np.uint8), id_bytes[1:]])
+        offsets[1:] += 2
+        offsets[1] = 2  # id 0 ends inside its 3-byte char
+    elif damage == "id order":
+        offsets[2] = 0  # offsets 0, 1, 0, ...: every slice still decodes
+    elif damage == "id bytes":
+        id_bytes[offsets[1]] = 0xFF  # not UTF-8
+    else:
+        arrays["id_bytes"] = id_bytes[:-1]  # the last id would read one byte short
+    with open(copy_of(path), "wb") as fh:
+        np.savez(fh, **arrays)
+    assert data._read_copy(str(copy_of(path)), data._file_digest(path)) is None
+    _assert_miss(path, parsed, parses)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # numpy sizing (0, 2**63)
+@pytest.mark.parametrize("shape", [(0, 2**64), (0, 2**63), (2**62, NUM_CLASSES)])
+def test_a_copy_that_declares_an_impossible_shape_is_a_miss(tmp_path, monkeypatch, shape):
+    """A header-only split's labels are (0, C); no declared shape, however
+    large, may escape the reader as an error."""
+    path = tmp_path / "split.jsonl"
+    write_file(path, [])
+    parsed = load_packed(path)
+    parses = spy_on_parses(monkeypatch)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {"descr": "|i1", "fortran_order": False, "shape": shape})
+    with zipfile.ZipFile(io.BytesIO(copy_of(path).read_bytes())) as old:
+        members = {name: old.read(name) for name in old.namelist()}
+    members["labels.npy"] = header.getvalue()
+    with zipfile.ZipFile(copy_of(path), "w") as new:
+        for name, member in members.items():
+            new.writestr(name, member)
+    _assert_miss(path, parsed, parses)
 
 
 def test_a_source_edited_during_the_parse_gets_no_copy(split, monkeypatch):
