@@ -7,6 +7,10 @@ training set into a ``datastore``, predict with adaptive classifier/kNN
 combination (``inference``), and score with ``metrics``. ``gradcheck``
 validates every hand-derived gradient against finite differences, and ``cli``
 wraps the workflow in subcommands.
+
+The exported functions work on batches; a single sample is a batch of one.
+The scalar and per-sample reference versions that the tests check them
+against live in ``tests/oracles.py``, not in the package.
 """
 
 from .data import (
@@ -29,7 +33,6 @@ from .encoder import (
     ForwardTrace,
     backward,
     classify,
-    forward,
     forward_batch,
     forward_rowwise,
     init_state,
@@ -41,12 +44,9 @@ from .losses import (
     BatchViews,
     bce_loss,
     contrastive_loss,
-    contrastive_weight,
-    label_similarity,
-    pij,
     total_loss,
 )
-from .mathops import cosine_sim, make_rng, sigmoid, softmax_temp
+from .mathops import make_rng, sigmoid, softmax_temp
 from .metrics import ConfusionCounts, confusion, group_report, hamming_loss, macro_prf, micro_prf
 from .training import AdamState, NonFiniteLossError, TrainConfig, Trainer, adam_step, train
 

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datastore as ds
+from . import training
 from .data import (
     DataFormatError,
     DatasetConfig,
@@ -36,7 +37,7 @@ from .data import (
 )
 from .encoder import CheckpointError, EncoderConfig, init_state, load_checkpoint, save_checkpoint
 from .gradcheck import duplicated_views, gradient_check, run_gradcheck_suite
-from .inference import InferenceConfig, predict_batch
+from .inference import INFERENCE_MODES, InferenceConfig, predict_batch
 from .losses import CONTRASTIVE_VARIANTS
 from .metrics import confusion, group_report, hamming_loss, macro_prf, micro_prf
 from .training import NonFiniteLossError, TrainConfig, Trainer
@@ -144,9 +145,10 @@ def _load_split(path: Path):
     return load_packed(path)
 
 
-def _load_matching_split(path: Path, num_classes: int, vocab_size: int, reference: Path):
+def _load_matching_split(path: Path, num_classes: int, vocab_size: int, reference):
     """The PackedSamples of a dataset file whose header must agree with the
-    ``reference`` split's; DimensionMismatchError names both otherwise."""
+    ``reference`` (a split, or a checkpoint's input_dim and C);
+    DimensionMismatchError names both otherwise."""
     samples, c, v = _load_split(path)
     if (c, v) != (num_classes, vocab_size):
         raise DimensionMismatchError(
@@ -226,12 +228,9 @@ def cmd_build_store(args) -> int:
     if not Path(args.checkpoint).exists():
         raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
     state = load_checkpoint(args.checkpoint)
-    train_samples, num_classes, vocab_size = _load_split(Path(args.train_file))
-    if vocab_size != state.config.input_dim or num_classes != state.config.num_classes:
-        raise DimensionMismatchError(
-            f"dataset (vocab={vocab_size}, C={num_classes}) does not match checkpoint "
-            f"(input_dim={state.config.input_dim}, C={state.config.num_classes})"
-        )
+    train_samples = _load_matching_split(
+        Path(args.train_file), state.config.num_classes, state.config.input_dim, f"checkpoint {args.checkpoint}"
+    )
     store = ds.build(state, train_samples, fraction=args.fraction)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -297,12 +296,9 @@ def cmd_predict(args) -> int:
             )
     elif infer_cfg.mode != "classifier_only":
         raise ConfigError(f"mode {infer_cfg.mode!r} requires --store")
-    samples, num_classes, vocab_size = _load_split(Path(args.test_file))
-    if vocab_size != state.config.input_dim or num_classes != state.config.num_classes:
-        raise DimensionMismatchError(
-            f"dataset (vocab={vocab_size}, C={num_classes}) does not match checkpoint "
-            f"(input_dim={state.config.input_dim}, C={state.config.num_classes})"
-        )
+    samples = _load_matching_split(
+        Path(args.test_file), state.config.num_classes, state.config.input_dim, f"checkpoint {args.checkpoint}"
+    )
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -443,13 +439,10 @@ def cmd_ablate(args) -> int:
         rows.append({"section": section, "name": name, "micro_f1": micro, "macro_f1": macro})
 
     # one model per contrastive variant, each evaluated end to end
-    states = {}
-    for variant in CONTRASTIVE_VARIANTS:
-        cfg_v = dataclasses.replace(train_cfg, variant=variant)
-        state = init_state(encoder_cfg, seed=cfg_v.seed)
-        trainer = Trainer(train_samples, valid_samples, state, cfg_v)
-        trainer.run()
-        states[variant] = trainer.best_state()
+    states = {
+        variant: training.train(train_samples, valid_samples, encoder_cfg, dataclasses.replace(train_cfg, variant=variant))[0]
+        for variant in CONTRASTIVE_VARIANTS
+    }
 
     base_state = states[train_cfg.variant]
     base_store = ds.build(base_state, train_samples)
@@ -562,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--store", default=None)
     p.add_argument("--test-file", required=True)
-    p.add_argument("--mode", default=None, choices=["denn", "classifier_only", "knn_only", "fixed_lambda"])
+    p.add_argument("--mode", default=None, choices=INFERENCE_MODES)
     p.add_argument("--out", required=True, help="predictions output path (.jsonl)")
     p.set_defaults(func=cmd_predict)
 

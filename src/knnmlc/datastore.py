@@ -243,8 +243,8 @@ def save(store: Datastore, path) -> None:
 
 def load(path) -> Datastore:
     """Read the binary format back; raises DatastoreFormatError for bad magic,
-    unsupported version, a size that disagrees with the header, or a
-    zero-norm or non-finite key."""
+    unsupported version, a header with no entries, a size that disagrees with
+    the header, or a zero-norm or non-finite key."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _HEADER.size:
@@ -254,6 +254,9 @@ def load(path) -> Datastore:
         raise DatastoreFormatError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
     if version != _VERSION:
         raise DatastoreFormatError(f"{path}: unsupported version {version}")
+    if count == 0:
+        # build refuses an empty training set, so no store has zero entries
+        raise DatastoreFormatError(f"{path}: header holds no entries")
     label_row_bytes = (num_classes + 7) // 8
     expected = _HEADER.size + count * (4 * dim + label_row_bytes)
     if len(blob) != expected:

@@ -13,11 +13,10 @@ rescaling.
 ``forward_rowwise`` computes the same network so that every output row is
 bit-identical whatever batch the row sits in: a BLAS matrix product may
 round a row differently for a different row count, so it uses only
-row-local reductions. Inference runs on it, which is what lets a single
-query (``forward`` on one sample is a batch of one of it) and the same
-sample inside a CLI batch give the same bits. It is 2-3x slower than
-``forward_batch`` on training batches and store blocks, which keep the
-matrix products.
+row-local reductions, and it has no dropout. Inference runs on it, which is
+what lets a single query (a batch of one) and the same sample inside a CLI
+batch give the same bits. It is 2-3x slower than ``forward_batch`` on
+training batches and store blocks, which keep the matrix products.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PackedSamples, Sample, pack_samples
+from .data import PackedSamples
 from .mathops import make_rng, sigmoid
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "ParameterGradients",
     "backward",
     "classify",
-    "forward",
     "forward_batch",
     "forward_rowwise",
     "init_state",
@@ -125,7 +123,7 @@ class ForwardTrace:
     """Everything the backward pass needs, one row per batch row: the packed
     inputs, pre-activations, activations, the dropout mask (already scaled by
     1/(1-rate); all-ones when dropout is off), the embeddings, and the
-    classifier logits. ``forward`` returns the 1-d rows of a batch of one."""
+    classifier logits."""
 
     inputs: PackedSamples
     pre_hidden: np.ndarray
@@ -219,47 +217,25 @@ def forward_batch(
     return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits)
 
 
-def forward_rowwise(
-    state: EncoderState,
-    batch: PackedSamples,
-    dropout_mode: str = "off",
-    rng: np.random.Generator | None = None,
-    masks: np.ndarray | None = None,
-) -> ForwardTrace:
-    """``forward_batch`` computed so that each output row depends on its input
-    row alone and comes out bit-identical in a batch of any size or order.
+def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
+    """``forward_batch`` with dropout off, computed so that each output row
+    depends on its input row alone and comes out bit-identical in a batch of
+    any size or order.
 
     The input layer gathers the ``w_in`` columns a row's features touch as
     C-contiguous rows and sums each segment in feature order
     (``np.add.reduceat`` along axis 0); the two small layers use ``einsum``
     on C-contiguous operands, which reduces each output entry over the last
     axis on its own. Results agree with ``forward_batch`` to rounding, not
-    bit for bit. Dropout arguments are as in ``forward_batch``.
+    bit for bit. The trace's mask is all ones.
     """
     _check_input_dim(state, batch)
     columns = state.w_in.T[batch.indices] * batch.values[:, None]
     pre_hidden = np.add.reduceat(columns, batch.indptr[:-1], axis=0) + state.b_in
     hidden = _activate(state.config, pre_hidden)
-    mask = _dropout_mask(state.config, hidden, dropout_mode, rng, masks)
-    embedding = np.einsum("ij,kj->ik", hidden * mask, state.w_emb) + state.b_emb
+    embedding = np.einsum("ij,kj->ik", hidden, state.w_emb) + state.b_emb
     logits = np.einsum("ij,kj->ik", embedding, state.w_clf) + state.b_clf
-    return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits)
-
-
-def forward(
-    state: EncoderState,
-    sample: Sample,
-    dropout_mode: str = "off",
-    rng: np.random.Generator | None = None,
-    mask_override: np.ndarray | None = None,
-) -> ForwardTrace:
-    """Run the network on one sample, as a batch of one of ``forward_rowwise``,
-    so the result equals that sample's row in any inference batch;
-    ``mask_override`` is that row's (hidden,) mask."""
-    masks = None if mask_override is None else np.asarray(mask_override, dtype=np.float64)[None]
-    batch = pack_samples([sample], state.config.input_dim)
-    t = forward_rowwise(state, batch, dropout_mode, rng, masks)
-    return ForwardTrace(batch, t.pre_hidden[0], t.hidden[0], t.mask[0], t.embedding[0], t.logits[0])
+    return ForwardTrace(batch, pre_hidden, hidden, np.ones_like(hidden), embedding, logits)
 
 
 def classify(trace: ForwardTrace) -> np.ndarray:
@@ -374,6 +350,9 @@ def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState
                 raise CheckpointError(
                     f"{source}: parameter {name} has shape {arr.shape}, expected {expected}"
                 )
+            # json parses NaN and Infinity, which no trained parameter holds
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{source}: parameter {name} holds a NaN or inf value")
             params[name] = arr
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CheckpointError):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import PackedSamples
 from .encoder import EncoderConfig, EncoderState, ParameterGradients, init_state
+from .losses import CONTRASTIVE_VARIANTS
 from .mathops import make_rng
 from .training import batch_gradients, batch_objective
 
@@ -162,8 +163,7 @@ def random_gradcheck_problem(seed: int, variant: str = "dcl"):
 def run_gradcheck_suite(num_configs: int = 20, seed: int = 0, step: float = 1e-5):
     """Gradient-check many random configurations; returns the list of reports."""
     reports = []
-    variants = ("dcl", "ucl", "scl", "wscl")
     for i in range(num_configs):
-        problem = random_gradcheck_problem(seed + i, variant=variants[i % len(variants)])
+        problem = random_gradcheck_problem(seed + i, variant=CONTRASTIVE_VARIANTS[i % len(CONTRASTIVE_VARIANTS)])
         reports.append(gradient_check(*problem, step=step))
     return reports

@@ -35,10 +35,7 @@ __all__ = [
     "contrastive_embedding_grads",
     "contrastive_loss",
     "contrastive_loss_from_similarities",
-    "contrastive_weight",
-    "label_similarity",
     "label_similarity_matrix",
-    "pij",
     "total_loss",
     "weight_matrix",
 ]
@@ -47,30 +44,12 @@ CONTRASTIVE_VARIANTS = ("dcl", "ucl", "scl", "wscl")
 _BCE_EPS = 1e-12
 
 
-def label_similarity(y_i, y_j) -> float:
-    """Shared positive labels divided by the larger positive count, in [0, 1].
-
-    A pair with no positive labels on either side is defined as 0 (maximally
-    dissimilar) and logged, rather than raising mid-training.
-    """
-    y_i = np.asarray(y_i)
-    y_j = np.asarray(y_j)
-    if y_i.shape != y_j.shape:
-        raise ValueError(f"label vectors must have equal length, got {y_i.shape} and {y_j.shape}")
-    ni = int(y_i.sum())
-    nj = int(y_j.sum())
-    if ni == 0 and nj == 0:
-        logger.warning("label_similarity of two all-zero label vectors; defining it as 0")
-        return 0.0
-    common = int(np.sum((y_i > 0) & (y_j > 0)))
-    return common / max(ni, nj)
-
-
 def label_similarity_matrix(labels: np.ndarray) -> np.ndarray:
-    """All-pairs label similarities for (n, C) binary labels.
+    """All-pairs label similarities for (n, C) binary labels: shared positive
+    labels over the larger positive count, in [0, 1].
 
     Rows with identical labels (in particular a sample and its own augmented
-    view) get similarity 1.
+    view) get similarity 1. A pair of all-zero rows gets 0, and is logged.
     """
     y = np.asarray(labels, dtype=np.float64)
     counts = y.sum(axis=1)
@@ -83,14 +62,8 @@ def label_similarity_matrix(labels: np.ndarray) -> np.ndarray:
     return l
 
 
-def contrastive_weight(l: float) -> float:
-    """Negative-pair weight 2 - l: 1 for identical labels up to 2 for disjoint."""
-    if not 0.0 <= l <= 1.0:
-        raise ValueError(f"label similarity must lie in [0, 1], got {l}")
-    return 2.0 - l
-
-
 def weight_matrix(l: np.ndarray) -> np.ndarray:
+    """Negative-pair weights 2 - l: 1 for identical labels up to 2 for disjoint."""
     l = np.asarray(l, dtype=np.float64)
     if np.any(l < 0.0) or np.any(l > 1.0):
         raise ValueError("label similarities must lie in [0, 1]")
@@ -118,20 +91,6 @@ def total_loss(bce: float, con: float, alpha: float) -> float:
     if alpha < 0.0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     return bce + alpha * con
-
-
-def pij(similarities, weights, tau1: float) -> np.ndarray:
-    """Normalized weighted-softmax shares w_j exp(s_j/tau) / sum_k w_k exp(s_k/tau)
-    over the given entries (the caller excludes the anchor itself)."""
-    if tau1 <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau1}")
-    s = np.asarray(similarities, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if s.shape != w.shape or s.size == 0:
-        raise ValueError("similarities and weights must be equal-length and nonempty")
-    z = np.log(w) + s / tau1
-    e = np.exp(z - np.max(z))
-    return e / e.sum()
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Shared deterministic numerics: cosine similarity, temperature softmax,
-stable sigmoid, log-sum-exp, and seeded RNG construction.
+"""Shared deterministic numerics: unit rows and all-pairs cosine similarity,
+temperature softmax, stable sigmoid, and seeded RNG construction.
 
 All arithmetic is done in float64 regardless of input dtype. Functions are
 pure; RNG instances are single-owner and must not be shared across threads.
@@ -9,9 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "cosine_sim",
     "cosine_sim_matrix",
-    "logsumexp",
     "make_rng",
     "sigmoid",
     "softmax_temp",
@@ -28,22 +26,6 @@ def make_rng(seed: int) -> np.random.Generator:
     by exactly one consumer.
     """
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def cosine_sim(a, b) -> float:
-    """Cosine similarity of two equal-length vectors, in [-1, 1].
-
-    Raises ValueError on length mismatch or zero-norm input (never a silent 0).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"cosine_sim expects equal-length 1-d vectors, got {a.shape} and {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine_sim is undefined for zero-norm input")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def unit_rows(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -104,10 +86,3 @@ def sigmoid(x):
         return float(out)
     return out
 
-
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))) with max-subtraction, stable for large entries."""
-    a = np.asarray(a, dtype=np.float64)
-    m = np.max(a, axis=axis, keepdims=True)
-    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    return float(out.ravel()[0]) if axis is None else np.squeeze(out, axis=axis)

@@ -13,7 +13,6 @@ micro-F1 (classifier-only, threshold 0.5) is kept as the result.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -55,7 +54,7 @@ __all__ = [
 ]
 
 _TRAINER_FORMAT = "knnmlc-trainer"
-_TRAINER_VERSION = 1
+_TRAINER_VERSION = 2
 
 
 class NonFiniteLossError(ValueError):
@@ -75,7 +74,6 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     variant: str = "dcl"
-    dropout_rate: float | None = None  # None -> keep the encoder config's rate
     eval_every: int = 0  # 0 -> validate once per epoch
 
     def validate(self) -> None:
@@ -95,8 +93,6 @@ class TrainConfig:
             raise ValueError("adam betas must lie in (0, 1)")
         if self.adam_eps <= 0.0:
             raise ValueError("adam_eps must be > 0")
-        if self.dropout_rate is not None and not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0")
 
@@ -208,19 +204,15 @@ class Trainer:
 
     The training and validation sets are lists of samples or PackedSamples
     (as ``data.load_packed`` reads them); an empty validation set means no
-    validation. A ``TrainConfig.dropout_rate`` override goes into a copy of
-    the state's encoder config; the caller's config object is left as it
-    was. A step
-    whose BCE or contrastive loss is NaN or inf raises NonFiniteLossError,
-    naming the iteration, before its update is applied.
+    validation. The dropout rate is the encoder config's. A step whose BCE or
+    contrastive loss is NaN or inf raises NonFiniteLossError, naming the
+    iteration, before its update is applied.
     """
 
     def __init__(self, train_samples, valid_samples, state: EncoderState, cfg: TrainConfig):
         cfg.validate()
         if not train_samples:
             raise ValueError("training set must be nonempty")
-        if cfg.dropout_rate is not None:
-            state.config = dataclasses.replace(state.config, dropout_rate=cfg.dropout_rate)
         input_dim = state.config.input_dim
         self.train_set = pack_samples(train_samples, input_dim)
         self.valid_set = pack_samples(valid_samples, input_dim) if valid_samples else None
@@ -350,6 +342,8 @@ class Trainer:
 
     @classmethod
     def load_checkpoint(cls, path, train_samples, valid_samples) -> "Trainer":
+        """The trainer ``save_checkpoint`` wrote, resuming exactly where it
+        stopped. A missing, mistyped or misshapen field raises CheckpointError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -359,23 +353,45 @@ class Trainer:
             raise CheckpointError(f"{path}: wrong or missing format marker")
         if payload.get("version") != _TRAINER_VERSION:
             raise CheckpointError(f"{path}: unsupported version {payload.get('version')!r}")
-        cfg = TrainConfig(**payload["config"])
-        state = state_from_payload(payload["encoder"], source=str(path))
+        # read every field before the trainer exists, so that only a bad
+        # checkpoint, not bad training data, becomes a CheckpointError
+        try:
+            cfg = TrainConfig(**payload["config"])
+            cfg.validate()
+            state = state_from_payload(payload["encoder"], source=str(path))
+            adam = AdamState(
+                m=_moments(payload["adam"]["m"], state, "m", path),
+                v=_moments(payload["adam"]["v"], state, "v", path),
+                step=int(payload["adam"]["step"]),
+            )
+            rng = make_rng(0)
+            rng.bit_generator.state = payload["rng_state"]
+            iteration, cursor = int(payload["iteration"]), int(payload["cursor"])
+            order = np.asarray(payload["order"], dtype=np.int64)
+            best = payload["best"]
+            best_f1, best_iteration = float(best["micro_f1"]), int(best["iteration"])
+            best_state = None if best["encoder"] is None else state_from_payload(best["encoder"], source=str(path))
+            history = list(payload["history"])
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, CheckpointError):
+                raise
+            raise CheckpointError(f"{path}: malformed trainer checkpoint ({exc!r})") from exc
         trainer = cls(train_samples, valid_samples, state, cfg)
-        trainer.iteration = int(payload["iteration"])
-        trainer.adam.step = int(payload["adam"]["step"])
-        for name in trainer.adam.m:
-            trainer.adam.m[name] = np.asarray(payload["adam"]["m"][name], dtype=np.float64)
-            trainer.adam.v[name] = np.asarray(payload["adam"]["v"][name], dtype=np.float64)
-        trainer.rng.bit_generator.state = payload["rng_state"]
-        trainer._order = np.asarray(payload["order"], dtype=np.int64)
-        trainer._cursor = int(payload["cursor"])
-        trainer._best_f1 = float(payload["best"]["micro_f1"])
-        trainer._best_iteration = int(payload["best"]["iteration"])
-        if payload["best"]["encoder"] is not None:
-            trainer._best_state = state_from_payload(payload["best"]["encoder"], source=str(path))
-        trainer.history = list(payload["history"])
+        trainer.adam, trainer.rng, trainer.iteration, trainer.history = adam, rng, iteration, history
+        trainer._order, trainer._cursor = order, cursor
+        trainer._best_f1, trainer._best_iteration, trainer._best_state = best_f1, best_iteration, best_state
         return trainer
+
+
+def _moments(section, state: EncoderState, which: str, path) -> dict[str, np.ndarray]:
+    """One Adam moment per parameter, each shaped like its parameter."""
+    moments = {}
+    for name, theta in state.param_items():
+        arr = np.asarray(section[name], dtype=np.float64)
+        if arr.shape != theta.shape:
+            raise CheckpointError(f"{path}: Adam {which}[{name}] has shape {arr.shape}, expected {theta.shape}")
+        moments[name] = arr
+    return moments
 
 
 def train(train_samples, valid_samples, encoder_config: EncoderConfig, cfg: TrainConfig):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knnmlc.data import Sample, pack_samples
-from knnmlc.encoder import EncoderConfig, ParameterGradients, forward, forward_batch, init_state
+from knnmlc.encoder import EncoderConfig, ParameterGradients, forward_batch, forward_rowwise, init_state
 from knnmlc.losses import (
     CONTRASTIVE_VARIANTS,
     bce_loss,
@@ -245,16 +245,23 @@ def test_embedding_grads_from_step_pieces_are_bit_identical(seed, n2, d):
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 @pytest.mark.parametrize("features", [{}, {1: 2.0, 3: 0.5}])
 def test_single_sample_forward_matches_reference(activation, features):
+    # a batch of one through the row-stable pass and through forward_batch
+    # with dropout off and on
     state, _, _ = random_problem(3, 1, activation, 0.2)
     sample = Sample(features=features, labels=np.ones(state.config.num_classes, dtype=np.int8))
-    for mode in ("off", "on"):
-        got = forward(state, sample, mode, rng=make_rng(5))
+    batch = pack_samples([sample], state.config.input_dim)
+    traces = {
+        "rowwise": ("off", forward_rowwise(state, batch)),
+        "off": ("off", forward_batch(state, batch)),
+        "on": ("on", forward_batch(state, batch, "on", rng=make_rng(5))),
+    }
+    for name, (mode, got) in traces.items():
         want = ref_forward(state, sample, mode, rng=make_rng(5))
-        np.testing.assert_array_equal(got.mask, want["mask"])
+        np.testing.assert_array_equal(got.mask[0], want["mask"])
         for field in ("pre_hidden", "hidden", "embedding", "logits"):
-            assert_close(getattr(got, field), want[field], field)
-    if not features:
-        np.testing.assert_array_equal(got.pre_hidden, state.b_in)
+            assert_close(getattr(got, field)[0], want[field], f"{name} {field}")
+        if not features:
+            np.testing.assert_array_equal(got.pre_hidden[0], state.b_in)
 
 
 def test_gathered_and_dense_input_layers_match_reference():

@@ -317,6 +317,55 @@ class TestErrorPaths:
         ])
         assert code == EXIT_FORMAT
 
+    def test_empty_datastore_exit_code(self, pipeline_artifacts, tmp_path, capsys):
+        # a header with count 0 and nothing after it is consistent, but no
+        # store is built from an empty training set
+        a = pipeline_artifacts
+        empty = tmp_path / "empty.bin"
+        header = bytearray((a["store"]).read_bytes()[:22])
+        header[14:22] = bytes(8)
+        empty.write_bytes(bytes(header))
+        code = main([
+            "--config", a["config"], "predict",
+            "--checkpoint", str(a["run"] / "model.json"),
+            "--store", str(empty),
+            "--test-file", str(a["data"] / "test.jsonl"),
+            "--out", str(tmp_path / "p.jsonl"),
+        ])
+        assert code == EXIT_FORMAT
+        assert "no entries" in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "build-store"])
+    def test_non_finite_checkpoint_exit_code(self, pipeline_artifacts, tmp_path, capsys, command):
+        # json reads NaN, so the checkpoint loader has to reject it itself
+        a = pipeline_artifacts
+        payload = json.loads((a["run"] / "model.json").read_text())
+        payload["params"]["w_clf"][0][0] = float("nan")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        if command == "predict":
+            args = ["--store", str(a["store"]), "--test-file", str(a["data"] / "test.jsonl"), "--out", str(out)]
+        else:
+            args = ["--train-file", str(a["data"] / "train.jsonl"), "--out", str(out)]
+        code = main(["--config", a["config"], command, "--checkpoint", str(model), *args])
+        assert code == EXIT_FORMAT
+        assert "w_clf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_dropout_rate_is_an_unknown_key(self, workspace, tmp_path, capsys):
+        # the dropout rate is set once, in the encoder section
+        root, _ = workspace
+        cfg = json.loads(json.dumps(SMALL_CONFIG))
+        cfg["train"]["dropout_rate"] = 0.3
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["--config", str(path), "train", "--data", str(root / "data"), "--out", str(tmp_path / "m")])
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert "unknown keys ['dropout_rate']" in err and "known keys are" in err
+
     def test_non_finite_training_loss_exit_code(self, pipeline_artifacts, tmp_path, monkeypatch, capsys):
         a = pipeline_artifacts
         real_init = cli.init_state

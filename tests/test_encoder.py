@@ -11,7 +11,6 @@ from knnmlc.encoder import (
     EncoderConfig,
     backward,
     classify,
-    forward,
     forward_batch,
     init_state,
     load_checkpoint,
@@ -20,6 +19,7 @@ from knnmlc.encoder import (
 )
 from knnmlc.gradcheck import duplicated_views, gradient_check, random_gradcheck_problem
 from knnmlc.mathops import make_rng
+from oracles import forward
 
 
 def tiny_config(**kw):
@@ -34,32 +34,37 @@ def tiny_sample(num_classes=3):
     return Sample(features={0: 1.5, 2: 1.0, 5: 2.0}, labels=labels, sample_id="t0")
 
 
+def tiny_batch(state, n=1):
+    """n copies of ``tiny_sample``, packed: dropout runs on a batch."""
+    return pack_samples([tiny_sample()] * n, state.config.input_dim)
+
+
 class TestForward:
     def test_dropout_off_is_deterministic(self):
         state = init_state(tiny_config(), seed=0)
-        t1 = forward(state, tiny_sample(), dropout_mode="off")
-        t2 = forward(state, tiny_sample(), dropout_mode="off")
+        t1 = forward(state, tiny_sample())
+        t2 = forward(state, tiny_sample())
         np.testing.assert_array_equal(t1.embedding, t2.embedding)
         np.testing.assert_array_equal(t1.logits, t2.logits)
 
     def test_zero_dropout_rate_removes_stochasticity(self):
         state = init_state(tiny_config(dropout_rate=0.0), seed=0)
         rng = make_rng(1)
-        t1 = forward(state, tiny_sample(), dropout_mode="on", rng=rng)
-        t2 = forward(state, tiny_sample(), dropout_mode="on", rng=rng)
+        t1 = forward_batch(state, tiny_batch(state), dropout_mode="on", rng=rng)
+        t2 = forward_batch(state, tiny_batch(state), dropout_mode="on", rng=rng)
         np.testing.assert_array_equal(t1.embedding, t2.embedding)
 
     def test_dropout_on_generally_differs(self):
         state = init_state(tiny_config(dropout_rate=0.5), seed=0)
         rng = make_rng(2)
-        outs = {tuple(forward(state, tiny_sample(), "on", rng).embedding) for _ in range(8)}
+        outs = {tuple(forward_batch(state, tiny_batch(state), "on", rng).embedding[0]) for _ in range(8)}
         assert len(outs) > 1
 
     def test_zero_state_gives_half_probabilities(self):
         state = init_state(tiny_config(), seed=0)
         for _, arr in state.param_items():
             arr[...] = 0.0
-        trace = forward(state, tiny_sample(), dropout_mode="off")
+        trace = forward(state, tiny_sample())
         np.testing.assert_array_equal(trace.logits, np.zeros(3))
         np.testing.assert_array_equal(classify(trace), np.full(3, 0.5))
 
@@ -67,28 +72,28 @@ class TestForward:
         state = init_state(tiny_config(), seed=0)
         bad = Sample(features={99: 1.0}, labels=np.array([1, 0, 0], dtype=np.int8))
         with pytest.raises(ValueError, match="feature index"):
-            forward(state, bad, dropout_mode="off")
+            forward(state, bad)
 
     def test_bad_dropout_mode(self):
         state = init_state(tiny_config(), seed=0)
         with pytest.raises(ValueError):
-            forward(state, tiny_sample(), dropout_mode="sometimes")
+            forward_batch(state, tiny_batch(state), dropout_mode="sometimes")
 
     def test_dropout_on_without_rng(self):
         state = init_state(tiny_config(dropout_rate=0.2), seed=0)
         with pytest.raises(ValueError):
-            forward(state, tiny_sample(), dropout_mode="on")
+            forward_batch(state, tiny_batch(state), dropout_mode="on")
 
     def test_relu_activation(self):
         state = init_state(tiny_config(activation="relu"), seed=0)
-        trace = forward(state, tiny_sample(), dropout_mode="off")
+        trace = forward(state, tiny_sample())
         assert np.all(trace.hidden >= 0)
 
 
 class TestClassify:
     def test_saturated_logit(self):
         state = init_state(tiny_config(), seed=0)
-        trace = forward(state, tiny_sample(), dropout_mode="off")
+        trace = forward(state, tiny_sample())
         trace.logits = np.array([20.0, 0.0, -20.0])
         probs = classify(trace)
         assert probs[0] > 0.999
@@ -96,7 +101,7 @@ class TestClassify:
 
     def test_monotone_in_logits(self):
         state = init_state(tiny_config(), seed=0)
-        trace = forward(state, tiny_sample(), dropout_mode="off")
+        trace = forward(state, tiny_sample())
         trace.logits = np.array([-1.0, 0.3, 2.0])
         probs = classify(trace)
         assert probs[0] < probs[1] < probs[2]
@@ -104,7 +109,7 @@ class TestClassify:
 
 class TestBackward:
     def _trace(self, state):
-        return forward_batch(state, pack_samples([tiny_sample()], state.config.input_dim))
+        return forward_batch(state, tiny_batch(state))
 
     def test_zero_upstream_gives_zero_gradients(self):
         state = init_state(tiny_config(), seed=1)
@@ -157,15 +162,13 @@ class TestBackward:
 
 def test_inverted_dropout_preserves_expected_embedding():
     # mean over masks of the dropped forward should match the dropout-off
-    # forward; checked to 3 standard errors per coordinate
+    # forward; checked to 3 standard errors per coordinate. One batch of n
+    # copies draws the same masks as n batches of one.
     state = init_state(tiny_config(dropout_rate=0.3, hidden_dim=8), seed=5)
-    sample = tiny_sample()
     rng = make_rng(99)
     n = 20000
-    draws = np.stack(
-        [forward(state, sample, dropout_mode="on", rng=rng).embedding for _ in range(n)]
-    )
-    reference = forward(state, sample, dropout_mode="off").embedding
+    draws = forward_batch(state, tiny_batch(state, n), dropout_mode="on", rng=rng).embedding
+    reference = forward(state, tiny_sample()).embedding
     mean = draws.mean(axis=0)
     stderr = draws.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(mean - reference) <= 3.0 * stderr + 1e-12)

@@ -4,7 +4,7 @@ import pytest
 
 from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc.datastore import Datastore, NonFiniteQueryError, build
-from knnmlc.encoder import EncoderConfig, classify, forward, init_state
+from knnmlc.encoder import EncoderConfig, classify, init_state
 from knnmlc.inference import (
     InferenceConfig,
     combine,
@@ -14,6 +14,7 @@ from knnmlc.inference import (
     predict,
 )
 from knnmlc.mathops import make_rng
+from oracles import forward
 
 # frozen from a 40-digit mpmath evaluation of exp(2)/(exp(2)+1)
 SOFTMAX_HI = 0.8807970779778824
@@ -159,7 +160,7 @@ class TestPredict:
         state, store, test = pipeline
         for sample in test[:5]:
             bundle = predict(state, store, sample, InferenceConfig(mode="classifier_only"))
-            expected = classify(forward(state, sample, dropout_mode="off"))
+            expected = classify(forward(state, sample))
             np.testing.assert_array_equal(bundle.y_final, expected)
             assert bundle.lam == 0.0
 
@@ -185,7 +186,7 @@ class TestPredict:
         cfg = InferenceConfig(mode="denn")
         for sample in test[:10]:
             bundle = predict(state, store, sample, cfg)
-            y_clf = classify(forward(state, sample, dropout_mode="off"))
+            y_clf = classify(forward(state, sample))
             np.testing.assert_array_equal(bundle.y_clf, y_clf)
             y_knn = knn_predict(bundle.neighbor_sims, store.values[bundle.neighbor_indices], cfg.tau2)
             np.testing.assert_array_equal(bundle.y_knn, y_knn)

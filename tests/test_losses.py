@@ -13,14 +13,12 @@ from knnmlc.losses import (
     contrastive_embedding_grads,
     contrastive_loss,
     contrastive_loss_from_similarities,
-    contrastive_weight,
-    label_similarity,
     label_similarity_matrix,
-    pij,
     total_loss,
     weight_matrix,
 )
 from knnmlc.mathops import make_rng, sigmoid, unit_rows
+from oracles import contrastive_weight, label_similarity, pij
 
 LN2 = 0.6931471805599453  # frozen 40-digit evaluation of ln 2
 LN5 = 1.6094379124341003  # frozen 40-digit evaluation of ln 5

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from knnmlc.data import DatasetConfig, generate_synthetic
-from knnmlc.encoder import EncoderConfig, ParameterGradients, init_state
+from knnmlc.encoder import CheckpointError, EncoderConfig, ParameterGradients, init_state
 from knnmlc.training import AdamState, NonFiniteLossError, TrainConfig, Trainer, adam_step, train
 
 
@@ -233,13 +233,37 @@ class TestTrainer:
             np.testing.assert_array_equal(trainer_a.adam.m[name], trainer_c.adam.m[name])
             np.testing.assert_array_equal(trainer_a.adam.v[name], trainer_c.adam.v[name])
 
-    def test_dropout_override_leaves_caller_config(self):
+    def _saved_payload(self, tmp_path):
         (train_s, valid_s, _), dcfg = tiny_data()
-        ecfg = tiny_encoder_cfg(dcfg)
-        state = init_state(ecfg, seed=0)
-        trainer = Trainer(train_s, valid_s, state, TrainConfig(batch_size=8, max_iters=2, dropout_rate=0.3))
-        assert ecfg.dropout_rate == 0.1
-        assert trainer.state.config.dropout_rate == 0.3
+        trainer = Trainer(train_s, valid_s, init_state(tiny_encoder_cfg(dcfg), seed=0), TrainConfig(batch_size=8, max_iters=4))
+        trainer.run(num_iters=2)
+        path = tmp_path / "trainer.json"
+        trainer.save_checkpoint(path)
+        return json.loads(path.read_text()), path, train_s, valid_s
+
+    def test_version_1_checkpoint_rejected(self, tmp_path):
+        # version 1 held a train.dropout_rate field that no longer exists
+        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
+        payload["version"] = 1
+        payload["config"]["dropout_rate"] = None
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="unsupported version 1"):
+            Trainer.load_checkpoint(path, train_s, valid_s)
+
+    @pytest.mark.parametrize("case", ["no adam", "unknown config key", "iteration not a number", "misshapen moment"])
+    def test_malformed_checkpoint_raises_checkpoint_error(self, tmp_path, case):
+        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
+        if case == "no adam":
+            del payload["adam"]
+        elif case == "unknown config key":
+            payload["config"]["dropout_rate"] = 0.3
+        elif case == "iteration not a number":
+            payload["iteration"] = "x"
+        else:
+            payload["adam"]["v"]["b_in"] = [0.0]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="trainer.json"):
+            Trainer.load_checkpoint(path, train_s, valid_s)
 
     @pytest.mark.parametrize("param,alpha", [("w_clf", 0.3), ("b_emb", 0.3), ("b_emb", 0.0)])
     def test_non_finite_loss_names_the_iteration(self, param, alpha):
