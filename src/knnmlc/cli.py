@@ -69,7 +69,8 @@ def _dataclass_from_dict(cls, payload: dict, context: str):
         raise ConfigError(f"{context}: {exc}") from exc
     try:
         obj.validate()
-    except ValueError as exc:
+    # a value of the wrong type fails a comparison with TypeError
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
     return obj
 
@@ -90,6 +91,9 @@ def load_config(path: str | None):
     unknown = set(raw) - {"dataset", "encoder", "train", "inference"}
     if unknown:
         raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
+    for name, section in raw.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"{path}:{name}: a section must be a JSON object")
     dataset_cfg = _dataclass_from_dict(DatasetConfig, raw.get("dataset", {}), f"{path}:dataset")
     train_cfg = _dataclass_from_dict(TrainConfig, raw.get("train", {}), f"{path}:train")
     infer_cfg = _dataclass_from_dict(InferenceConfig, raw.get("inference", {}), f"{path}:inference")
@@ -98,19 +102,25 @@ def load_config(path: str | None):
     unknown = set(encoder_section) - allowed
     if unknown:
         raise ConfigError(f"{path}:encoder: unknown keys {sorted(unknown)}; known keys are {sorted(allowed)}")
+    # the data gives input_dim and num_classes at train time; check the rest now
+    _encoder_config(encoder_section, 1, 1, f"{path}:encoder")
     return dataset_cfg, encoder_section, train_cfg, infer_cfg
 
 
-def _encoder_config(section: dict, input_dim: int, num_classes: int) -> EncoderConfig:
-    cfg = EncoderConfig(
-        input_dim=input_dim,
-        hidden_dim=int(section.get("hidden_dim", 24)),
-        embed_dim=int(section.get("embed_dim", 12)),
-        num_classes=num_classes,
-        activation=section.get("activation", "tanh"),
-        dropout_rate=float(section.get("dropout_rate", 0.1)),
-    )
-    cfg.validate()
+def _encoder_config(section: dict, input_dim: int, num_classes: int, context: str = "encoder") -> EncoderConfig:
+    """The EncoderConfig of a config's encoder section; ConfigError for a bad value."""
+    try:
+        cfg = EncoderConfig(
+            input_dim=input_dim,
+            hidden_dim=int(section.get("hidden_dim", 24)),
+            embed_dim=int(section.get("embed_dim", 12)),
+            num_classes=num_classes,
+            activation=section.get("activation", "tanh"),
+            dropout_rate=float(section.get("dropout_rate", 0.1)),
+        )
+        cfg.validate()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
     return cfg
 
 
@@ -246,8 +256,8 @@ def cmd_build_store(args) -> int:
     return EXIT_OK
 
 
-# samples per predict_batch call: bounds the (rows, k, C) neighbor-vote and
-# (features, hidden) input-layer temporaries; rows do not depend on the split
+# samples per predict_batch call: bounds the (rows, k, C) neighbor-vote
+# temporaries and the forward trace; rows do not depend on the split
 _PREDICT_CHUNK = 1024
 
 

@@ -117,6 +117,19 @@ class PackedSamples:
             indptr, self.indices[pos], self.values[pos], self.labels[rows], self.input_dim, self.ids[rows]
         )
 
+    def rows(self, start: int, stop: int) -> "PackedSamples":
+        """Rows start to stop - 1 as views of these arrays (indptr rebased
+        to 0)."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return PackedSamples(
+            self.indptr[start : stop + 1] - lo,
+            self.indices[lo:hi],
+            self.values[lo:hi],
+            self.labels[start:stop],
+            self.input_dim,
+            self.ids[start:stop],
+        )
+
     def to_dense(self) -> np.ndarray:
         """The (n, input_dim) float64 feature matrix."""
         n = len(self)
@@ -544,7 +557,8 @@ def _read_copy(copy: str, digest: bytes):
     when the copy is missing or damaged, was written for other bytes or by
     another reader version, or does not hold a valid packing."""
     try:
-        with np.load(copy, allow_pickle=False) as npz:
+        # np.load leaves a path's file open when the zip fails to open
+        with open(copy, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             if npz["version"].tolist() != _READER_VERSION or npz["digest"].tobytes() != digest:
                 return None
             arrays = {name: npz[name] for name in _COPY_DTYPES}

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import pack_samples
-from .encoder import EncoderState, forward_batch
+from .encoder import EncoderState, forward_rowwise
 
 __all__ = [
     "Datastore",
@@ -73,8 +73,10 @@ __all__ = [
 _MAGIC = b"NNDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHIIQ")
-# build embeds in row blocks whose dense (rows, input_dim) inputs stay near this size
-_BUILD_BLOCK_BYTES = 2 << 20
+# build embeds the training rows in ranges whose forward trace (about
+# 4 hidden + embed + C float64 values a row) stays near this size, so its
+# memory does not grow with the training set
+_BUILD_TRACE_BYTES = 1 << 20
 # retrieval runs queries in row blocks whose (rows, count) float32 similarity
 # block stays near this size (13 queries against 20k keys)
 _QUERY_BLOCK_BYTES = 1 << 20
@@ -147,29 +149,28 @@ def _unit_keys(keys: np.ndarray) -> np.ndarray:
 
 def build(state: EncoderState, train_samples, fraction: float = 1.0) -> Datastore:
     """One entry per training sample (a list of samples or a PackedSamples),
-    in input order, embedded with the deterministic dropout-off forward pass
-    and quantized to float32.
+    in input order: key i is the float32 of the embedding the dropout-off
+    pass ``forward_rowwise`` gives sample i, which is bit for bit the
+    embedding ``inference.predict`` computes for that sample as a query.
 
     ``fraction`` < 1 keeps only the leading portion of the training set
-    (prefix sampling), so a smaller store is always an entrywise prefix of the
-    full one. Embedding runs in row blocks that start at fixed multiples of
-    the block size over the whole training set, and a prefix's last block is
-    computed whole and cut, so every entry comes out of the same matrix
-    product whatever the fraction. Raises InvalidKeyError when an embedding
-    is zero-norm or non-finite after quantization.
+    (prefix sampling). Every row is embedded on its own, so neither the
+    ranges the rows are embedded in nor the fraction changes a key, and a
+    smaller store is an entrywise prefix of the full one. Raises
+    InvalidKeyError when an embedding is zero-norm or non-finite after
+    quantization.
     """
     if not len(train_samples):
         raise ValueError("cannot build a datastore from an empty training set")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
-    train = pack_samples(train_samples, state.config.input_dim)
+    cfg = state.config
+    train = pack_samples(train_samples, cfg.input_dim)
     n = max(1, int(np.ceil(fraction * len(train))))
-    block = max(1, _BUILD_BLOCK_BYTES // (8 * state.config.input_dim))
-    keys = np.empty((n, state.config.embed_dim), dtype=np.float32)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = train.take(np.arange(start, min(start + block, len(train))))
-        keys[start:stop] = forward_batch(state, rows).embedding[: stop - start]
+    rows = max(1, _BUILD_TRACE_BYTES // (8 * (4 * cfg.hidden_dim + cfg.embed_dim + cfg.num_classes)))
+    keys = np.empty((n, cfg.embed_dim), dtype=np.float32)
+    for start in range(0, n, rows):
+        keys[start : start + rows] = forward_rowwise(state, train.rows(start, min(start + rows, n))).embedding
     return Datastore(keys=keys, values=train.labels[:n].copy())
 
 

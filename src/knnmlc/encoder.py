@@ -1,22 +1,24 @@
 """Small trainable encoder: sparse input -> hidden layer (tanh or relu, with
 inverted dropout) -> linear embedding, plus a sigmoid classifier head.
 
-The batch is the unit of work. ``forward_batch`` runs every row of a packed
-batch (``data.PackedSamples``) through the network in one pass of array
-operations, and ``backward`` returns the parameter gradients summed over
-those rows as matrix products. Both passes are written out by hand; the
+The batch is the unit of work, and there are two forward passes, one per
+use. ``forward_batch`` is the training pass: it runs every row of a packed
+batch (``data.PackedSamples``) through the network with dropout, using
+matrix products, and ``backward`` returns the parameter gradients summed
+over those rows as matrix products. Both are written out by hand; the
 backward pass is validated against central finite differences (see
 gradcheck). Dropout is applied to the hidden activations only, with
-surviving units scaled by 1/(1 - rate) so evaluation mode needs no
+surviving units scaled by 1/(1 - rate) so the dropout-off pass needs no
 rescaling.
 
-``forward_rowwise`` computes the same network so that every output row is
-bit-identical whatever batch the row sits in: a BLAS matrix product may
-round a row differently for a different row count, so it uses only
-row-local reductions, and it has no dropout. Inference runs on it, which is
-what lets a single query (a batch of one) and the same sample inside a CLI
-batch give the same bits. It is 2-3x slower than ``forward_batch`` on
-training batches and store blocks, which keep the matrix products.
+``forward_rowwise`` is the only dropout-off pass. Every output row is
+bit-identical whatever batch the row sits in (a BLAS product may round a
+row differently for a different row count, so it uses only row-local
+reductions), and it runs any batch in row ranges sized to stay in cache.
+Inference, validation and the datastore build all run on it: a single
+query, the test split and the whole training split use the same code, so
+store key i is the float32 of exactly the embedding ``predict`` computes
+for training sample i.
 """
 from __future__ import annotations
 
@@ -49,6 +51,11 @@ _ACTIVATIONS = ("tanh", "relu")
 _CHECKPOINT_FORMAT = "knnmlc-encoder"
 _CHECKPOINT_VERSION = 1
 _PARAM_NAMES = ("w_in", "b_in", "w_emb", "b_emb", "w_clf", "b_clf")
+# the dropout-off pass gathers input-layer weights in row ranges whose
+# (entries, hidden) float64 block stays near this size: over the training
+# splits of the default and large benchmark workloads (one pinned CPU),
+# 256-512 KB ran fastest, 128 KB to 1 MB within 12% of that, 2 MB 50-60% slower
+_GATHER_BLOCK_BYTES = 256 << 10
 
 
 class CheckpointError(ValueError):
@@ -160,25 +167,23 @@ def _activate(cfg: EncoderConfig, pre_hidden: np.ndarray) -> np.ndarray:
     return np.maximum(pre_hidden, 0.0)
 
 
-def _dropout_mask(cfg: EncoderConfig, hidden: np.ndarray, dropout_mode: str, rng, masks) -> np.ndarray:
+def _dropout_mask(cfg: EncoderConfig, hidden: np.ndarray, rng, masks) -> np.ndarray:
     """The scaled (n, hidden) dropout mask: the given ``masks``, one block of
     uniforms from ``rng`` (the same stream as n per-row draws), or all ones
-    laid out like ``hidden``."""
+    laid out like ``hidden`` when the rate is 0."""
     if masks is not None:
         mask = np.asarray(masks, dtype=np.float64)
         if mask.shape != hidden.shape:
             raise ValueError(f"mask shape {mask.shape} != hidden shape {hidden.shape}")
         return mask
-    if dropout_mode == "on" and cfg.dropout_rate > 0.0:
+    if cfg.dropout_rate > 0.0:
         if rng is None:
-            raise ValueError("dropout_mode='on' requires an rng")
+            raise ValueError(f"dropout at rate {cfg.dropout_rate} requires an rng or masks")
         keep = rng.random(hidden.shape) >= cfg.dropout_rate
         return keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
-    if dropout_mode in ("on", "off"):
-        mask = np.empty_like(hidden)
-        mask.fill(1.0)
-        return mask
-    raise ValueError(f"dropout_mode must be 'on' or 'off', got {dropout_mode!r}")
+    mask = np.empty_like(hidden)
+    mask.fill(1.0)
+    return mask
 
 
 def _check_input_dim(state: EncoderState, batch: PackedSamples) -> None:
@@ -186,52 +191,81 @@ def _check_input_dim(state: EncoderState, batch: PackedSamples) -> None:
         raise ValueError(f"batch packed for input_dim={batch.input_dim}, encoder has {state.config.input_dim}")
 
 
+def _gather_rows(w_rows: np.ndarray, batch: PackedSamples) -> np.ndarray:
+    """Input-layer sums (before the bias) of a packed batch: the rows of
+    ``w_rows`` (``w_in.T``, (input_dim, hidden)) each row's features pick,
+    scaled by their values and summed per row by ``np.add.reduceat``, whose
+    order depends on the row's segment alone."""
+    if w_rows.flags.c_contiguous:
+        columns = w_rows.take(batch.indices, axis=0)
+    else:
+        # take would first copy the whole array
+        columns = w_rows[batch.indices]
+    columns *= batch.values[:, None]
+    return np.add.reduceat(columns, batch.indptr[:-1], axis=0)
+
+
+def _input_layer(state: EncoderState, batch: PackedSamples) -> np.ndarray:
+    """``_gather_rows`` over the whole batch, in ranges of rows whose gathered
+    (entries, hidden) block stays near ``_GATHER_BLOCK_BYTES``. Rows are
+    independent, so the bits do not depend on the ranges."""
+    w_rows = state.w_in.T
+    if batch.indices.size >= state.config.input_dim:
+        # gathering many rows of the F-ordered view is strided loads; a
+        # C-contiguous copy holds the same values. It is made per call
+        # because Adam updates w_in in place.
+        w_rows = np.ascontiguousarray(w_rows)
+    n = len(batch)
+    rows = max(1, _GATHER_BLOCK_BYTES * n // (8 * state.config.hidden_dim * batch.indices.size))
+    if rows >= n:
+        return _gather_rows(w_rows, batch)
+    out = np.empty((n, state.config.hidden_dim))
+    for start in range(0, n, rows):
+        out[start : start + rows] = _gather_rows(w_rows, batch.rows(start, min(start + rows, n)))
+    return out
+
+
 def forward_batch(
     state: EncoderState,
     batch: PackedSamples,
-    dropout_mode: str = "off",
     rng: np.random.Generator | None = None,
     masks: np.ndarray | None = None,
 ) -> ForwardTrace:
-    """Run the network on every row of a packed batch.
+    """The training pass: run the network with dropout on every row of a
+    packed batch.
 
-    dropout_mode "off" is fully deterministic; "on" draws one (n, hidden)
-    block of uniforms from ``rng`` (the same stream as n per-row draws) unless
-    ``masks`` gives the scaled (n, hidden) masks, which is how the gradient
-    check freezes them.
+    The scaled (n, hidden) dropout ``masks`` are given (which is how the
+    gradient check freezes them), or drawn as one (n, hidden) block of
+    uniforms from ``rng`` (the same stream as n per-row draws), or all ones
+    when the encoder's dropout rate is 0.
     """
     _check_input_dim(state, batch)
     if batch.indices.size < state.config.input_dim:
         # fewer features than w_in has columns (small batches over a wide
-        # vocabulary): gather the columns the features touch, scale by the
-        # values and sum per row
-        columns = state.w_in[:, batch.indices] * batch.values
-        pre_hidden = np.add.reduceat(columns, batch.indptr[:-1], axis=1).T + state.b_in
+        # vocabulary): gather the weights the features touch
+        pre_hidden = _gather_rows(state.w_in.T, batch) + state.b_in
     else:
         # dense enough that one matrix product over the dense rows is cheaper
         pre_hidden = batch.to_dense() @ state.w_in.T + state.b_in
     hidden = _activate(state.config, pre_hidden)
-    mask = _dropout_mask(state.config, hidden, dropout_mode, rng, masks)
+    mask = _dropout_mask(state.config, hidden, rng, masks)
     embedding = (hidden * mask) @ state.w_emb.T + state.b_emb
     logits = embedding @ state.w_clf.T + state.b_clf
     return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits)
 
 
 def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
-    """``forward_batch`` with dropout off, computed so that each output row
-    depends on its input row alone and comes out bit-identical in a batch of
-    any size or order.
+    """The dropout-off pass, computed so that each output row depends on its
+    input row alone and comes out bit-identical in a batch of any size or
+    order.
 
-    The input layer gathers the ``w_in`` columns a row's features touch as
-    C-contiguous rows and sums each segment in feature order
-    (``np.add.reduceat`` along axis 0); the two small layers use ``einsum``
-    on C-contiguous operands, which reduces each output entry over the last
-    axis on its own. Results agree with ``forward_batch`` to rounding, not
-    bit for bit. The trace's mask is all ones.
+    The input layer is ``_input_layer`` (row ranges of gathered ``w_in``
+    rows, each segment summed on its own); the two small layers use
+    ``einsum`` on C-contiguous operands, which reduces each output entry over
+    the last axis on its own. The trace's mask is all ones.
     """
     _check_input_dim(state, batch)
-    columns = state.w_in.T[batch.indices] * batch.values[:, None]
-    pre_hidden = np.add.reduceat(columns, batch.indptr[:-1], axis=0) + state.b_in
+    pre_hidden = _input_layer(state, batch) + state.b_in
     hidden = _activate(state.config, pre_hidden)
     embedding = np.einsum("ij,kj->ik", hidden, state.w_emb) + state.b_emb
     logits = np.einsum("ij,kj->ik", embedding, state.w_clf) + state.b_clf
@@ -354,11 +388,12 @@ def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState
             if not np.isfinite(arr).all():
                 raise CheckpointError(f"{source}: parameter {name} holds a NaN or inf value")
             params[name] = arr
+        init_seed = int(payload.get("init_seed", 0))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, CheckpointError):
             raise
         raise CheckpointError(f"{source}: malformed checkpoint ({exc})") from exc
-    return EncoderState(config=config, init_seed=int(payload.get("init_seed", 0)), **params)
+    return EncoderState(config=config, init_seed=init_seed, **params)
 
 
 def load_checkpoint(path) -> EncoderState:

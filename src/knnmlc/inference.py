@@ -14,14 +14,16 @@ non-adaptive baseline).
 
 The batch is the unit of work. ``predict_batch`` packs a list of samples
 once (a packed split it takes as it is), embeds them with the row-stable
-dropout-off pass (``encoder.forward_rowwise``), retrieves every query's
-neighbors in blocks (``datastore.retrieve_topk``), and runs the vote,
-lambda and combination as array operations over (n, k) and (n, C) arrays,
-each reducing along one fixed axis of its own row. So every row is
-bit-identical whatever batch it sits in, and ``predict`` on one sample, a
-batch of one, gives the same bits as that sample's record from the CLI,
-which predicts the whole test file in one batch. The component functions act on the last axis and take one row or a
-stack of rows alike.
+dropout-off pass (``encoder.forward_rowwise``, the pass that also made the
+store's keys), retrieves every query's neighbors in blocks
+(``datastore.retrieve_topk``), and runs the vote, lambda and combination
+as array operations over (n, k) and (n, C) arrays, each reducing along one
+fixed axis of its own row. So every row is bit-identical whatever batch it
+sits in, and ``predict`` on one sample, a batch of one, gives the same bits
+as that sample's record from the CLI, which predicts the whole test file in
+one batch. A training sample as a query gets the embedding whose float32 is
+its store key. The component functions act on the last axis and take one
+row or a stack of rows alike.
 """
 from __future__ import annotations
 

@@ -9,7 +9,8 @@ runs all 2N views with independent dropout masks; binary cross entropy is
 summed over all 2N classifier outputs, alpha times the contrastive loss over
 the 2N embeddings is added, one backward pass carries both paths to the
 parameters, and one Adam step follows. The state with the best validation
-micro-F1 (classifier-only, threshold 0.5) is kept as the result.
+micro-F1 (classifier-only, threshold 0.5, from the dropout-off pass that
+inference runs) is kept as the result.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .encoder import (
     backward,
     classify,
     forward_batch,
+    forward_rowwise,
     init_state,
     state_from_payload,
     state_to_payload,
@@ -168,7 +170,7 @@ def batch_objective(state, views: PackedSamples, masks, alpha, tau1, variant="dc
     """Total loss of a packed duplicated batch under fixed (2N, hidden)
     dropout masks. This is the scalar the finite-difference gradient check
     perturbs; it never touches the backward pass."""
-    trace = forward_batch(state, views, dropout_mode="on", masks=masks)
+    trace = forward_batch(state, views, masks=masks)
     bce, con, _, _, _ = _batch_losses(trace, views.labels, tau1, variant)
     return total_loss(bce, con, alpha)
 
@@ -179,7 +181,7 @@ def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng
 
     Returns (bce, con, total, grads, masks_used) with masks_used (2N, hidden).
     """
-    trace = forward_batch(state, views, dropout_mode="on", rng=rng, masks=masks)
+    trace = forward_batch(state, views, rng=rng, masks=masks)
     bce, con, logit_grads, grad_sims, cosine = _batch_losses(trace, views.labels, tau1, variant)
     emb_grads = alpha * contrastive_embedding_grads(*cosine, grad_sims) if alpha > 0.0 else None
     grads = backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
@@ -187,10 +189,11 @@ def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng
 
 
 def classifier_micro_f1(state: EncoderState, samples, threshold: float = 0.5) -> float:
-    """Micro-F1 of dropout-off classifier predictions thresholded at 0.5, from
-    one pass over the samples (a list, or already packed)."""
+    """Micro-F1 of classifier predictions thresholded at 0.5, from one
+    dropout-off pass (``forward_rowwise``, the pass inference runs) over the
+    samples (a list, or already packed)."""
     samples = pack_samples(samples, state.config.input_dim)
-    pred = (classify(forward_batch(state, samples)) >= threshold).astype(np.int8)
+    pred = (classify(forward_rowwise(state, samples)) >= threshold).astype(np.int8)
     return micro_prf(confusion(samples.labels, pred))[2]
 
 
@@ -384,12 +387,15 @@ class Trainer:
 
 
 def _moments(section, state: EncoderState, which: str, path) -> dict[str, np.ndarray]:
-    """One Adam moment per parameter, each shaped like its parameter."""
+    """One finite Adam moment per parameter, each shaped like its parameter."""
     moments = {}
     for name, theta in state.param_items():
         arr = np.asarray(section[name], dtype=np.float64)
         if arr.shape != theta.shape:
             raise CheckpointError(f"{path}: Adam {which}[{name}] has shape {arr.shape}, expected {theta.shape}")
+        # json parses NaN and Infinity, which no Adam step writes
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: Adam {which}[{name}] holds a NaN or inf value")
         moments[name] = arr
     return moments
 

@@ -7,7 +7,7 @@ import logging
 
 import numpy as np
 
-from knnmlc.data import Sample, pack_samples
+from knnmlc.data import PackedSamples, Sample, pack_samples
 from knnmlc.encoder import EncoderState, ForwardTrace, forward_rowwise
 
 logger = logging.getLogger(__name__)
@@ -87,3 +87,12 @@ def forward(state: EncoderState, sample: Sample) -> ForwardTrace:
     batch = pack_samples([sample], state.config.input_dim)
     t = forward_rowwise(state, batch)
     return ForwardTrace(batch, t.pre_hidden[0], t.hidden[0], t.mask[0], t.embedding[0], t.logits[0])
+
+
+def column_gather(w_in: np.ndarray, batch: PackedSamples) -> np.ndarray:
+    """The (n, hidden) input-layer sums before the bias, as the sparse branch
+    of ``forward_batch`` formed them before it shared the row gather: the
+    ``w_in`` columns the features touch, scaled by their values and summed
+    per row segment along axis 1."""
+    columns = w_in[:, batch.indices] * batch.values
+    return np.add.reduceat(columns, batch.indptr[:-1], axis=1).T

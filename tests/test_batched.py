@@ -13,6 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unittest import mock
+
+from knnmlc import encoder
 from knnmlc.data import Sample, pack_samples
 from knnmlc.encoder import EncoderConfig, ParameterGradients, forward_batch, forward_rowwise, init_state
 from knnmlc.losses import (
@@ -26,6 +29,7 @@ from knnmlc.losses import (
 )
 from knnmlc.mathops import cosine_sim_matrix, make_rng, sigmoid, unit_rows
 from knnmlc.training import batch_gradients, batch_objective
+from oracles import column_gather
 
 REL_TOL = 1e-12
 
@@ -246,14 +250,14 @@ def test_embedding_grads_from_step_pieces_are_bit_identical(seed, n2, d):
 @pytest.mark.parametrize("features", [{}, {1: 2.0, 3: 0.5}])
 def test_single_sample_forward_matches_reference(activation, features):
     # a batch of one through the row-stable pass and through forward_batch
-    # with dropout off and on
+    # with masks of ones and with drawn masks
     state, _, _ = random_problem(3, 1, activation, 0.2)
     sample = Sample(features=features, labels=np.ones(state.config.num_classes, dtype=np.int8))
     batch = pack_samples([sample], state.config.input_dim)
     traces = {
         "rowwise": ("off", forward_rowwise(state, batch)),
-        "off": ("off", forward_batch(state, batch)),
-        "on": ("on", forward_batch(state, batch, "on", rng=make_rng(5))),
+        "off": ("off", forward_batch(state, batch, masks=np.ones((1, state.config.hidden_dim)))),
+        "on": ("on", forward_batch(state, batch, rng=make_rng(5))),
     }
     for name, (mode, got) in traces.items():
         want = ref_forward(state, sample, mode, rng=make_rng(5))
@@ -271,10 +275,47 @@ def test_gathered_and_dense_input_layers_match_reference():
     sample = Sample({4: 1.5, 17: 2.0, 29: 0.25}, np.array([1, 0, 1], dtype=np.int8))
     want = ref_forward(state, sample)
     for n in (1, 12):
-        trace = forward_batch(state, pack_samples([sample] * n, 30))
+        trace = forward_batch(state, pack_samples([sample] * n, 30), masks=np.ones((n, 7)))
         for i in range(n):
             assert_close(trace.pre_hidden[i], want["pre_hidden"], f"n={n} row {i} pre_hidden")
             assert_close(trace.embedding[i], want["embedding"], f"n={n} row {i} embedding")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    lengths=st.lists(st.integers(0, 24), min_size=1, max_size=12),
+    input_dim=st.integers(24, 400),
+    activation=st.sampled_from(["tanh", "relu"]),
+    block_bytes=st.integers(1, 1 << 14),
+)
+def test_shared_row_gather_equals_the_column_gather(seed, lengths, input_dim, activation, block_bytes):
+    # the row gather both passes share against the column gather forward_batch
+    # used before, bit for bit: featureless rows (length 0), segments longer
+    # than 8, values other than 1.0, both activations, any gather block
+    rng = make_rng(seed)
+    hidden = int(rng.integers(1, 10))
+    state = init_state(EncoderConfig(input_dim, hidden, 3, 2, activation=activation, dropout_rate=0.0), seed=seed)
+    samples = [
+        Sample(
+            dict(zip(rng.choice(input_dim, size=m, replace=False).tolist(), (rng.normal(size=m) * 3.0).tolist())),
+            np.ones(2, dtype=np.int8),
+        )
+        for m in lengths
+    ]
+    batch = pack_samples(samples, input_dim)
+    want = column_gather(state.w_in, batch)
+    for w_rows in (state.w_in.T, np.ascontiguousarray(state.w_in.T)):
+        assert encoder._gather_rows(w_rows, batch).tobytes() == want.tobytes()
+    with mock.patch.object(encoder, "_GATHER_BLOCK_BYTES", block_bytes):
+        rowwise = forward_rowwise(state, batch)
+    assert rowwise.pre_hidden.tobytes() == (want + state.b_in).tobytes()
+    assert rowwise.hidden.tobytes() == encoder._activate(state.config, want + state.b_in).tobytes()
+    if batch.indices.size < input_dim:
+        # forward_batch gathers only below one entry per input column
+        trace = forward_batch(state, batch)
+        assert trace.pre_hidden.tobytes() == rowwise.pre_hidden.tobytes()
+        assert trace.hidden.tobytes() == rowwise.hidden.tobytes()
 
 
 def test_empty_feature_rows_inside_a_batch():
@@ -312,3 +353,7 @@ def test_take_selects_rows():
         pack_samples([samples[i] for i in rows], state.config.input_dim).to_dense(),
     )
     np.testing.assert_array_equal(packed.take(rows).labels, packed.labels[rows])
+    # a range of rows as views: the rows take gives
+    sliced, taken = packed.rows(1, 4), packed.take([1, 2, 3])
+    for name in ("indptr", "indices", "values", "labels", "ids"):
+        np.testing.assert_array_equal(getattr(sliced, name), getattr(taken, name))

@@ -219,6 +219,13 @@ class TestErrorPaths:
         code = main(["--config", str(bad), "gen-data", "--out", str(tmp_path / "d")])
         assert code == EXIT_FORMAT
 
+    def test_mistyped_config_value_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"train": {"batch_size": "32"}}')
+        code = main(["--config", str(bad), "gen-data", "--out", str(tmp_path / "d")])
+        assert code == EXIT_FORMAT
+        assert ":train:" in capsys.readouterr().err
+
     def test_unparseable_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -353,6 +360,33 @@ class TestErrorPaths:
         assert code == EXIT_FORMAT
         assert "w_clf" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("init_seed", [None, "x"])
+    def test_malformed_init_seed_exit_code(self, pipeline_artifacts, tmp_path, capsys, init_seed):
+        a = pipeline_artifacts
+        payload = json.loads((a["run"] / "model.json").read_text())
+        payload["init_seed"] = init_seed
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "p.jsonl"
+        code = main([
+            "--config", a["config"], "predict", "--checkpoint", str(model), "--store", str(a["store"]),
+            "--test-file", str(a["data"] / "test.jsonl"), "--out", str(out),
+        ])
+        assert code == EXIT_FORMAT
+        assert "malformed checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("section", [{"activation": "sigmoid"}, {"hidden_dim": "abc"}, {"embed_dim": None}, 5])
+    def test_bad_encoder_section_fails_before_the_data_is_read(self, tmp_path, capsys, command, section):
+        # the data directory does not exist: a config error must come first
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"encoder": section}))
+        args = ["--out", str(tmp_path / "m")] if command == "train" else []
+        code = main(["--config", str(path), command, "--data", str(tmp_path / "no_data"), *args])
+        assert code == EXIT_FORMAT
+        assert ":encoder:" in capsys.readouterr().err
 
     def test_train_dropout_rate_is_an_unknown_key(self, workspace, tmp_path, capsys):
         # the dropout rate is set once, in the encoder section

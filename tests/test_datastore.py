@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knnmlc.data import DatasetConfig, generate_synthetic
-from knnmlc import datastore
+from knnmlc.data import DatasetConfig, generate_synthetic, pack_samples
+from knnmlc import datastore, encoder
 from knnmlc.datastore import (
     Datastore,
     DatastoreFormatError,
@@ -17,7 +17,7 @@ from knnmlc.datastore import (
     save,
 )
 from knnmlc.cli import _encoder_config, load_config
-from knnmlc.encoder import EncoderConfig, init_state
+from knnmlc.encoder import EncoderConfig, forward_rowwise, init_state
 from knnmlc.inference import predict
 from knnmlc.mathops import make_rng
 from knnmlc.training import Trainer
@@ -88,30 +88,6 @@ class TestBuild:
         assert part.count == int(np.ceil(0.2 * len(train)))
         np.testing.assert_array_equal(part.keys, full.keys[: part.count])
         np.testing.assert_array_equal(part.values, full.values[: part.count])
-
-    def test_prefix_blocks_are_blocks_of_the_full_build(self, trained_setup, monkeypatch):
-        # blocks of 7 rows, and fractions that end inside a block: the prefix
-        # must be embedded by the very matrix products of the full build (a
-        # BLAS product may round a row differently for a different row count)
-        state, train = trained_setup
-        monkeypatch.setattr(datastore, "_BUILD_BLOCK_BYTES", 7 * 8 * state.config.input_dim)
-        blocks = []
-        real_forward = datastore.forward_batch
-
-        def spy(state, batch, *args, **kwargs):
-            blocks.append(batch.to_dense())
-            return real_forward(state, batch, *args, **kwargs)
-
-        monkeypatch.setattr(datastore, "forward_batch", spy)
-        full = build(state, train)
-        full_blocks = list(blocks)
-        for fraction in (0.01, 0.05, 0.2, 0.25, 0.5, 0.9):
-            blocks.clear()
-            part = build(state, train, fraction=fraction)
-            assert len(blocks) == -(-part.count // 7)
-            for got, want in zip(blocks, full_blocks):
-                np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(part.keys, full.keys[: part.count])
 
     def test_keys_are_quantized_to_float32(self, trained_setup):
         state, train = trained_setup
@@ -297,15 +273,57 @@ class TestPersistence:
             assert topk_pairs(store, query, k=5) == topk_pairs(loaded, query, k=5)
 
 
-def test_saved_store_gives_bit_identical_bundles(tmp_path):
-    # the library path (in-memory store) and the CLI path (loaded store)
-    # must search the same keys: every bundle equal bit for bit
+@pytest.fixture(scope="module")
+def default_run():
+    """The shipped config at its seed 0: the trained state, the packed
+    training split, and the test split with the inference config."""
     dataset_cfg, encoder_section, train_cfg, infer_cfg = load_config(str(DEFAULT_CONFIG))
     train, valid, test = generate_synthetic(dataset_cfg)
     ecfg = _encoder_config(encoder_section, dataset_cfg.vocab_size, dataset_cfg.num_classes)
     trainer = Trainer(train, valid, init_state(ecfg, seed=train_cfg.seed), train_cfg)
     trainer.run()
-    state = trainer.best_state()
+    return trainer.best_state(), pack_samples(train, ecfg.input_dim), test, infer_cfg
+
+
+@pytest.mark.parametrize("gather_rows,build_rows", [(None, None), (1, None), (7, None), (None, 5)])
+def test_store_keys_are_the_query_path_embeddings(default_run, monkeypatch, gather_rows, build_rows):
+    # key i is the float32 of forward_rowwise on sample i alone (the pass
+    # predict runs on a query), for the full store and for prefixes that end
+    # inside a block, with the module's block sizes, with gather blocks of 1
+    # and 7 rows, and with build ranges of 5 rows
+    state, train, _, _ = default_run
+    cfg = state.config
+    singles = np.stack([forward_rowwise(state, train.take([i])).embedding[0] for i in range(len(train))])
+    want = singles.astype(np.float32)
+    n, nnz = len(train), train.indices.size
+    if gather_rows is not None:
+        # the smallest block size that gives the whole split gather_rows rows
+        monkeypatch.setattr(encoder, "_GATHER_BLOCK_BYTES", -(-gather_rows * 8 * cfg.hidden_dim * nnz // n))
+    if build_rows is not None:
+        row_bytes = 8 * (4 * cfg.hidden_dim + cfg.embed_dim + cfg.num_classes)
+        monkeypatch.setattr(datastore, "_BUILD_TRACE_BYTES", build_rows * row_bytes)
+    calls = []
+    real_gather = encoder._gather_rows
+
+    def spy(w_rows, batch):
+        calls.append(len(batch))
+        return real_gather(w_rows, batch)
+
+    monkeypatch.setattr(encoder, "_gather_rows", spy)
+    # before the float32 rounding too
+    assert forward_rowwise(state, train).embedding.tobytes() == singles.tobytes()
+    if gather_rows is not None:
+        assert calls[0] == gather_rows and len(calls) == -(-n // gather_rows)
+    assert build(state, train).keys.tobytes() == want.tobytes()
+    for fraction in (0.01, 0.05, 0.2, 0.25, 0.5, 0.9):
+        part = build(state, train, fraction=fraction)
+        assert part.count % 7 and part.keys.tobytes() == want[: part.count].tobytes(), fraction
+
+
+def test_saved_store_gives_bit_identical_bundles(tmp_path, default_run):
+    # the library path (in-memory store) and the CLI path (loaded store)
+    # must search the same keys: every bundle equal bit for bit
+    state, train, test, infer_cfg = default_run
     store = build(state, train)
     save(store, tmp_path / "store.bin")
     loaded = load(tmp_path / "store.bin")

@@ -50,14 +50,14 @@ class TestForward:
     def test_zero_dropout_rate_removes_stochasticity(self):
         state = init_state(tiny_config(dropout_rate=0.0), seed=0)
         rng = make_rng(1)
-        t1 = forward_batch(state, tiny_batch(state), dropout_mode="on", rng=rng)
-        t2 = forward_batch(state, tiny_batch(state), dropout_mode="on", rng=rng)
+        t1 = forward_batch(state, tiny_batch(state), rng=rng)
+        t2 = forward_batch(state, tiny_batch(state), rng=rng)
         np.testing.assert_array_equal(t1.embedding, t2.embedding)
 
     def test_dropout_on_generally_differs(self):
         state = init_state(tiny_config(dropout_rate=0.5), seed=0)
         rng = make_rng(2)
-        outs = {tuple(forward_batch(state, tiny_batch(state), "on", rng).embedding[0]) for _ in range(8)}
+        outs = {tuple(forward_batch(state, tiny_batch(state), rng=rng).embedding[0]) for _ in range(8)}
         assert len(outs) > 1
 
     def test_zero_state_gives_half_probabilities(self):
@@ -74,15 +74,10 @@ class TestForward:
         with pytest.raises(ValueError, match="feature index"):
             forward(state, bad)
 
-    def test_bad_dropout_mode(self):
-        state = init_state(tiny_config(), seed=0)
-        with pytest.raises(ValueError):
-            forward_batch(state, tiny_batch(state), dropout_mode="sometimes")
-
     def test_dropout_on_without_rng(self):
         state = init_state(tiny_config(dropout_rate=0.2), seed=0)
-        with pytest.raises(ValueError):
-            forward_batch(state, tiny_batch(state), dropout_mode="on")
+        with pytest.raises(ValueError, match="requires an rng"):
+            forward_batch(state, tiny_batch(state))
 
     def test_relu_activation(self):
         state = init_state(tiny_config(activation="relu"), seed=0)
@@ -109,7 +104,7 @@ class TestClassify:
 
 class TestBackward:
     def _trace(self, state):
-        return forward_batch(state, tiny_batch(state))
+        return forward_batch(state, tiny_batch(state), masks=np.ones((1, state.config.hidden_dim)))
 
     def test_zero_upstream_gives_zero_gradients(self):
         state = init_state(tiny_config(), seed=1)
@@ -167,7 +162,7 @@ def test_inverted_dropout_preserves_expected_embedding():
     state = init_state(tiny_config(dropout_rate=0.3, hidden_dim=8), seed=5)
     rng = make_rng(99)
     n = 20000
-    draws = forward_batch(state, tiny_batch(state, n), dropout_mode="on", rng=rng).embedding
+    draws = forward_batch(state, tiny_batch(state, n), rng=rng).embedding
     reference = forward(state, tiny_sample()).embedding
     mean = draws.mean(axis=0)
     stderr = draws.std(axis=0, ddof=1) / np.sqrt(n)

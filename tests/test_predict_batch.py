@@ -21,7 +21,7 @@ from knnmlc import cli, datastore
 from knnmlc.cli import EXIT_OK, main
 from knnmlc.data import DatasetConfig, Sample, generate_synthetic, load_jsonl, pack_samples
 from knnmlc.datastore import Datastore, build, load, retrieve_topk
-from knnmlc.encoder import EncoderConfig, forward_batch, init_state, load_checkpoint
+from knnmlc.encoder import EncoderConfig, forward_batch, forward_rowwise, init_state, load_checkpoint
 from knnmlc.inference import InferenceConfig, predict, predict_batch
 from knnmlc.mathops import make_rng, sigmoid, softmax_temp
 from test_datastore import rescored_sims  # the store's similarity, by its definition
@@ -62,7 +62,7 @@ def ref_knn_predict(neighbors, tau2):
 
 
 def ref_predict(state, store, sample, cfg):
-    trace = forward_batch(state, pack_samples([sample], state.config.input_dim))
+    trace = forward_batch(state, pack_samples([sample], state.config.input_dim), masks=np.ones((1, state.config.hidden_dim)))
     y_clf = sigmoid(trace.logits[0])
     neighbors = ref_retrieve_topk(store, trace.embedding[0], cfg.k)
     y_knn = ref_knn_predict(neighbors, cfg.tau2)
@@ -133,7 +133,7 @@ def test_query_blocks_give_the_bytes_of_one_block(monkeypatch):
     # blocks of 3 queries against one block of all 40: the same bytes, and
     # the small blocks really were several
     state, store, queries, _ = random_setup(3, 300, 16, 12, 12)
-    embeddings = forward_batch(state, pack_samples(queries, state.config.input_dim)).embedding
+    embeddings = forward_rowwise(state, pack_samples(queries, state.config.input_dim)).embedding
     whole = retrieve_topk(store, embeddings, 30)
     blocks = []
     real_block = datastore._topk_block

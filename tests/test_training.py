@@ -265,6 +265,18 @@ class TestTrainer:
         with pytest.raises(CheckpointError, match="trainer.json"):
             Trainer.load_checkpoint(path, train_s, valid_s)
 
+    @pytest.mark.parametrize("which,name,value", [("m", "w_clf", float("nan")), ("v", "b_in", float("inf"))])
+    def test_non_finite_adam_moment_is_rejected_at_load(self, tmp_path, which, name, value):
+        # json reads NaN and Infinity; a damaged moment fails at load, named,
+        # not as a non-finite loss steps later
+        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
+        moment = np.asarray(payload["adam"][which][name])
+        moment.flat[0] = value
+        payload["adam"][which][name] = moment.tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=rf"Adam {which}\[{name}\] holds a NaN or inf"):
+            Trainer.load_checkpoint(path, train_s, valid_s)
+
     @pytest.mark.parametrize("param,alpha", [("w_clf", 0.3), ("b_emb", 0.3), ("b_emb", 0.0)])
     def test_non_finite_loss_names_the_iteration(self, param, alpha):
         # a poisoned classifier weight makes BCE NaN; a poisoned embedding
