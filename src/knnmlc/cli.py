@@ -58,27 +58,38 @@ class DimensionMismatchError(ValueError):
     """Raised when artifacts disagree on dimensions."""
 
 
-def _dataclass_from_dict(cls, payload: dict, context: str):
-    known = {f.name for f in dataclasses.fields(cls)}
+def _dataclass_from_dict(cls, payload: dict, context: str, **supplied):
+    """``cls(**payload, **supplied)``, validated; ConfigError naming ``context``
+    for an unknown key (the ``supplied`` fields are not keys) or a bad value."""
+    known = {f.name for f in dataclasses.fields(cls)} - set(supplied)
     unknown = set(payload) - known
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}; known keys are {sorted(known)}")
     try:
-        obj = cls(**payload)
-    except TypeError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-    try:
+        obj = cls(**payload, **supplied)
         obj.validate()
-    # a value of the wrong type fails a comparison with TypeError
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
     return obj
 
 
+# the widths an encoder section leaves out; EncoderConfig has no default for them
+_ENCODER_WIDTHS = {"hidden_dim": 24, "embed_dim": 12}
+
+
+def _encoder_config(section: dict, input_dim: int, num_classes: int, context: str = "encoder") -> EncoderConfig:
+    """The EncoderConfig of a config's encoder section, whose input_dim and
+    num_classes come from the data."""
+    return _dataclass_from_dict(
+        EncoderConfig, {**_ENCODER_WIDTHS, **section}, context, input_dim=input_dim, num_classes=num_classes
+    )
+
+
 def load_config(path: str | None):
     """Parse the JSON config into (DatasetConfig, encoder section dict,
     TrainConfig, InferenceConfig). The encoder section stays a dict because
-    input_dim and num_classes come from the dataset at train time."""
+    input_dim and num_classes come from the dataset at train time; every
+    section is checked here, before any data is read."""
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -98,30 +109,9 @@ def load_config(path: str | None):
     train_cfg = _dataclass_from_dict(TrainConfig, raw.get("train", {}), f"{path}:train")
     infer_cfg = _dataclass_from_dict(InferenceConfig, raw.get("inference", {}), f"{path}:inference")
     encoder_section = raw.get("encoder", {})
-    allowed = {"hidden_dim", "embed_dim", "activation", "dropout_rate"}
-    unknown = set(encoder_section) - allowed
-    if unknown:
-        raise ConfigError(f"{path}:encoder: unknown keys {sorted(unknown)}; known keys are {sorted(allowed)}")
-    # the data gives input_dim and num_classes at train time; check the rest now
+    # any dimension >= 1 stands in for the ones the data gives
     _encoder_config(encoder_section, 1, 1, f"{path}:encoder")
     return dataset_cfg, encoder_section, train_cfg, infer_cfg
-
-
-def _encoder_config(section: dict, input_dim: int, num_classes: int, context: str = "encoder") -> EncoderConfig:
-    """The EncoderConfig of a config's encoder section; ConfigError for a bad value."""
-    try:
-        cfg = EncoderConfig(
-            input_dim=input_dim,
-            hidden_dim=int(section.get("hidden_dim", 24)),
-            embed_dim=int(section.get("embed_dim", 12)),
-            num_classes=num_classes,
-            activation=section.get("activation", "tanh"),
-            dropout_rate=float(section.get("dropout_rate", 0.1)),
-        )
-        cfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-    return cfg
 
 
 def write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed, artifacts: dict):
@@ -264,7 +254,7 @@ _PREDICT_CHUNK = 1024
 def _predict_chunks(state, store, samples, infer_cfg):
     """(chunk of a packed split, its PredictionBundle) over the rows in order."""
     for start in range(0, len(samples), _PREDICT_CHUNK):
-        chunk = samples.take(np.arange(start, min(start + _PREDICT_CHUNK, len(samples))))
+        chunk = samples.rows(start, min(start + _PREDICT_CHUNK, len(samples)))
         yield chunk, predict_batch(state, store, chunk, infer_cfg)
 
 

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import json.decoder
 import json.scanner
 import logging
+import math
 import os
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
@@ -176,6 +178,36 @@ def pack_samples(samples, input_dim: int) -> PackedSamples:
     return packed
 
 
+# the types a setting of each annotated kind takes (numpy scalars too)
+_KINDS = {
+    "int": ("an integer", (int, np.integer)),
+    "float": ("a finite number", (int, float, np.integer, np.floating)),
+    "str": ("a string", str),
+}
+
+
+def check_kind(name: str, value, kind: str) -> None:
+    """The one rule for the kind of a setting: an "int" takes an integer, a "float"
+    any finite real number (an integer too), a "str" a string, and a bool is none
+    of these. TypeError naming the setting otherwise; nothing is converted."""
+    what, types = _KINDS[kind]
+    # abs(value) < inf is false for NaN and +-inf, and never overflows
+    if isinstance(value, bool) or not isinstance(value, types) or kind == "float" and not abs(value) < math.inf:
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+
+
+@functools.cache
+def _field_kinds(cls) -> tuple:
+    return tuple((f.name, getattr(f.type, "__name__", f.type)) for f in dataclasses.fields(cls))
+
+
+def check_kinds(obj) -> None:
+    """``check_kind`` on each int, float or str field; every config's ``validate`` starts with it."""
+    for name, kind in _field_kinds(type(obj)):
+        if kind in _KINDS:
+            check_kind(name, getattr(obj, name), kind)
+
+
 @dataclass
 class DatasetConfig:
     """Knobs for the synthetic generator.
@@ -205,6 +237,7 @@ class DatasetConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_kinds(self)
         if self.num_classes < 1 or self.num_clusters < 1:
             raise ValueError("num_classes and num_clusters must be >= 1")
         num_pairs = (self.num_clusters + 1) // 2
@@ -287,7 +320,9 @@ def _draw_sample(cfg, rng, clusters, cdf, sample_id: str) -> Sample:
         else:
             idx = int(own[rng.integers(own.size)])
         features[idx] = features.get(idx, 0.0) + 1.0
-    return Sample(features=features, labels=labels, sample_id=sample_id)
+    # in ascending index order, as save_jsonl writes them: a split packs to the
+    # same CSR arrays in memory as from its file, so both give the same bits
+    return Sample(features=dict(sorted(features.items())), labels=labels, sample_id=sample_id)
 
 
 def generate_synthetic(cfg: DatasetConfig):

@@ -200,8 +200,8 @@ def retrieve_topk(store: Datastore, queries, k: int) -> tuple[np.ndarray, np.nda
     k = min(k, count)
     indices = np.empty((n, k), dtype=np.int64)
     sims = np.empty((n, k))
-    # with k = count there is no similarity block, and every entry is
-    # re-scored: the (rows * count, d) float64 operands are what to bound
+    # with k = count every entry is a candidate and is re-scored: the
+    # (rows * count, d) float64 operands are what to bound
     row_bytes = count * (8 * store.dim if k == count else 4)
     block = max(1, _QUERY_BLOCK_BYTES // max(row_bytes, 1))
     for start in range(0, n, block):
@@ -213,19 +213,16 @@ def retrieve_topk(store: Datastore, queries, k: int) -> tuple[np.ndarray, np.nda
 def _topk_block(store: Datastore, q: np.ndarray, k: int):
     count, d = store.keys.shape
     n = q.shape[0]
-    if k < count:
-        approx = q.astype(np.float32) @ store.unit.T
-        kth = np.partition(approx, count - k, axis=1)[:, count - k].astype(np.float64)
-        m = (d + 2) * _FLOAT32_ROUNDOFF
-        cutoff = np.minimum(kth, 1.0) - 4.0 * m / (1.0 - m)
-        # at or below -1 every entry clips to a candidate
-        cutoff[cutoff <= -1.0] = -np.inf
-        # rounded to float32 and stepped one ulp down: never above the cutoff
-        cutoff = np.nextafter(cutoff.astype(np.float32), np.float32(-np.inf))
-        rows, cand = np.divmod(np.flatnonzero(approx >= cutoff[:, None]), count)
-    else:
-        rows = np.repeat(np.arange(n), count)
-        cand = np.tile(np.arange(count), n)
+    approx = q.astype(np.float32) @ store.unit.T
+    # with k = count, b_k is the row's smallest b, so every entry is a candidate
+    kth = np.partition(approx, count - k, axis=1)[:, count - k].astype(np.float64)
+    m = (d + 2) * _FLOAT32_ROUNDOFF
+    cutoff = np.minimum(kth, 1.0) - 4.0 * m / (1.0 - m)
+    # at or below -1 every entry clips to a candidate
+    cutoff[cutoff <= -1.0] = -np.inf
+    # rounded to float32 and stepped one ulp down: never above the cutoff
+    cutoff = np.nextafter(cutoff.astype(np.float32), np.float32(-np.inf))
+    rows, cand = np.divmod(np.flatnonzero(approx >= cutoff[:, None]), count)
     exact = np.clip((_unit_keys(store.keys[cand]) * q[rows]).sum(axis=1), -1.0, 1.0)
     # rows ascend, so each row's candidates keep their span in the sorted order
     order = np.lexsort((cand, -exact, rows))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PackedSamples
+from .data import PackedSamples, check_kinds
 from .mathops import make_rng, sigmoid
 
 __all__ = [
@@ -72,6 +72,7 @@ class EncoderConfig:
     dropout_rate: float = 0.1
 
     def validate(self) -> None:
+        check_kinds(self)
         if min(self.input_dim, self.hidden_dim, self.embed_dim, self.num_classes) < 1:
             raise ValueError("all encoder dimensions must be >= 1")
         if self.activation not in _ACTIVATIONS:
@@ -140,25 +141,23 @@ class ForwardTrace:
     logits: np.ndarray
 
 
+def _param_shapes(c: EncoderConfig) -> dict[str, tuple]:
+    """Each parameter's shape, in ``_PARAM_NAMES`` order."""
+    h, e, k = c.hidden_dim, c.embed_dim, c.num_classes
+    return {"w_in": (h, c.input_dim), "b_in": (h,), "w_emb": (e, h), "b_emb": (e,), "w_clf": (k, e), "b_clf": (k,)}
+
+
 def init_state(config: EncoderConfig, seed: int = 0) -> EncoderState:
-    """Uniform +-1/sqrt(fan_in) initialization for every tensor, seeded."""
+    """Uniform +-1/sqrt(fan_in) initialization for every tensor, seeded, in
+    ``_PARAM_NAMES`` order; a bias takes its layer's fan-in."""
     config.validate()
     rng = make_rng(seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    return EncoderState(
-        config=config,
-        w_in=uniform((config.hidden_dim, config.input_dim), config.input_dim),
-        b_in=uniform(config.hidden_dim, config.input_dim),
-        w_emb=uniform((config.embed_dim, config.hidden_dim), config.hidden_dim),
-        b_emb=uniform(config.embed_dim, config.hidden_dim),
-        w_clf=uniform((config.num_classes, config.embed_dim), config.embed_dim),
-        b_clf=uniform(config.num_classes, config.embed_dim),
-        init_seed=seed,
-    )
+    shapes = _param_shapes(config)
+    params = {}
+    for name, shape in shapes.items():
+        bound = 1.0 / np.sqrt(shapes["w" + name[1:]][1])
+        params[name] = rng.uniform(-bound, bound, size=shape)
+    return EncoderState(config=config, init_seed=seed, **params)
 
 
 def _activate(cfg: EncoderConfig, pre_hidden: np.ndarray) -> np.ndarray:
@@ -350,50 +349,41 @@ def save_checkpoint(state: EncoderState, path) -> None:
         fh.write(json.dumps(state_to_payload(state)))
 
 
-_PARAM_SHAPES = {
-    "w_in": lambda c: (c.hidden_dim, c.input_dim),
-    "b_in": lambda c: (c.hidden_dim,),
-    "w_emb": lambda c: (c.embed_dim, c.hidden_dim),
-    "b_emb": lambda c: (c.embed_dim,),
-    "w_clf": lambda c: (c.num_classes, c.embed_dim),
-    "b_clf": lambda c: (c.num_classes,),
-}
+def finite_array(value, shape: tuple, what: str, source) -> np.ndarray:
+    """``value`` as a float64 array of ``shape`` holding no NaN or inf (every
+    checkpointed parameter and Adam moment); CheckpointError naming ``what``."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape:
+        raise CheckpointError(f"{source}: {what} has shape {arr.shape}, expected {shape}")
+    # json parses NaN and Infinity, which no parameter or Adam moment holds
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{source}: {what} holds a NaN or inf value")
+    return arr
 
 
 def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState:
+    """The EncoderState of a checkpoint payload, each value of its field's
+    kind (``data.check_kind``, nothing converted); CheckpointError otherwise."""
     if not isinstance(payload, dict) or payload.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointError(f"{source}: wrong or missing format marker")
     if payload.get("version") != _CHECKPOINT_VERSION:
         raise CheckpointError(f"{source}: unsupported checkpoint version {payload.get('version')!r}")
     try:
-        dims = payload["dims"]
         config = EncoderConfig(
-            input_dim=int(dims["input_dim"]),
-            hidden_dim=int(dims["hidden_dim"]),
-            embed_dim=int(dims["embed_dim"]),
-            num_classes=int(dims["num_classes"]),
-            activation=payload["activation"],
-            dropout_rate=float(payload["dropout_rate"]),
+            **payload["dims"], activation=payload["activation"], dropout_rate=payload["dropout_rate"]
         )
         config.validate()
-        params = {}
-        for name in _PARAM_NAMES:
-            arr = np.asarray(payload["params"][name], dtype=np.float64)
-            expected = _PARAM_SHAPES[name](config)
-            if arr.shape != expected:
-                raise CheckpointError(
-                    f"{source}: parameter {name} has shape {arr.shape}, expected {expected}"
-                )
-            # json parses NaN and Infinity, which no trained parameter holds
-            if not np.isfinite(arr).all():
-                raise CheckpointError(f"{source}: parameter {name} holds a NaN or inf value")
-            params[name] = arr
-        init_seed = int(payload.get("init_seed", 0))
+        params = {
+            name: finite_array(payload["params"][name], shape, f"parameter {name}", source)
+            for name, shape in _param_shapes(config).items()
+        }
+        state = EncoderState(config=config, init_seed=payload.get("init_seed", 0), **params)
+        check_kinds(state)
+    except CheckpointError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CheckpointError):
-            raise
         raise CheckpointError(f"{source}: malformed checkpoint ({exc})") from exc
-    return EncoderState(config=config, init_seed=init_seed, **params)
+    return state
 
 
 def load_checkpoint(path) -> EncoderState:

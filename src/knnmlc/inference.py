@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import pack_samples
+from .data import check_kinds, pack_samples
 from .datastore import Datastore, retrieve_topk
 from .encoder import EncoderState, classify, forward_rowwise
 from .mathops import softmax_temp
@@ -61,6 +61,7 @@ class InferenceConfig:
     decision_threshold: float = 0.5
 
     def validate(self) -> None:
+        check_kinds(self)
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.tau2 <= 0.0:

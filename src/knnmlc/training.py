@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import PackedSamples, pack_samples
+from .data import PackedSamples, check_kind, check_kinds, pack_samples
 from .encoder import (
     CheckpointError,
     EncoderConfig,
@@ -28,6 +28,7 @@ from .encoder import (
     ParameterGradients,
     backward,
     classify,
+    finite_array,
     forward_batch,
     forward_rowwise,
     init_state,
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 _TRAINER_FORMAT = "knnmlc-trainer"
-_TRAINER_VERSION = 2
+_TRAINER_VERSION = 3
 
 
 class NonFiniteLossError(ValueError):
@@ -72,13 +73,11 @@ class TrainConfig:
     tau1: float = 0.05
     max_iters: int = 500
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     variant: str = "dcl"
     eval_every: int = 0  # 0 -> validate once per epoch
 
     def validate(self) -> None:
+        check_kinds(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate < 0.0:
@@ -91,10 +90,6 @@ class TrainConfig:
             raise ValueError("max_iters must be >= 0")
         if self.variant not in CONTRASTIVE_VARIANTS:
             raise ValueError(f"variant must be one of {CONTRASTIVE_VARIANTS}")
-        if not 0.0 < self.adam_beta1 < 1.0 or not 0.0 < self.adam_beta2 < 1.0:
-            raise ValueError("adam betas must lie in (0, 1)")
-        if self.adam_eps <= 0.0:
-            raise ValueError("adam_eps must be > 0")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0")
 
@@ -273,14 +268,7 @@ class Trainer:
             raise NonFiniteLossError(
                 f"iteration {self.iteration + 1}: non-finite training loss (bce={bce}, con={con})"
             )
-        adam_step(
-            self.state,
-            grads,
-            self.adam,
-            lr=self.cfg.learning_rate,
-            betas=(self.cfg.adam_beta1, self.cfg.adam_beta2),
-            eps=self.cfg.adam_eps,
-        )
+        adam_step(self.state, grads, self.adam, lr=self.cfg.learning_rate)
         self.iteration += 1
         record = {"iteration": self.iteration, "bce": bce, "con": con, "total": total}
         if self.valid_set is not None and self.iteration % self.eval_interval == 0:
@@ -345,8 +333,8 @@ class Trainer:
 
     @classmethod
     def load_checkpoint(cls, path, train_samples, valid_samples) -> "Trainer":
-        """The trainer ``save_checkpoint`` wrote, resuming exactly where it
-        stopped. A missing, mistyped or misshapen field raises CheckpointError."""
+        """The trainer ``save_checkpoint`` wrote, resuming exactly where it stopped.
+        A missing, misshapen or wrong-kind (``data.check_kind``) field raises CheckpointError."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -362,17 +350,26 @@ class Trainer:
             cfg = TrainConfig(**payload["config"])
             cfg.validate()
             state = state_from_payload(payload["encoder"], source=str(path))
-            adam = AdamState(
-                m=_moments(payload["adam"]["m"], state, "m", path),
-                v=_moments(payload["adam"]["v"], state, "v", path),
-                step=int(payload["adam"]["step"]),
-            )
+            moments = {
+                which: {
+                    name: finite_array(payload["adam"][which][name], theta.shape, f"Adam {which}[{name}]", path)
+                    for name, theta in state.param_items()
+                }
+                for which in ("m", "v")
+            }
+            adam = AdamState(**moments, step=payload["adam"]["step"])
+            check_kinds(adam)
             rng = make_rng(0)
             rng.bit_generator.state = payload["rng_state"]
-            iteration, cursor = int(payload["iteration"]), int(payload["cursor"])
-            order = np.asarray(payload["order"], dtype=np.int64)
+            iteration, cursor = payload["iteration"], payload["cursor"]
+            order = np.asarray(payload["order"])
+            if order.size and order.dtype.kind != "i":
+                raise TypeError(f"order must hold integers, got {order.dtype} values")
             best = payload["best"]
-            best_f1, best_iteration = float(best["micro_f1"]), int(best["iteration"])
+            best_f1, best_iteration = best["micro_f1"], best["iteration"]
+            for name, value in (("iteration", iteration), ("cursor", cursor), ("best iteration", best_iteration)):
+                check_kind(name, value, "int")
+            check_kind("best micro_f1", best_f1, "float")
             best_state = None if best["encoder"] is None else state_from_payload(best["encoder"], source=str(path))
             history = list(payload["history"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -381,23 +378,9 @@ class Trainer:
             raise CheckpointError(f"{path}: malformed trainer checkpoint ({exc!r})") from exc
         trainer = cls(train_samples, valid_samples, state, cfg)
         trainer.adam, trainer.rng, trainer.iteration, trainer.history = adam, rng, iteration, history
-        trainer._order, trainer._cursor = order, cursor
+        trainer._order, trainer._cursor = order.astype(np.int64), cursor
         trainer._best_f1, trainer._best_iteration, trainer._best_state = best_f1, best_iteration, best_state
         return trainer
-
-
-def _moments(section, state: EncoderState, which: str, path) -> dict[str, np.ndarray]:
-    """One finite Adam moment per parameter, each shaped like its parameter."""
-    moments = {}
-    for name, theta in state.param_items():
-        arr = np.asarray(section[name], dtype=np.float64)
-        if arr.shape != theta.shape:
-            raise CheckpointError(f"{path}: Adam {which}[{name}] has shape {arr.shape}, expected {theta.shape}")
-        # json parses NaN and Infinity, which no Adam step writes
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"{path}: Adam {which}[{name}] holds a NaN or inf value")
-        moments[name] = arr
-    return moments
 
 
 def train(train_samples, valid_samples, encoder_config: EncoderConfig, cfg: TrainConfig):

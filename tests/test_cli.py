@@ -1,4 +1,5 @@
 """End-to-end command-line workflow on a small configuration."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +19,10 @@ from knnmlc.cli import (
     EXIT_OK,
     main,
 )
-from knnmlc.data import load_jsonl
+from knnmlc.data import DatasetConfig, load_jsonl
+from knnmlc.encoder import EncoderConfig
+from knnmlc.inference import InferenceConfig
+from knnmlc.training import TrainConfig
 
 SMALL_CONFIG = {
     "dataset": {
@@ -201,7 +205,60 @@ class TestEvalEdgeCases:
         assert code == EXIT_FORMAT
 
 
+# values of another kind for a setting of each annotated kind, and the kind
+# the error names
+WRONG_KINDS = {"int": [2.5, True, "2"], "float": [True, "0.5"], "str": [1]}
+KIND_NAMES = {"int": "an integer", "float": "a finite number", "str": "a string"}
+
+
+def wrong_kind_cases():
+    """One case per settable field of the four config classes and wrong kind;
+    the encoder's input_dim and num_classes come from the data."""
+    classes = {"dataset": DatasetConfig, "encoder": EncoderConfig, "train": TrainConfig, "inference": InferenceConfig}
+    for section, cls in classes.items():
+        for f in dataclasses.fields(cls):
+            if section == "encoder" and f.name in ("input_dim", "num_classes"):
+                continue
+            for value in WRONG_KINDS[f.type]:
+                case_id = f"{section}.{f.name}={json.dumps(value)}"
+                yield pytest.param(section, f.name, KIND_NAMES[f.type], value, id=case_id)
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("section,key,kind,value", list(wrong_kind_cases()))
+    def test_a_setting_of_the_wrong_kind_fails_before_the_data_is_read(self, tmp_path, capsys, section, key, kind,
+                                                                         value):
+        # the data directory does not exist: the config error must come first
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        code = main(["--config", str(path), "train", "--data", str(tmp_path / "no_data"), "--out", str(tmp_path / "m")])
+        assert code == EXIT_FORMAT
+        assert f":{section}: {key} must be {kind}, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("input_dim", 40.0), ("hidden_dim", 10.0), ("embed_dim", 12.0), ("num_classes", 6.0),
+         ("dropout_rate", "0.1"), ("init_seed", 2.9)],
+    )
+    def test_a_checkpoint_value_of_the_wrong_kind_exit_code(self, pipeline_artifacts, tmp_path, capsys, field, value):
+        # nothing is rounded or converted: 12.0 is not the integer 12
+        a = pipeline_artifacts
+        payload = json.loads((a["run"] / "model.json").read_text())
+        if field in payload["dims"]:
+            payload["dims"][field] = value
+        else:
+            payload[field] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "p.jsonl"
+        code = main([
+            "--config", a["config"], "predict", "--checkpoint", str(model), "--store", str(a["store"]),
+            "--test-file", str(a["data"] / "test.jsonl"), "--out", str(out),
+        ])
+        assert code == EXIT_FORMAT
+        assert f"malformed checkpoint ({field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_code(self, workspace):
         root, config = workspace
         code = main([

@@ -151,9 +151,10 @@ def ref_generate(cfg):
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_generator_matches_the_per_sample_reference(overrides, seed):
     cfg = small_cfg(**{**overrides, "seed": seed})
+    # the same features, with keys in ascending index order (as saved)
     for got, want in zip(generate_synthetic(cfg), ref_generate(cfg)):
         assert got == want
-        assert [list(s.features) for s in got] == [list(s.features) for s in want]
+        assert [list(s.features) for s in got] == [sorted(s.features) for s in want]
 
 
 class TestJsonl:

@@ -24,6 +24,7 @@ import logging
 import os
 import threading
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -658,3 +659,34 @@ def test_library_calls_give_the_same_bits_for_the_packed_split(tmp_path):
     got = predict_batch(state, store, packed["test"], InferenceConfig(k=5))
     for field in ("y_clf", "y_knn", "lam", "y_final", "neighbor_indices", "neighbor_sims"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+DEFAULT_CONFIG = json.loads((Path(__file__).resolve().parent.parent / "configs" / "default.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"num_classes": 48, "num_clusters": 16, "vocab_size": 2000, "train_size": 3000}],
+    ids=["default", "vocab-2000"],
+)
+def test_an_in_memory_split_packs_to_the_arrays_of_its_file(tmp_path, overrides):
+    # the generator's samples hold their features in the order the file
+    # lists them, so a library run on the samples and a CLI run on the files
+    # pack the same CSR arrays and train the same bits
+    cfg = data.DatasetConfig(**{**DEFAULT_CONFIG["dataset"], **overrides, "valid_size": 200, "test_size": 1, "seed": 1})
+    splits = data.generate_synthetic(cfg)[:2]
+    from_files = []
+    for name, split in zip(("train", "valid"), splits):
+        path = tmp_path / f"{name}.jsonl"
+        data.save_jsonl(split, path, cfg.num_classes, cfg.vocab_size)
+        from_files.append(load_packed(path)[0])
+        assert_same_packed(pack_samples(split, cfg.vocab_size), from_files[-1])
+
+    enc = EncoderConfig(cfg.vocab_size, num_classes=cfg.num_classes, **DEFAULT_CONFIG["encoder"])
+    train_cfg = TrainConfig(**{**DEFAULT_CONFIG["train"], "max_iters": 30, "eval_every": 10})
+    runs = [Trainer(*inputs, init_state(enc, seed=train_cfg.seed), train_cfg) for inputs in (splits, from_files)]
+    for trainer in runs:
+        trainer.run()
+    assert runs[0].history == runs[1].history
+    for (name, a), (_, b) in zip(runs[0].state.param_items(), runs[1].state.param_items()):
+        assert a.tobytes() == b.tobytes(), name

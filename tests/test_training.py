@@ -250,6 +250,46 @@ class TestTrainer:
         with pytest.raises(CheckpointError, match="unsupported version 1"):
             Trainer.load_checkpoint(path, train_s, valid_s)
 
+    def test_version_2_checkpoint_rejected(self, tmp_path):
+        # version 2 held the adam_beta1, adam_beta2 and adam_eps train fields
+        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
+        payload["version"] = 2
+        payload["config"].update(adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="unsupported version 2"):
+            Trainer.load_checkpoint(path, train_s, valid_s)
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("config batch_size 8.5", "batch_size must be an integer"),
+            ("iteration 3.5", "iteration must be an integer"),
+            ("cursor true", "cursor must be an integer"),
+            ("adam step 2.0", "step must be an integer"),
+            ("best micro_f1 text", "best micro_f1 must be a finite number"),
+            ("order of floats", "order must hold integers"),
+        ],
+    )
+    def test_a_value_of_the_wrong_kind_is_rejected_at_load(self, tmp_path, case, message):
+        # nothing is rounded or converted, so a bad value fails here and not
+        # later in run()
+        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
+        if case == "config batch_size 8.5":
+            payload["config"]["batch_size"] = 8.5
+        elif case == "iteration 3.5":
+            payload["iteration"] = 3.5
+        elif case == "cursor true":
+            payload["cursor"] = True
+        elif case == "adam step 2.0":
+            payload["adam"]["step"] = 2.0
+        elif case == "best micro_f1 text":
+            payload["best"]["micro_f1"] = "0.5"
+        else:
+            payload["order"] = [float(i) for i in payload["order"]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"trainer.json: malformed trainer checkpoint.*{message}"):
+            Trainer.load_checkpoint(path, train_s, valid_s)
+
     @pytest.mark.parametrize("case", ["no adam", "unknown config key", "iteration not a number", "misshapen moment"])
     def test_malformed_checkpoint_raises_checkpoint_error(self, tmp_path, case):
         payload, path, train_s, valid_s = self._saved_payload(tmp_path)
@@ -295,6 +335,13 @@ class TestTrainer:
         assert trainer.iteration == 3 and trainer.adam.step == 3
         for name, arr in trainer.state.param_items():
             np.testing.assert_array_equal(arr, before[name])
+
+    def test_a_library_config_of_the_wrong_kind_fails_in_validate(self):
+        (train_s, valid_s, _), dcfg = tiny_data()
+        with pytest.raises(TypeError, match="batch_size must be an integer, got 32.5"):
+            Trainer(train_s, valid_s, init_state(tiny_encoder_cfg(dcfg), seed=0), TrainConfig(batch_size=32.5))
+        with pytest.raises(TypeError, match="hidden_dim must be an integer, got 2.7"):
+            EncoderConfig(30, 2.7, 4, 6).validate()
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
