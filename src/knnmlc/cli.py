@@ -31,9 +31,8 @@ from .data import (
     DataFormatError,
     DatasetConfig,
     frequency_groups,
-    generate_synthetic,
     load_packed,
-    save_jsonl,
+    save_synthetic,
 )
 from .encoder import CheckpointError, EncoderConfig, init_state, load_checkpoint, save_checkpoint
 from .gradcheck import duplicated_views, gradient_check, run_gradcheck_suite
@@ -175,14 +174,9 @@ def cmd_gen_data(args) -> int:
         dataset_cfg.seed = args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, valid, test = generate_synthetic(dataset_cfg)
-    artifacts = {}
-    for name, samples in (("train", train), ("valid", valid), ("test", test)):
-        path = out_dir / f"{name}.jsonl"
-        save_jsonl(samples, path, dataset_cfg.num_classes, dataset_cfg.vocab_size)
-        artifacts[name] = path
+    artifacts = save_synthetic(dataset_cfg, out_dir)
     write_manifest(out_dir, "gen-data", _config_snapshot(dataset_cfg), dataset_cfg.seed, artifacts)
-    print(f"wrote {len(train)}/{len(valid)}/{len(test)} samples to {out_dir}")
+    print(f"wrote {dataset_cfg.train_size}/{dataset_cfg.valid_size}/{dataset_cfg.test_size} samples to {out_dir}")
     return EXIT_OK
 
 

@@ -1,6 +1,16 @@
 """Synthetic multi-label dataset generation, JSONL persistence, and
 label-frequency grouping.
 
+The generator's draws are numpy ``Generator.random`` and ``Generator.integers``
+calls on a seeded PCG64 stream (two or three per token), but they are read
+from the bit generator's raw 64-bit words by ``_WordReader``, which fetches a
+few thousand words at a time and reproduces numpy's arithmetic on them: a
+float is ``(word >> 11) * 2**-53`` and a bounded integer numpy's Lemire draw
+on 32-bit word halves. So a dataset's bytes depend on the PCG64 raw stream
+alone, which numpy keeps stable, and not on how ``Generator`` methods are
+implemented. ``generate_synthetic`` returns the splits as ``Sample`` lists;
+``save_synthetic`` writes each record line straight from the draw.
+
 Dataset file format (one JSON document per line):
 
     {"num_classes": C, "vocab_size": V}          <- header, first line
@@ -25,6 +35,7 @@ Deleting the copy is always safe; the next read parses and writes it again.
 """
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 import functools
@@ -36,7 +47,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 
 import numpy as np
 
@@ -56,6 +67,7 @@ __all__ = [
     "load_packed",
     "pack_samples",
     "save_jsonl",
+    "save_synthetic",
 ]
 
 
@@ -299,61 +311,169 @@ def _cluster_draws(cfg: DatasetConfig, layout):
     return clusters
 
 
-def _draw_sample(cfg, rng, clusters, cdf, sample_id: str) -> Sample:
-    # the draw rng.choice(num_clusters, p=priors) makes, from the same cdf and stream
-    in_labels, out_labels, add_p, own, shared = clusters[int(cdf.searchsorted(rng.random(), side="right"))]
+# raw words fetched per random_raw call: a few thousand amortize the call and
+# the tolist, and one block is all the reader holds
+_WORD_BLOCK = 4096
 
-    labels = np.zeros(cfg.num_classes, dtype=np.int8)
-    labels[in_labels] = (rng.random(len(in_labels)) >= cfg.label_noise).astype(np.int8)
-    if out_labels.size:
-        labels[out_labels] = (rng.random(out_labels.size) < add_p).astype(np.int8)
-    if labels.sum() == 0:
-        labels[in_labels[0]] = 1
 
-    features: dict[int, float] = {}
-    for _ in range(cfg.tokens_per_sample):
-        r = rng.random()
-        if r < cfg.feature_noise:
-            idx = int(rng.integers(cfg.vocab_size))
-        elif rng.random() < cfg.shared_feature_frac:
-            idx = int(shared[rng.integers(shared.size)])
-        else:
-            idx = int(own[rng.integers(own.size)])
-        features[idx] = features.get(idx, 0.0) + 1.0
-    # in ascending index order, as save_jsonl writes them: a split packs to the
-    # same CSR arrays in memory as from its file, so both give the same bits
-    return Sample(features=dict(sorted(features.items())), labels=labels, sample_id=sample_id)
+class _WordReader:
+    """The draws ``Generator.random`` and ``Generator.integers`` make, read from
+    the raw 64-bit words of the generator's PCG64 bit generator.
+
+    ``words`` is the raw stream as Python ints, fetched ``block`` words at a
+    time with ``random_raw``. ``random()`` is ``(word >> 11) * 2**-53`` and
+    ``random(k)`` k such words, as numpy computes them. ``integers(n)`` is
+    numpy's Lemire draw on 32-bit halves (see ``integers``). Together they
+    give numpy's values for any interleaving of these calls, while the
+    generator itself has moved on by whole blocks: draw only from the reader
+    once it is made.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int = _WORD_BLOCK):
+        bitgen = rng.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"the word reader needs a PCG64 generator, got {type(bitgen).__name__}")
+        state = bitgen.state
+        # numpy's 32-bit draws keep the high half of a word for the next one
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self.words = chain.from_iterable(map(np.ndarray.tolist, map(bitgen.random_raw, repeat(block))))
+
+    def random(self, k: int | None = None):
+        """``Generator.random()`` as a float, or ``Generator.random(k)`` as a list."""
+        if k is None:
+            return (next(self.words) >> 11) * 2**-53
+        return [(word >> 11) * 2**-53 for word in islice(self.words, k)]
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(n)`` for 1 <= n <= 2**32 (ValueError otherwise).
+
+        Each try takes a 32-bit half u: the half kept from the last word split,
+        else the low half of a fresh word, whose high half is then kept (also
+        across ``random`` calls). u * n splits into a result (high 32 bits) and
+        a leftover (low 32 bits); a leftover below (2**32 - n) % n is rejected
+        and the next half tried, which makes every result equally likely
+        (Lemire 2019). n == 1 takes no half.
+        """
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
+        if n == 1:
+            return 0
+        threshold = ((1 << 32) - n) % n
+        while True:
+            if self._half is None:
+                word = next(self.words)
+                u, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                u, self._half = self._half, None
+            m = u * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+
+def _below(p: float) -> int:
+    """The raw-word bound of a probability p in [0, 1]: ``random() < p`` exactly
+    when the word is below it. (word >> 11) * 2**-53 < p holds exactly when
+    word >> 11 < ceil(p * 2**53), since p * 2**53 is exact."""
+    return math.ceil(p * 2**53) << 11
+
+
+def _splits(cfg: DatasetConfig):
+    return (("train", cfg.train_size), ("valid", cfg.valid_size), ("test", cfg.test_size))
+
+
+def _draw_records(cfg: DatasetConfig):
+    """Yield every sample of the train, valid and test splits, in that order,
+    as (sample id, features, positive labels): features map index -> count
+    in ascending index order, and the positive labels ascend.
+
+    The draws are the per-sample reference's (``tests/oracles.py``), read
+    through one ``_WordReader``: a cluster by the prior's cdf; a keep draw
+    per in-label and a leak draw per out-label; per token a noise draw, then
+    a uniform index over the vocabulary, or a block draw and a uniform index
+    into the pair's shared block or the cluster's own block.
+    """
+    reader = _WordReader(make_rng(cfg.seed))
+    words, integers = reader.words, reader.integers
+    layout = cluster_layout(cfg)
+    # the draw rng.choice(num_clusters, p=priors) makes, from the same cdf
+    cdf = layout[3].cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    clusters = [
+        (in_labels.tolist(), out_labels.tolist(), _below(add_p), own.tolist(), shared.tolist())
+        for in_labels, out_labels, add_p, own, shared in _cluster_draws(cfg, layout)
+    ]
+    keep, noise, shared_frac = _below(cfg.label_noise), _below(cfg.feature_noise), _below(cfg.shared_feature_frac)
+    vocab_size, tokens_per_sample = cfg.vocab_size, cfg.tokens_per_sample
+    for name, size in _splits(cfg):
+        for i in range(size):
+            in_labels, out_labels, leak, own, shared = clusters[bisect.bisect_right(cdf, reader.random())]
+            positives = [c for c, word in zip(in_labels, islice(words, len(in_labels))) if word >= keep]
+            positives += [c for c, word in zip(out_labels, islice(words, len(out_labels))) if word < leak]
+            positives.sort()
+            tokens = []
+            for _ in range(tokens_per_sample):
+                if next(words) < noise:
+                    tokens.append(integers(vocab_size))
+                elif next(words) < shared_frac:
+                    tokens.append(shared[integers(len(shared))])
+                else:
+                    tokens.append(own[integers(len(own))])
+            tokens.sort()
+            features: dict[int, float] = {}
+            for idx in tokens:
+                features[idx] = features.get(idx, 0.0) + 1.0
+            # a sample that lost every label keeps its cluster's core label
+            yield f"{name}-{i:05d}", features, positives or in_labels[:1]
 
 
 def generate_synthetic(cfg: DatasetConfig):
-    """Deterministically generate (train, valid, test) lists of Samples."""
-    cfg.validate()
-    rng = make_rng(cfg.seed)
-    layout = cluster_layout(cfg)
-    clusters = _cluster_draws(cfg, layout)
-    priors = layout[3]
-    cdf = priors.cumsum()
-    cdf /= cdf[-1]
+    """Deterministically generate (train, valid, test) lists of Samples.
 
+    Feature keys ascend, as ``save_jsonl`` writes them: a split packs to the
+    same CSR arrays in memory as from its file, so both give the same bits.
+    """
+    cfg.validate()
+    records = _draw_records(cfg)
     splits = []
-    for name, size in (("train", cfg.train_size), ("valid", cfg.valid_size), ("test", cfg.test_size)):
-        splits.append(
-            [_draw_sample(cfg, rng, clusters, cdf, f"{name}-{i:05d}") for i in range(size)]
-        )
+    for _, size in _splits(cfg):
+        split = []
+        for sample_id, features, positives in islice(records, size):
+            labels = np.zeros(cfg.num_classes, dtype=np.int8)
+            labels[positives] = 1
+            split.append(Sample(features=features, labels=labels, sample_id=sample_id))
+        splits.append(split)
     return tuple(splits)
+
+
+def save_synthetic(cfg: DatasetConfig, out_dir) -> dict[str, str]:
+    """Generate the dataset of ``cfg`` straight into ``train.jsonl``,
+    ``valid.jsonl`` and ``test.jsonl`` under ``out_dir``, creating no Sample:
+    the bytes ``save_jsonl`` writes for the splits of ``generate_synthetic``.
+    Returns the paths by split name."""
+    cfg.validate()
+    records = _draw_records(cfg)
+    paths = {}
+    for name, size in _splits(cfg):
+        paths[name] = os.path.join(out_dir, f"{name}.jsonl")
+        _write_records(paths[name], islice(records, size), cfg.num_classes, cfg.vocab_size)
+    return paths
 
 
 def save_jsonl(samples, path, num_classes: int, vocab_size: int) -> None:
     """Write header + one record per sample. Feature keys are sorted so the
     output is byte-stable for identical inputs."""
+    records = ((s.sample_id, s.features, s.positive_labels()) for s in samples)
+    _write_records(path, records, num_classes, vocab_size)
+
+
+def _write_records(path, records, num_classes: int, vocab_size: int) -> None:
+    """The one writer of dataset files: the header, then a line per
+    (sample id, features, positive labels) record, feature keys ascending."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"num_classes": int(num_classes), "vocab_size": int(vocab_size)}) + "\n")
-        for s in samples:
-            rec = {
-                "id": s.sample_id,
-                "features": {str(k): s.features[k] for k in sorted(s.features)},
-                "labels": s.positive_labels(),
-            }
+        for sample_id, features, positives in records:
+            rec = {"id": sample_id, "features": {str(k): features[k] for k in sorted(features)}, "labels": positives}
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -363,7 +483,7 @@ _CHUNK_LINES = 256
 # the version of the load rules below (_read_header, _check_record,
 # _pack_lines) and of the packed-copy layout: bump it whenever either changes,
 # so that a copy stands only for bytes that pass today's checks
-_READER_VERSION = 2
+_READER_VERSION = 3
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 _json_space = json.decoder.WHITESPACE.match
 
@@ -374,8 +494,9 @@ def _read_header(fh, path) -> tuple[int, int]:
         raise DataFormatError(f"{path}: missing header line")
     try:
         header = json.loads(header_line)
-        num_classes = int(header["num_classes"])
-        vocab_size = int(header["vocab_size"])
+        num_classes, vocab_size = header["num_classes"], header["vocab_size"]
+        check_kind("num_classes", num_classes, "int")
+        check_kind("vocab_size", vocab_size, "int")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: line 1: bad header ({exc})") from exc
     if num_classes < 1 or vocab_size < 1:
@@ -385,13 +506,20 @@ def _read_header(fh, path) -> tuple[int, int]:
 
 def _check_record(line: str, num_classes: int, vocab_size: int) -> None:
     """Raise the DataFormatError of a bad record line. Checks, in this order:
-    the record's shape and types, label bounds, feature bounds, one feature
-    index given twice."""
+    the record's shape and kinds (``check_kind``: a feature value is a finite
+    number that fits a float, labels are a list of integers), label bounds,
+    feature bounds, one feature index given twice."""
     try:
         rec = json.loads(line)
         raw = rec["features"]
+        for value in raw.values():
+            check_kind("a feature value", value, "float")
         features = {int(k): float(v) for k, v in raw.items()}
-        positives = [int(c) for c in rec["labels"]]
+        positives = rec["labels"]
+        if not isinstance(positives, list):
+            raise TypeError(f"labels must be a list, got {positives!r}")
+        for c in positives:
+            check_kind("a label", c, "int")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataFormatError(f"malformed record ({exc})") from exc
     for c in positives:
@@ -413,10 +541,12 @@ def _pack_lines(lines, num_classes: int, input_dim: int):
     explicit zero. None when any line is bad: the caller then finds it with
     ``_check_record``.
 
-    Each record only extends flat lists; the conversions, bounds and
+    Each record only extends flat lists; the kind, conversion, bounds and
     repeated-index checks then run once over the chunk, and each gives what
-    ``_check_record`` would (``int``, ``float``, iteration, ``len``), so a
-    chunk packs exactly when all of its lines pass.
+    ``_check_record`` would (JSON parses a number to an int or a float and
+    nothing else to either, and a bool is not one: values of type int or
+    float that convert to finite floats, labels in lists and of type int), so
+    a chunk packs exactly when all of its lines pass.
     """
     ids, counts, keys, values, label_counts, positives = [], [], [], [], [], []
     try:
@@ -433,13 +563,19 @@ def _pack_lines(lines, num_classes: int, input_dim: int):
             keys.extend(raw)
             counts.append(len(raw))
             labels = rec["labels"]
+            if type(labels) is not list:
+                return None
             label_counts.append(len(labels))
             positives.extend(labels)
             ids.append(str(rec.get("id", "")))
+        if not set(map(type, values)) <= {int, float} or not set(map(type, positives)) <= {int}:
+            return None
         keys = np.fromiter(map(int, keys), dtype=np.int64, count=len(keys))
-        values = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
-        positives = np.fromiter(map(int, positives), dtype=np.int64, count=len(positives))
+        values = np.fromiter(values, dtype=np.float64, count=len(values))
+        positives = np.fromiter(positives, dtype=np.int64, count=len(positives))
     except (StopIteration, KeyError, TypeError, ValueError, AttributeError, OverflowError):
+        return None
+    if not np.isfinite(values).all():
         return None
     # as unsigned, a negative index is larger than any valid one
     if positives.size and np.maximum.reduce(positives.view(np.uint64)) >= num_classes:

@@ -334,7 +334,9 @@ class Trainer:
     @classmethod
     def load_checkpoint(cls, path, train_samples, valid_samples) -> "Trainer":
         """The trainer ``save_checkpoint`` wrote, resuming exactly where it stopped.
-        A missing, misshapen or wrong-kind (``data.check_kind``) field raises CheckpointError."""
+        A missing, misshapen or wrong-kind (``data.check_kind``) field raises
+        CheckpointError, and so does an epoch order or cursor that does not fit
+        ``train_samples``."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -377,6 +379,15 @@ class Trainer:
                 raise
             raise CheckpointError(f"{path}: malformed trainer checkpoint ({exc!r})") from exc
         trainer = cls(train_samples, valid_samples, state, cfg)
+        # the epoch in progress must be one over this training set
+        n = len(trainer.train_set)
+        fits = order.ndim == 1 and order.size in (0, n) and 0 <= cursor <= order.size
+        if not fits or order.size and not np.array_equal(np.sort(order), np.arange(n)):
+            raise CheckpointError(
+                f"{path}: the saved epoch order of {order.size} rows (cursor {cursor}) does not fit the "
+                f"training set of {n} samples: it must be empty or a permutation of range({n}), "
+                "with 0 <= cursor <= its size"
+            )
         trainer.adam, trainer.rng, trainer.iteration, trainer.history = adam, rng, iteration, history
         trainer._order, trainer._cursor = order.astype(np.int64), cursor
         trainer._best_f1, trainer._best_iteration, trainer._best_state = best_f1, best_iteration, best_state

@@ -3,12 +3,14 @@
 Each one computes, for one pair or one sample, what the package computes for
 a whole batch at once; tests check the batched code against them.
 """
+import json
 import logging
 
 import numpy as np
 
-from knnmlc.data import PackedSamples, Sample, pack_samples
+from knnmlc.data import PackedSamples, Sample, _cluster_draws, cluster_layout, pack_samples
 from knnmlc.encoder import EncoderState, ForwardTrace, forward_rowwise
+from knnmlc.mathops import make_rng
 
 logger = logging.getLogger(__name__)
 
@@ -96,3 +98,57 @@ def column_gather(w_in: np.ndarray, batch: PackedSamples) -> np.ndarray:
     per row segment along axis 1."""
     columns = w_in[:, batch.indices] * batch.values
     return np.add.reduceat(columns, batch.indptr[:-1], axis=1).T
+
+
+def draw_sample(cfg, rng, clusters, cdf, sample_id: str) -> Sample:
+    """One synthetic sample by scalar ``Generator`` calls, two or three per
+    token: the stream ``data._draw_records`` reads from the raw words."""
+    # the draw rng.choice(num_clusters, p=priors) makes, from the same cdf and stream
+    in_labels, out_labels, add_p, own, shared = clusters[int(cdf.searchsorted(rng.random(), side="right"))]
+
+    labels = np.zeros(cfg.num_classes, dtype=np.int8)
+    labels[in_labels] = (rng.random(len(in_labels)) >= cfg.label_noise).astype(np.int8)
+    if out_labels.size:
+        labels[out_labels] = (rng.random(out_labels.size) < add_p).astype(np.int8)
+    if labels.sum() == 0:
+        labels[in_labels[0]] = 1
+
+    features: dict[int, float] = {}
+    for _ in range(cfg.tokens_per_sample):
+        r = rng.random()
+        if r < cfg.feature_noise:
+            idx = int(rng.integers(cfg.vocab_size))
+        elif rng.random() < cfg.shared_feature_frac:
+            idx = int(shared[rng.integers(shared.size)])
+        else:
+            idx = int(own[rng.integers(own.size)])
+        features[idx] = features.get(idx, 0.0) + 1.0
+    return Sample(features=dict(sorted(features.items())), labels=labels, sample_id=sample_id)
+
+
+def generate_synthetic(cfg):
+    """(train, valid, test) lists of ``draw_sample`` samples from one stream."""
+    cfg.validate()
+    rng = make_rng(cfg.seed)
+    layout = cluster_layout(cfg)
+    clusters = _cluster_draws(cfg, layout)
+    cdf = layout[3].cumsum()
+    cdf /= cdf[-1]
+    return tuple(
+        [draw_sample(cfg, rng, clusters, cdf, f"{name}-{i:05d}") for i in range(size)]
+        for name, size in (("train", cfg.train_size), ("valid", cfg.valid_size), ("test", cfg.test_size))
+    )
+
+
+def save_jsonl(samples, path, num_classes: int, vocab_size: int) -> None:
+    """A dataset file as ``json.dumps`` writes each record dict, feature keys
+    ascending."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"num_classes": int(num_classes), "vocab_size": int(vocab_size)}) + "\n")
+        for s in samples:
+            rec = {
+                "id": s.sample_id,
+                "features": {str(k): s.features[k] for k in sorted(s.features)},
+                "labels": [int(c) for c in np.flatnonzero(s.labels)],
+            }
+            fh.write(json.dumps(rec) + "\n")

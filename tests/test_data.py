@@ -1,19 +1,32 @@
 """Synthetic generator, JSONL persistence, frequency grouping."""
-import numpy as np
-import pytest
+import hashlib
+import json
+from pathlib import Path
 
+import numpy as np
+import oracles
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knnmlc.cli import EXIT_OK, main
 from knnmlc.data import (
     DataFormatError,
     DatasetConfig,
     Sample,
+    _below,
+    _WordReader,
     cluster_layout,
     frequency_groups,
     generate_synthetic,
     label_frequencies,
     load_jsonl,
     save_jsonl,
+    save_synthetic,
 )
 from knnmlc.mathops import make_rng
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def small_cfg(**kw):
@@ -132,22 +145,24 @@ def ref_generate(cfg):
     )
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {},
-        {"num_clusters": 1, "num_classes": 3},  # one cluster whose label set is every label
-        {"num_clusters": 1, "num_classes": 5},
-        {"label_noise": 0.0},
-        {"label_noise": 1.0},
-        {"feature_noise": 1.0},
-        {"feature_noise": 0.0},
-        {"shared_feature_frac": 0.0},
-        {"shared_feature_frac": 1.0},
-        {"cluster_skew": 1.0, "num_clusters": 5, "num_classes": 9},
-        {"num_classes": 48, "num_clusters": 16, "vocab_size": 2000},
-    ],
-)
+GENERATOR_CONFIGS = [
+    {},
+    {"num_clusters": 1, "num_classes": 3},  # one cluster whose label set is every label
+    {"num_clusters": 1, "num_classes": 5},
+    {"label_noise": 0.0},
+    {"label_noise": 1.0},
+    {"feature_noise": 1.0},
+    {"feature_noise": 0.0},
+    {"shared_feature_frac": 0.0},
+    {"shared_feature_frac": 1.0},
+    {"cluster_skew": 1.0, "num_clusters": 5, "num_classes": 9},
+    {"num_classes": 48, "num_clusters": 16, "vocab_size": 2000},
+    # every token block holds one index, so each block draw is integers(1)
+    {"num_classes": 18, "num_clusters": 12, "vocab_size": 18, "cluster_skew": 1.0},
+]
+
+
+@pytest.mark.parametrize("overrides", GENERATOR_CONFIGS)
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_generator_matches_the_per_sample_reference(overrides, seed):
     cfg = small_cfg(**{**overrides, "seed": seed})
@@ -155,6 +170,84 @@ def test_generator_matches_the_per_sample_reference(overrides, seed):
     for got, want in zip(generate_synthetic(cfg), ref_generate(cfg)):
         assert got == want
         assert [list(s.features) for s in got] == [sorted(s.features) for s in want]
+
+
+def test_the_tight_vocab_config_has_one_index_blocks():
+    _, own_blocks, pair_blocks, _ = cluster_layout(small_cfg(**GENERATOR_CONFIGS[-1]))
+    assert {b.size for b in own_blocks} == {b.size for b in pair_blocks} == {1}
+
+
+@pytest.mark.parametrize("overrides", GENERATOR_CONFIGS)
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_save_synthetic_writes_the_bytes_of_the_scalar_draws(tmp_path, overrides, seed):
+    cfg = small_cfg(**{**overrides, "seed": seed})
+    paths = save_synthetic(cfg, tmp_path)
+    for (name, path), split in zip(paths.items(), oracles.generate_synthetic(cfg)):
+        ref = tmp_path / f"{name}.ref"
+        oracles.save_jsonl(split, ref, cfg.num_classes, cfg.vocab_size)
+        assert Path(path).read_bytes() == ref.read_bytes(), name
+
+
+# SHA-256 of gen-data's files for configs/default.json at seed 1, as written by
+# scalar Generator calls: the bytes stay pinned whatever numpy's Generator does
+DEFAULT_SEED1_SHA256 = {
+    "train": "4233b1a1934908078bd21ed8951c0ede5c0f3f5a3dc553d4c6e236bedc357de7",
+    "valid": "f102762136d8b9b861689f0b4b0168b3178f2cdc0bbc375d22822fb5165e3334",
+    "test": "50e33830cf102ecb29e1f7ae3e1b1c6bcb79ba1b5edd870a092b039493f0844d",
+}
+
+
+def test_gen_data_bytes_are_pinned(tmp_path):
+    argv = ["--config", str(REPO / "configs" / "default.json"), "--seed", "1", "gen-data", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    digests = {name: hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest() for name in DEFAULT_SEED1_SHA256}
+    assert digests == DEFAULT_SEED1_SHA256
+
+
+WORD_READER_RANGES = [1, 2, 7, 2000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+WORD_READER_CALLS = st.one_of(
+    st.just(("random", None)),
+    st.tuples(st.just("random"), st.integers(0, 50)),
+    st.tuples(st.just("integers"), st.sampled_from(WORD_READER_RANGES)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    block=st.sampled_from([1, 2, 3, 4096]),
+    kept_half=st.booleans(),
+    calls=st.lists(WORD_READER_CALLS, max_size=80),
+)
+def test_word_reader_gives_numpys_draws(seed, block, kept_half, calls):
+    rng, source = make_rng(seed), make_rng(seed)
+    if kept_half:  # a 32-bit draw leaves the high half of its word kept
+        assert rng.integers(7) == source.integers(7)
+    reader = _WordReader(source, block=block)
+    for method, arg in calls:
+        if method == "random":
+            want = rng.random() if arg is None else rng.random(arg).tolist()
+            assert reader.random(arg) == want
+        else:
+            assert reader.integers(arg) == rng.integers(arg)
+
+
+def test_word_reader_rejects_what_it_cannot_read():
+    reader = _WordReader(make_rng(0))
+    for n in (0, 2**32 + 1):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            reader.integers(n)
+    with pytest.raises(TypeError, match="PCG64"):
+        _WordReader(np.random.Generator(np.random.MT19937(0)))
+
+
+@given(p=st.floats(0.0, 1.0), word=st.integers(0, 2**64 - 1))
+def test_a_word_is_below_the_bound_exactly_when_its_draw_is(p, word):
+    bound = _below(p)
+    # the words next to the bound, and an arbitrary one
+    for w in (word, bound - 1, bound, bound + 2047):
+        if 0 <= w < 2**64:
+            assert (w < bound) == ((w >> 11) * 2**-53 < p)
 
 
 class TestJsonl:

@@ -3,8 +3,11 @@
 ``ref_load_jsonl`` below is the reader the package used before a dataset
 file was read in chunks straight into CSR arrays: one ``json.loads``, one
 int -> float dict and one label array per line. It is kept here as the
-oracle, with the one rule added since: a feature index given twice in one
-record (``"3"`` and ``"03"``) is an error, checked after the bounds. For any
+oracle, with the rules added since: a feature index given twice in one
+record (``"3"`` and ``"03"``) is an error, checked after the bounds, and the
+header sizes, labels and feature values follow the kind rule of
+``data.check_kind`` (an integer, an integer, a finite number; never a bool),
+with labels in a list. For any
 file the new readers must give the oracle's samples (``load_jsonl``), the
 oracle's samples packed (``load_packed``), or the oracle's error, message
 and line included, whatever the chunk size.
@@ -22,6 +25,7 @@ import io
 import json
 import logging
 import os
+import re
 import threading
 import zipfile
 from pathlib import Path
@@ -33,7 +37,7 @@ from hypothesis import strategies as st
 
 from knnmlc import data
 from knnmlc.cli import EXIT_FORMAT, EXIT_OK, main
-from knnmlc.data import DataFormatError, PackedSamples, Sample, load_jsonl, load_packed, pack_samples
+from knnmlc.data import DataFormatError, PackedSamples, Sample, check_kind, load_jsonl, load_packed, pack_samples
 from knnmlc.datastore import build
 from knnmlc.encoder import EncoderConfig, init_state
 from knnmlc.inference import InferenceConfig, predict_batch
@@ -52,8 +56,9 @@ def ref_load_jsonl(path):
             raise DataFormatError(f"{path}: missing header line")
         try:
             header = json.loads(header_line)
-            num_classes = int(header["num_classes"])
-            vocab_size = int(header["vocab_size"])
+            num_classes, vocab_size = header["num_classes"], header["vocab_size"]
+            check_kind("num_classes", num_classes, "int")
+            check_kind("vocab_size", vocab_size, "int")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: line 1: bad header ({exc})") from exc
 
@@ -63,10 +68,16 @@ def ref_load_jsonl(path):
                 continue
             try:
                 rec = json.loads(line)
+                for value in rec["features"].values():
+                    check_kind("a feature value", value, "float")
                 features = {int(k): float(v) for k, v in rec["features"].items()}
-                positives = [int(c) for c in rec["labels"]]
+                positives = rec["labels"]
+                if not isinstance(positives, list):
+                    raise TypeError(f"labels must be a list, got {positives!r}")
+                for c in positives:
+                    check_kind("a label", c, "int")
                 sample_id = str(rec.get("id", ""))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
                 raise DataFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
             labels = np.zeros(num_classes, dtype=np.int8)
             for c in positives:
@@ -94,20 +105,18 @@ def ref_load_jsonl(path):
 canonical_keys = st.integers(0, VOCAB - 1).map(str)
 good_keys = st.one_of(canonical_keys, canonical_keys, canonical_keys, st.sampled_from(["01", "+1", " 2", "3 ", "1_0"]))
 bad_keys = st.sampled_from(["-1", "12", "99", "x", "", "1.5"])
-good_values = st.one_of(
-    st.integers(-3, 3),
-    st.floats(allow_nan=False, allow_infinity=False, width=64),
-    st.booleans(),
-    st.sampled_from(["2.5", "1e3", " 4 ", "nan", "inf"]),
+good_values = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False, width=64))
+# not a finite number: strings (even of numbers), bools, null, lists, NaN and +-inf
+bad_values = st.sampled_from(
+    ["x", "", None, [1], True, False, "2.5", "1e3", " 4 ", "nan", "inf", float("nan"), float("inf"), float("-inf")]
 )
-bad_values = st.sampled_from(["x", "", None, [1]])
-good_labels = st.one_of(
-    st.lists(st.integers(0, NUM_CLASSES - 1), max_size=6),  # repeats allowed
-    st.sampled_from(["12", {"0": 1}, [True, 2.7, "3"]]),
-)
+good_labels = st.lists(st.integers(0, NUM_CLASSES - 1), max_size=6)  # repeats allowed
 bad_labels = st.one_of(
-    st.lists(st.one_of(st.integers(-2, NUM_CLASSES + 1), st.sampled_from(["a", None, 1.5])), min_size=1, max_size=4),
-    st.sampled_from([3, None]),
+    st.lists(
+        st.one_of(st.integers(-2, NUM_CLASSES + 1), st.sampled_from(["a", "3", None, 1.5, 2.7, 2.0, True])),
+        min_size=1, max_size=4,
+    ),
+    st.sampled_from([3, None, "12", "", {"0": 1}, {}, [True, 2.7, "3"]]),
 )
 ids = st.one_of(
     st.text(max_size=6), st.integers(0, 9), st.none(), st.sampled_from(["\x00", "a\x00b", "\ud800", "x\udfffy"])
@@ -270,6 +279,28 @@ def test_one_index_given_twice_is_an_error_naming_its_line(tmp_path):
     assert not copy_of(path).exists()
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ('{"features": {"1": 1.0}, "labels": [2.7]}', "a label must be an integer, got 2.7"),
+        ('{"features": {"1": 1.0}, "labels": [true]}', "a label must be an integer, got True"),
+        ('{"features": {"1": 1.0}, "labels": "12"}', "labels must be a list, got '12'"),
+        ('{"features": {"1": "2.5"}, "labels": [0]}', "a feature value must be a finite number, got '2.5'"),
+        ('{"features": {"1": NaN}, "labels": [0]}', "a feature value must be a finite number, got nan"),
+        ('{"features": {"1": 1e400}, "labels": [0]}', "a feature value must be a finite number, got inf"),
+        ('{"features": {"1": false}, "labels": [0]}', "a feature value must be a finite number, got False"),
+    ],
+)
+def test_a_value_of_the_wrong_kind_is_an_error_naming_its_line(tmp_path, record, message):
+    # nothing is converted: a label 2.7 is not label 2, nor a value "2.5" 2.5
+    path = tmp_path / "kind.jsonl"
+    write_file(path, ['{"features": {"1": 1.0}, "labels": [0]}', record])
+    for reader in (load_packed, load_jsonl):
+        with pytest.raises(DataFormatError, match=rf"line 3: malformed record \({re.escape(message)}\)"):
+            reader(path)
+    assert not copy_of(path).exists()
+
+
 def test_a_value_too_large_for_a_float_is_a_format_error(tmp_path):
     path = tmp_path / "big.jsonl"
     write_file(path, ['{"features": {"1": 1' + "0" * 400 + '}, "labels": [0]}'])
@@ -279,7 +310,16 @@ def test_a_value_too_large_for_a_float_is_a_format_error(tmp_path):
     assert not copy_of(path).exists()
 
 
-@pytest.mark.parametrize("header", ['{"num_classes": 0, "vocab_size": 4}', '{"num_classes": 3, "vocab_size": -1}'])
+@pytest.mark.parametrize(
+    "header",
+    [
+        '{"num_classes": 0, "vocab_size": 4}',
+        '{"num_classes": 3, "vocab_size": -1}',
+        '{"num_classes": 6.9, "vocab_size": 4}',
+        '{"num_classes": 3, "vocab_size": true}',
+        '{"num_classes": "3", "vocab_size": 4}',
+    ],
+)
 def test_header_dimensions_must_be_positive(tmp_path, header):
     path = tmp_path / "h.jsonl"
     path.write_text(header + "\n")
@@ -291,10 +331,10 @@ def test_header_dimensions_must_be_positive(tmp_path, header):
 # -- the packed copy -------------------------------------------------------------
 
 COPY_LINES = [
-    '{"id": "a", "features": {"3": 2.0, "0": "nan"}, "labels": [1, 4]}',
+    '{"id": "a", "features": {"3": 2.0, "0": -0.0}, "labels": [1, 4]}',
     '{"id": "nul\\u0000id", "features": {}, "labels": []}',
     '{"id": "lone \\ud800 surrogate", "features": {"11": -1.5e300, "5": 1}, "labels": [0, 0]}',
-    '{"features": {"7": "-inf"}, "labels": [2]}',
+    '{"features": {"7": 5e-324}, "labels": [2]}',
 ]
 BOTH_SPLITS = pytest.mark.parametrize("split", [COPY_LINES, []], indirect=True, ids=["records", "header only"])
 
@@ -318,7 +358,7 @@ def copy_arrays(path):
 def test_the_copy_holds_what_the_parse_gave(split):
     path, parsed, blob, parses = split
     packed = parsed[0]
-    assert np.isnan(packed.values[1]) and packed.indptr.tolist() == [0, 2, 3, 5, 6]
+    assert np.signbit(packed.values[1]) and packed.values[-1] == 5e-324 and packed.indptr.tolist() == [0, 2, 3, 5, 6]
     assert packed.ids.tolist() == ["a", "nul\x00id", "lone \ud800 surrogate", ""]
     arrays = copy_arrays(path)
     assert arrays["version"] == data._READER_VERSION
@@ -587,7 +627,6 @@ def test_cli_pipeline_creates_no_sample(tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY_CONFIG))
     d = tmp_path / "data"
-    assert main(["--config", str(config), "gen-data", "--out", str(d)]) == EXIT_OK
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a Sample was created")
@@ -597,6 +636,7 @@ def test_cli_pipeline_creates_no_sample(tmp_path, monkeypatch):
     store = tmp_path / "store.bin"
     preds = tmp_path / "preds.jsonl"
     steps = [
+        ["gen-data", "--out", str(d)],
         ["train", "--data", str(d), "--out", str(model.parent)],
         ["build-store", "--checkpoint", str(model), "--train-file", str(d / "train.jsonl"), "--out", str(store)],
         ["predict", "--checkpoint", str(model), "--store", str(store), "--test-file", str(d / "test.jsonl"),

@@ -290,6 +290,46 @@ class TestTrainer:
         with pytest.raises(CheckpointError, match=f"trainer.json: malformed trainer checkpoint.*{message}"):
             Trainer.load_checkpoint(path, train_s, valid_s)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["fewer samples", "more samples", "a repeated row", "a nested order", "cursor past the order", "negative cursor",
+         "cursor on an empty order"],
+    )
+    def test_an_epoch_that_does_not_fit_the_training_set_is_rejected_at_load(self, tmp_path, case):
+        # a resume on other samples fails here, naming both sizes, and not
+        # later with an IndexError inside PackedSamples.take
+        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
+        n = len(train_s)
+        assert sorted(payload["order"]) == list(range(n)) and payload["cursor"] == 16
+        size = n
+        if case == "fewer samples":
+            train_s = train_s[:40]
+            size = 40
+        elif case == "more samples":
+            train_s = train_s + train_s[:1]
+            size = n + 1
+        elif case == "a repeated row":
+            payload["order"][0] = payload["order"][1]
+        elif case == "a nested order":
+            payload["order"] = [payload["order"]]
+        elif case == "cursor past the order":
+            payload["cursor"] = n + 1
+        elif case == "negative cursor":
+            payload["cursor"] = -1
+        else:
+            payload["order"], payload["cursor"] = [], 8
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=rf"trainer.json: the saved epoch order of \d+ rows .* training set of {size} samples"):
+            Trainer.load_checkpoint(path, train_s, valid_s)
+
+    def test_an_empty_epoch_order_resumes(self, tmp_path):
+        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
+        payload["order"], payload["cursor"] = [], 0
+        path.write_text(json.dumps(payload))
+        trainer = Trainer.load_checkpoint(path, train_s, valid_s)
+        trainer.run(num_iters=1)
+        assert trainer.iteration == 3
+
     @pytest.mark.parametrize("case", ["no adam", "unknown config key", "iteration not a number", "misshapen moment"])
     def test_malformed_checkpoint_raises_checkpoint_error(self, tmp_path, case):
         payload, path, train_s, valid_s = self._saved_payload(tmp_path)
