@@ -9,7 +9,6 @@ has something to add over a plain classifier.
 """
 import collections
 import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -19,16 +18,33 @@ from knnmlc.data import (
     frequency_groups,
     generate_synthetic,
     label_frequencies,
-    load_jsonl,
-    save_jsonl,
+    load_packed,
+    save_synthetic,
 )
 
-# --- generate the default dataset -----------------------------------------
+# --- generate the default dataset, as gen-data writes it ----------------------
 
 cfg = DatasetConfig(seed=0)
-train, valid, test = generate_synthetic(cfg)
-print(f"splits: {len(train)} train / {len(valid)} valid / {len(test)} test")
+with tempfile.TemporaryDirectory() as tmp:
+    paths = save_synthetic(cfg, tmp)
+    with open(paths["train"], encoding="utf-8") as fh:
+        first_two = [fh.readline().rstrip("\n") for _ in range(2)]
+    print("file format (header line, then one record per sample):")
+    for line in first_two:
+        print(" ", line[:100] + ("..." if len(line) > 100 else ""))
+    # every split is read into CSR arrays (a PackedSamples); the first read
+    # parses the file and keeps a packed copy beside it for the next one
+    train, valid, test = (load_packed(paths[name])[0] for name in ("train", "valid", "test"))
+print(f"\nsplits: {len(train)} train / {len(valid)} valid / {len(test)} test")
 print(f"classes: {cfg.num_classes}, clusters: {cfg.num_clusters}, vocab: {cfg.vocab_size}")
+in_memory = generate_synthetic(cfg)[0]
+fields = ("indptr", "indices", "values", "labels", "ids")
+same = all(np.array_equal(getattr(in_memory, f), getattr(train, f)) for f in fields)
+print(f"generate_synthetic gives the same arrays in memory: {same}")
+
+first = train[0]  # one sample is a batch of one: views of row 0 of each array
+print(f"sample {first.ids[0]}: features {dict(zip(first.indices.tolist(), first.values.tolist()))}, "
+      f"labels {np.flatnonzero(first.labels[0]).tolist()}")
 
 label_sets, own_blocks, pair_blocks, priors = cluster_layout(cfg)
 print("\ncluster label sets (first label of each pair is the shared core):")
@@ -37,8 +53,8 @@ for g, ls in enumerate(label_sets):
 
 # --- label statistics -------------------------------------------------------
 
-counts = [int(s.labels.sum()) for s in train]
-print(f"\npositives per sample: mean {np.mean(counts):.2f}, min {min(counts)}, max {max(counts)}")
+counts = train.labels.sum(axis=1)
+print(f"\npositives per sample: mean {counts.mean():.2f}, min {counts.min()}, max {counts.max()}")
 print("  (every sample has at least one positive label by construction)")
 
 freqs = label_frequencies(train)
@@ -57,15 +73,3 @@ for g in sorted(by_group):
 
 # explicit boundaries are also supported, e.g. the classic >4500 / >1700 / >870 split
 # for corpus-scale frequency tables: frequency_groups(train, thresholds=[4500, 1700, 870])
-
-# --- the file format ---------------------------------------------------------
-
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "train.jsonl"
-    save_jsonl(train, path, cfg.num_classes, cfg.vocab_size)
-    first_two = path.read_text().splitlines()[:2]
-    print("\nfile format (header line, then one record per sample):")
-    for line in first_two:
-        print(" ", line[:100] + ("..." if len(line) > 100 else ""))
-    reloaded, C, V = load_jsonl(path)
-    print(f"round trip: {len(reloaded)} samples back, equal to originals: {reloaded == train}")

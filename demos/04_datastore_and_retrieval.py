@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from knnmlc.data import DatasetConfig, generate_synthetic, pack_samples
+from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc.datastore import build, load, retrieve_topk, save
 from knnmlc.encoder import EncoderConfig, forward_rowwise, init_state
 from knnmlc.training import TrainConfig, Trainer
@@ -37,10 +37,10 @@ print(f"20% store: {fifth.count} entries, prefix of the full store: "
 # --- retrieval ------------------------------------------------------------------
 
 # one block of queries: row i holds test sample i's neighbors as (indices, sims) arrays
-queries = forward_rowwise(state, pack_samples(test, state.config.input_dim)).embedding
+queries = forward_rowwise(state, test).embedding
 indices, sims = retrieve_topk(store, queries, k=8)
-query_sample = test[0]
-print(f"\nquery {query_sample.sample_id} with labels {query_sample.positive_labels()}")
+query_sample = test[0]  # a batch of one
+print(f"\nquery {query_sample.ids[0]} with labels {np.flatnonzero(query_sample.labels[0]).tolist()}")
 print("nearest neighbors (similarity, stored labels):")
 for index, sim in zip(indices[0], sims[0]):
     print(f"  #{index:<5} sim {sim:+.4f}  labels {np.flatnonzero(store.values[index]).tolist()}")

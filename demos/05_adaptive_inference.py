@@ -28,9 +28,9 @@ store = build(state, train)
 # --- one sample in detail --------------------------------------------------------
 
 cfg = InferenceConfig(k=30, tau2=0.05, gamma=0.7, mode="denn")
-sample = test[4]
+sample = test[4]  # a batch of one: the row's arrays, viewed
 bundle = predict(state, store, sample, cfg)
-print(f"sample {sample.sample_id}, gold labels {sample.positive_labels()}")
+print(f"sample {sample.ids[0]}, gold labels {np.flatnonzero(sample.labels[0]).tolist()}")
 print(f"  classifier probabilities: {np.round(bundle.y_clf, 3).tolist()}")
 print(f"  neighbor vote:            {np.round(bundle.y_knn, 3).tolist()}")
 print(f"  high-confidence labels (>= {cfg.gamma}): {np.flatnonzero(bundle.high_conf_mask).tolist()}")
@@ -50,7 +50,7 @@ print("  (a fixed mixing weight would treat all of these alike)")
 
 # --- mode comparison on the full test split ---------------------------------------
 
-gold = np.stack([s.labels for s in test])
+gold = test.labels
 print(f"\n{'mode':<18} {'micro-F1':>9} {'macro-F1':>9}")
 for mode in ("classifier_only", "knn_only", "fixed_lambda", "denn"):
     mode_cfg = InferenceConfig(k=30, tau2=0.05, gamma=0.7, mode=mode, fixed_lambda_value=0.5)

@@ -18,13 +18,13 @@ from knnmlc.training import TrainConfig, Trainer
 
 dcfg = DatasetConfig(train_size=1000, valid_size=250, test_size=250, seed=0)
 train, valid, test = generate_synthetic(dcfg)
-gold = np.stack([s.labels for s in test])
+gold = test.labels
 ecfg = EncoderConfig(input_dim=dcfg.vocab_size, hidden_dim=16, embed_dim=12, num_classes=dcfg.num_classes)
 
 
 def scores(state, store, **cfg_kw):
     cfg = InferenceConfig(**{"k": 20, "tau2": 0.05, "gamma": 0.7, **cfg_kw})
-    pred = np.stack([predict(state, store, s, cfg).decisions() for s in test])
+    pred = np.stack([predict(state, store, test[i], cfg).decisions() for i in range(len(test))])
     counts = confusion(gold, pred)
     return micro_prf(counts)[2], macro_prf(counts)[2]
 

@@ -8,22 +8,21 @@ combination (``inference``), and score with ``metrics``. ``gradcheck``
 validates every hand-derived gradient against finite differences, and ``cli``
 wraps the workflow in subcommands.
 
-The exported functions work on batches; a single sample is a batch of one.
-The scalar and per-sample reference versions that the tests check them
-against live in ``tests/oracles.py``, not in the package.
+Samples have one representation, the CSR arrays of ``PackedSamples``, and the
+exported functions work on batches of them: a single sample is a batch of
+one, ``split[i]``. The scalar and per-sample reference versions that the
+tests check them against live in ``tests/oracles.py``, not in the package.
 """
 
 from .data import (
     DataFormatError,
     DatasetConfig,
     PackedSamples,
-    Sample,
     frequency_groups,
     generate_synthetic,
     load_jsonl,
     load_packed,
     pack_samples,
-    save_jsonl,
 )
 from .datastore import Datastore, DatastoreFormatError, InvalidKeyError, NonFiniteQueryError, retrieve_topk
 from .encoder import (

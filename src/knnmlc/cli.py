@@ -158,10 +158,10 @@ def _load_matching_split(path: Path, num_classes: int, vocab_size: int, referenc
 
 def _load_training_splits(data_dir: Path):
     """(train, valid, num_classes, vocab_size) of a dataset directory; valid
-    is [] without a valid.jsonl, and must agree with train.jsonl's header."""
+    is None without a valid.jsonl, and must agree with train.jsonl's header."""
     train_path, valid_path = data_dir / "train.jsonl", data_dir / "valid.jsonl"
     train, num_classes, vocab_size = _load_split(train_path)
-    valid = _load_matching_split(valid_path, num_classes, vocab_size, train_path) if valid_path.exists() else []
+    valid = _load_matching_split(valid_path, num_classes, vocab_size, train_path) if valid_path.exists() else None
     return train, valid, num_classes, vocab_size
 
 
@@ -248,7 +248,7 @@ _PREDICT_CHUNK = 1024
 def _predict_chunks(state, store, samples, infer_cfg):
     """(chunk of a packed split, its PredictionBundle) over the rows in order."""
     for start in range(0, len(samples), _PREDICT_CHUNK):
-        chunk = samples.rows(start, min(start + _PREDICT_CHUNK, len(samples)))
+        chunk = samples[start : start + _PREDICT_CHUNK]
         yield chunk, predict_batch(state, store, chunk, infer_cfg)
 
 

@@ -8,7 +8,7 @@ few thousand words at a time and reproduces numpy's arithmetic on them: a
 float is ``(word >> 11) * 2**-53`` and a bounded integer numpy's Lemire draw
 on 32-bit word halves. So a dataset's bytes depend on the PCG64 raw stream
 alone, which numpy keeps stable, and not on how ``Generator`` methods are
-implemented. ``generate_synthetic`` returns the splits as ``Sample`` lists;
+implemented. ``generate_synthetic`` packs the splits in memory;
 ``save_synthetic`` writes each record line straight from the draw.
 
 Dataset file format (one JSON document per line):
@@ -20,12 +20,11 @@ Dataset file format (one JSON document per line):
 ``features`` maps feature index -> value (sparse); ``labels`` lists the
 positive label indices. A full worked example lives in docs/formats.md.
 
-For computation a split is held as CSR arrays (``PackedSamples``), and the
-encoder works on those packed rows. ``load_packed`` reads a file straight
-into them: it parses ``_CHUNK_LINES`` lines at a time and turns each chunk's
-records into arrays before reading on, so no list of all parsed records is
-ever alive. ``load_jsonl`` is the same parse turned into ``Sample`` objects,
-and ``pack_samples`` packs a list of samples.
+A split is held as CSR arrays (``PackedSamples``), the one representation of
+samples: a single sample is the batch of one ``split[i]``. ``load_jsonl``
+parses a file straight into them: it reads ``_CHUNK_LINES`` lines at a time
+and turns each chunk's records into arrays before reading on, so no list of
+all parsed records is ever alive.
 
 A file is parsed at most once per content: the first ``load_packed`` of a
 split writes its arrays to ``<split>.jsonl.packed`` next to it, keyed by the
@@ -45,9 +44,10 @@ import json.decoder
 import json.scanner
 import logging
 import math
+import operator
 import os
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -59,14 +59,12 @@ __all__ = [
     "DataFormatError",
     "DatasetConfig",
     "PackedSamples",
-    "Sample",
     "frequency_groups",
     "generate_synthetic",
     "label_frequencies",
     "load_jsonl",
     "load_packed",
     "pack_samples",
-    "save_jsonl",
     "save_synthetic",
 ]
 
@@ -76,37 +74,18 @@ class DataFormatError(ValueError):
 
 
 @dataclass(eq=False)
-class Sample:
-    """One example: sparse features plus a binary label vector of length C."""
-
-    features: dict[int, float]
-    labels: np.ndarray  # shape (C,), values in {0, 1}
-    sample_id: str = ""
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int8)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.sample_id == other.sample_id
-            and self.features == other.features
-            and np.array_equal(self.labels, other.labels)
-        )
-
-    def positive_labels(self) -> list[int]:
-        return [int(c) for c in np.flatnonzero(self.labels)]
-
-
-@dataclass(eq=False)
 class PackedSamples:
     """Samples as CSR arrays: row i's features are ``indices[indptr[i]:indptr[i + 1]]``
-    with ``values`` alongside, in the order of the sample's dict, so no index
-    repeats within a row. No row is empty: a sample without features holds
+    with ``values`` alongside, in the order of the record's keys, so no index
+    repeats within a row. No row is empty: a record without features holds
     one explicit zero at index 0. ``labels`` is (n, C) int8 and ``ids`` the
     (n,) sample ids (an object array of str). Every index lies in
-    [0, input_dim); ``pack_samples`` checked that once.
+    [0, input_dim); ``pack_samples`` checks that against an encoder.
+
+    This is the one representation of samples: ``split[i]`` is row i as a
+    batch of one (negative i counts from the end; iterating a split gives
+    each row so) and ``split[a:b]`` rows a to b - 1, both views of these
+    arrays (indptr rebased to 0).
     """
 
     indptr: np.ndarray  # (n + 1,) int64
@@ -118,6 +97,29 @@ class PackedSamples:
 
     def __len__(self) -> int:
         return self.indptr.size - 1
+
+    def __getitem__(self, key) -> "PackedSamples":
+        n = len(self)
+        if isinstance(key, slice):
+            start, stop, step = key.indices(n)
+            if step != 1:
+                raise ValueError(f"a packed split is sliced with step 1 only, got {key.step}")
+            stop = max(start, stop)
+        else:
+            start = operator.index(key)
+            if not -n <= start < n:
+                raise IndexError(f"row {start} out of range for {n} rows")
+            start %= n
+            stop = start + 1
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return PackedSamples(
+            self.indptr[start : stop + 1] - lo,
+            self.indices[lo:hi],
+            self.values[lo:hi],
+            self.labels[start:stop],
+            self.input_dim,
+            self.ids[start:stop],
+        )
 
     def take(self, rows) -> "PackedSamples":
         """The given rows, in the given order (repeats allowed)."""
@@ -131,19 +133,6 @@ class PackedSamples:
             indptr, self.indices[pos], self.values[pos], self.labels[rows], self.input_dim, self.ids[rows]
         )
 
-    def rows(self, start: int, stop: int) -> "PackedSamples":
-        """Rows start to stop - 1 as views of these arrays (indptr rebased
-        to 0)."""
-        lo, hi = self.indptr[start], self.indptr[stop]
-        return PackedSamples(
-            self.indptr[start : stop + 1] - lo,
-            self.indices[lo:hi],
-            self.values[lo:hi],
-            self.labels[start:stop],
-            self.input_dim,
-            self.ids[start:stop],
-        )
-
     def to_dense(self) -> np.ndarray:
         """The (n, input_dim) float64 feature matrix."""
         n = len(self)
@@ -152,42 +141,24 @@ class PackedSamples:
         return dense
 
 
-# a sample without features is packed as one explicit zero, so that no CSR row
-# is empty (np.add.reduceat cannot sum an empty segment); it adds nothing
-_EMPTY_ROW = {0: 0.0}
+def pack_samples(batch: PackedSamples, input_dim: int) -> PackedSamples:
+    """A nonempty packed batch for an encoder of ``input_dim`` inputs: the
+    batch itself, with ``input_dim`` set.
 
-
-def pack_samples(samples, input_dim: int) -> PackedSamples:
-    """Pack a nonempty list of samples into CSR arrays. An input that is
-    already packed is returned as it is, with ``input_dim`` set.
-
-    Raises ValueError for a feature index outside [0, input_dim): this is the
-    one place inputs are checked against the encoder's input dimension.
+    Raises ValueError for an empty batch and for a feature index outside
+    [0, input_dim): this is the one place inputs are checked against the
+    encoder's input dimension.
     """
-    if not len(samples):
-        raise ValueError("cannot pack an empty list of samples")
-    if isinstance(samples, PackedSamples):
-        packed = samples
-        if packed.input_dim != input_dim:
-            packed = dataclasses.replace(packed, input_dim=input_dim)
-    else:
-        features = [s.features or _EMPTY_ROW for s in samples]
-        indptr = np.array([0, *accumulate(map(len, features))], dtype=np.int64)
-        nnz = int(indptr[-1])
-        packed = PackedSamples(
-            indptr,
-            np.fromiter(chain.from_iterable(features), dtype=np.int64, count=nnz),
-            np.fromiter(chain.from_iterable([f.values() for f in features]), dtype=np.float64, count=nnz),
-            np.array([s.labels for s in samples], dtype=np.int8),
-            input_dim,
-            np.array([s.sample_id for s in samples], dtype=object),
-        )
-    indices = packed.indices
+    if not len(batch):
+        raise ValueError("cannot pack an empty batch")
+    if batch.input_dim != input_dim:
+        batch = dataclasses.replace(batch, input_dim=input_dim)
+    indices = batch.indices
     # as unsigned, a negative index is larger than any valid one: one reduction checks both ends
     if np.maximum.reduce(indices.view(np.uint64)) >= input_dim:
         bad = indices[(indices < 0) | (indices >= input_dim)][0]
         raise ValueError(f"feature index out of range for input_dim={input_dim}: {int(bad)}")
-    return packed
+    return batch
 
 
 # the types a setting of each annotated kind takes (numpy scalars too)
@@ -428,29 +399,34 @@ def _draw_records(cfg: DatasetConfig):
 
 
 def generate_synthetic(cfg: DatasetConfig):
-    """Deterministically generate (train, valid, test) lists of Samples.
+    """Deterministically generate the (train, valid, test) PackedSamples.
 
-    Feature keys ascend, as ``save_jsonl`` writes them: a split packs to the
-    same CSR arrays in memory as from its file, so both give the same bits.
+    Each split holds the arrays ``load_packed`` reads from the file that
+    ``save_synthetic`` writes for it (feature keys ascend in both), so the
+    library and the CLI run on the same bits.
     """
     cfg.validate()
     records = _draw_records(cfg)
     splits = []
     for _, size in _splits(cfg):
-        split = []
-        for sample_id, features, positives in islice(records, size):
-            labels = np.zeros(cfg.num_classes, dtype=np.int8)
-            labels[positives] = 1
-            split.append(Sample(features=features, labels=labels, sample_id=sample_id))
-        splits.append(split)
+        ids, features, positives = zip(*islice(records, size))
+        splits.append(_pack(
+            ids,
+            [len(f) for f in features],
+            list(chain.from_iterable(features)),
+            list(chain.from_iterable(f.values() for f in features)),
+            [len(p) for p in positives],
+            list(chain.from_iterable(positives)),
+            cfg.num_classes,
+            cfg.vocab_size,
+        ))
     return tuple(splits)
 
 
 def save_synthetic(cfg: DatasetConfig, out_dir) -> dict[str, str]:
     """Generate the dataset of ``cfg`` straight into ``train.jsonl``,
-    ``valid.jsonl`` and ``test.jsonl`` under ``out_dir``, creating no Sample:
-    the bytes ``save_jsonl`` writes for the splits of ``generate_synthetic``.
-    Returns the paths by split name."""
+    ``valid.jsonl`` and ``test.jsonl`` under ``out_dir``, a line written per
+    draw. Returns the paths by split name."""
     cfg.validate()
     records = _draw_records(cfg)
     paths = {}
@@ -458,13 +434,6 @@ def save_synthetic(cfg: DatasetConfig, out_dir) -> dict[str, str]:
         paths[name] = os.path.join(out_dir, f"{name}.jsonl")
         _write_records(paths[name], islice(records, size), cfg.num_classes, cfg.vocab_size)
     return paths
-
-
-def save_jsonl(samples, path, num_classes: int, vocab_size: int) -> None:
-    """Write header + one record per sample. Feature keys are sorted so the
-    output is byte-stable for identical inputs."""
-    records = ((s.sample_id, s.features, s.positive_labels()) for s in samples)
-    _write_records(path, records, num_classes, vocab_size)
 
 
 def _write_records(path, records, num_classes: int, vocab_size: int) -> None:
@@ -483,7 +452,9 @@ _CHUNK_LINES = 256
 # the version of the load rules below (_read_header, _check_record,
 # _pack_lines) and of the packed-copy layout: bump it whenever either changes,
 # so that a copy stands only for bytes that pass today's checks
-_READER_VERSION = 3
+_READER_VERSION = 4
+# str(i) of an index i >= 0 has 1 + (how many of these are <= i) digits
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 _json_space = json.decoder.WHITESPACE.match
 
@@ -507,19 +478,26 @@ def _read_header(fh, path) -> tuple[int, int]:
 def _check_record(line: str, num_classes: int, vocab_size: int) -> None:
     """Raise the DataFormatError of a bad record line. Checks, in this order:
     the record's shape and kinds (``check_kind``: a feature value is a finite
-    number that fits a float, labels are a list of integers), label bounds,
-    feature bounds, one feature index given twice."""
+    number, each feature key an integer as str() writes it, each value fits a
+    float, labels are a list of integers, an id (if given) is a string),
+    label bounds, feature bounds."""
     try:
         rec = json.loads(line)
         raw = rec["features"]
         for value in raw.values():
             check_kind("a feature value", value, "float")
+        for key in raw:
+            with contextlib.suppress(ValueError):
+                if str(int(key)) == key:
+                    continue
+            raise ValueError(f"a feature key must be an integer as str() writes it, got {key!r}")
         features = {int(k): float(v) for k, v in raw.items()}
         positives = rec["labels"]
         if not isinstance(positives, list):
             raise TypeError(f"labels must be a list, got {positives!r}")
         for c in positives:
             check_kind("a label", c, "int")
+        check_kind("an id", rec.get("id", ""), "str")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataFormatError(f"malformed record ({exc})") from exc
     for c in positives:
@@ -528,25 +506,20 @@ def _check_record(line: str, num_classes: int, vocab_size: int) -> None:
     for k in features:
         if not 0 <= k < vocab_size:
             raise DataFormatError(f"feature index {k} out of range for vocab_size={vocab_size}")
-    # two keys naming one index ("3" and "03") collapse into one dict entry
-    if len(features) != len(raw):
-        seen = set()
-        k = next(k for k in map(int, raw) if k in seen or seen.add(k))
-        raise DataFormatError(f"feature index {k} appears more than once")
 
 
-def _pack_lines(lines, num_classes: int, input_dim: int):
+def _pack_lines(lines, num_classes: int, input_dim: int) -> PackedSamples | None:
     """The records among ``lines`` (blank lines skipped) as a PackedSamples,
-    and the mask of the records without features, which are packed as one
-    explicit zero. None when any line is bad: the caller then finds it with
+    or None when any line is bad: the caller then finds it with
     ``_check_record``.
 
-    Each record only extends flat lists; the kind, conversion, bounds and
-    repeated-index checks then run once over the chunk, and each gives what
+    Each record only extends flat lists; the kind, key, conversion and bounds
+    checks then run once over the chunk, and each gives what
     ``_check_record`` would (JSON parses a number to an int or a float and
     nothing else to either, and a bool is not one: values of type int or
-    float that convert to finite floats, labels in lists and of type int), so
-    a chunk packs exactly when all of its lines pass.
+    float that convert to finite floats, keys that str(int(key)) gives back,
+    labels in lists and of type int, ids of type str), so a chunk packs
+    exactly when all of its lines pass.
     """
     ids, counts, keys, values, label_counts, positives = [], [], [], [], [], []
     try:
@@ -567,10 +540,13 @@ def _pack_lines(lines, num_classes: int, input_dim: int):
                 return None
             label_counts.append(len(labels))
             positives.extend(labels)
-            ids.append(str(rec.get("id", "")))
+            ids.append(rec.get("id", ""))
         if not set(map(type, values)) <= {int, float} or not set(map(type, positives)) <= {int}:
             return None
-        keys = np.fromiter(map(int, keys), dtype=np.int64, count=len(keys))
+        if not set(map(type, ids)) <= {str}:
+            return None
+        indices = np.fromiter(map(int, keys), dtype=np.int64, count=len(keys))
+        key_lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
         values = np.fromiter(values, dtype=np.float64, count=len(values))
         positives = np.fromiter(positives, dtype=np.int64, count=len(positives))
     except (StopIteration, KeyError, TypeError, ValueError, AttributeError, OverflowError):
@@ -580,38 +556,39 @@ def _pack_lines(lines, num_classes: int, input_dim: int):
     # as unsigned, a negative index is larger than any valid one
     if positives.size and np.maximum.reduce(positives.view(np.uint64)) >= num_classes:
         return None
-    if keys.size and np.maximum.reduce(keys.view(np.uint64)) >= input_dim:
+    if indices.size and np.maximum.reduce(indices.view(np.uint64)) >= input_dim:
         return None
+    # int() also takes "03", "+3", " 3", "3_0" and digits other than ASCII;
+    # an ASCII key as long as str() writes its index in [0, input_dim)
+    # has no character to spare, so it is exactly str(int(key))
+    if not "".join(keys).isascii() or (key_lengths != 1 + np.searchsorted(_TENS, indices, side="right")).any():
+        return None
+    return _pack(ids, counts, indices, values, label_counts, positives, num_classes, input_dim)
+
+
+def _pack(ids, counts, indices, values, label_counts, positives, num_classes: int, input_dim: int) -> PackedSamples:
+    """The PackedSamples of records given as flat sequences: each record's
+    id, feature count and label count, and every record's feature indices,
+    values and positive labels one after another. A record without features
+    is packed as one explicit zero at index 0, so that no CSR row is empty
+    (np.add.reduceat cannot sum an empty segment); it adds nothing."""
     n = len(ids)
-    counts = np.array(counts, dtype=np.int64)
-    # one index given twice in a record: equal (row, key rank) pairs
-    _, rank = np.unique(keys, return_inverse=True)
-    pairs = np.sort(np.arange(n).repeat(counts) * keys.size + rank)
-    if (pairs[1:] == pairs[:-1]).any():
-        return None
-
-    featureless = counts == 0
+    counts = np.asarray(counts, dtype=np.int64)
+    indices, values = np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64)
+    empty = counts == 0
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts + featureless, out=indptr[1:])
-    if featureless.any():
-        present = np.ones(indptr[-1], dtype=bool)
-        present[indptr[:-1][featureless]] = False
-        keys, values = _scatter(keys, present), _scatter(values, present)
+    np.cumsum(counts + empty, out=indptr[1:])
+    if empty.any():
+        at = np.cumsum(counts)[empty]  # where each record without features starts
+        indices, values = np.insert(indices, at, 0), np.insert(values, at, 0.0)
     labels = np.zeros((n, num_classes), dtype=np.int8)
-    labels[np.arange(n).repeat(np.array(label_counts, dtype=np.int64)), positives] = 1
-    return PackedSamples(indptr, keys, values, labels, input_dim, np.array(ids, dtype=object)), featureless
-
-
-def _scatter(arr: np.ndarray, present: np.ndarray) -> np.ndarray:
-    out = np.zeros(present.size, dtype=arr.dtype)
-    out[present] = arr
-    return out
+    labels[np.arange(n).repeat(np.asarray(label_counts, dtype=np.int64)), np.asarray(positives, dtype=np.int64)] = 1
+    return PackedSamples(indptr, indices, values, labels, input_dim, np.array(ids, dtype=object))
 
 
 def _parse_chunks(fh, path, num_classes: int, vocab_size: int):
-    """Yield (PackedSamples, featureless mask) for each chunk of
-    ``_CHUNK_LINES`` body lines that holds a record. A bad line raises
-    DataFormatError naming it."""
+    """Yield the PackedSamples of each chunk of ``_CHUNK_LINES`` body lines
+    that holds a record. A bad line raises DataFormatError naming it."""
     lineno = 1
     while lines := list(islice(fh, _CHUNK_LINES)):
         chunk = _pack_lines(lines, num_classes, vocab_size)
@@ -623,16 +600,14 @@ def _parse_chunks(fh, path, num_classes: int, vocab_size: int):
                     except DataFormatError as exc:
                         raise DataFormatError(f"{path}: line {offset}: {exc}") from exc
         lineno += len(lines)
-        if len(chunk[0]):
+        if len(chunk):
             yield chunk
 
 
 def load_packed(path):
-    """Read a dataset file straight into CSR arrays; returns (PackedSamples,
-    num_classes, vocab_size), with ``input_dim`` = vocab_size.
-
-    Makes the checks ``load_jsonl`` makes, with the same DataFormatError
-    naming the offending line, and builds no Sample. The result is served
+    """``load_jsonl`` of a dataset file, parsed at most once per content:
+    (PackedSamples, num_classes, vocab_size), with the same checks and the
+    same DataFormatError naming the offending line. The result is served
     from the packed copy ``<path>.packed`` when that copy was written for
     the same bytes by this reader version and is intact; otherwise the file
     is parsed and the copy (re)written. A copy that cannot be written is
@@ -640,24 +615,31 @@ def load_packed(path):
     so does a path that is not a regular file (a pipe is read only once).
     """
     if not os.path.isfile(path):
-        return _parse_packed(path)
+        return load_jsonl(path)
     copy = f"{os.fspath(path)}.packed"
     digest = _file_digest(path)
     loaded = _read_copy(copy, digest)
     if loaded is None:
-        loaded = _parse_packed(path)
+        loaded = load_jsonl(path)
         # bytes edited during the parse have no one digest to key the copy by
         if _file_digest(path) == digest:
             _write_copy(copy, digest, *loaded)
     return loaded
 
 
-def _parse_packed(path):
-    """``load_packed`` without the packed copy: always parses the file."""
+def load_jsonl(path):
+    """Parse a dataset file straight into CSR arrays; returns (PackedSamples,
+    num_classes, vocab_size), with ``input_dim`` = vocab_size. Reads no
+    packed copy and writes none (``load_packed`` does).
+
+    Raises DataFormatError naming the offending line for a bad header, a
+    malformed record or a value of the wrong kind, and an out-of-range
+    label or feature index.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         num_classes, vocab_size = _read_header(fh, path)
-        parts = [packed for packed, _ in _parse_chunks(fh, path, num_classes, vocab_size)]
-    parts = parts or [_pack_lines([], num_classes, vocab_size)[0]]
+        parts = list(_parse_chunks(fh, path, num_classes, vocab_size))
+    parts = parts or [_pack_lines([], num_classes, vocab_size)]
     lengths = np.concatenate([np.diff(p.indptr) for p in parts])
     indptr = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
@@ -765,45 +747,14 @@ def _read_copy(copy: str, digest: bytes):
     return packed, num_classes, vocab_size
 
 
-def load_jsonl(path):
-    """Read a dataset file; returns (samples, num_classes, vocab_size).
-
-    Raises DataFormatError naming the offending line for malformed JSON,
-    out-of-range label indices, out-of-range feature indices, or a feature
-    index given twice in one record.
-    """
-    samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        num_classes, vocab_size = _read_header(fh, path)
-        for packed, featureless in _parse_chunks(fh, path, num_classes, vocab_size):
-            bounds = packed.indptr.tolist()
-            indices, values = packed.indices.tolist(), packed.values.tolist()
-            for i, sample_id in enumerate(packed.ids):
-                lo, hi = bounds[i], bounds[i + 1]
-                features = {} if featureless[i] else dict(zip(indices[lo:hi], values[lo:hi]))
-                samples.append(Sample(features=features, labels=packed.labels[i], sample_id=sample_id))
-    return samples, num_classes, vocab_size
-
-
-def label_frequencies(samples, num_classes: int | None = None) -> np.ndarray:
-    """Count of samples with each label positive, over a PackedSamples or a
-    list of samples. For a list, C is taken from the first sample unless
-    given explicitly."""
-    if isinstance(samples, PackedSamples):
-        return samples.labels.sum(axis=0, dtype=np.int64)
-    if num_classes is None:
-        if not samples:
-            raise ValueError("cannot infer num_classes from an empty sample list")
-        num_classes = len(samples[0].labels)
-    freqs = np.zeros(num_classes, dtype=np.int64)
-    for s in samples:
-        freqs += s.labels
-    return freqs
+def label_frequencies(samples: PackedSamples) -> np.ndarray:
+    """Count of samples with each label positive."""
+    return samples.labels.sum(axis=0, dtype=np.int64)
 
 
 def frequency_groups(train, num_groups: int = 4, thresholds=None) -> dict[int, int]:
-    """Partition labels into frequency groups by their counts in ``train``
-    (a PackedSamples or a list of samples).
+    """Partition labels into frequency groups by their counts in the packed
+    split ``train``.
 
     With explicit ``thresholds`` [t0 > t1 > ...]: group 0 holds labels with
     frequency > t0, group i holds t_{i-1} >= frequency > t_i, and the last

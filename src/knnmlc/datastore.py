@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import pack_samples
+from .data import PackedSamples, pack_samples
 from .encoder import EncoderState, forward_rowwise
 
 __all__ = [
@@ -147,11 +147,11 @@ def _unit_keys(keys: np.ndarray) -> np.ndarray:
     return unit
 
 
-def build(state: EncoderState, train_samples, fraction: float = 1.0) -> Datastore:
-    """One entry per training sample (a list of samples or a PackedSamples),
-    in input order: key i is the float32 of the embedding the dropout-off
-    pass ``forward_rowwise`` gives sample i, which is bit for bit the
-    embedding ``inference.predict`` computes for that sample as a query.
+def build(state: EncoderState, train_samples: PackedSamples, fraction: float = 1.0) -> Datastore:
+    """One entry per row of the packed training split, in input order: key
+    i is the float32 of the embedding the dropout-off pass
+    ``forward_rowwise`` gives sample i, which is bit for bit the embedding
+    ``inference.predict`` computes for ``train_samples[i]`` as a query.
 
     ``fraction`` < 1 keeps only the leading portion of the training set
     (prefix sampling). Every row is embedded on its own, so neither the
@@ -170,7 +170,7 @@ def build(state: EncoderState, train_samples, fraction: float = 1.0) -> Datastor
     rows = max(1, _BUILD_TRACE_BYTES // (8 * (4 * cfg.hidden_dim + cfg.embed_dim + cfg.num_classes)))
     keys = np.empty((n, cfg.embed_dim), dtype=np.float32)
     for start in range(0, n, rows):
-        keys[start : start + rows] = forward_rowwise(state, train.rows(start, min(start + rows, n))).embedding
+        keys[start : start + rows] = forward_rowwise(state, train[start : min(start + rows, n)]).embedding
     return Datastore(keys=keys, values=train.labels[:n].copy())
 
 

@@ -220,7 +220,7 @@ def _input_layer(state: EncoderState, batch: PackedSamples) -> np.ndarray:
         return _gather_rows(w_rows, batch)
     out = np.empty((n, state.config.hidden_dim))
     for start in range(0, n, rows):
-        out[start : start + rows] = _gather_rows(w_rows, batch.rows(start, min(start + rows, n)))
+        out[start : start + rows] = _gather_rows(w_rows, batch[start : start + rows])
     return out
 
 

@@ -12,16 +12,15 @@ Modes: "denn" runs the full adaptive pipeline; "classifier_only" and
 "knn_only" pin lambda to 0 and 1; "fixed_lambda" uses a constant weight (the
 non-adaptive baseline).
 
-The batch is the unit of work. ``predict_batch`` packs a list of samples
-once (a packed split it takes as it is), embeds them with the row-stable
-dropout-off pass (``encoder.forward_rowwise``, the pass that also made the
-store's keys), retrieves every query's neighbors in blocks
-(``datastore.retrieve_topk``), and runs the vote, lambda and combination
-as array operations over (n, k) and (n, C) arrays, each reducing along one
-fixed axis of its own row. So every row is bit-identical whatever batch it
-sits in, and ``predict`` on one sample, a batch of one, gives the same bits
-as that sample's record from the CLI, which predicts the whole test file in
-one batch. A training sample as a query gets the embedding whose float32 is
+The batch is the unit of work. ``predict_batch`` takes a packed split,
+embeds it with the row-stable dropout-off pass (``encoder.forward_rowwise``,
+the pass that also made the store's keys), retrieves every query's
+neighbors in blocks (``datastore.retrieve_topk``), and runs the vote,
+lambda and combination as array operations over (n, k) and (n, C) arrays,
+each reducing along one fixed axis of its own row. So every row is
+bit-identical whatever batch it sits in, and ``predict`` on ``split[i]``, a
+batch of one, gives the same bits as that sample's record from the CLI,
+which predicts the whole test file in one batch. A training sample as a query gets the embedding whose float32 is
 its store key. The component functions act on the last axis and take one
 row or a stack of rows alike.
 """
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_kinds, pack_samples
+from .data import PackedSamples, check_kinds, pack_samples
 from .datastore import Datastore, retrieve_topk
 from .encoder import EncoderState, classify, forward_rowwise
 from .mathops import softmax_temp
@@ -166,13 +165,12 @@ def combine(lam, y_knn, y_clf) -> np.ndarray:
 def predict_batch(
     state: EncoderState,
     store: Datastore | None,
-    samples,
+    samples: PackedSamples,
     cfg: InferenceConfig,
 ) -> PredictionBundle:
-    """Full pipeline for a nonempty list of samples, or a PackedSamples:
-    dropout-off forward, retrieval, kNN prediction, confidence estimation,
-    combination. Row i of the bundle is bit-identical to ``predict`` on
-    sample i alone.
+    """Full pipeline for a nonempty packed batch: dropout-off forward,
+    retrieval, kNN prediction, confidence estimation, combination. Row i of
+    the bundle is bit-identical to ``predict`` on ``samples[i]`` alone.
 
     ``store`` may be None only in classifier_only mode (y_knn is then reported
     as all zeros with no neighbors).
@@ -221,8 +219,11 @@ def predict_batch(
 def predict(
     state: EncoderState,
     store: Datastore | None,
-    sample,
+    sample: PackedSamples,
     cfg: InferenceConfig,
 ) -> PredictionBundle:
-    """``predict_batch`` on one sample: the bundle of its only row."""
-    return predict_batch(state, store, [sample], cfg).row(0)
+    """``predict_batch`` on a batch of one (``split[i]``): the bundle of its
+    only row. ValueError for a batch of any other size."""
+    if len(sample) != 1:
+        raise ValueError(f"predict takes a batch of one row, got {len(sample)} rows")
+    return predict_batch(state, store, sample, cfg).row(0)

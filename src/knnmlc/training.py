@@ -183,10 +183,10 @@ def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng
     return bce, con, total_loss(bce, con, alpha), grads, trace.mask
 
 
-def classifier_micro_f1(state: EncoderState, samples, threshold: float = 0.5) -> float:
+def classifier_micro_f1(state: EncoderState, samples: PackedSamples, threshold: float = 0.5) -> float:
     """Micro-F1 of classifier predictions thresholded at 0.5, from one
     dropout-off pass (``forward_rowwise``, the pass inference runs) over the
-    samples (a list, or already packed)."""
+    packed samples."""
     samples = pack_samples(samples, state.config.input_dim)
     pred = (classify(forward_rowwise(state, samples)) >= threshold).astype(np.int8)
     return micro_prf(confusion(samples.labels, pred))[2]
@@ -200,14 +200,16 @@ class Trainer:
     as one mask per view), so equal seeds give bit-identical trajectories and
     a saved checkpoint resumes exactly where it left off.
 
-    The training and validation sets are lists of samples or PackedSamples
-    (as ``data.load_packed`` reads them); an empty validation set means no
-    validation. The dropout rate is the encoder config's. A step whose BCE or
-    contrastive loss is NaN or inf raises NonFiniteLossError, naming the
-    iteration, before its update is applied.
+    The training and validation sets are PackedSamples (as
+    ``data.load_packed`` reads them); an empty or None validation set means
+    no validation. The dropout rate is the encoder config's. A step whose
+    BCE or contrastive loss is NaN or inf raises NonFiniteLossError, naming
+    the iteration, before its update is applied.
     """
 
-    def __init__(self, train_samples, valid_samples, state: EncoderState, cfg: TrainConfig):
+    def __init__(
+        self, train_samples: PackedSamples, valid_samples: PackedSamples | None, state: EncoderState, cfg: TrainConfig
+    ):
         cfg.validate()
         if not train_samples:
             raise ValueError("training set must be nonempty")

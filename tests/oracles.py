@@ -1,18 +1,60 @@
 """Scalar and per-sample reference implementations that only tests use.
 
 Each one computes, for one pair or one sample, what the package computes for
-a whole batch at once; tests check the batched code against them.
+a whole batch at once; tests check the batched code against them. The
+per-sample forms of the data are here too: a sample record (``Sample``), a
+list of records packed (``pack``), the per-line dataset reader
+(``load_jsonl``) and writer (``save_jsonl``).
 """
 import json
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
-from knnmlc.data import PackedSamples, Sample, _cluster_draws, cluster_layout, pack_samples
+from knnmlc.data import DataFormatError, PackedSamples, _cluster_draws, check_kind, cluster_layout, pack_samples
 from knnmlc.encoder import EncoderState, ForwardTrace, forward_rowwise
 from knnmlc.mathops import make_rng
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass(eq=False)
+class Sample:
+    """One sample record: sparse features, a binary label vector of length C
+    and an id, as one line of a dataset file holds them."""
+
+    features: dict[int, float]
+    labels: np.ndarray  # shape (C,), values in {0, 1}
+    sample_id: str = ""
+
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels, dtype=np.int8)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sample):
+            return NotImplemented
+        return (
+            self.sample_id == other.sample_id
+            and self.features == other.features
+            and np.array_equal(self.labels, other.labels)
+        )
+
+
+def pack(samples, input_dim: int) -> PackedSamples:
+    """A list of sample records as CSR arrays, features in each dict's order;
+    a record without features holds one explicit zero at index 0. Indices
+    are not checked against ``input_dim``: ``data.pack_samples`` does that."""
+    features = [s.features or {0: 0.0} for s in samples]
+    indptr = np.cumsum([0] + [len(f) for f in features], dtype=np.int64)
+    return PackedSamples(
+        indptr,
+        np.array([k for f in features for k in f], dtype=np.int64),
+        np.array([v for f in features for v in f.values()], dtype=np.float64),
+        np.array([s.labels for s in samples], dtype=np.int8),
+        input_dim,
+        np.array([s.sample_id for s in samples], dtype=object),
+    )
 
 
 def cosine_sim(a, b) -> float:
@@ -82,11 +124,12 @@ def pij(similarities, weights, tau1: float) -> np.ndarray:
     return e / e.sum()
 
 
-def forward(state: EncoderState, sample: Sample) -> ForwardTrace:
-    """The dropout-off network on one sample, as a batch of one of
+def forward(state: EncoderState, sample: PackedSamples) -> ForwardTrace:
+    """The dropout-off network on one sample, a batch of one of
     ``forward_rowwise``, so the result equals that sample's row in any
     inference batch; the trace holds the 1-d rows."""
-    batch = pack_samples([sample], state.config.input_dim)
+    assert len(sample) == 1
+    batch = pack_samples(sample, state.config.input_dim)
     t = forward_rowwise(state, batch)
     return ForwardTrace(batch, t.pre_hidden[0], t.hidden[0], t.mask[0], t.embedding[0], t.logits[0])
 
@@ -152,3 +195,63 @@ def save_jsonl(samples, path, num_classes: int, vocab_size: int) -> None:
                 "labels": [int(c) for c in np.flatnonzero(s.labels)],
             }
             fh.write(json.dumps(rec) + "\n")
+
+
+def load_jsonl(path):
+    """The per-line dataset reader: (list of Sample records, num_classes,
+    vocab_size) by one ``json.loads``, one int -> float dict and one label
+    array per line, with the load rules of docs/formats.md checked in their
+    order; a DataFormatError names the offending line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header_line = fh.readline()
+        if not header_line.strip():
+            raise DataFormatError(f"{path}: missing header line")
+        try:
+            header = json.loads(header_line)
+            num_classes, vocab_size = header["num_classes"], header["vocab_size"]
+            check_kind("num_classes", num_classes, "int")
+            check_kind("vocab_size", vocab_size, "int")
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: line 1: bad header ({exc})") from exc
+        if num_classes < 1 or vocab_size < 1:
+            raise DataFormatError(f"{path}: line 1: num_classes and vocab_size must be >= 1")
+
+        samples = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                for value in rec["features"].values():
+                    check_kind("a feature value", value, "float")
+                for key in rec["features"]:
+                    try:
+                        canonical = str(int(key)) == key
+                    except ValueError:
+                        canonical = False
+                    if not canonical:
+                        raise ValueError(f"a feature key must be an integer as str() writes it, got {key!r}")
+                features = {int(k): float(v) for k, v in rec["features"].items()}
+                positives = rec["labels"]
+                if not isinstance(positives, list):
+                    raise TypeError(f"labels must be a list, got {positives!r}")
+                for c in positives:
+                    check_kind("a label", c, "int")
+                sample_id = rec.get("id", "")
+                check_kind("an id", sample_id, "str")
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+                raise DataFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
+            labels = np.zeros(num_classes, dtype=np.int8)
+            for c in positives:
+                if not 0 <= c < num_classes:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: label index {c} out of range for C={num_classes}"
+                    )
+                labels[c] = 1
+            for k in features:
+                if not 0 <= k < vocab_size:
+                    raise DataFormatError(
+                        f"{path}: line {lineno}: feature index {k} out of range for vocab_size={vocab_size}"
+                    )
+            samples.append(Sample(features=features, labels=labels, sample_id=sample_id))
+    return samples, num_classes, vocab_size

@@ -225,10 +225,9 @@ def _pipeline_configs():
 
 
 def _score(state, store, samples, infer_cfg, mode):
-    gold = np.stack([s.labels for s in samples])
     cfg = InferenceConfig(**{**infer_cfg.__dict__, "mode": mode})
-    pred = np.stack([predict(state, store, s, cfg).decisions(cfg.decision_threshold) for s in samples])
-    counts = confusion(gold, pred)
+    pred = np.stack([predict(state, store, row, cfg).decisions(cfg.decision_threshold) for row in samples])
+    counts = confusion(samples.labels, pred)
     return micro_prf(counts)[2], macro_prf(counts)[2]
 
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from knnmlc import encoder
-from knnmlc.data import Sample, pack_samples
 from knnmlc.encoder import EncoderConfig, ParameterGradients, forward_batch, forward_rowwise, init_state
 from knnmlc.losses import (
     CONTRASTIVE_VARIANTS,
@@ -29,7 +28,7 @@ from knnmlc.losses import (
 )
 from knnmlc.mathops import cosine_sim_matrix, make_rng, sigmoid, unit_rows
 from knnmlc.training import batch_gradients, batch_objective
-from oracles import column_gather
+from oracles import Sample, column_gather, pack
 
 REL_TOL = 1e-12
 
@@ -197,7 +196,7 @@ def test_batched_step_matches_per_view(seed, n, variant, activation, dropout, em
     masks = (rng.random((2 * n, hidden)) >= rate).astype(np.float64) / (1.0 - rate) if dropout == "frozen" else None
 
     want = ref_batch_gradients(state, views, alpha, tau1, variant, rng=make_rng(seed), masks=masks)
-    packed = pack_samples(views, state.config.input_dim)
+    packed = pack(views, state.config.input_dim)
     got = batch_gradients(state, packed, alpha, tau1, variant, rng=make_rng(seed), masks=masks)
 
     for name, a, b in zip(("bce", "con", "total"), got[:3], want[:3]):
@@ -253,7 +252,7 @@ def test_single_sample_forward_matches_reference(activation, features):
     # with masks of ones and with drawn masks
     state, _, _ = random_problem(3, 1, activation, 0.2)
     sample = Sample(features=features, labels=np.ones(state.config.num_classes, dtype=np.int8))
-    batch = pack_samples([sample], state.config.input_dim)
+    batch = pack([sample], state.config.input_dim)
     traces = {
         "rowwise": ("off", forward_rowwise(state, batch)),
         "off": ("off", forward_batch(state, batch, masks=np.ones((1, state.config.hidden_dim)))),
@@ -275,7 +274,7 @@ def test_gathered_and_dense_input_layers_match_reference():
     sample = Sample({4: 1.5, 17: 2.0, 29: 0.25}, np.array([1, 0, 1], dtype=np.int8))
     want = ref_forward(state, sample)
     for n in (1, 12):
-        trace = forward_batch(state, pack_samples([sample] * n, 30), masks=np.ones((n, 7)))
+        trace = forward_batch(state, pack([sample] * n, 30), masks=np.ones((n, 7)))
         for i in range(n):
             assert_close(trace.pre_hidden[i], want["pre_hidden"], f"n={n} row {i} pre_hidden")
             assert_close(trace.embedding[i], want["embedding"], f"n={n} row {i} embedding")
@@ -303,7 +302,7 @@ def test_shared_row_gather_equals_the_column_gather(seed, lengths, input_dim, ac
         )
         for m in lengths
     ]
-    batch = pack_samples(samples, input_dim)
+    batch = pack(samples, input_dim)
     want = column_gather(state.w_in, batch)
     for w_rows in (state.w_in.T, np.ascontiguousarray(state.w_in.T)):
         assert encoder._gather_rows(w_rows, batch).tobytes() == want.tobytes()
@@ -321,7 +320,7 @@ def test_shared_row_gather_equals_the_column_gather(seed, lengths, input_dim, ac
 def test_empty_feature_rows_inside_a_batch():
     # empty rows at the start, middle and end of the CSR arrays
     state, samples, _ = random_problem(11, 6, "tanh", 0.0, empty_rows={0, 3, 5})
-    trace = forward_batch(state, pack_samples(samples, state.config.input_dim))
+    trace = forward_batch(state, pack(samples, state.config.input_dim))
     for i, sample in enumerate(samples):
         want = ref_forward(state, sample)
         assert_close(trace.pre_hidden[i], want["pre_hidden"], f"row {i}")
@@ -330,7 +329,7 @@ def test_empty_feature_rows_inside_a_batch():
 
 
 def test_empty_sample_packs_as_one_explicit_zero():
-    packed = pack_samples([Sample({}, np.ones(2, dtype=np.int8)), Sample({2: 1.0}, np.ones(2, dtype=np.int8))], 5)
+    packed = pack([Sample({}, np.ones(2, dtype=np.int8)), Sample({2: 1.0}, np.ones(2, dtype=np.int8))], 5)
     np.testing.assert_array_equal(packed.indptr, [0, 1, 2])
     np.testing.assert_array_equal(packed.indices, [0, 2])
     np.testing.assert_array_equal(packed.values, [0.0, 1.0])
@@ -346,14 +345,14 @@ def test_one_uniform_block_equals_sequential_draws(n, hidden):
 
 def test_take_selects_rows():
     state, samples, _ = random_problem(4, 5, "tanh", 0.0, empty_rows={2})
-    packed = pack_samples(samples, state.config.input_dim)
+    packed = pack(samples, state.config.input_dim)
     rows = np.array([4, 2, 0, 4])
     np.testing.assert_array_equal(
         packed.take(rows).to_dense(),
-        pack_samples([samples[i] for i in rows], state.config.input_dim).to_dense(),
+        pack([samples[i] for i in rows], state.config.input_dim).to_dense(),
     )
     np.testing.assert_array_equal(packed.take(rows).labels, packed.labels[rows])
-    # a range of rows as views: the rows take gives
-    sliced, taken = packed.rows(1, 4), packed.take([1, 2, 3])
+    # a slice is a range of rows as views: the rows take gives
+    sliced, taken = packed[1:4], packed.take([1, 2, 3])
     for name in ("indptr", "indices", "values", "labels", "ids"):
         np.testing.assert_array_equal(getattr(sliced, name), getattr(taken, name))

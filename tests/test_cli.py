@@ -161,8 +161,8 @@ class TestEvalEdgeCases:
         samples, C, _ = load_jsonl(gold_path)
         perfect = a["root"] / "perfect.jsonl"
         with open(perfect, "w") as fh:
-            for s in samples:
-                fh.write(json.dumps({"id": s.sample_id, "y_pred": s.labels.tolist()}) + "\n")
+            for sample_id, labels in zip(samples.ids, samples.labels.tolist()):
+                fh.write(json.dumps({"id": sample_id, "y_pred": labels}) + "\n")
         out_json = a["root"] / "perfect_metrics.json"
         code = main(["eval", "--predictions", str(perfect), "--gold", str(gold_path), "--out", str(out_json)])
         assert code == EXIT_OK
@@ -190,7 +190,7 @@ class TestEvalEdgeCases:
         a = pipeline_artifacts
         gold_path = a["data"] / "test.jsonl"
         samples, _, _ = load_jsonl(gold_path)
-        records = [{"id": s.sample_id, "y_pred": s.labels.tolist()} for s in samples]
+        records = [{"id": i, "y_pred": labels} for i, labels in zip(samples.ids, samples.labels.tolist())]
         records[3] = bad
         preds = tmp_path / "preds.jsonl"
         preds.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -487,7 +487,7 @@ class TestGradcheckCommand:
         assert "pass" in capsys.readouterr().out
 
     def test_fixed_dims_report_is_pinned(self, capsys):
-        # the report the command printed when it built Sample objects and packed them
+        # the report the command printed when it built per-sample objects and packed them
         assert main(["--seed", "0", "gradcheck", "--dims", "7,5,3,4,3"]) == EXIT_OK
         assert capsys.readouterr().out == (
             "config   0: pass  max_rel_error=7.281e-09 worst=b_in params=74\n"

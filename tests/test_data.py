@@ -1,6 +1,7 @@
 """Synthetic generator, JSONL persistence, frequency grouping."""
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from knnmlc.cli import EXIT_OK, main
 from knnmlc.data import (
     DataFormatError,
     DatasetConfig,
-    Sample,
+    PackedSamples,
     _below,
     _WordReader,
     cluster_layout,
@@ -21,7 +22,7 @@ from knnmlc.data import (
     generate_synthetic,
     label_frequencies,
     load_jsonl,
-    save_jsonl,
+    load_packed,
     save_synthetic,
 )
 from knnmlc.mathops import make_rng
@@ -35,43 +36,51 @@ def small_cfg(**kw):
     return DatasetConfig(**base)
 
 
+def same_split(a: PackedSamples, b: PackedSamples) -> bool:
+    """The same ids, input_dim and arrays, with the same dtypes and bits."""
+
+    def fields(split):
+        arrays = (split.indptr, split.indices, split.values, split.labels)
+        return [split.input_dim, split.ids.tolist()] + [(x.dtype, x.shape, x.tobytes()) for x in arrays]
+
+    return fields(a) == fields(b)
+
+
 class TestGenerator:
     def test_deterministic_given_seed(self):
         a = generate_synthetic(small_cfg())
         b = generate_synthetic(small_cfg())
         for split_a, split_b in zip(a, b):
-            assert split_a == split_b
+            assert same_split(split_a, split_b)
 
     def test_different_seeds_differ(self):
         a = generate_synthetic(small_cfg(seed=1))[0]
         b = generate_synthetic(small_cfg(seed=2))[0]
-        assert a != b
+        assert not np.array_equal(a.labels, b.labels)
 
     def test_noiseless_labels_equal_cluster_sets(self):
         cfg = small_cfg(label_noise=0.0)
         label_sets, _, _, _ = cluster_layout(cfg)
         cluster_sets = [frozenset(int(c) for c in ls) for ls in label_sets]
         for split in generate_synthetic(cfg):
-            for s in split:
-                assert frozenset(s.positive_labels()) in cluster_sets
+            for labels in split.labels:
+                assert frozenset(np.flatnonzero(labels).tolist()) in cluster_sets
 
     def test_default_mean_labels_in_range(self):
         # brute-force count over the generator's own output
         train, _, _ = generate_synthetic(DatasetConfig(seed=0))
-        total = sum(int(s.labels.sum()) for s in train)
-        mean = total / len(train)
+        mean = int(train.labels.sum()) / len(train)
         assert 2.0 <= mean <= 4.0
 
     def test_every_sample_has_a_positive_label(self):
         for split in generate_synthetic(small_cfg(label_noise=0.4)):
-            for s in split:
-                assert int(s.labels.sum()) >= 1
+            assert (split.labels.sum(axis=1) >= 1).all()
 
     def test_feature_indices_within_vocab(self):
         cfg = small_cfg()
         for split in generate_synthetic(cfg):
-            for s in split:
-                assert all(0 <= k < cfg.vocab_size for k in s.features)
+            assert split.input_dim == cfg.vocab_size
+            assert 0 <= split.indices.min() and split.indices.max() < cfg.vocab_size
 
     def test_split_sizes(self):
         cfg = small_cfg()
@@ -133,7 +142,7 @@ def ref_draw_sample(cfg, rng, layout, sample_id):
         else:
             idx = int(own[rng.integers(own.size)])
         features[idx] = features.get(idx, 0.0) + 1.0
-    return Sample(features=features, labels=labels, sample_id=sample_id)
+    return oracles.Sample(features=features, labels=labels, sample_id=sample_id)
 
 
 def ref_generate(cfg):
@@ -168,8 +177,20 @@ def test_generator_matches_the_per_sample_reference(overrides, seed):
     cfg = small_cfg(**{**overrides, "seed": seed})
     # the same features, with keys in ascending index order (as saved)
     for got, want in zip(generate_synthetic(cfg), ref_generate(cfg)):
-        assert got == want
-        assert [list(s.features) for s in got] == [sorted(s.features) for s in want]
+        for s in want:
+            s.features = dict(sorted(s.features.items()))
+        assert same_split(got, oracles.pack(want, cfg.vocab_size))
+
+
+@pytest.mark.parametrize("overrides", GENERATOR_CONFIGS)
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_generated_splits_are_the_packed_files_of_save_synthetic(tmp_path, overrides, seed):
+    cfg = small_cfg(**{**overrides, "seed": seed})
+    paths = save_synthetic(cfg, tmp_path)
+    for split, path in zip(generate_synthetic(cfg), paths.values()):
+        loaded, num_classes, vocab_size = load_packed(path)
+        assert (num_classes, vocab_size) == (cfg.num_classes, cfg.vocab_size)
+        assert same_split(split, loaded)
 
 
 def test_the_tight_vocab_config_has_one_index_blocks():
@@ -186,6 +207,83 @@ def test_save_synthetic_writes_the_bytes_of_the_scalar_draws(tmp_path, overrides
         ref = tmp_path / f"{name}.ref"
         oracles.save_jsonl(split, ref, cfg.num_classes, cfg.vocab_size)
         assert Path(path).read_bytes() == ref.read_bytes(), name
+
+
+# -- the generator's rates ----------------------------------------------------
+# Fixed-seed counts over generate_synthetic's packed output against the rates
+# cluster_layout implies, each within 5 binomial standard deviations.
+
+
+def within_5_sd(hits, trials: int, p: float) -> bool:
+    return abs(int(hits) - trials * p) <= 5.0 * math.sqrt(trials * p * (1.0 - p))
+
+
+def block_owners(cfg):
+    """Per vocabulary index: the cluster whose own block holds it and the
+    pair whose shared block holds it (-1 for none)."""
+    _, own_blocks, pair_blocks, _ = cluster_layout(cfg)
+    own, pair = np.full(cfg.vocab_size, -1), np.full(cfg.vocab_size, -1)
+    for g, block in enumerate(own_blocks):
+        own[block] = g
+    for j, block in enumerate(pair_blocks):
+        pair[block] = j
+    return own, pair
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"num_classes": 16, "num_clusters": 4, "label_noise": 0.3, "cluster_skew": 0.8},
+     {"num_classes": 3, "num_clusters": 1, "label_noise": 0.6}],  # no out-label: the fallback is frequent
+    ids=["four-clusters", "one-cluster"],
+)
+def test_label_keep_leak_and_fallback_rates(overrides):
+    # every token comes from the cluster's own block, so the tokens name the cluster
+    cfg = DatasetConfig(**overrides, feature_noise=0.0, shared_feature_frac=0.0,
+                        train_size=4000, valid_size=1, test_size=1, seed=11)
+    train = generate_synthetic(cfg)[0]
+    entry_cluster = block_owners(cfg)[0][train.indices]
+    cluster = entry_cluster[train.indptr[:-1]]
+    assert np.array_equal(entry_cluster, cluster.repeat(np.diff(train.indptr)))
+    p = cfg.label_noise
+    for g, in_labels in enumerate(cluster_layout(cfg)[0]):
+        rows = train.labels[cluster == g].astype(np.int64)
+        n = len(rows)
+        assert n > 500
+        out = np.setdiff1d(np.arange(cfg.num_classes), in_labels)
+        leak = min(1.0, p * in_labels.size / out.size) if out.size else 0.0
+        # a sample that lost every label keeps its core label, in_labels[0]
+        lost_all = p**in_labels.size * (1.0 - leak) ** out.size
+        assert within_5_sd(rows[:, in_labels[0]].sum(), n, 1.0 - p + lost_all)
+        assert within_5_sd(rows[:, in_labels[1:]].sum(), n * (in_labels.size - 1), 1.0 - p)
+        assert within_5_sd(rows[:, out].sum(), n * out.size, leak)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"cluster_skew": 0.8}, {"num_classes": 9, "num_clusters": 5, "cluster_skew": 1.0}],  # 5: a pair of one
+    ids=["four-clusters", "five-clusters"],
+)
+def test_token_rates_of_the_noise_pair_and_own_draws(overrides):
+    # without label noise the label set names the cluster
+    cfg = DatasetConfig(**overrides, label_noise=0.0, feature_noise=0.3, shared_feature_frac=0.6,
+                        train_size=3000, valid_size=1, test_size=1, seed=12)
+    train = generate_synthetic(cfg)[0]
+    label_sets, own_blocks, pair_blocks, _ = cluster_layout(cfg)
+    names = {tuple(labels.tolist()): g for g, labels in enumerate(label_sets)}
+    cluster = np.array([names[tuple(np.flatnonzero(row).tolist())] for row in train.labels])
+    entry_cluster = cluster.repeat(np.diff(train.indptr))
+    own, pair = block_owners(cfg)
+    f, s = cfg.feature_noise, cfg.shared_feature_frac
+    for g in range(cfg.num_clusters):
+        idx, counts = train.indices[entry_cluster == g], train.values[entry_cluster == g]
+        trials = int((cluster == g).sum()) * cfg.tokens_per_sample
+        assert trials > 10_000 and counts.sum() == trials
+        in_own, in_pair = counts[own[idx] == g].sum(), counts[pair[idx] == g // 2].sum()
+        # a noise token is uniform over the vocabulary, so it lands in a block by the block's share
+        o, q = own_blocks[g].size / cfg.vocab_size, pair_blocks[g // 2].size / cfg.vocab_size
+        assert within_5_sd(in_own, trials, f * o + (1 - f) * (1 - s))
+        assert within_5_sd(in_pair, trials, f * q + (1 - f) * s)
+        assert within_5_sd(trials - in_own - in_pair, trials, f * (1 - o - q))
 
 
 # SHA-256 of gen-data's files for configs/default.json at seed 1, as written by
@@ -250,32 +348,43 @@ def test_a_word_is_below_the_bound_exactly_when_its_draw_is(p, word):
             assert (w < bound) == ((w >> 11) * 2**-53 < p)
 
 
+def records_of(split: PackedSamples):
+    """The rows of a packed split as sample records, keys in row order."""
+    bounds = split.indptr.tolist()
+    return [
+        oracles.Sample(
+            dict(zip(split.indices[lo:hi].tolist(), split.values[lo:hi].tolist())), split.labels[i], split.ids[i]
+        )
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
 class TestJsonl:
     def test_round_trip_identity(self, tmp_path):
         cfg = small_cfg()
-        train, _, _ = generate_synthetic(cfg)
+        train, _, _ = oracles.generate_synthetic(cfg)
         path = tmp_path / "train.jsonl"
-        save_jsonl(train, path, cfg.num_classes, cfg.vocab_size)
+        oracles.save_jsonl(train, path, cfg.num_classes, cfg.vocab_size)
         loaded, num_classes, vocab_size = load_jsonl(path)
         assert num_classes == cfg.num_classes
         assert vocab_size == cfg.vocab_size
-        assert loaded == train
+        assert same_split(loaded, oracles.pack(train, cfg.vocab_size))
+        assert records_of(loaded) == train
 
     def test_save_after_load_is_byte_identical(self, tmp_path):
+        # the packed split keeps every id, key order, value and label of the file
         cfg = small_cfg()
-        train, _, _ = generate_synthetic(cfg)
-        p1 = tmp_path / "a.jsonl"
+        p1 = save_synthetic(cfg, tmp_path)["train"]
         p2 = tmp_path / "b.jsonl"
-        save_jsonl(train, p1, cfg.num_classes, cfg.vocab_size)
         loaded, c, v = load_jsonl(p1)
-        save_jsonl(loaded, p2, c, v)
-        assert p1.read_bytes() == p2.read_bytes()
+        oracles.save_jsonl(records_of(loaded), p2, c, v)
+        assert Path(p1).read_bytes() == p2.read_bytes()
 
     def test_empty_body_with_header(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"num_classes": 4, "vocab_size": 9}\n')
         samples, num_classes, vocab_size = load_jsonl(path)
-        assert samples == [] and num_classes == 4 and vocab_size == 9
+        assert len(samples) == 0 and samples.labels.shape == (0, 4) and (num_classes, vocab_size) == (4, 9)
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -320,14 +429,8 @@ class TestJsonl:
 
 def _samples_with_frequencies(freqs):
     """One single-label sample per count unit; label c appears freqs[c] times."""
-    C = len(freqs)
-    out = []
-    for c, f in enumerate(freqs):
-        for _ in range(f):
-            labels = np.zeros(C, dtype=np.int8)
-            labels[c] = 1
-            out.append(Sample(features={0: 1.0}, labels=labels))
-    return out
+    labels = np.eye(len(freqs), dtype=np.int8).repeat(freqs, axis=0)
+    return oracles.pack([oracles.Sample({0: 1.0}, row) for row in labels], 1)
 
 
 class TestFrequencyGroups:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knnmlc.data import DatasetConfig, generate_synthetic, pack_samples
+from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc import datastore, encoder
 from knnmlc.datastore import (
     Datastore,
@@ -73,7 +73,7 @@ class TestBuild:
         state, train = trained_setup
         store = build(state, train)
         assert store.count == len(train)
-        np.testing.assert_array_equal(store.values, np.stack([s.labels for s in train]))
+        np.testing.assert_array_equal(store.values, train.labels)
 
     def test_rebuild_is_bit_identical(self, trained_setup):
         state, train = trained_setup
@@ -282,7 +282,7 @@ def default_run():
     ecfg = _encoder_config(encoder_section, dataset_cfg.vocab_size, dataset_cfg.num_classes)
     trainer = Trainer(train, valid, init_state(ecfg, seed=train_cfg.seed), train_cfg)
     trainer.run()
-    return trainer.best_state(), pack_samples(train, ecfg.input_dim), test, infer_cfg
+    return trainer.best_state(), train, test, infer_cfg
 
 
 @pytest.mark.parametrize("gather_rows,build_rows", [(None, None), (1, None), (7, None), (None, 5)])

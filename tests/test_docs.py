@@ -12,7 +12,8 @@ from knnmlc.encoder import EncoderConfig
 from knnmlc.inference import InferenceConfig
 from knnmlc.training import TrainConfig
 
-FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+REPO = Path(__file__).resolve().parent.parent
+FORMATS = REPO / "docs" / "formats.md"
 SECTIONS = {"dataset": DatasetConfig, "encoder": EncoderConfig, "train": TrainConfig, "inference": InferenceConfig}
 # the encoder's input_dim and num_classes come from the dataset header
 FROM_DATA = {"input_dim", "num_classes"}
@@ -60,3 +61,16 @@ def test_the_documented_count_of_settable_values():
     count = sum(len(settable_fields(section)) for section in SECTIONS)
     assert count == 30
     assert f"A config holds {count} settable" in " ".join(FORMATS.read_text(encoding="utf-8").split())
+
+
+def test_the_readme_library_snippet_runs_as_written(capsys):
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    snippet = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out
+    # predict on test[0] is row 0 of predict_batch, bit for bit
+    bundle, row = namespace["bundle"], namespace["batch"].row(0)
+    for field in ("y_clf", "y_knn", "y_final", "neighbor_indices", "neighbor_sims"):
+        assert getattr(bundle, field).tobytes() == getattr(row, field).tobytes(), field
+    assert bundle.lam == row.lam

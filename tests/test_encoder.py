@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from knnmlc.data import Sample, pack_samples
 from knnmlc.encoder import (
     CheckpointError,
     EncoderConfig,
@@ -19,7 +18,7 @@ from knnmlc.encoder import (
 )
 from knnmlc.gradcheck import duplicated_views, gradient_check, random_gradcheck_problem
 from knnmlc.mathops import make_rng
-from oracles import forward
+from oracles import Sample, forward, pack
 
 
 def tiny_config(**kw):
@@ -28,15 +27,20 @@ def tiny_config(**kw):
     return EncoderConfig(**base)
 
 
-def tiny_sample(num_classes=3):
+def tiny_record(num_classes=3):
     labels = np.zeros(num_classes, dtype=np.int8)
     labels[0] = 1
     return Sample(features={0: 1.5, 2: 1.0, 5: 2.0}, labels=labels, sample_id="t0")
 
 
+def tiny_sample():
+    """``tiny_record`` as a batch of one."""
+    return pack([tiny_record()], 6)
+
+
 def tiny_batch(state, n=1):
-    """n copies of ``tiny_sample``, packed: dropout runs on a batch."""
-    return pack_samples([tiny_sample()] * n, state.config.input_dim)
+    """n copies of ``tiny_record``, packed: dropout runs on a batch."""
+    return pack([tiny_record()] * n, state.config.input_dim)
 
 
 class TestForward:
@@ -72,7 +76,7 @@ class TestForward:
         state = init_state(tiny_config(), seed=0)
         bad = Sample(features={99: 1.0}, labels=np.array([1, 0, 0], dtype=np.int8))
         with pytest.raises(ValueError, match="feature index"):
-            forward(state, bad)
+            forward(state, pack([bad], 6))
 
     def test_dropout_on_without_rng(self):
         state = init_state(tiny_config(dropout_rate=0.2), seed=0)
@@ -142,7 +146,7 @@ class TestBackward:
             labels = (rng.random(4) < 0.5).astype(np.int8)
             rows.append((idx, values, labels))
             samples.append(Sample({int(j): float(v) for j, v in zip(idx, values)}, labels, f"gc-{i}"))
-        got, want = duplicated_views(*zip(*rows), 9), pack_samples(samples + samples, 9)
+        got, want = duplicated_views(*zip(*rows), 9), pack(samples + samples, 9)
         for name in ("indptr", "indices", "values", "labels"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

@@ -220,6 +220,12 @@ class TestPredict:
         with pytest.raises(NonFiniteQueryError):
             predict(broken, store, test[0], InferenceConfig(mode="denn"))
 
+    def test_predict_takes_a_batch_of_exactly_one_row(self, pipeline):
+        state, store, test = pipeline
+        for batch in (test[:2], test[:0], test):
+            with pytest.raises(ValueError, match=f"a batch of one row, got {len(batch)} rows"):
+                predict(state, store, batch, InferenceConfig())
+
     def test_dimension_mismatch_rejected(self, pipeline):
         state, _, test = pipeline
         bad = Datastore(keys=np.ones((4, 9)), values=np.zeros((4, 6), dtype=np.int8))

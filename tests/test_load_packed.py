@@ -1,21 +1,20 @@
 """The chunked dataset reader against the per-line reader it replaced.
 
-``ref_load_jsonl`` below is the reader the package used before a dataset
-file was read in chunks straight into CSR arrays: one ``json.loads``, one
-int -> float dict and one label array per line. It is kept here as the
-oracle, with the rules added since: a feature index given twice in one
-record (``"3"`` and ``"03"``) is an error, checked after the bounds, and the
-header sizes, labels and feature values follow the kind rule of
+``oracles.load_jsonl`` is the reader the package used before a dataset file
+was read in chunks straight into CSR arrays: one ``json.loads``, one
+int -> float dict and one label array per line, with the rules added since:
+the header sizes, labels and feature values follow the kind rule of
 ``data.check_kind`` (an integer, an integer, a finite number; never a bool),
-with labels in a list. For any
-file the new readers must give the oracle's samples (``load_jsonl``), the
-oracle's samples packed (``load_packed``), or the oracle's error, message
-and line included, whatever the chunk size.
+labels come in a list, a feature key is an integer as ``str()`` writes it
+(not ``"03"``, ``"+3"`` or ``" 3"``) and an id, if given, is a string. For
+any file both package readers (``load_jsonl`` and ``load_packed``) must give
+the oracle's samples packed, or the oracle's error, message and line
+included, whatever the chunk size.
 
 ``load_packed`` serves a file it parsed before from the packed copy beside
 it. The reference tests read each file once before any copy exists, and the
 chunking test deletes the copy before each chunk size, so all of them run
-the parser; a spy on ``data._parse_packed`` counts the parses. The copy
+the parser; a spy on ``data.load_jsonl`` counts the parses. The copy
 tests below check that a hit is bit-identical to the parse and that a
 damaged or foreign copy is a miss, or, where the damage touches only bytes
 of the zip that the reader does not use, still gives the parse's arrays.
@@ -31,13 +30,15 @@ import zipfile
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knnmlc
 from knnmlc import data
-from knnmlc.cli import EXIT_FORMAT, EXIT_OK, main
-from knnmlc.data import DataFormatError, PackedSamples, Sample, check_kind, load_jsonl, load_packed, pack_samples
+from knnmlc.cli import EXIT_FORMAT, main
+from knnmlc.data import DataFormatError, PackedSamples, load_jsonl, load_packed, pack_samples
 from knnmlc.datastore import build
 from knnmlc.encoder import EncoderConfig, init_state
 from knnmlc.inference import InferenceConfig, predict_batch
@@ -46,65 +47,15 @@ from knnmlc.training import TrainConfig, Trainer
 NUM_CLASSES = 5
 VOCAB = 12
 
-# -- per-line reference ----------------------------------------------------
-
-
-def ref_load_jsonl(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line.strip():
-            raise DataFormatError(f"{path}: missing header line")
-        try:
-            header = json.loads(header_line)
-            num_classes, vocab_size = header["num_classes"], header["vocab_size"]
-            check_kind("num_classes", num_classes, "int")
-            check_kind("vocab_size", vocab_size, "int")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}: line 1: bad header ({exc})") from exc
-
-        samples = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                for value in rec["features"].values():
-                    check_kind("a feature value", value, "float")
-                features = {int(k): float(v) for k, v in rec["features"].items()}
-                positives = rec["labels"]
-                if not isinstance(positives, list):
-                    raise TypeError(f"labels must be a list, got {positives!r}")
-                for c in positives:
-                    check_kind("a label", c, "int")
-                sample_id = str(rec.get("id", ""))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-                raise DataFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-            labels = np.zeros(num_classes, dtype=np.int8)
-            for c in positives:
-                if not 0 <= c < num_classes:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: label index {c} out of range for C={num_classes}"
-                    )
-                labels[c] = 1
-            for k in features:
-                if not 0 <= k < vocab_size:
-                    raise DataFormatError(
-                        f"{path}: line {lineno}: feature index {k} out of range for vocab_size={vocab_size}"
-                    )
-            if len(features) != len(rec["features"]):
-                seen = set()
-                k = next(k for k in map(int, rec["features"]) if k in seen or seen.add(k))
-                raise DataFormatError(f"{path}: line {lineno}: feature index {k} appears more than once")
-            samples.append(Sample(features=features, labels=labels, sample_id=sample_id))
-    return samples, num_classes, vocab_size
-
-
 # -- record lines ------------------------------------------------------------
 
-# keys int() takes (canonical, zero-padded, signed, spaced) and keys it refuses or that are out of range
-canonical_keys = st.integers(0, VOCAB - 1).map(str)
-good_keys = st.one_of(canonical_keys, canonical_keys, canonical_keys, st.sampled_from(["01", "+1", " 2", "3 ", "1_0"]))
-bad_keys = st.sampled_from(["-1", "12", "99", "x", "", "1.5"])
+# keys as str() writes an index in range; keys int() takes but str() does not
+# write (zero-padded, signed, spaced, grouped, other digits), keys it
+# refuses and keys out of range
+good_keys = st.integers(0, VOCAB - 1).map(str)
+bad_keys = st.sampled_from(
+    ["01", "00", "+1", "-0", " 2", "3 ", "1_0", "\u0663", "\uff11", "-1", "12", "99", "x", "", "1.5"]
+)
 good_values = st.one_of(st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False, width=64))
 # not a finite number: strings (even of numbers), bools, null, lists, NaN and +-inf
 bad_values = st.sampled_from(
@@ -140,7 +91,9 @@ def record_lines(draw):
     if kind == "featureless":
         features = {}
     elif kind == "mixed":
-        features = draw(st.dictionaries(st.one_of(good_keys, bad_keys), st.one_of(good_values, bad_values), max_size=6))
+        features = draw(st.dictionaries(
+            st.one_of(good_keys, good_keys, bad_keys), st.one_of(good_values, bad_values), max_size=6
+        ))
     else:
         features = draw(st.dictionaries(good_keys, good_values, max_size=6))
     rec = {"features": features}
@@ -163,15 +116,6 @@ def outcome(fn, path):
         return fn(path), None
     except DataFormatError as exc:
         return None, str(exc)
-
-
-def assert_same_samples(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.sample_id == b.sample_id
-        assert list(a.features) == list(b.features)  # same key order
-        assert np.array_equal(list(a.features.values()), list(b.features.values()), equal_nan=True)
-        assert a.labels.dtype == np.int8 and np.array_equal(a.labels, b.labels)
 
 
 def assert_same_packed(got: PackedSamples, want: PackedSamples):
@@ -202,13 +146,13 @@ def copy_of(path):
 def spy_on_parses(mp):
     """Record the path of every parse ``load_packed`` makes."""
     parses = []
-    real = data._parse_packed
+    real = data.load_jsonl
 
     def parse(path):
         parses.append(path)
         return real(path)
 
-    mp.setattr(data, "_parse_packed", parse)
+    mp.setattr(data, "load_jsonl", parse)
     return parses
 
 
@@ -217,11 +161,12 @@ def spy_on_parses(mp):
 def test_readers_match_the_per_line_reference(tmp_path_factory, lines, chunk):
     path = tmp_path_factory.mktemp("ds") / "split.jsonl"
     write_file(path, lines)
-    want, want_error = outcome(ref_load_jsonl, path)
+    want, want_error = outcome(oracles.load_jsonl, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data, "_CHUNK_LINES", chunk)
-        parses = spy_on_parses(mp)
         got, got_error = outcome(load_jsonl, path)
+        assert not copy_of(path).exists()  # load_jsonl writes no copy
+        parses = spy_on_parses(mp)
         packed, packed_error = outcome(load_packed, path)
         assert parses == [path]  # a fresh file: the parser ran
         # a second read is served from the copy the first one wrote, if any
@@ -231,11 +176,11 @@ def test_readers_match_the_per_line_reference(tmp_path_factory, lines, chunk):
     if want_error is None:
         samples, num_classes, vocab = want
         assert got[1:] == packed[1:] == (num_classes, vocab)
-        assert_same_samples(got[0], samples)
         if samples:
-            assert_same_packed(packed[0], pack_samples(samples, vocab))
+            assert_same_packed(got[0], oracles.pack(samples, vocab))
         else:
-            assert len(packed[0]) == 0 and packed[0].labels.shape == (0, NUM_CLASSES)
+            assert len(got[0]) == 0 and got[0].labels.shape == (0, NUM_CLASSES)
+        assert_identical_loads(packed, got)
         assert len(parses) == 1
         assert_identical_loads(again, packed)
     else:
@@ -244,11 +189,12 @@ def test_readers_match_the_per_line_reference(tmp_path_factory, lines, chunk):
 
 def test_files_written_by_save_jsonl_read_back_in_any_chunking(tmp_path, monkeypatch):
     cfg = data.DatasetConfig(train_size=300, valid_size=1, test_size=1, seed=3)
-    train, _, _ = data.generate_synthetic(cfg)
+    train, _, _ = oracles.generate_synthetic(cfg)
     train[7].features = {}
     path = tmp_path / "train.jsonl"
-    data.save_jsonl(train, path, cfg.num_classes, cfg.vocab_size)
-    want = pack_samples(ref_load_jsonl(path)[0], cfg.vocab_size)  # keys in file order
+    oracles.save_jsonl(train, path, cfg.num_classes, cfg.vocab_size)
+    want = oracles.pack(train, cfg.vocab_size)
+    assert_same_packed(want, oracles.pack(oracles.load_jsonl(path)[0], cfg.vocab_size))
     parses = spy_on_parses(monkeypatch)
     for count, chunk in enumerate((1, 7, 256, 1000), start=1):
         monkeypatch.setattr(data, "_CHUNK_LINES", chunk)
@@ -257,26 +203,50 @@ def test_files_written_by_save_jsonl_read_back_in_any_chunking(tmp_path, monkeyp
         assert len(parses) == count
         assert (num_classes, vocab) == (cfg.num_classes, cfg.vocab_size)
         assert_same_packed(packed, want)
-        assert load_jsonl(path)[0] == train
+        assert_same_packed(load_jsonl(path)[0], want)
 
 
-def test_featureless_record_is_one_explicit_zero_and_an_empty_dict(tmp_path):
+def test_featureless_record_is_one_explicit_zero(tmp_path):
     path = tmp_path / "f.jsonl"
-    write_file(path, ['{"id": "a", "features": {}, "labels": [1]}', '{"id": "b", "features": {"0": 0.0}, "labels": []}'])
-    packed, _, _ = load_packed(path)
-    assert packed.indptr.tolist() == [0, 1, 2]
-    assert packed.indices.tolist() == [0, 0] and packed.values.tolist() == [0.0, 0.0]
-    samples, _, _ = load_jsonl(path)
-    assert samples[0].features == {} and samples[1].features == {0: 0.0}
-
-
-def test_one_index_given_twice_is_an_error_naming_its_line(tmp_path):
-    path = tmp_path / "dup.jsonl"
-    write_file(path, ['{"features": {"1": 1.0}, "labels": [0]}', '{"features": {"3": 1.0, "03": 2.0}, "labels": [0]}'])
+    write_file(path, ['{"id": "a", "features": {}, "labels": [1]}', '{"id": "b", "features": {"0": 0.0}, "labels": []}',
+                      '{"features": {}, "labels": []}', '{"features": {"3": 2.0, "1": 1.0}, "labels": []}',
+                      '{"features": {}, "labels": []}'])
     for reader in (load_packed, load_jsonl):
-        with pytest.raises(DataFormatError, match="line 3: feature index 3 appears more than once"):
+        packed, _, _ = reader(path)
+        assert packed.indptr.tolist() == [0, 1, 2, 3, 5, 6]
+        assert packed.indices.tolist() == [0, 0, 0, 3, 1, 0] and packed.values.tolist() == [0, 0, 0, 2, 1, 0]
+
+
+@pytest.mark.parametrize("key", ["03", "+3", " 3", "3 ", "3_0", "-0", "00", "\u0663"])
+def test_a_key_that_str_does_not_write_is_an_error_naming_its_line(tmp_path, key):
+    # int() takes each of these keys; "03" and "3" would name one index twice
+    path = tmp_path / "key.jsonl"
+    record = {"features": {"3": 1.0, key: 2.0}, "labels": [0]}
+    write_file(path, ['{"features": {"1": 1.0}, "labels": [0]}', json.dumps(record)])
+    message = f"a feature key must be an integer as str() writes it, got {key!r}"
+    for reader in (load_packed, load_jsonl, oracles.load_jsonl):
+        with pytest.raises(DataFormatError, match=rf"line 3: malformed record \({re.escape(message)}\)"):
             reader(path)
     assert not copy_of(path).exists()
+
+
+@pytest.mark.parametrize("sample_id,shown", [("null", "None"), ("7", "7"), ("[]", "[]"), ("true", "True")])
+def test_an_id_that_is_not_a_string_is_an_error_naming_its_line(tmp_path, sample_id, shown):
+    path = tmp_path / "id.jsonl"
+    write_file(path, ['{"id": "a", "features": {"1": 1.0}, "labels": [0]}',
+                      '{"id": ' + sample_id + ', "features": {"1": 1.0}, "labels": [0]}'])
+    message = f"an id must be a string, got {shown}"
+    for reader in (load_packed, load_jsonl, oracles.load_jsonl):
+        with pytest.raises(DataFormatError, match=rf"line 3: malformed record \({re.escape(message)}\)"):
+            reader(path)
+    assert not copy_of(path).exists()
+
+
+def test_a_missing_id_is_the_empty_string(tmp_path):
+    path = tmp_path / "id.jsonl"
+    write_file(path, ['{"features": {"1": 1.0}, "labels": [0]}', '{"id": "", "features": {"2": 1.0}, "labels": []}'])
+    for reader in (load_packed, load_jsonl):
+        assert reader(path)[0].ids.tolist() == ["", ""]
 
 
 @pytest.mark.parametrize(
@@ -295,7 +265,7 @@ def test_a_value_of_the_wrong_kind_is_an_error_naming_its_line(tmp_path, record,
     # nothing is converted: a label 2.7 is not label 2, nor a value "2.5" 2.5
     path = tmp_path / "kind.jsonl"
     write_file(path, ['{"features": {"1": 1.0}, "labels": [0]}', record])
-    for reader in (load_packed, load_jsonl):
+    for reader in (load_packed, load_jsonl, oracles.load_jsonl):
         with pytest.raises(DataFormatError, match=rf"line 3: malformed record \({re.escape(message)}\)"):
             reader(path)
     assert not copy_of(path).exists()
@@ -366,7 +336,7 @@ def test_the_copy_holds_what_the_parse_gave(split):
     for _ in range(2):
         assert_identical_loads(load_packed(path), parsed)
     assert parses == []
-    assert_identical_loads(data._parse_packed(path), parsed)
+    assert_identical_loads(data.load_jsonl(path), parsed)
 
 
 def test_the_digest_does_not_need_hashlib_file_digest(split, monkeypatch):
@@ -443,7 +413,7 @@ def test_a_copy_for_other_bytes_is_a_miss(split):
     other = path.with_name("other.jsonl")
     write_file(other, COPY_LINES[:2])
     copy_of(other).write_bytes(blob)  # a foreign digest
-    want = data._parse_packed(other)
+    want = data.load_jsonl(other)
     parses.clear()
     assert_identical_loads(load_packed(other), want)
     assert parses == [other]
@@ -529,14 +499,14 @@ def test_a_copy_that_declares_an_impossible_shape_is_a_miss(tmp_path, monkeypatc
 def test_a_source_edited_during_the_parse_gets_no_copy(split, monkeypatch):
     path, parsed, blob, parses = split
     copy_of(path).unlink()
-    real = data._parse_packed
+    real = data.load_jsonl
 
     def parse_then_edit(p):
         result = real(p)
         path.write_text(path.read_text().replace('"3": 2.0', '"3": 7.0'))
         return result
 
-    monkeypatch.setattr(data, "_parse_packed", parse_then_edit)
+    monkeypatch.setattr(data, "load_jsonl", parse_then_edit)
     assert_identical_loads(load_packed(path), parsed)
     assert not copy_of(path).exists()
 
@@ -545,7 +515,7 @@ def test_a_source_edited_during_the_parse_gets_no_copy(split, monkeypatch):
 def test_a_pipe_is_parsed_once_and_gets_no_copy(tmp_path):
     path = tmp_path / "split.jsonl"
     write_file(path, COPY_LINES)
-    want = data._parse_packed(path)
+    want = data.load_jsonl(path)
     fifo = tmp_path / "pipe.jsonl"
     os.mkfifo(fifo)
     loaded = []
@@ -564,7 +534,7 @@ def test_a_pipe_is_parsed_once_and_gets_no_copy(tmp_path):
 def test_a_copy_that_cannot_be_written_is_skipped(tmp_path, monkeypatch, caplog):
     path = tmp_path / "split.jsonl"
     write_file(path, COPY_LINES)
-    want = data._parse_packed(path)
+    want = data.load_jsonl(path)
 
     def refuse(src, dst):
         raise PermissionError("read-only")
@@ -582,17 +552,45 @@ def test_a_copy_that_cannot_be_written_is_skipped(tmp_path, monkeypatch, caplog)
 def _packed(n=5, input_dim=VOCAB):
     rng = np.random.default_rng(0)
     samples = [
-        Sample({int(k): float(k + 1) for k in rng.choice(input_dim, size=i % 3, replace=False)},
-               np.eye(NUM_CLASSES, dtype=np.int8)[i % NUM_CLASSES], f"s{i}")
+        oracles.Sample({int(k): float(k + 1) for k in rng.choice(input_dim, size=i % 3, replace=False)},
+                       np.eye(NUM_CLASSES, dtype=np.int8)[i % NUM_CLASSES], f"s{i}")
         for i in range(n)
     ]
-    return samples, pack_samples(samples, input_dim)
+    return samples, oracles.pack(samples, input_dim)
 
 
 def test_take_carries_ids():
     samples, packed = _packed(6)
     for rows in ([3, 0, 3], [1, 2, 3], [5]):
-        assert_same_packed(packed.take(rows), pack_samples([samples[i] for i in rows], VOCAB))
+        assert_same_packed(packed.take(rows), oracles.pack([samples[i] for i in rows], VOCAB))
+
+
+def test_a_row_is_a_batch_of_one_and_a_slice_a_range_of_rows():
+    samples, packed = _packed(6)
+    for i in range(-6, 6):
+        assert_same_packed(packed[i], oracles.pack([samples[i]], VOCAB))
+        assert packed[i].indices.base is not None  # a view, not a copy
+    assert [row.ids.tolist() for row in packed] == [[f"s{i}"] for i in range(6)]
+    for key in (slice(1, 4), slice(-2, None), slice(None, 2), slice(2, 100), slice(-100, 3), slice(0, 6)):
+        assert_same_packed(packed[key], oracles.pack(samples[key], VOCAB))
+    for key in (slice(4, 2), slice(6, 9), slice(-1, -3), slice(3, 3)):
+        empty = packed[key]
+        assert len(empty) == 0 and empty.indptr.tolist() == [0] and empty.labels.shape == (0, NUM_CLASSES)
+        assert empty.indices.size == 0 and empty.ids.size == 0
+
+
+def test_a_row_out_of_range_or_a_step_is_an_error():
+    _, packed = _packed(6)
+    for i in (6, -7, 100):
+        with pytest.raises(IndexError, match=f"row {i} out of range for 6 rows"):
+            packed[i]
+    with pytest.raises(IndexError):
+        packed.take([])[0]
+    for key in (slice(None, None, 2), slice(None, None, -1), slice(4, 0, -1)):
+        with pytest.raises(ValueError, match="step 1 only"):
+            packed[key]
+    with pytest.raises(TypeError):
+        packed[1.0]
 
 
 def test_pack_samples_passes_a_packed_set_through_after_the_index_check():
@@ -606,13 +604,20 @@ def test_pack_samples_passes_a_packed_set_through_after_the_index_check():
         pack_samples(packed.take([]), VOCAB)
 
 
-def test_label_frequencies_of_a_packed_set_equal_the_list_count():
+def test_label_frequencies_count_each_label_over_the_records():
     samples, packed = _packed(9)
-    assert np.array_equal(data.label_frequencies(packed), data.label_frequencies(samples))
-    assert data.frequency_groups(packed, num_groups=2) == data.frequency_groups(samples, num_groups=2)
+    want = sum(s.labels.astype(np.int64) for s in samples)
+    assert np.array_equal(data.label_frequencies(packed), want)
+    assert data.frequency_groups(packed, num_groups=2) == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1}
 
 
-# -- the CLI builds no Sample --------------------------------------------------
+def test_the_package_has_one_sample_representation():
+    for name in ("Sample", "save_jsonl", "_EMPTY_ROW"):
+        assert not hasattr(knnmlc, name) and not hasattr(data, name), name
+    assert not hasattr(PackedSamples, "rows")
+
+
+# -- the CLI and the library on generated and loaded splits ---------------------
 
 TINY_CONFIG = {
     "dataset": {"num_classes": 6, "num_clusters": 2, "train_size": 60, "valid_size": 20, "test_size": 20,
@@ -623,34 +628,7 @@ TINY_CONFIG = {
 }
 
 
-def test_cli_pipeline_creates_no_sample(tmp_path, monkeypatch):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY_CONFIG))
-    d = tmp_path / "data"
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a Sample was created")
-
-    monkeypatch.setattr(Sample, "__init__", refuse)
-    model = tmp_path / "run" / "model.json"
-    store = tmp_path / "store.bin"
-    preds = tmp_path / "preds.jsonl"
-    steps = [
-        ["gen-data", "--out", str(d)],
-        ["train", "--data", str(d), "--out", str(model.parent)],
-        ["build-store", "--checkpoint", str(model), "--train-file", str(d / "train.jsonl"), "--out", str(store)],
-        ["predict", "--checkpoint", str(model), "--store", str(store), "--test-file", str(d / "test.jsonl"),
-         "--out", str(preds)],
-        ["eval", "--predictions", str(preds), "--gold", str(d / "test.jsonl"), "--num-groups", "2",
-         "--groups-from", str(d / "train.jsonl")],
-    ]
-    for argv in steps:
-        assert main(["--config", str(config), *argv]) == EXIT_OK, argv
-    with pytest.raises(AssertionError, match="a Sample was created"):
-        load_jsonl(d / "test.jsonl")  # the guard is live
-
-
-def test_cli_reports_a_repeated_feature_index_as_a_format_error(tmp_path):
+def test_cli_reports_a_key_str_does_not_write_as_a_format_error(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY_CONFIG))
     d = tmp_path / "data"
@@ -659,15 +637,11 @@ def test_cli_reports_a_repeated_feature_index_as_a_format_error(tmp_path):
     assert main(["--config", str(config), "train", "--data", str(d), "--out", str(tmp_path / "run")]) == EXIT_FORMAT
 
 
-def test_library_calls_give_the_same_bits_for_the_packed_split(tmp_path):
+def test_library_calls_give_the_same_bits_for_a_generated_and_a_loaded_split(tmp_path):
     cfg = data.DatasetConfig(num_classes=6, num_clusters=2, train_size=90, valid_size=20, test_size=25,
                              vocab_size=30, seed=2)
-    paths = {}
-    for name, split in zip(("train", "valid", "test"), data.generate_synthetic(cfg)):
-        paths[name] = tmp_path / f"{name}.jsonl"
-        data.save_jsonl(split, paths[name], cfg.num_classes, cfg.vocab_size)
-    lists = {name: load_jsonl(p)[0] for name, p in paths.items()}
-    packed = {name: load_packed(p)[0] for name, p in paths.items()}
+    lists = dict(zip(("train", "valid", "test"), data.generate_synthetic(cfg)))
+    packed = {name: load_packed(p)[0] for name, p in data.save_synthetic(cfg, tmp_path).items()}
 
     enc = EncoderConfig(cfg.vocab_size, 8, 4, cfg.num_classes)
     train_cfg = TrainConfig(batch_size=8, max_iters=12, eval_every=5, seed=1)
@@ -710,17 +684,15 @@ DEFAULT_CONFIG = json.loads((Path(__file__).resolve().parent.parent / "configs" 
     ids=["default", "vocab-2000"],
 )
 def test_an_in_memory_split_packs_to_the_arrays_of_its_file(tmp_path, overrides):
-    # the generator's samples hold their features in the order the file
-    # lists them, so a library run on the samples and a CLI run on the files
-    # pack the same CSR arrays and train the same bits
+    # the generator packs the features in the order the file lists them, so
+    # a library run on the generated splits and a CLI run on the files hold
+    # the same CSR arrays and train the same bits
     cfg = data.DatasetConfig(**{**DEFAULT_CONFIG["dataset"], **overrides, "valid_size": 200, "test_size": 1, "seed": 1})
     splits = data.generate_synthetic(cfg)[:2]
-    from_files = []
-    for name, split in zip(("train", "valid"), splits):
-        path = tmp_path / f"{name}.jsonl"
-        data.save_jsonl(split, path, cfg.num_classes, cfg.vocab_size)
-        from_files.append(load_packed(path)[0])
-        assert_same_packed(pack_samples(split, cfg.vocab_size), from_files[-1])
+    paths = data.save_synthetic(cfg, tmp_path)
+    from_files = [load_packed(paths[name])[0] for name in ("train", "valid")]
+    for split, loaded in zip(splits, from_files):
+        assert_identical_loads((split,), (loaded,))
 
     enc = EncoderConfig(cfg.vocab_size, num_classes=cfg.num_classes, **DEFAULT_CONFIG["encoder"])
     train_cfg = TrainConfig(**{**DEFAULT_CONFIG["train"], "max_iters": 30, "eval_every": 10})

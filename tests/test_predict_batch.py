@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 from knnmlc import cli, datastore
 from knnmlc.cli import EXIT_OK, main
-from knnmlc.data import DatasetConfig, Sample, generate_synthetic, load_jsonl, pack_samples
+from knnmlc.data import DatasetConfig, generate_synthetic, load_jsonl, pack_samples
 from knnmlc.datastore import Datastore, build, load, retrieve_topk
 from knnmlc.encoder import EncoderConfig, forward_batch, forward_rowwise, init_state, load_checkpoint
 from knnmlc.inference import InferenceConfig, predict, predict_batch
 from knnmlc.mathops import make_rng, sigmoid, softmax_temp
+from oracles import Sample, pack
 from test_datastore import rescored_sims  # the store's similarity, by its definition
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -62,7 +63,7 @@ def ref_knn_predict(neighbors, tau2):
 
 
 def ref_predict(state, store, sample, cfg):
-    trace = forward_batch(state, pack_samples([sample], state.config.input_dim), masks=np.ones((1, state.config.hidden_dim)))
+    trace = forward_batch(state, pack_samples(sample, state.config.input_dim), masks=np.ones((1, state.config.hidden_dim)))
     y_clf = sigmoid(trace.logits[0])
     neighbors = ref_retrieve_topk(store, trace.embedding[0], cfg.k)
     y_knn = ref_knn_predict(neighbors, cfg.tau2)
@@ -95,7 +96,8 @@ def random_setup(seed, count, hidden, embed, classes, input_dim=60):
     # repeated training samples give exactly tied keys
     for i in range(0, count, 7):
         train[i] = Sample(dict(train[0].features), train[i].labels, f"s{i}")
-    return state, build(state, train), [sample(count + i) for i in range(40)], rng
+    queries = pack([sample(count + i) for i in range(40)], input_dim)
+    return state, build(state, pack(train, input_dim)), queries, rng
 
 
 def near_tie_keys(rng, count, dim, eps):
@@ -123,7 +125,7 @@ def test_every_row_equals_the_sample_alone(seed, count, k, dims, mode, block):
     state, store, queries, rng = random_setup(seed, count, *dims)
     cfg = InferenceConfig(k=k, mode=mode)
     rows = rng.integers(len(queries), size=block)
-    batch = predict_batch(state, store, [queries[i] for i in rows], cfg)
+    batch = predict_batch(state, store, queries.take(rows), cfg)
     assert batch.neighbor_indices.shape == (block, min(k, count))
     for j, i in enumerate(rows):
         assert_same_bundle(batch.row(j), predict(state, store, queries[i], cfg), f"row {j} (sample {i})")
@@ -227,9 +229,11 @@ def test_cli_chunks_give_the_bytes_of_one_batch(default_run, monkeypatch):
 def test_cli_records_equal_library_predictions_bit_for_bit(default_run):
     state, store, test, cfg, records, _ = default_run
     assert len(records) == len(test) == 500
-    for sample, record in zip(test, records):
-        bundle = predict(state, store, sample, cfg)
-        assert record["id"] == sample.sample_id
+    batch = predict_batch(state, store, test, cfg)
+    for i, record in enumerate(records):
+        bundle = predict(state, store, test[i], cfg)
+        assert_same_bundle(bundle, batch.row(i), f"row {i}")
+        assert record["id"] == test.ids[i]
         assert bundle.y_clf.tolist() == record["y_clf"]
         assert bundle.y_knn.tolist() == record["y_knn"]
         assert bundle.lam == record["lambda"]

@@ -161,25 +161,25 @@ class TestTrainer:
             (train_s, _, _), dcfg = tiny_data(seed=seed, label_noise=0.0, n=200)
             ecfg = tiny_encoder_cfg(dcfg)
             cfg = TrainConfig(batch_size=8, learning_rate=5e-3, max_iters=50, seed=seed)
-            _, history = train(train_s, [], ecfg, cfg)
+            _, history = train(train_s, None, ecfg, cfg)
             totals = np.array([r["total"] for r in history])
             windows = totals.reshape(5, 10).mean(axis=1)
             assert np.all(np.diff(windows) < 0), f"seed {seed}: windows {windows}"
 
     def test_empty_training_set_rejected(self):
-        (_, valid_s, _), dcfg = tiny_data()
+        (train_s, valid_s, _), dcfg = tiny_data()
         state = init_state(tiny_encoder_cfg(dcfg), seed=0)
         with pytest.raises(ValueError):
-            Trainer([], valid_s, state, TrainConfig())
+            Trainer(train_s[:0], valid_s, state, TrainConfig())
 
     def test_empty_valid_returns_final_state(self):
-        (train_s, _, _), dcfg = tiny_data()
+        (train_s, valid_s, _), dcfg = tiny_data()
         ecfg = tiny_encoder_cfg(dcfg)
         cfg = TrainConfig(batch_size=8, learning_rate=3e-3, max_iters=10, seed=0)
-        state = init_state(ecfg, seed=0)
-        trainer = Trainer(train_s, [], state, cfg)
-        trainer.run()
-        assert trainer.best_state() is trainer.state
+        for empty in (None, valid_s[:0]):
+            trainer = Trainer(train_s, empty, init_state(ecfg, seed=0), cfg)
+            trainer.run()
+            assert trainer.best_state() is trainer.state
 
     def test_best_state_tracks_validation(self):
         (train_s, valid_s, _), dcfg = tiny_data()
@@ -306,7 +306,7 @@ class TestTrainer:
             train_s = train_s[:40]
             size = 40
         elif case == "more samples":
-            train_s = train_s + train_s[:1]
+            train_s = train_s.take([*range(n), 0])
             size = n + 1
         elif case == "a repeated row":
             payload["order"][0] = payload["order"][1]
