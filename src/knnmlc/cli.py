@@ -4,8 +4,9 @@ ablate, gradcheck.
 Configuration is one JSON file with optional sections "dataset", "encoder",
 "train", and "inference"; every key has a default (see docs/formats.md for
 the schema), so `{}` is a valid config. Each command records a manifest
-(config snapshot, seed, artifact paths, timestamps) next to its outputs, and
-commands are deterministic given their config and seed.
+(config snapshot, seed, artifact paths, timestamps; for train also the
+stage timings and the software versions) next to its outputs, and commands
+are deterministic given their config and seed.
 
 Exit codes: 0 success, 2 missing file, 3 malformed config or data file
 (including a datastore file with a zero-norm or non-finite key), 4 dimension
@@ -19,12 +20,14 @@ import argparse
 import dataclasses
 import json
 import logging
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import datastore as ds
 from . import training
 from .data import (
@@ -113,7 +116,7 @@ def load_config(path: str | None):
     return dataset_cfg, encoder_section, train_cfg, infer_cfg
 
 
-def write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed, artifacts: dict):
+def write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed, artifacts: dict, **extra):
     manifest = {
         "command": command,
         "seed": seed,
@@ -121,6 +124,7 @@ def write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed, art
         "artifacts": {name: str(p) for name, p in artifacts.items()},
         "created_unix": time.time(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        **extra,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"manifest-{command}.json"
@@ -184,12 +188,16 @@ def cmd_train(args) -> int:
     _, encoder_section, train_cfg, _ = load_config(args.config)
     if args.seed is not None:
         train_cfg.seed = args.seed
+    start = time.perf_counter()
     train_samples, valid_samples, num_classes, vocab_size = _load_training_splits(Path(args.data))
+    loaded = time.perf_counter()
 
     encoder_cfg = _encoder_config(encoder_section, input_dim=vocab_size, num_classes=num_classes)
     state = init_state(encoder_cfg, seed=train_cfg.seed)
     trainer = Trainer(train_samples, valid_samples, state, train_cfg)
+    run_start = time.perf_counter()
     trainer.run()
+    run_end = time.perf_counter()
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,12 +207,21 @@ def cmd_train(args) -> int:
     with open(history_path, "w", encoding="utf-8") as fh:
         for record in trainer.history:
             fh.write(json.dumps(record) + "\n")
+    saved = time.perf_counter()
+    run_s = run_end - run_start
     write_manifest(
         out_dir,
         "train",
         _config_snapshot(encoder_cfg, train_cfg),
         train_cfg.seed,
         {"checkpoint": ckpt_path, "history": history_path},
+        timings={
+            "load_s": loaded - start,
+            "run_s": run_s,
+            "save_s": saved - run_end,
+            "iterations_per_s": trainer.iteration / run_s if trainer.iteration else 0.0,
+        },
+        environment={"python": platform.python_version(), "numpy": np.__version__, "knnmlc": __version__},
     )
     last_f1 = next(
         (r["valid_micro_f1"] for r in reversed(trainer.history) if "valid_micro_f1" in r), None

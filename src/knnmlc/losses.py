@@ -12,10 +12,19 @@ negative weights:
     wscl - scl positives with the 2 - l_ij weights
 
 l_ij is the label similarity: shared positive labels over the larger positive
-count. Gradients with respect to the pairwise similarities are analytic; the
-chain through cosine similarity down to the embeddings is in
-``contrastive_embedding_grads``, which reuses the norms, unit vectors and
-cosine matrix of the forward pass.
+count (0 for two all-zero rows). Labels are 0/1, so one product of the label
+matrix with itself gives every l_ij, and two rows are identical exactly when
+their overlap equals both positive counts.
+
+``contrastive_loss_from_similarities`` makes one pass of each kind over two
+(2N, 2N) float64 arrays, in place: the weights' logs, the masked softmax
+(the diagonal set to -inf, so exp gives it exactly 0) and then the gradient,
+which is returned in the first array. A caller that runs many steps of one
+batch size passes the same pair each time (the ``Trainer`` does); the
+results are the same bits as with fresh arrays. Gradients with respect to
+the pairwise similarities are analytic; the chain through cosine similarity
+down to the embeddings is in ``contrastive_embedding_grads``, which reuses
+the norms, unit vectors and cosine matrix of the forward pass.
 """
 from __future__ import annotations
 
@@ -35,39 +44,11 @@ __all__ = [
     "contrastive_embedding_grads",
     "contrastive_loss",
     "contrastive_loss_from_similarities",
-    "label_similarity_matrix",
     "total_loss",
-    "weight_matrix",
 ]
 
 CONTRASTIVE_VARIANTS = ("dcl", "ucl", "scl", "wscl")
 _BCE_EPS = 1e-12
-
-
-def label_similarity_matrix(labels: np.ndarray) -> np.ndarray:
-    """All-pairs label similarities for (n, C) binary labels: shared positive
-    labels over the larger positive count, in [0, 1].
-
-    Rows with identical labels (in particular a sample and its own augmented
-    view) get similarity 1. A pair of all-zero rows gets 0, and is logged.
-    """
-    y = np.asarray(labels, dtype=np.float64)
-    counts = y.sum(axis=1)
-    if np.any(counts == 0):
-        logger.warning("label_similarity_matrix saw all-zero label rows; their pairs get 0")
-    common = y @ y.T
-    denom = np.maximum(counts[:, None], counts[None, :])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        l = np.where(denom > 0, common / np.where(denom > 0, denom, 1.0), 0.0)
-    return l
-
-
-def weight_matrix(l: np.ndarray) -> np.ndarray:
-    """Negative-pair weights 2 - l: 1 for identical labels up to 2 for disjoint."""
-    l = np.asarray(l, dtype=np.float64)
-    if np.any(l < 0.0) or np.any(l > 1.0):
-        raise ValueError("label similarities must lie in [0, 1]")
-    return 2.0 - l
 
 
 def bce_loss(y_hat, y):
@@ -118,64 +99,87 @@ class BatchViews:
         return (i + self.size // 2) % self.size
 
 
-def _positive_mask(labels: np.ndarray, variant: str) -> np.ndarray:
-    """(2N, 2N) 0/1 matrix of each anchor's positives: its own augmented view,
-    plus, for scl/wscl, every other row with an identical label vector."""
-    n2 = labels.shape[0]
-    rows = np.arange(n2)
-    if variant in ("scl", "wscl"):
-        group = np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
-        positive = group[:, None] == group[None, :]
-    else:
-        positive = np.zeros((n2, n2), dtype=bool)
-    positive[rows, (rows + n2 // 2) % n2] = True
-    positive[rows, rows] = False
-    return positive.astype(np.float64)
-
-
-def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str = "dcl"):
+def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str = "dcl", workspace=None):
     """Loss and gradient treating the (2N, 2N) similarity matrix as free
     variables; entry (i, j) appears only in anchor i's term.
 
     Returns (sum of per-anchor losses, gradient matrix of the same shape).
     Per anchor i: -mean over positives p of log(exp(s_ip/tau) /
     sum_{j != i} w_ij exp(s_ij/tau)). Computed via log-sum-exp so small
-    temperatures cannot overflow.
+    temperatures cannot overflow. Labels must be 0/1; any other value is a
+    ValueError naming it.
+
+    ``workspace`` is an optional pair of (2N, 2N) float64 arrays that the
+    call overwrites, neither of them ``sims``; the returned gradient is the
+    first. Without it the call allocates both, so its gradient is its own.
     """
     if variant not in CONTRASTIVE_VARIANTS:
         raise ValueError(f"variant must be one of {CONTRASTIVE_VARIANTS}, got {variant!r}")
     if tau1 <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau1}")
     s = np.asarray(sims, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int8)
+    labels = np.asarray(labels)
     n2 = s.shape[0]
     if s.shape != (n2, n2) or n2 < 2 or n2 % 2 != 0:
         raise ValueError(f"similarity matrix must be square with even size >= 2, got {s.shape}")
-    if labels.shape[0] != n2:
-        raise ValueError("labels and similarity matrix disagree on batch size")
+    if labels.ndim != 2 or labels.shape[0] != n2:
+        raise ValueError(f"labels of shape {labels.shape} do not give one row per view of a batch of {n2}")
+    bad = labels[(labels != 0) & (labels != 1)]
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
+    rows = np.arange(n2)
+    partners = (rows + n2 // 2) % n2
+    z, pair = (np.empty((n2, n2)), np.empty((n2, n2))) if workspace is None else workspace
+    if variant != "ucl":
+        y = labels.astype(np.float64)
+        counts = y.sum(axis=1)
+        # shared positive labels of each pair, exact integers; the contiguous
+        # copy of y.T makes this a gemm, several times faster than y @ y.T
+        np.matmul(y, y.T.copy(), out=pair)
 
+    positive = None
+    if variant in ("scl", "wscl"):
+        # two 0/1 rows are identical iff their overlap equals both counts
+        positive = pair == counts[:, None]
+        positive &= pair == counts
+        positive[rows, rows] = False
+        positive[rows, partners] = True
     if variant in ("dcl", "wscl"):
-        w = weight_matrix(label_similarity_matrix(labels))
+        if np.any(counts == 0):
+            logger.warning("the contrastive loss saw all-zero label rows; their pairs get label similarity 0")
+        # log w_ij = log(2 - l_ij), l_ij = overlap / max(count_i, count_j, 1)
+        larger = np.maximum(counts, 1.0)
+        np.maximum(larger[:, None], larger, out=z)
+        pair /= z
+        np.subtract(2.0, pair, out=pair)
+        np.log(pair, out=pair)
+        np.divide(s, tau1, out=z)
+        z += pair
     else:
-        w = np.ones((n2, n2), dtype=np.float64)
-    positive = _positive_mask(labels, variant)
-    num_positive = positive.sum(axis=1)
+        np.divide(s, tau1, out=z)
 
-    off_diag = ~np.eye(n2, dtype=bool)
-    z = np.log(w) + s / tau1
     # row-wise softmax over j != i gives the P_ij shares of the denominator
-    z_masked = np.where(off_diag, z, -np.inf)
-    z_max = z_masked.max(axis=1, keepdims=True)
-    expz = np.where(off_diag, np.exp(z_masked - z_max), 0.0)
-    denom = expz.sum(axis=1, keepdims=True)
-    p = expz / denom
+    z[rows, rows] = -np.inf
+    z_max = z.max(axis=1, keepdims=True)
+    z -= z_max
+    np.exp(z, out=z)
+    denom = z.sum(axis=1, keepdims=True)
     log_denom = np.log(denom[:, 0]) + z_max[:, 0]
+    z /= denom
+    z /= tau1
 
-    mean_positive = (positive * s).sum(axis=1) / num_positive
+    # the gradient P_ij / tau - [j is a positive of i] / (|positives of i| tau)
+    if positive is None:
+        mean_positive = s[rows, partners]
+        z[rows, partners] -= 1.0 / tau1
+    else:
+        num_positive = np.count_nonzero(positive, axis=1)
+        np.multiply(positive, s, out=pair)
+        mean_positive = pair.sum(axis=1) / num_positive
+        np.subtract(z, (1.0 / (num_positive * tau1))[:, None], out=z, where=positive)
+    z[rows, rows] = 0.0
     loss = float(np.sum(log_denom - mean_positive / tau1))
-    grad = p / tau1 - positive * (1.0 / (num_positive * tau1))[:, None]
-    grad[np.arange(n2), np.arange(n2)] = 0.0
-    return loss, grad
+    return loss, z
 
 
 def contrastive_loss(batch: BatchViews, tau1: float, variant: str = "dcl"):

@@ -150,14 +150,18 @@ def adam_step(
     return state
 
 
-def _batch_losses(trace, labels, tau1, variant):
+def _batch_losses(trace, labels, tau1, variant, workspace=None):
     """Both objectives of a batch trace, their gradients on the logits and on
     the similarities, and the cosine pieces (unit rows, norms, unclipped
-    cosine matrix) that the embedding gradient reuses."""
+    cosine matrix) that the embedding gradient reuses. ``workspace`` is the
+    contrastive loss's optional pair of (2N, 2N) arrays, which then hold the
+    similarity gradient."""
     bce, logit_grads = bce_loss(classify(trace), labels)
     unit, norms = unit_rows(trace.embedding)
     cos = unit @ unit.T
-    con, grad_sims = contrastive_loss_from_similarities(np.clip(cos, -1.0, 1.0), labels, tau1, variant)
+    con, grad_sims = contrastive_loss_from_similarities(
+        np.clip(cos, -1.0, 1.0), labels, tau1, variant, workspace=workspace
+    )
     return bce, con, logit_grads, grad_sims, (unit, norms, cos)
 
 
@@ -170,14 +174,16 @@ def batch_objective(state, views: PackedSamples, masks, alpha, tau1, variant="dc
     return total_loss(bce, con, alpha)
 
 
-def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng=None, masks=None):
+def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng=None, masks=None, workspace=None):
     """Forward the 2N packed views in one pass, evaluate both objectives, and
     backpropagate both paths in one pass.
 
     Returns (bce, con, total, grads, masks_used) with masks_used (2N, hidden).
+    ``workspace`` is an optional pair of (2N, 2N) float64 arrays for the
+    contrastive loss to overwrite; nothing returned lives in them.
     """
     trace = forward_batch(state, views, rng=rng, masks=masks)
-    bce, con, logit_grads, grad_sims, cosine = _batch_losses(trace, views.labels, tau1, variant)
+    bce, con, logit_grads, grad_sims, cosine = _batch_losses(trace, views.labels, tau1, variant, workspace)
     emb_grads = alpha * contrastive_embedding_grads(*cosine, grad_sims) if alpha > 0.0 else None
     grads = backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
     return bce, con, total_loss(bce, con, alpha), grads, trace.mask
@@ -204,7 +210,9 @@ class Trainer:
     ``data.load_packed`` reads them); an empty or None validation set means
     no validation. The dropout rate is the encoder config's. A step whose
     BCE or contrastive loss is NaN or inf raises NonFiniteLossError, naming
-    the iteration, before its update is applied.
+    the iteration, before its update is applied. Every step's batch holds
+    the same number 2N of views, so the trainer keeps one (2N, 2N) workspace
+    pair for the contrastive loss rather than allocate it each step.
     """
 
     def __init__(
@@ -227,6 +235,8 @@ class Trainer:
         self._best_state: EncoderState | None = None
         self._best_f1 = -1.0
         self._best_iteration = 0
+        n2 = 2 * min(cfg.batch_size, len(self.train_set))
+        self._workspace = (np.empty((n2, n2)), np.empty((n2, n2)))
 
     @property
     def eval_interval(self) -> int:
@@ -264,6 +274,7 @@ class Trainer:
             tau1=self.cfg.tau1,
             variant=self.cfg.variant,
             rng=self.rng,
+            workspace=self._workspace,
         )
         # alpha * con is NaN for a non-finite con even at alpha = 0
         if not math.isfinite(total):

@@ -4,7 +4,9 @@ Each one computes, for one pair or one sample, what the package computes for
 a whole batch at once; tests check the batched code against them. The
 per-sample forms of the data are here too: a sample record (``Sample``), a
 list of records packed (``pack``), the per-line dataset reader
-(``load_jsonl``) and writer (``save_jsonl``).
+(``load_jsonl``) and writer (``save_jsonl``). ``masked_contrastive_loss``
+is the contrastive loss as whole-matrix expressions, against which the
+package's in-place pass is checked bit for bit.
 """
 import json
 import logging
@@ -83,7 +85,7 @@ def logsumexp(a, axis=None):
 
 def label_similarity(y_i, y_j) -> float:
     """Shared positive labels divided by the larger positive count, in [0, 1]:
-    one entry of ``losses.label_similarity_matrix``.
+    one entry of ``label_similarity_matrix``.
 
     A pair with no positive labels on either side is defined as 0 (maximally
     dissimilar) and logged.
@@ -102,7 +104,7 @@ def label_similarity(y_i, y_j) -> float:
 
 
 def contrastive_weight(l: float) -> float:
-    """Negative-pair weight 2 - l, one entry of ``losses.weight_matrix``: 1 for
+    """Negative-pair weight 2 - l, one entry of ``weight_matrix``: 1 for
     identical labels up to 2 for disjoint."""
     if not 0.0 <= l <= 1.0:
         raise ValueError(f"label similarity must lie in [0, 1], got {l}")
@@ -122,6 +124,82 @@ def pij(similarities, weights, tau1: float) -> np.ndarray:
     z = np.log(w) + s / tau1
     e = np.exp(z - np.max(z))
     return e / e.sum()
+
+
+def label_similarity_matrix(labels: np.ndarray) -> np.ndarray:
+    """All-pairs label similarities for (n, C) binary labels: shared positive
+    labels over the larger positive count, in [0, 1]; ``label_similarity`` of
+    every pair, as one matrix product.
+
+    Rows with identical labels (in particular a sample and its own augmented
+    view) get similarity 1. A pair of all-zero rows gets 0, and is logged.
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    counts = y.sum(axis=1)
+    if np.any(counts == 0):
+        logger.warning("label_similarity_matrix saw all-zero label rows; their pairs get 0")
+    common = y @ y.T
+    denom = np.maximum(counts[:, None], counts[None, :])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        l = np.where(denom > 0, common / np.where(denom > 0, denom, 1.0), 0.0)
+    return l
+
+
+def weight_matrix(l: np.ndarray) -> np.ndarray:
+    """Negative-pair weights 2 - l, ``contrastive_weight`` of every entry: 1
+    for identical labels up to 2 for disjoint."""
+    l = np.asarray(l, dtype=np.float64)
+    if np.any(l < 0.0) or np.any(l > 1.0):
+        raise ValueError("label similarities must lie in [0, 1]")
+    return 2.0 - l
+
+
+def positive_mask(labels: np.ndarray, variant: str) -> np.ndarray:
+    """(2N, 2N) 0/1 matrix of each anchor's positives: its own augmented view,
+    plus, for scl/wscl, every other row with an identical label vector
+    (grouped by ``np.unique``)."""
+    n2 = labels.shape[0]
+    rows = np.arange(n2)
+    if variant in ("scl", "wscl"):
+        group = np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
+        positive = group[:, None] == group[None, :]
+    else:
+        positive = np.zeros((n2, n2), dtype=bool)
+    positive[rows, (rows + n2 // 2) % n2] = True
+    positive[rows, rows] = False
+    return positive.astype(np.float64)
+
+
+def masked_contrastive_loss(sims, labels, tau1: float, variant: str):
+    """``losses.contrastive_loss_from_similarities`` as whole-matrix
+    expressions, each forming a new array: the weights from
+    ``label_similarity_matrix``, the positives from ``positive_mask``, and
+    the diagonal excluded by ``np.where`` masks. The package's in-place pass
+    must give the same bits. Returns (loss, gradient)."""
+    s = np.asarray(sims, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int8)
+    n2 = s.shape[0]
+    if variant in ("dcl", "wscl"):
+        w = weight_matrix(label_similarity_matrix(labels))
+    else:
+        w = np.ones((n2, n2), dtype=np.float64)
+    positive = positive_mask(labels, variant)
+    num_positive = positive.sum(axis=1)
+
+    off_diag = ~np.eye(n2, dtype=bool)
+    z = np.log(w) + s / tau1
+    z_masked = np.where(off_diag, z, -np.inf)
+    z_max = z_masked.max(axis=1, keepdims=True)
+    expz = np.where(off_diag, np.exp(z_masked - z_max), 0.0)
+    denom = expz.sum(axis=1, keepdims=True)
+    p = expz / denom
+    log_denom = np.log(denom[:, 0]) + z_max[:, 0]
+
+    mean_positive = (positive * s).sum(axis=1) / num_positive
+    loss = float(np.sum(log_denom - mean_positive / tau1))
+    grad = p / tau1 - positive * (1.0 / (num_positive * tau1))[:, None]
+    grad[np.arange(n2), np.arange(n2)] = 0.0
+    return loss, grad
 
 
 def forward(state: EncoderState, sample: PackedSamples) -> ForwardTrace:

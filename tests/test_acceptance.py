@@ -22,11 +22,11 @@ from knnmlc.encoder import (
 )
 from knnmlc.gradcheck import run_gradcheck_suite
 from knnmlc.inference import InferenceConfig, combine, debiased_lambda, high_confidence_subset, predict
-from knnmlc.losses import BatchViews, contrastive_loss, contrastive_loss_from_similarities, label_similarity_matrix
+from knnmlc.losses import BatchViews, contrastive_loss, contrastive_loss_from_similarities
 from knnmlc.mathops import make_rng
 from knnmlc.metrics import confusion, macro_prf, micro_prf
 from knnmlc.training import TrainConfig, Trainer
-from oracles import pij
+from oracles import label_similarity_matrix, pij
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = json.loads((REPO_ROOT / "configs" / "default.json").read_text())

@@ -22,13 +22,11 @@ from knnmlc.losses import (
     bce_loss,
     contrastive_embedding_grads,
     contrastive_loss_from_similarities,
-    label_similarity_matrix,
     total_loss,
-    weight_matrix,
 )
 from knnmlc.mathops import cosine_sim_matrix, make_rng, sigmoid, unit_rows
 from knnmlc.training import batch_gradients, batch_objective
-from oracles import Sample, column_gather, pack
+from oracles import Sample, column_gather, label_similarity_matrix, pack, weight_matrix
 
 REL_TOL = 1e-12
 

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import numpy as np
 
+import knnmlc
 from knnmlc import cli
 from knnmlc.cli import (
     EXIT_DIMENSION,
@@ -122,6 +124,28 @@ class TestPipeline:
         assert manifest["command"] == "gen-data"
         assert set(manifest["artifacts"]) == {"train", "valid", "test"}
         assert "created" in manifest
+
+    def test_train_manifest_records_timings_and_environment(self, pipeline_artifacts):
+        a = pipeline_artifacts
+        manifest = json.loads((a["run"] / "manifest-train.json").read_text())
+        timings, environment = manifest["timings"], manifest["environment"]
+        assert set(timings) == {"load_s", "run_s", "save_s", "iterations_per_s"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+        iterations = len((a["run"] / "history.jsonl").read_text().splitlines())
+        assert timings["iterations_per_s"] == iterations / timings["run_s"]
+        assert environment == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "knnmlc": knnmlc.__version__,
+        }
+        # only the train manifest carries them
+        gen_data = json.loads((a["data"] / "manifest-gen-data.json").read_text())
+        assert not {"timings", "environment"} & set(gen_data)
+        # and docs/formats.md names every key
+        formats = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        for section, keys in (("timings", timings), ("environment", environment)):
+            for key in keys:
+                assert f"`{section}.{key}`" in formats
 
     def test_gen_data_is_reproducible_byte_for_byte(self, workspace):
         root, config = workspace

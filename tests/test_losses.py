@@ -1,6 +1,7 @@
 """Label similarity, weights, BCE, and the contrastive loss family."""
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,17 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knnmlc.losses import (
+    CONTRASTIVE_VARIANTS,
     BatchViews,
     bce_loss,
     contrastive_embedding_grads,
     contrastive_loss,
     contrastive_loss_from_similarities,
-    label_similarity_matrix,
     total_loss,
-    weight_matrix,
 )
 from knnmlc.mathops import make_rng, sigmoid, unit_rows
-from oracles import contrastive_weight, label_similarity, pij
+from oracles import (
+    contrastive_weight,
+    label_similarity,
+    label_similarity_matrix,
+    masked_contrastive_loss,
+    pij,
+    weight_matrix,
+)
 
 LN2 = 0.6931471805599453  # frozen 40-digit evaluation of ln 2
 LN5 = 1.6094379124341003  # frozen 40-digit evaluation of ln 5
@@ -325,3 +332,76 @@ class TestTotalLoss:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             total_loss(1.0, 1.0, -0.2)
+
+
+class TestInPlacePass:
+    """The package's in-place pass against ``masked_contrastive_loss``, the
+    same loss as whole-matrix expressions: every bit of the loss and the
+    gradient, sign bits included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.integers(1, 8), st.sampled_from([16, 64, 128])),
+        num_classes=st.integers(1, 12),
+        variant=st.sampled_from(CONTRASTIVE_VARIANTS),
+        label_kind=st.sampled_from(["random", "duplicated", "all-zero rows"]),
+        tau1=st.sampled_from([0.02, 0.05, 0.1, 1.0]),
+        exact_values=st.booleans(),
+        stale_workspace=st.booleans(),
+    )
+    def test_bit_identical_to_the_whole_matrix_reference(
+        self, seed, n, num_classes, variant, label_kind, tau1, exact_values, stale_workspace
+    ):
+        rng = make_rng(seed)
+        labels = (rng.random((2 * n, num_classes)) < rng.uniform(0.1, 0.9)).astype(np.int8)
+        if label_kind != "random":
+            labels[n:] = labels[:n]
+        if label_kind == "all-zero rows":
+            labels[rng.random(2 * n) < 0.3] = 0
+        sims = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+        if exact_values:
+            # signed zeros and the clip bounds, where sign bits and ties show
+            pick = rng.integers(0, 8, size=sims.shape)
+            for code, value in enumerate((-0.0, 0.0, 1.0, -1.0)):
+                sims[pick == code] = value
+        workspace = None
+        if stale_workspace:
+            # what a previous step left behind must not reach the result
+            workspace = (np.full(sims.shape, np.nan), np.full(sims.shape, -np.inf))
+        loss, grad = contrastive_loss_from_similarities(sims, labels, tau1, variant, workspace=workspace)
+        ref_loss, ref_grad = masked_contrastive_loss(sims, labels, tau1, variant)
+        np.testing.assert_array_equal(loss, ref_loss)
+        np.testing.assert_array_equal(np.signbit(loss), np.signbit(ref_loss))
+        np.testing.assert_array_equal(grad, ref_grad)
+        np.testing.assert_array_equal(np.signbit(grad), np.signbit(ref_grad))
+        if workspace is not None:
+            assert grad is workspace[0]
+
+    @pytest.mark.parametrize("variant", CONTRASTIVE_VARIANTS)
+    @pytest.mark.parametrize("bad", [-1, 2, 0.5])
+    def test_a_label_other_than_0_or_1_is_an_error_naming_it(self, variant, bad):
+        labels = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=type(bad))
+        labels[2, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {labels[2, 1]}")):
+            contrastive_loss_from_similarities(np.zeros((4, 4)), labels, 0.1, variant)
+        if isinstance(bad, int):  # BatchViews holds int8 labels
+            with pytest.raises(ValueError, match=f"labels must be 0 or 1, got {bad}"):
+                contrastive_loss(BatchViews(np.eye(4), labels), 0.1, variant)
+
+    def test_a_call_without_workspace_returns_a_gradient_of_its_own(self):
+        rng = make_rng(14)
+        labels = (rng.random((6, 4)) < 0.5).astype(np.int8)
+        first_sims, second_sims = rng.uniform(-1, 1, size=(2, 6, 6))
+        for variant in CONTRASTIVE_VARIANTS:
+            _, first = contrastive_loss_from_similarities(first_sims, labels, 0.1, variant)
+            kept = first.copy()
+            _, second = contrastive_loss_from_similarities(second_sims, labels, 0.1, variant)
+            assert not np.shares_memory(first, second)
+            np.testing.assert_array_equal(first, kept)
+
+    def test_labels_of_another_batch_size_are_rejected(self):
+        with pytest.raises(ValueError, match="one row per view"):
+            contrastive_loss_from_similarities(np.zeros((4, 4)), np.ones((6, 2), dtype=np.int8), 0.1)
+        with pytest.raises(ValueError, match="one row per view"):
+            contrastive_loss_from_similarities(np.zeros((4, 4)), np.ones(4, dtype=np.int8), 0.1)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from knnmlc.data import DatasetConfig, generate_synthetic
+from knnmlc import training
 from knnmlc.encoder import CheckpointError, EncoderConfig, ParameterGradients, init_state
+from knnmlc.mathops import make_rng
 from knnmlc.training import AdamState, NonFiniteLossError, TrainConfig, Trainer, adam_step, train
 
 
@@ -392,3 +394,64 @@ class TestTrainer:
             TrainConfig(tau1=0.0).validate()
         with pytest.raises(ValueError):
             TrainConfig(variant="other").validate()
+
+
+class TestWorkspace:
+    """The trainer keeps one (2N, 2N) pair for the contrastive loss across
+    steps; nothing of one step may reach another."""
+
+    @staticmethod
+    def _check_each_step_against_fresh_buffers(monkeypatch, trainer):
+        """Make every batch_gradients call of ``trainer`` also run from a copy
+        of its state and rng without a workspace, and assert the same bits;
+        returns the list of checked steps."""
+        real = training.batch_gradients
+        checked = []
+
+        def checking(state, views, **kwargs):
+            assert kwargs["workspace"] is trainer._workspace
+            fresh_rng = make_rng(0)
+            fresh_rng.bit_generator.state = kwargs["rng"].bit_generator.state
+            want = real(state.copy(), views, **{**kwargs, "rng": fresh_rng, "workspace": None})
+            got = real(state, views, **kwargs)
+            for a, b in zip(got[:3], want[:3]):
+                assert np.float64(a).tobytes() == np.float64(b).tobytes()
+            for name, g in got[3].param_items():
+                assert g.tobytes() == getattr(want[3], name).tobytes(), name
+                assert not any(np.shares_memory(g, buf) for buf in trainer._workspace), name
+            assert got[4].tobytes() == want[4].tobytes()
+            checked.append(trainer.iteration + 1)
+            return got
+
+        monkeypatch.setattr(training, "batch_gradients", checking)
+        return checked
+
+    @pytest.mark.parametrize("variant", ["dcl", "ucl", "scl", "wscl"])
+    def test_steps_with_the_kept_workspace_equal_fresh_buffers(self, monkeypatch, variant):
+        (train_s, valid_s, _), dcfg = tiny_data()
+        cfg = TrainConfig(batch_size=8, learning_rate=3e-3, alpha=0.5, max_iters=5, seed=2, variant=variant)
+        trainer = Trainer(train_s, valid_s, init_state(tiny_encoder_cfg(dcfg), seed=2), cfg)
+        checked = self._check_each_step_against_fresh_buffers(monkeypatch, trainer)
+        trainer.run()
+        assert checked == [1, 2, 3, 4, 5]
+
+    def test_a_batch_size_beyond_the_training_set_uses_the_whole_set(self, monkeypatch):
+        (train_s, valid_s, _), dcfg = tiny_data()
+        cfg = TrainConfig(batch_size=50, learning_rate=3e-3, alpha=0.5, max_iters=4, seed=1, variant="wscl")
+        trainer = Trainer(train_s[:7], valid_s, init_state(tiny_encoder_cfg(dcfg), seed=1), cfg)
+        assert [buf.shape for buf in trainer._workspace] == [(14, 14), (14, 14)]
+        checked = self._check_each_step_against_fresh_buffers(monkeypatch, trainer)
+        history = trainer.run()
+        assert checked == [1, 2, 3, 4]
+        assert all(np.isfinite(r["total"]) for r in history)
+
+    def test_a_library_call_returns_arrays_of_its_own(self):
+        (train_s, _, _), dcfg = tiny_data()
+        state = init_state(tiny_encoder_cfg(dcfg), seed=0)
+        rows = np.arange(6)
+        first_views, second_views = (train_s.take(np.concatenate([r, r])) for r in (rows, rows + 6))
+        first = training.batch_gradients(state, first_views, 0.5, 0.05, "wscl", rng=make_rng(0))
+        kept = {name: g.copy() for name, g in first[3].param_items()}
+        training.batch_gradients(state, second_views, 0.5, 0.05, "wscl", rng=make_rng(1))
+        for name, g in first[3].param_items():
+            np.testing.assert_array_equal(g, kept[name])
