@@ -4,9 +4,10 @@ ablate, gradcheck.
 Configuration is one JSON file with optional sections "dataset", "encoder",
 "train", and "inference"; every key has a default (see docs/formats.md for
 the schema), so `{}` is a valid config. Each command records a manifest
-(config snapshot, seed, artifact paths, timestamps; for train also the
-stage timings and the software versions) next to its outputs, and commands
-are deterministic given their config and seed.
+(config snapshot, seed, artifact paths, timestamps; for train, build-store,
+predict and eval, which writes one only with --out, also the stage timings
+and the software versions) next to its outputs, and commands are
+deterministic given their config and seed.
 
 Exit codes: 0 success, 2 missing file, 3 malformed config or data file
 (including a datastore file with a zero-norm or non-finite key), 4 dimension
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, copies
 from . import datastore as ds
 from . import training
 from .data import (
@@ -133,6 +134,11 @@ def write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed, art
     return path
 
 
+def _environment() -> dict:
+    """The software versions a manifest records."""
+    return {"python": platform.python_version(), "numpy": np.__version__, "knnmlc": __version__}
+
+
 def _config_snapshot(*cfgs, **extra):
     snap = {}
     for cfg in cfgs:
@@ -221,7 +227,7 @@ def cmd_train(args) -> int:
             "save_s": saved - run_end,
             "iterations_per_s": trainer.iteration / run_s if trainer.iteration else 0.0,
         },
-        environment={"python": platform.python_version(), "numpy": np.__version__, "knnmlc": __version__},
+        environment=_environment(),
     )
     last_f1 = next(
         (r["valid_micro_f1"] for r in reversed(trainer.history) if "valid_micro_f1" in r), None
@@ -238,11 +244,14 @@ def cmd_train(args) -> int:
 def cmd_build_store(args) -> int:
     if not Path(args.checkpoint).exists():
         raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
+    start = time.perf_counter()
     state = load_checkpoint(args.checkpoint)
     train_samples = _load_matching_split(
         Path(args.train_file), state.config.num_classes, state.config.input_dim, f"checkpoint {args.checkpoint}"
     )
+    loaded = time.perf_counter()
     store = ds.build(state, train_samples, fraction=args.fraction)
+    built = time.perf_counter()
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     ds.save(store, out_path)
@@ -252,6 +261,8 @@ def cmd_build_store(args) -> int:
         {"checkpoint": str(args.checkpoint), "train_file": str(args.train_file), "fraction": args.fraction},
         None,
         {"datastore": out_path},
+        timings={"load_s": loaded - start, "run_s": built - loaded, "save_s": time.perf_counter() - built},
+        environment=_environment(),
     )
     print(f"built datastore with {store.count} entries (d={store.dim}, C={store.num_classes}) at {out_path}")
     return EXIT_OK
@@ -269,22 +280,20 @@ def _predict_chunks(state, store, samples, infer_cfg):
         yield chunk, predict_batch(state, store, chunk, infer_cfg)
 
 
-def _predict_records(state, store, samples, infer_cfg):
-    for chunk, bundle in _predict_chunks(state, store, samples, infer_cfg):
-        y_pred = bundle.decisions(infer_cfg.decision_threshold)
-        for i, sample_id in enumerate(chunk.ids):
-            yield {
-                "id": sample_id,
-                "y_clf": bundle.y_clf[i].tolist(),
-                "y_knn": bundle.y_knn[i].tolist(),
-                "lambda": float(bundle.lam[i]),
-                "y_final": bundle.y_final[i].tolist(),
-                "y_pred": y_pred[i].tolist(),
-                "neighbors": [
-                    {"index": index, "similarity": sim}
-                    for index, sim in zip(bundle.neighbor_indices[i].tolist(), bundle.neighbor_sims[i].tolist())
-                ],
-            }
+def _chunk_records(chunk, bundle, y_pred):
+    for i, sample_id in enumerate(chunk.ids):
+        yield {
+            "id": sample_id,
+            "y_clf": bundle.y_clf[i].tolist(),
+            "y_knn": bundle.y_knn[i].tolist(),
+            "lambda": float(bundle.lam[i]),
+            "y_final": bundle.y_final[i].tolist(),
+            "y_pred": y_pred[i].tolist(),
+            "neighbors": [
+                {"index": index, "similarity": sim}
+                for index, sim in zip(bundle.neighbor_indices[i].tolist(), bundle.neighbor_sims[i].tolist())
+            ],
+        }
 
 
 def cmd_predict(args) -> int:
@@ -294,6 +303,7 @@ def cmd_predict(args) -> int:
         infer_cfg.validate()
     if not Path(args.checkpoint).exists():
         raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
+    start = time.perf_counter()
     state = load_checkpoint(args.checkpoint)
     store = None
     if args.store is not None:
@@ -310,35 +320,104 @@ def cmd_predict(args) -> int:
     samples = _load_matching_split(
         Path(args.test_file), state.config.num_classes, state.config.input_dim, f"checkpoint {args.checkpoint}"
     )
+    loaded = time.perf_counter()
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for record in _predict_records(state, store, samples, infer_cfg):
-            fh.write(json.dumps(record) + "\n")
+    # each chunk's decisions, and the seconds spent predicting
+    decisions, run_s = [np.zeros((0, state.config.num_classes), dtype=np.int8)], 0.0
+
+    def lines():
+        nonlocal run_s
+        t0 = time.perf_counter()
+        for chunk, bundle in _predict_chunks(state, store, samples, infer_cfg):
+            run_s += time.perf_counter() - t0
+            decisions.append(bundle.decisions(infer_cfg.decision_threshold))
+            for record in _chunk_records(chunk, bundle, decisions[-1]):
+                yield (json.dumps(record) + "\n").encode("utf-8")
+            t0 = time.perf_counter()
+
+    digest = copies.write_hashed(out_path, lines())
+    y_pred = np.concatenate(decisions)
+    copies.write_copy(out_path, _PREDICTIONS_COPY_VERSION, digest, _predictions_to_copy(samples.ids, y_pred))
     write_manifest(
         out_path.parent,
         "predict",
         _config_snapshot(infer_cfg, checkpoint=str(args.checkpoint), store=str(args.store)),
         None,
         {"predictions": out_path},
+        timings={"load_s": loaded - start, "run_s": run_s, "save_s": time.perf_counter() - loaded - run_s},
+        environment=_environment(),
     )
     print(f"wrote {len(samples)} predictions ({infer_cfg.mode}) to {out_path}")
     return EXIT_OK
 
 
-def _read_predictions(path: Path):
-    if not path.exists():
-        raise FileNotFoundError(f"predictions file not found: {path}")
-    records = []
+# the packed copy of a predictions file (see docs/formats.md): the y_pred
+# rows and the ids, {name: (dtype, ndim)}
+_PREDICTIONS_COPY_VERSION = 1
+_PREDICTIONS_COPY_MEMBERS = {"y_pred": (np.int8, 2), "id_offsets": (np.int64, 1), "id_bytes": (np.uint8, 1)}
+
+
+def _predictions_to_copy(ids, y_pred: np.ndarray) -> dict:
+    id_offsets, id_bytes = copies.pack_strings(ids)
+    return {"y_pred": y_pred, "id_offsets": id_offsets, "id_bytes": id_bytes}
+
+
+def _decision_error(path, i: int, num_classes: int) -> DataFormatError:
+    return DataFormatError(f"{path}: record {i}: y_pred must be a list of {num_classes} values in {{0, 1}}")
+
+
+def _parse_predictions(path, num_classes: int):
+    """(ids, (n, C) int8 y_pred) of a predictions file. Every record must be
+    an object whose ``y_pred`` is a list of ``num_classes`` JSON integers
+    (not true/false or 1.0) and whose ``id``, if given, is a string (a
+    missing id is ""); whether each value is 0 or 1 is checked on the
+    array."""
+    ids, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-    return records
+            i = len(rows)
+            row = rec.get("y_pred") if isinstance(rec, dict) else None
+            if not (isinstance(row, list) and len(row) == num_classes and all(type(x) is int for x in row)):
+                raise _decision_error(path, i, num_classes)
+            sample_id = rec.get("id", "")
+            if not isinstance(sample_id, str):
+                raise DataFormatError(f"{path}: record {i}: id must be a string, got {sample_id!r}")
+            ids.append(sample_id)
+            rows.append(row)
+    try:
+        y_pred = np.array(rows, dtype=np.int8)
+    except OverflowError:
+        # a value outside int8 is no decision either; keep it one for the 0/1 check
+        y_pred = np.array([[min(max(x, -1), 2) for x in row] for row in rows], dtype=np.int8)
+    return ids, y_pred.reshape(len(rows), num_classes)
+
+
+def _read_predictions(path, num_classes: int):
+    """``_parse_predictions``, served from the packed copy that predict (or
+    an earlier miss) wrote when it stands for the file's bytes and holds
+    rows of ``num_classes``."""
+
+    def from_copy(arrays):
+        ids = copies.unpack_strings(arrays["id_offsets"], arrays["id_bytes"])
+        if ids is None or arrays["y_pred"].shape != (len(ids), num_classes):
+            return None
+        return ids, arrays["y_pred"]
+
+    return copies.load(
+        path,
+        _PREDICTIONS_COPY_VERSION,
+        _PREDICTIONS_COPY_MEMBERS,
+        lambda p: _parse_predictions(p, num_classes),
+        from_copy,
+        lambda loaded: _predictions_to_copy(*loaded),
+    )
 
 
 def _metrics_report(gold_rows, pred_rows, groups=None):
@@ -377,50 +456,52 @@ def _format_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _is_decision_row(row, num_classes: int) -> bool:
-    """A list of num_classes JSON integers, each 0 or 1 (not true/false or 1.0)."""
-    return (
-        isinstance(row, list)
-        and len(row) == num_classes
-        and all(type(x) is int and 0 <= x <= 1 for x in row)
-    )
-
-
 def cmd_eval(args) -> int:
-    records = _read_predictions(Path(args.predictions))
+    if not Path(args.predictions).exists():
+        raise FileNotFoundError(f"predictions file not found: {Path(args.predictions)}")
+    start = time.perf_counter()
     gold, num_classes, _ = _load_split(Path(args.gold))
-    if len(records) != len(gold):
-        raise DataFormatError(
-            f"predictions ({len(records)}) and gold ({len(gold)}) disagree on sample count"
-        )
-    pred_rows = []
-    for i, (rec, gold_id) in enumerate(zip(records, gold.ids)):
-        row = rec.get("y_pred") if isinstance(rec, dict) else None
-        if not _is_decision_row(row, num_classes):
-            raise DataFormatError(
-                f"{args.predictions}: record {i}: y_pred must be a list of {num_classes} values in {{0, 1}}"
-            )
-        if rec.get("id") and gold_id and rec["id"] != gold_id:
-            raise DataFormatError(f"record {i}: prediction id {rec['id']!r} != gold id {gold_id!r}")
-        pred_rows.append(row)
-    gold_rows = gold.labels
+    ids, y_pred = _read_predictions(args.predictions, num_classes)
+    load_s = time.perf_counter() - start
+    if len(ids) != len(gold):
+        raise DataFormatError(f"predictions ({len(ids)}) and gold ({len(gold)}) disagree on sample count")
+    # the same checks whether the file or its packed copy gave the rows
+    undecided = (y_pred.view(np.uint8) > 1).any(axis=1).tolist()
+    for i, (pred_id, gold_id) in enumerate(zip(ids, gold.ids)):
+        if undecided[i]:
+            raise _decision_error(args.predictions, i, num_classes)
+        if pred_id and gold_id and pred_id != gold_id:
+            raise DataFormatError(f"record {i}: prediction id {pred_id!r} != gold id {gold_id!r}")
 
     groups = None
     if args.num_groups:
         source = Path(args.groups_from) if args.groups_from else Path(args.gold)
+        group_start = time.perf_counter()
         group_samples, group_classes, _ = _load_split(source)
+        load_s += time.perf_counter() - group_start
         if group_classes != num_classes:
             raise DimensionMismatchError(
                 f"--groups-from {source} (C={group_classes}) does not match the gold file {args.gold} (C={num_classes})"
             )
         groups = frequency_groups(group_samples, num_groups=args.num_groups)
-    report = _metrics_report(gold_rows, np.asarray(pred_rows, dtype=np.int8), groups)
+    report = _metrics_report(gold.labels, y_pred, groups)
+    ran = time.perf_counter()
     print(_format_report(report))
     if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
+        write_manifest(
+            out_path.parent,
+            "eval",
+            {"predictions": str(args.predictions), "gold": str(args.gold), "num_groups": args.num_groups,
+             "groups_from": args.groups_from},
+            None,
+            {"report": out_path},
+            timings={"load_s": load_s, "run_s": ran - start - load_s, "save_s": time.perf_counter() - ran},
+            environment=_environment(),
+        )
         print(f"wrote metrics to {out_path}")
     return EXIT_OK
 

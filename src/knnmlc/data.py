@@ -29,7 +29,8 @@ all parsed records is ever alive.
 A file is parsed at most once per content: the first ``load_packed`` of a
 split writes its arrays to ``<split>.jsonl.packed`` next to it, keyed by the
 SHA-256 of the file's bytes and by ``_READER_VERSION``, and every later read
-of the same bytes is served from that copy (layout in docs/formats.md).
+of the same bytes is served from that copy (``copies``; layout in
+docs/formats.md).
 Deleting the copy is always safe; the next read parses and writes it again.
 """
 from __future__ import annotations
@@ -38,11 +39,9 @@ import bisect
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import json
 import json.decoder
 import json.scanner
-import logging
 import math
 import operator
 import os
@@ -51,9 +50,8 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
+from . import copies
 from .mathops import make_rng
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "DataFormatError",
@@ -610,21 +608,12 @@ def load_packed(path):
     same DataFormatError naming the offending line. The result is served
     from the packed copy ``<path>.packed`` when that copy was written for
     the same bytes by this reader version and is intact; otherwise the file
-    is parsed and the copy (re)written. A copy that cannot be written is
-    logged at DEBUG and skipped; a file that fails to parse gets none, and
-    so does a path that is not a regular file (a pipe is read only once).
+    is parsed and the copy (re)written (``copies.load``). A copy that cannot
+    be written is logged at DEBUG and skipped; a file that fails to parse
+    gets none, and so does a path that is not a regular file (a pipe is read
+    only once).
     """
-    if not os.path.isfile(path):
-        return load_jsonl(path)
-    copy = f"{os.fspath(path)}.packed"
-    digest = _file_digest(path)
-    loaded = _read_copy(copy, digest)
-    if loaded is None:
-        loaded = load_jsonl(path)
-        # bytes edited during the parse have no one digest to key the copy by
-        if _file_digest(path) == digest:
-            _write_copy(copy, digest, *loaded)
-    return loaded
+    return copies.load(path, _READER_VERSION, _COPY_MEMBERS, load_jsonl, _from_copy, _to_copy)
 
 
 def load_jsonl(path):
@@ -654,94 +643,54 @@ def load_jsonl(path):
     return packed, num_classes, vocab_size
 
 
-def _file_digest(path) -> bytes:
-    """SHA-256 of the file's bytes, read 1 MiB at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.digest()
-
-
-# the packed copy is an uncompressed .npz of these arrays (see docs/formats.md):
-# numpy checks each one's dtype, shape and size on reading, and zipfile the
-# CRC-32 of each one read in full
-_COPY_DTYPES = {
-    "dims": np.int64,  # (2,): C, V
-    "indptr": np.int64,
-    "indices": np.int64,
-    "values": np.float64,
-    "labels": np.int8,
-    "id_offsets": np.int64,  # (n + 1,): id i is id_bytes[id_offsets[i]:id_offsets[i + 1]]
-    "id_bytes": np.uint8,  # every id, UTF-8 with surrogatepass
+# the packed copy holds these arrays, {name: (dtype, ndim)}, beside version
+# and digest (see docs/formats.md)
+_COPY_MEMBERS = {
+    "dims": (np.int64, 1),  # (2,): C, V
+    "indptr": (np.int64, 1),
+    "indices": (np.int64, 1),
+    "values": (np.float64, 1),
+    "labels": (np.int8, 2),
+    "id_offsets": (np.int64, 1),  # (n + 1,): id i is id_bytes[id_offsets[i]:id_offsets[i + 1]]
+    "id_bytes": (np.uint8, 1),  # every id, UTF-8 with surrogatepass
 }
 
 
-def _write_copy(copy: str, digest: bytes, packed: PackedSamples, num_classes: int, vocab_size: int) -> None:
-    """Write the packed copy through a temporary file and an atomic rename;
-    a failure is logged at DEBUG and leaves no temporary file."""
-    ids = [sample_id.encode("utf-8", "surrogatepass") for sample_id in packed.ids]
-    id_offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, ids), dtype=np.int64, count=len(ids)), out=id_offsets[1:])
-    tmp = f"{copy}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                version=np.int64(_READER_VERSION),
-                digest=np.frombuffer(digest, dtype=np.uint8),
-                dims=np.array([num_classes, vocab_size], dtype=np.int64),
-                indptr=packed.indptr,
-                indices=packed.indices,
-                values=packed.values,
-                labels=packed.labels,
-                id_offsets=id_offsets,
-                id_bytes=np.frombuffer(b"".join(ids), dtype=np.uint8),
-            )
-        os.replace(tmp, copy)
-    except OSError as exc:
-        logger.debug("packed copy %s not written: %s", copy, exc)
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+def _to_copy(loaded) -> dict:
+    """The arrays of the packed copy of a parse result (PackedSamples,
+    num_classes, vocab_size)."""
+    packed, num_classes, vocab_size = loaded
+    id_offsets, id_bytes = copies.pack_strings(packed.ids)
+    return {
+        "dims": np.array([num_classes, vocab_size], dtype=np.int64),
+        "indptr": packed.indptr,
+        "indices": packed.indices,
+        "values": packed.values,
+        "labels": packed.labels,
+        "id_offsets": id_offsets,
+        "id_bytes": id_bytes,
+    }
 
 
-def _read_copy(copy: str, digest: bytes):
-    """(PackedSamples, num_classes, vocab_size) from the packed copy, or None
-    when the copy is missing or damaged, was written for other bytes or by
-    another reader version, or does not hold a valid packing."""
-    try:
-        # np.load leaves a path's file open when the zip fails to open
-        with open(copy, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if npz["version"].tolist() != _READER_VERSION or npz["digest"].tobytes() != digest:
-                return None
-            arrays = {name: npz[name] for name in _COPY_DTYPES}
-    # a damaged zip or .npy header fails in many ways (BadZipFile, zlib.error,
-    # NotImplementedError, a bad dtype or shape, ...): each is a miss
-    except Exception:
-        return None
-    if any(arrays[name].dtype != dtype for name, dtype in _COPY_DTYPES.items()):
-        return None
-    dims, indptr, indices, values, labels, offsets, blob = arrays.values()
-    if dims.shape != (2,) or dims.min() < 1 or indptr.ndim != 1 or not indptr.size:
+def _from_copy(arrays: dict):
+    """(PackedSamples, num_classes, vocab_size) of a packed copy's arrays, or
+    None when they do not hold a valid packing."""
+    dims, indptr, indices, values, labels, offsets, blob = (arrays[name] for name in _COPY_MEMBERS)
+    if dims.shape != (2,) or dims.min() < 1 or not indptr.size:
         return None
     (num_classes, vocab_size), n, nnz = dims.tolist(), indptr.size - 1, int(indptr[-1])
-    shapes = (indices.shape, values.shape, labels.shape, offsets.shape, blob.ndim)
-    if shapes != ((nnz,), (nnz,), (n, num_classes), (n + 1,), 1):
+    if (indices.shape, values.shape, labels.shape, offsets.shape) != ((nnz,), (nnz,), (n, num_classes), (n + 1,)):
         return None
-    # indptr runs 0 -> nnz without an empty row; the id offsets 0 -> len(blob)
-    if indptr[0] != 0 or offsets[0] != 0 or offsets[-1] != blob.size:
-        return None
-    if n and (np.diff(indptr).min() < 1 or np.diff(offsets).min() < 0):
+    # indptr runs 0 -> nnz without an empty row
+    if indptr[0] != 0 or (n and np.diff(indptr).min() < 1):
         return None
     # as unsigned, a negative index is larger than any valid one
     if nnz and np.maximum.reduce(indices.view(np.uint64)) >= vocab_size:
         return None
     if labels.size and np.maximum.reduce(labels.view(np.uint8), axis=None) > 1:
         return None
-    blob, bounds = blob.tobytes(), offsets.tolist()
-    try:
-        ids = [blob[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])]
-    except UnicodeDecodeError:
+    ids = copies.unpack_strings(offsets, blob)
+    if ids is None:
         return None
     packed = PackedSamples(indptr, indices, values, labels, vocab_size, np.array(ids, dtype=object))
     return packed, num_classes, vocab_size

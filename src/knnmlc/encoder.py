@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import copies
 from .data import PackedSamples, check_kinds
 from .mathops import make_rng, sigmoid
 
@@ -51,6 +52,13 @@ _ACTIVATIONS = ("tanh", "relu")
 _CHECKPOINT_FORMAT = "knnmlc-encoder"
 _CHECKPOINT_VERSION = 1
 _PARAM_NAMES = ("w_in", "b_in", "w_emb", "b_emb", "w_clf", "b_clf")
+# the packed copy of a checkpoint (see docs/formats.md): the payload without
+# its params as JSON bytes, and each parameter, {name: (dtype, ndim)}
+_COPY_VERSION = 1
+_COPY_MEMBERS = {
+    "header": (np.uint8, 1),
+    **{name: (np.float64, 1 if name.startswith("b") else 2) for name in _PARAM_NAMES},
+}
 # the dropout-off pass gathers input-layer weights in row ranges whose
 # (entries, hidden) float64 block stays near this size: over the training
 # splits of the default and large benchmark workloads (one pinned CPU),
@@ -322,10 +330,8 @@ def backward(
     )
 
 
-def state_to_payload(state: EncoderState) -> dict:
-    """JSON-ready dict holding dims, hyperparameters, and all tensors.
-    float64 values round-trip exactly because json uses shortest-repr
-    formatting."""
+def _payload_header(state: EncoderState) -> dict:
+    """Every checkpoint payload field but ``params``."""
     cfg = state.config
     return {
         "format": _CHECKPOINT_FORMAT,
@@ -339,14 +345,22 @@ def state_to_payload(state: EncoderState) -> dict:
         "activation": cfg.activation,
         "dropout_rate": cfg.dropout_rate,
         "init_seed": state.init_seed,
-        "params": {name: arr.tolist() for name, arr in state.param_items()},
     }
 
 
+def state_to_payload(state: EncoderState) -> dict:
+    """JSON-ready dict holding dims, hyperparameters, and all tensors.
+    float64 values round-trip exactly because json uses shortest-repr
+    formatting."""
+    return {**_payload_header(state), "params": {name: arr.tolist() for name, arr in state.param_items()}}
+
+
 def save_checkpoint(state: EncoderState, path) -> None:
+    """Write the checkpoint JSON to ``path`` and its packed copy beside it,
+    keyed by the SHA-256 of the bytes written."""
     # json.dumps runs the C encoder; json.dump streams through the Python one
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(state_to_payload(state)))
+    digest = copies.write_hashed(path, [json.dumps(state_to_payload(state)).encode("utf-8")])
+    copies.write_copy(path, _COPY_VERSION, digest, _to_copy(state))
 
 
 def finite_array(value, shape: tuple, what: str, source) -> np.ndarray:
@@ -386,10 +400,38 @@ def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState
     return state
 
 
-def load_checkpoint(path) -> EncoderState:
+def _to_copy(state: EncoderState) -> dict:
+    """The arrays of a checkpoint's packed copy: the payload header as JSON
+    bytes and each parameter C-contiguous, as a parse gives it."""
+    header = np.frombuffer(json.dumps(_payload_header(state)).encode("utf-8"), dtype=np.uint8)
+    return {"header": header, **{name: np.ascontiguousarray(arr) for name, arr in state.param_items()}}
+
+
+def _parse_checkpoint(path) -> EncoderState:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: not a valid checkpoint ({exc})") from exc
     return state_from_payload(payload, source=str(path))
+
+
+def _from_copy(arrays: dict, source: str):
+    """The EncoderState of a packed copy's arrays, through every check of
+    ``state_from_payload``; None when the header is not a JSON object."""
+    try:
+        header = json.loads(arrays.pop("header").tobytes())
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    if not isinstance(header, dict):
+        return None
+    return state_from_payload({**header, "params": arrays}, source=source)
+
+
+def load_checkpoint(path) -> EncoderState:
+    """The EncoderState of a checkpoint file, read from its packed copy when
+    that copy stands for the file's bytes, else parsed (and the copy written
+    again); both run every check of ``state_from_payload``."""
+    return copies.load(
+        path, _COPY_VERSION, _COPY_MEMBERS, _parse_checkpoint, lambda arrays: _from_copy(arrays, str(path)), _to_copy
+    )

@@ -84,7 +84,12 @@ class BatchViews:
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int8)
+        labels = np.asarray(self.labels)
+        # checked before the int8 cast, which turns 0.5 into 0, 1.7 into 1 and 257 into 1
+        bad = labels[(labels != 0) & (labels != 1)]
+        if bad.size:
+            raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
+        self.labels = np.asarray(labels, dtype=np.int8)
         n2 = self.embeddings.shape[0]
         if n2 < 2 or n2 % 2 != 0:
             raise ValueError(f"batch must hold an even number >= 2 of views, got {n2}")

@@ -138,7 +138,7 @@ class TestPipeline:
             "numpy": np.__version__,
             "knnmlc": knnmlc.__version__,
         }
-        # only the train manifest carries them
+        # gen-data's manifest carries neither (build-store, predict and eval: below)
         gen_data = json.loads((a["data"] / "manifest-gen-data.json").read_text())
         assert not {"timings", "environment"} & set(gen_data)
         # and docs/formats.md names every key
@@ -146,6 +146,21 @@ class TestPipeline:
         for section, keys in (("timings", timings), ("environment", environment)):
             for key in keys:
                 assert f"`{section}.{key}`" in formats
+
+    def test_store_predict_and_eval_manifests_record_stage_timings_and_environment(self, pipeline_artifacts, tmp_path):
+        a = pipeline_artifacts
+        report = tmp_path / "report.json"
+        assert main(["eval", "--predictions", str(a["preds"]), "--gold", str(a["data"] / "test.jsonl"),
+                     "--out", str(report)]) == EXIT_OK
+        train = json.loads((a["run"] / "manifest-train.json").read_text())
+        for command, directory in (("build-store", a["root"]), ("predict", a["root"]), ("eval", tmp_path)):
+            manifest = json.loads((directory / f"manifest-{command}.json").read_text())
+            assert manifest["command"] == command
+            assert set(manifest["timings"]) == {"load_s", "run_s", "save_s"}, command
+            assert all(isinstance(v, float) and v >= 0.0 for v in manifest["timings"].values()), command
+            assert manifest["environment"] == train["environment"], command
+        eval_manifest = json.loads((tmp_path / "manifest-eval.json").read_text())
+        assert eval_manifest["artifacts"] == {"report": str(report)}
 
     def test_gen_data_is_reproducible_byte_for_byte(self, workspace):
         root, config = workspace

@@ -4,8 +4,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from knnmlc import cli, data, encoder
 from knnmlc.cli import _encoder_config, load_config
 from knnmlc.data import DatasetConfig
 from knnmlc.encoder import EncoderConfig
@@ -74,3 +76,36 @@ def test_the_readme_library_snippet_runs_as_written(capsys):
     for field in ("y_clf", "y_knn", "y_final", "neighbor_indices", "neighbor_sims"):
         assert getattr(bundle, field).tobytes() == getattr(row, field).tobytes(), field
     assert bundle.lam == row.lam
+
+
+# each packed-copy kind: its docs/formats.md heading, version and member table
+COPY_KINDS = {
+    "### Dataset splits (`<split>.jsonl.packed`)": (data._READER_VERSION, data._COPY_MEMBERS),
+    "### Checkpoints (`model.json.packed`)": (encoder._COPY_VERSION, encoder._COPY_MEMBERS),
+    "### Predictions (`preds.jsonl.packed`)": (cli._PREDICTIONS_COPY_VERSION, cli._PREDICTIONS_COPY_MEMBERS),
+}
+
+
+def documented_members(heading):
+    """{array: (dtype, ndim, holds)} from the member table under ``heading``."""
+    text = FORMATS.read_text(encoding="utf-8")
+    body = text.split(f"\n{heading}\n", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in body.splitlines():
+        match = re.fullmatch(r"\| `(\w+)` +\| (\w+) +\| (\(.*?\)) +\| (.*)\|", line)
+        if match:
+            name, dtype, shape, holds = match.groups()
+            assert name not in rows, f"{heading}: {name} listed twice"
+            rows[name] = (dtype, len([d for d in shape.strip("()").split(",") if d.strip()]), holds)
+    return rows
+
+
+@pytest.mark.parametrize("heading", COPY_KINDS)
+def test_each_copy_member_table_is_the_code_dtype_table(heading):
+    version, members = COPY_KINDS[heading]
+    documented = documented_members(heading)
+    want = {"version": ("int64", 0), "digest": ("uint8", 1)}
+    want.update({name: (np.dtype(dtype).name, ndim) for name, (dtype, ndim) in members.items()})
+    assert {name: row[:2] for name, row in documented.items()} == want
+    assert list(documented) == list(want)
+    assert f"(currently {version})" in documented["version"][2]

@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knnmlc
-from knnmlc import data
+from knnmlc import copies, data
 from knnmlc.cli import EXIT_FORMAT, main
 from knnmlc.data import DataFormatError, PackedSamples, load_jsonl, load_packed, pack_samples
 from knnmlc.datastore import build
@@ -141,6 +141,13 @@ def assert_identical_loads(got, want):
 
 def copy_of(path):
     return path.with_name(path.name + ".packed")
+
+
+def read_dataset_copy(path, digest):
+    """What ``load_packed`` takes from the copy of ``path`` for the given
+    digest: its (PackedSamples, C, V), or None for a miss."""
+    arrays = copies.read_copy(path, data._READER_VERSION, digest, data._COPY_MEMBERS)
+    return None if arrays is None else data._from_copy(arrays)
 
 
 def spy_on_parses(mp):
@@ -346,7 +353,7 @@ def test_the_digest_does_not_need_hashlib_file_digest(split, monkeypatch):
     big = path.with_name("big.bin")
     big.write_bytes(bytes(range(256)) * 10_000)  # several read blocks
     for file in (path, big):
-        assert data._file_digest(file) == hashlib.sha256(file.read_bytes()).digest()
+        assert copies.file_digest(file) == hashlib.sha256(file.read_bytes()).digest()
     assert_identical_loads(load_packed(path), parsed)
     assert parses == []
 
@@ -354,7 +361,7 @@ def test_the_digest_does_not_need_hashlib_file_digest(split, monkeypatch):
 def _assert_miss(path, parsed, parses):
     assert_identical_loads(load_packed(path), parsed)
     assert len(parses) == 1
-    assert_identical_loads(data._read_copy(str(copy_of(path)), data._file_digest(path)), parsed)  # rewritten
+    assert_identical_loads(read_dataset_copy(path, copies.file_digest(path)), parsed)  # rewritten
     parses.clear()
 
 
@@ -384,7 +391,7 @@ def test_every_flipped_byte_gives_the_parse_result_or_none(split):
     own bookkeeping is a miss or changes nothing the reader uses (a time
     stamp, the local copy of a size). No flip gives another result."""
     path, parsed, blob, parses = split
-    digest = data._file_digest(path)
+    digest = copies.file_digest(path)
     stored = member_data(blob)
     assert len(stored) > len(blob) / 2
     for offset in range(len(blob)):
@@ -392,7 +399,7 @@ def test_every_flipped_byte_gives_the_parse_result_or_none(split):
             damaged = bytearray(blob)
             damaged[offset] ^= flip
             copy_of(path).write_bytes(bytes(damaged))
-            loaded = data._read_copy(str(copy_of(path)), digest)
+            loaded = read_dataset_copy(path, digest)
             if loaded is not None:
                 assert offset not in stored, offset
                 assert_identical_loads(loaded, parsed)
@@ -472,7 +479,7 @@ def test_a_copy_that_holds_no_valid_packing_is_a_miss(split, damage):
         arrays["id_bytes"] = id_bytes[:-1]  # the last id would read one byte short
     with open(copy_of(path), "wb") as fh:
         np.savez(fh, **arrays)
-    assert data._read_copy(str(copy_of(path)), data._file_digest(path)) is None
+    assert read_dataset_copy(path, copies.file_digest(path)) is None
     _assert_miss(path, parsed, parses)
 
 
@@ -539,8 +546,8 @@ def test_a_copy_that_cannot_be_written_is_skipped(tmp_path, monkeypatch, caplog)
     def refuse(src, dst):
         raise PermissionError("read-only")
 
-    monkeypatch.setattr(data.os, "replace", refuse)
-    with caplog.at_level(logging.DEBUG, logger="knnmlc.data"):
+    monkeypatch.setattr(copies.os, "replace", refuse)
+    with caplog.at_level(logging.DEBUG, logger="knnmlc.copies"):
         assert_identical_loads(load_packed(path), want)
     assert "not written" in caplog.text and "read-only" in caplog.text
     assert sorted(os.listdir(tmp_path)) == ["split.jsonl"]  # no copy, no temporary file left

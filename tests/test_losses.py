@@ -291,6 +291,16 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError):
             BatchViews(rng.normal(size=(0, 4)), np.zeros((0, 2), dtype=np.int8))
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7])
+    def test_batch_views_reject_a_fractional_label_naming_it(self, bad):
+        """An int8 cast would make 0.5 a 0 and 1.7 a 1 before any 0/1 check."""
+        labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        labels[2, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {bad}")):
+            BatchViews(np.eye(4), labels)
+        labels[2, 1] = 1.0
+        assert BatchViews(np.eye(4), labels).labels.tolist() == [[1, 0], [0, 1], [1, 1], [0, 1]]
+
 
 class TestEmbeddingGradients:
     def test_matches_finite_differences_through_cosine(self):
@@ -385,9 +395,8 @@ class TestInPlacePass:
         labels[2, 1] = bad
         with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {labels[2, 1]}")):
             contrastive_loss_from_similarities(np.zeros((4, 4)), labels, 0.1, variant)
-        if isinstance(bad, int):  # BatchViews holds int8 labels
-            with pytest.raises(ValueError, match=f"labels must be 0 or 1, got {bad}"):
-                contrastive_loss(BatchViews(np.eye(4), labels), 0.1, variant)
+        with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {bad}")):
+            contrastive_loss(BatchViews(np.eye(4), labels), 0.1, variant)
 
     def test_a_call_without_workspace_returns_a_gradient_of_its_own(self):
         rng = make_rng(14)
