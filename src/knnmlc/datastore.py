@@ -22,6 +22,11 @@ as many bytes as float64 keys would. Cosine similarity is then an inner
 product of unit vectors, as in exact inner-product search (FAISS
 ``IndexFlatIP``).
 
+``retrieve_topk`` checks its arguments (k, the queries' shape) and calls
+``search``, which inference calls directly with an embedding block it has
+already sized to the store; ``search`` checks the query values on every
+call (NaN or inf, a zero norm), since they come from the model.
+
 Retrieval takes an (n, d) block of queries and is exact: the result equals a
 full sort by (similarity descending, index ascending) of the similarities
 r = clip(sum_i u_i q_i, -1, 1), with u = key / norm and q = query / norm in
@@ -57,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PackedSamples, pack_samples
-from .encoder import EncoderState, forward_rowwise
+from .encoder import EncoderState, rowwise_layers, weight_rows
 
 __all__ = [
     "Datastore",
@@ -101,11 +106,14 @@ class InvalidKeyError(ValueError):
 class Datastore:
     """Immutable after construction: (count, d) float32 keys and (count, C)
     int8 labels, plus the keys' unit vectors rounded to float32 for the
-    candidate search. Keys of another dtype are quantized to float32."""
+    candidate search, as the columns of the C-contiguous (d, count)
+    ``unit_t``: a block of queries times it is a BLAS product without a
+    transposed operand, which measured up to twice as fast. Keys of another
+    dtype are quantized to float32."""
 
     keys: np.ndarray
     values: np.ndarray
-    unit: np.ndarray = field(init=False, repr=False)
+    unit_t: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.keys = np.asarray(self.keys, dtype=np.float32)
@@ -125,7 +133,7 @@ class Datastore:
                 f"{bad.size} key(s) with zero norm or NaN/inf entries (first at index {bad[0]}); "
                 "cosine similarity is undefined"
             )
-        self.unit = unit.astype(np.float32)
+        self.unit_t = unit.T.astype(np.float32, order="C")
 
     @property
     def count(self) -> int:
@@ -143,8 +151,14 @@ class Datastore:
 def _unit_keys(keys: np.ndarray) -> np.ndarray:
     """float64 unit vectors of float32 key rows, each row from itself alone."""
     unit = keys.astype(np.float64)
-    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    unit /= _row_norms(unit)[:, None]
     return unit
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of float64 rows: the arithmetic of
+    ``np.linalg.norm(rows, axis=1)`` without its Python-level dispatch."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
 
 
 def build(state: EncoderState, train_samples: PackedSamples, fraction: float = 1.0) -> Datastore:
@@ -169,8 +183,10 @@ def build(state: EncoderState, train_samples: PackedSamples, fraction: float = 1
     n = max(1, int(np.ceil(fraction * len(train))))
     rows = max(1, _BUILD_TRACE_BYTES // (8 * (4 * cfg.hidden_dim + cfg.embed_dim + cfg.num_classes)))
     keys = np.empty((n, cfg.embed_dim), dtype=np.float32)
+    # one copy of the input-layer rows serves every range
+    w_rows = weight_rows(state, int(train.indptr[n]))
     for start in range(0, n, rows):
-        keys[start : start + rows] = forward_rowwise(state, train[start : min(start + rows, n)]).embedding
+        keys[start : start + rows] = rowwise_layers(state, train[start : min(start + rows, n)], w_rows)[2]
     return Datastore(keys=keys, values=train.labels[:n].copy())
 
 
@@ -188,22 +204,33 @@ def retrieve_topk(store: Datastore, queries, k: int) -> tuple[np.ndarray, np.nda
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != store.dim:
         raise ValueError(f"queries shape {q.shape} != (n, {store.dim})")
-    norms = np.linalg.norm(q, axis=1)
-    # the norm is NaN or inf exactly when an entry is (or when it overflows)
-    if not np.isfinite(norms).all():
+    return search(store, q, k)
+
+
+def search(store: Datastore, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``retrieve_topk`` of an (n, d) float64 array and a k >= 1 that the
+    caller has checked (inference checks both once per batch). The query
+    values are still checked here: NonFiniteQueryError for NaN or inf,
+    ValueError for a zero norm."""
+    norms = _row_norms(q)
+    # the norm is NaN or inf exactly when an entry is (or when it overflows);
+    # norms are >= 0, so NaN or inf shows in the largest and 0 in the smallest
+    if not np.maximum.reduce(norms, initial=0.0) < np.inf:
         raise NonFiniteQueryError("cannot retrieve with a query that holds NaN or inf")
-    if not norms.all():
+    if not np.minimum.reduce(norms, initial=np.inf):
         raise ValueError("cannot retrieve with a zero-norm query")
     q = q / norms[:, None]
 
     n, count = q.shape[0], store.count
     k = min(k, count)
-    indices = np.empty((n, k), dtype=np.int64)
-    sims = np.empty((n, k))
     # with k = count every entry is a candidate and is re-scored: the
     # (rows * count, d) float64 operands are what to bound
     row_bytes = count * (8 * store.dim if k == count else 4)
     block = max(1, _QUERY_BLOCK_BYTES // max(row_bytes, 1))
+    if block >= n:
+        return _topk_block(store, q, k)
+    indices = np.empty((n, k), dtype=np.int64)
+    sims = np.empty((n, k))
     for start in range(0, n, block):
         stop = min(start + block, n)
         indices[start:stop], sims[start:stop] = _topk_block(store, q[start:stop], k)
@@ -213,20 +240,24 @@ def retrieve_topk(store: Datastore, queries, k: int) -> tuple[np.ndarray, np.nda
 def _topk_block(store: Datastore, q: np.ndarray, k: int):
     count, d = store.keys.shape
     n = q.shape[0]
-    approx = q.astype(np.float32) @ store.unit.T
+    approx = q.astype(np.float32) @ store.unit_t
     # with k = count, b_k is the row's smallest b, so every entry is a candidate
-    kth = np.partition(approx, count - k, axis=1)[:, count - k].astype(np.float64)
+    kth = approx.copy()
+    kth.partition(count - k, axis=1)
+    kth = kth[:, count - k].astype(np.float64)
     m = (d + 2) * _FLOAT32_ROUNDOFF
     cutoff = np.minimum(kth, 1.0) - 4.0 * m / (1.0 - m)
     # at or below -1 every entry clips to a candidate
     cutoff[cutoff <= -1.0] = -np.inf
     # rounded to float32 and stepped one ulp down: never above the cutoff
     cutoff = np.nextafter(cutoff.astype(np.float32), np.float32(-np.inf))
-    rows, cand = np.divmod(np.flatnonzero(approx >= cutoff[:, None]), count)
-    exact = np.clip((_unit_keys(store.keys[cand]) * q[rows]).sum(axis=1), -1.0, 1.0)
+    # np.flatnonzero without its dispatch: a 2-d nonzero measured many times slower
+    rows, cand = np.divmod((approx >= cutoff[:, None]).ravel().nonzero()[0], count)
+    # ndarray.clip is np.clip without its Python-level dispatch
+    exact = np.add.reduce(_unit_keys(store.keys[cand]) * q[rows], axis=1).clip(-1.0, 1.0)
     # rows ascend, so each row's candidates keep their span in the sorted order
     order = np.lexsort((cand, -exact, rows))
-    take = order[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
+    take = order[rows.searchsorted(np.arange(n))[:, None] + np.arange(k)]
     return cand[take], exact[take]
 
 

@@ -18,11 +18,14 @@ reductions), and it runs any batch in row ranges sized to stay in cache.
 Inference, validation and the datastore build all run on it: a single
 query, the test split and the whole training split use the same code, so
 store key i is the float32 of exactly the embedding ``predict`` computes
-for training sample i.
+for training sample i. Its arithmetic is ``rowwise_layers``, which
+inference and the store build call directly: they read no trace, and the
+build gathers every row range from one copy of ``w_in.T``.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +56,10 @@ _CHECKPOINT_FORMAT = "knnmlc-encoder"
 _CHECKPOINT_VERSION = 1
 _PARAM_NAMES = ("w_in", "b_in", "w_emb", "b_emb", "w_clf", "b_clf")
 # the packed copy of a checkpoint (see docs/formats.md): the payload without
-# its params as JSON bytes, and each parameter, {name: (dtype, ndim)}
-_COPY_VERSION = 1
-_COPY_MEMBERS = {
-    "header": (np.uint8, 1),
-    **{name: (np.float64, 1 if name.startswith("b") else 2) for name in _PARAM_NAMES},
-}
+# its params as JSON bytes, and the parameters back to back in
+# ``_PARAM_NAMES`` order, shaped by the header's dims; {name: (dtype, ndim)}
+_COPY_VERSION = 2
+_COPY_MEMBERS = {"header": (np.uint8, 1), "params": (np.float64, 1)}
 # the dropout-off pass gathers input-layer weights in row ranges whose
 # (entries, hidden) float64 block stays near this size: over the training
 # splits of the default and large benchmark workloads (one pinned CPU),
@@ -138,8 +139,9 @@ class ParameterGradients:
 class ForwardTrace:
     """Everything the backward pass needs, one row per batch row: the packed
     inputs, pre-activations, activations, the dropout mask (already scaled by
-    1/(1-rate); all-ones when dropout is off), the embeddings, and the
-    classifier logits."""
+    1/(1-rate); all-ones when dropout is off), the embeddings, the
+    classifier logits, and the dense (n, input_dim) inputs when the forward
+    pass formed them (None when it gathered weight rows instead)."""
 
     inputs: PackedSamples
     pre_hidden: np.ndarray
@@ -147,6 +149,7 @@ class ForwardTrace:
     mask: np.ndarray
     embedding: np.ndarray
     logits: np.ndarray
+    dense: np.ndarray | None = None
 
 
 def _param_shapes(c: EncoderConfig) -> dict[str, tuple]:
@@ -212,16 +215,21 @@ def _gather_rows(w_rows: np.ndarray, batch: PackedSamples) -> np.ndarray:
     return np.add.reduceat(columns, batch.indptr[:-1], axis=0)
 
 
-def _input_layer(state: EncoderState, batch: PackedSamples) -> np.ndarray:
+def weight_rows(state: EncoderState, entries: int) -> np.ndarray:
+    """``w_in.T``, the (input_dim, hidden) rows the input layer gathers, for
+    a batch of ``entries`` feature entries: C-contiguous when there are at
+    least as many entries as rows, since gathering many rows of the
+    F-ordered view is strided loads. The copy holds the same values, so the
+    choice does not change a bit. Adam updates ``w_in`` in place, so a copy
+    serves one pass (or one store build) and is not kept."""
+    w_rows = state.w_in.T
+    return np.ascontiguousarray(w_rows) if entries >= state.config.input_dim else w_rows
+
+
+def _input_layer(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) -> np.ndarray:
     """``_gather_rows`` over the whole batch, in ranges of rows whose gathered
     (entries, hidden) block stays near ``_GATHER_BLOCK_BYTES``. Rows are
     independent, so the bits do not depend on the ranges."""
-    w_rows = state.w_in.T
-    if batch.indices.size >= state.config.input_dim:
-        # gathering many rows of the F-ordered view is strided loads; a
-        # C-contiguous copy holds the same values. It is made per call
-        # because Adam updates w_in in place.
-        w_rows = np.ascontiguousarray(w_rows)
     n = len(batch)
     rows = max(1, _GATHER_BLOCK_BYTES * n // (8 * state.config.hidden_dim * batch.indices.size))
     if rows >= n:
@@ -251,32 +259,47 @@ def forward_batch(
         # fewer features than w_in has columns (small batches over a wide
         # vocabulary): gather the weights the features touch
         pre_hidden = _gather_rows(state.w_in.T, batch) + state.b_in
+        dense = None
     else:
-        # dense enough that one matrix product over the dense rows is cheaper
-        pre_hidden = batch.to_dense() @ state.w_in.T + state.b_in
+        # dense enough that one matrix product over the dense rows is cheaper;
+        # backward reuses the dense rows
+        dense = batch.to_dense()
+        pre_hidden = dense @ state.w_in.T + state.b_in
     hidden = _activate(state.config, pre_hidden)
     mask = _dropout_mask(state.config, hidden, rng, masks)
     embedding = (hidden * mask) @ state.w_emb.T + state.b_emb
     logits = embedding @ state.w_clf.T + state.b_clf
-    return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits)
+    return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits, dense)
 
 
 def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
     """The dropout-off pass, computed so that each output row depends on its
     input row alone and comes out bit-identical in a batch of any size or
-    order.
+    order (``rowwise_layers``). The trace's mask is all ones."""
+    _check_input_dim(state, batch)
+    pre_hidden, hidden, embedding, logits = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
+    return ForwardTrace(batch, pre_hidden, hidden, np.ones_like(hidden), embedding, logits)
+
+
+def rowwise_layers(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray):
+    """``(pre_hidden, hidden, embedding, logits)`` of the dropout-off pass
+    over a batch already checked against the encoder (``pack_samples``),
+    with ``w_rows`` from ``weight_rows``: the arrays of ``forward_rowwise``
+    without its trace, which inference and the store build do not read.
 
     The input layer is ``_input_layer`` (row ranges of gathered ``w_in``
     rows, each segment summed on its own); the two small layers use
     ``einsum`` on C-contiguous operands, which reduces each output entry over
-    the last axis on its own. The trace's mask is all ones.
+    the last axis on its own.
     """
-    _check_input_dim(state, batch)
-    pre_hidden = _input_layer(state, batch) + state.b_in
+    pre_hidden = _input_layer(state, batch, w_rows)
+    pre_hidden += state.b_in
     hidden = _activate(state.config, pre_hidden)
-    embedding = np.einsum("ij,kj->ik", hidden, state.w_emb) + state.b_emb
-    logits = np.einsum("ij,kj->ik", embedding, state.w_clf) + state.b_clf
-    return ForwardTrace(batch, pre_hidden, hidden, np.ones_like(hidden), embedding, logits)
+    embedding = np.einsum("ij,kj->ik", hidden, state.w_emb)
+    embedding += state.b_emb
+    logits = np.einsum("ij,kj->ik", embedding, state.w_clf)
+    logits += state.b_clf
+    return pre_hidden, hidden, embedding, logits
 
 
 def classify(trace: ForwardTrace) -> np.ndarray:
@@ -321,7 +344,7 @@ def backward(
     else:
         d_pre = d_hidden * (trace.pre_hidden > 0.0)
     return ParameterGradients(
-        w_in=d_pre.T @ trace.inputs.to_dense(),
+        w_in=d_pre.T @ (trace.inputs.to_dense() if trace.dense is None else trace.dense),
         b_in=d_pre.sum(axis=0),
         w_emb=d_embedding.T @ (trace.hidden * trace.mask),
         b_emb=d_embedding.sum(axis=0),
@@ -402,9 +425,9 @@ def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState
 
 def _to_copy(state: EncoderState) -> dict:
     """The arrays of a checkpoint's packed copy: the payload header as JSON
-    bytes and each parameter C-contiguous, as a parse gives it."""
+    bytes and the parameters, each flattened in C order, back to back."""
     header = np.frombuffer(json.dumps(_payload_header(state)).encode("utf-8"), dtype=np.uint8)
-    return {"header": header, **{name: np.ascontiguousarray(arr) for name, arr in state.param_items()}}
+    return {"header": header, "params": np.concatenate([arr.ravel() for _, arr in state.param_items()])}
 
 
 def _parse_checkpoint(path) -> EncoderState:
@@ -418,14 +441,24 @@ def _parse_checkpoint(path) -> EncoderState:
 
 def _from_copy(arrays: dict, source: str):
     """The EncoderState of a packed copy's arrays, through every check of
-    ``state_from_payload``; None when the header is not a JSON object."""
+    ``state_from_payload``; None when the header is not a JSON object with
+    valid dims or the params member is not the size those dims give."""
     try:
-        header = json.loads(arrays.pop("header").tobytes())
-    except (json.JSONDecodeError, UnicodeDecodeError):
+        header = json.loads(arrays["header"].tobytes())
+        config = EncoderConfig(**header["dims"])
+        config.validate()
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors; a header or
+    # dims of another JSON type fails with TypeError
+    except (KeyError, TypeError, ValueError):
         return None
-    if not isinstance(header, dict):
+    shapes, blob = _param_shapes(config), arrays["params"]
+    if blob.size != sum(map(math.prod, shapes.values())):
         return None
-    return state_from_payload({**header, "params": arrays}, source=source)
+    params, start = {}, 0
+    for name, shape in shapes.items():
+        params[name] = blob[start : start + math.prod(shape)].reshape(shape)
+        start += params[name].size
+    return state_from_payload({**header, "params": params}, source=source)
 
 
 def load_checkpoint(path) -> EncoderState:

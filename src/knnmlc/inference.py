@@ -13,16 +13,25 @@ Modes: "denn" runs the full adaptive pipeline; "classifier_only" and
 non-adaptive baseline).
 
 The batch is the unit of work. ``predict_batch`` takes a packed split,
-embeds it with the row-stable dropout-off pass (``encoder.forward_rowwise``,
-the pass that also made the store's keys), retrieves every query's
-neighbors in blocks (``datastore.retrieve_topk``), and runs the vote,
+embeds it with the row-stable dropout-off pass (``encoder.rowwise_layers``,
+the pass of ``forward_rowwise`` that also made the store's keys), retrieves
+every query's neighbors in blocks (``datastore.search``), and runs the vote,
 lambda and combination as array operations over (n, k) and (n, C) arrays,
 each reducing along one fixed axis of its own row. So every row is
 bit-identical whatever batch it sits in, and ``predict`` on ``split[i]``, a
 batch of one, gives the same bits as that sample's record from the CLI,
-which predicts the whole test file in one batch. A training sample as a query gets the embedding whose float32 is
-its store key. The component functions act on the last axis and take one
-row or a stack of rows alike.
+which predicts the whole test file in one batch. A training sample as a
+query gets the embedding whose float32 is its store key.
+
+Checks run once per batch, at its start: the config (``validate``), the
+feature indices (``pack_samples``) and the store's dims against the
+encoder's. Every later step works on arrays the batch built, so it calls
+the arithmetic of the component functions (``knn_predict``,
+``debiased_lambda``, ``combine``, ``datastore.retrieve_topk``) without
+their argument checks; the query checks of retrieval (NaN or inf, zero
+norm) still run on each batch. The public component functions keep all
+their checks, act on the last axis and take one row or a stack of rows
+alike.
 """
 from __future__ import annotations
 
@@ -31,9 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PackedSamples, check_kinds, pack_samples
-from .datastore import Datastore, retrieve_topk
-from .encoder import EncoderState, classify, forward_rowwise
-from .mathops import softmax_temp
+from .datastore import Datastore, search
+from .encoder import EncoderState, rowwise_layers, weight_rows
+from .mathops import sigmoid, softmax_rows, softmax_temp
 
 __all__ = [
     "INFERENCE_MODES",
@@ -122,10 +131,13 @@ def knn_predict(sims, labels, tau2: float) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape[:-1] != sims.shape:
         raise ValueError(f"labels shape {labels.shape} does not match similarities {sims.shape}")
-    beta = softmax_temp(sims, tau2)
+    return _vote(softmax_temp(sims, tau2), labels)
+
+
+def _vote(beta: np.ndarray, labels: np.ndarray) -> np.ndarray:
     # summed over the neighbor axis of each row on its own; clip the odd
-    # 1+ulp rounding artifact
-    return np.clip((beta[..., None] * labels).sum(axis=-2), 0.0, 1.0)
+    # 1+ulp rounding artifact (ndarray.clip is np.clip without its dispatch)
+    return np.add.reduce(beta[..., None] * labels, axis=-2).clip(0.0, 1.0)
 
 
 def high_confidence_subset(y_clf, gamma: float) -> np.ndarray:
@@ -144,8 +156,12 @@ def debiased_lambda(y_knn, mask):
     mask = np.asarray(mask)
     if y_knn.shape != mask.shape:
         raise ValueError(f"mask shape {mask.shape} != prediction shape {y_knn.shape}")
-    lam = np.where(mask > 0, y_knn, np.inf).min(axis=-1)
-    return np.where(np.isinf(lam), 0.0, lam)[()]
+    return _lambda(y_knn, mask > 0)[()]
+
+
+def _lambda(y_knn: np.ndarray, confident: np.ndarray) -> np.ndarray:
+    lam = np.minimum.reduce(np.where(confident, y_knn, np.inf), axis=-1)
+    return np.where(np.isinf(lam), 0.0, lam)
 
 
 def combine(lam, y_knn, y_clf) -> np.ndarray:
@@ -158,8 +174,12 @@ def combine(lam, y_knn, y_clf) -> np.ndarray:
     y_clf = np.asarray(y_clf, dtype=np.float64)
     if y_knn.shape != y_clf.shape:
         raise ValueError("prediction vectors must have equal length")
+    return _mix(lam, y_knn, y_clf)
+
+
+def _mix(lam: np.ndarray, y_knn: np.ndarray, y_clf: np.ndarray) -> np.ndarray:
     lam = lam[..., None]
-    return np.clip(lam * y_knn + (1.0 - lam) * y_clf, 0.0, 1.0)
+    return (lam * y_knn + (1.0 - lam) * y_clf).clip(0.0, 1.0)
 
 
 def predict_batch(
@@ -175,28 +195,32 @@ def predict_batch(
     ``store`` may be None only in classifier_only mode (y_knn is then reported
     as all zeros with no neighbors).
     """
+    # the one argument check of the batch (see the module docstring)
     cfg.validate()
-    batch = pack_samples(samples, state.config.input_dim)
-    trace = forward_rowwise(state, batch)
-    y_clf = classify(trace)
-    n = len(batch)
-
+    enc = state.config
+    batch = pack_samples(samples, enc.input_dim)
     if store is None:
         if cfg.mode != "classifier_only":
             raise ValueError(f"mode {cfg.mode!r} requires a datastore")
+    elif store.dim != enc.embed_dim or store.num_classes != enc.num_classes:
+        raise ValueError(
+            f"datastore dims (d={store.dim}, C={store.num_classes}) do not match encoder "
+            f"(d={enc.embed_dim}, C={enc.num_classes})"
+        )
+    _, _, embedding, logits = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
+    y_clf = sigmoid(logits)
+    confident = y_clf >= cfg.gamma
+    n = len(batch)
+
+    if store is None:
         indices = np.zeros((n, 0), dtype=np.int64)
         sims = np.zeros((n, 0))
         y_knn = np.zeros_like(y_clf)
     else:
-        if store.dim != state.config.embed_dim or store.num_classes != state.config.num_classes:
-            raise ValueError(
-                f"datastore dims (d={store.dim}, C={store.num_classes}) do not match encoder "
-                f"(d={state.config.embed_dim}, C={state.config.num_classes})"
-            )
-        indices, sims = retrieve_topk(store, trace.embedding, cfg.k)
-        y_knn = knn_predict(sims, store.values[indices], cfg.tau2)
+        indices, sims = search(store, embedding, cfg.k)
+        # similarities are clipped to [-1, 1] and so finite, k >= 1, tau2 > 0
+        y_knn = _vote(softmax_rows(sims, cfg.tau2), store.values[indices])
 
-    mask = high_confidence_subset(y_clf, cfg.gamma)
     if cfg.mode == "classifier_only":
         lam = np.zeros(n)
     elif cfg.mode == "knn_only":
@@ -204,13 +228,15 @@ def predict_batch(
     elif cfg.mode == "fixed_lambda":
         lam = np.full(n, cfg.fixed_lambda_value)
     else:
-        lam = debiased_lambda(y_knn, mask)
+        # a minimum of kNN probabilities, or 0: in [0, 1]
+        lam = _lambda(y_knn, confident)
     return PredictionBundle(
         y_clf=y_clf,
         y_knn=y_knn,
-        high_conf_mask=mask,
+        # the bool mask's bytes are the int8 0/1 of high_confidence_subset
+        high_conf_mask=confident.view(np.int8),
         lam=lam,
-        y_final=combine(lam, y_knn, y_clf),
+        y_final=_mix(lam, y_knn, y_clf),
         neighbor_indices=indices,
         neighbor_sims=sims,
     )

@@ -67,6 +67,12 @@ def softmax_temp(scores, tau: float) -> np.ndarray:
     # without their Python-level wrappers, which dominate at k-sized inputs
     if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise ValueError("softmax_temp received non-finite scores")
+    return softmax_rows(s, tau)
+
+
+def softmax_rows(s: np.ndarray, tau: float) -> np.ndarray:
+    """``softmax_temp`` of float64 scores its caller knows to be finite and
+    nonempty, with tau > 0: the same arithmetic without the checks."""
     z = s / tau
     e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
@@ -80,8 +86,8 @@ def sigmoid(x):
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    denom = 1.0 + e
-    out = np.where(x >= 0, 1.0 / denom, e / denom)
+    # one division: the same quotient 1/denom or e/denom for each entry
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     if out.ndim == 0:
         return float(out)
     return out

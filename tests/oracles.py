@@ -6,7 +6,10 @@ per-sample forms of the data are here too: a sample record (``Sample``), a
 list of records packed (``pack``), the per-line dataset reader
 (``load_jsonl``) and writer (``save_jsonl``). ``masked_contrastive_loss``
 is the contrastive loss as whole-matrix expressions, against which the
-package's in-place pass is checked bit for bit.
+package's in-place pass is checked bit for bit. ``predict_batch`` is the
+inference path as it stood before its per-call checks and wrappers were
+trimmed (each component called through its checked public form), against
+which ``inference.predict_batch`` is checked bit for bit.
 """
 import json
 import logging
@@ -15,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from knnmlc.data import DataFormatError, PackedSamples, _cluster_draws, check_kind, cluster_layout, pack_samples
-from knnmlc.encoder import EncoderState, ForwardTrace, forward_rowwise
+from knnmlc.datastore import Datastore, NonFiniteQueryError
+from knnmlc.encoder import EncoderState, ForwardTrace, _gather_rows, forward_rowwise
+from knnmlc.inference import InferenceConfig, PredictionBundle
 from knnmlc.mathops import make_rng
 
 logger = logging.getLogger(__name__)
@@ -333,3 +338,145 @@ def load_jsonl(path):
                     )
             samples.append(Sample(features=features, labels=labels, sample_id=sample_id))
     return samples, num_classes, vocab_size
+
+
+def predict_batch(state: EncoderState, store: Datastore | None, samples: PackedSamples, cfg: InferenceConfig):
+    """The whole inference path for a nonempty packed batch, one checked step
+    after another: dropout-off forward (with its all-ones mask), retrieval
+    in query blocks, the vote, the high-confidence mask, lambda and the
+    combination, each through ``np.linalg.norm``, ``np.clip`` and the
+    argument checks of its public form."""
+    cfg.validate()
+    batch = pack_samples(samples, state.config.input_dim)
+    trace = _forward_rowwise(state, batch)
+    y_clf = _sigmoid(trace.logits)
+    n = len(batch)
+
+    if store is None:
+        if cfg.mode != "classifier_only":
+            raise ValueError(f"mode {cfg.mode!r} requires a datastore")
+        indices = np.zeros((n, 0), dtype=np.int64)
+        sims = np.zeros((n, 0))
+        y_knn = np.zeros_like(y_clf)
+    else:
+        if store.dim != state.config.embed_dim or store.num_classes != state.config.num_classes:
+            raise ValueError(
+                f"datastore dims (d={store.dim}, C={store.num_classes}) do not match encoder "
+                f"(d={state.config.embed_dim}, C={state.config.num_classes})"
+            )
+        indices, sims = _retrieve_topk(store, trace.embedding, cfg.k)
+        y_knn = _knn_predict(sims, store.values[indices], cfg.tau2)
+
+    mask = _high_confidence_subset(y_clf, cfg.gamma)
+    if cfg.mode == "classifier_only":
+        lam = np.zeros(n)
+    elif cfg.mode == "knn_only":
+        lam = np.ones(n)
+    elif cfg.mode == "fixed_lambda":
+        lam = np.full(n, cfg.fixed_lambda_value)
+    else:
+        lam = _debiased_lambda(y_knn, mask)
+    return PredictionBundle(
+        y_clf=y_clf,
+        y_knn=y_knn,
+        high_conf_mask=mask,
+        lam=lam,
+        y_final=_combine(lam, y_knn, y_clf),
+        neighbor_indices=indices,
+        neighbor_sims=sims,
+    )
+
+
+def _forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
+    w_rows = state.w_in.T
+    if batch.indices.size >= state.config.input_dim:
+        w_rows = np.ascontiguousarray(w_rows)
+    pre_hidden = _gather_rows(w_rows, batch) + state.b_in
+    hidden = np.tanh(pre_hidden) if state.config.activation == "tanh" else np.maximum(pre_hidden, 0.0)
+    embedding = np.einsum("ij,kj->ik", hidden, state.w_emb) + state.b_emb
+    logits = np.einsum("ij,kj->ik", embedding, state.w_clf) + state.b_clf
+    return ForwardTrace(batch, pre_hidden, hidden, np.ones_like(hidden), embedding, logits)
+
+
+def _sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return np.where(x >= 0, 1.0 / denom, e / denom)
+
+
+def _unit_keys(keys: np.ndarray) -> np.ndarray:
+    unit = keys.astype(np.float64)
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    return unit
+
+
+def _retrieve_topk(store: Datastore, queries, k: int):
+    """All queries in one block: a row's result does not depend on its block."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != store.dim:
+        raise ValueError(f"queries shape {q.shape} != (n, {store.dim})")
+    norms = np.linalg.norm(q, axis=1)
+    if not np.isfinite(norms).all():
+        raise NonFiniteQueryError("cannot retrieve with a query that holds NaN or inf")
+    if not norms.all():
+        raise ValueError("cannot retrieve with a zero-norm query")
+    return _topk_block(store, q / norms[:, None], min(k, store.count))
+
+
+def _topk_block(store: Datastore, q: np.ndarray, k: int):
+    count, d = store.keys.shape
+    n = q.shape[0]
+    approx = q.astype(np.float32) @ _unit_keys(store.keys).astype(np.float32).T
+    kth = np.partition(approx, count - k, axis=1)[:, count - k].astype(np.float64)
+    m = (d + 2) * 2.0**-24
+    cutoff = np.minimum(kth, 1.0) - 4.0 * m / (1.0 - m)
+    cutoff[cutoff <= -1.0] = -np.inf
+    cutoff = np.nextafter(cutoff.astype(np.float32), np.float32(-np.inf))
+    rows, cand = np.divmod(np.flatnonzero(approx >= cutoff[:, None]), count)
+    exact = np.clip((_unit_keys(store.keys[cand]) * q[rows]).sum(axis=1), -1.0, 1.0)
+    order = np.lexsort((cand, -exact, rows))
+    take = order[np.searchsorted(rows, np.arange(n))[:, None] + np.arange(k)]
+    return cand[take], exact[take]
+
+
+def _knn_predict(sims, labels, tau2: float) -> np.ndarray:
+    sims = np.asarray(sims, dtype=np.float64)
+    if sims.shape[-1] == 0:
+        raise ValueError("knn_predict requires at least one neighbor")
+    labels = np.asarray(labels)
+    if labels.shape[:-1] != sims.shape:
+        raise ValueError(f"labels shape {labels.shape} does not match similarities {sims.shape}")
+    if not np.all(np.isfinite(sims)):
+        raise ValueError("softmax_temp received non-finite scores")
+    z = sims / tau2
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    beta = e / e.sum(axis=-1, keepdims=True)
+    return np.clip((beta[..., None] * labels).sum(axis=-2), 0.0, 1.0)
+
+
+def _high_confidence_subset(y_clf, gamma: float) -> np.ndarray:
+    return (np.asarray(y_clf, dtype=np.float64) >= gamma).astype(np.int8)
+
+
+def _debiased_lambda(y_knn, mask):
+    y_knn = np.asarray(y_knn, dtype=np.float64)
+    mask = np.asarray(mask)
+    if y_knn.shape != mask.shape:
+        raise ValueError(f"mask shape {mask.shape} != prediction shape {y_knn.shape}")
+    lam = np.where(mask > 0, y_knn, np.inf).min(axis=-1)
+    return np.where(np.isinf(lam), 0.0, lam)[()]
+
+
+def _combine(lam, y_knn, y_clf) -> np.ndarray:
+    lam = np.asarray(lam, dtype=np.float64)
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    y_knn = np.asarray(y_knn, dtype=np.float64)
+    y_clf = np.asarray(y_clf, dtype=np.float64)
+    if y_knn.shape != y_clf.shape:
+        raise ValueError("prediction vectors must have equal length")
+    lam = lam[..., None]
+    return np.clip(lam * y_knn + (1.0 - lam) * y_clf, 0.0, 1.0)

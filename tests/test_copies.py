@@ -111,20 +111,42 @@ def test_a_checkpoint_edited_by_one_byte_is_parsed_again(model):
     _assert_miss(path, edited, parses)
 
 
-@pytest.mark.parametrize("damage", ["another version", "missing member", "wrong dtype", "wrong ndim", "header"])
+def with_header(arrays, edit):
+    header = json.loads(arrays["header"].tobytes())
+    edit(header)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("damage", [
+    "another version", "missing member", "wrong dtype", "wrong ndim", "header", "header not an object",
+    "short params", "long params", "dims of another size", "dims not integers", "dims missing",
+])
 def test_a_foreign_or_misshapen_copy_is_a_miss(model, damage):
     path, parsed, parses = model
     arrays = copy_arrays(path)
+    assert arrays["params"].size == sum(arr.size for _, arr in parsed.param_items())
     if damage == "another version":
         arrays["version"] = np.int64(encoder._COPY_VERSION + 1)
     elif damage == "missing member":
-        del arrays["b_clf"]
+        del arrays["params"]
     elif damage == "wrong dtype":
-        arrays["w_in"] = np.zeros(arrays["w_in"].shape, dtype=np.float32)
+        arrays["params"] = np.zeros(arrays["params"].shape, dtype=np.float32)
     elif damage == "wrong ndim":
-        arrays["b_in"] = arrays["b_in"][None, :]
-    else:
+        arrays["params"] = arrays["params"][None, :]
+    elif damage == "header":
         arrays["header"] = arrays["header"][:-1]  # no longer JSON
+    elif damage == "header not an object":
+        arrays["header"] = np.frombuffer(b"[1, 2]", dtype=np.uint8)
+    elif damage == "short params":
+        arrays["params"] = arrays["params"][:-1]
+    elif damage == "long params":
+        arrays["params"] = np.append(arrays["params"], 0.5)
+    elif damage == "dims of another size":
+        with_header(arrays, lambda h: h["dims"].update(hidden_dim=h["dims"]["hidden_dim"] + 1))
+    elif damage == "dims not integers":
+        with_header(arrays, lambda h: h["dims"].update(hidden_dim=5.0))
+    else:
+        with_header(arrays, lambda h: h.pop("dims"))
     rewrite_copy(path, arrays)
     _assert_miss(path, parsed, parses)
 
@@ -156,7 +178,7 @@ def test_every_flipped_byte_of_a_tiny_copy_gives_the_parse_result_or_a_miss(tmp_
     """One flipped bit in any byte of the copy of the smallest model: a miss
     (a member's CRC-32, the zip's structure) or, for bytes the reader does
     not use, the parse's state. Never another state or an error. One flip
-    per byte keeps the sweep near 3 s: each read opens nine members."""
+    per byte keeps the sweep short: each read opens four members."""
     path = tmp_path / "model.json"
     save_checkpoint(init_state(EncoderConfig(1, 1, 1, 1), seed=0), path)
     parsed = encoder._parse_checkpoint(path)
@@ -198,8 +220,9 @@ def test_a_copy_holding_nan_fails_like_the_json_holding_it(model, tmp_path, caps
 
     # the copy path: a copy for these very bytes holds the NaN
     arrays = encoder._to_copy(parsed)
-    arrays["w_clf"] = arrays["w_clf"].copy()
-    arrays["w_clf"][0, 1] = np.nan
+    # w_clf[0][1]: the parameters before w_clf, then one entry in
+    w_clf_at = sum(arr.size for name, arr in parsed.param_items() if name in ("w_in", "b_in", "w_emb", "b_emb"))
+    arrays["params"][w_clf_at + 1] = np.nan
     copies.write_copy(path, encoder._COPY_VERSION, copies.file_digest(path), arrays)
     parses.clear()
     with pytest.raises(CheckpointError) as from_copy:

@@ -8,6 +8,7 @@ lambda and combination. It is kept here as the oracle. The batched path
 computes cosines from unit vectors by row-local sums, so values are compared
 to 1e-12 absolute; neighbor indices and decisions must match exactly.
 """
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,10 +21,11 @@ from hypothesis import strategies as st
 from knnmlc import cli, datastore
 from knnmlc.cli import EXIT_OK, main
 from knnmlc.data import DatasetConfig, generate_synthetic, load_jsonl, pack_samples
-from knnmlc.datastore import Datastore, build, load, retrieve_topk
+from knnmlc.datastore import Datastore, NonFiniteQueryError, build, load, retrieve_topk
 from knnmlc.encoder import EncoderConfig, forward_batch, forward_rowwise, init_state, load_checkpoint
-from knnmlc.inference import InferenceConfig, predict, predict_batch
+from knnmlc.inference import INFERENCE_MODES, InferenceConfig, predict, predict_batch
 from knnmlc.mathops import make_rng, sigmoid, softmax_temp
+import oracles
 from oracles import Sample, pack
 from test_datastore import rescored_sims  # the store's similarity, by its definition
 
@@ -152,6 +154,82 @@ def test_query_blocks_give_the_bytes_of_one_block(monkeypatch):
         np.testing.assert_array_equal(got, want)
 
 
+# -- against the path before its per-call checks were trimmed ----------------------
+
+
+def assert_bundle_bytes(got, want, what):
+    """Every field of two bundles, bit for bit (dtype and shape too)."""
+    for name in BUNDLE_FIELDS:
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f"{what}: {name}"
+
+
+def assert_equals_the_oracle(state, store, queries, cfg, what):
+    """The whole batch and each row alone (``predict`` on ``queries[i]``)
+    against the oracle path."""
+    want = oracles.predict_batch(state, store, queries, cfg)
+    assert_bundle_bytes(predict_batch(state, store, queries, cfg), want, f"{what}, batch")
+    for i in range(len(queries)):
+        assert_bundle_bytes(predict(state, store, queries[i], cfg), want.row(i), f"{what}, row {i}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    count=st.sampled_from([3, 25, 400]),
+    k=st.sampled_from([1, 5, 30, 500]),
+    dims=st.sampled_from([(4, 3, 2), (16, 12, 12), (64, 32, 48)]),
+    mode=st.sampled_from(INFERENCE_MODES),
+)
+def test_bundles_equal_the_oracle_path(seed, count, k, dims, mode):
+    # k < count and k >= count; tied keys; tanh and relu
+    state, store, queries, _ = random_setup(seed, count, *dims)
+    assert_equals_the_oracle(state, store, queries, InferenceConfig(k=k, mode=mode), f"seed {seed}")
+
+
+@pytest.mark.parametrize("mode", INFERENCE_MODES)
+def test_a_one_entry_store_and_no_store_equal_the_oracle_path(mode):
+    state, store, queries, _ = random_setup(11, 25, 16, 12, 12)
+    one = Datastore(keys=store.keys[4:5], values=store.values[4:5])
+    for k in (1, 30):
+        assert_equals_the_oracle(state, one, queries, InferenceConfig(k=k, mode=mode), f"one entry, k={k}")
+    if mode == "classifier_only":
+        assert_equals_the_oracle(state, None, queries, InferenceConfig(mode=mode), "no store")
+
+
+def test_query_blocks_equal_the_oracle_path(monkeypatch):
+    state, store, queries, _ = random_setup(5, 400, 16, 12, 12)
+    monkeypatch.setattr(datastore, "_QUERY_BLOCK_BYTES", 3 * 4 * store.count)
+    assert_equals_the_oracle(state, store, queries, InferenceConfig(k=30), "blocks of 3 queries")
+
+
+@pytest.mark.parametrize("case, error", [
+    ("nan embedding", NonFiniteQueryError),
+    ("zero-norm query", ValueError),
+    ("dimension mismatch", ValueError),
+    ("no store", ValueError),
+])
+def test_predict_fails_as_the_oracle_path_does(case, error):
+    # predict on a batch of two rows: TestPredict in test_inference.py
+    state, store, queries, _ = random_setup(7, 25, 16, 12, 12)
+    if case == "nan embedding":
+        state = state.copy()
+        state.b_emb[0] = np.nan
+    elif case == "zero-norm query":
+        state = state.copy()
+        state.w_emb[:] = 0.0
+        state.b_emb[:] = 0.0
+    elif case == "dimension mismatch":
+        store = Datastore(keys=np.ones((4, 9)), values=np.zeros((4, 12), dtype=np.int8))
+    else:
+        store = None
+    with pytest.raises(error) as got:
+        predict(state, store, queries[0], InferenceConfig())
+    with pytest.raises(error) as want:
+        oracles.predict_batch(state, store, queries[0], InferenceConfig())
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
 # -- exactness -------------------------------------------------------------------
 
 
@@ -241,6 +319,13 @@ def test_cli_records_equal_library_predictions_bit_for_bit(default_run):
         assert bundle.decisions(cfg.decision_threshold).tolist() == record["y_pred"]
         pairs = [(n["index"], n["similarity"]) for n in record["neighbors"]]
         assert list(zip(bundle.neighbor_indices.tolist(), bundle.neighbor_sims.tolist())) == pairs
+
+
+@pytest.mark.parametrize("mode", INFERENCE_MODES)
+def test_the_default_run_equals_the_oracle_path(default_run, mode):
+    # the whole 500-row test split of a trained model, and every row alone
+    state, store, test, cfg, _, _ = default_run
+    assert_equals_the_oracle(state, store, test, dataclasses.replace(cfg, mode=mode), mode)
 
 
 def test_batch_path_matches_the_per_query_path(default_run):
