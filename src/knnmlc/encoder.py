@@ -21,11 +21,21 @@ store key i is the float32 of exactly the embedding ``predict`` computes
 for training sample i. Its arithmetic is ``rowwise_layers``, which
 inference and the store build call directly: they read no trace, and the
 build gathers every row range from one copy of ``w_in.T``.
+
+The six parameters are writable views of one C-ordered float64 buffer,
+``EncoderState.flat``, which holds them back to back in ``_PARAM_NAMES``
+order; ``backward`` writes its gradients into views of one such buffer and
+the Adam moments share the layout, so an Adam step is a dozen ufunc calls
+over whole buffers. It is also the layout of a checkpoint's packed copy:
+the copy's ``params`` member is written from the state's own buffer and
+read back as the loaded state's buffer, with no concatenation or
+reassembly either way, and the copy holds the same bytes as before.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,12 +100,94 @@ class EncoderConfig:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
 
+class _FlatParameters:
+    """The six parameters (``_PARAM_NAMES``) as writable views of one
+    C-ordered float64 buffer ``flat`` that holds them back to back in that
+    order, the layout of the checkpoint copy's ``params`` member; ``shapes``
+    is their shapes. Write into a view (``grads.w_clf[...] = g``): a field
+    rebound to another array is no longer part of ``flat``, and
+    ``_check_views`` names it."""
+
+    def __post_init__(self):
+        # the constructor's arrays are copied into one new buffer
+        self._bind(*_flat_copy(self.__dict__))
+
+    @classmethod
+    def _on_buffer(cls, flat: np.ndarray, shapes: tuple, **fields):
+        """An instance whose parameters are views of ``flat`` itself, no copy."""
+        obj = cls.__new__(cls)
+        obj.__dict__.update(fields)
+        obj._bind(flat, shapes)
+        return obj
+
+    def _bind(self, flat: np.ndarray, shapes: tuple) -> None:
+        self.flat, self.shapes, self._views = flat, shapes, _flat_views(flat, shapes)
+        self.__dict__.update(zip(_PARAM_NAMES, self._views))
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle would copy each view as an array of its
+        # own; rebuild the views on the copied buffer instead
+        fields = {k: v for k, v in self.__dict__.items() if k not in (*_PARAM_NAMES, "flat", "shapes", "_views")}
+        return _rebuild, (type(self), self.flat, self.shapes, fields)
+
+    def param_items(self):
+        return [(name, getattr(self, name)) for name in _PARAM_NAMES]
+
+    def _check_views(self, what: str, shapes: tuple) -> None:
+        _require_views(what, self.__dict__, self._views, self.shapes, shapes)
+
+
+def _rebuild(cls, flat, shapes, fields):
+    return cls._on_buffer(flat, shapes, **fields)
+
+
+def _flat_copy(arrays) -> tuple[np.ndarray, tuple]:
+    """A new buffer holding ``arrays[name]`` back to back in ``_PARAM_NAMES``
+    order, each flattened in C order, and their shapes."""
+    parts = [np.asarray(arrays[name], dtype=np.float64) for name in _PARAM_NAMES]
+    return np.concatenate([part.ravel() for part in parts]), tuple(part.shape for part in parts)
+
+
+def _flat_views(flat: np.ndarray, shapes: tuple) -> tuple:
+    """Writable views of the 1-d C-ordered float64 ``flat`` with ``shapes``,
+    back to back; ValueError unless they cover it exactly."""
+    flags = flat.flags
+    if flat.dtype != np.float64 or flat.ndim != 1 or not (flags.c_contiguous and flags.writeable):
+        raise ValueError("a parameter buffer must be a writable 1-d C-contiguous float64 array")
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    if start != flat.size:
+        raise ValueError(f"shapes hold {start} values, the buffer {flat.size}")
+    return tuple(views)
+
+
+def _require_views(what: str, arrays, views: tuple, held: tuple, shapes: tuple) -> None:
+    """ValueError naming the first ``arrays[name]`` (``_PARAM_NAMES`` order)
+    that is not the entry of ``views`` itself (a field rebound to another
+    array) or not of its parameter's shape in ``shapes``; ``held`` is the
+    shapes of ``views``."""
+    if held == shapes and all(map(operator.is_, map(arrays.get, _PARAM_NAMES), views)):
+        return
+    for name, view, shape in zip(_PARAM_NAMES, views, shapes):
+        if arrays.get(name) is not view:
+            raise ValueError(f"{what} {name} was rebound to an array outside its flat buffer; write into it with [...]")
+        if view.shape != shape:
+            raise ValueError(f"{what} shape {view.shape} != parameter {name} shape {shape}")
+
+
 @dataclass
-class EncoderState:
+class EncoderState(_FlatParameters):
     """All trainable parameters plus the hyperparameters that shape them.
 
     w_in: (hidden, input), w_emb: (embed, hidden), w_clf: (C, embed);
-    biases match their layer's output dimension.
+    biases match their layer's output dimension. The six arrays are views of
+    one buffer ``flat`` (``_FlatParameters``): the constructor copies the
+    arrays it is given into a new one, ``copy`` copies the buffer once, and
+    a state loaded from a checkpoint's packed copy uses its ``params``
+    member as the buffer.
     """
 
     config: EncoderConfig
@@ -107,19 +199,20 @@ class EncoderState:
     b_clf: np.ndarray
     init_seed: int = 0
 
-    def param_items(self):
-        return [(name, getattr(self, name)) for name in _PARAM_NAMES]
+    @classmethod
+    def on_buffer(cls, config: EncoderConfig, flat: np.ndarray, init_seed: int = 0) -> "EncoderState":
+        """The state whose parameters are views of ``flat`` itself."""
+        return cls._on_buffer(flat, tuple(_param_shapes(config).values()), config=config, init_seed=init_seed)
 
     def copy(self) -> "EncoderState":
-        return EncoderState(
-            config=self.config,
-            init_seed=self.init_seed,
-            **{name: getattr(self, name).copy() for name in _PARAM_NAMES},
-        )
+        return EncoderState.on_buffer(self.config, self.flat.copy(), self.init_seed)
 
 
 @dataclass
-class ParameterGradients:
+class ParameterGradients(_FlatParameters):
+    """One gradient per parameter, views of one buffer ``flat`` laid out as
+    the state's (``_FlatParameters``)."""
+
     w_in: np.ndarray
     b_in: np.ndarray
     w_emb: np.ndarray
@@ -129,10 +222,7 @@ class ParameterGradients:
 
     @classmethod
     def zeros_like(cls, state: EncoderState) -> "ParameterGradients":
-        return cls(**{name: np.zeros_like(arr) for name, arr in state.param_items()})
-
-    def param_items(self):
-        return [(name, getattr(self, name)) for name in _PARAM_NAMES]
+        return cls._on_buffer(np.zeros_like(state.flat), state.shapes)
 
 
 @dataclass
@@ -316,7 +406,9 @@ def backward(
     """Reverse-mode gradients for every parameter, summed over the rows of a
     batch trace, given upstream (n, embed) gradients on the embeddings
     (contrastive path) and/or (n, C) gradients on the logits (classification
-    path)."""
+    path). The gradients are written into one new flat buffer laid out as
+    the state's (``ParameterGradients``), each product and sum straight into
+    its view."""
     cfg = state.config
     if trace.embedding.ndim != 2:
         raise ValueError("backward needs a batch trace from forward_batch")
@@ -327,15 +419,16 @@ def backward(
         d_embedding = np.asarray(grad_embedding, dtype=np.float64)
     if d_embedding.shape != (n, cfg.embed_dim):
         raise ValueError(f"grad_embedding shape {d_embedding.shape} != ({n}, {cfg.embed_dim})")
+    grads = ParameterGradients._on_buffer(np.empty_like(state.flat), state.shapes)
     if grad_logits is None:
-        w_clf = np.zeros_like(state.w_clf)
-        b_clf = np.zeros_like(state.b_clf)
+        grads.w_clf.fill(0.0)
+        grads.b_clf.fill(0.0)
     else:
         d_logits = np.asarray(grad_logits, dtype=np.float64)
         if d_logits.shape != (n, cfg.num_classes):
             raise ValueError(f"grad_logits shape {d_logits.shape} != ({n}, {cfg.num_classes})")
-        w_clf = d_logits.T @ trace.embedding
-        b_clf = d_logits.sum(axis=0)
+        np.matmul(d_logits.T, trace.embedding, out=grads.w_clf)
+        np.add.reduce(d_logits, axis=0, out=grads.b_clf)
         d_embedding = d_embedding + d_logits @ state.w_clf
 
     d_hidden = (d_embedding @ state.w_emb) * trace.mask
@@ -343,14 +436,11 @@ def backward(
         d_pre = d_hidden * (1.0 - trace.hidden**2)
     else:
         d_pre = d_hidden * (trace.pre_hidden > 0.0)
-    return ParameterGradients(
-        w_in=d_pre.T @ (trace.inputs.to_dense() if trace.dense is None else trace.dense),
-        b_in=d_pre.sum(axis=0),
-        w_emb=d_embedding.T @ (trace.hidden * trace.mask),
-        b_emb=d_embedding.sum(axis=0),
-        w_clf=w_clf,
-        b_clf=b_clf,
-    )
+    np.matmul(d_pre.T, trace.inputs.to_dense() if trace.dense is None else trace.dense, out=grads.w_in)
+    np.add.reduce(d_pre, axis=0, out=grads.b_in)
+    np.matmul(d_embedding.T, trace.hidden * trace.mask, out=grads.w_emb)
+    np.add.reduce(d_embedding, axis=0, out=grads.b_emb)
+    return grads
 
 
 def _payload_header(state: EncoderState) -> dict:
@@ -400,7 +490,9 @@ def finite_array(value, shape: tuple, what: str, source) -> np.ndarray:
 
 def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState:
     """The EncoderState of a checkpoint payload, each value of its field's
-    kind (``data.check_kind``, nothing converted); CheckpointError otherwise."""
+    kind (``data.check_kind``, nothing converted); CheckpointError otherwise.
+    ``params`` maps each name to its nested lists, or is a packed copy's
+    flat float64 array, which becomes the state's buffer as it is."""
     if not isinstance(payload, dict) or payload.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointError(f"{source}: wrong or missing format marker")
     if payload.get("version") != _CHECKPOINT_VERSION:
@@ -410,11 +502,19 @@ def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState
             **payload["dims"], activation=payload["activation"], dropout_rate=payload["dropout_rate"]
         )
         config.validate()
-        params = {
-            name: finite_array(payload["params"][name], shape, f"parameter {name}", source)
-            for name, shape in _param_shapes(config).items()
-        }
-        state = EncoderState(config=config, init_seed=payload.get("init_seed", 0), **params)
+        params, init_seed = payload["params"], payload.get("init_seed", 0)
+        if isinstance(params, np.ndarray):
+            # a packed copy's params member, sized by ``_from_copy``: the
+            # state's buffer as it is
+            state = EncoderState.on_buffer(config, params, init_seed)
+            for name, view in state.param_items():
+                finite_array(view, view.shape, f"parameter {name}", source)
+        else:
+            arrays = {
+                name: finite_array(params[name], shape, f"parameter {name}", source)
+                for name, shape in _param_shapes(config).items()
+            }
+            state = EncoderState(config=config, init_seed=init_seed, **arrays)
         check_kinds(state)
     except CheckpointError:
         raise
@@ -425,9 +525,10 @@ def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState
 
 def _to_copy(state: EncoderState) -> dict:
     """The arrays of a checkpoint's packed copy: the payload header as JSON
-    bytes and the parameters, each flattened in C order, back to back."""
+    bytes and the state's own flat buffer, which holds the parameters back
+    to back, each flattened in C order."""
     header = np.frombuffer(json.dumps(_payload_header(state)).encode("utf-8"), dtype=np.uint8)
-    return {"header": header, "params": np.concatenate([arr.ravel() for _, arr in state.param_items()])}
+    return {"header": header, "params": state.flat}
 
 
 def _parse_checkpoint(path) -> EncoderState:
@@ -441,8 +542,9 @@ def _parse_checkpoint(path) -> EncoderState:
 
 def _from_copy(arrays: dict, source: str):
     """The EncoderState of a packed copy's arrays, through every check of
-    ``state_from_payload``; None when the header is not a JSON object with
-    valid dims or the params member is not the size those dims give."""
+    ``state_from_payload``, with the params member as its buffer; None when
+    the header is not a JSON object with valid dims or the params member is
+    not the size those dims give."""
     try:
         header = json.loads(arrays["header"].tobytes())
         config = EncoderConfig(**header["dims"])
@@ -451,14 +553,9 @@ def _from_copy(arrays: dict, source: str):
     # dims of another JSON type fails with TypeError
     except (KeyError, TypeError, ValueError):
         return None
-    shapes, blob = _param_shapes(config), arrays["params"]
-    if blob.size != sum(map(math.prod, shapes.values())):
+    if arrays["params"].size != sum(map(math.prod, _param_shapes(config).values())):
         return None
-    params, start = {}, 0
-    for name, shape in shapes.items():
-        params[name] = blob[start : start + math.prod(shape)].reshape(shape)
-        start += params[name].size
-    return state_from_payload({**header, "params": params}, source=source)
+    return state_from_payload({**header, "params": arrays["params"]}, source=source)
 
 
 def load_checkpoint(path) -> EncoderState:

@@ -43,18 +43,16 @@ def finite_difference_gradients(
     """Central differences of the frozen-mask objective over every parameter
     entry. O(#params) loss evaluations; meant for small configurations."""
     grads = ParameterGradients.zeros_like(state)
-    for name, theta in state.param_items():
-        out = getattr(grads, name)
-        flat_theta = theta.reshape(-1)
-        flat_out = out.reshape(-1)
-        for j in range(flat_theta.size):
-            orig = flat_theta[j]
-            flat_theta[j] = orig + step
-            up = batch_objective(state, views, masks, alpha, tau1, variant)
-            flat_theta[j] = orig - step
-            down = batch_objective(state, views, masks, alpha, tau1, variant)
-            flat_theta[j] = orig
-            flat_out[j] = (up - down) / (2.0 * step)
+    # entry j of the state's flat buffer is entry j of the gradients'
+    theta = state.flat
+    for j in range(theta.size):
+        orig = theta[j]
+        theta[j] = orig + step
+        up = batch_objective(state, views, masks, alpha, tau1, variant)
+        theta[j] = orig - step
+        down = batch_objective(state, views, masks, alpha, tau1, variant)
+        theta[j] = orig
+        grads.flat[j] = (up - down) / (2.0 * step)
     return grads
 
 

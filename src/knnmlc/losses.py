@@ -62,8 +62,8 @@ def bce_loss(y_hat, y):
     y = np.asarray(y, dtype=np.float64)
     if y_hat.shape != y.shape:
         raise ValueError(f"shape mismatch: predictions {y_hat.shape} vs labels {y.shape}")
-    p = np.clip(y_hat, _BCE_EPS, 1.0 - _BCE_EPS)
-    loss = -float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    p = y_hat.clip(_BCE_EPS, 1.0 - _BCE_EPS)
+    loss = -float(np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=None))
     return loss, y_hat - y
 
 
@@ -150,7 +150,7 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
         positive[rows, rows] = False
         positive[rows, partners] = True
     if variant in ("dcl", "wscl"):
-        if np.any(counts == 0):
+        if (counts == 0).any():
             logger.warning("the contrastive loss saw all-zero label rows; their pairs get label similarity 0")
         # log w_ij = log(2 - l_ij), l_ij = overlap / max(count_i, count_j, 1)
         larger = np.maximum(counts, 1.0)
@@ -183,7 +183,7 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
         mean_positive = pair.sum(axis=1) / num_positive
         np.subtract(z, (1.0 / (num_positive * tau1))[:, None], out=z, where=positive)
     z[rows, rows] = 0.0
-    loss = float(np.sum(log_denom - mean_positive / tau1))
+    loss = float(np.add.reduce(log_denom - mean_positive / tau1))
     return loss, z
 
 
@@ -207,5 +207,6 @@ def contrastive_embedding_grads(unit: np.ndarray, norms: np.ndarray, cos: np.nda
     """
     g = np.asarray(grad_sims, dtype=np.float64)
     m = g + g.T
-    np.fill_diagonal(m, 0.0)
-    return (m @ unit - np.sum(m * cos, axis=1)[:, None] * unit) / norms[:, None]
+    # the diagonal, as np.fill_diagonal sets it, without its checks
+    m.flat[:: m.shape[0] + 1] = 0.0
+    return (m @ unit - np.add.reduce(m * cos, axis=1)[:, None] * unit) / norms[:, None]

@@ -36,7 +36,7 @@ def unit_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """
     rows = np.asarray(rows, dtype=np.float64)
     norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise ValueError("cosine similarity is undefined for zero-norm rows")
     return rows / norms[:, None], norms
 

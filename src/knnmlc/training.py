@@ -8,7 +8,8 @@ stacks those rows twice into one packed batch of 2N views. One forward pass
 runs all 2N views with independent dropout masks; binary cross entropy is
 summed over all 2N classifier outputs, alpha times the contrastive loss over
 the 2N embeddings is added, one backward pass carries both paths to the
-parameters, and one Adam step follows. The state with the best validation
+parameters, and one Adam step over the flat buffers that hold every
+parameter, gradient and moment follows. The state with the best validation
 micro-F1 (classifier-only, threshold 0.5, from the dropout-off pass that
 inference runs) is kept as the result.
 """
@@ -22,10 +23,14 @@ import numpy as np
 
 from .data import PackedSamples, check_kind, check_kinds, pack_samples
 from .encoder import (
+    _PARAM_NAMES,
     CheckpointError,
     EncoderConfig,
     EncoderState,
     ParameterGradients,
+    _flat_copy,
+    _flat_views,
+    _require_views,
     backward,
     classify,
     finite_array,
@@ -96,18 +101,39 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers per parameter tensor plus the step count."""
+    """First/second moments per parameter tensor plus the step count. Like
+    the parameters, each moment is one flat buffer (``m_flat``, ``v_flat``)
+    and ``m[name]``, ``v[name]`` are writable views of it, so that
+    ``adam_step`` updates every tensor at once, in two scratch buffers of
+    the same size kept across steps. The constructor copies the moments it
+    is given into new buffers."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
 
+    def __post_init__(self):
+        self._layout = {}
+        for which in ("m", "v"):
+            flat, shapes = _flat_copy(getattr(self, which))
+            views = _flat_views(flat, shapes)
+            setattr(self, f"{which}_flat", flat)
+            setattr(self, which, dict(zip(_PARAM_NAMES, views)))
+            self._layout[which] = (views, shapes)
+        self._scratch = (np.empty_like(self.m_flat), np.empty_like(self.m_flat))
+
+    def __reduce__(self):
+        # copy.deepcopy and pickle rebuild the buffers and their views
+        return AdamState, (self.m, self.v, self.step)
+
     @classmethod
     def zeros_like(cls, state: EncoderState) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in state.param_items()},
-            v={name: np.zeros_like(arr) for name, arr in state.param_items()},
-        )
+        zeros = dict(zip(_PARAM_NAMES, map(np.zeros, state.shapes)))
+        return cls(m=zeros, v=zeros)
+
+    def _check_views(self, shapes: tuple) -> None:
+        for which, (views, held) in self._layout.items():
+            _require_views(f"Adam {which}", getattr(self, which), views, held, shapes)
 
 
 def adam_step(
@@ -120,33 +146,37 @@ def adam_step(
 ) -> EncoderState:
     """One bias-corrected Adam update, applied to the state in place.
 
-    Computes theta -= lr * m_hat / (sqrt(v_hat) + eps) with the moments
-    updated in place and two scratch arrays per parameter, operation for
-    operation as the textbook expression, so the result is bit-identical.
+    Computes theta -= lr * m_hat / (sqrt(v_hat) + eps) once over the flat
+    buffers that hold every parameter, gradient and moment, with the moments
+    updated in place and ``adam``'s two scratch buffers, operation for
+    operation as the textbook expression, so the result is bit-identical to
+    a per-tensor update. Every tensor must still be the view of its buffer
+    that its constructor handed out; a field rebound to another array is a
+    ValueError naming it, and nothing is updated.
     """
+    shapes = state.shapes
+    state._check_views("parameter", shapes)
+    grads._check_views("gradient", shapes)
+    adam._check_views(shapes)
     b1, b2 = betas
     adam.step += 1
     t = adam.step
-    for name, theta in state.param_items():
-        g = getattr(grads, name)
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter {name} shape {theta.shape}")
-        m = adam.m[name]
-        v = adam.v[name]
-        scratch = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += scratch
-        np.multiply(g, 1.0 - b2, out=scratch)
-        scratch *= g
-        v *= b2
-        v += scratch
-        step = np.divide(m, 1.0 - b1**t)
-        step *= lr
-        np.divide(v, 1.0 - b2**t, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += eps
-        step /= scratch
-        theta -= step
+    g, m, v = grads.flat, adam.m_flat, adam.v_flat
+    scratch, step = adam._scratch
+    np.multiply(g, 1.0 - b1, out=scratch)
+    m *= b1
+    m += scratch
+    np.multiply(g, 1.0 - b2, out=scratch)
+    scratch *= g
+    v *= b2
+    v += scratch
+    np.divide(m, 1.0 - b1**t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - b2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    step /= scratch
+    state.flat -= step
     return state
 
 
@@ -160,7 +190,7 @@ def _batch_losses(trace, labels, tau1, variant, workspace=None):
     unit, norms = unit_rows(trace.embedding)
     cos = unit @ unit.T
     con, grad_sims = contrastive_loss_from_similarities(
-        np.clip(cos, -1.0, 1.0), labels, tau1, variant, workspace=workspace
+        cos.clip(-1.0, 1.0), labels, tau1, variant, workspace=workspace
     )
     return bce, con, logit_grads, grad_sims, (unit, norms, cos)
 

@@ -9,7 +9,11 @@ is the contrastive loss as whole-matrix expressions, against which the
 package's in-place pass is checked bit for bit. ``predict_batch`` is the
 inference path as it stood before its per-call checks and wrappers were
 trimmed (each component called through its checked public form), against
-which ``inference.predict_batch`` is checked bit for bit.
+which ``inference.predict_batch`` is checked bit for bit. ``adam_step``
+(one update per parameter tensor) and ``backward`` (each gradient its own
+array) are the training step as it stood before parameters, gradients and
+moments shared one flat buffer each, against which the flat forms are
+checked bit for bit.
 """
 import json
 import logging
@@ -19,7 +23,7 @@ import numpy as np
 
 from knnmlc.data import DataFormatError, PackedSamples, _cluster_draws, check_kind, cluster_layout, pack_samples
 from knnmlc.datastore import Datastore, NonFiniteQueryError
-from knnmlc.encoder import EncoderState, ForwardTrace, _gather_rows, forward_rowwise
+from knnmlc.encoder import EncoderState, ForwardTrace, ParameterGradients, _gather_rows, forward_rowwise
 from knnmlc.inference import InferenceConfig, PredictionBundle
 from knnmlc.mathops import make_rng
 
@@ -480,3 +484,71 @@ def _combine(lam, y_knn, y_clf) -> np.ndarray:
         raise ValueError("prediction vectors must have equal length")
     lam = lam[..., None]
     return np.clip(lam * y_knn + (1.0 - lam) * y_clf, 0.0, 1.0)
+
+
+def adam_step(state, grads, adam, lr, betas=(0.9, 0.999), eps=1e-8):
+    """One bias-corrected Adam update, tensor by tensor: the moments updated
+    in place and two scratch arrays per parameter."""
+    b1, b2 = betas
+    adam.step += 1
+    t = adam.step
+    for name, theta in state.param_items():
+        g = getattr(grads, name)
+        if g.shape != theta.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter {name} shape {theta.shape}")
+        m = adam.m[name]
+        v = adam.v[name]
+        scratch = np.multiply(g, 1.0 - b1)
+        m *= b1
+        m += scratch
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
+        v *= b2
+        v += scratch
+        step = np.divide(m, 1.0 - b1**t)
+        step *= lr
+        np.divide(v, 1.0 - b2**t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        step /= scratch
+        theta -= step
+    return state
+
+
+def backward(state: EncoderState, trace: ForwardTrace, grad_embedding=None, grad_logits=None) -> ParameterGradients:
+    """Reverse-mode gradients summed over the rows of a batch trace, each
+    product and sum formed as its own array."""
+    cfg = state.config
+    if trace.embedding.ndim != 2:
+        raise ValueError("backward needs a batch trace from forward_batch")
+    n = trace.embedding.shape[0]
+    if grad_embedding is None:
+        d_embedding = np.zeros((n, cfg.embed_dim))
+    else:
+        d_embedding = np.asarray(grad_embedding, dtype=np.float64)
+    if d_embedding.shape != (n, cfg.embed_dim):
+        raise ValueError(f"grad_embedding shape {d_embedding.shape} != ({n}, {cfg.embed_dim})")
+    if grad_logits is None:
+        w_clf = np.zeros_like(state.w_clf)
+        b_clf = np.zeros_like(state.b_clf)
+    else:
+        d_logits = np.asarray(grad_logits, dtype=np.float64)
+        if d_logits.shape != (n, cfg.num_classes):
+            raise ValueError(f"grad_logits shape {d_logits.shape} != ({n}, {cfg.num_classes})")
+        w_clf = d_logits.T @ trace.embedding
+        b_clf = d_logits.sum(axis=0)
+        d_embedding = d_embedding + d_logits @ state.w_clf
+
+    d_hidden = (d_embedding @ state.w_emb) * trace.mask
+    if cfg.activation == "tanh":
+        d_pre = d_hidden * (1.0 - trace.hidden**2)
+    else:
+        d_pre = d_hidden * (trace.pre_hidden > 0.0)
+    return ParameterGradients(
+        w_in=d_pre.T @ (trace.inputs.to_dense() if trace.dense is None else trace.dense),
+        b_in=d_pre.sum(axis=0),
+        w_emb=d_embedding.T @ (trace.hidden * trace.mask),
+        b_emb=d_embedding.sum(axis=0),
+        w_clf=w_clf,
+        b_clf=b_clf,
+    )
