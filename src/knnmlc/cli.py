@@ -4,9 +4,9 @@ ablate, gradcheck.
 Configuration is one JSON file with optional sections "dataset", "encoder",
 "train", and "inference"; every key has a default (see docs/formats.md for
 the schema), so `{}` is a valid config. Each command records a manifest
-(config snapshot, seed, artifact paths, timestamps; for train, build-store,
-predict and eval, which writes one only with --out, also the stage timings
-and the software versions) next to its outputs, and commands are
+(config snapshot, seed, artifact paths, timestamps; for gen-data, train,
+build-store, predict and eval, which writes one only with --out, also the
+stage timings and the software versions) next to its outputs, and commands are
 deterministic given their config and seed.
 
 Exit codes: 0 success, 2 missing file, 3 malformed config or data file
@@ -35,8 +35,9 @@ from .data import (
     DataFormatError,
     DatasetConfig,
     frequency_groups,
+    generate_synthetic,
     load_packed,
-    save_synthetic,
+    save_splits,
 )
 from .encoder import CheckpointError, EncoderConfig, init_state, load_checkpoint, save_checkpoint
 from .gradcheck import duplicated_views, gradient_check, run_gradcheck_suite
@@ -184,8 +185,19 @@ def cmd_gen_data(args) -> int:
         dataset_cfg.seed = args.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = save_synthetic(dataset_cfg, out_dir)
-    write_manifest(out_dir, "gen-data", _config_snapshot(dataset_cfg), dataset_cfg.seed, artifacts)
+    start = time.perf_counter()
+    splits = generate_synthetic(dataset_cfg)
+    drawn = time.perf_counter()
+    artifacts = save_splits(splits, out_dir)
+    write_manifest(
+        out_dir,
+        "gen-data",
+        _config_snapshot(dataset_cfg),
+        dataset_cfg.seed,
+        artifacts,
+        timings={"run_s": drawn - start, "save_s": time.perf_counter() - drawn},
+        environment=_environment(),
+    )
     print(f"wrote {dataset_cfg.train_size}/{dataset_cfg.valid_size}/{dataset_cfg.test_size} samples to {out_dir}")
     return EXIT_OK
 

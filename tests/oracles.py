@@ -232,7 +232,7 @@ def column_gather(w_in: np.ndarray, batch: PackedSamples) -> np.ndarray:
 
 def draw_sample(cfg, rng, clusters, cdf, sample_id: str) -> Sample:
     """One synthetic sample by scalar ``Generator`` calls, two or three per
-    token: the stream ``data._draw_records`` reads from the raw words."""
+    token: the stream ``data.generate_synthetic`` reads from the raw words."""
     # the draw rng.choice(num_clusters, p=priors) makes, from the same cdf and stream
     in_labels, out_labels, add_p, own, shared = clusters[int(cdf.searchsorted(rng.random(), side="right"))]
 

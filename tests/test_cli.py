@@ -138,9 +138,11 @@ class TestPipeline:
             "numpy": np.__version__,
             "knnmlc": knnmlc.__version__,
         }
-        # gen-data's manifest carries neither (build-store, predict and eval: below)
+        # gen-data's times its draw and its files (build-store, predict and eval: below)
         gen_data = json.loads((a["data"] / "manifest-gen-data.json").read_text())
-        assert not {"timings", "environment"} & set(gen_data)
+        assert set(gen_data["timings"]) == {"run_s", "save_s"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in gen_data["timings"].values())
+        assert gen_data["environment"] == environment
         # and docs/formats.md names every key
         formats = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
         for section, keys in (("timings", timings), ("environment", environment)):

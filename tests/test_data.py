@@ -10,12 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knnmlc import data
 from knnmlc.cli import EXIT_OK, main
 from knnmlc.data import (
     DataFormatError,
     DatasetConfig,
     PackedSamples,
     _below,
+    _draw_sample,
+    _draw_split,
+    _draw_tables,
     _WordReader,
     cluster_layout,
     frequency_groups,
@@ -166,6 +170,9 @@ GENERATOR_CONFIGS = [
     {"shared_feature_frac": 1.0},
     {"cluster_skew": 1.0, "num_clusters": 5, "num_classes": 9},
     {"num_classes": 48, "num_clusters": 16, "vocab_size": 2000},
+    # an odd count: a sample can end with a half kept for the next one
+    {"tokens_per_sample": 7},
+    {"tokens_per_sample": 1},
     # every token block holds one index, so each block draw is integers(1)
     {"num_classes": 18, "num_clusters": 12, "vocab_size": 18, "cluster_skew": 1.0},
 ]
@@ -188,7 +195,7 @@ def test_generated_splits_are_the_packed_files_of_save_synthetic(tmp_path, overr
     cfg = small_cfg(**{**overrides, "seed": seed})
     paths = save_synthetic(cfg, tmp_path)
     for split, path in zip(generate_synthetic(cfg), paths.values()):
-        loaded, num_classes, vocab_size = load_packed(path)
+        loaded, num_classes, vocab_size = load_jsonl(path)
         assert (num_classes, vocab_size) == (cfg.num_classes, cfg.vocab_size)
         assert same_split(split, loaded)
 
@@ -302,6 +309,22 @@ def test_gen_data_bytes_are_pinned(tmp_path):
     assert digests == DEFAULT_SEED1_SHA256
 
 
+def test_the_first_read_after_gen_data_is_served_from_its_copy(tmp_path, monkeypatch):
+    argv = ["--config", str(REPO / "configs" / "default.json"), "--seed", "3", "gen-data", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    paths = [tmp_path / f"{name}.jsonl" for name in ("train", "valid", "test")]
+    parsed = [load_jsonl(path) for path in paths]
+
+    def no_parse(path):
+        raise AssertionError(f"{path} was parsed")
+
+    monkeypatch.setattr(data, "load_jsonl", no_parse)
+    for path, (want, num_classes, vocab_size) in zip(paths, parsed):
+        got, c, v = load_packed(path)
+        assert (c, v) == (num_classes, vocab_size)
+        assert same_split(got, want)
+
+
 WORD_READER_RANGES = [1, 2, 7, 2000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
 WORD_READER_CALLS = st.one_of(
     st.just(("random", None)),
@@ -339,13 +362,143 @@ def test_word_reader_rejects_what_it_cannot_read():
         _WordReader(np.random.Generator(np.random.MT19937(0)))
 
 
+# -- the block pass against the scalar draws --------------------------------
+
+
+class Words:
+    """A fixed run of raw words served k at a time; ``read`` counts them."""
+
+    def __init__(self, words):
+        self.words, self.read = words, 0
+
+    def __call__(self, k):
+        out = self.words[self.read : self.read + k]
+        assert out.size == k, "ran out of crafted words"
+        self.read += k
+        return out
+
+
+def half_draws(words, tables, size):
+    """Per sample of the scalar draw of ``words``: each bounded-integer draw
+    that takes a half, as (n, index of the word the half is from, whether it
+    is the kept high half rather than a fresh low half)."""
+    source = Words(words)
+    reader = _WordReader.of_words(source, block=1)
+    draws, fresh_at = [], None
+    integers = reader.integers
+
+    def recording(n):
+        nonlocal fresh_at
+        if n > 1:
+            kept = reader.half is not None
+            if not kept:
+                fresh_at = source.read
+            draws[-1].append((n, fresh_at, kept))
+        return integers(n)
+
+    reader.integers = recording
+    for _ in range(size):
+        draws.append([])
+        _draw_sample(reader, tables)
+    return draws
+
+
+def scalar_split(reader, tables, size):
+    """``size`` samples of the scalar draws, packed by the oracle."""
+    samples = []
+    for i in range(size):
+        tokens, labels = _draw_sample(reader, tables)
+        features = {}
+        for token in sorted(tokens[0].tolist()):
+            features[token] = features.get(token, 0.0) + 1.0
+        samples.append(oracles.Sample(features, labels[0], f"train-{i:05d}"))
+    return oracles.pack(samples, tables.vocab_size)
+
+
+PER_PASS = 5
+
+
+@pytest.mark.parametrize(
+    "where, leftover",
+    [("first", 0), ("middle", 0), ("last", 0), ("after a kept half", 0), ("middle", -1), ("middle", None)],
+    ids=["first", "middle", "last", "after-a-kept-half", "just-below-the-bound", "at-the-bound"],
+)
+def test_a_rejected_draw_falls_back_to_the_scalar_draw_of_the_same_words(monkeypatch, where, leftover):
+    # with an odd token count every other sample starts with a half kept; an
+    # odd vocabulary size gives draws of odd n, so any leftover can be made
+    tables = _draw_tables(small_cfg(tokens_per_sample=7, vocab_size=121))
+    monkeypatch.setattr(data, "_WINDOW_WORDS", PER_PASS * (1 + tables.num_classes + 3 * tables.tokens))
+    size = 4 * PER_PASS
+    words = make_rng(3).bit_generator.random_raw(4096)
+    draws = half_draws(words, tables, size)
+    if where == "after a kept half":  # the sample's first draw takes the half the sample before kept
+        sample = next(i for i in range(1, size) if draws[i][0][2] and draws[i][0][0] % 2)
+        n, index, kept = draws[sample][0]
+    else:  # the first, a middle and the last sample of a pass
+        sample = {"first": 0, "middle": PER_PASS + 2, "last": 3 * PER_PASS - 1}[where]
+        n, index, kept = next(draw for draw in draws[sample] if draw[0] % 2)
+    # the half u whose leftover u * n mod 2**32 is the given offset from the
+    # bound (2**32 - n) % n, below which a draw is rejected (0: u = 0)
+    bound = ((1 << 32) - n) % n
+    assert bound > 1
+    u = 0 if leftover == 0 else (bound + (leftover or 0)) * pow(n, -1, 1 << 32) % (1 << 32)
+    crafted = words.copy()
+    if kept:
+        crafted[index] = (crafted[index] & np.uint64(0xFFFFFFFF)) | np.uint64(u << 32)
+    else:
+        crafted[index] = (crafted[index] & np.uint64(0xFFFFFFFF00000000)) | np.uint64(u)
+
+    calls = []
+    scalar = data._draw_sample
+    monkeypatch.setattr(data, "_draw_sample", lambda reader, t: calls.append(reader) or scalar(reader, t))
+    block_reader = _WordReader.of_words(Words(crafted), block=1)
+    got = _draw_split(block_reader, tables, "train", size)
+    assert len(calls) == (leftover is not None)  # the rejected sample alone
+    scalar_reader = _WordReader.of_words(Words(crafted), block=1)
+    assert same_split(got, scalar_split(scalar_reader, tables, size))
+    # both stop at the same word, with the same half kept
+    assert block_reader.half == scalar_reader.half
+    assert next(block_reader.words) == next(scalar_reader.words)
+
+
+@pytest.mark.parametrize("overrides", GENERATOR_CONFIGS)
+def test_the_block_pass_reads_what_the_scalar_draws_read(monkeypatch, overrides):
+    # from a half kept before the first sample, through passes of three samples
+    tables = _draw_tables(small_cfg(**overrides))
+    monkeypatch.setattr(data, "_WINDOW_WORDS", 3 * (1 + tables.num_classes + 3 * tables.tokens))
+    words = make_rng(4).bit_generator.random_raw(60 * (1 + tables.num_classes + 3 * tables.tokens) + 1)
+    readers = [_WordReader.of_words(Words(words), half=0x9E3779B9, block=1) for _ in range(2)]
+    got = [_draw_split(readers[0], tables, "train", 20) for _ in range(2)]
+    want = [scalar_split(readers[1], tables, 20) for _ in range(2)]
+    for a, b in zip(got, want):
+        assert same_split(a, b)
+    assert readers[0].half == readers[1].half
+    assert next(readers[0].words) == next(readers[1].words)
+
+
+def test_pass_and_line_chunk_sizes_change_no_split_and_no_file(tmp_path, monkeypatch):
+    cfg = small_cfg(tokens_per_sample=7)
+    want = generate_synthetic(cfg)
+    want_files = {name: Path(p).read_bytes() for name, p in save_synthetic(cfg, tmp_path).items()}
+    per_sample = 1 + cfg.num_classes + 3 * cfg.tokens_per_sample
+    for words, lines in ((1, 1), (3 * per_sample, 7), (per_sample * 1000, 10_000)):
+        monkeypatch.setattr(data, "_WINDOW_WORDS", words)
+        monkeypatch.setattr(data, "_CHUNK_LINES", lines)
+        for got, split in zip(generate_synthetic(cfg), want):
+            assert same_split(got, split)
+        out = tmp_path / f"{words}-{lines}"
+        out.mkdir()
+        assert {name: Path(p).read_bytes() for name, p in save_synthetic(cfg, out).items()} == want_files
+
+
 @given(p=st.floats(0.0, 1.0), word=st.integers(0, 2**64 - 1))
 def test_a_word_is_below_the_bound_exactly_when_its_draw_is(p, word):
     bound = _below(p)
-    # the words next to the bound, and an arbitrary one
-    for w in (word, bound - 1, bound, bound + 2047):
-        if 0 <= w < 2**64:
-            assert (w < bound) == ((w >> 11) * 2**-53 < p)
+    assert bound <= 2**53  # so the block pass compares it in uint64
+    # the 53-bit draws next to the bound, and an arbitrary word's
+    for draw in (word >> 11, bound - 1, bound):
+        if 0 <= draw < 2**53:
+            assert (draw < bound) == (draw * 2**-53 < p)
 
 
 def records_of(split: PackedSamples):
