@@ -12,7 +12,8 @@ deterministic given their config and seed.
 Exit codes: 0 success, 2 missing file, 3 malformed config or data file
 (including a datastore file with a zero-norm or non-finite key), 4 dimension
 mismatch, 5 non-finite numbers at their source (a NaN or inf training loss,
-or a zero-norm or non-finite key while building a datastore), 1 anything
+a zero-norm or non-finite key while building a datastore, or a NaN or inf
+classifier probability or query embedding while predicting), 1 anything
 else.
 """
 from __future__ import annotations
@@ -283,6 +284,16 @@ def cmd_build_store(args) -> int:
 # samples per predict_batch call: bounds the (rows, k, C) neighbor-vote
 # temporaries and the forward trace; rows do not depend on the split
 _PREDICT_CHUNK = 1024
+# prediction lines rendered, joined and written at a time: bounds the
+# block's strings
+_LINE_BLOCK = 128
+
+# a preds.jsonl line and one neighbor pair: ``json.dumps`` of the record
+# dict (its key order, default separators). Every value is finite
+# (``predict_batch`` checks), and a finite float is written by json as its
+# ``repr``, so ``repr`` of a row list is the JSON of the row.
+_LINE = '{"id": %s, "y_clf": %s, "y_knn": %s, "lambda": %r, "y_final": %s, "y_pred": %s, "neighbors": [%s]}\n'
+_NEIGHBOR = '{"index": %d, "similarity": %r}'
 
 
 def _predict_chunks(state, store, samples, infer_cfg):
@@ -292,20 +303,29 @@ def _predict_chunks(state, store, samples, infer_cfg):
         yield chunk, predict_batch(state, store, chunk, infer_cfg)
 
 
-def _chunk_records(chunk, bundle, y_pred):
-    for i, sample_id in enumerate(chunk.ids):
-        yield {
-            "id": sample_id,
-            "y_clf": bundle.y_clf[i].tolist(),
-            "y_knn": bundle.y_knn[i].tolist(),
-            "lambda": float(bundle.lam[i]),
-            "y_final": bundle.y_final[i].tolist(),
-            "y_pred": y_pred[i].tolist(),
-            "neighbors": [
-                {"index": index, "similarity": sim}
-                for index, sim in zip(bundle.neighbor_indices[i].tolist(), bundle.neighbor_sims[i].tolist())
-            ],
-        }
+def _prediction_lines(ids, bundle, y_pred):
+    """The bytes of the preds.jsonl lines of a chunk's rows (docs/formats.md),
+    one block of up to ``_LINE_BLOCK`` lines at a time, rendered straight
+    from the bundle's arrays: one ``repr`` per row of each (n, C) array and
+    one template per row for its k neighbor pairs."""
+    n, k = bundle.neighbor_indices.shape
+    neighbors = ", ".join([_NEIGHBOR] * k)
+    for lo in range(0, n, _LINE_BLOCK):
+        hi = min(lo + _LINE_BLOCK, n)
+        # each row's (index, similarity) pairs in turn, as Python ints and floats
+        pairs = np.empty((hi - lo, 2 * k), dtype=object)
+        pairs[:, 0::2] = bundle.neighbor_indices[lo:hi]
+        pairs[:, 1::2] = bundle.neighbor_sims[lo:hi]
+        fields = zip(
+            map(json.dumps, ids[lo:hi]),
+            map(repr, bundle.y_clf[lo:hi].tolist()),
+            map(repr, bundle.y_knn[lo:hi].tolist()),
+            bundle.lam[lo:hi].tolist(),
+            map(repr, bundle.y_final[lo:hi].tolist()),
+            map(repr, y_pred[lo:hi].tolist()),
+            map(neighbors.__mod__, map(tuple, pairs.tolist())),
+        )
+        yield "".join(map(_LINE.__mod__, fields)).encode("utf-8")
 
 
 def cmd_predict(args) -> int:
@@ -344,8 +364,7 @@ def cmd_predict(args) -> int:
         for chunk, bundle in _predict_chunks(state, store, samples, infer_cfg):
             run_s += time.perf_counter() - t0
             decisions.append(bundle.decisions(infer_cfg.decision_threshold))
-            for record in _chunk_records(chunk, bundle, decisions[-1]):
-                yield (json.dumps(record) + "\n").encode("utf-8")
+            yield from _prediction_lines(chunk.ids, bundle, decisions[-1])
             t0 = time.perf_counter()
 
     digest = copies.write_hashed(out_path, lines())
@@ -703,7 +722,7 @@ def main(argv=None) -> int:
     except DimensionMismatchError as exc:
         print(f"error: dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except (NonFiniteLossError, ds.InvalidKeyError) as exc:
+    except (NonFiniteLossError, ds.InvalidKeyError, ds.NonFiniteQueryError) as exc:
         print(f"error: non-finite numbers: {exc}", file=sys.stderr)
         return EXIT_NON_FINITE
     except ValueError as exc:

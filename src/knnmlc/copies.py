@@ -43,12 +43,19 @@ def file_digest(path) -> bytes:
 
 def write_hashed(path, chunks) -> bytes:
     """Write the byte strings ``chunks`` to ``path`` in order; returns the
-    SHA-256 of the bytes written, hashed as they are written."""
+    SHA-256 of the bytes written, hashed as they are written. When making a
+    chunk raises (a prediction that fails its check, say), the partial file
+    is removed and the error raised on."""
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for chunk in chunks:
-            digest.update(chunk)
-            fh.write(chunk)
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
     return digest.digest()
 
 

@@ -56,7 +56,9 @@ top k, whatever block a query sat in.
 """
 from __future__ import annotations
 
+import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +81,7 @@ _MAGIC = b"NNDS"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHIIQ")
 # build embeds the training rows in ranges whose forward trace (about
-# 4 hidden + embed + C float64 values a row) stays near this size, so its
+# 4 hidden + embed float64 values a row) stays near this size, so its
 # memory does not grow with the training set
 _BUILD_TRACE_BYTES = 1 << 20
 # retrieval runs queries in row blocks whose (rows, count) float32 similarity
@@ -181,7 +183,7 @@ def build(state: EncoderState, train_samples: PackedSamples, fraction: float = 1
     cfg = state.config
     train = pack_samples(train_samples, cfg.input_dim)
     n = max(1, int(np.ceil(fraction * len(train))))
-    rows = max(1, _BUILD_TRACE_BYTES // (8 * (4 * cfg.hidden_dim + cfg.embed_dim + cfg.num_classes)))
+    rows = max(1, _BUILD_TRACE_BYTES // (8 * (4 * cfg.hidden_dim + cfg.embed_dim)))
     keys = np.empty((n, cfg.embed_dim), dtype=np.float32)
     # one copy of the input-layer rows serves every range
     w_rows = weight_rows(state, int(train.indptr[n]))
@@ -210,13 +212,20 @@ def retrieve_topk(store: Datastore, queries, k: int) -> tuple[np.ndarray, np.nda
 def search(store: Datastore, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``retrieve_topk`` of an (n, d) float64 array and a k >= 1 that the
     caller has checked (inference checks both once per batch). The query
-    values are still checked here: NonFiniteQueryError for NaN or inf,
-    ValueError for a zero norm."""
-    norms = _row_norms(q)
-    # the norm is NaN or inf exactly when an entry is (or when it overflows);
-    # norms are >= 0, so NaN or inf shows in the largest and 0 in the smallest
-    if not np.maximum.reduce(norms, initial=0.0) < np.inf:
-        raise NonFiniteQueryError("cannot retrieve with a query that holds NaN or inf")
+    values are still checked here: NonFiniteQueryError for NaN or inf or a
+    norm that overflows, ValueError for a zero norm."""
+    # with every |entry| below sqrt(max / 2d) no row's sum of squares can
+    # overflow. Past that bound (or with a NaN) the norms are summed with
+    # overflow kept from warning: a norm is then NaN or inf exactly when an
+    # entry is or when the sum overflowed, which the check reports. Norms
+    # are >= 0, so NaN or inf shows in the largest and 0 in the smallest.
+    if np.maximum.reduce(np.abs(q), axis=None, initial=0.0) < math.sqrt(sys.float_info.max / (2 * store.dim)):
+        norms = _row_norms(q)
+    else:
+        with np.errstate(over="ignore"):
+            norms = _row_norms(q)
+        if not np.maximum.reduce(norms, initial=0.0) < np.inf:
+            raise NonFiniteQueryError("cannot retrieve with a query that holds NaN or inf")
     if not np.minimum.reduce(norms, initial=np.inf):
         raise ValueError("cannot retrieve with a zero-norm query")
     q = q / norms[:, None]

@@ -18,9 +18,10 @@ reductions), and it runs any batch in row ranges sized to stay in cache.
 Inference, validation and the datastore build all run on it: a single
 query, the test split and the whole training split use the same code, so
 store key i is the float32 of exactly the embedding ``predict`` computes
-for training sample i. Its arithmetic is ``rowwise_layers``, which
-inference and the store build call directly: they read no trace, and the
-build gathers every row range from one copy of ``w_in.T``.
+for training sample i. Its arithmetic is ``rowwise_layers`` up to the
+embedding and ``rowwise_logits`` for the classifier head, which inference
+and the store build call directly: they read no trace, the build gathers
+every row range from one copy of ``w_in.T``, and it never forms logits.
 
 The six parameters are writable views of one C-ordered float64 buffer,
 ``EncoderState.flat``, which holds them back to back in ``_PARAM_NAMES``
@@ -367,18 +368,19 @@ def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
     input row alone and comes out bit-identical in a batch of any size or
     order (``rowwise_layers``). The trace's mask is all ones."""
     _check_input_dim(state, batch)
-    pre_hidden, hidden, embedding, logits = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
-    return ForwardTrace(batch, pre_hidden, hidden, np.ones_like(hidden), embedding, logits)
+    pre_hidden, hidden, embedding = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
+    return ForwardTrace(batch, pre_hidden, hidden, np.ones_like(hidden), embedding, rowwise_logits(state, embedding))
 
 
 def rowwise_layers(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray):
-    """``(pre_hidden, hidden, embedding, logits)`` of the dropout-off pass
-    over a batch already checked against the encoder (``pack_samples``),
-    with ``w_rows`` from ``weight_rows``: the arrays of ``forward_rowwise``
-    without its trace, which inference and the store build do not read.
+    """``(pre_hidden, hidden, embedding)`` of the dropout-off pass over a
+    batch already checked against the encoder (``pack_samples``), with
+    ``w_rows`` from ``weight_rows``: the arrays of ``forward_rowwise`` up to
+    the embedding, without its trace, which inference and the store build do
+    not read. The store build stops here; ``rowwise_logits`` adds the head.
 
     The input layer is ``_input_layer`` (row ranges of gathered ``w_in``
-    rows, each segment summed on its own); the two small layers use
+    rows, each segment summed on its own); the embedding layer uses
     ``einsum`` on C-contiguous operands, which reduces each output entry over
     the last axis on its own.
     """
@@ -387,9 +389,15 @@ def rowwise_layers(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray
     hidden = _activate(state.config, pre_hidden)
     embedding = np.einsum("ij,kj->ik", hidden, state.w_emb)
     embedding += state.b_emb
+    return pre_hidden, hidden, embedding
+
+
+def rowwise_logits(state: EncoderState, embedding: np.ndarray) -> np.ndarray:
+    """The classifier logits of ``rowwise_layers``' (n, embed) embeddings,
+    each row from its own embedding row alone (``einsum``, as above)."""
     logits = np.einsum("ij,kj->ik", embedding, state.w_clf)
     logits += state.b_clf
-    return pre_hidden, hidden, embedding, logits
+    return logits
 
 
 def classify(trace: ForwardTrace) -> np.ndarray:

@@ -28,8 +28,11 @@ feature indices (``pack_samples``) and the store's dims against the
 encoder's. Every later step works on arrays the batch built, so it calls
 the arithmetic of the component functions (``knn_predict``,
 ``debiased_lambda``, ``combine``, ``datastore.retrieve_topk``) without
-their argument checks; the query checks of retrieval (NaN or inf, zero
-norm) still run on each batch. The public component functions keep all
+their argument checks. Two value checks still run on each batch, since the
+values come from the model: the queries of retrieval (NaN or inf, zero
+norm), and then the classifier probabilities, which must be finite
+(``NonFiniteQueryError`` naming the first row that is not). So every value
+a bundle holds is finite. The public component functions keep all
 their checks, act on the last axis and take one row or a stack of rows
 alike.
 """
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PackedSamples, check_kinds, pack_samples
-from .datastore import Datastore, search
-from .encoder import EncoderState, rowwise_layers, weight_rows
+from .datastore import Datastore, NonFiniteQueryError, search
+from .encoder import EncoderState, rowwise_layers, rowwise_logits, weight_rows
 from .mathops import sigmoid, softmax_rows, softmax_temp
 
 __all__ = [
@@ -207,9 +210,8 @@ def predict_batch(
             f"datastore dims (d={store.dim}, C={store.num_classes}) do not match encoder "
             f"(d={enc.embed_dim}, C={enc.num_classes})"
         )
-    _, _, embedding, logits = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
-    y_clf = sigmoid(logits)
-    confident = y_clf >= cfg.gamma
+    embedding = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))[2]
+    y_clf = sigmoid(rowwise_logits(state, embedding))
     n = len(batch)
 
     if store is None:
@@ -220,13 +222,19 @@ def predict_batch(
         indices, sims = search(store, embedding, cfg.k)
         # similarities are clipped to [-1, 1] and so finite, k >= 1, tau2 > 0
         y_knn = _vote(softmax_rows(sims, cfg.tau2), store.values[indices])
+    # sigmoid gives values in [0, 1] or NaN, so the sum is NaN exactly when
+    # an entry is; every later value (y_final included) is then finite too
+    if not np.add.reduce(y_clf, axis=None) >= 0.0:
+        row = int(np.flatnonzero(np.isnan(y_clf).any(axis=1))[0])
+        raise NonFiniteQueryError(f"row {row} (id {batch.ids[row]!r}): the classifier probabilities hold NaN")
+    confident = y_clf >= cfg.gamma
 
     if cfg.mode == "classifier_only":
         lam = np.zeros(n)
     elif cfg.mode == "knn_only":
         lam = np.ones(n)
     elif cfg.mode == "fixed_lambda":
-        lam = np.full(n, cfg.fixed_lambda_value)
+        lam = np.full(n, cfg.fixed_lambda_value, dtype=np.float64)
     else:
         # a minimum of kNN probabilities, or 0: in [0, 1]
         lam = _lambda(y_knn, confident)

@@ -9,7 +9,9 @@ is the contrastive loss as whole-matrix expressions, against which the
 package's in-place pass is checked bit for bit. ``predict_batch`` is the
 inference path as it stood before its per-call checks and wrappers were
 trimmed (each component called through its checked public form), against
-which ``inference.predict_batch`` is checked bit for bit. ``adam_step``
+which ``inference.predict_batch`` is checked bit for bit, and
+``prediction_lines`` the predictions file as one ``json.dumps`` of a record
+dict per row, against whose bytes the CLI's line writer is checked. ``adam_step``
 (one update per parameter tensor) and ``backward`` (each gradient its own
 array) are the training step as it stood before parameters, gradients and
 moments shared one flat buffer each, against which the flat forms are
@@ -389,6 +391,28 @@ def predict_batch(state: EncoderState, store: Datastore | None, samples: PackedS
         neighbor_indices=indices,
         neighbor_sims=sims,
     )
+
+
+def prediction_lines(ids, bundle: PredictionBundle, y_pred: np.ndarray) -> bytes:
+    """The preds.jsonl bytes of a bundle's rows as ``knnmlc predict`` wrote
+    them before it rendered lines from the arrays: one record dict per row,
+    each line ``json.dumps(record) + "\\n"``."""
+    lines = []
+    for i, sample_id in enumerate(ids):
+        record = {
+            "id": sample_id,
+            "y_clf": bundle.y_clf[i].tolist(),
+            "y_knn": bundle.y_knn[i].tolist(),
+            "lambda": float(bundle.lam[i]),
+            "y_final": bundle.y_final[i].tolist(),
+            "y_pred": y_pred[i].tolist(),
+            "neighbors": [
+                {"index": index, "similarity": sim}
+                for index, sim in zip(bundle.neighbor_indices[i].tolist(), bundle.neighbor_sims[i].tolist())
+            ],
+        }
+        lines.append(json.dumps(record) + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 def _forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:

@@ -513,6 +513,50 @@ class TestErrorPaths:
         assert "iteration 1" in capsys.readouterr().err
         assert not (tmp_path / "m" / "model.json").exists()
 
+    @pytest.mark.parametrize(
+        "case,mode,message",
+        [
+            ("inf embedding", "classifier_only", "row 0 (id 'test-00000'): the classifier probabilities hold NaN"),
+            # retrieval checks the embedding first
+            ("inf embedding", "denn", "a query that holds NaN or inf"),
+            ("overflowing logits", "denn", "row 0 (id 'test-00000'): the classifier probabilities hold NaN"),
+            ("overflowing query norm", "denn", "a query that holds NaN or inf"),
+        ],
+        ids=["inf-embedding-classifier_only", "inf-embedding-denn", "overflowing-logits-denn", "overflowing-norm-denn"],
+    )
+    def test_non_finite_prediction_exit_code(self, pipeline_artifacts, tmp_path, capsys, case, mode, message):
+        # finite parameters whose arithmetic overflows, with no warning escaping
+        a = pipeline_artifacts
+        payload = json.loads((a["run"] / "model.json").read_text())
+        params = payload["params"]
+        width = len(params["b_emb"])
+        if case == "inf embedding":
+            # every hidden unit tanh(1000) = 1, every embedding entry
+            # 10 * 1e308 = inf, every logit inf - inf = NaN
+            params["b_in"] = [1000.0] * len(params["b_in"])
+            params["w_emb"] = [[1e308] * len(row) for row in params["w_emb"]]
+            params["w_clf"] = [[1.0, -1.0] + [0.0] * (width - 2) for _ in params["w_clf"]]
+        else:
+            # every embedding entry is b_emb: 1e150 has a finite norm and
+            # overflowing logits 1e450 - 1e450; 1e200 has an overflowing norm
+            # and logits of 0
+            big = 1e150 if case == "overflowing logits" else 1e200
+            params["w_emb"] = [[0.0] * len(row) for row in params["w_emb"]]
+            params["b_emb"] = [big] * width
+            w = [1e300, -1e300] if case == "overflowing logits" else [0.0, 0.0]
+            params["w_clf"] = [w + [0.0] * (width - 2) for _ in params["w_clf"]]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "p.jsonl"
+        store = ["--store", str(a["store"])] if mode != "classifier_only" else []
+        code = main([
+            "--config", a["config"], "predict", "--checkpoint", str(model), *store, "--mode", mode,
+            "--test-file", str(a["data"] / "test.jsonl"), "--out", str(out),
+        ])
+        assert code == EXIT_NON_FINITE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_random_suite_passes(self, capsys):

@@ -256,11 +256,11 @@ def run(tmp_path_factory):
     return root, c
 
 
-def predict(run, out, mode="denn"):
+def predict(run, out, mode="denn", store=True):
     root, c = run
-    assert main(["--config", c, "predict", "--checkpoint", str(root / "model" / "model.json"),
-                 "--store", str(root / "store.bin"), "--test-file", str(root / "data" / "test.jsonl"),
-                 "--mode", mode, "--out", str(out)]) == EXIT_OK
+    store_args = ["--store", str(root / "store.bin")] if store else []
+    assert main(["--config", c, "predict", "--checkpoint", str(root / "model" / "model.json"), *store_args,
+                 "--test-file", str(root / "data" / "test.jsonl"), "--mode", mode, "--out", str(out)]) == EXIT_OK
 
 
 def evaluate(run, preds, capsys):
@@ -293,6 +293,20 @@ def test_predict_writes_the_copy_of_what_it_wrote_and_eval_reads_it(run, tmp_pat
     code, miss = evaluate(run, preds, capsys)
     assert code == EXIT_OK and parses == [str(preds)] and miss.out == hit.out
     assert copy_arrays(preds)["y_pred"].tobytes() == y_pred.tobytes()  # written again
+
+
+@pytest.mark.parametrize("mode,store", [(mode, True) for mode in INFERENCE_MODES] + [("classifier_only", False)])
+def test_predictions_do_not_depend_on_the_chunk_and_line_block_sizes(run, tmp_path, monkeypatch, capsys, mode, store):
+    # 12 test rows: chunks of 3 rows, each written as line blocks of 2 and 1
+    shipped, small = tmp_path / "shipped.jsonl", tmp_path / "small.jsonl"
+    predict(run, shipped, mode, store)
+    monkeypatch.setattr(cli, "_PREDICT_CHUNK", 3)
+    monkeypatch.setattr(cli, "_LINE_BLOCK", 2)
+    predict(run, small, mode, store)
+    assert small.read_bytes() == shipped.read_bytes()
+    parses = spy(monkeypatch, cli, "_parse_predictions")
+    code, _ = evaluate(run, small, capsys)
+    assert code == EXIT_OK and parses == []
 
 
 def test_a_predictions_copy_holding_a_2_fails_like_the_json_holding_it(run, tmp_path, capsys):

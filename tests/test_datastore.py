@@ -167,6 +167,27 @@ class TestRetrieve:
         with pytest.raises(NonFiniteQueryError, match="NaN or inf"):
             retrieve_topk(store, queries, k=3)
 
+    def test_a_query_whose_norm_overflows_is_rejected_without_a_warning(self):
+        # finite entries whose sum of squares overflows: the check reports
+        # it, and no overflow warning (an error under pytest) escapes
+        rng = make_rng(6)
+        store = random_store(rng)
+        queries = rng.normal(size=(3, 5))
+        queries[2] = 1e200
+        with pytest.raises(NonFiniteQueryError, match="NaN or inf"):
+            retrieve_topk(store, queries, k=3)
+
+    def test_a_query_past_the_overflow_bound_with_a_finite_norm_is_served(self):
+        # entries above sqrt(max / 2d) take the guarded sum; scaled by a power
+        # of two the unit query, and so the result, keeps its bits
+        rng = make_rng(7)
+        store = random_store(rng)
+        query = np.array([[1.0, 0.5, -0.25, 0.125, 0.0]])
+        big = query * 2.0**511
+        assert np.abs(big).max() > np.sqrt(np.finfo(np.float64).max / 10)
+        for got, want in zip(retrieve_topk(store, big, k=4), retrieve_topk(store, query, k=4)):
+            assert got.tobytes() == want.tobytes()
+
     def test_bad_k_and_dim(self):
         rng = make_rng(7)
         store = random_store(rng)
