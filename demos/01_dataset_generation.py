@@ -19,14 +19,14 @@ from knnmlc.data import (
     generate_synthetic,
     label_frequencies,
     load_packed,
-    save_synthetic,
+    save_splits,
 )
 
 # --- generate the default dataset, as gen-data writes it ----------------------
 
 cfg = DatasetConfig(seed=0)
 with tempfile.TemporaryDirectory() as tmp:
-    paths = save_synthetic(cfg, tmp)
+    paths = save_splits(generate_synthetic(cfg), tmp)
     with open(paths["train"], encoding="utf-8") as fh:
         first_two = [fh.readline().rstrip("\n") for _ in range(2)]
     print("file format (header line, then one record per sample):")

@@ -10,8 +10,8 @@ difference of the same objective.
 import numpy as np
 
 from knnmlc.gradcheck import gradient_check, random_gradcheck_problem, run_gradcheck_suite
-from knnmlc.losses import contrastive_loss
-from knnmlc.mathops import make_rng
+from knnmlc.losses import contrastive_loss_from_similarities
+from knnmlc.mathops import make_rng, unit_rows
 
 # --- one problem in detail ----------------------------------------------------
 
@@ -40,16 +40,16 @@ print(f"worst relative error anywhere: {worst:.3e} (tolerance 1e-4 relative, 1e-
 # its negatives' gradients, and the negative gradients are proportional to
 # weighted softmax shares (so they sum to a normalized total)
 rng = make_rng(5)
-from knnmlc.losses import BatchViews
-
+# 2N = 8 views: rows i and (i + N) % 2N are the two views of one sample
 emb = rng.normal(size=(8, 6))
 labels = (rng.random((4, 5)) < 0.4).astype(np.int8)
 labels[:, 0] = 1
-batch = BatchViews(emb, np.vstack([labels, labels]))
-_, grad = contrastive_loss(batch, tau1=0.05)
+# the similarities a training step hands the loss: cosines of the unit rows
+unit, _ = unit_rows(emb)
+_, grad = contrastive_loss_from_similarities((unit @ unit.T).clip(-1.0, 1.0), np.vstack([labels, labels]), tau1=0.05)
 gaps = []
 for i in range(8):
-    pos = batch.partner(i)
+    pos = (i + 4) % 8
     neg_sum = sum(grad[i, j] for j in range(8) if j not in (i, pos))
     gaps.append(abs(grad[i, pos] + neg_sum))
 print(f"\npositive-vs-negatives gradient identity, worst gap over anchors: {max(gaps):.2e}")

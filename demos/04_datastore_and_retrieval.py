@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from knnmlc.data import DatasetConfig, generate_synthetic
-from knnmlc.datastore import build, load, retrieve_topk, save
-from knnmlc.encoder import EncoderConfig, forward_rowwise, init_state
+from knnmlc.datastore import build, load, save, search
+from knnmlc.encoder import EncoderConfig, init_state, rowwise_layers, weight_rows
 from knnmlc.training import TrainConfig, Trainer
 
 dcfg = DatasetConfig(train_size=600, valid_size=100, test_size=100, seed=3)
@@ -36,9 +36,10 @@ print(f"20% store: {fifth.count} entries, prefix of the full store: "
 
 # --- retrieval ------------------------------------------------------------------
 
-# one block of queries: row i holds test sample i's neighbors as (indices, sims) arrays
-queries = forward_rowwise(state, test).embedding
-indices, sims = retrieve_topk(store, queries, k=8)
+# one block of queries, embedded by the dropout-off pass that made the keys:
+# row i holds test sample i's neighbors as (indices, sims) arrays
+queries = rowwise_layers(state, test, weight_rows(state, test.indices.size))
+indices, sims = search(store, queries, k=8)
 query_sample = test[0]  # a batch of one
 print(f"\nquery {query_sample.ids[0]} with labels {np.flatnonzero(query_sample.labels[0]).tolist()}")
 print("nearest neighbors (similarity, stored labels):")
@@ -55,7 +56,7 @@ oracle = sorted(range(store.count), key=lambda i: (-cos[i], i))[:8]
 print(f"matches a brute-force sort exactly: {indices[0].tolist() == oracle}")
 
 # a row does not depend on the block it was retrieved in
-alone = retrieve_topk(store, queries[:1], k=8)
+alone = search(store, queries[:1], k=8)
 print(f"query alone gives the same bytes: {all(np.array_equal(a[0], b[0]) for a, b in zip(alone, (indices, sims)))}")
 
 # --- persistence ----------------------------------------------------------------
@@ -69,5 +70,5 @@ with tempfile.TemporaryDirectory() as tmp:
     reloaded = load(path)
     print(f"labels exact after reload: {np.array_equal(reloaded.values, store.values)}")
     print(f"float32 keys bit-identical after reload: {np.array_equal(reloaded.keys, store.keys)}")
-    same_topk = np.array_equal(retrieve_topk(reloaded, queries, k=8)[0], indices)
+    same_topk = np.array_equal(search(reloaded, queries, k=8)[0], indices)
     print(f"top-8 retrieval unchanged after reload: {same_topk}")

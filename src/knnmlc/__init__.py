@@ -24,27 +24,20 @@ from .data import (
     load_packed,
     pack_samples,
 )
-from .datastore import Datastore, DatastoreFormatError, InvalidKeyError, NonFiniteQueryError, retrieve_topk
+from .datastore import Datastore, DatastoreFormatError, InvalidKeyError, NonFiniteQueryError, search
 from .encoder import (
     CheckpointError,
     EncoderConfig,
     EncoderState,
     ForwardTrace,
     backward,
-    classify,
     forward_batch,
-    forward_rowwise,
     init_state,
     load_checkpoint,
     save_checkpoint,
 )
-from .inference import InferenceConfig, PredictionBundle, combine, debiased_lambda, high_confidence_subset, knn_predict, predict, predict_batch
-from .losses import (
-    BatchViews,
-    bce_loss,
-    contrastive_loss,
-    total_loss,
-)
+from .inference import InferenceConfig, PredictionBundle, predict, predict_batch
+from .losses import bce_loss, contrastive_embedding_grads, contrastive_loss_from_similarities, total_loss
 from .mathops import make_rng, sigmoid, softmax_temp
 from .metrics import ConfusionCounts, confusion, group_report, hamming_loss, macro_prf, micro_prf
 from .training import AdamState, NonFiniteLossError, TrainConfig, Trainer, adam_step, train

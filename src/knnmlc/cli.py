@@ -12,9 +12,10 @@ deterministic given their config and seed.
 Exit codes: 0 success, 2 missing file, 3 malformed config or data file
 (including a datastore file with a zero-norm or non-finite key), 4 dimension
 mismatch, 5 non-finite numbers at their source (a NaN or inf training loss,
-a zero-norm or non-finite key while building a datastore, or a NaN or inf
-classifier probability or query embedding while predicting), 1 anything
-else.
+a zero-norm or non-finite key while building a datastore, or, while
+predicting, a NaN classifier probability or a query embedding that holds
+NaN or inf or whose norm overflows or is zero, each named by its row and
+id), 1 anything else.
 """
 from __future__ import annotations
 

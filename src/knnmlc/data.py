@@ -66,7 +66,7 @@ __all__ = [
     "load_jsonl",
     "load_packed",
     "pack_samples",
-    "save_synthetic",
+    "save_splits",
 ]
 
 
@@ -647,13 +647,6 @@ def generate_synthetic(cfg: DatasetConfig):
     reader = _WordReader(make_rng(cfg.seed))
     sizes = (cfg.train_size, cfg.valid_size, cfg.test_size)
     return tuple(_draw_split(reader, tables, name, size) for name, size in zip(_SPLITS, sizes))
-
-
-def save_synthetic(cfg: DatasetConfig, out_dir) -> dict[str, str]:
-    """``save_splits`` of ``generate_synthetic(cfg)``: the dataset of ``cfg``
-    as ``train.jsonl``, ``valid.jsonl`` and ``test.jsonl`` under ``out_dir``,
-    each with its packed copy. Returns the paths by split name."""
-    return save_splits(generate_synthetic(cfg), out_dir)
 
 
 def save_splits(splits, out_dir) -> dict[str, str]:

@@ -16,16 +16,18 @@ its saved-and-loaded copy hold the same keys. When a store is made (by
 ``build``, ``load`` or the constructor) every key is checked once: a
 zero-norm key or one holding NaN or inf has no cosine similarity and is
 rejected there (``InvalidKeyError``; ``load`` reports it as a
-``DatastoreFormatError``), never at query time. The store also keeps each
+``DatastoreFormatError``), never at query time. Labels are checked there
+too: a value other than 0 or 1 is a ValueError naming it, since the file
+stores one bit per label. The store also keeps each
 key's unit vector rounded to float32 for the candidate search, so it holds
 as many bytes as float64 keys would. Cosine similarity is then an inner
 product of unit vectors, as in exact inner-product search (FAISS
 ``IndexFlatIP``).
 
-``retrieve_topk`` checks its arguments (k, the queries' shape) and calls
-``search``, which inference calls directly with an embedding block it has
-already sized to the store; ``search`` checks the query values on every
-call (NaN or inf, a zero norm), since they come from the model.
+``search`` checks its arguments (k, the queries' shape) and, since they
+come from the model, the query values on every call: a query that holds
+NaN or inf, whose norm overflows or whose norm is zero has no unit vector,
+and ``NonFiniteQueryError`` names its row.
 
 Retrieval takes an (n, d) block of queries and is exact: the result equals a
 full sort by (similarity descending, index ascending) of the similarities
@@ -65,6 +67,7 @@ import numpy as np
 
 from .data import PackedSamples, pack_samples
 from .encoder import EncoderState, rowwise_layers, weight_rows
+from .mathops import _row_norms
 
 __all__ = [
     "Datastore",
@@ -73,8 +76,8 @@ __all__ = [
     "NonFiniteQueryError",
     "build",
     "load",
-    "retrieve_topk",
     "save",
+    "search",
 ]
 
 _MAGIC = b"NNDS"
@@ -95,8 +98,15 @@ class DatastoreFormatError(ValueError):
 
 
 class NonFiniteQueryError(ValueError):
-    """Raised for a query embedding that holds NaN or inf: every similarity
-    would be NaN and no neighbor could be ranked."""
+    """Raised for a query embedding that holds NaN or inf, or whose norm
+    overflows or is zero: its unit vector would not be finite, so no
+    neighbor could be ranked. ``row`` is the first such row of the batch and
+    ``reason`` the message without the row."""
+
+    def __init__(self, row: int, reason: str, sample_id: str | None = None):
+        where = f"row {row}" if sample_id is None else f"row {row} (id {sample_id!r})"
+        super().__init__(f"{where}: {reason}")
+        self.row, self.reason = row, reason
 
 
 class InvalidKeyError(ValueError):
@@ -107,7 +117,7 @@ class InvalidKeyError(ValueError):
 @dataclass
 class Datastore:
     """Immutable after construction: (count, d) float32 keys and (count, C)
-    int8 labels, plus the keys' unit vectors rounded to float32 for the
+    int8 0/1 labels, plus the keys' unit vectors rounded to float32 for the
     candidate search, as the columns of the C-contiguous (d, count)
     ``unit_t``: a block of queries times it is a BLAS product without a
     transposed operand, which measured up to twice as fast. Keys of another
@@ -119,7 +129,12 @@ class Datastore:
 
     def __post_init__(self):
         self.keys = np.asarray(self.keys, dtype=np.float32)
-        self.values = np.asarray(self.values, dtype=np.int8)
+        values = np.asarray(self.values)
+        # checked before the int8 cast, which turns 0.5 into 0, 1.7 into 1 and 257 into 1
+        bad = values[(values != 0) & (values != 1)]
+        if bad.size:
+            raise ValueError(f"label values must be 0 or 1, got {bad[0]}")
+        self.values = values.astype(np.int8, copy=False)
         if self.keys.ndim != 2 or self.values.ndim != 2:
             raise ValueError("keys and values must be 2-d arrays")
         if self.keys.shape[0] != self.values.shape[0]:
@@ -157,16 +172,10 @@ def _unit_keys(keys: np.ndarray) -> np.ndarray:
     return unit
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norms of float64 rows: the arithmetic of
-    ``np.linalg.norm(rows, axis=1)`` without its Python-level dispatch."""
-    return np.sqrt(np.add.reduce(rows * rows, axis=1))
-
-
 def build(state: EncoderState, train_samples: PackedSamples, fraction: float = 1.0) -> Datastore:
     """One entry per row of the packed training split, in input order: key
     i is the float32 of the embedding the dropout-off pass
-    ``forward_rowwise`` gives sample i, which is bit for bit the embedding
+    ``encoder.rowwise_layers`` gives sample i, which is bit for bit the embedding
     ``inference.predict`` computes for ``train_samples[i]`` as a query.
 
     ``fraction`` < 1 keeps only the leading portion of the training set
@@ -188,32 +197,25 @@ def build(state: EncoderState, train_samples: PackedSamples, fraction: float = 1
     # one copy of the input-layer rows serves every range
     w_rows = weight_rows(state, int(train.indptr[n]))
     for start in range(0, n, rows):
-        keys[start : start + rows] = rowwise_layers(state, train[start : min(start + rows, n)], w_rows)[2]
+        keys[start : start + rows] = rowwise_layers(state, train[start : min(start + rows, n)], w_rows)
     return Datastore(keys=keys, values=train.labels[:n].copy())
 
 
-def retrieve_topk(store: Datastore, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
+def search(store: Datastore, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The min(k, count) entries most cosine-similar to each row of an (n, d)
     block of queries: ``(indices, sims)``, both (n, min(k, count)), each row
     sorted by similarity descending with ties broken by ascending index.
 
     Exact, and each row is bit-identical whatever other rows the block holds
-    (see the module docstring). Raises NonFiniteQueryError for a query that
-    holds NaN or inf and ValueError for a zero-norm query.
+    (see the module docstring). ValueError for k < 1 or queries not of shape
+    (n, d); NonFiniteQueryError naming the first row that holds NaN or inf,
+    whose norm overflows, or whose norm is zero.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != store.dim:
         raise ValueError(f"queries shape {q.shape} != (n, {store.dim})")
-    return search(store, q, k)
-
-
-def search(store: Datastore, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``retrieve_topk`` of an (n, d) float64 array and a k >= 1 that the
-    caller has checked (inference checks both once per batch). The query
-    values are still checked here: NonFiniteQueryError for NaN or inf or a
-    norm that overflows, ValueError for a zero norm."""
     # with every |entry| below sqrt(max / 2d) no row's sum of squares can
     # overflow. Past that bound (or with a NaN) the norms are summed with
     # overflow kept from warning: a norm is then NaN or inf exactly when an
@@ -225,9 +227,11 @@ def search(store: Datastore, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndar
         with np.errstate(over="ignore"):
             norms = _row_norms(q)
         if not np.maximum.reduce(norms, initial=0.0) < np.inf:
-            raise NonFiniteQueryError("cannot retrieve with a query that holds NaN or inf")
+            row = int(np.flatnonzero(~(norms < np.inf))[0])
+            raise NonFiniteQueryError(row, "cannot retrieve with a query that holds NaN or inf")
     if not np.minimum.reduce(norms, initial=np.inf):
-        raise ValueError("cannot retrieve with a zero-norm query")
+        row = int(np.flatnonzero(norms == 0.0)[0])
+        raise NonFiniteQueryError(row, "cannot retrieve with a zero-norm query")
     q = q / norms[:, None]
 
     n, count = q.shape[0], store.count

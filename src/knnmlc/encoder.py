@@ -11,17 +11,17 @@ gradcheck). Dropout is applied to the hidden activations only, with
 surviving units scaled by 1/(1 - rate) so the dropout-off pass needs no
 rescaling.
 
-``forward_rowwise`` is the only dropout-off pass. Every output row is
+``rowwise_layers`` is the only dropout-off pass. Every output row is
 bit-identical whatever batch the row sits in (a BLAS product may round a
 row differently for a different row count, so it uses only row-local
 reductions), and it runs any batch in row ranges sized to stay in cache.
-Inference, validation and the datastore build all run on it: a single
-query, the test split and the whole training split use the same code, so
-store key i is the float32 of exactly the embedding ``predict`` computes
-for training sample i. Its arithmetic is ``rowwise_layers`` up to the
-embedding and ``rowwise_logits`` for the classifier head, which inference
-and the store build call directly: they read no trace, the build gathers
-every row range from one copy of ``w_in.T``, and it never forms logits.
+Inference, validation and the datastore build all run it: a single query,
+the test split and the whole training split use the same code, so store
+key i is the float32 of exactly the embedding ``predict`` computes for
+training sample i. It stops at the embedding, which is all the store build
+needs; ``rowwise_logits`` adds the classifier head for inference and
+validation. Neither keeps a trace, and the build gathers every row range
+from one copy of ``w_in.T``.
 
 The six parameters are writable views of one C-ordered float64 buffer,
 ``EncoderState.flat``, which holds them back to back in ``_PARAM_NAMES``
@@ -43,7 +43,7 @@ import numpy as np
 
 from . import copies
 from .data import PackedSamples, check_kinds
-from .mathops import make_rng, sigmoid
+from .mathops import make_rng
 
 __all__ = [
     "CheckpointError",
@@ -52,9 +52,7 @@ __all__ = [
     "ForwardTrace",
     "ParameterGradients",
     "backward",
-    "classify",
     "forward_batch",
-    "forward_rowwise",
     "init_state",
     "load_checkpoint",
     "save_checkpoint",
@@ -363,21 +361,11 @@ def forward_batch(
     return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits, dense)
 
 
-def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
-    """The dropout-off pass, computed so that each output row depends on its
-    input row alone and comes out bit-identical in a batch of any size or
-    order (``rowwise_layers``). The trace's mask is all ones."""
-    _check_input_dim(state, batch)
-    pre_hidden, hidden, embedding = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
-    return ForwardTrace(batch, pre_hidden, hidden, np.ones_like(hidden), embedding, rowwise_logits(state, embedding))
-
-
-def rowwise_layers(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray):
-    """``(pre_hidden, hidden, embedding)`` of the dropout-off pass over a
-    batch already checked against the encoder (``pack_samples``), with
-    ``w_rows`` from ``weight_rows``: the arrays of ``forward_rowwise`` up to
-    the embedding, without its trace, which inference and the store build do
-    not read. The store build stops here; ``rowwise_logits`` adds the head.
+def rowwise_layers(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) -> np.ndarray:
+    """The (n, embed) embeddings of the dropout-off pass over a batch already
+    checked against the encoder (``pack_samples``), with ``w_rows`` from
+    ``weight_rows``; each output row depends on its input row alone and
+    comes out bit-identical in a batch of any size or order.
 
     The input layer is ``_input_layer`` (row ranges of gathered ``w_in``
     rows, each segment summed on its own); the embedding layer uses
@@ -389,7 +377,7 @@ def rowwise_layers(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray
     hidden = _activate(state.config, pre_hidden)
     embedding = np.einsum("ij,kj->ik", hidden, state.w_emb)
     embedding += state.b_emb
-    return pre_hidden, hidden, embedding
+    return embedding
 
 
 def rowwise_logits(state: EncoderState, embedding: np.ndarray) -> np.ndarray:
@@ -398,11 +386,6 @@ def rowwise_logits(state: EncoderState, embedding: np.ndarray) -> np.ndarray:
     logits = np.einsum("ij,kj->ik", embedding, state.w_clf)
     logits += state.b_clf
     return logits
-
-
-def classify(trace: ForwardTrace) -> np.ndarray:
-    """Per-class probabilities: elementwise sigmoid of the logits."""
-    return sigmoid(trace.logits)
 
 
 def backward(

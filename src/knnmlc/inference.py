@@ -14,27 +14,26 @@ non-adaptive baseline).
 
 The batch is the unit of work. ``predict_batch`` takes a packed split,
 embeds it with the row-stable dropout-off pass (``encoder.rowwise_layers``,
-the pass of ``forward_rowwise`` that also made the store's keys), retrieves
-every query's neighbors in blocks (``datastore.search``), and runs the vote,
-lambda and combination as array operations over (n, k) and (n, C) arrays,
-each reducing along one fixed axis of its own row. So every row is
-bit-identical whatever batch it sits in, and ``predict`` on ``split[i]``, a
-batch of one, gives the same bits as that sample's record from the CLI,
-which predicts the whole test file in one batch. A training sample as a
-query gets the embedding whose float32 is its store key.
+the pass that also made the store's keys), retrieves every query's
+neighbors in blocks (``datastore.search``), and runs the vote, lambda and
+combination (``_knn_predict``, ``_debiased_lambda``, ``_combine``) as array
+operations over (n, k) and (n, C) arrays, each reducing along one fixed
+axis of its own row. So every row is bit-identical whatever batch it sits
+in, and ``predict`` on ``split[i]``, a batch of one, gives the same bits as
+that sample's record from the CLI, which predicts the whole test file in
+one batch. A training sample as a query gets the embedding whose float32 is
+its store key.
 
 Checks run once per batch, at its start: the config (``validate``), the
 feature indices (``pack_samples``) and the store's dims against the
-encoder's. Every later step works on arrays the batch built, so it calls
-the arithmetic of the component functions (``knn_predict``,
-``debiased_lambda``, ``combine``, ``datastore.retrieve_topk``) without
-their argument checks. Two value checks still run on each batch, since the
-values come from the model: the queries of retrieval (NaN or inf, zero
-norm), and then the classifier probabilities, which must be finite
-(``NonFiniteQueryError`` naming the first row that is not). So every value
-a bundle holds is finite. The public component functions keep all
-their checks, act on the last axis and take one row or a stack of rows
-alike.
+encoder's. Every later step works on arrays the batch built, so the three
+formulas check nothing themselves: the neighbors are nonempty (k >= 1),
+every shape follows from the batch and the store, and lambda lies in
+[0, 1]. Two value checks still run on each batch, since the values come
+from the model: the queries of retrieval (NaN or inf, an overflowing or zero
+norm), and then the classifier probabilities, which must be finite. Either
+failure is a ``NonFiniteQueryError`` naming the first bad row and its id.
+So every value a bundle holds is finite.
 """
 from __future__ import annotations
 
@@ -45,16 +44,12 @@ import numpy as np
 from .data import PackedSamples, check_kinds, pack_samples
 from .datastore import Datastore, NonFiniteQueryError, search
 from .encoder import EncoderState, rowwise_layers, rowwise_logits, weight_rows
-from .mathops import sigmoid, softmax_rows, softmax_temp
+from .mathops import sigmoid, softmax_temp
 
 __all__ = [
     "INFERENCE_MODES",
     "InferenceConfig",
     "PredictionBundle",
-    "combine",
-    "debiased_lambda",
-    "high_confidence_subset",
-    "knn_predict",
     "predict",
     "predict_batch",
 ]
@@ -121,66 +116,32 @@ class PredictionBundle:
         )
 
 
-def knn_predict(sims, labels, tau2: float) -> np.ndarray:
+def _knn_predict(sims: np.ndarray, labels: np.ndarray, tau2: float) -> np.ndarray:
     """Similarity-softmax-weighted average of the neighbors' label vectors.
 
-    ``sims`` is (..., k) and ``labels`` the neighbors' (..., k, C) 0/1 rows;
-    beta = softmax(sims / tau2) along the last axis, and the (..., C) result
-    is a convex combination of 0/1 vectors, so every entry lies in [0, 1].
+    ``sims`` is (..., k) with k >= 1 and ``labels`` the neighbors' (..., k, C)
+    0/1 rows; beta = softmax(sims / tau2) along the last axis, and the
+    (..., C) result is a convex combination of 0/1 vectors, so every entry
+    lies in [0, 1].
     """
-    sims = np.asarray(sims, dtype=np.float64)
-    if sims.shape[-1] == 0:
-        raise ValueError("knn_predict requires at least one neighbor")
-    labels = np.asarray(labels)
-    if labels.shape[:-1] != sims.shape:
-        raise ValueError(f"labels shape {labels.shape} does not match similarities {sims.shape}")
-    return _vote(softmax_temp(sims, tau2), labels)
-
-
-def _vote(beta: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    beta = softmax_temp(sims, tau2)
     # summed over the neighbor axis of each row on its own; clip the odd
     # 1+ulp rounding artifact (ndarray.clip is np.clip without its dispatch)
     return np.add.reduce(beta[..., None] * labels, axis=-2).clip(0.0, 1.0)
 
 
-def high_confidence_subset(y_clf, gamma: float) -> np.ndarray:
-    """Binary mask of labels whose classifier probability meets gamma
-    (inclusive threshold)."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    return (np.asarray(y_clf, dtype=np.float64) >= gamma).astype(np.int8)
-
-
-def debiased_lambda(y_knn, mask):
+def _debiased_lambda(y_knn: np.ndarray, confident: np.ndarray) -> np.ndarray:
     """Confidence of the kNN prediction: the minimum kNN probability over the
-    high-confidence labels (the last axis), 0 where the subset is empty.
-    (..., C) inputs give a (...) result."""
-    y_knn = np.asarray(y_knn, dtype=np.float64)
-    mask = np.asarray(mask)
-    if y_knn.shape != mask.shape:
-        raise ValueError(f"mask shape {mask.shape} != prediction shape {y_knn.shape}")
-    return _lambda(y_knn, mask > 0)[()]
-
-
-def _lambda(y_knn: np.ndarray, confident: np.ndarray) -> np.ndarray:
+    high-confidence labels (``confident``, the classifier probabilities at or
+    above gamma) along the last axis, 0 where there are none. (..., C)
+    inputs give a (...) result."""
     lam = np.minimum.reduce(np.where(confident, y_knn, np.inf), axis=-1)
     return np.where(np.isinf(lam), 0.0, lam)
 
 
-def combine(lam, y_knn, y_clf) -> np.ndarray:
-    """Convex combination lam * y_knn + (1 - lam) * y_clf, one lam per row
-    of (..., C) predictions."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if not np.all((lam >= 0.0) & (lam <= 1.0)):
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    y_knn = np.asarray(y_knn, dtype=np.float64)
-    y_clf = np.asarray(y_clf, dtype=np.float64)
-    if y_knn.shape != y_clf.shape:
-        raise ValueError("prediction vectors must have equal length")
-    return _mix(lam, y_knn, y_clf)
-
-
-def _mix(lam: np.ndarray, y_knn: np.ndarray, y_clf: np.ndarray) -> np.ndarray:
+def _combine(lam: np.ndarray, y_knn: np.ndarray, y_clf: np.ndarray) -> np.ndarray:
+    """Convex combination lam * y_knn + (1 - lam) * y_clf, one lam in [0, 1]
+    per row of (..., C) predictions."""
     lam = lam[..., None]
     return (lam * y_knn + (1.0 - lam) * y_clf).clip(0.0, 1.0)
 
@@ -210,7 +171,7 @@ def predict_batch(
             f"datastore dims (d={store.dim}, C={store.num_classes}) do not match encoder "
             f"(d={enc.embed_dim}, C={enc.num_classes})"
         )
-    embedding = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))[2]
+    embedding = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
     y_clf = sigmoid(rowwise_logits(state, embedding))
     n = len(batch)
 
@@ -219,14 +180,17 @@ def predict_batch(
         sims = np.zeros((n, 0))
         y_knn = np.zeros_like(y_clf)
     else:
-        indices, sims = search(store, embedding, cfg.k)
+        try:
+            indices, sims = search(store, embedding, cfg.k)
+        except NonFiniteQueryError as exc:
+            raise NonFiniteQueryError(exc.row, exc.reason, batch.ids[exc.row]) from None
         # similarities are clipped to [-1, 1] and so finite, k >= 1, tau2 > 0
-        y_knn = _vote(softmax_rows(sims, cfg.tau2), store.values[indices])
+        y_knn = _knn_predict(sims, store.values[indices], cfg.tau2)
     # sigmoid gives values in [0, 1] or NaN, so the sum is NaN exactly when
     # an entry is; every later value (y_final included) is then finite too
     if not np.add.reduce(y_clf, axis=None) >= 0.0:
         row = int(np.flatnonzero(np.isnan(y_clf).any(axis=1))[0])
-        raise NonFiniteQueryError(f"row {row} (id {batch.ids[row]!r}): the classifier probabilities hold NaN")
+        raise NonFiniteQueryError(row, "the classifier probabilities hold NaN", batch.ids[row])
     confident = y_clf >= cfg.gamma
 
     if cfg.mode == "classifier_only":
@@ -237,14 +201,14 @@ def predict_batch(
         lam = np.full(n, cfg.fixed_lambda_value, dtype=np.float64)
     else:
         # a minimum of kNN probabilities, or 0: in [0, 1]
-        lam = _lambda(y_knn, confident)
+        lam = _debiased_lambda(y_knn, confident)
     return PredictionBundle(
         y_clf=y_clf,
         y_knn=y_knn,
-        # the bool mask's bytes are the int8 0/1 of high_confidence_subset
+        # the bool mask's bytes are its int8 0/1
         high_conf_mask=confident.view(np.int8),
         lam=lam,
-        y_final=_mix(lam, y_knn, y_clf),
+        y_final=_combine(lam, y_knn, y_clf),
         neighbor_indices=indices,
         neighbor_sims=sims,
     )

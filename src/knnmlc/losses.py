@@ -21,28 +21,25 @@ their overlap equals both positive counts.
 (the diagonal set to -inf, so exp gives it exactly 0) and then the gradient,
 which is returned in the first array. A caller that runs many steps of one
 batch size passes the same pair each time (the ``Trainer`` does); the
-results are the same bits as with fresh arrays. Gradients with respect to
-the pairwise similarities are analytic; the chain through cosine similarity
-down to the embeddings is in ``contrastive_embedding_grads``, which reuses
-the norms, unit vectors and cosine matrix of the forward pass.
+results are the same bits as with fresh arrays. The similarities are the
+embeddings' cosines clipped to [-1, 1], which the training step forms from
+``mathops.unit_rows``. Gradients with respect to the pairwise similarities
+are analytic; the chain through cosine similarity down to the embeddings is
+in ``contrastive_embedding_grads``, which reuses the norms, unit vectors and
+cosine matrix of the forward pass.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
-
-from .mathops import cosine_sim_matrix
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "BatchViews",
     "CONTRASTIVE_VARIANTS",
     "bce_loss",
     "contrastive_embedding_grads",
-    "contrastive_loss",
     "contrastive_loss_from_similarities",
     "total_loss",
 ]
@@ -72,36 +69,6 @@ def total_loss(bce: float, con: float, alpha: float) -> float:
     if alpha < 0.0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     return bce + alpha * con
-
-
-@dataclass
-class BatchViews:
-    """2N embeddings and labels of a duplicated batch; rows i and
-    (i + N) mod 2N are the two views of one underlying sample."""
-
-    embeddings: np.ndarray  # (2N, d)
-    labels: np.ndarray  # (2N, C), 0/1
-
-    def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        # checked before the int8 cast, which turns 0.5 into 0, 1.7 into 1 and 257 into 1
-        bad = labels[(labels != 0) & (labels != 1)]
-        if bad.size:
-            raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
-        self.labels = np.asarray(labels, dtype=np.int8)
-        n2 = self.embeddings.shape[0]
-        if n2 < 2 or n2 % 2 != 0:
-            raise ValueError(f"batch must hold an even number >= 2 of views, got {n2}")
-        if self.labels.shape[0] != n2:
-            raise ValueError("labels and embeddings disagree on batch size")
-
-    @property
-    def size(self) -> int:
-        return self.embeddings.shape[0]
-
-    def partner(self, i: int) -> int:
-        return (i + self.size // 2) % self.size
 
 
 def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str = "dcl", workspace=None):
@@ -185,14 +152,6 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
     z[rows, rows] = 0.0
     loss = float(np.add.reduce(log_denom - mean_positive / tau1))
     return loss, z
-
-
-def contrastive_loss(batch: BatchViews, tau1: float, variant: str = "dcl"):
-    """Contrastive loss over a duplicated batch: cosine similarities of the
-    embeddings, then the similarity-space loss. Returns
-    (loss, grad_wrt_similarities)."""
-    sims = cosine_sim_matrix(batch.embeddings)
-    return contrastive_loss_from_similarities(sims, batch.labels, tau1, variant)
 
 
 def contrastive_embedding_grads(unit: np.ndarray, norms: np.ndarray, cos: np.ndarray, grad_sims: np.ndarray) -> np.ndarray:

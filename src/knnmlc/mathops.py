@@ -1,5 +1,5 @@
-"""Shared deterministic numerics: unit rows and all-pairs cosine similarity,
-temperature softmax, stable sigmoid, and seeded RNG construction.
+"""Shared deterministic numerics: row norms and unit rows, temperature
+softmax, stable sigmoid, and seeded RNG construction.
 
 All arithmetic is done in float64 regardless of input dtype. Functions are
 pure; RNG instances are single-owner and must not be shared across threads.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "cosine_sim_matrix",
     "make_rng",
     "sigmoid",
     "softmax_temp",
@@ -28,6 +27,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a float64 (n, d) array, each from its
+    own row alone: the arithmetic of ``np.linalg.norm(rows, axis=1)``
+    without its Python-level dispatch."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=1))
+
+
 def unit_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """``(unit, norms)``: the rows of an (n, d) array scaled to unit length,
     and their Euclidean norms. Every row's result depends on that row alone.
@@ -35,19 +41,10 @@ def unit_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     Raises ValueError if any row has zero norm.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    norms = np.linalg.norm(rows, axis=1)
+    norms = _row_norms(rows)
     if (norms == 0.0).any():
         raise ValueError("cosine similarity is undefined for zero-norm rows")
     return rows / norms[:, None], norms
-
-
-def cosine_sim_matrix(rows: np.ndarray) -> np.ndarray:
-    """All-pairs cosine similarities of the rows of an (n, d) array.
-
-    Raises ValueError if any row has zero norm.
-    """
-    unit, _ = unit_rows(rows)
-    return np.clip(unit @ unit.T, -1.0, 1.0)
 
 
 def softmax_temp(scores, tau: float) -> np.ndarray:
@@ -55,25 +52,13 @@ def softmax_temp(scores, tau: float) -> np.ndarray:
     computed with max-subtraction so large |s|/tau cannot overflow. Each row
     of a stack of score rows is reduced on its own.
 
-    Output is non-negative and sums to 1 along the last axis. Raises
-    ValueError for tau <= 0, empty or non-finite scores.
+    The caller guarantees tau > 0 and finite, nonempty scores (inference
+    checks both once per batch); the output is then non-negative and sums
+    to 1 along the last axis.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    s = np.asarray(scores, dtype=np.float64)
-    if s.size == 0:
-        raise ValueError("softmax_temp received empty scores")
-    # direct ufunc reductions: the same arithmetic as np.all / np.max / sum
-    # without their Python-level wrappers, which dominate at k-sized inputs
-    if not np.logical_and.reduce(np.isfinite(s), axis=None):
-        raise ValueError("softmax_temp received non-finite scores")
-    return softmax_rows(s, tau)
-
-
-def softmax_rows(s: np.ndarray, tau: float) -> np.ndarray:
-    """``softmax_temp`` of float64 scores its caller knows to be finite and
-    nonempty, with tau > 0: the same arithmetic without the checks."""
-    z = s / tau
+    # direct ufunc reductions: the arithmetic of np.max / np.sum without
+    # their Python-level wrappers, which dominate at k-sized inputs
+    z = np.asarray(scores, dtype=np.float64) / tau
     e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
@@ -91,4 +76,3 @@ def sigmoid(x):
     if out.ndim == 0:
         return float(out)
     return out
-

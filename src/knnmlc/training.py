@@ -32,13 +32,14 @@ from .encoder import (
     _flat_views,
     _require_views,
     backward,
-    classify,
     finite_array,
     forward_batch,
-    forward_rowwise,
     init_state,
+    rowwise_layers,
+    rowwise_logits,
     state_from_payload,
     state_to_payload,
+    weight_rows,
 )
 from .losses import (
     CONTRASTIVE_VARIANTS,
@@ -47,7 +48,7 @@ from .losses import (
     contrastive_loss_from_similarities,
     total_loss,
 )
-from .mathops import make_rng, unit_rows
+from .mathops import make_rng, sigmoid, unit_rows
 from .metrics import confusion, micro_prf
 
 __all__ = [
@@ -186,7 +187,7 @@ def _batch_losses(trace, labels, tau1, variant, workspace=None):
     cosine matrix) that the embedding gradient reuses. ``workspace`` is the
     contrastive loss's optional pair of (2N, 2N) arrays, which then hold the
     similarity gradient."""
-    bce, logit_grads = bce_loss(classify(trace), labels)
+    bce, logit_grads = bce_loss(sigmoid(trace.logits), labels)
     unit, norms = unit_rows(trace.embedding)
     cos = unit @ unit.T
     con, grad_sims = contrastive_loss_from_similarities(
@@ -221,10 +222,11 @@ def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng
 
 def classifier_micro_f1(state: EncoderState, samples: PackedSamples, threshold: float = 0.5) -> float:
     """Micro-F1 of classifier predictions thresholded at 0.5, from one
-    dropout-off pass (``forward_rowwise``, the pass inference runs) over the
-    packed samples."""
+    dropout-off pass (``encoder.rowwise_layers``, the pass inference runs)
+    over the packed samples."""
     samples = pack_samples(samples, state.config.input_dim)
-    pred = (classify(forward_rowwise(state, samples)) >= threshold).astype(np.int8)
+    embedding = rowwise_layers(state, samples, weight_rows(state, samples.indices.size))
+    pred = (sigmoid(rowwise_logits(state, embedding)) >= threshold).astype(np.int8)
     return micro_prf(confusion(samples.labels, pred))[2]
 
 

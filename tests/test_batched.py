@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from knnmlc import encoder
-from knnmlc.encoder import EncoderConfig, ParameterGradients, forward_batch, forward_rowwise, init_state
+from knnmlc.encoder import EncoderConfig, ParameterGradients, forward_batch, init_state, rowwise_layers, rowwise_logits, weight_rows
 from knnmlc.losses import (
     CONTRASTIVE_VARIANTS,
     bce_loss,
@@ -24,9 +24,9 @@ from knnmlc.losses import (
     contrastive_loss_from_similarities,
     total_loss,
 )
-from knnmlc.mathops import cosine_sim_matrix, make_rng, sigmoid, unit_rows
+from knnmlc.mathops import make_rng, sigmoid, unit_rows
 from knnmlc.training import batch_gradients, batch_objective
-from oracles import Sample, column_gather, label_similarity_matrix, pack, weight_matrix
+from oracles import Sample, column_gather, cosine_sim_matrix, label_similarity_matrix, pack, weight_matrix
 
 REL_TOL = 1e-12
 
@@ -251,8 +251,11 @@ def test_single_sample_forward_matches_reference(activation, features):
     state, _, _ = random_problem(3, 1, activation, 0.2)
     sample = Sample(features=features, labels=np.ones(state.config.num_classes, dtype=np.int8))
     batch = pack([sample], state.config.input_dim)
+    embedding = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
+    want = ref_forward(state, sample, "off")
+    assert_close(embedding[0], want["embedding"], "rowwise embedding")
+    assert_close(rowwise_logits(state, embedding)[0], want["logits"], "rowwise logits")
     traces = {
-        "rowwise": ("off", forward_rowwise(state, batch)),
         "off": ("off", forward_batch(state, batch, masks=np.ones((1, state.config.hidden_dim)))),
         "on": ("on", forward_batch(state, batch, rng=make_rng(5))),
     }
@@ -304,15 +307,18 @@ def test_shared_row_gather_equals_the_column_gather(seed, lengths, input_dim, ac
     want = column_gather(state.w_in, batch)
     for w_rows in (state.w_in.T, np.ascontiguousarray(state.w_in.T)):
         assert encoder._gather_rows(w_rows, batch).tobytes() == want.tobytes()
+    hidden = encoder._activate(state.config, want + state.b_in)
     with mock.patch.object(encoder, "_GATHER_BLOCK_BYTES", block_bytes):
-        rowwise = forward_rowwise(state, batch)
-    assert rowwise.pre_hidden.tobytes() == (want + state.b_in).tobytes()
-    assert rowwise.hidden.tobytes() == encoder._activate(state.config, want + state.b_in).tobytes()
+        # the gather in row ranges, and the dropout-off pass built on it
+        assert encoder._input_layer(state, batch, weight_rows(state, batch.indices.size)).tobytes() == want.tobytes()
+        embedding = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
+    # einsum on C-contiguous operands, as the pass runs it (want is a transpose)
+    assert embedding.tobytes() == (np.einsum("ij,kj->ik", np.ascontiguousarray(hidden), state.w_emb) + state.b_emb).tobytes()
     if batch.indices.size < input_dim:
         # forward_batch gathers only below one entry per input column
         trace = forward_batch(state, batch)
-        assert trace.pre_hidden.tobytes() == rowwise.pre_hidden.tobytes()
-        assert trace.hidden.tobytes() == rowwise.hidden.tobytes()
+        assert trace.pre_hidden.tobytes() == (want + state.b_in).tobytes()
+        assert trace.hidden.tobytes() == hidden.tobytes()
 
 
 def test_empty_feature_rows_inside_a_batch():

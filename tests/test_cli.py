@@ -518,11 +518,16 @@ class TestErrorPaths:
         [
             ("inf embedding", "classifier_only", "row 0 (id 'test-00000'): the classifier probabilities hold NaN"),
             # retrieval checks the embedding first
-            ("inf embedding", "denn", "a query that holds NaN or inf"),
+            ("inf embedding", "denn", "row 0 (id 'test-00000'): cannot retrieve with a query that holds NaN or inf"),
             ("overflowing logits", "denn", "row 0 (id 'test-00000'): the classifier probabilities hold NaN"),
-            ("overflowing query norm", "denn", "a query that holds NaN or inf"),
+            ("overflowing query norm", "denn", "row 0 (id 'test-00000'): cannot retrieve with a query that holds NaN or inf"),
+            # no unit query: its similarities would be 0/0
+            ("zero embedding", "denn", "row 0 (id 'test-00000'): cannot retrieve with a zero-norm query"),
         ],
-        ids=["inf-embedding-classifier_only", "inf-embedding-denn", "overflowing-logits-denn", "overflowing-norm-denn"],
+        ids=[
+            "inf-embedding-classifier_only", "inf-embedding-denn", "overflowing-logits-denn", "overflowing-norm-denn",
+            "zero-embedding-denn",
+        ],
     )
     def test_non_finite_prediction_exit_code(self, pipeline_artifacts, tmp_path, capsys, case, mode, message):
         # finite parameters whose arithmetic overflows, with no warning escaping
@@ -530,7 +535,10 @@ class TestErrorPaths:
         payload = json.loads((a["run"] / "model.json").read_text())
         params = payload["params"]
         width = len(params["b_emb"])
-        if case == "inf embedding":
+        if case == "zero embedding":
+            params["w_emb"] = [[0.0] * len(row) for row in params["w_emb"]]
+            params["b_emb"] = [0.0] * width
+        elif case == "inf embedding":
             # every hidden unit tanh(1000) = 1, every embedding entry
             # 10 * 1e308 = inf, every logit inf - inf = NaN
             params["b_in"] = [1000.0] * len(params["b_in"])

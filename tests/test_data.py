@@ -27,7 +27,7 @@ from knnmlc.data import (
     label_frequencies,
     load_jsonl,
     load_packed,
-    save_synthetic,
+    save_splits,
 )
 from knnmlc.mathops import make_rng
 
@@ -191,9 +191,9 @@ def test_generator_matches_the_per_sample_reference(overrides, seed):
 
 @pytest.mark.parametrize("overrides", GENERATOR_CONFIGS)
 @pytest.mark.parametrize("seed", [0, 1, 5])
-def test_generated_splits_are_the_packed_files_of_save_synthetic(tmp_path, overrides, seed):
+def test_generated_splits_are_the_packed_files_of_save_splits(tmp_path, overrides, seed):
     cfg = small_cfg(**{**overrides, "seed": seed})
-    paths = save_synthetic(cfg, tmp_path)
+    paths = save_splits(generate_synthetic(cfg), tmp_path)
     for split, path in zip(generate_synthetic(cfg), paths.values()):
         loaded, num_classes, vocab_size = load_jsonl(path)
         assert (num_classes, vocab_size) == (cfg.num_classes, cfg.vocab_size)
@@ -207,9 +207,9 @@ def test_the_tight_vocab_config_has_one_index_blocks():
 
 @pytest.mark.parametrize("overrides", GENERATOR_CONFIGS)
 @pytest.mark.parametrize("seed", [0, 1, 5])
-def test_save_synthetic_writes_the_bytes_of_the_scalar_draws(tmp_path, overrides, seed):
+def test_save_splits_writes_the_bytes_of_the_scalar_draws(tmp_path, overrides, seed):
     cfg = small_cfg(**{**overrides, "seed": seed})
-    paths = save_synthetic(cfg, tmp_path)
+    paths = save_splits(generate_synthetic(cfg), tmp_path)
     for (name, path), split in zip(paths.items(), oracles.generate_synthetic(cfg)):
         ref = tmp_path / f"{name}.ref"
         oracles.save_jsonl(split, ref, cfg.num_classes, cfg.vocab_size)
@@ -479,7 +479,7 @@ def test_the_block_pass_reads_what_the_scalar_draws_read(monkeypatch, overrides)
 def test_pass_and_line_chunk_sizes_change_no_split_and_no_file(tmp_path, monkeypatch):
     cfg = small_cfg(tokens_per_sample=7)
     want = generate_synthetic(cfg)
-    want_files = {name: Path(p).read_bytes() for name, p in save_synthetic(cfg, tmp_path).items()}
+    want_files = {name: Path(p).read_bytes() for name, p in save_splits(generate_synthetic(cfg), tmp_path).items()}
     per_sample = 1 + cfg.num_classes + 3 * cfg.tokens_per_sample
     for words, lines in ((1, 1), (3 * per_sample, 7), (per_sample * 1000, 10_000)):
         monkeypatch.setattr(data, "_WINDOW_WORDS", words)
@@ -488,7 +488,7 @@ def test_pass_and_line_chunk_sizes_change_no_split_and_no_file(tmp_path, monkeyp
             assert same_split(got, split)
         out = tmp_path / f"{words}-{lines}"
         out.mkdir()
-        assert {name: Path(p).read_bytes() for name, p in save_synthetic(cfg, out).items()} == want_files
+        assert {name: Path(p).read_bytes() for name, p in save_splits(generate_synthetic(cfg), out).items()} == want_files
 
 
 @given(p=st.floats(0.0, 1.0), word=st.integers(0, 2**64 - 1))
@@ -527,7 +527,7 @@ class TestJsonl:
     def test_save_after_load_is_byte_identical(self, tmp_path):
         # the packed split keeps every id, key order, value and label of the file
         cfg = small_cfg()
-        p1 = save_synthetic(cfg, tmp_path)["train"]
+        p1 = save_splits(generate_synthetic(cfg), tmp_path)["train"]
         p2 = tmp_path / "b.jsonl"
         loaded, c, v = load_jsonl(p1)
         oracles.save_jsonl(records_of(loaded), p2, c, v)

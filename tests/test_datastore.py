@@ -1,4 +1,5 @@
 """Datastore build, exact retrieval, and binary persistence."""
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,15 @@ from knnmlc.datastore import (
     NonFiniteQueryError,
     build,
     load,
-    retrieve_topk,
     save,
+    search,
 )
 from knnmlc.cli import _encoder_config, load_config
-from knnmlc.encoder import EncoderConfig, forward_rowwise, init_state
+from knnmlc.encoder import EncoderConfig, init_state, rowwise_layers, weight_rows
 from knnmlc.inference import predict
 from knnmlc.mathops import make_rng
 from knnmlc.training import Trainer
+from oracles import forward_rowwise
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -46,7 +48,7 @@ def brute_force_topk(keys, values, query, k):
 
 def topk_pairs(store, query, k):
     """One query's neighbors as (index, similarity) pairs."""
-    indices, sims = retrieve_topk(store, np.asarray(query)[None], k)
+    indices, sims = search(store, np.asarray(query)[None], k)
     return list(zip(indices[0].tolist(), sims[0].tolist()))
 
 
@@ -148,15 +150,20 @@ class TestRetrieve:
         rng = make_rng(5)
         store = random_store(rng, count=9)
         query = rng.normal(size=5)
-        indices, _ = retrieve_topk(store, query[None], k=4)
+        indices, _ = search(store, query[None], k=4)
         want = [i for i, _ in brute_force_topk(store.keys, store.values, query, 4)]
         np.testing.assert_array_equal(store.values[indices[0]], store.values[want])
 
     def test_zero_norm_query_rejected(self):
+        # its unit vector would be 0/0: no similarity to rank by
         rng = make_rng(6)
         store = random_store(rng)
-        with pytest.raises(ValueError):
-            retrieve_topk(store, np.zeros((1, 5)), k=3)
+        queries = rng.normal(size=(4, 5))
+        queries[2] = 0.0
+        queries[3] = 0.0
+        with pytest.raises(NonFiniteQueryError, match="^row 2: cannot retrieve with a zero-norm query$") as got:
+            search(store, queries, k=3)
+        assert got.value.row == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_query_rejected(self, bad):
@@ -164,8 +171,8 @@ class TestRetrieve:
         store = random_store(rng)
         queries = rng.normal(size=(3, 5))
         queries[1, 2] = bad
-        with pytest.raises(NonFiniteQueryError, match="NaN or inf"):
-            retrieve_topk(store, queries, k=3)
+        with pytest.raises(NonFiniteQueryError, match="^row 1: cannot retrieve with a query that holds NaN or inf$"):
+            search(store, queries, k=3)
 
     def test_a_query_whose_norm_overflows_is_rejected_without_a_warning(self):
         # finite entries whose sum of squares overflows: the check reports
@@ -174,8 +181,8 @@ class TestRetrieve:
         store = random_store(rng)
         queries = rng.normal(size=(3, 5))
         queries[2] = 1e200
-        with pytest.raises(NonFiniteQueryError, match="NaN or inf"):
-            retrieve_topk(store, queries, k=3)
+        with pytest.raises(NonFiniteQueryError, match="^row 2: .*NaN or inf"):
+            search(store, queries, k=3)
 
     def test_a_query_past_the_overflow_bound_with_a_finite_norm_is_served(self):
         # entries above sqrt(max / 2d) take the guarded sum; scaled by a power
@@ -185,18 +192,36 @@ class TestRetrieve:
         query = np.array([[1.0, 0.5, -0.25, 0.125, 0.0]])
         big = query * 2.0**511
         assert np.abs(big).max() > np.sqrt(np.finfo(np.float64).max / 10)
-        for got, want in zip(retrieve_topk(store, big, k=4), retrieve_topk(store, query, k=4)):
+        for got, want in zip(search(store, big, k=4), search(store, query, k=4)):
             assert got.tobytes() == want.tobytes()
 
     def test_bad_k_and_dim(self):
         rng = make_rng(7)
         store = random_store(rng)
         with pytest.raises(ValueError):
-            retrieve_topk(store, rng.normal(size=(1, 5)), k=0)
+            search(store, rng.normal(size=(1, 5)), k=0)
         with pytest.raises(ValueError):
-            retrieve_topk(store, rng.normal(size=(1, 4)), k=3)
+            search(store, rng.normal(size=(1, 4)), k=3)
         with pytest.raises(ValueError):
-            retrieve_topk(store, rng.normal(size=5), k=3)
+            search(store, rng.normal(size=5), k=3)
+
+
+class TestLabelChecks:
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, 1.7, 257])
+    def test_a_label_value_other_than_0_or_1_is_rejected_naming_it(self, tmp_path, bad):
+        # an int8 cast would make 0.5 a 0, 1.7 and 257 a 1 and keep 2, while
+        # the file holds one bit per label: the store and its saved copy
+        # would vote differently
+        keys = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]])
+        values = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        values[1, 0] = bad
+        with pytest.raises(ValueError, match=re.escape(f"label values must be 0 or 1, got {values[1, 0]}")):
+            Datastore(keys=keys, values=values)
+        values[1, 0] = 1.0
+        store = Datastore(keys=keys, values=values)
+        assert store.values.dtype == np.int8 and store.values.tolist() == [[1, 0], [1, 1], [1, 0]]
+        save(store, tmp_path / "store.bin")
+        np.testing.assert_array_equal(load(tmp_path / "store.bin").values, store.values)
 
 
 class TestKeyChecks:
@@ -308,10 +333,11 @@ def default_run():
 
 @pytest.mark.parametrize("gather_rows,build_rows", [(None, None), (1, None), (7, None), (None, 5)])
 def test_store_keys_are_the_query_path_embeddings(default_run, monkeypatch, gather_rows, build_rows):
-    # key i is the float32 of forward_rowwise on sample i alone (the pass
-    # predict runs on a query), for the full store and for prefixes that end
-    # inside a block, with the module's block sizes, with gather blocks of 1
-    # and 7 rows, and with build ranges of 5 rows
+    # key i is the float32 of the dropout-off pass on sample i alone (the
+    # pass predict runs on a query; here its reference form), for the full
+    # store and for prefixes that end inside a block, with the module's
+    # block sizes, with gather blocks of 1 and 7 rows, and with build ranges
+    # of 5 rows
     state, train, _, _ = default_run
     cfg = state.config
     singles = np.stack([forward_rowwise(state, train.take([i])).embedding[0] for i in range(len(train))])
@@ -332,7 +358,7 @@ def test_store_keys_are_the_query_path_embeddings(default_run, monkeypatch, gath
 
     monkeypatch.setattr(encoder, "_gather_rows", spy)
     # before the float32 rounding too
-    assert forward_rowwise(state, train).embedding.tobytes() == singles.tobytes()
+    assert rowwise_layers(state, train, weight_rows(state, nnz)).tobytes() == singles.tobytes()
     if gather_rows is not None:
         assert calls[0] == gather_rows and len(calls) == -(-n // gather_rows)
     assert build(state, train).keys.tobytes() == want.tobytes()

@@ -9,7 +9,6 @@ from knnmlc.encoder import (
     CheckpointError,
     EncoderConfig,
     backward,
-    classify,
     forward_batch,
     init_state,
     load_checkpoint,
@@ -17,7 +16,7 @@ from knnmlc.encoder import (
     state_to_payload,
 )
 from knnmlc.gradcheck import duplicated_views, gradient_check, random_gradcheck_problem
-from knnmlc.mathops import make_rng
+from knnmlc.mathops import make_rng, sigmoid
 from oracles import Sample, forward, pack
 
 
@@ -70,7 +69,7 @@ class TestForward:
             arr[...] = 0.0
         trace = forward(state, tiny_sample())
         np.testing.assert_array_equal(trace.logits, np.zeros(3))
-        np.testing.assert_array_equal(classify(trace), np.full(3, 0.5))
+        np.testing.assert_array_equal(sigmoid(trace.logits), np.full(3, 0.5))
 
     def test_out_of_range_feature_rejected(self):
         state = init_state(tiny_config(), seed=0)
@@ -90,11 +89,13 @@ class TestForward:
 
 
 class TestClassify:
+    """The classifier head's probabilities: the sigmoid of the logits."""
+
     def test_saturated_logit(self):
         state = init_state(tiny_config(), seed=0)
         trace = forward(state, tiny_sample())
         trace.logits = np.array([20.0, 0.0, -20.0])
-        probs = classify(trace)
+        probs = sigmoid(trace.logits)
         assert probs[0] > 0.999
         assert probs[2] < 0.001
 
@@ -102,7 +103,7 @@ class TestClassify:
         state = init_state(tiny_config(), seed=0)
         trace = forward(state, tiny_sample())
         trace.logits = np.array([-1.0, 0.3, 2.0])
-        probs = classify(trace)
+        probs = sigmoid(trace.logits)
         assert probs[0] < probs[1] < probs[2]
 
 

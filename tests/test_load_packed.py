@@ -648,8 +648,8 @@ def test_library_calls_give_the_same_bits_for_a_generated_and_a_loaded_split(tmp
     cfg = data.DatasetConfig(num_classes=6, num_clusters=2, train_size=90, valid_size=20, test_size=25,
                              vocab_size=30, seed=2)
     lists = dict(zip(("train", "valid", "test"), data.generate_synthetic(cfg)))
-    # parsed from the files: load_packed would serve the copies save_synthetic wrote from the same arrays
-    packed = {name: data.load_jsonl(p)[0] for name, p in data.save_synthetic(cfg, tmp_path).items()}
+    # parsed from the files: load_packed would serve the copies save_splits wrote from the same arrays
+    packed = {name: data.load_jsonl(p)[0] for name, p in data.save_splits(data.generate_synthetic(cfg), tmp_path).items()}
 
     enc = EncoderConfig(cfg.vocab_size, 8, 4, cfg.num_classes)
     train_cfg = TrainConfig(batch_size=8, max_iters=12, eval_every=5, seed=1)
@@ -697,7 +697,7 @@ def test_an_in_memory_split_packs_to_the_arrays_of_its_file(tmp_path, overrides)
     # the same CSR arrays and train the same bits
     cfg = data.DatasetConfig(**{**DEFAULT_CONFIG["dataset"], **overrides, "valid_size": 200, "test_size": 1, "seed": 1})
     splits = data.generate_synthetic(cfg)[:2]
-    paths = data.save_synthetic(cfg, tmp_path)
+    paths = data.save_splits(data.generate_synthetic(cfg), tmp_path)
     from_files = [data.load_jsonl(paths[name])[0] for name in ("train", "valid")]
     for split, loaded in zip(splits, from_files):
         assert_identical_loads((split,), (loaded,))

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from knnmlc.losses import (
     CONTRASTIVE_VARIANTS,
-    BatchViews,
     bce_loss,
     contrastive_embedding_grads,
-    contrastive_loss,
     contrastive_loss_from_similarities,
     total_loss,
 )
 from knnmlc.mathops import make_rng, sigmoid, unit_rows
 from oracles import (
+    contrastive_loss,
     contrastive_weight,
     label_similarity,
     label_similarity_matrix,
@@ -38,13 +37,14 @@ def cosine_pieces(embeddings):
 
 
 def random_batch(rng, n=3, dim=4, num_classes=4):
-    """Embeddings and labels for a duplicated batch of n samples (2n views)."""
+    """(embeddings, labels) of a duplicated batch of n samples (2n views);
+    rows i and (i + n) mod 2n are the two views of one sample."""
     emb = rng.normal(size=(2 * n, dim))
     labels = np.zeros((n, num_classes), dtype=np.int8)
     for i in range(n):
         labels[i, rng.integers(num_classes)] = 1
         labels[i] |= (rng.random(num_classes) < 0.35).astype(np.int8)
-    return BatchViews(embeddings=emb, labels=np.vstack([labels, labels]))
+    return emb, np.vstack([labels, labels])
 
 
 class TestLabelSimilarity:
@@ -169,7 +169,7 @@ class TestContrastiveLoss:
     def test_single_pair_degenerate_zero(self):
         emb = make_rng(4).normal(size=(2, 3))
         labels = np.array([[1, 0], [1, 0]], dtype=np.int8)
-        loss, grad = contrastive_loss(BatchViews(emb, labels), tau1=0.05)
+        loss, grad = contrastive_loss(emb, labels, tau1=0.05)
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, np.zeros((2, 2)), atol=1e-12)
 
@@ -185,11 +185,11 @@ class TestContrastiveLoss:
     def test_positive_gradient_equals_negated_negative_sum(self):
         rng = make_rng(5)
         for _ in range(25):
-            batch = random_batch(rng, n=int(rng.integers(2, 5)))
-            _, grad = contrastive_loss(batch, tau1=float(rng.uniform(0.02, 1.0)))
-            n2 = batch.size
+            emb, labels = random_batch(rng, n=int(rng.integers(2, 5)))
+            _, grad = contrastive_loss(emb, labels, tau1=float(rng.uniform(0.02, 1.0)))
+            n2 = len(emb)
             for i in range(n2):
-                pos = batch.partner(i)
+                pos = (i + n2 // 2) % n2
                 neg = [j for j in range(n2) if j not in (i, pos)]
                 assert grad[i, pos] == pytest.approx(-grad[i, neg].sum(), abs=1e-12)
 
@@ -197,9 +197,8 @@ class TestContrastiveLoss:
         rng = make_rng(6)
         emb = rng.normal(size=(6, 4))
         labels = np.tile(np.array([[1, 0, 1]], dtype=np.int8), (6, 1))
-        batch = BatchViews(emb, labels)
-        loss_dcl, grad_dcl = contrastive_loss(batch, tau1=0.05, variant="dcl")
-        loss_ucl, grad_ucl = contrastive_loss(batch, tau1=0.05, variant="ucl")
+        loss_dcl, grad_dcl = contrastive_loss(emb, labels, tau1=0.05, variant="dcl")
+        loss_ucl, grad_ucl = contrastive_loss(emb, labels, tau1=0.05, variant="ucl")
         assert loss_dcl == loss_ucl  # bit-for-bit
         np.testing.assert_array_equal(grad_dcl, grad_ucl)
 
@@ -225,27 +224,25 @@ class TestContrastiveLoss:
 
     def test_loss_invariant_to_sample_order(self):
         rng = make_rng(8)
-        batch = random_batch(rng, n=4)
+        emb, labels = random_batch(rng, n=4)
         n = 4
-        loss, _ = contrastive_loss(batch, tau1=0.05)
+        loss, _ = contrastive_loss(emb, labels, tau1=0.05)
         perm = rng.permutation(n)
-        emb = batch.embeddings
-        labels = batch.labels
-        permuted = BatchViews(
+        loss_p, _ = contrastive_loss(
             np.vstack([emb[:n][perm], emb[n:][perm]]),
             np.vstack([labels[:n][perm], labels[n:][perm]]),
+            tau1=0.05,
         )
-        loss_p, _ = contrastive_loss(permuted, tau1=0.05)
         assert loss_p == pytest.approx(loss, abs=1e-9)
 
     @pytest.mark.parametrize("variant", ["dcl", "ucl", "scl", "wscl"])
     def test_similarity_gradient_matches_finite_differences(self, variant):
         rng = make_rng(9)
-        batch = random_batch(rng, n=3)
+        _, labels = random_batch(rng, n=3)
         sims = np.asarray(
             np.clip(rng.uniform(-0.9, 0.9, size=(6, 6)), -1, 1), dtype=np.float64
         )
-        loss, grad = contrastive_loss_from_similarities(sims, batch.labels, 0.1, variant)
+        loss, grad = contrastive_loss_from_similarities(sims, labels, 0.1, variant)
         h = 1e-5
         for i in range(6):
             for j in range(6):
@@ -256,8 +253,8 @@ class TestContrastiveLoss:
                 down = sims.copy()
                 down[i, j] -= h
                 fd = (
-                    contrastive_loss_from_similarities(up, batch.labels, 0.1, variant)[0]
-                    - contrastive_loss_from_similarities(down, batch.labels, 0.1, variant)[0]
+                    contrastive_loss_from_similarities(up, labels, 0.1, variant)[0]
+                    - contrastive_loss_from_similarities(down, labels, 0.1, variant)[0]
                 ) / (2 * h)
                 assert grad[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
@@ -267,57 +264,59 @@ class TestContrastiveLoss:
         labels = np.array(
             [[1, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.int8
         )
-        loss_scl, _ = contrastive_loss(BatchViews(emb, labels), tau1=0.1, variant="scl")
-        loss_ucl, _ = contrastive_loss(BatchViews(emb, labels), tau1=0.1, variant="ucl")
+        loss_scl, _ = contrastive_loss(emb, labels, tau1=0.1, variant="scl")
+        loss_ucl, _ = contrastive_loss(emb, labels, tau1=0.1, variant="ucl")
         assert math.isfinite(loss_scl)
         assert loss_scl != loss_ucl
 
     def test_small_temperature_does_not_overflow(self):
         rng = make_rng(11)
-        batch = random_batch(rng, n=3)
-        loss, grad = contrastive_loss(batch, tau1=1e-3)
+        emb, labels = random_batch(rng, n=3)
+        loss, grad = contrastive_loss(emb, labels, tau1=1e-3)
         assert math.isfinite(loss)
         assert np.all(np.isfinite(grad))
 
     def test_errors(self):
         rng = make_rng(12)
-        batch = random_batch(rng, n=2)
-        with pytest.raises(ValueError):
-            contrastive_loss(batch, tau1=0.0)
-        with pytest.raises(ValueError):
-            contrastive_loss(batch, tau1=0.05, variant="nonsense")
-        with pytest.raises(ValueError):
-            BatchViews(rng.normal(size=(3, 4)), np.zeros((3, 2), dtype=np.int8))
-        with pytest.raises(ValueError):
-            BatchViews(rng.normal(size=(0, 4)), np.zeros((0, 2), dtype=np.int8))
+        sims = rng.uniform(-1, 1, size=(4, 4))
+        labels = np.zeros((4, 2), dtype=np.int8)
+        with pytest.raises(ValueError, match="temperature"):
+            contrastive_loss_from_similarities(sims, labels, tau1=0.0)
+        with pytest.raises(ValueError, match="variant"):
+            contrastive_loss_from_similarities(sims, labels, tau1=0.05, variant="nonsense")
+        # an odd number of views, and none
+        with pytest.raises(ValueError, match="even size"):
+            contrastive_loss_from_similarities(sims[:3, :3], labels[:3], tau1=0.05)
+        with pytest.raises(ValueError, match="even size"):
+            contrastive_loss_from_similarities(np.zeros((0, 0)), labels[:0], tau1=0.05)
 
     @pytest.mark.parametrize("bad", [0.5, 1.7])
-    def test_batch_views_reject_a_fractional_label_naming_it(self, bad):
+    def test_a_fractional_label_is_rejected_naming_it(self, bad):
         """An int8 cast would make 0.5 a 0 and 1.7 a 1 before any 0/1 check."""
         labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         labels[2, 1] = bad
         with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {bad}")):
-            BatchViews(np.eye(4), labels)
+            contrastive_loss(np.eye(4), labels, 0.1)
         labels[2, 1] = 1.0
-        assert BatchViews(np.eye(4), labels).labels.tolist() == [[1, 0], [0, 1], [1, 1], [0, 1]]
+        assert math.isfinite(contrastive_loss(np.eye(4), labels, 0.1)[0])
 
 
 class TestEmbeddingGradients:
     def test_matches_finite_differences_through_cosine(self):
         rng = make_rng(13)
-        batch = random_batch(rng, n=3)
+        emb, labels = random_batch(rng, n=3)
 
         def loss_of(embeddings):
-            return contrastive_loss(BatchViews(embeddings, batch.labels), tau1=0.1)[0]
+            return contrastive_loss(embeddings, labels, tau1=0.1)[0]
 
-        _, grad_s = contrastive_loss(batch, tau1=0.1)
-        grad_h = contrastive_embedding_grads(*cosine_pieces(batch.embeddings), grad_s)
+        _, grad_s = contrastive_loss(emb, labels, tau1=0.1)
+        grad_h = contrastive_embedding_grads(*cosine_pieces(emb), grad_s)
         h = 1e-6
-        for i in range(batch.size):
-            for d in range(batch.embeddings.shape[1]):
-                up = batch.embeddings.copy()
+        for i in range(emb.shape[0]):
+            for d in range(emb.shape[1]):
+                up = emb.copy()
                 up[i, d] += h
-                down = batch.embeddings.copy()
+                down = emb.copy()
                 down[i, d] -= h
                 fd = (loss_of(up) - loss_of(down)) / (2 * h)
                 assert grad_h[i, d] == pytest.approx(fd, rel=1e-5, abs=1e-8)
@@ -395,8 +394,6 @@ class TestInPlacePass:
         labels[2, 1] = bad
         with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {labels[2, 1]}")):
             contrastive_loss_from_similarities(np.zeros((4, 4)), labels, 0.1, variant)
-        with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {bad}")):
-            contrastive_loss(BatchViews(np.eye(4), labels), 0.1, variant)
 
     def test_a_call_without_workspace_returns_a_gradient_of_its_own(self):
         rng = make_rng(14)

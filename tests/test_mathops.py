@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knnmlc.mathops import cosine_sim_matrix, make_rng, sigmoid, softmax_temp
+from knnmlc.mathops import _row_norms, make_rng, sigmoid, softmax_temp, unit_rows
 from oracles import cosine_sim, logsumexp
 
 # frozen from a 40-digit mpmath evaluation of dot/(|a||b|) = 1/sqrt(2)
@@ -55,12 +55,29 @@ class TestCosine:
             cosine_sim([1.0, 0.0], [1.0, 0.0, 0.0])
 
     def test_matrix_agrees_with_pairwise(self):
+        # the cosines a training step forms from unit_rows
         rng = make_rng(6)
         rows = rng.normal(size=(7, 4))
-        m = cosine_sim_matrix(rows)
+        unit, _ = unit_rows(rows)
+        m = np.clip(unit @ unit.T, -1.0, 1.0)
         for i in range(7):
             for j in range(7):
                 assert abs(m[i, j] - cosine_sim(rows[i], rows[j])) < 1e-12
+
+
+class TestRowNorms:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 64), scale_exp=st.integers(-150, 150))
+    def test_the_arithmetic_of_linalg_norm(self, seed, n, d, scale_exp):
+        # one helper serves unit_rows and the store: its bits are those of
+        # np.linalg.norm(rows, axis=1), which unit_rows used before
+        rng = make_rng(seed)
+        rows = rng.normal(size=(n, d)) * 2.0**scale_exp
+        rows[rng.random((n, d)) < 0.2] = 0.0
+        assert _row_norms(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+        # the float64 of float32 keys, as the store takes them
+        keys = (rng.normal(size=(n, d)) * 2.0 ** (scale_exp // 3)).astype(np.float32).astype(np.float64)
+        assert _row_norms(keys).tobytes() == np.linalg.norm(keys, axis=1).tobytes()
 
 
 class TestSoftmaxTemp:
@@ -99,15 +116,12 @@ class TestSoftmaxTemp:
         assert np.isfinite(out).all()
         assert abs(out.sum() - 1.0) < 1e-12
 
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            softmax_temp([1.0], tau=0.0)
-        with pytest.raises(ValueError):
-            softmax_temp([1.0], tau=-1.0)
-        with pytest.raises(ValueError):
-            softmax_temp([], tau=0.5)
-        with pytest.raises(ValueError):
-            softmax_temp([np.inf], tau=0.5)
+    def test_rows_of_a_stack_are_single_rows(self):
+        rng = make_rng(9)
+        scores = rng.normal(size=(6, 5))
+        stacked = softmax_temp(scores, tau=0.05)
+        for i in range(6):
+            assert stacked[i].tobytes() == softmax_temp(scores[i], tau=0.05).tobytes()
 
 
 class TestSigmoid:

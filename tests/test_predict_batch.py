@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from knnmlc import cli, datastore
 from knnmlc.cli import EXIT_OK, main
 from knnmlc.data import DatasetConfig, generate_synthetic, load_jsonl, pack_samples
-from knnmlc.datastore import Datastore, NonFiniteQueryError, build, load, retrieve_topk
-from knnmlc.encoder import EncoderConfig, forward_batch, forward_rowwise, init_state, load_checkpoint
+from knnmlc.datastore import Datastore, NonFiniteQueryError, build, load, search
+from knnmlc.encoder import EncoderConfig, forward_batch, init_state, load_checkpoint, rowwise_layers, weight_rows
 from knnmlc.inference import INFERENCE_MODES, InferenceConfig, predict, predict_batch
 from knnmlc.mathops import make_rng, sigmoid, softmax_temp
 import oracles
@@ -43,7 +43,7 @@ class Neighbor:
     labels: np.ndarray
 
 
-def ref_retrieve_topk(store, query, k):
+def ref_search(store, query, k):
     keys = store.keys.astype(np.float64)
     q = np.asarray(query, dtype=np.float64)
     sims = np.clip((keys @ q) / (np.linalg.norm(keys, axis=1) * np.linalg.norm(q)), -1.0, 1.0)
@@ -67,7 +67,7 @@ def ref_knn_predict(neighbors, tau2):
 def ref_predict(state, store, sample, cfg):
     trace = forward_batch(state, pack_samples(sample, state.config.input_dim), masks=np.ones((1, state.config.hidden_dim)))
     y_clf = sigmoid(trace.logits[0])
-    neighbors = ref_retrieve_topk(store, trace.embedding[0], cfg.k)
+    neighbors = ref_search(store, trace.embedding[0], cfg.k)
     y_knn = ref_knn_predict(neighbors, cfg.tau2)
     selected = y_knn[y_clf >= cfg.gamma]
     lam = float(selected.min()) if selected.size else 0.0
@@ -137,8 +137,9 @@ def test_query_blocks_give_the_bytes_of_one_block(monkeypatch):
     # blocks of 3 queries against one block of all 40: the same bytes, and
     # the small blocks really were several
     state, store, queries, _ = random_setup(3, 300, 16, 12, 12)
-    embeddings = forward_rowwise(state, pack_samples(queries, state.config.input_dim)).embedding
-    whole = retrieve_topk(store, embeddings, 30)
+    batch = pack_samples(queries, state.config.input_dim)
+    embeddings = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
+    whole = search(store, embeddings, 30)
     blocks = []
     real_block = datastore._topk_block
 
@@ -148,7 +149,7 @@ def test_query_blocks_give_the_bytes_of_one_block(monkeypatch):
 
     monkeypatch.setattr(datastore, "_topk_block", spy)
     monkeypatch.setattr(datastore, "_QUERY_BLOCK_BYTES", 3 * 4 * store.count)
-    split = retrieve_topk(store, embeddings, 30)
+    split = search(store, embeddings, 30)
     assert blocks == [3] * 13 + [1]
     for got, want in zip(split, whole):
         np.testing.assert_array_equal(got, want)
@@ -205,7 +206,7 @@ def test_query_blocks_equal_the_oracle_path(monkeypatch):
 
 @pytest.mark.parametrize("case, error", [
     ("nan embedding", NonFiniteQueryError),
-    ("zero-norm query", ValueError),
+    ("zero-norm query", NonFiniteQueryError),
     ("dimension mismatch", ValueError),
     ("no store", ValueError),
 ])
@@ -228,6 +229,29 @@ def test_predict_fails_as_the_oracle_path_does(case, error):
     with pytest.raises(error) as want:
         oracles.predict_batch(state, store, queries[0], InferenceConfig())
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    if error is NonFiniteQueryError:
+        assert str(got.value).startswith(f"row 0 (id {queries.ids[0]!r}): cannot retrieve with a ")
+
+
+def test_a_zero_norm_query_is_named_by_its_row_and_id():
+    # relu with no bias: only rows with feature 0 get a nonzero embedding,
+    # so rows 1 and 2 of the batch have none; the first of them is named
+    state = init_state(EncoderConfig(3, 2, 2, 2, activation="relu", dropout_rate=0.0))
+    for _, arr in state.param_items():
+        arr[...] = 0.0
+    state.w_in[...] = [[1.0, -1.0, -1.0], [2.0, -1.0, -1.0]]
+    state.w_emb[...] = np.eye(2)
+    store = Datastore(keys=[[1.0, 0.0], [0.0, 1.0]], values=[[1, 0], [0, 1]])
+    rows = [Sample({0: 1.0}, np.ones(2, dtype=np.int8), "a"), Sample({1: 1.0}, np.ones(2, dtype=np.int8), "b"),
+            Sample({2: 1.0}, np.ones(2, dtype=np.int8), "c")]
+    with pytest.raises(NonFiniteQueryError, match=r"^row 1 \(id 'b'\): cannot retrieve with a zero-norm query$") as got:
+        predict_batch(state, store, pack(rows, 3), InferenceConfig(k=1))
+    assert got.value.row == 1
+    with pytest.raises(NonFiniteQueryError) as want:
+        oracles.predict_batch(state, store, pack(rows, 3), InferenceConfig(k=1))
+    assert str(got.value) == str(want.value)
+    # classifier_only does not retrieve, so it serves every row
+    assert predict_batch(state, None, pack(rows, 3), InferenceConfig(mode="classifier_only")).y_final.shape == (3, 2)
 
 
 # -- exactness -------------------------------------------------------------------
@@ -248,7 +272,7 @@ def test_retrieval_equals_a_full_sort_of_the_rescored_similarities(seed, count, 
     # queries near the bundles too, so the k-th cosine sits among near-ties
     queries = near_tie_keys(rng, n, dim, eps) if rng.random() < 0.5 else rng.normal(size=(n, dim))
     queries[0] = store.keys[0]
-    indices, sims = retrieve_topk(store, queries, k)
+    indices, sims = search(store, queries, k)
     for row, query in enumerate(queries):
         full = rescored_sims(store.keys, query)
         order = np.lexsort((np.arange(count), -full))[: min(k, count)]
@@ -261,7 +285,7 @@ def test_kth_similarity_at_minus_one_keeps_every_candidate():
     # is a candidate: the keys whose cosine clips to -1 tie, ranked by index
     keys = np.array([[1.0, 0.0], [-1.0, 0.0], [-2.0, 0.0], [-1.0, 1e-9], [-4.0, 0.0], [0.0, 1.0]])
     store = Datastore(keys=keys, values=np.zeros((6, 1), dtype=np.int8))
-    indices, sims = retrieve_topk(store, np.array([[1.0, 0.0]]), 4)
+    indices, sims = search(store, np.array([[1.0, 0.0]]), 4)
     np.testing.assert_array_equal(indices[0], [0, 5, 1, 2])
     np.testing.assert_array_equal(sims[0], [1.0, 0.0, -1.0, -1.0])
 
