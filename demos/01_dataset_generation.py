@@ -43,7 +43,7 @@ same = all(np.array_equal(getattr(in_memory, f), getattr(train, f)) for f in fie
 print(f"generate_synthetic gives the same arrays in memory: {same}")
 
 first = train[0]  # one sample is a batch of one: views of row 0 of each array
-print(f"sample {first.ids[0]}: features {dict(zip(first.indices.tolist(), first.values.tolist()))}, "
+print(f"sample {first.ids()[0]}: features {dict(zip(first.indices.tolist(), first.values.tolist()))}, "
       f"labels {np.flatnonzero(first.labels[0]).tolist()}")
 
 label_sets, own_blocks, pair_blocks, priors = cluster_layout(cfg)
@@ -57,13 +57,13 @@ counts = train.labels.sum(axis=1)
 print(f"\npositives per sample: mean {counts.mean():.2f}, min {counts.min()}, max {counts.max()}")
 print("  (every sample has at least one positive label by construction)")
 
-freqs = label_frequencies(train)
+freqs = label_frequencies(train.labels)
 print("\nlabel frequencies in train:", freqs.tolist())
 print("  skewed cluster priors make the later clusters' labels rare")
 
 # --- frequency groups -------------------------------------------------------
 
-groups = frequency_groups(train, num_groups=4)
+groups = frequency_groups(train.labels, num_groups=4)
 by_group = collections.defaultdict(list)
 for label, g in groups.items():
     by_group[g].append(label)
@@ -72,4 +72,4 @@ for g in sorted(by_group):
     print(f"  group {g}: labels {sorted(by_group[g])}")
 
 # explicit boundaries are also supported, e.g. the classic >4500 / >1700 / >870 split
-# for corpus-scale frequency tables: frequency_groups(train, thresholds=[4500, 1700, 870])
+# for corpus-scale frequency tables: frequency_groups(train.labels, thresholds=[4500, 1700, 870])

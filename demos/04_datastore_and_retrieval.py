@@ -41,7 +41,7 @@ print(f"20% store: {fifth.count} entries, prefix of the full store: "
 queries = rowwise_layers(state, test, weight_rows(state, test.indices.size))
 indices, sims = search(store, queries, k=8)
 query_sample = test[0]  # a batch of one
-print(f"\nquery {query_sample.ids[0]} with labels {np.flatnonzero(query_sample.labels[0]).tolist()}")
+print(f"\nquery {query_sample.ids()[0]} with labels {np.flatnonzero(query_sample.labels[0]).tolist()}")
 print("nearest neighbors (similarity, stored labels):")
 for index, sim in zip(indices[0], sims[0]):
     print(f"  #{index:<5} sim {sim:+.4f}  labels {np.flatnonzero(store.values[index]).tolist()}")

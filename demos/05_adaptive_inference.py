@@ -30,7 +30,7 @@ store = build(state, train)
 cfg = InferenceConfig(k=30, tau2=0.05, gamma=0.7, mode="denn")
 sample = test[4]  # a batch of one: the row's arrays, viewed
 bundle = predict(state, store, sample, cfg)
-print(f"sample {sample.ids[0]}, gold labels {np.flatnonzero(sample.labels[0]).tolist()}")
+print(f"sample {sample.ids()[0]}, gold labels {np.flatnonzero(sample.labels[0]).tolist()}")
 print(f"  classifier probabilities: {np.round(bundle.y_clf, 3).tolist()}")
 print(f"  neighbor vote:            {np.round(bundle.y_knn, 3).tolist()}")
 print(f"  high-confidence labels (>= {cfg.gamma}): {np.flatnonzero(bundle.high_conf_mask).tolist()}")

@@ -38,6 +38,7 @@ from .data import (
     DatasetConfig,
     frequency_groups,
     generate_synthetic,
+    load_labels,
     load_packed,
     save_splits,
 )
@@ -150,11 +151,16 @@ def _config_snapshot(*cfgs, **extra):
     return snap
 
 
-def _load_split(path: Path):
-    """(PackedSamples, num_classes, vocab_size) of a dataset file."""
+def _dataset(path: Path) -> Path:
+    """``path``, which must exist (FileNotFoundError otherwise)."""
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    return load_packed(path)
+    return path
+
+
+def _load_split(path: Path):
+    """(PackedSamples, num_classes, vocab_size) of a dataset file."""
+    return load_packed(_dataset(path))
 
 
 def _load_matching_split(path: Path, num_classes: int, vocab_size: int, reference):
@@ -365,12 +371,13 @@ def cmd_predict(args) -> int:
         for chunk, bundle in _predict_chunks(state, store, samples, infer_cfg):
             run_s += time.perf_counter() - t0
             decisions.append(bundle.decisions(infer_cfg.decision_threshold))
-            yield from _prediction_lines(chunk.ids, bundle, decisions[-1])
+            yield from _prediction_lines(chunk.ids(), bundle, decisions[-1])
             t0 = time.perf_counter()
 
     digest = copies.write_hashed(out_path, lines())
     y_pred = np.concatenate(decisions)
-    copies.write_copy(out_path, _PREDICTIONS_COPY_VERSION, digest, _predictions_to_copy(samples.ids, y_pred))
+    arrays = {"y_pred": y_pred, "id_offsets": samples.id_offsets, "id_bytes": samples.id_bytes}
+    copies.write_copy(out_path, _PREDICTIONS_COPY_VERSION, digest, arrays)
     write_manifest(
         out_path.parent,
         "predict",
@@ -390,17 +397,13 @@ _PREDICTIONS_COPY_VERSION = 1
 _PREDICTIONS_COPY_MEMBERS = {"y_pred": (np.int8, 2), "id_offsets": (np.int64, 1), "id_bytes": (np.uint8, 1)}
 
 
-def _predictions_to_copy(ids, y_pred: np.ndarray) -> dict:
-    id_offsets, id_bytes = copies.pack_strings(ids)
-    return {"y_pred": y_pred, "id_offsets": id_offsets, "id_bytes": id_bytes}
-
-
 def _decision_error(path, i: int, num_classes: int) -> DataFormatError:
     return DataFormatError(f"{path}: record {i}: y_pred must be a list of {num_classes} values in {{0, 1}}")
 
 
-def _parse_predictions(path, num_classes: int):
-    """(ids, (n, C) int8 y_pred) of a predictions file. Every record must be
+def _parse_predictions(path, num_classes: int) -> dict:
+    """The arrays of a predictions file as its packed copy holds them: the
+    (n, C) int8 ``y_pred`` and the ids (``id_offsets``, ``id_bytes``). Every record must be
     an object whose ``y_pred`` is a list of ``num_classes`` JSON integers
     (not true/false or 1.0) and whose ``id``, if given, is a string (a
     missing id is ""); whether each value is 0 or 1 is checked on the
@@ -428,19 +431,20 @@ def _parse_predictions(path, num_classes: int):
     except OverflowError:
         # a value outside int8 is no decision either; keep it one for the 0/1 check
         y_pred = np.array([[min(max(x, -1), 2) for x in row] for row in rows], dtype=np.int8)
-    return ids, y_pred.reshape(len(rows), num_classes)
+    id_offsets, id_bytes = copies.pack_strings(ids)
+    return {"y_pred": y_pred.reshape(len(rows), num_classes), "id_offsets": id_offsets, "id_bytes": id_bytes}
 
 
-def _read_predictions(path, num_classes: int):
+def _read_predictions(path, num_classes: int) -> dict:
     """``_parse_predictions``, served from the packed copy that predict (or
     an earlier miss) wrote when it stands for the file's bytes and holds
     rows of ``num_classes``."""
 
     def from_copy(arrays):
-        ids = copies.unpack_strings(arrays["id_offsets"], arrays["id_bytes"])
-        if ids is None or arrays["y_pred"].shape != (len(ids), num_classes):
+        offsets, y_pred = arrays["id_offsets"], arrays["y_pred"]
+        if not copies.strings_valid(offsets, arrays["id_bytes"]) or y_pred.shape != (offsets.size - 1, num_classes):
             return None
-        return ids, arrays["y_pred"]
+        return arrays
 
     return copies.load(
         path,
@@ -448,8 +452,30 @@ def _read_predictions(path, num_classes: int):
         _PREDICTIONS_COPY_MEMBERS,
         lambda p: _parse_predictions(p, num_classes),
         from_copy,
-        lambda loaded: _predictions_to_copy(*loaded),
+        dict,
     )
+
+
+def _check_predictions(path, preds: dict, gold) -> None:
+    """The checks of each prediction row, whether the file or its packed copy
+    gave it: DataFormatError naming the first row whose decisions are not
+    all 0 or 1 or whose nonempty id differs from a nonempty gold id."""
+    y_pred, offsets, blob = preds["y_pred"], preds["id_offsets"], preds["id_bytes"]
+    undecided = (y_pred.view(np.uint8) > 1).any(axis=1)
+    # the ids are decoded only when their packed arrays differ from the gold
+    # ids' (UTF-8 with surrogatepass is one to one, so equal arrays are equal ids)
+    pred_ids = gold_ids = ()
+    if not (np.array_equal(offsets, gold.id_offsets) and np.array_equal(blob, gold.id_bytes)):
+        pred_ids, gold_ids = copies.unpack_strings(offsets, blob), gold.ids()
+    mismatched = np.zeros_like(undecided)
+    mismatched[: len(pred_ids)] = [bool(p and g and p != g) for p, g in zip(pred_ids, gold_ids)]
+    bad = np.flatnonzero(undecided | mismatched)
+    if not bad.size:
+        return
+    i = int(bad[0])
+    if undecided[i]:
+        raise _decision_error(path, i, y_pred.shape[1])
+    raise DataFormatError(f"record {i}: prediction id {pred_ids[i]!r} != gold id {gold_ids[i]!r}")
 
 
 def _metrics_report(gold_rows, pred_rows, groups=None):
@@ -493,29 +519,24 @@ def cmd_eval(args) -> int:
         raise FileNotFoundError(f"predictions file not found: {Path(args.predictions)}")
     start = time.perf_counter()
     gold, num_classes, _ = _load_split(Path(args.gold))
-    ids, y_pred = _read_predictions(args.predictions, num_classes)
+    preds = _read_predictions(args.predictions, num_classes)
     load_s = time.perf_counter() - start
-    if len(ids) != len(gold):
-        raise DataFormatError(f"predictions ({len(ids)}) and gold ({len(gold)}) disagree on sample count")
-    # the same checks whether the file or its packed copy gave the rows
-    undecided = (y_pred.view(np.uint8) > 1).any(axis=1).tolist()
-    for i, (pred_id, gold_id) in enumerate(zip(ids, gold.ids)):
-        if undecided[i]:
-            raise _decision_error(args.predictions, i, num_classes)
-        if pred_id and gold_id and pred_id != gold_id:
-            raise DataFormatError(f"record {i}: prediction id {pred_id!r} != gold id {gold_id!r}")
+    y_pred = preds["y_pred"]
+    if len(y_pred) != len(gold):
+        raise DataFormatError(f"predictions ({len(y_pred)}) and gold ({len(gold)}) disagree on sample count")
+    _check_predictions(args.predictions, preds, gold)
 
     groups = None
     if args.num_groups:
         source = Path(args.groups_from) if args.groups_from else Path(args.gold)
         group_start = time.perf_counter()
-        group_samples, group_classes, _ = _load_split(source)
+        group_labels, group_classes = load_labels(_dataset(source))
         load_s += time.perf_counter() - group_start
         if group_classes != num_classes:
             raise DimensionMismatchError(
                 f"--groups-from {source} (C={group_classes}) does not match the gold file {args.gold} (C={num_classes})"
             )
-        groups = frequency_groups(group_samples, num_groups=args.num_groups)
+        groups = frequency_groups(group_labels, num_groups=args.num_groups)
     report = _metrics_report(gold.labels, y_pred, groups)
     ran = time.perf_counter()
     print(_format_report(report))

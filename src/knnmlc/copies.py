@@ -16,6 +16,7 @@ copy is always safe. Layouts are in docs/formats.md.
 """
 from __future__ import annotations
 
+import codecs
 import contextlib
 import hashlib
 import logging
@@ -25,7 +26,16 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["file_digest", "load", "pack_strings", "read_copy", "unpack_strings", "write_copy", "write_hashed"]
+__all__ = [
+    "file_digest",
+    "load",
+    "pack_strings",
+    "read_copy",
+    "strings_valid",
+    "unpack_strings",
+    "write_copy",
+    "write_hashed",
+]
 
 
 def _copy_path(path) -> str:
@@ -116,7 +126,7 @@ def load(path, version: int, members: dict, parse, from_arrays, to_arrays):
 
 
 def pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
-    """``strings`` as the (offsets, bytes) arrays a copy holds them in:
+    """A list of strings as the (offsets, bytes) arrays a copy holds them in:
     string i is ``bytes[offsets[i]:offsets[i + 1]]``, UTF-8 with
     surrogatepass (so a lone surrogate survives)."""
     encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
@@ -125,14 +135,28 @@ def pack_strings(strings) -> tuple[np.ndarray, np.ndarray]:
     return offsets, np.frombuffer(b"".join(encoded), dtype=np.uint8)
 
 
-def unpack_strings(offsets: np.ndarray, blob: np.ndarray):
-    """The list of strings ``pack_strings`` gave these arrays, or None when
-    the offsets do not run from 0 to the size of ``blob`` without
-    decreasing or a string does not decode."""
+def strings_valid(offsets: np.ndarray, blob: np.ndarray) -> bool:
+    """Whether (offsets, bytes) arrays hold strings as ``pack_strings``
+    packs them: the offsets run from 0 to the size of ``blob`` without
+    decreasing, and every string decodes. That is checked without cutting
+    the strings: the whole of ``blob`` decodes, and no string starts on a
+    UTF-8 continuation byte (10xxxxxx), so each starts where a character
+    does and decodes on its own."""
     if not offsets.size or offsets[0] != 0 or offsets[-1] != blob.size or np.any(np.diff(offsets) < 0):
-        return None
-    data, bounds = blob.tobytes(), offsets.tolist()
+        return False
     try:
-        return [data[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])]
+        codecs.utf_8_decode(blob, "surrogatepass", True)
     except UnicodeDecodeError:
-        return None
+        return False
+    return not np.any((blob[offsets[offsets < blob.size]] & 0xC0) == 0x80)
+
+
+def unpack_strings(offsets: np.ndarray, blob: np.ndarray) -> list[str]:
+    """The strings that valid (offsets, bytes) arrays hold (``strings_valid``):
+    string i is ``blob[offsets[i]:offsets[i + 1]]`` decoded. The offsets
+    may be a run of another string list's offsets (``offsets[i:i + 2]`` for
+    its string i alone)."""
+    bounds = offsets.tolist()
+    base = bounds[0]
+    data = blob[base : bounds[-1]].tobytes()
+    return [data[lo - base : hi - base].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])]

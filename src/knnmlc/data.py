@@ -25,7 +25,9 @@ Dataset file format (one JSON document per line):
 positive label indices. A full worked example lives in docs/formats.md.
 
 A split is held as CSR arrays (``PackedSamples``), the one representation of
-samples: a single sample is the batch of one ``split[i]``. ``load_jsonl``
+samples, its ids too (UTF-8 bytes and their offsets, as the packed copy
+holds them, decoded only where a string is needed): a single sample is the
+batch of one ``split[i]``. ``load_jsonl``
 parses a file straight into them: it reads ``_CHUNK_LINES`` lines at a time
 and turns each chunk's records into arrays before reading on, so no list of
 all parsed records is ever alive.
@@ -34,7 +36,7 @@ A file is parsed at most once per content: the first ``load_packed`` of a
 split writes its arrays to ``<split>.jsonl.packed`` next to it, keyed by the
 SHA-256 of the file's bytes and by ``_READER_VERSION``, and every later read
 of the same bytes is served from that copy (``copies``; layout in
-docs/formats.md).
+docs/formats.md). ``load_labels`` reads only the label rows of that copy.
 Deleting the copy is always safe; the next read parses and writes it again.
 """
 from __future__ import annotations
@@ -64,6 +66,7 @@ __all__ = [
     "generate_synthetic",
     "label_frequencies",
     "load_jsonl",
+    "load_labels",
     "load_packed",
     "pack_samples",
     "save_splits",
@@ -79,14 +82,16 @@ class PackedSamples:
     """Samples as CSR arrays: row i's features are ``indices[indptr[i]:indptr[i + 1]]``
     with ``values`` alongside, in the order of the record's keys, so no index
     repeats within a row. No row is empty: a record without features holds
-    one explicit zero at index 0. ``labels`` is (n, C) int8 and ``ids`` the
-    (n,) sample ids (an object array of str). Every index lies in
-    [0, input_dim); ``pack_samples`` checks that against an encoder.
+    one explicit zero at index 0. ``labels`` is (n, C) int8. The ids are held
+    as the packed copy holds them, CSR-style too: id i is
+    ``id_bytes[id_offsets[i]:id_offsets[i + 1]]``, UTF-8 with surrogatepass
+    (``copies.pack_strings``), and ``ids()`` decodes them. Every index lies
+    in [0, input_dim); ``pack_samples`` checks that against an encoder.
 
     This is the one representation of samples: ``split[i]`` is row i as a
     batch of one (negative i counts from the end; iterating a split gives
     each row so) and ``split[a:b]`` rows a to b - 1, both views of these
-    arrays (indptr rebased to 0).
+    arrays (indptr and id_offsets rebased to 0).
     """
 
     indptr: np.ndarray  # (n + 1,) int64
@@ -94,7 +99,8 @@ class PackedSamples:
     values: np.ndarray  # (nnz,) float64
     labels: np.ndarray  # (n, C) int8
     input_dim: int
-    ids: np.ndarray  # (n,) object, str
+    id_offsets: np.ndarray  # (n + 1,) int64
+    id_bytes: np.ndarray  # (m,) uint8
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -113,26 +119,35 @@ class PackedSamples:
             start %= n
             stop = start + 1
         lo, hi = self.indptr[start], self.indptr[stop]
+        id_lo, id_hi = self.id_offsets[start], self.id_offsets[stop]
         return PackedSamples(
             self.indptr[start : stop + 1] - lo,
             self.indices[lo:hi],
             self.values[lo:hi],
             self.labels[start:stop],
             self.input_dim,
-            self.ids[start:stop],
+            self.id_offsets[start : stop + 1] - id_lo,
+            self.id_bytes[id_lo:id_hi],
         )
 
     def take(self, rows) -> "PackedSamples":
         """The given rows, in the given order (repeats allowed)."""
         rows = np.asarray(rows, dtype=np.int64)
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        pos = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        indptr, pos = _gather(self.indptr, rows)
+        id_offsets, id_pos = _gather(self.id_offsets, rows)
         return PackedSamples(
-            indptr, self.indices[pos], self.values[pos], self.labels[rows], self.input_dim, self.ids[rows]
+            indptr,
+            self.indices[pos],
+            self.values[pos],
+            self.labels[rows],
+            self.input_dim,
+            id_offsets,
+            self.id_bytes[id_pos],
         )
+
+    def ids(self) -> list[str]:
+        """The sample ids, decoded."""
+        return copies.unpack_strings(self.id_offsets, self.id_bytes)
 
     def to_dense(self) -> np.ndarray:
         """The (n, input_dim) float64 feature matrix."""
@@ -140,6 +155,22 @@ class PackedSamples:
         dense = np.zeros((n, self.input_dim))
         dense[np.arange(n).repeat(self.indptr[1:] - self.indptr[:-1]), self.indices] = self.values
         return dense
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """The (n + 1,) int64 offsets of n runs of these lengths, from 0."""
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _gather(offsets: np.ndarray, rows: np.ndarray):
+    """(offsets of the given runs laid end to end, the positions of their
+    entries in the old order) for CSR offsets and run numbers ``rows``."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    gathered = _offsets(lengths)
+    return gathered, np.repeat(starts - gathered[:-1], lengths) + np.arange(gathered[-1])
 
 
 def pack_samples(batch: PackedSamples, input_dim: int) -> PackedSamples:
@@ -631,8 +662,8 @@ def _draw_split(reader: _WordReader, t: _Tables, name: str, size: int) -> Packed
     # cut to the entries drawn, in place: no view of either is alive
     indices.resize(indptr[-1], refcheck=False)
     values.resize(indptr[-1], refcheck=False)
-    ids = np.array([f"{name}-{i:05d}" for i in range(size)], dtype=object)
-    return PackedSamples(indptr, indices, values, labels, t.vocab_size, ids)
+    id_offsets, id_bytes = copies.pack_strings([f"{name}-{i:05d}" for i in range(size)])
+    return PackedSamples(indptr, indices, values, labels, t.vocab_size, id_offsets, id_bytes)
 
 
 def generate_synthetic(cfg: DatasetConfig):
@@ -683,10 +714,9 @@ def _record_lines(split: PackedSamples):
         row, col = np.nonzero(rows.labels)
         num_labels = np.bincount(row, minlength=len(rows))
         # per row: its opening piece, a key and a count piece per feature, a piece per label, its closing piece
-        bounds = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(2 + 2 * nnz + num_labels, out=bounds[1:])
+        bounds = _offsets(2 + 2 * nnz + num_labels)
         pieces = np.empty(bounds[-1], dtype=object)
-        pieces[bounds[:-1]] = [f'{{"id": "{sample_id}", "features": {{' for sample_id in rows.ids.tolist()]
+        pieces[bounds[:-1]] = [f'{{"id": "{sample_id}", "features": {{' for sample_id in rows.ids()]
         j = np.arange(rows.indptr[-1]) - np.repeat(rows.indptr[:-1], nnz)  # place in its row
         at = np.repeat(bounds[:-1], nnz) + 1 + 2 * j
         pieces[at] = keys[rows.indices + vocab_size * (j > 0)]
@@ -828,14 +858,13 @@ def _pack(ids, counts, indices, values, label_counts, positives, num_classes: in
     counts = np.asarray(counts, dtype=np.int64)
     indices, values = np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64)
     empty = counts == 0
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts + empty, out=indptr[1:])
+    indptr = _offsets(counts + empty)
     if empty.any():
         at = np.cumsum(counts)[empty]  # where each record without features starts
         indices, values = np.insert(indices, at, 0), np.insert(values, at, 0.0)
     labels = np.zeros((n, num_classes), dtype=np.int8)
     labels[np.arange(n).repeat(np.asarray(label_counts, dtype=np.int64)), np.asarray(positives, dtype=np.int64)] = 1
-    return PackedSamples(indptr, indices, values, labels, input_dim, np.array(ids, dtype=object))
+    return PackedSamples(indptr, indices, values, labels, input_dim, *copies.pack_strings(ids))
 
 
 def _parse_chunks(fh, path, num_classes: int, vocab_size: int):
@@ -870,6 +899,15 @@ def load_packed(path):
     return copies.load(path, _READER_VERSION, _COPY_MEMBERS, load_jsonl, _from_copy, _to_copy)
 
 
+def load_labels(path) -> tuple[np.ndarray, int]:
+    """The (n, C) int8 label rows of a dataset file and its num_classes C:
+    ``load_packed``'s, with its checks and errors, read from only the
+    ``dims`` and ``labels`` members of the packed copy. A miss parses the
+    whole file and writes the whole copy, as ``load_packed`` does."""
+    arrays = copies.load(path, _READER_VERSION, _LABEL_MEMBERS, lambda p: _to_copy(load_jsonl(p)), _labels_from_copy, dict)
+    return arrays["labels"], int(arrays["dims"][0])
+
+
 def load_jsonl(path):
     """Parse a dataset file straight into CSR arrays; returns (PackedSamples,
     num_classes, vocab_size), with ``input_dim`` = vocab_size. Reads no
@@ -883,16 +921,14 @@ def load_jsonl(path):
         num_classes, vocab_size = _read_header(fh, path)
         parts = list(_parse_chunks(fh, path, num_classes, vocab_size))
     parts = parts or [_pack_lines([], num_classes, vocab_size)]
-    lengths = np.concatenate([np.diff(p.indptr) for p in parts])
-    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
     packed = PackedSamples(
-        indptr,
+        _offsets(np.concatenate([np.diff(p.indptr) for p in parts])),
         np.concatenate([p.indices for p in parts]),
         np.concatenate([p.values for p in parts]),
         np.concatenate([p.labels for p in parts]),
         vocab_size,
-        np.concatenate([p.ids for p in parts]),
+        _offsets(np.concatenate([np.diff(p.id_offsets) for p in parts])),
+        np.concatenate([p.id_bytes for p in parts]),
     )
     return packed, num_classes, vocab_size
 
@@ -910,19 +946,22 @@ _COPY_MEMBERS = {
 }
 
 
+# what ``load_labels`` reads of a copy
+_LABEL_MEMBERS = {name: _COPY_MEMBERS[name] for name in ("dims", "labels")}
+
+
 def _to_copy(loaded) -> dict:
     """The arrays of the packed copy of a parse result (PackedSamples,
     num_classes, vocab_size)."""
     packed, num_classes, vocab_size = loaded
-    id_offsets, id_bytes = copies.pack_strings(packed.ids)
     return {
         "dims": np.array([num_classes, vocab_size], dtype=np.int64),
         "indptr": packed.indptr,
         "indices": packed.indices,
         "values": packed.values,
         "labels": packed.labels,
-        "id_offsets": id_offsets,
-        "id_bytes": id_bytes,
+        "id_offsets": packed.id_offsets,
+        "id_bytes": packed.id_bytes,
     }
 
 
@@ -930,7 +969,7 @@ def _from_copy(arrays: dict):
     """(PackedSamples, num_classes, vocab_size) of a packed copy's arrays, or
     None when they do not hold a valid packing."""
     dims, indptr, indices, values, labels, offsets, blob = (arrays[name] for name in _COPY_MEMBERS)
-    if dims.shape != (2,) or dims.min() < 1 or not indptr.size:
+    if _labels_from_copy(arrays) is None or not indptr.size:
         return None
     (num_classes, vocab_size), n, nnz = dims.tolist(), indptr.size - 1, int(indptr[-1])
     if (indices.shape, values.shape, labels.shape, offsets.shape) != ((nnz,), (nnz,), (n, num_classes), (n + 1,)):
@@ -941,23 +980,30 @@ def _from_copy(arrays: dict):
     # as unsigned, a negative index is larger than any valid one
     if nnz and np.maximum.reduce(indices.view(np.uint64)) >= vocab_size:
         return None
+    if not copies.strings_valid(offsets, blob):
+        return None
+    return PackedSamples(indptr, indices, values, labels, vocab_size, offsets, blob), num_classes, vocab_size
+
+
+def _labels_from_copy(arrays: dict) -> dict | None:
+    """The ``dims`` and ``labels`` of a packed copy, or None when they do not
+    hold what a parse gives (C >= 1 and V >= 1, 0/1 label rows of C)."""
+    dims, labels = arrays["dims"], arrays["labels"]
+    if dims.shape != (2,) or dims.min() < 1 or labels.shape[1] != dims[0]:
+        return None
     if labels.size and np.maximum.reduce(labels.view(np.uint8), axis=None) > 1:
         return None
-    ids = copies.unpack_strings(offsets, blob)
-    if ids is None:
-        return None
-    packed = PackedSamples(indptr, indices, values, labels, vocab_size, np.array(ids, dtype=object))
-    return packed, num_classes, vocab_size
+    return arrays
 
 
-def label_frequencies(samples: PackedSamples) -> np.ndarray:
-    """Count of samples with each label positive."""
-    return samples.labels.sum(axis=0, dtype=np.int64)
+def label_frequencies(labels: np.ndarray) -> np.ndarray:
+    """Count of samples with each label positive, from (n, C) 0/1 label rows."""
+    return labels.sum(axis=0, dtype=np.int64)
 
 
-def frequency_groups(train, num_groups: int = 4, thresholds=None) -> dict[int, int]:
-    """Partition labels into frequency groups by their counts in the packed
-    split ``train``.
+def frequency_groups(labels, num_groups: int = 4, thresholds=None) -> dict[int, int]:
+    """Partition labels into frequency groups by their counts in the (n, C)
+    0/1 label rows ``labels`` (a split's ``labels``, or ``load_labels``').
 
     With explicit ``thresholds`` [t0 > t1 > ...]: group 0 holds labels with
     frequency > t0, group i holds t_{i-1} >= frequency > t_i, and the last
@@ -965,7 +1011,7 @@ def frequency_groups(train, num_groups: int = 4, thresholds=None) -> dict[int, i
     descending frequency (ties broken by ascending label index) and split into
     ``num_groups`` near-equal chunks.
     """
-    freqs = label_frequencies(train)
+    freqs = label_frequencies(labels)
     num_classes = len(freqs)
     groups: dict[int, int] = {}
     if thresholds is not None:

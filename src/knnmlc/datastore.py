@@ -13,16 +13,17 @@ File layout (little-endian), documented byte-exactly in docs/formats.md:
 
 Keys are float32, the file's dtype, in memory too, so an in-memory store and
 its saved-and-loaded copy hold the same keys. When a store is made (by
-``build``, ``load`` or the constructor) every key is checked once: a
-zero-norm key or one holding NaN or inf has no cosine similarity and is
-rejected there (``InvalidKeyError``; ``load`` reports it as a
-``DatastoreFormatError``), never at query time. Labels are checked there
-too: a value other than 0 or 1 is a ValueError naming it, since the file
-stores one bit per label. The store also keeps each
-key's unit vector rounded to float32 for the candidate search, so it holds
-as many bytes as float64 keys would. Cosine similarity is then an inner
-product of unit vectors, as in exact inner-product search (FAISS
-``IndexFlatIP``).
+``build``, ``load`` or the constructor) every key is checked once, from the
+key norms: a zero-norm key or one holding NaN or inf has no cosine
+similarity and is rejected there (``InvalidKeyError``; ``load`` reports it
+as a ``DatastoreFormatError``), never at query time. Labels are checked
+there too: a value other than 0 or 1 is a ValueError naming it, since the
+file stores one bit per label. For the candidate search the store also
+holds each key's unit vector rounded to float32 (``unit_t``), as many bytes
+again as the keys. It is formed when the store is first searched and then
+kept, so ``build`` (the ``build-store`` command) never forms it. Cosine
+similarity is then an inner product of unit vectors, as in exact
+inner-product search (FAISS ``IndexFlatIP``).
 
 ``search`` checks its arguments (k, the queries' shape) and, since they
 come from the model, the query values on every call: a query that holds
@@ -62,6 +63,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,16 +118,18 @@ class InvalidKeyError(ValueError):
 
 @dataclass
 class Datastore:
-    """Immutable after construction: (count, d) float32 keys and (count, C)
-    int8 0/1 labels, plus the keys' unit vectors rounded to float32 for the
-    candidate search, as the columns of the C-contiguous (d, count)
-    ``unit_t``: a block of queries times it is a BLAS product without a
-    transposed operand, which measured up to twice as fast. Keys of another
-    dtype are quantized to float32."""
+    """(count, d) float32 keys and (count, C) int8 0/1 labels, plus the
+    keys' float64 norms, all checked at construction. Keys of another dtype
+    are quantized to float32; float32 keys are used as given, not copied,
+    so the caller must not change them afterwards. ``unit_t``, the keys'
+    unit vectors rounded to float32 for the candidate search, is formed
+    from them on the first search and then kept in the instance (two
+    threads that search first at once may both form it, to the same
+    bits); nothing else changes after construction."""
 
     keys: np.ndarray
     values: np.ndarray
-    unit_t: np.ndarray = field(init=False, repr=False)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.keys = np.asarray(self.keys, dtype=np.float32)
@@ -141,16 +145,26 @@ class Datastore:
             raise ValueError(
                 f"keys count {self.keys.shape[0]} != values count {self.values.shape[0]}"
             )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = _unit_keys(self.keys)
-        # a zero norm (0/0) or a NaN or inf entry leaves a non-finite row
-        bad = np.flatnonzero(~np.isfinite(unit).all(axis=1))
+        # float32 squares cannot overflow in float64: a norm is NaN or inf
+        # exactly when an entry is, and a unit vector is finite exactly when
+        # its norm is neither that nor zero
+        self.norms = _row_norms(self.keys.astype(np.float64))
+        bad = np.flatnonzero(~((self.norms > 0.0) & (self.norms < np.inf)))
         if bad.size:
             raise InvalidKeyError(
                 f"{bad.size} key(s) with zero norm or NaN/inf entries (first at index {bad[0]}); "
                 "cosine similarity is undefined"
             )
-        self.unit_t = unit.T.astype(np.float32, order="C")
+
+    @cached_property
+    def unit_t(self) -> np.ndarray:
+        """The keys' unit vectors rounded to float32, as the columns of the
+        C-contiguous (d, count) float32 matrix the candidate search
+        multiplies by: a block of queries times it is a BLAS product without
+        a transposed operand, which measured up to twice as fast. Each entry
+        is the float32 of float64(key) / norm, the arithmetic of the exact
+        rescoring in ``_topk_block``."""
+        return _unit_columns(self.keys, self.norms)
 
     @property
     def count(self) -> int:
@@ -165,11 +179,14 @@ class Datastore:
         return self.values.shape[1]
 
 
-def _unit_keys(keys: np.ndarray) -> np.ndarray:
-    """float64 unit vectors of float32 key rows, each row from itself alone."""
-    unit = keys.astype(np.float64)
-    unit /= _row_norms(unit)[:, None]
-    return unit
+def _unit_columns(keys: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The float32 of ``keys.T / norms`` in float64, in contiguous passes:
+    the float32 keys transposed once, then one division whose float64
+    quotients are cast straight into the float32 result."""
+    # a copy even where keys.T is already C-contiguous (one key): it is divided in place
+    unit_t = keys.T.copy(order="C")
+    np.divide(unit_t, norms, out=unit_t, dtype=np.float64, casting="unsafe")
+    return unit_t
 
 
 def build(state: EncoderState, train_samples: PackedSamples, fraction: float = 1.0) -> Datastore:
@@ -267,7 +284,8 @@ def _topk_block(store: Datastore, q: np.ndarray, k: int):
     # np.flatnonzero without its dispatch: a 2-d nonzero measured many times slower
     rows, cand = np.divmod((approx >= cutoff[:, None]).ravel().nonzero()[0], count)
     # ndarray.clip is np.clip without its Python-level dispatch
-    exact = np.add.reduce(_unit_keys(store.keys[cand]) * q[rows], axis=1).clip(-1.0, 1.0)
+    unit = store.keys[cand].astype(np.float64) / store.norms[cand, None]
+    exact = np.add.reduce(unit * q[rows], axis=1).clip(-1.0, 1.0)
     # rows ascend, so each row's candidates keep their span in the sorted order
     order = np.lexsort((cand, -exact, rows))
     take = order[rows.searchsorted(np.arange(n))[:, None] + np.arange(k)]

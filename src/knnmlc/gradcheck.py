@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .copies import pack_strings
 from .data import PackedSamples
 from .encoder import EncoderConfig, EncoderState, ParameterGradients, init_state
 from .losses import CONTRASTIVE_VARIANTS
@@ -111,7 +112,7 @@ def duplicated_views(indices, values, labels, input_dim: int) -> PackedSamples:
         np.concatenate(values).astype(np.float64, copy=False),
         np.array(labels, dtype=np.int8),
         input_dim,
-        np.array([f"gc-{i}" for i in range(n)], dtype=object),
+        *pack_strings([f"gc-{i}" for i in range(n)]),
     )
     return batch.take(np.tile(np.arange(n), 2))
 

@@ -30,10 +30,11 @@ encoder's. Every later step works on arrays the batch built, so the three
 formulas check nothing themselves: the neighbors are nonempty (k >= 1),
 every shape follows from the batch and the store, and lambda lies in
 [0, 1]. Two value checks still run on each batch, since the values come
-from the model: the queries of retrieval (NaN or inf, an overflowing or zero
-norm), and then the classifier probabilities, which must be finite. Either
-failure is a ``NonFiniteQueryError`` naming the first bad row and its id.
-So every value a bundle holds is finite.
+from the model: the queries of retrieval in the modes that retrieve (NaN or
+inf, an overflowing or zero norm; ``classifier_only`` never retrieves), and
+then the classifier probabilities, which must be finite. Either failure is
+a ``NonFiniteQueryError`` naming the first bad row and its id. So every
+value a bundle holds is finite.
 """
 from __future__ import annotations
 
@@ -156,8 +157,9 @@ def predict_batch(
     retrieval, kNN prediction, confidence estimation, combination. Row i of
     the bundle is bit-identical to ``predict`` on ``samples[i]`` alone.
 
-    ``store`` may be None only in classifier_only mode (y_knn is then reported
-    as all zeros with no neighbors).
+    ``store`` may be None only in classifier_only mode. That mode never
+    retrieves, with a store or without: y_knn is all zeros and there are no
+    neighbors.
     """
     # the one argument check of the batch (see the module docstring)
     cfg.validate()
@@ -175,7 +177,7 @@ def predict_batch(
     y_clf = sigmoid(rowwise_logits(state, embedding))
     n = len(batch)
 
-    if store is None:
+    if store is None or cfg.mode == "classifier_only":
         indices = np.zeros((n, 0), dtype=np.int64)
         sims = np.zeros((n, 0))
         y_knn = np.zeros_like(y_clf)
@@ -183,14 +185,14 @@ def predict_batch(
         try:
             indices, sims = search(store, embedding, cfg.k)
         except NonFiniteQueryError as exc:
-            raise NonFiniteQueryError(exc.row, exc.reason, batch.ids[exc.row]) from None
+            raise NonFiniteQueryError(exc.row, exc.reason, batch[exc.row].ids()[0]) from None
         # similarities are clipped to [-1, 1] and so finite, k >= 1, tau2 > 0
         y_knn = _knn_predict(sims, store.values[indices], cfg.tau2)
     # sigmoid gives values in [0, 1] or NaN, so the sum is NaN exactly when
     # an entry is; every later value (y_final included) is then finite too
     if not np.add.reduce(y_clf, axis=None) >= 0.0:
         row = int(np.flatnonzero(np.isnan(y_clf).any(axis=1))[0])
-        raise NonFiniteQueryError(row, "the classifier probabilities hold NaN", batch.ids[row])
+        raise NonFiniteQueryError(row, "the classifier probabilities hold NaN", batch[row].ids()[0])
     confident = y_clf >= cfg.gamma
 
     if cfg.mode == "classifier_only":

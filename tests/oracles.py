@@ -18,7 +18,11 @@ dict per row, against whose bytes the CLI's line writer is checked. ``adam_step`
 (one update per parameter tensor) and ``backward`` (each gradient its own
 array) are the training step as it stood before parameters, gradients and
 moments shared one flat buffer each, against which the flat forms are
-checked bit for bit.
+checked bit for bit. ``unpack_strings_checked`` (one decode per string) and
+``check_prediction_rows`` (a loop over decoded ids) are the id reader and
+``eval``'s row checks as they stood before ids stayed packed in memory, and
+``unit_columns`` the store's search matrix as it was formed at
+construction, before it was formed on first use.
 """
 import json
 import logging
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from knnmlc.copies import pack_strings
 from knnmlc.data import DataFormatError, PackedSamples, _cluster_draws, check_kind, cluster_layout, pack_samples
 from knnmlc.datastore import Datastore, NonFiniteQueryError
 from knnmlc.encoder import EncoderState, ForwardTrace, ParameterGradients, _gather_rows
@@ -70,7 +75,7 @@ def pack(samples, input_dim: int) -> PackedSamples:
         np.array([v for f in features for v in f.values()], dtype=np.float64),
         np.array([s.labels for s in samples], dtype=np.int8),
         input_dim,
-        np.array([s.sample_id for s in samples], dtype=object),
+        *pack_strings([s.sample_id for s in samples]),
     )
 
 
@@ -381,22 +386,23 @@ def predict_batch(state: EncoderState, store: Datastore | None, samples: PackedS
     y_clf = _sigmoid(trace.logits)
     n = len(batch)
 
-    if store is None:
-        if cfg.mode != "classifier_only":
-            raise ValueError(f"mode {cfg.mode!r} requires a datastore")
+    if store is None and cfg.mode != "classifier_only":
+        raise ValueError(f"mode {cfg.mode!r} requires a datastore")
+    if store is not None and (store.dim != state.config.embed_dim or store.num_classes != state.config.num_classes):
+        raise ValueError(
+            f"datastore dims (d={store.dim}, C={store.num_classes}) do not match encoder "
+            f"(d={state.config.embed_dim}, C={state.config.num_classes})"
+        )
+    # classifier_only never retrieves, with a store or without
+    if store is None or cfg.mode == "classifier_only":
         indices = np.zeros((n, 0), dtype=np.int64)
         sims = np.zeros((n, 0))
         y_knn = np.zeros_like(y_clf)
     else:
-        if store.dim != state.config.embed_dim or store.num_classes != state.config.num_classes:
-            raise ValueError(
-                f"datastore dims (d={store.dim}, C={store.num_classes}) do not match encoder "
-                f"(d={state.config.embed_dim}, C={state.config.num_classes})"
-            )
         try:
             indices, sims = _retrieve_topk(store, trace.embedding, cfg.k)
         except NonFiniteQueryError as exc:
-            raise NonFiniteQueryError(exc.row, exc.reason, batch.ids[exc.row]) from None
+            raise NonFiniteQueryError(exc.row, exc.reason, batch[exc.row].ids()[0]) from None
         y_knn = _knn_predict(sims, store.values[indices], cfg.tau2)
 
     mask = _high_confidence_subset(y_clf, cfg.gamma)
@@ -606,3 +612,34 @@ def backward(state: EncoderState, trace: ForwardTrace, grad_embedding=None, grad
         w_clf=w_clf,
         b_clf=b_clf,
     )
+
+
+def unpack_strings_checked(offsets: np.ndarray, blob: np.ndarray):
+    """The list of strings that (offsets, bytes) arrays hold, one decode per
+    string, or None when the offsets do not run from 0 to the size of
+    ``blob`` without decreasing or a string does not decode."""
+    if not offsets.size or offsets[0] != 0 or offsets[-1] != blob.size or np.any(np.diff(offsets) < 0):
+        return None
+    data, bounds = blob.tobytes(), offsets.tolist()
+    try:
+        return [data[lo:hi].decode("utf-8", "surrogatepass") for lo, hi in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError:
+        return None
+
+
+def check_prediction_rows(path, pred_ids, gold_ids, y_pred: np.ndarray) -> None:
+    """``eval``'s checks of each prediction row, row by row over decoded ids:
+    DataFormatError for the first row whose decisions are not all 0 or 1 or
+    whose nonempty id differs from a nonempty gold id."""
+    undecided = (y_pred.view(np.uint8) > 1).any(axis=1).tolist()
+    for i, (pred_id, gold_id) in enumerate(zip(pred_ids, gold_ids)):
+        if undecided[i]:
+            raise DataFormatError(f"{path}: record {i}: y_pred must be a list of {y_pred.shape[1]} values in {{0, 1}}")
+        if pred_id and gold_id and pred_id != gold_id:
+            raise DataFormatError(f"record {i}: prediction id {pred_id!r} != gold id {gold_id!r}")
+
+
+def unit_columns(keys: np.ndarray) -> np.ndarray:
+    """A store's (d, count) float32 search matrix as it was formed when the
+    store was made: float64 unit rows, transposed, cast to float32."""
+    return _unit_keys(np.asarray(keys, dtype=np.float32)).T.astype(np.float32, order="C")

@@ -358,5 +358,5 @@ def test_take_selects_rows():
     np.testing.assert_array_equal(packed.take(rows).labels, packed.labels[rows])
     # a slice is a range of rows as views: the rows take gives
     sliced, taken = packed[1:4], packed.take([1, 2, 3])
-    for name in ("indptr", "indices", "values", "labels", "ids"):
+    for name in ("indptr", "indices", "values", "labels", "id_offsets", "id_bytes"):
         np.testing.assert_array_equal(getattr(sliced, name), getattr(taken, name))

@@ -202,7 +202,7 @@ class TestEvalEdgeCases:
         samples, C, _ = load_jsonl(gold_path)
         perfect = a["root"] / "perfect.jsonl"
         with open(perfect, "w") as fh:
-            for sample_id, labels in zip(samples.ids, samples.labels.tolist()):
+            for sample_id, labels in zip(samples.ids(), samples.labels.tolist()):
                 fh.write(json.dumps({"id": sample_id, "y_pred": labels}) + "\n")
         out_json = a["root"] / "perfect_metrics.json"
         code = main(["eval", "--predictions", str(perfect), "--gold", str(gold_path), "--out", str(out_json)])
@@ -231,7 +231,7 @@ class TestEvalEdgeCases:
         a = pipeline_artifacts
         gold_path = a["data"] / "test.jsonl"
         samples, _, _ = load_jsonl(gold_path)
-        records = [{"id": i, "y_pred": labels} for i, labels in zip(samples.ids, samples.labels.tolist())]
+        records = [{"id": i, "y_pred": labels} for i, labels in zip(samples.ids(), samples.labels.tolist())]
         records[3] = bad
         preds = tmp_path / "preds.jsonl"
         preds.write_text("".join(json.dumps(r) + "\n" for r in records))

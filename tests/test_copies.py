@@ -270,6 +270,12 @@ def evaluate(run, preds, capsys):
     return code, capsys.readouterr()
 
 
+def predictions_copy(ids, y_pred):
+    """The arrays of a predictions copy holding these ids and rows."""
+    id_offsets, id_bytes = copies.pack_strings(ids)
+    return {"y_pred": y_pred, "id_offsets": id_offsets, "id_bytes": id_bytes}
+
+
 def parse_json(path):
     """(ids, y_pred) straight from the JSON records."""
     records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -331,7 +337,7 @@ def test_a_predictions_copy_holding_a_2_fails_like_the_json_holding_it(run, tmp_
     crafted = y_pred.copy()
     crafted[3, 1] = 2
     copies.write_copy(preds, cli._PREDICTIONS_COPY_VERSION, copies.file_digest(preds),
-                      cli._predictions_to_copy(ids, crafted))
+                      predictions_copy(ids, crafted))
     code, crafted_err = evaluate(run, preds, capsys)
     assert code == EXIT_FORMAT and crafted_err.err == from_json.err
 
@@ -341,7 +347,7 @@ def test_a_predictions_copy_for_another_label_count_is_a_miss(run, tmp_path, mon
     predict(run, preds)
     ids, y_pred = parse_json(preds)
     copies.write_copy(preds, cli._PREDICTIONS_COPY_VERSION, copies.file_digest(preds),
-                      cli._predictions_to_copy(ids, np.zeros((len(ids), 6), dtype=np.int8)))
+                      predictions_copy(ids, np.zeros((len(ids), 6), dtype=np.int8)))
     parses = spy(monkeypatch, cli, "_parse_predictions")
     code, _ = evaluate(run, preds, capsys)
     assert code == EXIT_OK and parses == [str(preds)]
@@ -351,7 +357,7 @@ def test_a_predictions_copy_for_another_label_count_is_a_miss(run, tmp_path, mon
 def test_an_id_of_another_kind_is_a_format_error_naming_its_record(run, tmp_path, capsys):
     root, _ = run
     gold = load_packed(root / "data" / "test.jsonl")[0]
-    records = [{"id": i, "y_pred": row} for i, row in zip(gold.ids, gold.labels.tolist())]
+    records = [{"id": i, "y_pred": row} for i, row in zip(gold.ids(), gold.labels.tolist())]
     records[2]["id"] = 7
     preds = tmp_path / "preds.jsonl"
     preds.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -366,7 +372,7 @@ def test_a_mismatched_id_is_found_on_the_copy_too(run, tmp_path, capsys):
     ids, y_pred = parse_json(preds)
     ids[4] = "someone-else"
     copies.write_copy(preds, cli._PREDICTIONS_COPY_VERSION, copies.file_digest(preds),
-                      cli._predictions_to_copy(ids, y_pred))
+                      predictions_copy(ids, y_pred))
     code, captured = evaluate(run, preds, capsys)
     assert code == EXIT_FORMAT and "record 4: prediction id 'someone-else'" in captured.err
 

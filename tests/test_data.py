@@ -44,8 +44,8 @@ def same_split(a: PackedSamples, b: PackedSamples) -> bool:
     """The same ids, input_dim and arrays, with the same dtypes and bits."""
 
     def fields(split):
-        arrays = (split.indptr, split.indices, split.values, split.labels)
-        return [split.input_dim, split.ids.tolist()] + [(x.dtype, x.shape, x.tobytes()) for x in arrays]
+        arrays = (split.indptr, split.indices, split.values, split.labels, split.id_offsets, split.id_bytes)
+        return [split.input_dim, split.ids()] + [(x.dtype, x.shape, x.tobytes()) for x in arrays]
 
     return fields(a) == fields(b)
 
@@ -503,11 +503,9 @@ def test_a_word_is_below_the_bound_exactly_when_its_draw_is(p, word):
 
 def records_of(split: PackedSamples):
     """The rows of a packed split as sample records, keys in row order."""
-    bounds = split.indptr.tolist()
+    bounds, ids = split.indptr.tolist(), split.ids()
     return [
-        oracles.Sample(
-            dict(zip(split.indices[lo:hi].tolist(), split.values[lo:hi].tolist())), split.labels[i], split.ids[i]
-        )
+        oracles.Sample(dict(zip(split.indices[lo:hi].tolist(), split.values[lo:hi].tolist())), split.labels[i], ids[i])
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
 
@@ -591,29 +589,29 @@ class TestFrequencyGroups:
         # frequencies straddling the 4500/1700/870 boundaries
         freqs = [5000, 4500, 3000, 1701, 1700, 871, 870, 3]
         samples = _samples_with_frequencies(freqs)
-        groups = frequency_groups(samples, thresholds=[4500, 1700, 870])
+        groups = frequency_groups(samples.labels, thresholds=[4500, 1700, 870])
         assert groups == {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
 
     def test_single_group(self):
         samples = _samples_with_frequencies([4, 2, 9])
-        assert frequency_groups(samples, num_groups=1) == {0: 0, 1: 0, 2: 0}
+        assert frequency_groups(samples.labels, num_groups=1) == {0: 0, 1: 0, 2: 0}
 
     def test_tie_break_lower_index_earlier(self):
         samples = _samples_with_frequencies([5, 5, 5, 5])
-        groups = frequency_groups(samples, num_groups=2)
+        groups = frequency_groups(samples.labels, num_groups=2)
         assert groups == {0: 0, 1: 0, 2: 1, 3: 1}
 
     def test_partition_property(self):
         train, _, _ = generate_synthetic(small_cfg())
         for n in (1, 2, 3, 4, 7):
-            groups = frequency_groups(train, num_groups=n)
+            groups = frequency_groups(train.labels, num_groups=n)
             assert sorted(groups) == list(range(12))
             assert set(groups.values()) == set(range(min(n, 12)))
 
     def test_descending_frequency_order(self):
         train, _, _ = generate_synthetic(small_cfg())
-        freqs = label_frequencies(train)
-        groups = frequency_groups(train, num_groups=3)
+        freqs = label_frequencies(train.labels)
+        groups = frequency_groups(train.labels, num_groups=3)
         for a in range(12):
             for b in range(12):
                 if groups[a] < groups[b]:
@@ -622,9 +620,9 @@ class TestFrequencyGroups:
     def test_bad_thresholds(self):
         samples = _samples_with_frequencies([1, 2])
         with pytest.raises(ValueError):
-            frequency_groups(samples, thresholds=[10, 10])
+            frequency_groups(samples.labels, thresholds=[10, 10])
 
     def test_more_groups_than_labels(self):
         samples = _samples_with_frequencies([3, 1])
-        groups = frequency_groups(samples, num_groups=10)
+        groups = frequency_groups(samples.labels, num_groups=10)
         assert sorted(groups) == [0, 1]

@@ -118,13 +118,20 @@ def outcome(fn, path):
         return None, str(exc)
 
 
+def same_ids(got: PackedSamples, want: PackedSamples) -> bool:
+    """The same packed id arrays (int64 offsets, uint8 bytes), so the same ids."""
+    pairs = [(got.id_offsets, want.id_offsets, np.int64), (got.id_bytes, want.id_bytes, np.uint8)]
+    same_arrays = all(a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes() for a, b, dtype in pairs)
+    return same_arrays and got.ids() == want.ids()
+
+
 def assert_same_packed(got: PackedSamples, want: PackedSamples):
     assert got.input_dim == want.input_dim
     for name in ("indptr", "indices", "labels"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert got.values.dtype == np.float64 and np.array_equal(got.values, want.values, equal_nan=True)
-    assert got.ids.dtype == object and got.ids.tolist() == want.ids.tolist()
+    assert same_ids(got, want)
 
 
 def assert_identical_loads(got, want):
@@ -135,8 +142,7 @@ def assert_identical_loads(got, want):
     for name in ("indptr", "indices", "values", "labels"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert got.ids.dtype == object and got.ids.shape == want.ids.shape
-    assert [type(i) for i in got.ids] == [str] * len(got.ids) and got.ids.tolist() == want.ids.tolist()
+    assert same_ids(got, want)
 
 
 def copy_of(path):
@@ -253,7 +259,7 @@ def test_a_missing_id_is_the_empty_string(tmp_path):
     path = tmp_path / "id.jsonl"
     write_file(path, ['{"features": {"1": 1.0}, "labels": [0]}', '{"id": "", "features": {"2": 1.0}, "labels": []}'])
     for reader in (load_packed, load_jsonl):
-        assert reader(path)[0].ids.tolist() == ["", ""]
+        assert reader(path)[0].ids() == ["", ""]
 
 
 @pytest.mark.parametrize(
@@ -336,7 +342,7 @@ def test_the_copy_holds_what_the_parse_gave(split):
     path, parsed, blob, parses = split
     packed = parsed[0]
     assert np.signbit(packed.values[1]) and packed.values[-1] == 5e-324 and packed.indptr.tolist() == [0, 2, 3, 5, 6]
-    assert packed.ids.tolist() == ["a", "nul\x00id", "lone \ud800 surrogate", ""]
+    assert packed.ids() == ["a", "nul\x00id", "lone \ud800 surrogate", ""]
     arrays = copy_arrays(path)
     assert arrays["version"] == data._READER_VERSION
     assert arrays["digest"].tobytes() == hashlib.sha256(path.read_bytes()).digest()
@@ -577,13 +583,13 @@ def test_a_row_is_a_batch_of_one_and_a_slice_a_range_of_rows():
     for i in range(-6, 6):
         assert_same_packed(packed[i], oracles.pack([samples[i]], VOCAB))
         assert packed[i].indices.base is not None  # a view, not a copy
-    assert [row.ids.tolist() for row in packed] == [[f"s{i}"] for i in range(6)]
+    assert [row.ids() for row in packed] == [[f"s{i}"] for i in range(6)]
     for key in (slice(1, 4), slice(-2, None), slice(None, 2), slice(2, 100), slice(-100, 3), slice(0, 6)):
         assert_same_packed(packed[key], oracles.pack(samples[key], VOCAB))
     for key in (slice(4, 2), slice(6, 9), slice(-1, -3), slice(3, 3)):
         empty = packed[key]
         assert len(empty) == 0 and empty.indptr.tolist() == [0] and empty.labels.shape == (0, NUM_CLASSES)
-        assert empty.indices.size == 0 and empty.ids.size == 0
+        assert empty.indices.size == 0 and empty.ids() == [] and empty.id_bytes.size == 0
 
 
 def test_a_row_out_of_range_or_a_step_is_an_error():
@@ -614,8 +620,8 @@ def test_pack_samples_passes_a_packed_set_through_after_the_index_check():
 def test_label_frequencies_count_each_label_over_the_records():
     samples, packed = _packed(9)
     want = sum(s.labels.astype(np.int64) for s in samples)
-    assert np.array_equal(data.label_frequencies(packed), want)
-    assert data.frequency_groups(packed, num_groups=2) == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1}
+    assert np.array_equal(data.label_frequencies(packed.labels), want)
+    assert data.frequency_groups(packed.labels, num_groups=2) == {0: 0, 1: 0, 2: 0, 3: 1, 4: 1}
 
 
 def test_the_package_has_one_sample_representation():

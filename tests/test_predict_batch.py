@@ -128,7 +128,8 @@ def test_every_row_equals_the_sample_alone(seed, count, k, dims, mode, block):
     cfg = InferenceConfig(k=k, mode=mode)
     rows = rng.integers(len(queries), size=block)
     batch = predict_batch(state, store, queries.take(rows), cfg)
-    assert batch.neighbor_indices.shape == (block, min(k, count))
+    # classifier_only never retrieves
+    assert batch.neighbor_indices.shape == (block, 0 if mode == "classifier_only" else min(k, count))
     for j, i in enumerate(rows):
         assert_same_bundle(batch.row(j), predict(state, store, queries[i], cfg), f"row {j} (sample {i})")
 
@@ -230,7 +231,7 @@ def test_predict_fails_as_the_oracle_path_does(case, error):
         oracles.predict_batch(state, store, queries[0], InferenceConfig())
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
     if error is NonFiniteQueryError:
-        assert str(got.value).startswith(f"row 0 (id {queries.ids[0]!r}): cannot retrieve with a ")
+        assert str(got.value).startswith(f"row 0 (id {queries.ids()[0]!r}): cannot retrieve with a ")
 
 
 def test_a_zero_norm_query_is_named_by_its_row_and_id():
@@ -332,10 +333,11 @@ def test_cli_records_equal_library_predictions_bit_for_bit(default_run):
     state, store, test, cfg, records, _ = default_run
     assert len(records) == len(test) == 500
     batch = predict_batch(state, store, test, cfg)
+    test_ids = test.ids()
     for i, record in enumerate(records):
         bundle = predict(state, store, test[i], cfg)
         assert_same_bundle(bundle, batch.row(i), f"row {i}")
-        assert record["id"] == test.ids[i]
+        assert record["id"] == test_ids[i]
         assert bundle.y_clf.tolist() == record["y_clf"]
         assert bundle.y_knn.tolist() == record["y_knn"]
         assert bundle.lam == record["lambda"]

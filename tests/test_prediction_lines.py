@@ -87,4 +87,4 @@ def test_a_fixed_lambda_setting_of_another_kind_is_written_as_json_writes_its_fl
     bundle = predict_batch(state, store, batch, InferenceConfig(k=2, mode="fixed_lambda", fixed_lambda_value=value))
     assert bundle.lam.dtype == np.float64
     y_pred = bundle.decisions()
-    assert b"".join(cli._prediction_lines(batch.ids, bundle, y_pred)) == prediction_lines(batch.ids, bundle, y_pred)
+    assert b"".join(cli._prediction_lines(batch.ids(), bundle, y_pred)) == prediction_lines(batch.ids(), bundle, y_pred)
