@@ -46,7 +46,8 @@ labels = (rng.random((4, 5)) < 0.4).astype(np.int8)
 labels[:, 0] = 1
 # the similarities a training step hands the loss: cosines of the unit rows
 unit, _ = unit_rows(emb)
-_, grad = contrastive_loss_from_similarities((unit @ unit.T).clip(-1.0, 1.0), np.vstack([labels, labels]), tau1=0.05)
+# the loss takes the 4 samples' labels: views i and i + 4 share row i
+_, grad = contrastive_loss_from_similarities((unit @ unit.T).clip(-1.0, 1.0), labels, tau1=0.05)
 gaps = []
 for i in range(8):
     pos = (i + 4) % 8

@@ -145,6 +145,27 @@ class PackedSamples:
             self.id_bytes[id_pos],
         )
 
+    def two_views(self, rows) -> "PackedSamples":
+        """The 2N training views of the N given rows: one gather of the rows,
+        laid out twice, so view i and view i + N are both row i. The views
+        carry no ids (each is the empty string)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        n = rows.size
+        offsets, pos = _gather(self.indptr, rows)
+        indptr = np.empty(2 * n + 1, dtype=np.int64)
+        indptr[: n + 1] = offsets
+        np.add(offsets[1:], offsets[-1], out=indptr[n + 1 :])
+        indices, values, labels = self.indices[pos], self.values[pos], self.labels[rows]
+        return PackedSamples(
+            indptr,
+            np.concatenate([indices, indices]),
+            np.concatenate([values, values]),
+            np.concatenate([labels, labels]),
+            self.input_dim,
+            np.zeros(2 * n + 1, dtype=np.int64),
+            np.empty(0, dtype=np.uint8),
+        )
+
     def ids(self) -> list[str]:
         """The sample ids, decoded."""
         return copies.unpack_strings(self.id_offsets, self.id_bytes)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copies import pack_strings
 from .data import PackedSamples
 from .encoder import EncoderConfig, EncoderState, ParameterGradients, init_state
 from .losses import CONTRASTIVE_VARIANTS
@@ -100,9 +99,10 @@ def gradient_check(
 
 
 def duplicated_views(indices, values, labels, input_dim: int) -> PackedSamples:
-    """The 2N views of N samples, packed straight from each sample's feature
-    indices (distinct, in [0, input_dim)), feature values and (C,) label row;
-    rows N..2N-1 repeat rows 0..N-1."""
+    """The 2N views of N samples (``PackedSamples.two_views``), packed
+    straight from each sample's feature indices (distinct, in [0,
+    input_dim)), feature values and (C,) label row; rows N..2N-1 repeat rows
+    0..N-1, and no view has an id."""
     n = len(indices)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, indices), dtype=np.int64, count=n), out=indptr[1:])
@@ -112,9 +112,10 @@ def duplicated_views(indices, values, labels, input_dim: int) -> PackedSamples:
         np.concatenate(values).astype(np.float64, copy=False),
         np.array(labels, dtype=np.int8),
         input_dim,
-        *pack_strings([f"gc-{i}" for i in range(n)]),
+        np.zeros(n + 1, dtype=np.int64),
+        np.empty(0, dtype=np.uint8),
     )
-    return batch.take(np.tile(np.arange(n), 2))
+    return batch.two_views(np.arange(n))
 
 
 def random_gradcheck_problem(seed: int, variant: str = "dcl"):

@@ -1,8 +1,9 @@
 """Training objectives and their hand-derived gradients.
 
 The contrastive family operates on a duplicated batch of 2N embeddings where
-rows i and (i + N) mod 2N are two dropout views of the same sample. Four
-variants share one code path and differ only in their positive sets and
+rows i and i + N are two dropout views of sample i, and takes the labels of
+the N samples, one (C,) row each: both views of a sample carry its labels.
+Four variants share one code path and differ only in their positive sets and
 negative weights:
 
     dcl  - positive is the own augmented view; negatives weighted 2 - l_ij
@@ -14,7 +15,9 @@ negative weights:
 l_ij is the label similarity: shared positive labels over the larger positive
 count (0 for two all-zero rows). Labels are 0/1, so one product of the label
 matrix with itself gives every l_ij, and two rows are identical exactly when
-their overlap equals both positive counts.
+their overlap equals both positive counts. Every label-derived quantity
+depends on the samples alone, so these are formed once on the (N, N) grid of
+samples and broadcast over the four (N, N) blocks of the (2N, 2N) view grid.
 
 ``contrastive_loss_from_similarities`` makes one pass of each kind over two
 (2N, 2N) float64 arrays, in place: the weights' logs, the masked softmax
@@ -30,11 +33,7 @@ cosine matrix of the forward pass.
 """
 from __future__ import annotations
 
-import logging
-
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "CONTRASTIVE_VARIANTS",
@@ -72,18 +71,21 @@ def total_loss(bce: float, con: float, alpha: float) -> float:
 
 
 def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str = "dcl", workspace=None):
-    """Loss and gradient treating the (2N, 2N) similarity matrix as free
-    variables; entry (i, j) appears only in anchor i's term.
+    """Loss and gradient treating the (2N, 2N) similarity matrix of the 2N
+    views as free variables; entry (i, j) appears only in anchor i's term.
 
-    Returns (sum of per-anchor losses, gradient matrix of the same shape).
-    Per anchor i: -mean over positives p of log(exp(s_ip/tau) /
-    sum_{j != i} w_ij exp(s_ij/tau)). Computed via log-sum-exp so small
-    temperatures cannot overflow. Labels must be 0/1; any other value is a
-    ValueError naming it.
+    ``labels`` is the (N, C) label matrix of the N samples: views i and
+    i + N are both sample i. Returns (sum of per-anchor losses, gradient
+    matrix of the similarities' shape). Per anchor i: -mean over positives p
+    of log(exp(s_ip/tau) / sum_{j != i} w_ij exp(s_ij/tau)). Computed via
+    log-sum-exp so small temperatures cannot overflow. Labels must be 0/1;
+    any other value is a ValueError naming it. A pair with an all-zero label
+    row gets l_ij = 0.
 
-    ``workspace`` is an optional pair of (2N, 2N) float64 arrays that the
-    call overwrites, neither of them ``sims``; the returned gradient is the
-    first. Without it the call allocates both, so its gradient is its own.
+    ``workspace`` is an optional pair of C-contiguous (2N, 2N) float64
+    arrays that the call overwrites, neither of them ``sims``; the returned
+    gradient is the first. Without it the call allocates both, so its
+    gradient is its own.
     """
     if variant not in CONTRASTIVE_VARIANTS:
         raise ValueError(f"variant must be one of {CONTRASTIVE_VARIANTS}, got {variant!r}")
@@ -94,41 +96,40 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
     n2 = s.shape[0]
     if s.shape != (n2, n2) or n2 < 2 or n2 % 2 != 0:
         raise ValueError(f"similarity matrix must be square with even size >= 2, got {s.shape}")
-    if labels.ndim != 2 or labels.shape[0] != n2:
-        raise ValueError(f"labels of shape {labels.shape} do not give one row per view of a batch of {n2}")
+    n = n2 // 2
+    if labels.ndim != 2 or labels.shape[0] != n:
+        raise ValueError(f"labels of shape {labels.shape} do not give one row per sample of a batch of {n2} views")
     bad = labels[(labels != 0) & (labels != 1)]
     if bad.size:
         raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
     rows = np.arange(n2)
-    partners = (rows + n2 // 2) % n2
     z, pair = (np.empty((n2, n2)), np.empty((n2, n2))) if workspace is None else workspace
+    # the four (N, N) view blocks: z4[a, i, b, j] is z[aN + i, bN + j]
+    z4 = z.reshape(2, n, 2, n)
+    np.divide(s, tau1, out=z)
     if variant != "ucl":
         y = labels.astype(np.float64)
         counts = y.sum(axis=1)
-        # shared positive labels of each pair, exact integers; the contiguous
-        # copy of y.T makes this a gemm, several times faster than y @ y.T
-        np.matmul(y, y.T.copy(), out=pair)
+        # shared positive labels of each pair of samples, exact integers; the
+        # contiguous copy of y.T makes this a gemm, several times faster than y @ y.T
+        overlap = y @ y.T.copy()
 
-    positive = None
     if variant in ("scl", "wscl"):
-        # two 0/1 rows are identical iff their overlap equals both counts
-        positive = pair == counts[:, None]
-        positive &= pair == counts
-        positive[rows, rows] = False
-        positive[rows, partners] = True
+        # two 0/1 rows are identical iff their overlap equals both counts; a
+        # sample is identical to itself, so this holds each view's twin too
+        positive = overlap == counts[:, None]
+        positive &= overlap == counts
+        # per view: every view of an identical sample but the view itself
+        num_positive = 2 * np.count_nonzero(positive, axis=1) - 1
+        # as 0.0/1.0, which is what a product with the bool mask casts it to
+        positive = positive.astype(np.float64)
     if variant in ("dcl", "wscl"):
-        if (counts == 0).any():
-            logger.warning("the contrastive loss saw all-zero label rows; their pairs get label similarity 0")
         # log w_ij = log(2 - l_ij), l_ij = overlap / max(count_i, count_j, 1)
         larger = np.maximum(counts, 1.0)
-        np.maximum(larger[:, None], larger, out=z)
-        pair /= z
-        np.subtract(2.0, pair, out=pair)
-        np.log(pair, out=pair)
-        np.divide(s, tau1, out=z)
-        z += pair
-    else:
-        np.divide(s, tau1, out=z)
+        overlap /= np.maximum(larger[:, None], larger)
+        np.subtract(2.0, overlap, out=overlap)
+        np.log(overlap, out=overlap)
+        z4 += overlap[None, :, None, :]
 
     # row-wise softmax over j != i gives the P_ij shares of the denominator
     z[rows, rows] = -np.inf
@@ -141,14 +142,21 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
     z /= tau1
 
     # the gradient P_ij / tau - [j is a positive of i] / (|positives of i| tau)
-    if positive is None:
+    if variant in ("dcl", "ucl"):
+        partners = (rows + n) % n2
         mean_positive = s[rows, partners]
         z[rows, partners] -= 1.0 / tau1
     else:
-        num_positive = np.count_nonzero(positive, axis=1)
-        np.multiply(positive, s, out=pair)
-        mean_positive = pair.sum(axis=1) / num_positive
-        np.subtract(z, (1.0 / (num_positive * tau1))[:, None], out=z, where=positive)
+        # s_ij on the positives, 0 * s_ij elsewhere: on the diagonal too,
+        # where the block form has a 1
+        np.multiply(s.reshape(2, n, 2, n), positive[None, :, None, :], out=pair.reshape(2, n, 2, n))
+        pair.reshape(-1)[:: n2 + 1] *= 0.0
+        mean_positive = (pair.sum(axis=1).reshape(2, n) / num_positive).reshape(n2)
+        # z >= +0 here, and x - (+0.0) is x for every float x: subtracting
+        # positive * c, which is +0.0 off the positives (c finite and > 0),
+        # gives the bits of subtracting c on the positives alone, without a
+        # masked ufunc; the diagonal is reset below
+        z4 -= (positive * (1.0 / (num_positive * tau1))[:, None])[None, :, None, :]
     z[rows, rows] = 0.0
     loss = float(np.add.reduce(log_denom - mean_positive / tau1))
     return loss, z

@@ -3,12 +3,13 @@ Adam with bias correction, validation-based model selection, and resumable
 checkpoints.
 
 The training and validation sets are packed into CSR arrays once. Each
-iteration draws N row indices (shuffled epochs without replacement) and
-stacks those rows twice into one packed batch of 2N views. One forward pass
-runs all 2N views with independent dropout masks; binary cross entropy is
-summed over all 2N classifier outputs, alpha times the contrastive loss over
-the 2N embeddings is added, one backward pass carries both paths to the
-parameters, and one Adam step over the flat buffers that hold every
+iteration draws N row indices (shuffled epochs without replacement),
+gathers those rows once and lays them out twice, without ids, as one packed
+batch of 2N views. One forward pass runs all 2N views with independent
+dropout masks; binary cross entropy is summed over all 2N classifier
+outputs, alpha times the contrastive loss over the 2N embeddings (with the
+labels of the N samples) is added, one backward pass carries both paths to
+the parameters, and one Adam step over the flat buffers that hold every
 parameter, gradient and moment follows. The state with the best validation
 micro-F1 (classifier-only, threshold 0.5, from the dropout-off pass that
 inference runs) is kept as the result.
@@ -16,6 +17,7 @@ inference runs) is kept as the result.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass
 
@@ -61,6 +63,8 @@ __all__ = [
     "batch_objective",
     "train",
 ]
+
+logger = logging.getLogger(__name__)
 
 _TRAINER_FORMAT = "knnmlc-trainer"
 _TRAINER_VERSION = 3
@@ -181,17 +185,35 @@ def adam_step(
     return state
 
 
-def _batch_losses(trace, labels, tau1, variant, workspace=None):
-    """Both objectives of a batch trace, their gradients on the logits and on
-    the similarities, and the cosine pieces (unit rows, norms, unclipped
-    cosine matrix) that the embedding gradient reuses. ``workspace`` is the
-    contrastive loss's optional pair of (2N, 2N) arrays, which then hold the
-    similarity gradient."""
-    bce, logit_grads = bce_loss(sigmoid(trace.logits), labels)
+def _sample_labels(views: PackedSamples) -> np.ndarray:
+    """The (N, C) labels of the N samples behind 2N views: the first half's
+    rows, once the second half is found to repeat them. An odd number of
+    views, or a view i + N whose labels are not view i's, is a ValueError
+    naming the first row without a twin."""
+    labels = views.labels
+    n2 = len(labels)
+    n = n2 // 2
+    contract = "views must be two halves of N rows, view i + N a twin of view i"
+    if n2 % 2:
+        raise ValueError(f"{contract}; row {n2 - 1} of {n2} has no twin")
+    if not np.array_equal(labels[:n], labels[n:]):
+        row = n + int(np.flatnonzero((labels[:n] != labels[n:]).any(axis=1))[0])
+        raise ValueError(f"{contract}; row {row} does not carry the labels of row {row - n}")
+    return labels[:n]
+
+
+def _batch_losses(trace, views, tau1, variant, workspace=None):
+    """Both objectives of a batch trace of ``views``, their gradients on the
+    logits and on the similarities, and the cosine pieces (unit rows, norms,
+    unclipped cosine matrix) that the embedding gradient reuses.
+    ``workspace`` is the contrastive loss's optional pair of (2N, 2N) arrays,
+    which then hold the similarity gradient."""
+    sample_labels = _sample_labels(views)
+    bce, logit_grads = bce_loss(sigmoid(trace.logits), views.labels)
     unit, norms = unit_rows(trace.embedding)
     cos = unit @ unit.T
     con, grad_sims = contrastive_loss_from_similarities(
-        cos.clip(-1.0, 1.0), labels, tau1, variant, workspace=workspace
+        cos.clip(-1.0, 1.0), sample_labels, tau1, variant, workspace=workspace
     )
     return bce, con, logit_grads, grad_sims, (unit, norms, cos)
 
@@ -199,9 +221,10 @@ def _batch_losses(trace, labels, tau1, variant, workspace=None):
 def batch_objective(state, views: PackedSamples, masks, alpha, tau1, variant="dcl") -> float:
     """Total loss of a packed duplicated batch under fixed (2N, hidden)
     dropout masks. This is the scalar the finite-difference gradient check
-    perturbs; it never touches the backward pass."""
+    perturbs; it never touches the backward pass. ``views`` holds 2N rows,
+    view i + N a twin of view i, as ``batch_gradients`` takes them."""
     trace = forward_batch(state, views, masks=masks)
-    bce, con, _, _, _ = _batch_losses(trace, views.labels, tau1, variant)
+    bce, con, _, _, _ = _batch_losses(trace, views, tau1, variant)
     return total_loss(bce, con, alpha)
 
 
@@ -209,12 +232,18 @@ def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng
     """Forward the 2N packed views in one pass, evaluate both objectives, and
     backpropagate both paths in one pass.
 
+    Views i and i + N are two dropout views of sample i (as
+    ``PackedSamples.two_views`` draws them): the contrastive loss takes the N
+    samples' labels from the first half. An odd number of views, or a second half whose labels differ
+    from the first's, is a ValueError naming the first such row; the features
+    are not compared.
+
     Returns (bce, con, total, grads, masks_used) with masks_used (2N, hidden).
     ``workspace`` is an optional pair of (2N, 2N) float64 arrays for the
     contrastive loss to overwrite; nothing returned lives in them.
     """
     trace = forward_batch(state, views, rng=rng, masks=masks)
-    bce, con, logit_grads, grad_sims, cosine = _batch_losses(trace, views.labels, tau1, variant, workspace)
+    bce, con, logit_grads, grad_sims, cosine = _batch_losses(trace, views, tau1, variant, workspace)
     emb_grads = alpha * contrastive_embedding_grads(*cosine, grad_sims) if alpha > 0.0 else None
     grads = backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
     return bce, con, total_loss(bce, con, alpha), grads, trace.mask
@@ -244,7 +273,9 @@ class Trainer:
     BCE or contrastive loss is NaN or inf raises NonFiniteLossError, naming
     the iteration, before its update is applied. Every step's batch holds
     the same number 2N of views, so the trainer keeps one (2N, 2N) workspace
-    pair for the contrastive loss rather than allocate it each step.
+    pair for the contrastive loss rather than allocate it each step. A
+    training set with all-zero label rows is logged once, here, when a
+    weighted variant gives their pairs label similarity 0.
     """
 
     def __init__(
@@ -256,6 +287,13 @@ class Trainer:
         input_dim = state.config.input_dim
         self.train_set = pack_samples(train_samples, input_dim)
         self.valid_set = pack_samples(valid_samples, input_dim) if valid_samples else None
+        if cfg.variant in ("dcl", "wscl"):
+            empty = np.count_nonzero(~self.train_set.labels.any(axis=1))
+            if empty:
+                logger.warning(
+                    "%d of %d training samples have no positive label; the contrastive loss gives their pairs "
+                    "label similarity 0", empty, len(self.train_set),
+                )
         self.state = state
         self.cfg = cfg
         self.adam = AdamState.zeros_like(state)
@@ -298,7 +336,7 @@ class Trainer:
 
     def step(self) -> dict:
         rows = self._next_batch()
-        views = self.train_set.take(np.concatenate([rows, rows]))
+        views = self.train_set.two_views(rows)
         bce, con, total, grads, _ = batch_gradients(
             self.state,
             views,

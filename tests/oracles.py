@@ -7,7 +7,11 @@ list of records packed (``pack``), the per-line dataset reader
 (``load_jsonl``) and writer (``save_jsonl``). ``masked_contrastive_loss``
 is the contrastive loss as whole-matrix expressions, against which the
 package's in-place pass is checked bit for bit, and ``cosine_sim_matrix``
-the similarities it is handed. ``predict_batch`` is the inference path as
+the similarities it is handed. ``per_view_contrastive_loss`` is that pass
+as it stood when it took one label row per view and formed the label work
+on the (2N, 2N) grid, and ``trainer_step`` the training step of that time
+(the 2N views by ``take``, ids too, then that loss), against which the
+per-sample forms are checked bit for bit. ``predict_batch`` is the inference path as
 it stood before its per-call checks and wrappers were trimmed, each stage
 through the checked form the package once exported (``forward_rowwise``,
 the dropout-off pass with its trace, then retrieval, the vote, the
@@ -30,13 +34,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from knnmlc import encoder, training
 from knnmlc.copies import pack_strings
 from knnmlc.data import DataFormatError, PackedSamples, _cluster_draws, check_kind, cluster_layout, pack_samples
 from knnmlc.datastore import Datastore, NonFiniteQueryError
 from knnmlc.encoder import EncoderState, ForwardTrace, ParameterGradients, _gather_rows
 from knnmlc.inference import InferenceConfig, PredictionBundle
-from knnmlc.losses import contrastive_loss_from_similarities
-from knnmlc.mathops import make_rng
+from knnmlc.losses import (
+    CONTRASTIVE_VARIANTS,
+    bce_loss,
+    contrastive_embedding_grads,
+    contrastive_loss_from_similarities,
+    total_loss,
+)
+from knnmlc.mathops import make_rng, sigmoid, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -92,10 +103,10 @@ def cosine_sim_matrix(rows) -> np.ndarray:
 
 
 def contrastive_loss(embeddings, labels, tau1: float, variant: str = "dcl"):
-    """The contrastive loss of a duplicated batch's 2N embeddings, as a
-    training step forms it: the package's similarity-space loss on their
-    clipped cosines (``cosine_sim_matrix``). Returns (loss, gradient with
-    respect to the similarities)."""
+    """The contrastive loss of a duplicated batch's 2N embeddings and its N
+    samples' (N, C) labels, as a training step forms it: the package's
+    similarity-space loss on their clipped cosines (``cosine_sim_matrix``).
+    Returns (loss, gradient with respect to the similarities)."""
     return contrastive_loss_from_similarities(cosine_sim_matrix(embeddings), labels, tau1, variant)
 
 
@@ -240,6 +251,114 @@ def masked_contrastive_loss(sims, labels, tau1: float, variant: str):
     grad = p / tau1 - positive * (1.0 / (num_positive * tau1))[:, None]
     grad[np.arange(n2), np.arange(n2)] = 0.0
     return loss, grad
+
+
+def per_view_contrastive_loss(sims, labels, tau1: float, variant: str = "dcl", workspace=None):
+    """``losses.contrastive_loss_from_similarities`` as it stood when it took
+    one (2N, C) label row per view and formed every label-derived matrix on
+    the (2N, 2N) grid, with the positives' share subtracted under a ``where``
+    mask; the package's per-sample form must give the same bits. Entry
+    (i, j) appears only in anchor i's term.
+
+    Returns (sum of per-anchor losses, gradient matrix of the same shape).
+    Per anchor i: -mean over positives p of log(exp(s_ip/tau) /
+    sum_{j != i} w_ij exp(s_ij/tau)). Computed via log-sum-exp so small
+    temperatures cannot overflow. Labels must be 0/1; any other value is a
+    ValueError naming it.
+
+    ``workspace`` is an optional pair of (2N, 2N) float64 arrays that the
+    call overwrites, neither of them ``sims``; the returned gradient is the
+    first. Without it the call allocates both, so its gradient is its own.
+    """
+    if variant not in CONTRASTIVE_VARIANTS:
+        raise ValueError(f"variant must be one of {CONTRASTIVE_VARIANTS}, got {variant!r}")
+    if tau1 <= 0.0:
+        raise ValueError(f"temperature must be positive, got {tau1}")
+    s = np.asarray(sims, dtype=np.float64)
+    labels = np.asarray(labels)
+    n2 = s.shape[0]
+    if s.shape != (n2, n2) or n2 < 2 or n2 % 2 != 0:
+        raise ValueError(f"similarity matrix must be square with even size >= 2, got {s.shape}")
+    if labels.ndim != 2 or labels.shape[0] != n2:
+        raise ValueError(f"labels of shape {labels.shape} do not give one row per view of a batch of {n2}")
+    bad = labels[(labels != 0) & (labels != 1)]
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
+    rows = np.arange(n2)
+    partners = (rows + n2 // 2) % n2
+    z, pair = (np.empty((n2, n2)), np.empty((n2, n2))) if workspace is None else workspace
+    if variant != "ucl":
+        y = labels.astype(np.float64)
+        counts = y.sum(axis=1)
+        # shared positive labels of each pair, exact integers; the contiguous
+        # copy of y.T makes this a gemm, several times faster than y @ y.T
+        np.matmul(y, y.T.copy(), out=pair)
+
+    positive = None
+    if variant in ("scl", "wscl"):
+        # two 0/1 rows are identical iff their overlap equals both counts
+        positive = pair == counts[:, None]
+        positive &= pair == counts
+        positive[rows, rows] = False
+        positive[rows, partners] = True
+    if variant in ("dcl", "wscl"):
+        # log w_ij = log(2 - l_ij), l_ij = overlap / max(count_i, count_j, 1)
+        larger = np.maximum(counts, 1.0)
+        np.maximum(larger[:, None], larger, out=z)
+        pair /= z
+        np.subtract(2.0, pair, out=pair)
+        np.log(pair, out=pair)
+        np.divide(s, tau1, out=z)
+        z += pair
+    else:
+        np.divide(s, tau1, out=z)
+
+    # row-wise softmax over j != i gives the P_ij shares of the denominator
+    z[rows, rows] = -np.inf
+    z_max = z.max(axis=1, keepdims=True)
+    z -= z_max
+    np.exp(z, out=z)
+    denom = z.sum(axis=1, keepdims=True)
+    log_denom = np.log(denom[:, 0]) + z_max[:, 0]
+    z /= denom
+    z /= tau1
+
+    # the gradient P_ij / tau - [j is a positive of i] / (|positives of i| tau)
+    if positive is None:
+        mean_positive = s[rows, partners]
+        z[rows, partners] -= 1.0 / tau1
+    else:
+        num_positive = np.count_nonzero(positive, axis=1)
+        np.multiply(positive, s, out=pair)
+        mean_positive = pair.sum(axis=1) / num_positive
+        np.subtract(z, (1.0 / (num_positive * tau1))[:, None], out=z, where=positive)
+    z[rows, rows] = 0.0
+    loss = float(np.add.reduce(log_denom - mean_positive / tau1))
+    return loss, z
+
+
+def trainer_step(trainer: training.Trainer) -> dict:
+    """``trainer.step()`` as it stood with per-view labels: the N drawn rows
+    taken twice by ``PackedSamples.take`` (ids too), the contrastive loss by
+    ``per_view_contrastive_loss`` on the views' (2N, C) labels with fresh
+    arrays, then the package's backward pass, Adam step and validation."""
+    cfg, state = trainer.cfg, trainer.state
+    rows = trainer._next_batch()
+    views = trainer.train_set.take(np.concatenate([rows, rows]))
+    trace = encoder.forward_batch(state, views, rng=trainer.rng)
+    bce, logit_grads = bce_loss(sigmoid(trace.logits), views.labels)
+    unit, norms = unit_rows(trace.embedding)
+    cos = unit @ unit.T
+    con, grad_sims = per_view_contrastive_loss(cos.clip(-1.0, 1.0), views.labels, cfg.tau1, cfg.variant)
+    emb_grads = cfg.alpha * contrastive_embedding_grads(unit, norms, cos, grad_sims) if cfg.alpha > 0.0 else None
+    grads = encoder.backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
+    training.adam_step(state, grads, trainer.adam, lr=cfg.learning_rate)
+    trainer.iteration += 1
+    record = {"iteration": trainer.iteration, "bce": bce, "con": con, "total": total_loss(bce, con, cfg.alpha)}
+    if trainer.valid_set is not None and trainer.iteration % trainer.eval_interval == 0:
+        record["valid_micro_f1"] = trainer._validate()
+    trainer.history.append(record)
+    return record
 
 
 def forward(state: EncoderState, sample: PackedSamples) -> ForwardTrace:

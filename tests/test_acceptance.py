@@ -37,12 +37,13 @@ def report(criterion: int, message: str) -> None:
 
 
 def random_views(rng, n, num_classes=5, dim=4):
+    """(2n view embeddings, the (n, C) labels of their n samples)."""
     emb = rng.normal(size=(2 * n, dim))
     labels = np.zeros((n, num_classes), dtype=np.int8)
     for i in range(n):
         labels[i, rng.integers(num_classes)] = 1
         labels[i] |= (rng.random(num_classes) < 0.35).astype(np.int8)
-    return emb, np.vstack([labels, labels])
+    return emb, labels
 
 
 # -- criterion 1: gradient correctness --------------------------------------
@@ -107,7 +108,7 @@ def test_criterion_03_weight_gradient_ordering():
         labels2 = np.vstack([labels, labels])
         sims = np.full((2 * n, 2 * n), float(rng.uniform(-0.5, 0.9)))
         l = label_similarity_matrix(labels2)
-        _, grad = contrastive_loss_from_similarities(sims, labels2, tau1=0.1, variant="dcl")
+        _, grad = contrastive_loss_from_similarities(sims, labels, tau1=0.1, variant="dcl")
         for i in range(2 * n):
             pos = (i + n) % (2 * n)
             negs = [j for j in range(2 * n) if j not in (i, pos)]
@@ -315,7 +316,7 @@ def test_criterion_08_variant_sanity():
     for _ in range(20):
         n = int(rng.integers(2, 6))
         emb = rng.normal(size=(2 * n, 5))
-        labels = np.tile((rng.random(4) < 0.5).astype(np.int8) | np.array([1, 0, 0, 0], dtype=np.int8), (2 * n, 1))
+        labels = np.tile((rng.random(4) < 0.5).astype(np.int8) | np.array([1, 0, 0, 0], dtype=np.int8), (n, 1))
         tau1 = float(rng.uniform(0.02, 0.5))
         loss_dcl, grad_dcl = contrastive_loss(emb, labels, tau1, "dcl")
         loss_ucl, grad_ucl = contrastive_loss(emb, labels, tau1, "ucl")

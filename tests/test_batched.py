@@ -211,18 +211,15 @@ def test_batched_step_matches_per_view(seed, n, variant, activation, dropout, em
     seed=st.integers(0, 2**20),
     n=st.integers(1, 8),
     variant=st.sampled_from(CONTRASTIVE_VARIANTS),
-    duplicated=st.booleans(),
     tau1=st.sampled_from([0.02, 0.1, 1.0]),
 )
-def test_positive_mask_loss_matches_per_anchor_loop(seed, n, variant, duplicated, tau1):
+def test_positive_mask_loss_matches_per_anchor_loop(seed, n, variant, tau1):
     rng = make_rng(seed)
-    labels = (rng.random((2 * n, 4)) < 0.5).astype(np.int8)
-    labels[:, 0] |= (rng.random(2 * n) < 0.5).astype(np.int8)
-    if duplicated:
-        labels[n:] = labels[:n]
+    labels = (rng.random((n, 4)) < 0.5).astype(np.int8)
+    labels[:, 0] |= (rng.random(n) < 0.5).astype(np.int8)
     sims = np.clip(rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n)), -1.0, 1.0)
     loss, grad = contrastive_loss_from_similarities(sims, labels, tau1, variant)
-    ref_loss, ref_grad = ref_contrastive_from_similarities(sims, labels, tau1, variant)
+    ref_loss, ref_grad = ref_contrastive_from_similarities(sims, np.vstack([labels, labels]), tau1, variant)
     assert_close(loss, ref_loss, "loss")
     assert_close(grad, ref_grad, "grad")
 

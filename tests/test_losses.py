@@ -22,6 +22,7 @@ from oracles import (
     label_similarity,
     label_similarity_matrix,
     masked_contrastive_loss,
+    per_view_contrastive_loss,
     pij,
     weight_matrix,
 )
@@ -37,14 +38,15 @@ def cosine_pieces(embeddings):
 
 
 def random_batch(rng, n=3, dim=4, num_classes=4):
-    """(embeddings, labels) of a duplicated batch of n samples (2n views);
-    rows i and (i + n) mod 2n are the two views of one sample."""
+    """(embeddings, labels) of a duplicated batch of n samples: 2n views,
+    rows i and (i + n) mod 2n the two views of sample i, and the (n, C)
+    labels of the samples."""
     emb = rng.normal(size=(2 * n, dim))
     labels = np.zeros((n, num_classes), dtype=np.int8)
     for i in range(n):
         labels[i, rng.integers(num_classes)] = 1
         labels[i] |= (rng.random(num_classes) < 0.35).astype(np.int8)
-    return emb, np.vstack([labels, labels])
+    return emb, labels
 
 
 class TestLabelSimilarity:
@@ -168,7 +170,7 @@ class TestPij:
 class TestContrastiveLoss:
     def test_single_pair_degenerate_zero(self):
         emb = make_rng(4).normal(size=(2, 3))
-        labels = np.array([[1, 0], [1, 0]], dtype=np.int8)
+        labels = np.array([[1, 0]], dtype=np.int8)
         loss, grad = contrastive_loss(emb, labels, tau1=0.05)
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, np.zeros((2, 2)), atol=1e-12)
@@ -178,7 +180,7 @@ class TestContrastiveLoss:
         # with all similarities equal every anchor's loss is ln 5
         sims = np.full((4, 4), 0.3)
         np.fill_diagonal(sims, 1.0)
-        labels = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=np.int8)
+        labels = np.array([[1, 0], [0, 1]], dtype=np.int8)
         loss, _ = contrastive_loss_from_similarities(sims, labels, tau1=0.05, variant="dcl")
         assert loss == pytest.approx(4 * LN5, rel=1e-12)
 
@@ -196,7 +198,7 @@ class TestContrastiveLoss:
     def test_ucl_equals_dcl_when_all_label_similarities_are_one(self):
         rng = make_rng(6)
         emb = rng.normal(size=(6, 4))
-        labels = np.tile(np.array([[1, 0, 1]], dtype=np.int8), (6, 1))
+        labels = np.tile(np.array([[1, 0, 1]], dtype=np.int8), (3, 1))
         loss_dcl, grad_dcl = contrastive_loss(emb, labels, tau1=0.05, variant="dcl")
         loss_ucl, grad_ucl = contrastive_loss(emb, labels, tau1=0.05, variant="ucl")
         assert loss_dcl == loss_ucl  # bit-for-bit
@@ -213,7 +215,7 @@ class TestContrastiveLoss:
             labels2 = np.vstack([labels, labels])
             sims = np.full((2 * n, 2 * n), 0.4)
             l = label_similarity_matrix(labels2)
-            _, grad = contrastive_loss_from_similarities(sims, labels2, tau1=0.1, variant="dcl")
+            _, grad = contrastive_loss_from_similarities(sims, labels, tau1=0.1, variant="dcl")
             for i in range(2 * n):
                 pos = (i + n) % (2 * n)
                 negs = [j for j in range(2 * n) if j not in (i, pos)]
@@ -228,11 +230,7 @@ class TestContrastiveLoss:
         n = 4
         loss, _ = contrastive_loss(emb, labels, tau1=0.05)
         perm = rng.permutation(n)
-        loss_p, _ = contrastive_loss(
-            np.vstack([emb[:n][perm], emb[n:][perm]]),
-            np.vstack([labels[:n][perm], labels[n:][perm]]),
-            tau1=0.05,
-        )
+        loss_p, _ = contrastive_loss(np.vstack([emb[:n][perm], emb[n:][perm]]), labels[perm], tau1=0.05)
         assert loss_p == pytest.approx(loss, abs=1e-9)
 
     @pytest.mark.parametrize("variant", ["dcl", "ucl", "scl", "wscl"])
@@ -261,9 +259,7 @@ class TestContrastiveLoss:
     def test_scl_multi_positive_uses_identical_label_rows(self):
         # samples 0 and 1 share identical labels -> four mutually positive views
         emb = make_rng(10).normal(size=(6, 3))
-        labels = np.array(
-            [[1, 1, 0], [1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.int8
-        )
+        labels = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.int8)
         loss_scl, _ = contrastive_loss(emb, labels, tau1=0.1, variant="scl")
         loss_ucl, _ = contrastive_loss(emb, labels, tau1=0.1, variant="ucl")
         assert math.isfinite(loss_scl)
@@ -279,25 +275,25 @@ class TestContrastiveLoss:
     def test_errors(self):
         rng = make_rng(12)
         sims = rng.uniform(-1, 1, size=(4, 4))
-        labels = np.zeros((4, 2), dtype=np.int8)
+        labels = np.zeros((2, 2), dtype=np.int8)
         with pytest.raises(ValueError, match="temperature"):
             contrastive_loss_from_similarities(sims, labels, tau1=0.0)
         with pytest.raises(ValueError, match="variant"):
             contrastive_loss_from_similarities(sims, labels, tau1=0.05, variant="nonsense")
         # an odd number of views, and none
         with pytest.raises(ValueError, match="even size"):
-            contrastive_loss_from_similarities(sims[:3, :3], labels[:3], tau1=0.05)
+            contrastive_loss_from_similarities(sims[:3, :3], labels[:1], tau1=0.05)
         with pytest.raises(ValueError, match="even size"):
             contrastive_loss_from_similarities(np.zeros((0, 0)), labels[:0], tau1=0.05)
 
     @pytest.mark.parametrize("bad", [0.5, 1.7])
     def test_a_fractional_label_is_rejected_naming_it(self, bad):
         """An int8 cast would make 0.5 a 0 and 1.7 a 1 before any 0/1 check."""
-        labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        labels[2, 1] = bad
+        labels = np.array([[1.0, 0.0], [1.0, 0.0]])
+        labels[1, 1] = bad
         with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {bad}")):
             contrastive_loss(np.eye(4), labels, 0.1)
-        labels[2, 1] = 1.0
+        labels[1, 1] = 1.0
         assert math.isfinite(contrastive_loss(np.eye(4), labels, 0.1)[0])
 
 
@@ -345,8 +341,20 @@ class TestTotalLoss:
 
 class TestInPlacePass:
     """The package's in-place pass against ``masked_contrastive_loss``, the
-    same loss as whole-matrix expressions: every bit of the loss and the
-    gradient, sign bits included."""
+    same loss as whole-matrix expressions, and ``per_view_contrastive_loss``,
+    the pass as it stood with one label row per view: every bit of the loss
+    and the gradient, sign bits included."""
+
+    @staticmethod
+    def _labels(rng, n, num_classes, label_kind):
+        """(n, C) sample labels: random, with repeated rows (scl/wscl
+        positives beyond the twin view), or with all-zero rows."""
+        labels = (rng.random((n, num_classes)) < rng.uniform(0.1, 0.9)).astype(np.int8)
+        if label_kind == "identical rows":
+            labels[rng.random(n) < 0.5] = labels[0]
+        elif label_kind == "all-zero rows":
+            labels[rng.random(n) < 0.3] = 0
+        return labels
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -354,7 +362,7 @@ class TestInPlacePass:
         n=st.one_of(st.integers(1, 8), st.sampled_from([16, 64, 128])),
         num_classes=st.integers(1, 12),
         variant=st.sampled_from(CONTRASTIVE_VARIANTS),
-        label_kind=st.sampled_from(["random", "duplicated", "all-zero rows"]),
+        label_kind=st.sampled_from(["random", "identical rows", "all-zero rows"]),
         tau1=st.sampled_from([0.02, 0.05, 0.1, 1.0]),
         exact_values=st.booleans(),
         stale_workspace=st.booleans(),
@@ -363,11 +371,7 @@ class TestInPlacePass:
         self, seed, n, num_classes, variant, label_kind, tau1, exact_values, stale_workspace
     ):
         rng = make_rng(seed)
-        labels = (rng.random((2 * n, num_classes)) < rng.uniform(0.1, 0.9)).astype(np.int8)
-        if label_kind != "random":
-            labels[n:] = labels[:n]
-        if label_kind == "all-zero rows":
-            labels[rng.random(2 * n) < 0.3] = 0
+        labels = self._labels(rng, n, num_classes, label_kind)
         sims = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
         if exact_values:
             # signed zeros and the clip bounds, where sign bits and ties show
@@ -379,7 +383,7 @@ class TestInPlacePass:
             # what a previous step left behind must not reach the result
             workspace = (np.full(sims.shape, np.nan), np.full(sims.shape, -np.inf))
         loss, grad = contrastive_loss_from_similarities(sims, labels, tau1, variant, workspace=workspace)
-        ref_loss, ref_grad = masked_contrastive_loss(sims, labels, tau1, variant)
+        ref_loss, ref_grad = masked_contrastive_loss(sims, np.vstack([labels, labels]), tau1, variant)
         np.testing.assert_array_equal(loss, ref_loss)
         np.testing.assert_array_equal(np.signbit(loss), np.signbit(ref_loss))
         np.testing.assert_array_equal(grad, ref_grad)
@@ -387,17 +391,56 @@ class TestInPlacePass:
         if workspace is not None:
             assert grad is workspace[0]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.integers(1, 8), st.sampled_from([32, 128])),
+        num_classes=st.integers(1, 12),
+        variant=st.sampled_from(CONTRASTIVE_VARIANTS),
+        label_kind=st.sampled_from(["random", "identical rows", "all-zero rows"]),
+        tau1=st.sampled_from([0.02, 0.1, 1.0]),
+    )
+    def test_bit_identical_to_the_per_view_reference(self, seed, n, num_classes, variant, label_kind, tau1):
+        """Label work on the N samples, broadcast over the view blocks, gives
+        the bits of the same work on the 2N views; with fresh arrays and with
+        a workspace reused from another call."""
+        rng = make_rng(seed)
+        labels = self._labels(rng, n, num_classes, label_kind)
+        sims = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+        want = per_view_contrastive_loss(sims, np.vstack([labels, labels]), tau1, variant)
+        workspace = (np.empty_like(sims), np.empty_like(sims))
+        contrastive_loss_from_similarities(rng.uniform(-1.0, 1.0, size=sims.shape), labels, tau1, variant, workspace)
+        for kept in (None, workspace):
+            loss, grad = contrastive_loss_from_similarities(sims, labels, tau1, variant, workspace=kept)
+            assert np.array_equal(loss, want[0]) and np.signbit(loss) == np.signbit(want[0])
+            assert np.array_equal(grad, want[1]) and grad.tobytes() == want[1].tobytes()
+
+    def test_subtracting_the_positive_share_product_is_the_masked_subtract(self):
+        """The loss subtracts positive * c from the shares z >= +0 where the
+        per-view pass subtracted c under a ``where`` mask: x - (+0.0) is x
+        for every float x, zeros, subnormals and inf included."""
+        rng = make_rng(15)
+        z = rng.random((64, 64))
+        pick = rng.integers(0, 8, size=z.shape)
+        for code, value in enumerate((0.0, 5e-324, np.inf, -0.0)):
+            z[pick == code] = value
+        positive = rng.random(z.shape) < 0.3
+        c = 1.0 / (rng.integers(1, 9, size=64) * 0.02)
+        want = z.copy()
+        np.subtract(want, c[:, None], out=want, where=positive)
+        assert (z - positive * c[:, None]).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("variant", CONTRASTIVE_VARIANTS)
     @pytest.mark.parametrize("bad", [-1, 2, 0.5])
     def test_a_label_other_than_0_or_1_is_an_error_naming_it(self, variant, bad):
-        labels = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=type(bad))
-        labels[2, 1] = bad
-        with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {labels[2, 1]}")):
+        labels = np.array([[1, 0], [0, 1]], dtype=type(bad))
+        labels[1, 1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"labels must be 0 or 1, got {labels[1, 1]}")):
             contrastive_loss_from_similarities(np.zeros((4, 4)), labels, 0.1, variant)
 
     def test_a_call_without_workspace_returns_a_gradient_of_its_own(self):
         rng = make_rng(14)
-        labels = (rng.random((6, 4)) < 0.5).astype(np.int8)
+        labels = (rng.random((3, 4)) < 0.5).astype(np.int8)
         first_sims, second_sims = rng.uniform(-1, 1, size=(2, 6, 6))
         for variant in CONTRASTIVE_VARIANTS:
             _, first = contrastive_loss_from_similarities(first_sims, labels, 0.1, variant)
@@ -407,7 +450,16 @@ class TestInPlacePass:
             np.testing.assert_array_equal(first, kept)
 
     def test_labels_of_another_batch_size_are_rejected(self):
-        with pytest.raises(ValueError, match="one row per view"):
-            contrastive_loss_from_similarities(np.zeros((4, 4)), np.ones((6, 2), dtype=np.int8), 0.1)
-        with pytest.raises(ValueError, match="one row per view"):
-            contrastive_loss_from_similarities(np.zeros((4, 4)), np.ones(4, dtype=np.int8), 0.1)
+        # one row per sample: a row per view is as wrong as any other count
+        for labels in (np.ones((4, 2), dtype=np.int8), np.ones((3, 2), dtype=np.int8), np.ones(2, dtype=np.int8)):
+            with pytest.raises(ValueError, match="one row per sample of a batch of 4 views"):
+                contrastive_loss_from_similarities(np.zeros((4, 4)), labels, 0.1)
+
+    def test_all_zero_label_rows_are_not_logged_by_the_loss(self, caplog):
+        """l_ij = 0 for such pairs is the documented rule; the ``Trainer``
+        logs it once for its training set, not the loss on every step."""
+        labels = np.array([[0, 0], [1, 0]], dtype=np.int8)
+        with caplog.at_level(logging.DEBUG):
+            for variant in CONTRASTIVE_VARIANTS:
+                contrastive_loss_from_similarities(np.zeros((4, 4)), labels, 0.1, variant)
+        assert not caplog.records

@@ -1,6 +1,8 @@
 """Adam updates, training determinism, and checkpoint resume."""
+import dataclasses
 import io
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from knnmlc import training
 from knnmlc.encoder import CheckpointError, EncoderConfig, ParameterGradients, init_state
 from knnmlc.mathops import make_rng
 from knnmlc.training import AdamState, NonFiniteLossError, TrainConfig, Trainer, adam_step, train
+import oracles
 
 
 def tiny_data(seed=0, label_noise=0.12, n=120):
@@ -449,9 +452,102 @@ class TestWorkspace:
         (train_s, _, _), dcfg = tiny_data()
         state = init_state(tiny_encoder_cfg(dcfg), seed=0)
         rows = np.arange(6)
-        first_views, second_views = (train_s.take(np.concatenate([r, r])) for r in (rows, rows + 6))
+        first_views, second_views = (train_s.two_views(r) for r in (rows, rows + 6))
         first = training.batch_gradients(state, first_views, 0.5, 0.05, "wscl", rng=make_rng(0))
         kept = {name: g.copy() for name, g in first[3].param_items()}
         training.batch_gradients(state, second_views, 0.5, 0.05, "wscl", rng=make_rng(1))
         for name, g in first[3].param_items():
             np.testing.assert_array_equal(g, kept[name])
+
+
+class TestPerSampleStep:
+    """The step draws its 2N views as one gather of N rows laid out twice
+    (``PackedSamples.two_views``) and forms the label work of the
+    contrastive loss on the N samples; ``oracles.trainer_step`` takes the 2N
+    rows and runs the per-view loss. Both must leave the same bits."""
+
+    @staticmethod
+    def _data(vocab_size, n=64, empty_every=0):
+        cfg = DatasetConfig(num_classes=8, num_clusters=4, train_size=n, valid_size=24, test_size=4,
+                            vocab_size=vocab_size, seed=5)
+        train_s, valid_s, _ = generate_synthetic(cfg)
+        if empty_every:
+            labels = train_s.labels.copy()
+            labels[::empty_every] = 0
+            train_s = dataclasses.replace(train_s, labels=labels)
+        return train_s, valid_s, EncoderConfig(vocab_size, 12, 6, 8, dropout_rate=0.1)
+
+    @pytest.mark.parametrize("vocab_size,path", [(120, "dense"), (2000, "sparse")])
+    @pytest.mark.parametrize("variant", ["dcl", "ucl", "scl", "wscl"])
+    def test_25_steps_equal_the_per_view_oracle_step(self, monkeypatch, variant, vocab_size, path):
+        # every fifth sample without labels: pairs with l_ij = 0 and
+        # identical all-zero rows among the scl/wscl positives
+        train_s, valid_s, ecfg = self._data(vocab_size, empty_every=5)
+        cfg = TrainConfig(batch_size=8, learning_rate=3e-3, alpha=0.5, max_iters=25, seed=4, variant=variant,
+                          eval_every=5)
+        paths = []
+        real_forward = training.forward_batch
+
+        def recording_forward(*args, **kwargs):
+            trace = real_forward(*args, **kwargs)
+            paths.append("sparse" if trace.dense is None else "dense")
+            return trace
+
+        monkeypatch.setattr(training, "forward_batch", recording_forward)
+        got = Trainer(train_s, valid_s, init_state(ecfg, seed=4), cfg)
+        want = Trainer(train_s, valid_s, init_state(ecfg, seed=4), cfg)
+        for _ in range(25):
+            got.step()
+            oracles.trainer_step(want)
+        assert paths == [path] * 25
+        assert got.state.flat.tobytes() == want.state.flat.tobytes()
+        assert got.adam.m_flat.tobytes() == want.adam.m_flat.tobytes()
+        assert got.adam.v_flat.tobytes() == want.adam.v_flat.tobytes()
+        assert got.history == want.history and len(got.history) == 25
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+    def test_two_views_is_the_rows_taken_twice_without_ids(self):
+        train_s, _, _ = self._data(120)
+        rows = np.array([5, 0, 63, 5, 17])
+        got, want = train_s.two_views(rows), train_s.take(np.concatenate([rows, rows]))
+        for name in ("indptr", "indices", "values", "labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.input_dim == want.input_dim and got.ids() == [""] * 10
+        assert len(train_s.two_views([])) == 0
+
+    def test_all_zero_label_rows_are_logged_once_per_training_set(self, caplog):
+        train_s, valid_s, ecfg = self._data(120, empty_every=5)
+        cfg = TrainConfig(batch_size=8, learning_rate=3e-3, alpha=0.5, max_iters=20, seed=0, variant="wscl")
+        with caplog.at_level(logging.WARNING):
+            train(train_s, valid_s, ecfg, cfg)
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == ["13 of 64 training samples have no positive label; the contrastive loss gives their "
+                            "pairs label similarity 0"]
+
+    def test_a_training_set_with_labels_everywhere_logs_nothing(self, caplog):
+        train_s, valid_s, ecfg = self._data(120)
+        with caplog.at_level(logging.WARNING):
+            train(train_s, valid_s, ecfg, TrainConfig(batch_size=8, max_iters=3))
+        assert not caplog.records
+
+    @pytest.mark.parametrize("objective", ["gradients", "objective"])
+    def test_views_that_are_not_two_halves_are_rejected_naming_the_row(self, objective):
+        train_s, _, ecfg = self._data(120)
+        state = init_state(ecfg, seed=0)
+
+        def run(views):
+            masks = np.ones((len(views), ecfg.hidden_dim))
+            if objective == "gradients":
+                return training.batch_gradients(state, views, 0.5, 0.05, "wscl", masks=masks)
+            return training.batch_objective(state, views, masks, 0.5, 0.05, "wscl")
+
+        twins = train_s.two_views(np.arange(6))
+        run(twins)
+        with pytest.raises(ValueError, match=r"view i \+ N a twin of view i; row 12 of 13 has no twin"):
+            run(train_s.take([*range(6), *range(7)]))
+        labels = twins.labels.copy()
+        labels[9] = 1 - labels[9]
+        labels[11] = 1 - labels[11]
+        with pytest.raises(ValueError, match=r"twin of view i; row 9 does not carry the labels of row 3"):
+            run(dataclasses.replace(twins, labels=labels))
