@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import platform
 import sys
 import time
@@ -139,8 +140,15 @@ def write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed, art
 
 
 def _environment() -> dict:
-    """The software versions a manifest records."""
-    return {"python": platform.python_version(), "numpy": np.__version__, "knnmlc": __version__}
+    """The software versions a manifest records, the BLAS build numpy was
+    built against among them (training bits depend on it)."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "knnmlc": __version__,
+    }
 
 
 def _config_snapshot(*cfgs, **extra):
@@ -634,11 +642,18 @@ def cmd_ablate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
+    if not (math.isfinite(args.step) and args.step > 0.0):
+        raise ConfigError(f"--step must be finite and > 0, got {args.step}")
+    if args.configs < 1:
+        raise ConfigError(f"--configs must be >= 1, got {args.configs}")
     if args.dims:
         try:
-            input_dim, hidden_dim, embed_dim, num_classes, batch = (int(x) for x in args.dims.split(","))
+            dims = [int(x) for x in args.dims.split(",")]
+            input_dim, hidden_dim, embed_dim, num_classes, batch = dims
         except ValueError as exc:
             raise ConfigError(f"--dims must be 'input,hidden,embed,classes,batch', got {args.dims!r}") from exc
+        if min(dims) < 1:
+            raise ConfigError(f"--dims values must all be >= 1, got {args.dims!r}")
         rng = np.random.default_rng(seed)
         config = EncoderConfig(input_dim, hidden_dim, embed_dim, num_classes, dropout_rate=0.1)
         state = init_state(config, seed=seed)

@@ -130,21 +130,6 @@ class PackedSamples:
             self.id_bytes[id_lo:id_hi],
         )
 
-    def take(self, rows) -> "PackedSamples":
-        """The given rows, in the given order (repeats allowed)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        indptr, pos = _gather(self.indptr, rows)
-        id_offsets, id_pos = _gather(self.id_offsets, rows)
-        return PackedSamples(
-            indptr,
-            self.indices[pos],
-            self.values[pos],
-            self.labels[rows],
-            self.input_dim,
-            id_offsets,
-            self.id_bytes[id_pos],
-        )
-
     def two_views(self, rows) -> "PackedSamples":
         """The 2N training views of the N given rows: one gather of the rows,
         laid out twice, so view i and view i + N are both row i. The views

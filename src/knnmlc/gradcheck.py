@@ -71,7 +71,9 @@ def gradient_check(
 
     An entry passes when |analytic - numeric| <= abs_floor + rel_tol * scale
     with scale = max(|analytic|, |numeric|). Reports the worst relative error
-    (measured against that tolerance structure)."""
+    (measured against that tolerance structure). A NaN or infinite entry on
+    either side fails, with relative error inf, so the first parameter that
+    holds one is the worst."""
     _, _, _, analytic, _ = batch_gradients(state, views, alpha, tau1, variant, masks=masks)
     numeric = finite_difference_gradients(state, views, masks, alpha, tau1, variant, step=step)
 
@@ -82,16 +84,19 @@ def gradient_check(
     passed = True
     for name, a in analytic.param_items():
         n = getattr(numeric, name)
-        diff = np.abs(a - n)
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), abs_floor / rel_tol)
-        rel = diff / scale
+        # every comparison with NaN is false, so a non-finite entry's error
+        # is set to inf (inf - inf and inf / inf would give NaN)
+        with np.errstate(invalid="ignore"):
+            diff = np.abs(a - n)
+            scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), abs_floor / rel_tol)
+            rel = np.where(np.isfinite(a) & np.isfinite(n), diff / scale, np.inf)
         param_max = float(rel.max()) if rel.size else 0.0
         per_param[name] = param_max
         total += a.size
         if param_max > max_rel:
             max_rel = param_max
             worst = name
-        if np.any(diff > abs_floor + rel_tol * np.maximum(np.abs(a), np.abs(n))):
+        if param_max == np.inf or np.any(diff > abs_floor + rel_tol * np.maximum(np.abs(a), np.abs(n))):
             passed = False
     return GradCheckReport(
         max_rel_error=max_rel, worst_param=worst, num_params=total, passed=passed, per_param=per_param

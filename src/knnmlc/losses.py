@@ -22,14 +22,20 @@ samples and broadcast over the four (N, N) blocks of the (2N, 2N) view grid.
 ``contrastive_loss_from_similarities`` makes one pass of each kind over two
 (2N, 2N) float64 arrays, in place: the weights' logs, the masked softmax
 (the diagonal set to -inf, so exp gives it exactly 0) and then the gradient,
-which is returned in the first array. A caller that runs many steps of one
-batch size passes the same pair each time (the ``Trainer`` does); the
-results are the same bits as with fresh arrays. The similarities are the
-embeddings' cosines clipped to [-1, 1], which the training step forms from
-``mathops.unit_rows``. Gradients with respect to the pairwise similarities
-are analytic; the chain through cosine similarity down to the embeddings is
-in ``contrastive_embedding_grads``, which reuses the norms, unit vectors and
-cosine matrix of the forward pass.
+which is returned in the first array. The similarities may be the second
+array itself. A caller that runs many steps of one batch size passes the
+same arrays each time; the results are the same bits as with fresh arrays.
+The similarities are the embeddings' cosines clipped to [-1, 1], which the
+training step forms from ``mathops.unit_rows``. Gradients with respect to
+the pairwise similarities are analytic; the chain through cosine similarity
+down to the embeddings is in ``contrastive_embedding_grads``, which reuses
+the norms, unit vectors and cosine matrix of the forward pass and may form
+its (2N, 2N) terms in the array that held the similarities.
+
+The training step (``training.batch_gradients``) thus needs three (2N, 2N)
+arrays, which the ``Trainer`` keeps across steps: the cosines; the clipped
+similarities, which the loss may overwrite and the embedding gradient then
+reuses; and the softmax that becomes the similarity gradient.
 """
 from __future__ import annotations
 
@@ -83,9 +89,10 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
     row gets l_ij = 0.
 
     ``workspace`` is an optional pair of C-contiguous (2N, 2N) float64
-    arrays that the call overwrites, neither of them ``sims``; the returned
-    gradient is the first. Without it the call allocates both, so its
-    gradient is its own.
+    arrays that the call overwrites; the returned gradient is the first.
+    ``sims`` may be the second (scl and wscl overwrite it with the
+    positives' product), never the first. Without a workspace the call
+    allocates both, so its gradient is its own.
     """
     if variant not in CONTRASTIVE_VARIANTS:
         raise ValueError(f"variant must be one of {CONTRASTIVE_VARIANTS}, got {variant!r}")
@@ -148,7 +155,7 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
         z[rows, partners] -= 1.0 / tau1
     else:
         # s_ij on the positives, 0 * s_ij elsewhere: on the diagonal too,
-        # where the block form has a 1
+        # where the block form has a 1 (in place when s is pair itself)
         np.multiply(s.reshape(2, n, 2, n), positive[None, :, None, :], out=pair.reshape(2, n, 2, n))
         pair.reshape(-1)[:: n2 + 1] *= 0.0
         mean_positive = (pair.sum(axis=1).reshape(2, n) / num_positive).reshape(n2)
@@ -162,18 +169,25 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
     return loss, z
 
 
-def contrastive_embedding_grads(unit: np.ndarray, norms: np.ndarray, cos: np.ndarray, grad_sims: np.ndarray) -> np.ndarray:
+def contrastive_embedding_grads(
+    unit: np.ndarray, norms: np.ndarray, cos: np.ndarray, grad_sims: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Chain a similarity-space gradient back to the embeddings through the
     cosine derivative d cos(h_i, h_j)/d h_i = (u_j - s_ij u_i)/|h_i|.
 
     Takes the pieces the forward cosine already computed
     (``mathops.unit_rows`` of the (2N, d) embeddings and the unclipped
-    ``unit @ unit.T``), so a training step forms them once. Both (i, j) and
-    (j, i) entries flow into h_i because the similarity matrix is symmetric
-    in the embeddings.
+    cosine matrix ``unit @ unit.T``), so a training step forms them once.
+    Both (i, j) and (j, i) entries flow into h_i because the similarity
+    matrix is symmetric in the embeddings. ``out`` is an optional
+    C-contiguous (2N, 2N) float64 array, neither ``cos`` nor ``grad_sims``,
+    that the call overwrites with its (2N, 2N) terms; without it the call
+    allocates one. The returned (2N, d) gradient is its own either way.
     """
     g = np.asarray(grad_sims, dtype=np.float64)
-    m = g + g.T
+    m = np.add(g, g.T, out=out)
     # the diagonal, as np.fill_diagonal sets it, without its checks
     m.flat[:: m.shape[0] + 1] = 0.0
-    return (m @ unit - np.add.reduce(m * cos, axis=1)[:, None] * unit) / norms[:, None]
+    pulled = m @ unit
+    np.multiply(m, cos, out=m)
+    return (pulled - np.add.reduce(m, axis=1)[:, None] * unit) / norms[:, None]

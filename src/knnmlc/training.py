@@ -204,18 +204,24 @@ def _sample_labels(views: PackedSamples) -> np.ndarray:
 
 def _batch_losses(trace, views, tau1, variant, workspace=None):
     """Both objectives of a batch trace of ``views``, their gradients on the
-    logits and on the similarities, and the cosine pieces (unit rows, norms,
-    unclipped cosine matrix) that the embedding gradient reuses.
-    ``workspace`` is the contrastive loss's optional pair of (2N, 2N) arrays,
-    which then hold the similarity gradient."""
+    logits and on the similarities, the cosine pieces (unit rows, norms,
+    unclipped cosine matrix) that the embedding gradient reuses, and the
+    (2N, 2N) array the loss is done with, free for that gradient.
+    ``workspace`` is an optional triple of (2N, 2N) float64 arrays, as
+    ``batch_gradients`` takes it; without it three are allocated."""
     sample_labels = _sample_labels(views)
     bce, logit_grads = bce_loss(sigmoid(trace.logits), views.labels)
     unit, norms = unit_rows(trace.embedding)
-    cos = unit @ unit.T
-    con, grad_sims = contrastive_loss_from_similarities(
-        cos.clip(-1.0, 1.0), sample_labels, tau1, variant, workspace=workspace
-    )
-    return bce, con, logit_grads, grad_sims, (unit, norms, cos)
+    n2 = len(unit)
+    grad, sims, cos = (np.empty((n2, n2)) for _ in range(3)) if workspace is None else workspace
+    # a general product (gemm) of a contiguous copy: unit @ unit.T goes to
+    # syrk plus a triangle copy, about 4x slower at 2N = 256. The two give
+    # the same bits at the shipped batch shapes, not at every shape
+    # (docs/formats.md, "What bit-identical covers")
+    np.matmul(unit, unit.T.copy(), out=cos)
+    np.clip(cos, -1.0, 1.0, out=sims)
+    con, grad_sims = contrastive_loss_from_similarities(sims, sample_labels, tau1, variant, workspace=(grad, sims))
+    return bce, con, logit_grads, grad_sims, (unit, norms, cos), sims
 
 
 def batch_objective(state, views: PackedSamples, masks, alpha, tau1, variant="dcl") -> float:
@@ -224,7 +230,7 @@ def batch_objective(state, views: PackedSamples, masks, alpha, tau1, variant="dc
     perturbs; it never touches the backward pass. ``views`` holds 2N rows,
     view i + N a twin of view i, as ``batch_gradients`` takes them."""
     trace = forward_batch(state, views, masks=masks)
-    bce, con, _, _, _ = _batch_losses(trace, views, tau1, variant)
+    bce, con, *_ = _batch_losses(trace, views, tau1, variant)
     return total_loss(bce, con, alpha)
 
 
@@ -239,12 +245,15 @@ def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng
     are not compared.
 
     Returns (bce, con, total, grads, masks_used) with masks_used (2N, hidden).
-    ``workspace`` is an optional pair of (2N, 2N) float64 arrays for the
-    contrastive loss to overwrite; nothing returned lives in them.
+    ``workspace`` is an optional triple of C-contiguous (2N, 2N) float64
+    arrays that the call overwrites: the first ends up holding the
+    similarity gradient, the second the clipped similarities and then the
+    embedding gradient's (2N, 2N) terms, the third the cosines. Without it
+    the call allocates three. Nothing returned lives in them.
     """
     trace = forward_batch(state, views, rng=rng, masks=masks)
-    bce, con, logit_grads, grad_sims, cosine = _batch_losses(trace, views, tau1, variant, workspace)
-    emb_grads = alpha * contrastive_embedding_grads(*cosine, grad_sims) if alpha > 0.0 else None
+    bce, con, logit_grads, grad_sims, cosine, spare = _batch_losses(trace, views, tau1, variant, workspace)
+    emb_grads = alpha * contrastive_embedding_grads(*cosine, grad_sims, out=spare) if alpha > 0.0 else None
     grads = backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
     return bce, con, total_loss(bce, con, alpha), grads, trace.mask
 
@@ -272,8 +281,10 @@ class Trainer:
     no validation. The dropout rate is the encoder config's. A step whose
     BCE or contrastive loss is NaN or inf raises NonFiniteLossError, naming
     the iteration, before its update is applied. Every step's batch holds
-    the same number 2N of views, so the trainer keeps one (2N, 2N) workspace
-    pair for the contrastive loss rather than allocate it each step. A
+    the same number 2N of views, so the trainer keeps the three (2N, 2N)
+    arrays of ``batch_gradients`` (the similarity gradient, the clipped
+    similarities and then the embedding gradient's terms, the cosines)
+    rather than allocate them each step. A
     training set with all-zero label rows is logged once, here, when a
     weighted variant gives their pairs label similarity 0.
     """
@@ -306,7 +317,7 @@ class Trainer:
         self._best_f1 = -1.0
         self._best_iteration = 0
         n2 = 2 * min(cfg.batch_size, len(self.train_set))
-        self._workspace = (np.empty((n2, n2)), np.empty((n2, n2)))
+        self._workspace = tuple(np.empty((n2, n2)) for _ in range(3))
 
     @property
     def eval_interval(self) -> int:

@@ -10,7 +10,8 @@ package's in-place pass is checked bit for bit, and ``cosine_sim_matrix``
 the similarities it is handed. ``per_view_contrastive_loss`` is that pass
 as it stood when it took one label row per view and formed the label work
 on the (2N, 2N) grid, and ``trainer_step`` the training step of that time
-(the 2N views by ``take``, ids too, then that loss), against which the
+(the 2N views by ``take``, a gather of rows with their ids, then that loss,
+with the cosines by ``unit @ unit.T``), against which the
 per-sample forms are checked bit for bit. ``predict_batch`` is the inference path as
 it stood before its per-call checks and wrappers were trimmed, each stage
 through the checked form the package once exported (``forward_rowwise``,
@@ -36,7 +37,7 @@ import numpy as np
 
 from knnmlc import encoder, training
 from knnmlc.copies import pack_strings
-from knnmlc.data import DataFormatError, PackedSamples, _cluster_draws, check_kind, cluster_layout, pack_samples
+from knnmlc.data import DataFormatError, PackedSamples, _cluster_draws, _gather, check_kind, cluster_layout, pack_samples
 from knnmlc.datastore import Datastore, NonFiniteQueryError
 from knnmlc.encoder import EncoderState, ForwardTrace, ParameterGradients, _gather_rows
 from knnmlc.inference import InferenceConfig, PredictionBundle
@@ -337,14 +338,32 @@ def per_view_contrastive_loss(sims, labels, tau1: float, variant: str = "dcl", w
     return loss, z
 
 
+def take(split: PackedSamples, rows) -> PackedSamples:
+    """The given rows of ``split``, in the given order (repeats allowed),
+    ids too: the gather the package's ``PackedSamples.take`` made before the
+    training step drew its views with ``two_views``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    indptr, pos = _gather(split.indptr, rows)
+    id_offsets, id_pos = _gather(split.id_offsets, rows)
+    return PackedSamples(
+        indptr,
+        split.indices[pos],
+        split.values[pos],
+        split.labels[rows],
+        split.input_dim,
+        id_offsets,
+        split.id_bytes[id_pos],
+    )
+
+
 def trainer_step(trainer: training.Trainer) -> dict:
     """``trainer.step()`` as it stood with per-view labels: the N drawn rows
-    taken twice by ``PackedSamples.take`` (ids too), the contrastive loss by
+    taken twice by ``take`` (ids too), the contrastive loss by
     ``per_view_contrastive_loss`` on the views' (2N, C) labels with fresh
     arrays, then the package's backward pass, Adam step and validation."""
     cfg, state = trainer.cfg, trainer.state
     rows = trainer._next_batch()
-    views = trainer.train_set.take(np.concatenate([rows, rows]))
+    views = take(trainer.train_set, np.concatenate([rows, rows]))
     trace = encoder.forward_batch(state, views, rng=trainer.rng)
     bce, logit_grads = bce_loss(sigmoid(trace.logits), views.labels)
     unit, norms = unit_rows(trace.embedding)

@@ -26,7 +26,7 @@ from knnmlc.losses import (
 )
 from knnmlc.mathops import make_rng, sigmoid, unit_rows
 from knnmlc.training import batch_gradients, batch_objective
-from oracles import Sample, column_gather, cosine_sim_matrix, label_similarity_matrix, pack, weight_matrix
+from oracles import Sample, column_gather, cosine_sim_matrix, label_similarity_matrix, pack, take, weight_matrix
 
 REL_TOL = 1e-12
 
@@ -235,9 +235,11 @@ def test_embedding_grads_from_step_pieces_are_bit_identical(seed, n2, d):
     unit, norms = unit_rows(h)
     cos = unit @ unit.T
     np.testing.assert_array_equal(np.clip(cos, -1.0, 1.0), cosine_sim_matrix(h))
-    np.testing.assert_array_equal(
-        contrastive_embedding_grads(unit, norms, cos, g), ref_contrastive_embedding_grads(h, g)
-    )
+    want = ref_contrastive_embedding_grads(h, g)
+    np.testing.assert_array_equal(contrastive_embedding_grads(unit, norms, cos, g), want)
+    # its (2N, 2N) terms in a caller's array, stale from another step
+    got = contrastive_embedding_grads(unit, norms, cos, g, out=np.full((n2, n2), np.nan))
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -349,11 +351,11 @@ def test_take_selects_rows():
     packed = pack(samples, state.config.input_dim)
     rows = np.array([4, 2, 0, 4])
     np.testing.assert_array_equal(
-        packed.take(rows).to_dense(),
+        take(packed, rows).to_dense(),
         pack([samples[i] for i in rows], state.config.input_dim).to_dense(),
     )
-    np.testing.assert_array_equal(packed.take(rows).labels, packed.labels[rows])
+    np.testing.assert_array_equal(take(packed, rows).labels, packed.labels[rows])
     # a slice is a range of rows as views: the rows take gives
-    sliced, taken = packed[1:4], packed.take([1, 2, 3])
+    sliced, taken = packed[1:4], take(packed, [1, 2, 3])
     for name in ("indptr", "indices", "values", "labels", "id_offsets", "id_bytes"):
         np.testing.assert_array_equal(getattr(sliced, name), getattr(taken, name))

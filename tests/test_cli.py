@@ -133,9 +133,11 @@ class TestPipeline:
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         iterations = len((a["run"] / "history.jsonl").read_text().splitlines())
         assert timings["iterations_per_s"] == iterations / timings["run_s"]
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert environment == {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
             "knnmlc": knnmlc.__version__,
         }
         # gen-data's times its draw and its files (build-store, predict and eval: below)
@@ -578,6 +580,25 @@ class TestGradcheckCommand:
         code = main(["--seed", "5", "gradcheck", "--dims", "8,5,4,3,4"])
         assert code == EXIT_OK
         assert "pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--dims", "5,3,2,2,0"], "--dims values must all be >= 1, got '5,3,2,2,0'"),
+            (["--dims", "5,3,2,2,-3"], "--dims values must all be >= 1, got '5,3,2,2,-3'"),
+            (["--dims", "0,3,2,2,2"], "--dims values must all be >= 1, got '0,3,2,2,2'"),
+            (["--step", "0"], "--step must be finite and > 0, got 0.0"),
+            (["--step", "nan"], "--step must be finite and > 0, got nan"),
+            (["--step", "inf"], "--step must be finite and > 0, got inf"),
+            (["--configs", "0"], "--configs must be >= 1, got 0"),
+            (["--configs", "-3"], "--configs must be >= 1, got -3"),
+        ],
+        ids=["batch 0", "batch -3", "input 0", "step 0", "step nan", "step inf", "configs 0", "configs -3"],
+    )
+    def test_a_bad_argument_fails_by_name_before_any_check(self, argv, message, capsys):
+        assert main(["gradcheck", *argv]) == EXIT_FORMAT
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
 
     def test_fixed_dims_report_is_pinned(self, capsys):
         # the report the command printed when it built per-sample objects and packed them

@@ -22,7 +22,7 @@ from knnmlc.encoder import EncoderConfig, init_state, rowwise_layers, weight_row
 from knnmlc.inference import predict
 from knnmlc.mathops import make_rng
 from knnmlc.training import Trainer
-from oracles import forward_rowwise
+from oracles import forward_rowwise, take
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -340,7 +340,7 @@ def test_store_keys_are_the_query_path_embeddings(default_run, monkeypatch, gath
     # of 5 rows
     state, train, _, _ = default_run
     cfg = state.config
-    singles = np.stack([forward_rowwise(state, train.take([i])).embedding[0] for i in range(len(train))])
+    singles = np.stack([forward_rowwise(state, take(train, [i])).embedding[0] for i in range(len(train))])
     want = singles.astype(np.float32)
     n, nnz = len(train), train.indices.size
     if gather_rows is not None:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from knnmlc import gradcheck
 from knnmlc.encoder import (
     CheckpointError,
     EncoderConfig,
@@ -158,6 +159,26 @@ class TestBackward:
         problem = random_gradcheck_problem(seed)
         report = gradient_check(*problem)
         assert report.passed, f"max relative error {report.max_rel_error:.3e} in {report.worst_param}"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_analytic_entry_fails_and_names_its_parameter(self, monkeypatch, bad):
+        real = gradcheck.batch_gradients
+
+        def spoiled(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result[3].w_emb[1, 0] = bad
+            return result
+
+        monkeypatch.setattr(gradcheck, "batch_gradients", spoiled)
+        report = gradient_check(*random_gradcheck_problem(21))
+        assert report.passed is False
+        assert report.worst_param == "w_emb" and report.max_rel_error == np.inf
+        assert report.per_param["w_emb"] == np.inf
+        assert all(np.isfinite(v) for name, v in report.per_param.items() if name != "w_emb")
+
+    def test_a_nan_step_fails(self):
+        report = gradient_check(*random_gradcheck_problem(21), step=np.nan)
+        assert report.passed is False and report.max_rel_error == np.inf
 
 
 def test_inverted_dropout_preserves_expected_embedding():

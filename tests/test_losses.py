@@ -402,16 +402,21 @@ class TestInPlacePass:
     )
     def test_bit_identical_to_the_per_view_reference(self, seed, n, num_classes, variant, label_kind, tau1):
         """Label work on the N samples, broadcast over the view blocks, gives
-        the bits of the same work on the 2N views; with fresh arrays and with
-        a workspace reused from another call."""
+        the bits of the same work on the 2N views; with fresh arrays, with a
+        workspace reused from another call, and with the similarities in
+        that workspace's second array, as the training step passes them."""
         rng = make_rng(seed)
         labels = self._labels(rng, n, num_classes, label_kind)
         sims = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
         want = per_view_contrastive_loss(sims, np.vstack([labels, labels]), tau1, variant)
         workspace = (np.empty_like(sims), np.empty_like(sims))
         contrastive_loss_from_similarities(rng.uniform(-1.0, 1.0, size=sims.shape), labels, tau1, variant, workspace)
-        for kept in (None, workspace):
-            loss, grad = contrastive_loss_from_similarities(sims, labels, tau1, variant, workspace=kept)
+        for kept, in_second in ((None, False), (workspace, False), (workspace, True)):
+            given = sims
+            if in_second:
+                given = workspace[1]
+                given[...] = sims
+            loss, grad = contrastive_loss_from_similarities(given, labels, tau1, variant, workspace=kept)
             assert np.array_equal(loss, want[0]) and np.signbit(loss) == np.signbit(want[0])
             assert np.array_equal(grad, want[1]) and grad.tobytes() == want[1].tobytes()
 

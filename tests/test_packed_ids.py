@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from knnmlc import cli, copies, data
 from knnmlc.data import DataFormatError, load_jsonl, load_packed
 from knnmlc.inference import PredictionBundle
-from oracles import Sample, check_prediction_rows, pack, unpack_strings_checked
+from oracles import Sample, check_prediction_rows, pack, take, unpack_strings_checked
 
 SPECIAL_IDS = ["", "\x00", "nul\x00id", "héllo 漢字 😀", "\ud800", "x\udfffy\ud83d", "😀", 'a"b\\c', "€"]
 IDS = st.one_of(
@@ -48,7 +48,7 @@ def test_slices_rows_and_takes_give_the_object_array_ids(ids, data_):
     for i in range(-n, n):
         assert_packed_ids(split[i], [old[i]])
     rows = data_.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
-    assert_packed_ids(split.take(rows), old[np.array(rows, dtype=np.int64)].tolist())
+    assert_packed_ids(take(split, rows), old[np.array(rows, dtype=np.int64)].tolist())
     assert [row.ids()[0] for row in split] == old.tolist()
 
 

@@ -127,7 +127,7 @@ def test_every_row_equals_the_sample_alone(seed, count, k, dims, mode, block):
     state, store, queries, rng = random_setup(seed, count, *dims)
     cfg = InferenceConfig(k=k, mode=mode)
     rows = rng.integers(len(queries), size=block)
-    batch = predict_batch(state, store, queries.take(rows), cfg)
+    batch = predict_batch(state, store, oracles.take(queries, rows), cfg)
     # classifier_only never retrieves
     assert batch.neighbor_indices.shape == (block, 0 if mode == "classifier_only" else min(k, count))
     for j, i in enumerate(rows):

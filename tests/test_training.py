@@ -10,7 +10,7 @@ import pytest
 from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc import training
 from knnmlc.encoder import CheckpointError, EncoderConfig, ParameterGradients, init_state
-from knnmlc.mathops import make_rng
+from knnmlc.mathops import make_rng, unit_rows
 from knnmlc.training import AdamState, NonFiniteLossError, TrainConfig, Trainer, adam_step, train
 import oracles
 
@@ -311,7 +311,7 @@ class TestTrainer:
             train_s = train_s[:40]
             size = 40
         elif case == "more samples":
-            train_s = train_s.take([*range(n), 0])
+            train_s = oracles.take(train_s, [*range(n), 0])
             size = n + 1
         elif case == "a repeated row":
             payload["order"][0] = payload["order"][1]
@@ -400,8 +400,9 @@ class TestTrainer:
 
 
 class TestWorkspace:
-    """The trainer keeps one (2N, 2N) pair for the contrastive loss across
-    steps; nothing of one step may reach another."""
+    """The trainer keeps three (2N, 2N) arrays for the contrastive loss and
+    its embedding gradient across steps; nothing of one step may reach
+    another."""
 
     @staticmethod
     def _check_each_step_against_fresh_buffers(monkeypatch, trainer):
@@ -442,7 +443,7 @@ class TestWorkspace:
         (train_s, valid_s, _), dcfg = tiny_data()
         cfg = TrainConfig(batch_size=50, learning_rate=3e-3, alpha=0.5, max_iters=4, seed=1, variant="wscl")
         trainer = Trainer(train_s[:7], valid_s, init_state(tiny_encoder_cfg(dcfg), seed=1), cfg)
-        assert [buf.shape for buf in trainer._workspace] == [(14, 14), (14, 14)]
+        assert [buf.shape for buf in trainer._workspace] == [(14, 14)] * 3
         checked = self._check_each_step_against_fresh_buffers(monkeypatch, trainer)
         history = trainer.run()
         assert checked == [1, 2, 3, 4]
@@ -458,6 +459,30 @@ class TestWorkspace:
         training.batch_gradients(state, second_views, 0.5, 0.05, "wscl", rng=make_rng(1))
         for name, g in first[3].param_items():
             np.testing.assert_array_equal(g, kept[name])
+
+
+class TestCosineProduct:
+    """The training step forms the view cosines as a general product of a
+    contiguous copy, ``np.matmul(unit, unit.T.copy(), out=...)``, which
+    BLAS runs as gemm; ``unit @ unit.T``, which ``oracles.trainer_step``
+    keeps, goes to syrk and a triangle copy. At 2N = 64 and 256 (the
+    batches of 32 and 128 that the shipped config and its wide-batch
+    variant train at) the two are the same bits. At 2N = 2 and 14 the
+    SkylakeX kernel of OpenBLAS 0.3.31 sums some shapes in another order
+    ((2, 32), (14, 12) and (14, 32) differ there), so those shapes are held
+    to 2 eps; ``docs/formats.md`` says what the training bits depend on."""
+
+    @pytest.mark.parametrize("d", [1, 12, 32])
+    @pytest.mark.parametrize("n2", [2, 14, 64, 256])
+    def test_the_general_product_against_unit_at_unit_t(self, n2, d):
+        unit, _ = unit_rows(np.random.default_rng(100 * n2 + d).normal(size=(n2, d)))
+        got = np.full((n2, n2), np.nan)
+        np.matmul(unit, unit.T.copy(), out=got)
+        want = unit @ unit.T
+        if n2 in (64, 256):
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=2 * np.finfo(np.float64).eps)
 
 
 class TestPerSampleStep:
@@ -477,14 +502,13 @@ class TestPerSampleStep:
             train_s = dataclasses.replace(train_s, labels=labels)
         return train_s, valid_s, EncoderConfig(vocab_size, 12, 6, 8, dropout_rate=0.1)
 
-    @pytest.mark.parametrize("vocab_size,path", [(120, "dense"), (2000, "sparse")])
-    @pytest.mark.parametrize("variant", ["dcl", "ucl", "scl", "wscl"])
-    def test_25_steps_equal_the_per_view_oracle_step(self, monkeypatch, variant, vocab_size, path):
+    @staticmethod
+    def _steps_equal_the_oracle_steps(monkeypatch, variant, vocab_size, path, batch_size, n):
         # every fifth sample without labels: pairs with l_ij = 0 and
         # identical all-zero rows among the scl/wscl positives
-        train_s, valid_s, ecfg = self._data(vocab_size, empty_every=5)
-        cfg = TrainConfig(batch_size=8, learning_rate=3e-3, alpha=0.5, max_iters=25, seed=4, variant=variant,
-                          eval_every=5)
+        train_s, valid_s, ecfg = TestPerSampleStep._data(vocab_size, n=n, empty_every=5)
+        cfg = TrainConfig(batch_size=batch_size, learning_rate=3e-3, alpha=0.5, max_iters=25, seed=4,
+                          variant=variant, eval_every=5)
         paths = []
         real_forward = training.forward_batch
 
@@ -506,10 +530,22 @@ class TestPerSampleStep:
         assert got.history == want.history and len(got.history) == 25
         assert got.rng.bit_generator.state == want.rng.bit_generator.state
 
+    @pytest.mark.parametrize("vocab_size,path", [(120, "dense"), (2000, "sparse")])
+    @pytest.mark.parametrize("variant", ["dcl", "ucl", "scl", "wscl"])
+    def test_25_steps_equal_the_per_view_oracle_step(self, monkeypatch, variant, vocab_size, path):
+        self._steps_equal_the_oracle_steps(monkeypatch, variant, vocab_size, path, batch_size=8, n=64)
+
+    # 2N = 256, the wide-batch workload's batch: the trainer's kept workspace
+    # and its general cosine product against the oracle's unit @ unit.T
+    @pytest.mark.parametrize("vocab_size,path", [(120, "dense"), (8000, "sparse")])
+    @pytest.mark.parametrize("variant", ["dcl", "ucl", "scl", "wscl"])
+    def test_25_steps_at_batch_128_equal_the_per_view_oracle_step(self, monkeypatch, variant, vocab_size, path):
+        self._steps_equal_the_oracle_steps(monkeypatch, variant, vocab_size, path, batch_size=128, n=256)
+
     def test_two_views_is_the_rows_taken_twice_without_ids(self):
         train_s, _, _ = self._data(120)
         rows = np.array([5, 0, 63, 5, 17])
-        got, want = train_s.two_views(rows), train_s.take(np.concatenate([rows, rows]))
+        got, want = train_s.two_views(rows), oracles.take(train_s, np.concatenate([rows, rows]))
         for name in ("indptr", "indices", "values", "labels"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -545,7 +581,7 @@ class TestPerSampleStep:
         twins = train_s.two_views(np.arange(6))
         run(twins)
         with pytest.raises(ValueError, match=r"view i \+ N a twin of view i; row 12 of 13 has no twin"):
-            run(train_s.take([*range(6), *range(7)]))
+            run(oracles.take(train_s, [*range(6), *range(7)]))
         labels = twins.labels.copy()
         labels[9] = 1 - labels[9]
         labels[11] = 1 - labels[11]
