@@ -270,6 +270,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_build_store(args) -> int:
+    # NaN fails both comparisons
+    if not 0.0 < args.fraction <= 1.0:
+        raise ConfigError(f"--fraction must lie in (0, 1], got {args.fraction}")
     if not Path(args.checkpoint).exists():
         raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
     start = time.perf_counter()
@@ -523,6 +526,8 @@ def _format_report(report: dict) -> str:
 
 
 def cmd_eval(args) -> int:
+    if args.num_groups < 0:
+        raise ConfigError(f"--num-groups must be >= 0, got {args.num_groups}")
     if not Path(args.predictions).exists():
         raise FileNotFoundError(f"predictions file not found: {Path(args.predictions)}")
     start = time.perf_counter()
@@ -749,6 +754,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)

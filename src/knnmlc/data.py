@@ -1,19 +1,16 @@
 """Synthetic multi-label dataset generation, JSONL persistence, and
 label-frequency grouping.
 
-The generator's draws are numpy ``Generator.random`` and ``Generator.integers``
-calls on a seeded PCG64 stream (two or three per token), but they are read
-from the bit generator's raw 64-bit words, with numpy's arithmetic redone on
-them: a float is ``(word >> 11) * 2**-53`` and a bounded integer numpy's
-Lemire draw on 32-bit word halves. So a dataset's bytes depend on the PCG64
-raw stream alone, which numpy keeps stable, and not on how ``Generator``
-methods are implemented. ``_draw_block`` draws a window of samples at once
-as array operations on a block of words; ``_WordReader`` makes the same
-draws one call at a time, the model the block pass is tested against and
-its path for a sample with a rejected Lemire draw. ``generate_synthetic``
-gives the packed splits, and ``save_splits`` writes each split's lines from
-its arrays, in chunks of ``_CHUNK_LINES`` rows, and its packed copy beside
-it.
+The generator reads the raw 64-bit words of a PCG64 bit generator seeded
+with the config's seed and calls no ``Generator`` method, so a dataset's
+bytes depend on the PCG64 raw stream alone, which numpy keeps stable. Every
+sample reads a fixed run of 1 + C + 3T words (a cluster word, a word per
+label, and a noise, a block and an index word per token), so a split is
+drawn in row blocks of whole samples as array arithmetic, and the block
+size changes no byte (``_draw_split``; the layout is in docs/formats.md).
+``generate_synthetic`` gives the packed splits, and ``save_splits`` writes
+each split's lines from its arrays, in chunks of ``_CHUNK_LINES`` rows, and
+its packed copy beside it.
 
 Dataset file format (one JSON document per line):
 
@@ -271,6 +268,8 @@ class DatasetConfig:
             raise ValueError("all split sizes must be >= 1")
         if self.vocab_size < self.num_clusters + num_pairs:
             raise ValueError("vocab_size too small for per-cluster and per-pair blocks")
+        if self.vocab_size >= 2**32:
+            raise ValueError("vocab_size must be below 2**32")
         if not 0.0 <= self.label_noise <= 1.0:
             raise ValueError("label_noise must lie in [0, 1]")
         if not 0.0 <= self.feature_noise <= 1.0:
@@ -281,6 +280,8 @@ class DatasetConfig:
             raise ValueError("tokens_per_sample must be >= 1")
         if not 0.0 < self.cluster_skew <= 1.0:
             raise ValueError("cluster_skew must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def cluster_layout(cfg: DatasetConfig):
@@ -320,370 +321,103 @@ def _cluster_draws(cfg: DatasetConfig, layout):
     return clusters
 
 
-# raw words fetched per random_raw call: a few thousand amortize the call
-_WORD_BLOCK = 4096
-# raw words one block pass holds at most (256 KiB): it draws as many samples as
-# fit at the most words one sample can take (1 + C + 3T), and at least one
-_WINDOW_WORDS = 1 << 15
-
-
-class _WordReader:
-    """The draws ``Generator.random`` and ``Generator.integers`` make, read from
-    the raw 64-bit words of the generator's PCG64 bit generator.
-
-    The words are fetched ``block`` at a time with ``random_raw`` and read
-    from a cursor: ``words`` iterates them as Python ints for the scalar
-    draws, and ``peek``/``skip`` hand the block pass (``_draw_block``) an
-    array of them. ``random()`` is ``(word >> 11) * 2**-53`` and
-    ``random(k)`` k such words, as numpy computes them. ``integers(n)`` is
-    numpy's Lemire draw on 32-bit halves (see ``integers``); ``half`` is the
-    half it keeps (None for none). Together they give numpy's values for
-    any interleaving of these calls, while the generator itself has moved
-    on by whole blocks: draw only from the reader once it is made.
-    """
-
-    def __init__(self, rng: np.random.Generator, block: int = _WORD_BLOCK):
-        bitgen = rng.bit_generator
-        if not isinstance(bitgen, np.random.PCG64):
-            raise TypeError(f"the word reader needs a PCG64 generator, got {type(bitgen).__name__}")
-        state = bitgen.state
-        # numpy's 32-bit draws keep the high half of a word for the next one
-        self._start(bitgen.random_raw, block, state["uinteger"] if state["has_uint32"] else None)
-
-    @classmethod
-    def of_words(cls, fetch, half: int | None = None, block: int = _WORD_BLOCK) -> "_WordReader":
-        """A reader of the raw words ``fetch(k)`` returns k at a time (a
-        uint64 array), with ``half`` kept: the seam through which a test
-        feeds the draws crafted words."""
-        reader = cls.__new__(cls)
-        reader._start(fetch, block, half)
-        return reader
-
-    def _start(self, fetch, block: int, half: int | None) -> None:
-        self._fetch, self._block, self.half = fetch, block, half
-        self._buf, self._pos = np.empty(0, dtype=np.uint64), 0
-        self.words = iter(self._next_word, None)
-
-    def _next_word(self) -> int:
-        if self._pos == self._buf.size:
-            self._buf, self._pos = self._fetch(self._block), 0
-        self._pos += 1
-        return self._buf.item(self._pos - 1)
-
-    def peek(self, k: int) -> np.ndarray:
-        """The next k words as a uint64 array, left unread."""
-        short = k - (self._buf.size - self._pos)
-        if short > 0:
-            more = self._fetch(-(-short // self._block) * self._block)
-            self._buf, self._pos = np.concatenate((self._buf[self._pos :], more)), 0
-        return self._buf[self._pos : self._pos + k]
-
-    def skip(self, k: int) -> None:
-        """Read past the next k words."""
-        self._pos += k
-
-    def random(self, k: int | None = None):
-        """``Generator.random()`` as a float, or ``Generator.random(k)`` as a list."""
-        if k is None:
-            return (next(self.words) >> 11) * 2**-53
-        return [(word >> 11) * 2**-53 for word in islice(self.words, k)]
-
-    def integers(self, n: int) -> int:
-        """``Generator.integers(n)`` for 1 <= n <= 2**32 (ValueError otherwise).
-
-        Each try takes a 32-bit half u: the half kept from the last word split,
-        else the low half of a fresh word, whose high half is then kept (also
-        across ``random`` calls). u * n splits into a result (high 32 bits) and
-        a leftover (low 32 bits); a leftover below (2**32 - n) % n is rejected
-        and the next half tried, which makes every result equally likely
-        (Lemire 2019). n == 1 takes no half.
-        """
-        if not 1 <= n <= 1 << 32:
-            raise ValueError(f"integers(n) needs 1 <= n <= 2**32, got {n}")
-        if n == 1:
-            return 0
-        threshold = ((1 << 32) - n) % n
-        while True:
-            if self.half is None:
-                word = next(self.words)
-                u, self.half = word & 0xFFFFFFFF, word >> 32
-            else:
-                u, self.half = self.half, None
-            m = u * n
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-
-def _below(p: float) -> int:
-    """The bound of a probability p in [0, 1] on a word's 53-bit draw
-    ``word >> 11``: ``random() < p`` exactly when that draw is below it.
-    (word >> 11) * 2**-53 < p holds exactly when word >> 11 < ceil(p * 2**53),
-    since p * 2**53 is exact; the bound is at most 2**53, so it fits uint64."""
-    return math.ceil(p * 2**53)
-
+# raw words one row block holds at most (1 MiB): a block draws as many
+# samples as fit at 1 + C + 3T words each, and at least one; the words a
+# sample reads do not depend on the block, so neither do the bytes
+_BLOCK_WORDS = 1 << 17
 
 _SPLITS = ("train", "valid", "test")
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """What the draw of every sample reuses. Bounds are ``_below``'s. Per
-    cluster g (a row each): for each label, the place of its draw among the
-    sample's C label draws (in-labels first, then out-labels ascending),
-    whether it is an in-label and its bound (keep, else the cluster's leak);
-    its core label; the first index and size of its own token block and of
-    its pair's shared block; and its class among ``classes``, which of those
-    two blocks hold one index (integers(1) takes no half)."""
-
-    num_classes: int
-    vocab_size: int
-    tokens: int
-    cdf: np.ndarray  # (G,) float64: the cluster is the first entry above random()
-    noise: int
-    shared: int
-    label_at: np.ndarray  # (G, C) int64
-    label_in: np.ndarray  # (G, C) bool
-    label_bound: np.ndarray  # (G, C) uint64
-    core: np.ndarray  # (G,) int64
-    own_start: np.ndarray  # (G,) int64, and the three below
-    own_size: np.ndarray
-    shared_start: np.ndarray
-    shared_size: np.ndarray
-    classes: tuple  # ((own block of one index, shared block of one index), ...)
-    cls: np.ndarray  # (G,) int64 index into classes
+def _index(words: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """floor(word * size / 2**64) for uint64 words and sizes below 2**32,
+    exact in uint64: the high half's product plus the carry of the low
+    half's, shifted down 32 bits."""
+    return ((words >> 32) * sizes + ((words & 0xFFFFFFFF) * sizes >> 32)) >> 32
 
 
-def _draw_tables(cfg: DatasetConfig) -> _Tables:
-    layout = cluster_layout(cfg)
-    label_sets, own_blocks, pair_blocks, priors = layout
-    # the draw rng.choice(num_clusters, p=priors) makes, from the same cdf
-    cdf = priors.cumsum()
-    cdf /= cdf[-1]
-    draws = _cluster_draws(cfg, layout)
-    # the inverse of each cluster's draw order
-    label_at = np.argsort([np.concatenate((in_labels, out_labels)) for in_labels, out_labels, *_ in draws], axis=1)
-    label_in = label_at < np.array([[in_labels.size] for in_labels, *_ in draws])
-    leak = np.array([[_below(add_p)] for _, _, add_p, _, _ in draws], dtype=np.uint64)
-    shared_blocks = [pair_blocks[g // 2] for g in range(cfg.num_clusters)]
-    own_size = np.array([block.size for block in own_blocks])
-    shared_size = np.array([block.size for block in shared_blocks])
-    keys = list(zip((own_size == 1).tolist(), (shared_size == 1).tolist()))
-    classes = tuple(sorted(set(keys)))
-    return _Tables(
-        num_classes=cfg.num_classes,
-        vocab_size=cfg.vocab_size,
-        tokens=cfg.tokens_per_sample,
-        cdf=cdf,
-        noise=_below(cfg.feature_noise),
-        shared=_below(cfg.shared_feature_frac),
-        label_at=label_at,
-        label_in=label_in,
-        label_bound=np.where(label_in, np.uint64(_below(cfg.label_noise)), leak),
-        core=np.array([labels[0] for labels in label_sets]),
-        own_start=np.array([block[0] for block in own_blocks]),
-        own_size=own_size,
-        shared_start=np.array([block[0] for block in shared_blocks]),
-        shared_size=shared_size,
-        classes=classes,
-        cls=np.array([classes.index(key) for key in keys]),
-    )
+def _draw_split(bitgen, cfg: DatasetConfig, tables, name: str, size: int) -> PackedSamples:
+    """The next ``size`` samples of the bit generator's raw words as a packed
+    split, ``1 + C + 3T`` words a sample, read in row blocks of at most
+    ``_BLOCK_WORDS`` words. Where a word draws a probability it is read as
+    ``u = (word >> 11) * 2**-53`` in [0, 1).
 
-
-def _draw_sample(reader: _WordReader, t: _Tables):
-    """One sample drawn word by word through the reader's scalar draws, as
-    (tokens (1, T) int64, labels (1, C) int8): the scalar model of
-    ``_draw_block``, and its path for a sample with a rejected Lemire draw.
-
-    The draws are the per-sample reference's (``tests/oracles.py``): a
-    cluster by the prior's cdf; a keep draw per in-label and a leak draw per
-    out-label; per token a noise draw, then a uniform index over the
-    vocabulary, or a block draw and a uniform index into the pair's shared
-    block or the cluster's own block (each a contiguous run of indices).
-    """
-    words, integers = reader.words, reader.integers
-    g = int(t.cdf.searchsorted(reader.random(), side="right"))
-    drawn = list(islice(words, t.num_classes))
-    label_at, label_in, label_bound = (table[g].tolist() for table in (t.label_at, t.label_in, t.label_bound))
-    # an in-label is kept when its draw is not below the keep bound, an
-    # out-label leaks in when its draw is below the leak bound
-    hits = [(drawn[at] >> 11 < bound) != inside for at, inside, bound in zip(label_at, label_in, label_bound)]
-    labels = np.array([hits], dtype=np.int8)
-    if not labels.any():  # a sample that lost every label keeps its cluster's core label
-        labels[0, t.core[g]] = 1
-    tokens = []
-    for _ in range(t.tokens):
-        if next(words) >> 11 < t.noise:
-            tokens.append(integers(t.vocab_size))
-        elif next(words) >> 11 < t.shared:
-            tokens.append(int(t.shared_start[g]) + integers(int(t.shared_size[g])))
-        else:
-            tokens.append(int(t.own_start[g]) + integers(int(t.own_size[g])))
-    return np.array([tokens], dtype=np.int64), labels
-
-
-def _token_map(step: np.ndarray, one_index: np.ndarray | None, sentinel: int) -> np.ndarray:
-    """The state 2p + h after one token whose noise word is at p, with a half
-    kept (h = 1) or not: ``step`` is twice the position past its noise word
-    and any block word, and ``one_index`` (None for none) marks the tokens
-    whose block holds one index, whose integers(1) takes no half. States
-    past the window map to ``sentinel``."""
-    tok = np.empty(sentinel + 1, dtype=np.int64)
-    # no half kept: a fresh word, whose high half is then kept
-    np.add(step, 3, out=tok[0:sentinel:2])
-    # a half kept: it is used up
-    tok[1:sentinel:2] = step
-    if one_index is not None:  # no half taken: none fresh, and a kept one stays kept
-        tok[0:sentinel:2] -= 3 * one_index
-        tok[1:sentinel:2] += one_index
-    # a token reads at most three words, so only the last three positions can run past the window
-    np.minimum(tok[-8:], sentinel, out=tok[-8:])
-    tok[sentinel] = sentinel
-    return tok
-
-
-def _power(f: np.ndarray, k: int) -> np.ndarray:
-    """The map f composed k >= 1 times, by repeated squaring."""
-    result = None
-    while True:
-        if k & 1:
-            result = f if result is None else f[result]
-        k >>= 1
-        if not k:
-            return result
-        f = f[f]
-
-
-def _draw_block(reader: _WordReader, t: _Tables, m: int):
-    """Draw up to m samples from the reader's words in one pass of array
-    operations, as (tokens (k, T) int64, labels (k, C) int8) of the first k:
-    k < m when sample k has a rejected Lemire draw, which the caller leaves
-    to ``_draw_sample``. The reader moves past the k samples.
-
-    A sample reads a cluster word, C label words, then per token a noise
-    word, a block word unless it is noise, and a 32-bit half unless its
-    block holds one index: a fresh word's low half when none is kept (its
-    high half is then kept), else the kept half. Barring a rejection, where
-    a token's words lie depends only on the position p of its noise word,
-    on whether a half is kept (h) and on the cluster's class, so a token
-    moves the state 2p + h by one map, and a sample by that map composed T
-    times (pointer doubling over the window) after its 1 + C words. The
-    samples' starts then take one lookup each, and every draw is an array
-    operation on the words they index.
-    """
-    num_classes, num_tokens = t.num_classes, t.tokens
-    span = m * (1 + num_classes + 3 * num_tokens)
-    words = np.empty(span + 2, dtype=np.uint64)
-    # position 0 stands for the word whose high half is kept as the pass starts
-    words[0] = 0 if reader.half is None else reader.half << 32
-    words[1:] = reader.peek(span + 1)
-    draws = words >> 11
-    notnoise = draws >= t.noise
-    shared = np.zeros(words.size, dtype=bool)  # the block word after a noise word here picks the shared block
-    shared[:-1] = draws[1:] < t.shared
-    sentinel = 2 * words.size
-    step = np.arange(1, words.size + 1)
-    step += notnoise
-    step *= 2
-    token_maps = [
-        _token_map(step, notnoise & np.where(shared, shared_one, own_one) if own_one or shared_one else None, sentinel)
-        for own_one, shared_one in t.classes
-    ]
-    # a sample's tokens start at the state its start state has after its
-    # 1 + C cluster and label words
-    lead = 2 * (1 + num_classes)
-    after = [_power(tok, num_tokens) for tok in token_maps]
-    if len(after) == 1:
-        after = after[0]
-    else:  # by the class of the cluster the sample's first word draws
-        cluster = t.cdf.searchsorted(draws * 2**-53, side="right")
-        first_word = np.clip((np.arange(sentinel + 1) >> 1) - 1 - num_classes, 0, words.size - 1)
-        after = np.choose(t.cls[cluster][first_word], after)
-    state = 2 + (reader.half is not None)
-    starts = [state]
-    for _ in range(m):
-        state = after.item(state + lead)
-        starts.append(state)
-    starts = np.array(starts)
-    first = starts[:-1] >> 1
-    g = t.cdf.searchsorted(draws[first] * 2**-53, side="right")
-    cls = t.cls[g]
-    states = np.empty((m, num_tokens), dtype=np.int64)
-    states[:, 0] = starts[:-1] + lead
-    for j in range(1, num_tokens):
-        states[:, j] = np.choose(cls, [tok[states[:, j - 1]] for tok in token_maps])
-    at, kept = states >> 1, states & 1
-    notnoise, shared = notnoise[at], shared[at]
-    g_col = g[:, None]
-    n = np.where(notnoise, np.where(shared, t.shared_size[g_col], t.own_size[g_col]), t.vocab_size).astype(np.uint64)
-    takes_half = n != 1
-    fresh_at = at + 1 + notnoise
-    fresh = takes_half & (kept == 0)
-    # the word whose high half a kept half is: the last fresh word before it
-    source = np.maximum.accumulate(np.where(fresh, fresh_at, 0).ravel()).reshape(m, num_tokens)
-    u = np.where(kept == 1, words[source] >> 32, words[fresh_at] & 0xFFFFFFFF)
-    product = u * n
-    rejected = takes_half & ((product & 0xFFFFFFFF) < (2**32 - n) % n)
-    k = int(rejected.any(axis=1).argmax()) if rejected.any() else m
-    g, g_col = g[:k], g_col[:k]
-    start = np.where(shared[:k], t.shared_start[g_col], t.own_start[g_col])
-    tokens = np.where(notnoise[:k], start, 0) + np.where(takes_half[:k], product[:k] >> 32, 0).astype(np.int64)
-    hits = (draws[first[:k, None] + 1 + t.label_at[g]] < t.label_bound[g]) != t.label_in[g]
-    labels = hits.view(np.int8)
-    lost = ~hits.any(axis=1)  # a sample that lost every label keeps its cluster's core label
-    labels[lost, t.core[g[lost]]] = 1
-    end = int(starts[k])
-    reader.skip((end >> 1) - 1)
-    reader.half = int(words[source[k - 1, -1] if k else 0] >> 32) if end & 1 else None
-    return tokens, labels
-
-
-def _draw_split(reader: _WordReader, t: _Tables, name: str, size: int) -> PackedSamples:
-    """The next ``size`` samples of the reader's words as a packed split,
-    drawn by block passes of as many samples as ``_WINDOW_WORDS`` holds;
-    a sample's features are its distinct tokens, ascending, valued by how
+    Word 0 picks the cluster: the first entry of the prior's cdf above u.
+    Word 1 + c draws label c: an in-label is kept when u < 1 - label_noise,
+    an out-label leaks in when u < the cluster's leak rate, and a sample
+    left without labels keeps its cluster's core label. Token j reads three
+    words: noise (u < feature_noise), block (u < shared_feature_frac picks
+    the pair's shared block, else the cluster's own) and index, which picks
+    ``_index`` into the vocabulary for a noise token, else into the block.
+    A sample's features are its distinct tokens, ascending, valued by how
     often each was drawn."""
-    per_pass = max(1, _WINDOW_WORDS // (1 + t.num_classes + 3 * t.tokens))
-    # filled pass by pass: a sample has at most T distinct tokens
+    cdf, threshold, core, starts, sizes = tables
+    num_classes, num_tokens = cfg.num_classes, cfg.tokens_per_sample
+    width = 1 + num_classes + 3 * num_tokens
+    per_block = max(1, _BLOCK_WORDS // width)
+    # filled block by block: a sample has at most T distinct tokens
     indptr = np.zeros(size + 1, dtype=np.int64)
-    indices = np.empty(size * t.tokens, dtype=np.int64)
-    values = np.empty(size * t.tokens, dtype=np.float64)
-    labels = np.empty((size, t.num_classes), dtype=np.int8)
-    done = 0
-    while done < size:
-        drawn = _draw_block(reader, t, min(per_pass, size - done))
-        if not len(drawn[0]):  # the next sample has a rejected Lemire draw
-            drawn = _draw_sample(reader, t)
-        tokens, k = drawn[0], len(drawn[0])
-        labels[done : done + k] = drawn[1]
+    indices = np.empty(size * num_tokens, dtype=np.int64)
+    values = np.empty(size * num_tokens, dtype=np.float64)
+    labels = np.empty((size, num_classes), dtype=np.int8)
+    for done in range(0, size, per_block):
+        k = min(per_block, size - done)
+        words = bitgen.random_raw((k, width))
+        u = (words[:, : 1 + num_classes] >> 11) * 2**-53
+        g = cdf.searchsorted(u[:, 0], side="right")
+        hits = u[:, 1:] < threshold[g]
+        lost = ~hits.any(axis=1)
+        hits[lost, core[g[lost]]] = True
+        labels[done : done + k] = hits
+        token_words = words[:, 1 + num_classes :].reshape(k, num_tokens, 3)
+        u = (token_words[..., :2] >> 11) * 2**-53
+        # the block each token draws from: 0 the vocabulary (noise), 1 the shared block, 2 the own block
+        block = np.where(u[..., 0] < cfg.feature_noise, 0, np.where(u[..., 1] < cfg.shared_feature_frac, 1, 2))
+        pick = g[:, None], block
+        tokens = (starts[pick] + _index(token_words[..., 2], sizes[pick])).view(np.int64)
         flat = np.sort(tokens, axis=1).ravel()
         first = np.ones(flat.size, dtype=bool)  # the first of a run of equal tokens in a row
         first[1:] = flat[1:] != flat[:-1]
-        first[:: t.tokens] = True
+        first[::num_tokens] = True
         at = np.flatnonzero(first)
-        indptr[done + 1 : done + k + 1] = indptr[done] + np.cumsum(first.reshape(k, t.tokens).sum(axis=1))
+        indptr[done + 1 : done + k + 1] = indptr[done] + np.cumsum(first.reshape(k, num_tokens).sum(axis=1))
         lo, hi = indptr[done], indptr[done + k]
         indices[lo:hi] = flat[at]
         values[lo:hi] = np.diff(at, append=flat.size)
-        done += k
     # cut to the entries drawn, in place: no view of either is alive
     indices.resize(indptr[-1], refcheck=False)
     values.resize(indptr[-1], refcheck=False)
     id_offsets, id_bytes = copies.pack_strings([f"{name}-{i:05d}" for i in range(size)])
-    return PackedSamples(indptr, indices, values, labels, t.vocab_size, id_offsets, id_bytes)
+    return PackedSamples(indptr, indices, values, labels, cfg.vocab_size, id_offsets, id_bytes)
 
 
 def generate_synthetic(cfg: DatasetConfig):
-    """Deterministically generate the (train, valid, test) PackedSamples.
+    """Deterministically generate the (train, valid, test) PackedSamples,
+    one after another from the raw words of the PCG64 generator seeded with
+    ``cfg.seed`` (``_draw_split``): no ``Generator`` method draws, so the
+    bytes depend on the PCG64 raw stream alone.
 
     Each split holds the arrays ``load_packed`` reads from the file that
     ``save_splits`` writes for it (feature keys ascend in both), so the
     library and the CLI run on the same bits.
     """
     cfg.validate()
-    tables = _draw_tables(cfg)
-    reader = _WordReader(make_rng(cfg.seed))
-    sizes = (cfg.train_size, cfg.valid_size, cfg.test_size)
-    return tuple(_draw_split(reader, tables, name, size) for name, size in zip(_SPLITS, sizes))
+    layout = cluster_layout(cfg)
+    cdf = layout[3].cumsum()
+    cdf /= cdf[-1]
+    clusters = _cluster_draws(cfg, layout)
+    threshold = np.empty((cfg.num_clusters, cfg.num_classes))
+    for g, (in_labels, out_labels, add_p, _, _) in enumerate(clusters):
+        threshold[g, in_labels] = 1.0 - cfg.label_noise
+        threshold[g, out_labels] = add_p
+    core = np.array([in_labels[0] for in_labels, *_ in clusters])
+    # per cluster, the first index and size of the vocabulary, its shared block and its own block
+    blocks = [[(0, cfg.vocab_size), (shared[0], shared.size), (own[0], own.size)] for *_, own, shared in clusters]
+    starts, sizes = np.moveaxis(np.array(blocks, dtype=np.uint64), 2, 0)
+    tables = cdf, threshold, core, starts, sizes
+    bitgen = make_rng(cfg.seed).bit_generator
+    split_sizes = (cfg.train_size, cfg.valid_size, cfg.test_size)
+    return tuple(_draw_split(bitgen, cfg, tables, name, size) for name, size in zip(_SPLITS, split_sizes))
 
 
 def save_splits(splits, out_dir) -> dict[str, str]:
@@ -705,7 +439,8 @@ def save_splits(splits, out_dir) -> dict[str, str]:
 def _record_lines(split: PackedSamples):
     """The record lines of a generated split (plain ASCII ids, values that are
     token counts), ``_CHUNK_LINES`` rows at a time as one bytes object: each
-    chunk is its lines' pieces, looked up in tables, in one join."""
+    chunk is its lines' pieces, looked up in tables, in one join. The ids'
+    bytes are decoded once, as ASCII, and each line's id is a slice of them."""
     n, num_classes = split.labels.shape
     vocab_size = split.input_dim
     # a row's first feature key and first label have pieces of their own
@@ -714,6 +449,7 @@ def _record_lines(split: PackedSamples):
     labels = np.array(
         [f'}}, "labels": [{c}' for c in range(num_classes)] + [f", {c}" for c in range(num_classes)], dtype=object
     )
+    id_text, id_bounds = split.id_bytes.tobytes().decode("ascii"), split.id_offsets.tolist()
     for lo in range(0, n, _CHUNK_LINES):
         rows = split[lo : lo + _CHUNK_LINES]
         nnz = np.diff(rows.indptr)
@@ -722,7 +458,8 @@ def _record_lines(split: PackedSamples):
         # per row: its opening piece, a key and a count piece per feature, a piece per label, its closing piece
         bounds = _offsets(2 + 2 * nnz + num_labels)
         pieces = np.empty(bounds[-1], dtype=object)
-        pieces[bounds[:-1]] = [f'{{"id": "{sample_id}", "features": {{' for sample_id in rows.ids()]
+        starts = id_bounds[lo : lo + len(rows) + 1]
+        pieces[bounds[:-1]] = [f'{{"id": "{id_text[a:b]}", "features": {{' for a, b in zip(starts, starts[1:])]
         j = np.arange(rows.indptr[-1]) - np.repeat(rows.indptr[:-1], nnz)  # place in its row
         at = np.repeat(bounds[:-1], nnz) + 1 + 2 * j
         pieces[at] = keys[rows.indices + vocab_size * (j > 0)]

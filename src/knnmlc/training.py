@@ -102,6 +102,8 @@ class TrainConfig:
             raise ValueError(f"variant must be one of {CONTRASTIVE_VARIANTS}")
         if self.eval_every < 0:
             raise ValueError("eval_every must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -4,7 +4,9 @@ Each one computes, for one pair or one sample, what the package computes for
 a whole batch at once; tests check the batched code against them. The
 per-sample forms of the data are here too: a sample record (``Sample``), a
 list of records packed (``pack``), the per-line dataset reader
-(``load_jsonl``) and writer (``save_jsonl``). ``masked_contrastive_loss``
+(``load_jsonl``) and writer (``save_jsonl``), and the generator drawing
+one sample at a time from its own raw words (``generate_synthetic``), the
+reference of the row-block draw. ``masked_contrastive_loss``
 is the contrastive loss as whole-matrix expressions, against which the
 package's in-place pass is checked bit for bit, and ``cosine_sim_matrix``
 the similarities it is handed. ``per_view_contrastive_loss`` is that pass
@@ -29,6 +31,7 @@ checked bit for bit. ``unpack_strings_checked`` (one decode per string) and
 ``unit_columns`` the store's search matrix as it was formed at
 construction, before it was formed on first use.
 """
+import bisect
 import json
 import logging
 from dataclasses import dataclass
@@ -398,42 +401,49 @@ def column_gather(w_in: np.ndarray, batch: PackedSamples) -> np.ndarray:
     return np.add.reduceat(columns, batch.indptr[:-1], axis=1).T
 
 
-def draw_sample(cfg, rng, clusters, cdf, sample_id: str) -> Sample:
-    """One synthetic sample by scalar ``Generator`` calls, two or three per
-    token: the stream ``data.generate_synthetic`` reads from the raw words."""
-    # the draw rng.choice(num_clusters, p=priors) makes, from the same cdf and stream
-    in_labels, out_labels, add_p, own, shared = clusters[int(cdf.searchsorted(rng.random(), side="right"))]
+def draw_sample(cfg, words, clusters, cdf, sample_id: str) -> Sample:
+    """One synthetic sample from its own 1 + C + 3T raw PCG64 words (Python
+    ints), one scalar draw at a time: the layout ``data.generate_synthetic``
+    reads in row blocks. A probability is drawn as ``(word >> 11) * 2**-53``
+    and an index below n as ``word * n >> 64``, in Python's exact integers."""
 
+    def u(word):
+        return (word >> 11) * 2**-53
+
+    in_labels, out_labels, add_p, own, shared = clusters[bisect.bisect_right(cdf, u(words[0]))]
     labels = np.zeros(cfg.num_classes, dtype=np.int8)
-    labels[in_labels] = (rng.random(len(in_labels)) >= cfg.label_noise).astype(np.int8)
-    if out_labels.size:
-        labels[out_labels] = (rng.random(out_labels.size) < add_p).astype(np.int8)
-    if labels.sum() == 0:
+    for c in in_labels:
+        labels[c] = u(words[1 + c]) < 1.0 - cfg.label_noise
+    for c in out_labels:
+        labels[c] = u(words[1 + c]) < add_p
+    if not labels.any():
         labels[in_labels[0]] = 1
 
     features: dict[int, float] = {}
-    for _ in range(cfg.tokens_per_sample):
-        r = rng.random()
-        if r < cfg.feature_noise:
-            idx = int(rng.integers(cfg.vocab_size))
-        elif rng.random() < cfg.shared_feature_frac:
-            idx = int(shared[rng.integers(shared.size)])
+    for j in range(cfg.tokens_per_sample):
+        noise, block, index = words[1 + cfg.num_classes + 3 * j : 4 + cfg.num_classes + 3 * j]
+        if u(noise) < cfg.feature_noise:
+            idx = index * cfg.vocab_size >> 64
+        elif u(block) < cfg.shared_feature_frac:
+            idx = int(shared[index * shared.size >> 64])
         else:
-            idx = int(own[rng.integers(own.size)])
+            idx = int(own[index * own.size >> 64])
         features[idx] = features.get(idx, 0.0) + 1.0
     return Sample(features=dict(sorted(features.items())), labels=labels, sample_id=sample_id)
 
 
 def generate_synthetic(cfg):
-    """(train, valid, test) lists of ``draw_sample`` samples from one stream."""
+    """(train, valid, test) lists of ``draw_sample`` samples, each reading
+    the next 1 + C + 3T raw words of one PCG64 stream."""
     cfg.validate()
-    rng = make_rng(cfg.seed)
+    bitgen = make_rng(cfg.seed).bit_generator
     layout = cluster_layout(cfg)
     clusters = _cluster_draws(cfg, layout)
     cdf = layout[3].cumsum()
-    cdf /= cdf[-1]
+    cdf = (cdf / cdf[-1]).tolist()
+    width = 1 + cfg.num_classes + 3 * cfg.tokens_per_sample
     return tuple(
-        [draw_sample(cfg, rng, clusters, cdf, f"{name}-{i:05d}") for i in range(size)]
+        [draw_sample(cfg, bitgen.random_raw(width).tolist(), clusters, cdf, f"{name}-{i:05d}") for i in range(size)]
         for name, size in (("train", cfg.train_size), ("valid", cfg.valid_size), ("test", cfg.test_size))
     )
 

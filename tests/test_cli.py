@@ -326,6 +326,48 @@ class TestErrorPaths:
         assert code == EXIT_FORMAT
         assert ":train:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["dataset", "train"])
+    def test_a_negative_config_seed_fails_by_name(self, tmp_path, capsys, section):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: {"seed": -1}}))
+        assert main(["--config", str(bad), "gen-data", "--out", str(tmp_path / "d")]) == EXIT_FORMAT
+        assert f":{section}: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "ablate", "gradcheck"])
+    def test_a_negative_seed_argument_fails_by_name(self, pipeline_artifacts, tmp_path, capsys, command):
+        a = pipeline_artifacts
+        argv = {
+            "gen-data": ["gen-data", "--out", str(tmp_path / "d")],
+            "train": ["train", "--data", str(a["data"]), "--out", str(tmp_path / "r")],
+            "ablate": ["ablate", "--data", str(a["data"])],
+            "gradcheck": ["gradcheck", "--configs", "1"],
+        }[command]
+        assert main(["--config", a["config"], "--seed", "-1", *argv]) == EXIT_FORMAT
+        out, err = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5", "nan"])
+    def test_a_store_fraction_outside_the_unit_interval_fails_by_name(self, pipeline_artifacts, tmp_path, capsys,
+                                                                       fraction):
+        a = pipeline_artifacts
+        out = tmp_path / "s.bin"
+        code = main([
+            "build-store", "--checkpoint", str(a["run"] / "model.json"),
+            "--train-file", str(a["data"] / "train.jsonl"), "--out", str(out), "--fraction", fraction,
+        ])
+        assert code == EXIT_FORMAT
+        assert f"--fraction must lie in (0, 1], got {float(fraction)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_negative_group_count_fails_by_name(self, pipeline_artifacts, capsys):
+        a = pipeline_artifacts
+        argv = ["eval", "--predictions", str(a["preds"]), "--gold", str(a["data"] / "test.jsonl"), "--num-groups", "-1"]
+        assert main(argv) == EXIT_FORMAT
+        out, err = capsys.readouterr()
+        assert "--num-groups must be >= 0, got -1" in err and out == ""
+
     def test_unparseable_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -617,6 +659,37 @@ def test_python_dash_m_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: knnmlc") and "gen-data" in result.stdout
+
+
+def _openblas_on_x86_64() -> bool:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return platform.machine().lower() in ("x86_64", "amd64") and "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _openblas_on_x86_64(), reason="OPENBLAS_CORETYPE selects a kernel only in OpenBLAS on x86_64")
+def test_store_and_predictions_do_not_depend_on_the_blas_kernel(pipeline_artifacts, tmp_path):
+    # build-store and predict from one model, each in a fresh process under the
+    # kernel OpenBLAS picks for this CPU and under the oldest x86_64 one it has
+    a = pipeline_artifacts
+    src = Path(__file__).resolve().parents[1] / "src"
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for coretype in (None, "Nehalem"):
+        env = base if coretype is None else {**base, "OPENBLAS_CORETYPE": coretype}
+        out = tmp_path / (coretype or "default")
+        out.mkdir()
+        for argv in (
+            ["build-store", "--checkpoint", str(a["run"] / "model.json"),
+             "--train-file", str(a["data"] / "train.jsonl"), "--out", str(out / "store.bin")],
+            ["predict", "--checkpoint", str(a["run"] / "model.json"), "--store", str(out / "store.bin"),
+             "--test-file", str(a["data"] / "test.jsonl"), "--out", str(out / "preds.jsonl")],
+        ):
+            result = subprocess.run([sys.executable, "-m", "knnmlc", "--config", a["config"], *argv],
+                                    env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+        outputs.append([(out / name).read_bytes() for name in ("store.bin", "preds.jsonl")])
+    assert outputs[0] == outputs[1]
 
 
 class TestAblateCommand:

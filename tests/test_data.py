@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from knnmlc import data
@@ -16,11 +16,7 @@ from knnmlc.data import (
     DataFormatError,
     DatasetConfig,
     PackedSamples,
-    _below,
-    _draw_sample,
-    _draw_split,
-    _draw_tables,
-    _WordReader,
+    _index,
     cluster_layout,
     frequency_groups,
     generate_synthetic,
@@ -29,7 +25,6 @@ from knnmlc.data import (
     load_packed,
     save_splits,
 )
-from knnmlc.mathops import make_rng
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -114,48 +109,11 @@ class TestGenerator:
         # every cluster needs a shared core plus at least one own label
         with pytest.raises(ValueError):
             generate_synthetic(small_cfg(num_classes=5, num_clusters=4))
-
-
-def ref_draw_sample(cfg, rng, layout, sample_id):
-    """The per-sample draw before per-cluster work moved out of it: the
-    cluster by ``rng.choice(p=priors)`` and the out-label set and leak rate
-    worked out again for every sample. Kept as the generator's oracle."""
-    label_sets, own_blocks, pair_blocks, priors = layout
-    g = int(rng.choice(cfg.num_clusters, p=priors))
-    in_labels = label_sets[g]
-    s = len(in_labels)
-
-    labels = np.zeros(cfg.num_classes, dtype=np.int8)
-    labels[in_labels] = (rng.random(s) >= cfg.label_noise).astype(np.int8)
-    out_labels = np.setdiff1d(np.arange(cfg.num_classes), in_labels, assume_unique=True)
-    if out_labels.size:
-        add_p = min(1.0, cfg.label_noise * s / out_labels.size)
-        labels[out_labels] = (rng.random(out_labels.size) < add_p).astype(np.int8)
-    if labels.sum() == 0:
-        labels[in_labels[0]] = 1
-
-    features = {}
-    own = own_blocks[g]
-    shared = pair_blocks[g // 2]
-    for _ in range(cfg.tokens_per_sample):
-        r = rng.random()
-        if r < cfg.feature_noise:
-            idx = int(rng.integers(cfg.vocab_size))
-        elif rng.random() < cfg.shared_feature_frac:
-            idx = int(shared[rng.integers(shared.size)])
-        else:
-            idx = int(own[rng.integers(own.size)])
-        features[idx] = features.get(idx, 0.0) + 1.0
-    return oracles.Sample(features=features, labels=labels, sample_id=sample_id)
-
-
-def ref_generate(cfg):
-    rng = make_rng(cfg.seed)
-    layout = cluster_layout(cfg)
-    return tuple(
-        [ref_draw_sample(cfg, rng, layout, f"{name}-{i:05d}") for i in range(size)]
-        for name, size in (("train", cfg.train_size), ("valid", cfg.valid_size), ("test", cfg.test_size))
-    )
+        # an index into the vocabulary is drawn below 2**32
+        with pytest.raises(ValueError, match="vocab_size must be below 2\\*\\*32"):
+            small_cfg(vocab_size=2**32).validate()
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate_synthetic(small_cfg(seed=-1))
 
 
 GENERATOR_CONFIGS = [
@@ -170,10 +128,9 @@ GENERATOR_CONFIGS = [
     {"shared_feature_frac": 1.0},
     {"cluster_skew": 1.0, "num_clusters": 5, "num_classes": 9},
     {"num_classes": 48, "num_clusters": 16, "vocab_size": 2000},
-    # an odd count: a sample can end with a half kept for the next one
     {"tokens_per_sample": 7},
     {"tokens_per_sample": 1},
-    # every token block holds one index, so each block draw is integers(1)
+    # every token block holds one index
     {"num_classes": 18, "num_clusters": 12, "vocab_size": 18, "cluster_skew": 1.0},
 ]
 
@@ -182,10 +139,7 @@ GENERATOR_CONFIGS = [
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_generator_matches_the_per_sample_reference(overrides, seed):
     cfg = small_cfg(**{**overrides, "seed": seed})
-    # the same features, with keys in ascending index order (as saved)
-    for got, want in zip(generate_synthetic(cfg), ref_generate(cfg)):
-        for s in want:
-            s.features = dict(sorted(s.features.items()))
+    for got, want in zip(generate_synthetic(cfg), oracles.generate_synthetic(cfg)):
         assert same_split(got, oracles.pack(want, cfg.vocab_size))
 
 
@@ -270,18 +224,19 @@ def test_label_keep_leak_and_fallback_rates(overrides):
     [{"cluster_skew": 0.8}, {"num_classes": 9, "num_clusters": 5, "cluster_skew": 1.0}],  # 5: a pair of one
     ids=["four-clusters", "five-clusters"],
 )
-def test_token_rates_of_the_noise_pair_and_own_draws(overrides):
+def test_cluster_shares_and_token_rates_of_the_noise_pair_and_own_draws(overrides):
     # without label noise the label set names the cluster
     cfg = DatasetConfig(**overrides, label_noise=0.0, feature_noise=0.3, shared_feature_frac=0.6,
                         train_size=3000, valid_size=1, test_size=1, seed=12)
     train = generate_synthetic(cfg)[0]
-    label_sets, own_blocks, pair_blocks, _ = cluster_layout(cfg)
+    label_sets, own_blocks, pair_blocks, priors = cluster_layout(cfg)
     names = {tuple(labels.tolist()): g for g, labels in enumerate(label_sets)}
     cluster = np.array([names[tuple(np.flatnonzero(row).tolist())] for row in train.labels])
     entry_cluster = cluster.repeat(np.diff(train.indptr))
     own, pair = block_owners(cfg)
     f, s = cfg.feature_noise, cfg.shared_feature_frac
     for g in range(cfg.num_clusters):
+        assert within_5_sd((cluster == g).sum(), len(train), priors[g])
         idx, counts = train.indices[entry_cluster == g], train.values[entry_cluster == g]
         trials = int((cluster == g).sum()) * cfg.tokens_per_sample
         assert trials > 10_000 and counts.sum() == trials
@@ -293,12 +248,13 @@ def test_token_rates_of_the_noise_pair_and_own_draws(overrides):
         assert within_5_sd(trials - in_own - in_pair, trials, f * (1 - o - q))
 
 
-# SHA-256 of gen-data's files for configs/default.json at seed 1, as written by
-# scalar Generator calls: the bytes stay pinned whatever numpy's Generator does
+# SHA-256 of gen-data's files for configs/default.json at seed 1: the bytes
+# depend on the PCG64 raw words alone, so they stay pinned whatever numpy's
+# Generator methods do
 DEFAULT_SEED1_SHA256 = {
-    "train": "4233b1a1934908078bd21ed8951c0ede5c0f3f5a3dc553d4c6e236bedc357de7",
-    "valid": "f102762136d8b9b861689f0b4b0168b3178f2cdc0bbc375d22822fb5165e3334",
-    "test": "50e33830cf102ecb29e1f7ae3e1b1c6bcb79ba1b5edd870a092b039493f0844d",
+    "train": "b759c28fbf129cc7a40b634941cf5e9ba9e35f47e496ae868b7f4be710f414aa",
+    "valid": "1802b8ddef899bb56f83f2716f1845e4b6ba017b116f05b53b95c357a4177674",
+    "test": "1b3b0685f8148c6f63a961e67a745850e708b03974d56bba90e3b55c516fef59",
 }
 
 
@@ -325,180 +281,46 @@ def test_the_first_read_after_gen_data_is_served_from_its_copy(tmp_path, monkeyp
         assert same_split(got, want)
 
 
-WORD_READER_RANGES = [1, 2, 7, 2000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
-WORD_READER_CALLS = st.one_of(
-    st.just(("random", None)),
-    st.tuples(st.just("random"), st.integers(0, 50)),
-    st.tuples(st.just("integers"), st.sampled_from(WORD_READER_RANGES)),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    block=st.sampled_from([1, 2, 3, 4096]),
-    kept_half=st.booleans(),
-    calls=st.lists(WORD_READER_CALLS, max_size=80),
-)
-def test_word_reader_gives_numpys_draws(seed, block, kept_half, calls):
-    rng, source = make_rng(seed), make_rng(seed)
-    if kept_half:  # a 32-bit draw leaves the high half of its word kept
-        assert rng.integers(7) == source.integers(7)
-    reader = _WordReader(source, block=block)
-    for method, arg in calls:
-        if method == "random":
-            want = rng.random() if arg is None else rng.random(arg).tolist()
-            assert reader.random(arg) == want
-        else:
-            assert reader.integers(arg) == rng.integers(arg)
-
-
-def test_word_reader_rejects_what_it_cannot_read():
-    reader = _WordReader(make_rng(0))
-    for n in (0, 2**32 + 1):
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            reader.integers(n)
-    with pytest.raises(TypeError, match="PCG64"):
-        _WordReader(np.random.Generator(np.random.MT19937(0)))
-
-
-# -- the block pass against the scalar draws --------------------------------
-
-
-class Words:
-    """A fixed run of raw words served k at a time; ``read`` counts them."""
-
-    def __init__(self, words):
-        self.words, self.read = words, 0
-
-    def __call__(self, k):
-        out = self.words[self.read : self.read + k]
-        assert out.size == k, "ran out of crafted words"
-        self.read += k
-        return out
-
-
-def half_draws(words, tables, size):
-    """Per sample of the scalar draw of ``words``: each bounded-integer draw
-    that takes a half, as (n, index of the word the half is from, whether it
-    is the kept high half rather than a fresh low half)."""
-    source = Words(words)
-    reader = _WordReader.of_words(source, block=1)
-    draws, fresh_at = [], None
-    integers = reader.integers
-
-    def recording(n):
-        nonlocal fresh_at
-        if n > 1:
-            kept = reader.half is not None
-            if not kept:
-                fresh_at = source.read
-            draws[-1].append((n, fresh_at, kept))
-        return integers(n)
-
-    reader.integers = recording
-    for _ in range(size):
-        draws.append([])
-        _draw_sample(reader, tables)
-    return draws
-
-
-def scalar_split(reader, tables, size):
-    """``size`` samples of the scalar draws, packed by the oracle."""
-    samples = []
-    for i in range(size):
-        tokens, labels = _draw_sample(reader, tables)
-        features = {}
-        for token in sorted(tokens[0].tolist()):
-            features[token] = features.get(token, 0.0) + 1.0
-        samples.append(oracles.Sample(features, labels[0], f"train-{i:05d}"))
-    return oracles.pack(samples, tables.vocab_size)
-
-
-PER_PASS = 5
-
-
-@pytest.mark.parametrize(
-    "where, leftover",
-    [("first", 0), ("middle", 0), ("last", 0), ("after a kept half", 0), ("middle", -1), ("middle", None)],
-    ids=["first", "middle", "last", "after-a-kept-half", "just-below-the-bound", "at-the-bound"],
-)
-def test_a_rejected_draw_falls_back_to_the_scalar_draw_of_the_same_words(monkeypatch, where, leftover):
-    # with an odd token count every other sample starts with a half kept; an
-    # odd vocabulary size gives draws of odd n, so any leftover can be made
-    tables = _draw_tables(small_cfg(tokens_per_sample=7, vocab_size=121))
-    monkeypatch.setattr(data, "_WINDOW_WORDS", PER_PASS * (1 + tables.num_classes + 3 * tables.tokens))
-    size = 4 * PER_PASS
-    words = make_rng(3).bit_generator.random_raw(4096)
-    draws = half_draws(words, tables, size)
-    if where == "after a kept half":  # the sample's first draw takes the half the sample before kept
-        sample = next(i for i in range(1, size) if draws[i][0][2] and draws[i][0][0] % 2)
-        n, index, kept = draws[sample][0]
-    else:  # the first, a middle and the last sample of a pass
-        sample = {"first": 0, "middle": PER_PASS + 2, "last": 3 * PER_PASS - 1}[where]
-        n, index, kept = next(draw for draw in draws[sample] if draw[0] % 2)
-    # the half u whose leftover u * n mod 2**32 is the given offset from the
-    # bound (2**32 - n) % n, below which a draw is rejected (0: u = 0)
-    bound = ((1 << 32) - n) % n
-    assert bound > 1
-    u = 0 if leftover == 0 else (bound + (leftover or 0)) * pow(n, -1, 1 << 32) % (1 << 32)
-    crafted = words.copy()
-    if kept:
-        crafted[index] = (crafted[index] & np.uint64(0xFFFFFFFF)) | np.uint64(u << 32)
-    else:
-        crafted[index] = (crafted[index] & np.uint64(0xFFFFFFFF00000000)) | np.uint64(u)
-
-    calls = []
-    scalar = data._draw_sample
-    monkeypatch.setattr(data, "_draw_sample", lambda reader, t: calls.append(reader) or scalar(reader, t))
-    block_reader = _WordReader.of_words(Words(crafted), block=1)
-    got = _draw_split(block_reader, tables, "train", size)
-    assert len(calls) == (leftover is not None)  # the rejected sample alone
-    scalar_reader = _WordReader.of_words(Words(crafted), block=1)
-    assert same_split(got, scalar_split(scalar_reader, tables, size))
-    # both stop at the same word, with the same half kept
-    assert block_reader.half == scalar_reader.half
-    assert next(block_reader.words) == next(scalar_reader.words)
-
-
-@pytest.mark.parametrize("overrides", GENERATOR_CONFIGS)
-def test_the_block_pass_reads_what_the_scalar_draws_read(monkeypatch, overrides):
-    # from a half kept before the first sample, through passes of three samples
-    tables = _draw_tables(small_cfg(**overrides))
-    monkeypatch.setattr(data, "_WINDOW_WORDS", 3 * (1 + tables.num_classes + 3 * tables.tokens))
-    words = make_rng(4).bit_generator.random_raw(60 * (1 + tables.num_classes + 3 * tables.tokens) + 1)
-    readers = [_WordReader.of_words(Words(words), half=0x9E3779B9, block=1) for _ in range(2)]
-    got = [_draw_split(readers[0], tables, "train", 20) for _ in range(2)]
-    want = [scalar_split(readers[1], tables, 20) for _ in range(2)]
-    for a, b in zip(got, want):
-        assert same_split(a, b)
-    assert readers[0].half == readers[1].half
-    assert next(readers[0].words) == next(readers[1].words)
-
-
-def test_pass_and_line_chunk_sizes_change_no_split_and_no_file(tmp_path, monkeypatch):
+@pytest.mark.parametrize("rows, lines", [(1, 1), (7, 7), (None, 10_000)], ids=["1-row", "7-rows", "all-rows"])
+def test_row_block_and_line_chunk_sizes_change_no_split_and_no_file(tmp_path, monkeypatch, rows, lines):
     cfg = small_cfg(tokens_per_sample=7)
     want = generate_synthetic(cfg)
     want_files = {name: Path(p).read_bytes() for name, p in save_splits(generate_synthetic(cfg), tmp_path).items()}
     per_sample = 1 + cfg.num_classes + 3 * cfg.tokens_per_sample
-    for words, lines in ((1, 1), (3 * per_sample, 7), (per_sample * 1000, 10_000)):
-        monkeypatch.setattr(data, "_WINDOW_WORDS", words)
-        monkeypatch.setattr(data, "_CHUNK_LINES", lines)
-        for got, split in zip(generate_synthetic(cfg), want):
-            assert same_split(got, split)
-        out = tmp_path / f"{words}-{lines}"
-        out.mkdir()
-        assert {name: Path(p).read_bytes() for name, p in save_splits(generate_synthetic(cfg), out).items()} == want_files
+    monkeypatch.setattr(data, "_BLOCK_WORDS", per_sample * (rows or cfg.train_size))
+    monkeypatch.setattr(data, "_CHUNK_LINES", lines)
+    for got, split in zip(generate_synthetic(cfg), want):
+        assert same_split(got, split)
+    out = tmp_path / "blocks"
+    out.mkdir()
+    assert {name: Path(p).read_bytes() for name, p in save_splits(generate_synthetic(cfg), out).items()} == want_files
 
 
-@given(p=st.floats(0.0, 1.0), word=st.integers(0, 2**64 - 1))
-def test_a_word_is_below_the_bound_exactly_when_its_draw_is(p, word):
-    bound = _below(p)
-    assert bound <= 2**53  # so the block pass compares it in uint64
-    # the 53-bit draws next to the bound, and an arbitrary word's
-    for draw in (word >> 11, bound - 1, bound):
-        if 0 <= draw < 2**53:
-            assert (draw < bound) == (draw * 2**-53 < p)
+def test_a_block_smaller_than_one_row_still_draws_a_row(monkeypatch):
+    cfg = small_cfg(train_size=3, valid_size=1, test_size=1)
+    want = generate_synthetic(cfg)
+    monkeypatch.setattr(data, "_BLOCK_WORDS", 1)
+    for got, split in zip(generate_synthetic(cfg), want):
+        assert same_split(got, split)
+
+
+@given(
+    words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
+    size=st.one_of(st.integers(1, 2000), st.integers(2**31, 2**32 - 1)),
+)
+def test_an_index_is_the_exact_high_word_of_the_product(words, size):
+    got = _index(np.array(words, dtype=np.uint64), np.uint64(size))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [word * size >> 64 for word in words]
+
+
+def test_an_index_steps_up_exactly_at_the_first_word_of_the_next_index():
+    # index i starts at word ceil(i * 2**64 / size): the word before it gives i - 1
+    for size in (3, 2000, 2**32 - 1):
+        steps = range(1, min(size, 50))
+        firsts = [-(-i * 2**64 // size) for i in steps]
+        words = np.array([w for first in firsts for w in (first - 1, first)], dtype=np.uint64)
+        assert _index(words, np.uint64(size)).tolist() == [i - d for i in steps for d in (1, 0)]
 
 
 def records_of(split: PackedSamples):

@@ -102,3 +102,26 @@ def test_every_entry_point_is_defined():
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         defined = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
         assert name in defined, f"{entry} is not defined in its module"
+
+
+def _unreferenced_private_definitions():
+    """The module-level ``_private`` functions and classes of the package
+    that no code of the package outside their own body names (by name, as
+    an attribute, or in an import)."""
+    defined, named = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None) if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if owner and owner.startswith("_") and not owner.startswith("__"):
+                defined.append(f"{path.stem}.{owner}")
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name != owner:
+                    named.add(name)
+    return [entry for entry in defined if entry.split(".")[1] not in named]
+
+
+def test_every_private_definition_is_used_by_the_package():
+    # a helper that only tests call belongs in tests/ (oracles.py), not in the package
+    unused = _unreferenced_private_definitions()
+    assert not unused, f"{unused} are defined in the package but named nowhere else in it"
