@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import oracles
@@ -321,6 +322,130 @@ def test_an_index_steps_up_exactly_at_the_first_word_of_the_next_index():
         firsts = [-(-i * 2**64 // size) for i in steps]
         words = np.array([w for first in firsts for w in (first - 1, first)], dtype=np.uint64)
         assert _index(words, np.uint64(size)).tolist() == [i - d for i in steps for d in (1, 0)]
+
+
+# -- the word layout, on hand-built words -------------------------------------
+# generate_synthetic run on a bit generator that hands out given raw words, so
+# each rule of the 1 + C + 3T layout is checked at its exact threshold.
+
+TOP = 2**64 - 1  # u = 1 - 2**-53, and the last index of any block
+
+
+def word(u: float) -> int:
+    """The raw word that reads as u (a multiple of 2**-53 in [0, 1))."""
+    return int(u * 2**53) << 11
+
+
+def below(u: float) -> int:
+    """The raw word that reads as the probability just under u."""
+    return word(u) - (1 << 11)
+
+
+class RawWords:
+    """A bit generator stand-in whose random_raw hands out the given words in order."""
+
+    def __init__(self, words):
+        self.words, self.at = np.array(words, dtype=np.uint64), 0
+
+    def random_raw(self, size):
+        n = int(np.prod(size))
+        out = self.words[self.at : self.at + n]
+        self.at += n
+        return out.reshape(size)
+
+
+def layout_cfg(train_size: int, tokens: int) -> DatasetConfig:
+    return DatasetConfig(num_classes=6, num_clusters=3, vocab_size=12, cluster_skew=0.5, label_noise=0.25,
+                         feature_noise=0.5, shared_feature_frac=0.5, tokens_per_sample=tokens,
+                         train_size=train_size, valid_size=1, test_size=1)
+
+
+def generate_from_words(monkeypatch, cfg, rows):
+    """generate_synthetic(cfg) reading the given rows (cluster word, C label
+    words, then noise, block and index words per token), one row a sample of
+    train, valid and test in turn; every word is read."""
+    assert all(len(r) == 1 + cfg.num_classes + 3 * cfg.tokens_per_sample for r in rows)
+    words = RawWords([w for r in rows for w in r])
+    monkeypatch.setattr(data, "make_rng", lambda seed: SimpleNamespace(bit_generator=words))
+    splits = generate_synthetic(cfg)
+    assert words.at == words.words.size
+    return splits
+
+
+def test_the_hand_built_words_config_has_the_layout_the_tests_name():
+    label_sets, own_blocks, pair_blocks, priors = cluster_layout(layout_cfg(1, 1))
+    assert [s.tolist() for s in label_sets] == [[0, 2, 3], [0, 4], [1, 5]]
+    assert [b.tolist() for b in pair_blocks] == [[0, 1], [2, 3]]
+    assert [b.tolist() for b in own_blocks] == [[4, 5, 6], [7, 8, 9], [10, 11]]
+    assert priors.tolist() == [4 / 7, 2 / 7, 1 / 7]
+
+
+def test_the_cluster_word_picks_the_first_cdf_entry_above_it(monkeypatch):
+    cfg = layout_cfg(6, 1)
+    cdf = cluster_layout(cfg)[3].cumsum()
+    cdf /= cdf[-1]
+    # no label drawn (the core label stays), one token at the first index of the own block
+    rest = [TOP] * cfg.num_classes + [TOP, TOP, 0]
+    cluster_words = [0, below(cdf[0]), word(cdf[0]), below(cdf[1]), word(cdf[1]), TOP]
+    train, _, _ = generate_from_words(monkeypatch, cfg, [[w] + rest for w in cluster_words] + [[0] + rest] * 2)
+    assert train.indices.tolist() == [4, 4, 7, 7, 10, 10]
+    assert np.flatnonzero(train.labels).tolist() == [0, 6, 12, 18, 25, 31]
+
+
+def test_an_in_label_is_kept_below_one_minus_label_noise_and_an_out_label_leaks_below_its_rate(monkeypatch):
+    cfg = layout_cfg(2, 1)
+    token = [TOP, TOP, 0]
+    # cluster 0: in-labels 0, 2, 3 kept below 0.75; out-labels 1, 4, 5 leak below 0.25 * 3 / 3
+    first = [0, word(0.75), word(0.25), below(0.75), 0, below(0.25), TOP] + token
+    # cluster 1: in-labels 0, 4 kept below 0.75; out-labels 1, 2, 3, 5 leak below 0.25 * 2 / 4
+    second = [word(0.75), below(0.75), below(0.125), word(0.125), 0, word(0.75), TOP] + token
+    train, _, _ = generate_from_words(monkeypatch, cfg, [first, second, first, first])
+    assert train.labels.tolist() == [[0, 0, 1, 1, 1, 0], [1, 1, 0, 1, 0, 0]]
+
+
+def test_a_sample_left_without_labels_keeps_its_clusters_core_label(monkeypatch):
+    cfg = layout_cfg(3, 1)
+    token = [TOP, TOP, 0]
+    # cluster 2 (core label 1): nothing drawn, an out-label leaks alone, an in-label kept alone
+    rows = [[TOP] * 7 + token, [TOP, 0] + [TOP] * 5 + token, [TOP] * 6 + [0] + token]
+    train, _, _ = generate_from_words(monkeypatch, cfg, rows + rows[:2])
+    assert train.labels.tolist() == [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]]
+
+
+def test_a_token_reads_its_noise_block_and_index_words_in_that_order(monkeypatch):
+    cfg = layout_cfg(1, 6)
+    # cluster 2: shared block [2, 3], own block [10, 11]; a noise token ignores its block word
+    tokens = [
+        (0, 0, 0),  # noise: vocabulary index 0
+        (below(0.5), 0, TOP),  # noise: vocabulary index 11
+        (word(0.5), 0, 0),  # shared block, first
+        (word(0.5), below(0.5), TOP),  # shared block, last
+        (word(0.5), word(0.5), 0),  # own block, first
+        (TOP, TOP, TOP),  # own block, last
+    ]
+    row = [TOP] * 7 + [w for t in tokens for w in t]
+    train, _, _ = generate_from_words(monkeypatch, cfg, [row] * 3)
+    # a sample's features are its distinct tokens, ascending, valued by their count
+    assert (train.indices.tolist(), train.values.tolist()) == ([0, 2, 3, 10, 11], [1.0, 1.0, 1.0, 1.0, 2.0])
+
+
+def test_the_splits_read_consecutive_rows_of_one_stream(monkeypatch):
+    cfg = layout_cfg(2, 1)
+    labels = [TOP] * cfg.num_classes
+    rows = [[g] + labels + [TOP, TOP, i] for g, i in [(0, 0), (word(0.75), 0), (TOP, 0), (0, TOP)]]
+    splits = generate_from_words(monkeypatch, cfg, rows)
+    assert [(s.ids(), s.indices.tolist()) for s in splits] == [
+        (["train-00000", "train-00001"], [4, 7]), (["valid-00000"], [10]), (["test-00000"], [6])
+    ]
+
+
+def test_no_generator_method_draws_a_split(monkeypatch):
+    cfg = small_cfg(tokens_per_sample=7)
+    want = generate_synthetic(cfg)
+    # a bare PCG64 has random_raw and no Generator method
+    monkeypatch.setattr(data, "make_rng", lambda seed: SimpleNamespace(bit_generator=np.random.PCG64(seed)))
+    for got, split in zip(generate_synthetic(cfg), want):
+        assert same_split(got, split)
 
 
 def records_of(split: PackedSamples):
