@@ -584,6 +584,17 @@ def _eval_mode(state, store, samples, infer_cfg, mode=None, **overrides):
 
 def cmd_ablate(args) -> int:
     _, encoder_section, train_cfg, infer_cfg = load_config(args.config)
+    # every sweep value is checked before any data is read or model trained
+    sweeps = {"k": ("--k-values", args.k_values or []), "gamma": ("--gamma-values", args.gamma_values or [])}
+    for field, (flag, values) in sweeps.items():
+        for value in values:
+            try:
+                dataclasses.replace(infer_cfg, **{field: value}).validate()
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{flag} {value}: {exc}") from exc
+    for fraction in args.store_fractions or []:
+        if not 0.0 < fraction <= 1.0:
+            raise ConfigError(f"--store-fractions must lie in (0, 1], got {fraction}")
     if args.seed is not None:
         train_cfg.seed = args.seed
     data_dir = Path(args.data)
@@ -605,22 +616,17 @@ def cmd_ablate(args) -> int:
     base_state = states[train_cfg.variant]
     base_store = ds.build(base_state, train_samples)
     for mode in ("classifier_only", "knn_only", "denn", "fixed_lambda"):
-        micro, macro = _eval_mode(base_state, base_store, test_samples, infer_cfg, mode=mode)
-        add_row("mode", mode, micro, macro)
+        add_row("mode", mode, *_eval_mode(base_state, base_store, test_samples, infer_cfg, mode=mode))
     for variant in CONTRASTIVE_VARIANTS:
         store = base_store if variant == train_cfg.variant else ds.build(states[variant], train_samples)
-        micro, macro = _eval_mode(states[variant], store, test_samples, infer_cfg, mode="denn")
-        add_row("variant", variant, micro, macro)
-    for k in args.k_values or []:
-        micro, macro = _eval_mode(base_state, base_store, test_samples, infer_cfg, mode="denn", k=k)
-        add_row("sweep_k", str(k), micro, macro)
-    for gamma in args.gamma_values or []:
-        micro, macro = _eval_mode(base_state, base_store, test_samples, infer_cfg, mode="denn", gamma=gamma)
-        add_row("sweep_gamma", str(gamma), micro, macro)
+        add_row("variant", variant, *_eval_mode(states[variant], store, test_samples, infer_cfg, mode="denn"))
+    for field, (_, values) in sweeps.items():
+        for value in values:
+            scores = _eval_mode(base_state, base_store, test_samples, infer_cfg, mode="denn", **{field: value})
+            add_row(f"sweep_{field}", str(value), *scores)
     for fraction in args.store_fractions or []:
         store = ds.build(base_state, train_samples, fraction=fraction)
-        micro, macro = _eval_mode(base_state, store, test_samples, infer_cfg, mode="denn")
-        add_row("sweep_store_fraction", str(fraction), micro, macro)
+        add_row("sweep_store_fraction", str(fraction), *_eval_mode(base_state, store, test_samples, infer_cfg, mode="denn"))
 
     print(f"{'section':<22} {'name':<16} {'micro-F1':>9} {'macro-F1':>9}")
     print(f"{'-' * 22} {'-' * 16} {'-' * 9} {'-' * 9}")

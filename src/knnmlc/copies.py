@@ -12,7 +12,8 @@ missing, stale, damaged or other-version copy) is a miss: the file is
 parsed and the copy written again, through a temporary file and an atomic
 rename. A writer that hashes the bytes as it writes them (``write_hashed``)
 writes the copy at once, so the first read is already a hit. Deleting a
-copy is always safe. Layouts are in docs/formats.md.
+copy is always safe. Layouts are in docs/formats.md. A trainer checkpoint
+is such an archive too, with no version or digest member.
 """
 from __future__ import annotations
 
@@ -30,9 +31,11 @@ __all__ = [
     "file_digest",
     "load",
     "pack_strings",
+    "read_archive",
     "read_copy",
     "strings_valid",
     "unpack_strings",
+    "write_archive",
     "write_copy",
     "write_hashed",
 ]
@@ -69,38 +72,65 @@ def write_hashed(path, chunks) -> bytes:
     return digest.digest()
 
 
-def write_copy(path, version: int, digest: bytes, arrays: dict) -> None:
-    """Write the packed copy of ``path`` (whose bytes hash to ``digest``)
-    through a temporary file and an atomic rename; a failure is logged at
-    DEBUG and leaves no temporary file."""
-    copy = _copy_path(path)
-    tmp = f"{copy}.{os.getpid()}.tmp"
+def write_archive(path, arrays: dict) -> None:
+    """Write ``arrays`` as an uncompressed ``.npz`` archive to ``path`` through
+    a temporary file ``<path>.<pid>.tmp`` and an atomic rename; on a failure
+    the temporary file is removed and a file already at ``path`` kept."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            np.savez(fh, version=np.int64(version), digest=np.frombuffer(digest, dtype=np.uint8), **arrays)
-        os.replace(tmp, copy)
-    except OSError as exc:
-        logger.debug("packed copy %s not written: %s", copy, exc)
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        raise
+
+
+def write_copy(path, version: int, digest: bytes, arrays: dict) -> None:
+    """Write the packed copy of ``path`` (whose bytes hash to ``digest``)
+    through ``write_archive``; a failure to write is logged at DEBUG."""
+    copy = _copy_path(path)
+    try:
+        write_archive(copy, {"version": np.int64(version), "digest": np.frombuffer(digest, dtype=np.uint8), **arrays})
+    except OSError as exc:
+        logger.debug("packed copy %s not written: %s", copy, exc)
+
+
+def read_archive(path, members: dict) -> dict:
+    """The arrays of the ``.npz`` archive at ``path`` that ``members`` ({name:
+    (dtype, ndim)}) names, each read in full (zipfile checks its CRC-32) and
+    never unpickled; ValueError for a file that is no such archive and for
+    the first member missing, unreadable or not of its dtype and ndim."""
+    with open(path, "rb") as fh:
+        try:
+            npz = np.lib.npyio.NpzFile(fh, allow_pickle=False)
+        # a file that is no zip, or a damaged one, fails in many ways
+        except Exception as exc:
+            raise ValueError("not an npz archive") from exc
+        with npz:
+            arrays = {}
+            for name, (dtype, ndim) in members.items():
+                try:
+                    arrays[name] = arr = npz[name]
+                # KeyError, or a damaged member's many failures (BadZipFile,
+                # zlib.error, a bad dtype or shape, an object array, ...)
+                except Exception as exc:
+                    raise ValueError(f"member {name} is missing or unreadable ({exc!r})") from exc
+                if arr.dtype != dtype or arr.ndim != ndim:
+                    raise ValueError(f"member {name} must be {ndim}-d {np.dtype(dtype)}, got {arr.ndim}-d {arr.dtype}")
+    return arrays
 
 
 def read_copy(path, version: int, digest: bytes, members: dict):
-    """The arrays of the packed copy of ``path``, by name, or None when the
-    copy is missing or damaged, was written for other bytes than ``digest``
-    or by another ``version``, or lacks a member of ``members`` ({name:
-    (dtype, ndim)}) with that dtype and number of dimensions."""
+    """The arrays of the packed copy of ``path`` that ``members`` names, or
+    None when ``read_archive`` refuses the copy or it was written for other
+    bytes than ``digest`` or by another ``version``."""
     try:
-        # np.load leaves a path's file open when the zip fails to open
-        with open(_copy_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            if npz["version"].tolist() != version or npz["digest"].tobytes() != digest:
-                return None
-            arrays = {name: npz[name] for name in members}
-    # a damaged zip or .npy header fails in many ways (BadZipFile, zlib.error,
-    # NotImplementedError, a bad dtype or shape, ...): each is a miss
-    except Exception:
+        arrays = read_archive(_copy_path(path), {"version": (np.int64, 0), "digest": (np.uint8, 1), **members})
+    except (ValueError, OSError):
         return None
-    if any(arrays[name].dtype != dtype or arrays[name].ndim != ndim for name, (dtype, ndim) in members.items()):
+    if arrays.pop("version").tolist() != version or arrays.pop("digest").tobytes() != digest:
         return None
     return arrays
 

@@ -26,11 +26,11 @@ from one copy of ``w_in.T``.
 The six parameters are writable views of one C-ordered float64 buffer,
 ``EncoderState.flat``, which holds them back to back in ``_PARAM_NAMES``
 order; ``backward`` writes its gradients into views of one such buffer and
-the Adam moments share the layout, so an Adam step is a dozen ufunc calls
-over whole buffers. It is also the layout of a checkpoint's packed copy:
-the copy's ``params`` member is written from the state's own buffer and
-read back as the loaded state's buffer, with no concatenation or
-reassembly either way, and the copy holds the same bytes as before.
+the Adam moments are two more flat buffers of that layout, so an Adam step
+is a dozen ufunc calls over whole buffers. It is also the layout of a
+checkpoint's packed copy and of a trainer checkpoint: the ``params``
+member is written from the state's own buffer and read back as the loaded
+state's buffer, with no concatenation or reassembly either way.
 """
 from __future__ import annotations
 
@@ -109,7 +109,8 @@ class _FlatParameters:
 
     def __post_init__(self):
         # the constructor's arrays are copied into one new buffer
-        self._bind(*_flat_copy(self.__dict__))
+        parts = [np.asarray(getattr(self, name), dtype=np.float64) for name in _PARAM_NAMES]
+        self._bind(np.concatenate([part.ravel() for part in parts]), tuple(part.shape for part in parts))
 
     @classmethod
     def _on_buffer(cls, flat: np.ndarray, shapes: tuple, **fields):
@@ -133,18 +134,20 @@ class _FlatParameters:
         return [(name, getattr(self, name)) for name in _PARAM_NAMES]
 
     def _check_views(self, what: str, shapes: tuple) -> None:
-        _require_views(what, self.__dict__, self._views, self.shapes, shapes)
+        """ValueError naming the first field rebound away from its view of
+        ``flat``, or the first view not of its shape in ``shapes``."""
+        fields = self.__dict__
+        if self.shapes == shapes and all(map(operator.is_, map(fields.get, _PARAM_NAMES), self._views)):
+            return
+        for name, view, shape in zip(_PARAM_NAMES, self._views, shapes):
+            if fields.get(name) is not view:
+                raise ValueError(f"{what} {name} was rebound to an array outside its flat buffer; write into it with [...]")
+            if view.shape != shape:
+                raise ValueError(f"{what} shape {view.shape} != parameter {name} shape {shape}")
 
 
 def _rebuild(cls, flat, shapes, fields):
     return cls._on_buffer(flat, shapes, **fields)
-
-
-def _flat_copy(arrays) -> tuple[np.ndarray, tuple]:
-    """A new buffer holding ``arrays[name]`` back to back in ``_PARAM_NAMES``
-    order, each flattened in C order, and their shapes."""
-    parts = [np.asarray(arrays[name], dtype=np.float64) for name in _PARAM_NAMES]
-    return np.concatenate([part.ravel() for part in parts]), tuple(part.shape for part in parts)
 
 
 def _flat_views(flat: np.ndarray, shapes: tuple) -> tuple:
@@ -161,20 +164,6 @@ def _flat_views(flat: np.ndarray, shapes: tuple) -> tuple:
     if start != flat.size:
         raise ValueError(f"shapes hold {start} values, the buffer {flat.size}")
     return tuple(views)
-
-
-def _require_views(what: str, arrays, views: tuple, held: tuple, shapes: tuple) -> None:
-    """ValueError naming the first ``arrays[name]`` (``_PARAM_NAMES`` order)
-    that is not the entry of ``views`` itself (a field rebound to another
-    array) or not of its parameter's shape in ``shapes``; ``held`` is the
-    shapes of ``views``."""
-    if held == shapes and all(map(operator.is_, map(arrays.get, _PARAM_NAMES), views)):
-        return
-    for name, view, shape in zip(_PARAM_NAMES, views, shapes):
-        if arrays.get(name) is not view:
-            raise ValueError(f"{what} {name} was rebound to an array outside its flat buffer; write into it with [...]")
-        if view.shape != shape:
-            raise ValueError(f"{what} shape {view.shape} != parameter {name} shape {shape}")
 
 
 @dataclass
@@ -493,19 +482,15 @@ def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState
             **payload["dims"], activation=payload["activation"], dropout_rate=payload["dropout_rate"]
         )
         config.validate()
-        params, init_seed = payload["params"], payload.get("init_seed", 0)
-        if isinstance(params, np.ndarray):
-            # a packed copy's params member, sized by ``_from_copy``: the
-            # state's buffer as it is
-            state = EncoderState.on_buffer(config, params, init_seed)
-            for name, view in state.param_items():
-                finite_array(view, view.shape, f"parameter {name}", source)
-        else:
-            arrays = {
-                name: finite_array(params[name], shape, f"parameter {name}", source)
-                for name, shape in _param_shapes(config).items()
-            }
-            state = EncoderState(config=config, init_seed=init_seed, **arrays)
+        params = payload["params"]
+        if not isinstance(params, np.ndarray):
+            # nested lists, each of its parameter's shape, into one new buffer
+            params = np.concatenate([finite_array(params[name], shape, f"parameter {name}", source).ravel()
+                                     for name, shape in _param_shapes(config).items()])
+        # a packed copy's params member (sized by ``_from_copy``) is the buffer as it is
+        state = EncoderState.on_buffer(config, params, payload.get("init_seed", 0))
+        for name, view in state.param_items():
+            finite_array(view, view.shape, f"parameter {name}", source)
         check_kinds(state)
     except CheckpointError:
         raise
@@ -531,13 +516,14 @@ def _parse_checkpoint(path) -> EncoderState:
     return state_from_payload(payload, source=str(path))
 
 
-def _from_copy(arrays: dict, source: str):
+def _from_copy(arrays: dict, source: str, header=None):
     """The EncoderState of a packed copy's arrays, through every check of
     ``state_from_payload``, with the params member as its buffer; None when
-    the header is not a JSON object with valid dims or the params member is
-    not the size those dims give."""
+    the header (``header`` when given, else the header member's JSON) is not
+    a JSON object with valid dims or the params member is not the size those
+    dims give."""
     try:
-        header = json.loads(arrays["header"].tobytes())
+        header = json.loads(arrays["header"].tobytes()) if header is None else header
         config = EncoderConfig(**header["dims"])
         config.validate()
     # JSONDecodeError and UnicodeDecodeError are ValueErrors; a header or

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import copies
 from .data import PackedSamples, check_kind, check_kinds, pack_samples
 from .encoder import (
     _PARAM_NAMES,
@@ -30,17 +31,15 @@ from .encoder import (
     EncoderConfig,
     EncoderState,
     ParameterGradients,
-    _flat_copy,
     _flat_views,
-    _require_views,
+    _from_copy,
+    _payload_header,
     backward,
     finite_array,
     forward_batch,
     init_state,
     rowwise_layers,
     rowwise_logits,
-    state_from_payload,
-    state_to_payload,
     weight_rows,
 )
 from .losses import (
@@ -67,7 +66,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TRAINER_FORMAT = "knnmlc-trainer"
-_TRAINER_VERSION = 3
+_TRAINER_VERSION = 4
+# a trainer checkpoint's members (docs/formats.md), {name: (dtype, ndim)}: the
+# JSON header, four arrays laid out as ``EncoderState.flat``, the epoch order
+_TRAINER_MEMBERS = {"header": (np.uint8, 1), **dict.fromkeys(("params", "adam_m", "adam_v", "best_params"), (np.float64, 1)),
+                    "order": (np.int64, 1)}
 
 
 class NonFiniteLossError(ValueError):
@@ -108,39 +111,21 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moments per parameter tensor plus the step count. Like
-    the parameters, each moment is one flat buffer (``m_flat``, ``v_flat``)
-    and ``m[name]``, ``v[name]`` are writable views of it, so that
-    ``adam_step`` updates every tensor at once, in two scratch buffers of
-    the same size kept across steps. The constructor copies the moments it
-    is given into new buffers."""
+    """The step count and the first and second moments, each one flat float64
+    buffer laid out as ``EncoderState.flat`` (``_flat_views`` cuts it per
+    parameter), kept as given; ``adam_step`` updates both in place, with two
+    scratch buffers of that size kept across steps."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m_flat: np.ndarray
+    v_flat: np.ndarray
     step: int = 0
 
     def __post_init__(self):
-        self._layout = {}
-        for which in ("m", "v"):
-            flat, shapes = _flat_copy(getattr(self, which))
-            views = _flat_views(flat, shapes)
-            setattr(self, f"{which}_flat", flat)
-            setattr(self, which, dict(zip(_PARAM_NAMES, views)))
-            self._layout[which] = (views, shapes)
         self._scratch = (np.empty_like(self.m_flat), np.empty_like(self.m_flat))
-
-    def __reduce__(self):
-        # copy.deepcopy and pickle rebuild the buffers and their views
-        return AdamState, (self.m, self.v, self.step)
 
     @classmethod
     def zeros_like(cls, state: EncoderState) -> "AdamState":
-        zeros = dict(zip(_PARAM_NAMES, map(np.zeros, state.shapes)))
-        return cls(m=zeros, v=zeros)
-
-    def _check_views(self, shapes: tuple) -> None:
-        for which, (views, held) in self._layout.items():
-            _require_views(f"Adam {which}", getattr(self, which), views, held, shapes)
+        return cls(np.zeros_like(state.flat), np.zeros_like(state.flat))
 
 
 def adam_step(
@@ -157,18 +142,20 @@ def adam_step(
     buffers that hold every parameter, gradient and moment, with the moments
     updated in place and ``adam``'s two scratch buffers, operation for
     operation as the textbook expression, so the result is bit-identical to
-    a per-tensor update. Every tensor must still be the view of its buffer
-    that its constructor handed out; a field rebound to another array is a
-    ValueError naming it, and nothing is updated.
+    a per-tensor update. A parameter or gradient rebound away from its flat
+    buffer, or a moment not of the parameter buffer's shape, is a ValueError
+    naming it, and nothing is updated.
     """
     shapes = state.shapes
     state._check_views("parameter", shapes)
     grads._check_views("gradient", shapes)
-    adam._check_views(shapes)
+    g, m, v = grads.flat, adam.m_flat, adam.v_flat
+    for which, moment in (("m", m), ("v", v)):
+        if moment.shape != state.flat.shape:
+            raise ValueError(f"Adam {which} shape {moment.shape} != parameter buffer shape {state.flat.shape}")
     b1, b2 = betas
     adam.step += 1
     t = adam.step
-    g, m, v = grads.flat, adam.m_flat, adam.v_flat
     scratch, step = adam._scratch
     np.multiply(g, 1.0 - b1, out=scratch)
     m *= b1
@@ -402,74 +389,62 @@ class Trainer:
     # -- checkpointing ----------------------------------------------------
 
     def save_checkpoint(self, path) -> None:
-        payload = {
-            "format": _TRAINER_FORMAT,
-            "version": _TRAINER_VERSION,
-            "config": asdict(self.cfg),
-            "iteration": self.iteration,
-            "encoder": state_to_payload(self.state),
-            "adam": {
-                "step": self.adam.step,
-                "m": {k: v.tolist() for k, v in self.adam.m.items()},
-                "v": {k: v.tolist() for k, v in self.adam.v.items()},
-            },
-            "rng_state": self.rng.bit_generator.state,
-            "order": self._order.tolist(),
-            "cursor": self._cursor,
-            "best": {
-                "micro_f1": self._best_f1,
-                "iteration": self._best_iteration,
-                "encoder": None if self._best_state is None else state_to_payload(self._best_state),
-            },
-            "history": self.history,
+        """Write the trainer to ``path`` as an ``.npz`` archive
+        (``copies.write_archive``, laid out as in docs/formats.md); a failed
+        write leaves a file already at ``path`` as it was."""
+        header = {
+            "format": _TRAINER_FORMAT, "version": _TRAINER_VERSION, "config": asdict(self.cfg),
+            "encoder": _payload_header(self.state), "iteration": self.iteration, "cursor": self._cursor,
+            "adam_step": self.adam.step, "rng_state": self.rng.bit_generator.state,
+            "best_micro_f1": self._best_f1, "best_iteration": self._best_iteration, "history": self.history,
         }
-        # json.dumps runs the C encoder; json.dump streams through the Python one
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
+        best = np.empty(0) if self._best_state is None else self._best_state.flat
+        copies.write_archive(path, {
+            "header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8), "params": self.state.flat,
+            "adam_m": self.adam.m_flat, "adam_v": self.adam.v_flat, "best_params": best, "order": self._order,
+        })
 
     @classmethod
     def load_checkpoint(cls, path, train_samples, valid_samples) -> "Trainer":
-        """The trainer ``save_checkpoint`` wrote, resuming exactly where it stopped.
-        A missing, misshapen or wrong-kind (``data.check_kind``) field raises
-        CheckpointError, and so does an epoch order or cursor that does not fit
-        ``train_samples``."""
+        """The trainer ``save_checkpoint`` wrote, resuming exactly where it
+        stopped, with the loaded members as its buffers. A file that is not
+        such an archive (``copies.read_archive``), a misshapen, non-finite
+        or wrong-kind (``data.check_kind``) field, and an epoch order or
+        cursor that does not fit ``train_samples`` raise CheckpointError."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CheckpointError(f"{path}: not a valid trainer checkpoint ({exc})") from exc
-        if not isinstance(payload, dict) or payload.get("format") != _TRAINER_FORMAT:
+            arrays = copies.read_archive(path, _TRAINER_MEMBERS)
+            header = json.loads(arrays["header"].tobytes())
+        # read_archive's, JSONDecodeError and UnicodeDecodeError are ValueErrors
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: not a trainer checkpoint container ({exc})") from exc
+        if not isinstance(header, dict) or header.get("format") != _TRAINER_FORMAT:
             raise CheckpointError(f"{path}: wrong or missing format marker")
-        if payload.get("version") != _TRAINER_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {payload.get('version')!r}")
+        if header.get("version") != _TRAINER_VERSION:
+            raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
         # read every field before the trainer exists, so that only a bad
         # checkpoint, not bad training data, becomes a CheckpointError
         try:
-            cfg = TrainConfig(**payload["config"])
+            cfg = TrainConfig(**header["config"])
             cfg.validate()
-            state = state_from_payload(payload["encoder"], source=str(path))
-            moments = {
-                which: {
-                    name: finite_array(payload["adam"][which][name], theta.shape, f"Adam {which}[{name}]", path)
-                    for name, theta in state.param_items()
-                }
-                for which in ("m", "v")
-            }
-            adam = AdamState(**moments, step=payload["adam"]["step"])
-            check_kinds(adam)
+            # both states are cut by the one encoder header; an empty
+            # best_params (no validation ran) gives no best state
+            params, best_params = arrays["params"], arrays["best_params"]
+            state, best_state = (_from_copy({"params": flat}, str(path), header["encoder"]) for flat in (params, best_params))
+            if state is None or best_params.size and best_state is None:
+                raise ValueError(f"params ({params.size} values) and best_params ({best_params.size}, or 0) must "
+                                 "hold as many values as the encoder header's dims give")
+            moments = arrays["adam_m"], arrays["adam_v"]
+            for which, flat in zip("mv", moments):
+                if flat.shape != params.shape:
+                    raise CheckpointError(f"{path}: Adam {which} has shape {flat.shape}, expected {params.shape}")
+                for name, view in zip(_PARAM_NAMES, _flat_views(flat, state.shapes)):
+                    finite_array(view, view.shape, f"Adam {which}[{name}]", path)
+            for key, kind in (("adam_step", "int"), ("iteration", "int"), ("cursor", "int"), ("best_iteration", "int"),
+                              ("best_micro_f1", "float")):
+                check_kind(key, header[key], kind)
             rng = make_rng(0)
-            rng.bit_generator.state = payload["rng_state"]
-            iteration, cursor = payload["iteration"], payload["cursor"]
-            order = np.asarray(payload["order"])
-            if order.size and order.dtype.kind != "i":
-                raise TypeError(f"order must hold integers, got {order.dtype} values")
-            best = payload["best"]
-            best_f1, best_iteration = best["micro_f1"], best["iteration"]
-            for name, value in (("iteration", iteration), ("cursor", cursor), ("best iteration", best_iteration)):
-                check_kind(name, value, "int")
-            check_kind("best micro_f1", best_f1, "float")
-            best_state = None if best["encoder"] is None else state_from_payload(best["encoder"], source=str(path))
-            history = list(payload["history"])
+            rng.bit_generator.state = header["rng_state"]
+            history = list(header["history"])
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, CheckpointError):
                 raise
@@ -477,16 +452,17 @@ class Trainer:
         trainer = cls(train_samples, valid_samples, state, cfg)
         # the epoch in progress must be one over this training set
         n = len(trainer.train_set)
-        fits = order.ndim == 1 and order.size in (0, n) and 0 <= cursor <= order.size
+        order, cursor = arrays["order"], header["cursor"]
+        fits = order.size in (0, n) and 0 <= cursor <= order.size
         if not fits or order.size and not np.array_equal(np.sort(order), np.arange(n)):
             raise CheckpointError(
                 f"{path}: the saved epoch order of {order.size} rows (cursor {cursor}) does not fit the "
                 f"training set of {n} samples: it must be empty or a permutation of range({n}), "
                 "with 0 <= cursor <= its size"
             )
-        trainer.adam, trainer.rng, trainer.iteration, trainer.history = adam, rng, iteration, history
-        trainer._order, trainer._cursor = order.astype(np.int64), cursor
-        trainer._best_f1, trainer._best_iteration, trainer._best_state = best_f1, best_iteration, best_state
+        trainer.adam, trainer.rng = AdamState(*moments, step=header["adam_step"]), rng
+        trainer.iteration, trainer.history, trainer._order, trainer._cursor = header["iteration"], history, order, cursor
+        trainer._best_f1, trainer._best_iteration, trainer._best_state = header["best_micro_f1"], header["best_iteration"], best_state
         return trainer
 
 

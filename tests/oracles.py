@@ -695,17 +695,17 @@ def _combine(lam, y_knn, y_clf) -> np.ndarray:
 
 
 def adam_step(state, grads, adam, lr, betas=(0.9, 0.999), eps=1e-8):
-    """One bias-corrected Adam update, tensor by tensor: the moments updated
-    in place and two scratch arrays per parameter."""
+    """One bias-corrected Adam update, tensor by tensor: each parameter's
+    moments (views of the flat moments) updated in place and two scratch
+    arrays per parameter."""
     b1, b2 = betas
     adam.step += 1
     t = adam.step
-    for name, theta in state.param_items():
+    moments = zip(encoder._flat_views(adam.m_flat, state.shapes), encoder._flat_views(adam.v_flat, state.shapes))
+    for (name, theta), (m, v) in zip(state.param_items(), moments):
         g = getattr(grads, name)
         if g.shape != theta.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter {name} shape {theta.shape}")
-        m = adam.m[name]
-        v = adam.v[name]
         scratch = np.multiply(g, 1.0 - b1)
         m *= b1
         m += scratch

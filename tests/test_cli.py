@@ -719,3 +719,25 @@ class TestAblateCommand:
             assert 0.0 <= r["macro_f1"] <= 1.0
         assert names_by_section["mode"] == {"classifier_only", "knn_only", "denn", "fixed_lambda"}
         assert names_by_section["variant"] == {"dcl", "ucl", "scl", "wscl"}
+
+    @pytest.mark.parametrize(
+        "flag,values,message",
+        [
+            ("--k-values", ["5", "0"], "--k-values 0: k must be >= 1"),
+            ("--gamma-values", ["0.6", "2"], "--gamma-values 2.0: gamma must lie in (0, 1)"),
+            ("--store-fractions", ["1.0", "1.5"], "--store-fractions must lie in (0, 1], got 1.5"),
+        ],
+    )
+    def test_a_sweep_value_out_of_range_fails_by_name_before_any_read(self, pipeline_artifacts, tmp_path, monkeypatch,
+                                                                     capsys, flag, values, message):
+        def no_reading(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(cli, "_load_training_splits", no_reading)
+        out_dir = tmp_path / "ablation"
+        argv = ["--config", pipeline_artifacts["config"], "ablate", "--data", str(tmp_path / "no-data"),
+                "--out", str(out_dir), flag, *values]
+        assert main(argv) == EXIT_FORMAT
+        out, err = capsys.readouterr()
+        assert message in err and out == ""
+        assert not out_dir.exists()

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knnmlc import cli, data, encoder
+from knnmlc import cli, data, encoder, training
 from knnmlc.cli import _encoder_config, load_config
 from knnmlc.data import DatasetConfig
 from knnmlc.encoder import EncoderConfig
@@ -109,3 +109,26 @@ def test_each_copy_member_table_is_the_code_dtype_table(heading):
     assert {name: row[:2] for name, row in documented.items()} == want
     assert list(documented) == list(want)
     assert f"(currently {version})" in documented["version"][2]
+
+
+def test_the_trainer_checkpoint_member_table_is_the_code_dtype_table():
+    heading = "## Trainer checkpoints (`Trainer.save_checkpoint`, binary)"
+    documented = documented_members(heading)
+    want = {name: (np.dtype(dtype).name, ndim) for name, (dtype, ndim) in training._TRAINER_MEMBERS.items()}
+    assert {name: row[:2] for name, row in documented.items()} == want
+    assert list(documented) == list(want)
+    text = FORMATS.read_text(encoding="utf-8").split(f"\n{heading}\n", 1)[1]
+    assert f"| `version`        | `{training._TRAINER_VERSION}` (rejected if different)" in text
+
+
+def test_the_trainer_checkpoint_header_table_lists_each_saved_key(tmp_path):
+    text = FORMATS.read_text(encoding="utf-8")
+    body = text.split("\nThe header is one JSON object:\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = [re.match(r"\| `(\w+)` ", line).group(1) for line in body.splitlines()[2:]]
+    train_s, valid_s, _ = data.generate_synthetic(DatasetConfig(num_classes=4, num_clusters=2, train_size=20,
+                                                                valid_size=5, test_size=5, vocab_size=10))
+    trainer = training.Trainer(train_s, valid_s, encoder.init_state(EncoderConfig(10, 4, 3, 4)), TrainConfig(max_iters=1))
+    trainer.run()
+    trainer.save_checkpoint(tmp_path / "trainer.npz")
+    with np.load(tmp_path / "trainer.npz", allow_pickle=False) as npz:
+        assert documented == list(json.loads(npz["header"].tobytes()))

@@ -1,8 +1,8 @@
-"""One flat buffer per parameter set: every constructor of a state,
-gradients or Adam moments hands out views of its owner's buffer, a field
-rebound to another array is refused by name, and the flat Adam step and the
-flat-writing backward equal the per-tensor forms in ``tests/oracles.py`` bit
-for bit."""
+"""One flat buffer per parameter set: every constructor of a state or
+gradients hands out views of its owner's buffer, the Adam moments are two
+flat buffers of the same layout, a field rebound to another array is
+refused by name, and the flat Adam step and the flat-writing backward equal
+the per-tensor forms in ``tests/oracles.py`` bit for bit."""
 import copy
 import os
 import pickle
@@ -19,6 +19,7 @@ from knnmlc.encoder import (
     EncoderConfig,
     EncoderState,
     ParameterGradients,
+    _flat_views,
     backward,
     forward_batch,
     init_state,
@@ -56,9 +57,11 @@ def assert_flat(owner):
     assert_views_of(owner.flat, [getattr(owner, name) for name in NAMES])
 
 
-def assert_flat_moments(adam):
-    assert_views_of(adam.m_flat, [adam.m[name] for name in NAMES])
-    assert_views_of(adam.v_flat, [adam.v[name] for name in NAMES])
+def assert_flat_moments(adam, state):
+    """Both moments are writable 1-d C-contiguous float64 buffers laid out as
+    the parameters, apart from each other."""
+    for flat in (adam.m_flat, adam.v_flat):
+        assert_views_of(flat, _flat_views(flat, state.shapes))
     assert not np.shares_memory(adam.m_flat, adam.v_flat)
 
 
@@ -89,21 +92,26 @@ class TestViews:
         arrays = {name: getattr(state, name).copy() for name in NAMES}
         built = EncoderState(config=state.config, **arrays)
         grads = ParameterGradients(**arrays)
-        adam = AdamState(m=arrays, v=arrays)
         assert_flat(built)
         assert_flat(grads)
-        assert_flat_moments(adam)
         for name, arr in arrays.items():
-            for owner in (built.flat, grads.flat, adam.m_flat, adam.v_flat):
+            for owner in (built.flat, grads.flat):
                 assert not np.shares_memory(arr, owner)
-        assert built.flat.tobytes() == grads.flat.tobytes() == adam.m_flat.tobytes() == state.flat.tobytes()
+        assert built.flat.tobytes() == grads.flat.tobytes() == state.flat.tobytes()
+
+    def test_adam_state_keeps_the_buffers_it_is_given(self):
+        state = small_state()
+        m, v = np.zeros_like(state.flat), np.zeros_like(state.flat)
+        adam = AdamState(m, v, step=3)
+        assert adam.m_flat is m and adam.v_flat is v and adam.step == 3
+        assert_flat_moments(adam, state)
 
     def test_zeros_like(self):
         state = small_state()
         grads = ParameterGradients.zeros_like(state)
         adam = AdamState.zeros_like(state)
         assert_flat(grads)
-        assert_flat_moments(adam)
+        assert_flat_moments(adam, state)
         assert grads.shapes == state.shapes
         assert not grads.flat.any() and not adam.m_flat.any() and not adam.v_flat.any()
 
@@ -129,7 +137,8 @@ class TestViews:
                 assert twin.flat.tobytes() == owner.flat.tobytes()
             twin_state, twin_adam = clone(state), clone(adam)
             assert twin_state.config == state.config and twin_state.init_seed == state.init_seed
-            assert_flat_moments(twin_adam)
+            assert_flat_moments(twin_adam, state)
+            assert not np.shares_memory(twin_adam.m_flat, adam.m_flat)
             assert twin_adam.step == 4 and twin_adam.m_flat.tobytes() == adam.m_flat.tobytes()
             # an Adam step on the clones moves what forward reads
             adam_step(twin_state, clone(grads), twin_adam, lr=0.1)
@@ -140,7 +149,7 @@ class TestViews:
         grads = ParameterGradients.zeros_like(state)
         grads.w_clf[...] = 2.5
         adam = AdamState.zeros_like(state)
-        adam.m["w_in"][...] = 1.0
+        _flat_views(adam.m_flat, state.shapes)[0][...] = 1.0
         start = sum(getattr(state, name).size for name in NAMES[:4])
         assert (grads.flat[start : start + state.w_clf.size] == 2.5).all()
         assert grads.flat[:start].tobytes() == bytes(8 * start)
@@ -190,17 +199,29 @@ class TestViews:
         assert written[-1]["params"] is parsed.flat
         assert parsed.flat.tobytes() == state.flat.tobytes()
 
-    def test_trainer_load_checkpoint(self, tmp_path):
+    def test_trainer_load_checkpoint(self, tmp_path, monkeypatch):
         train_s, valid_s, _ = tiny_split()
         cfg = TrainConfig(batch_size=4, learning_rate=1e-2, max_iters=10, seed=1, eval_every=2)
         trainer = Trainer(train_s, valid_s, init_state(EncoderConfig(20, 6, 5, 4), seed=1), cfg)
         trainer.run(num_iters=5)
         path = tmp_path / "trainer.json"
+        written, read = [], []
+        write_archive, read_archive = copies.write_archive, copies.read_archive
+        monkeypatch.setattr(copies, "write_archive", lambda *args: written.append(args[1]) or write_archive(*args))
+        monkeypatch.setattr(copies, "read_archive", lambda *args: read.append(read_archive(*args)) or read[-1])
         trainer.save_checkpoint(path)
+        # the flat members are written from the trainer's own buffers
+        members = written[-1]
+        assert members["params"] is trainer.state.flat and members["best_params"] is trainer.best_state().flat
+        assert members["adam_m"] is trainer.adam.m_flat and members["adam_v"] is trainer.adam.v_flat
         loaded = Trainer.load_checkpoint(path, train_s, valid_s)
+        # and read back as the loaded trainer's buffers, no copies
+        arrays = read[-1]
+        assert loaded.state.flat is arrays["params"] and loaded.best_state().flat is arrays["best_params"]
+        assert loaded.adam.m_flat is arrays["adam_m"] and loaded.adam.v_flat is arrays["adam_v"]
         assert_flat(loaded.state)
         assert_flat(loaded.best_state())
-        assert_flat_moments(loaded.adam)
+        assert_flat_moments(loaded.adam, loaded.state)
         assert loaded.adam.step == trainer.adam.step
         assert loaded.adam.m_flat.tobytes() == trainer.adam.m_flat.tobytes()
         assert loaded.adam.v_flat.tobytes() == trainer.adam.v_flat.tobytes()
@@ -210,7 +231,7 @@ class TestViews:
 # -- a rebound field is refused by name ---------------------------------------
 
 
-@pytest.mark.parametrize("owner", ["parameter", "gradient", "Adam m", "Adam v"])
+@pytest.mark.parametrize("owner", ["parameter", "gradient"])
 @pytest.mark.parametrize("name", NAMES)
 def test_rebound_field_of_the_right_shape_is_refused(owner, name):
     state = small_state()
@@ -218,12 +239,7 @@ def test_rebound_field_of_the_right_shape_is_refused(owner, name):
     grads.flat[:] = 0.5
     adam = AdamState.zeros_like(state)
     foreign = np.zeros(getattr(state, name).shape)
-    if owner == "parameter":
-        setattr(state, name, foreign)
-    elif owner == "gradient":
-        setattr(grads, name, foreign)
-    else:
-        getattr(adam, owner[-1])[name] = foreign
+    setattr(state if owner == "parameter" else grads, name, foreign)
     before = state.flat.copy()
     with pytest.raises(ValueError, match=rf"{owner} {name} was rebound"):
         adam_step(state, grads, adam, lr=0.1)
@@ -239,6 +255,10 @@ def test_gradients_of_other_shapes_are_refused():
         adam_step(state, other, AdamState.zeros_like(state), lr=0.1)
     with pytest.raises(ValueError, match=r"Adam m shape"):
         adam_step(state, ParameterGradients.zeros_like(state), AdamState.zeros_like(small_state(dims=(6, 5, 3, 4))), lr=0.1)
+    short = AdamState(np.zeros_like(state.flat), np.zeros(state.flat.size - 1))
+    with pytest.raises(ValueError, match=r"Adam v shape"):
+        adam_step(state, ParameterGradients.zeros_like(state), short, lr=0.1)
+    assert short.step == 0 and not short.m_flat.any()
 
 
 def test_a_buffer_that_is_not_flat_float64_is_refused():
@@ -291,10 +311,11 @@ def test_flat_adam_is_bit_identical_to_the_per_tensor_step(dims, b1, b2, eps, lr
             adam_step(state, grads, adam, lr=lr, betas=(b1, b2), eps=eps)
             oracles.adam_step(ref_state, grads, ref_adam, lr=lr, betas=(b1, b2), eps=eps)
             assert adam.step == ref_adam.step == step + 1
-            for name in NAMES:
+            views = [_flat_views(flat, state.shapes) for flat in (adam.m_flat, adam.v_flat, ref_adam.m_flat, ref_adam.v_flat)]
+            for name, m, v, ref_m, ref_v in zip(NAMES, *views):
                 assert getattr(state, name).tobytes() == getattr(ref_state, name).tobytes(), (step, name)
-                assert adam.m[name].tobytes() == ref_adam.m[name].tobytes(), (step, name)
-                assert adam.v[name].tobytes() == ref_adam.v[name].tobytes(), (step, name)
+                assert m.tobytes() == ref_m.tobytes(), (step, name)
+                assert v.tobytes() == ref_v.tobytes(), (step, name)
 
 
 # -- the flat-writing backward against the per-array oracle -------------------

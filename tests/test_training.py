@@ -1,6 +1,5 @@
 """Adam updates, training determinism, and checkpoint resume."""
 import dataclasses
-import io
 import json
 import logging
 
@@ -9,7 +8,7 @@ import pytest
 
 from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc import training
-from knnmlc.encoder import CheckpointError, EncoderConfig, ParameterGradients, init_state
+from knnmlc.encoder import CheckpointError, EncoderConfig, ParameterGradients, _flat_views, init_state
 from knnmlc.mathops import make_rng, unit_rows
 from knnmlc.training import AdamState, NonFiniteLossError, TrainConfig, Trainer, adam_step, train
 import oracles
@@ -39,16 +38,37 @@ def tiny_encoder_cfg(data_cfg):
     )
 
 
+class _Tripwire:
+    """Counts its own unpickling: a checkpoint member holding one must be
+    refused without it."""
+
+    unpickled = 0
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+def _trip():
+    _Tripwire.unpickled += 1
+    return _Tripwire()
+
+
+def moment_views(adam, state):
+    """{name: (m, v)}: each parameter's moments, views of the flat moments."""
+    views = zip(_flat_views(adam.m_flat, state.shapes), _flat_views(adam.v_flat, state.shapes))
+    return dict(zip((name for name, _ in state.param_items()), views))
+
+
 def ref_adam_step(state, grads, adam, lr, betas=(0.9, 0.999), eps=1e-8):
     """Adam as the textbook expression, one temporary per operation: the
     oracle of the in-place update."""
     b1, b2 = betas
     adam.step += 1
     t = adam.step
+    moments = moment_views(adam, state)
     for name, theta in state.param_items():
         g = getattr(grads, name)
-        m = adam.m[name]
-        v = adam.v[name]
+        m, v = moments[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -77,11 +97,12 @@ class TestAdam:
             )
             adam_step(state, grads, adam, lr=1e-3, betas=(0.85, 0.995), eps=1e-7)
             ref_adam_step(ref_state, grads, ref_adam, lr=1e-3, betas=(0.85, 0.995), eps=1e-7)
+            got, want = moment_views(adam, state), moment_views(ref_adam, ref_state)
             for name, arr in state.param_items():
                 ref = getattr(ref_state, name)
                 assert arr.tobytes() == ref.tobytes(), (step, name)
-                assert adam.m[name].tobytes() == ref_adam.m[name].tobytes(), (step, name)
-                assert adam.v[name].tobytes() == ref_adam.v[name].tobytes(), (step, name)
+                assert got[name][0].tobytes() == want[name][0].tobytes(), (step, name)
+                assert got[name][1].tobytes() == want[name][1].tobytes(), (step, name)
 
     def test_single_step_closed_form(self):
         # from zero moments the bias-corrected update is -lr * g / (|g| + eps)
@@ -110,14 +131,15 @@ class TestAdam:
     def test_moments_decay_under_zero_gradients(self):
         state = self._state()
         adam = AdamState.zeros_like(state)
-        adam.m["w_in"][...] = 1.0
-        adam.v["w_in"][...] = 1.0
+        m, v = moment_views(adam, state)["w_in"]
+        m[...] = 1.0
+        v[...] = 1.0
         for step in range(5):
-            m_prev = adam.m["w_in"].copy()
-            v_prev = adam.v["w_in"].copy()
+            m_prev = m.copy()
+            v_prev = v.copy()
             adam_step(state, ParameterGradients.zeros_like(state), adam, lr=0.1)
-            np.testing.assert_allclose(adam.m["w_in"], 0.9 * m_prev, rtol=1e-12)
-            np.testing.assert_allclose(adam.v["w_in"], 0.999 * v_prev, rtol=1e-12)
+            np.testing.assert_allclose(m, 0.9 * m_prev, rtol=1e-12)
+            np.testing.assert_allclose(v, 0.999 * v_prev, rtol=1e-12)
 
     def test_constant_gradient_approaches_sign_step(self):
         state = self._state()
@@ -222,47 +244,121 @@ class TestTrainer:
         ckpt = tmp_path / "trainer.json"
         trainer_b.save_checkpoint(ckpt)
         trainer_c = Trainer.load_checkpoint(ckpt, train_s, valid_s)
+        # the loaded trainer holds the saved bits, the best state and both moments included
+        for got, want in [(trainer_c.state, trainer_b.state), (trainer_c.best_state(), trainer_b.best_state())]:
+            assert got.flat.tobytes() == want.flat.tobytes()
+        assert trainer_c.adam.m_flat.tobytes() == trainer_b.adam.m_flat.tobytes()
+        assert trainer_c.adam.v_flat.tobytes() == trainer_b.adam.v_flat.tobytes()
         trainer_c.run()
 
-        # the checkpoint holds the bytes json.dump writes for its payload
-        text = ckpt.read_text()
-        stream = io.StringIO()
-        json.dump(json.loads(text), stream)
-        assert stream.getvalue() == text
+        # the checkpoint is the container: exactly its members, of their dtypes
+        with np.load(ckpt, allow_pickle=False) as npz:
+            assert {name: (npz[name].dtype, npz[name].ndim) for name in npz.files} == training._TRAINER_MEMBERS
 
         assert trainer_c.iteration == trainer_a.iteration
         assert trainer_c.history == trainer_a.history
-        for (_, a), (_, b) in zip(trainer_a.state.param_items(), trainer_c.state.param_items()):
-            np.testing.assert_array_equal(a, b)
-        for name in trainer_a.adam.m:
-            np.testing.assert_array_equal(trainer_a.adam.m[name], trainer_c.adam.m[name])
-            np.testing.assert_array_equal(trainer_a.adam.v[name], trainer_c.adam.v[name])
+        assert trainer_c.state.flat.tobytes() == trainer_a.state.flat.tobytes()
+        assert trainer_c.best_state().flat.tobytes() == trainer_a.best_state().flat.tobytes()
+        assert trainer_c.adam.step == trainer_a.adam.step
+        assert trainer_c.adam.m_flat.tobytes() == trainer_a.adam.m_flat.tobytes()
+        assert trainer_c.adam.v_flat.tobytes() == trainer_a.adam.v_flat.tobytes()
+        assert trainer_c.rng.bit_generator.state == trainer_a.rng.bit_generator.state
 
-    def _saved_payload(self, tmp_path):
+    def _saved(self, tmp_path):
+        """A trainer two steps in, saved: its header, its other members,
+        the path and the samples."""
         (train_s, valid_s, _), dcfg = tiny_data()
         trainer = Trainer(train_s, valid_s, init_state(tiny_encoder_cfg(dcfg), seed=0), TrainConfig(batch_size=8, max_iters=4))
         trainer.run(num_iters=2)
         path = tmp_path / "trainer.json"
         trainer.save_checkpoint(path)
-        return json.loads(path.read_text()), path, train_s, valid_s
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = dict(npz)
+        return json.loads(arrays.pop("header").tobytes()), arrays, path, train_s, valid_s
 
-    def test_version_1_checkpoint_rejected(self, tmp_path):
-        # version 1 held a train.dropout_rate field that no longer exists
-        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
-        payload["version"] = 1
-        payload["config"]["dropout_rate"] = None
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="unsupported version 1"):
+    @staticmethod
+    def _rewrite(path, header, arrays):
+        with open(path, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8), **arrays)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_an_older_version_header_is_rejected(self, tmp_path, version):
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
+        header["version"] = version
+        self._rewrite(path, header, arrays)
+        with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
             Trainer.load_checkpoint(path, train_s, valid_s)
 
-    def test_version_2_checkpoint_rejected(self, tmp_path):
-        # version 2 held the adam_beta1, adam_beta2 and adam_eps train fields
-        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
-        payload["version"] = 2
-        payload["config"].update(adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-8)
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="unsupported version 2"):
+    @pytest.mark.parametrize("case", ["version 3 json", "empty", "npy", "text", "truncated"])
+    def test_a_file_that_is_not_a_container_is_one_checkpoint_error(self, tmp_path, case):
+        # an old JSON trainer checkpoint, or any other file, is refused as not
+        # a container: no BadZipFile, ValueError or EOFError reaches the caller
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
+        if case == "version 3 json":
+            # the layout before the container: one JSON object, the moments as nested lists
+            names = ("w_in", "b_in", "w_emb", "b_emb", "w_clf", "b_clf")
+            shapes = init_state(tiny_encoder_cfg(tiny_data()[1]), seed=0).shapes
+            nested = {
+                which: {name: view.tolist() for name, view in zip(names, _flat_views(arrays[f"adam_{which}"], shapes))}
+                for which in ("m", "v")
+            }
+            params = dict(zip(names, (view.tolist() for view in _flat_views(arrays["params"], shapes))))
+            payload = {
+                "format": "knnmlc-trainer", "version": 3, "config": header["config"],
+                "iteration": header["iteration"], "encoder": {**header["encoder"], "params": params},
+                "adam": {"step": header["adam_step"], **nested}, "rng_state": header["rng_state"],
+                "order": arrays["order"].tolist(), "cursor": header["cursor"],
+                "best": {"micro_f1": header["best_micro_f1"], "iteration": header["best_iteration"], "encoder": None},
+                "history": header["history"],
+            }
+            path.write_text(json.dumps(payload))
+        elif case == "empty":
+            path.write_bytes(b"")
+        elif case == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, arrays["params"])
+        elif case == "text":
+            path.write_bytes(b"PK but not a zip")
+        else:
+            path.write_bytes(path.read_bytes()[:200])
+        with pytest.raises(CheckpointError, match=r"trainer.json: not a trainer checkpoint container \(not an npz archive\)"):
             Trainer.load_checkpoint(path, train_s, valid_s)
+
+    # each hostile container and the message that names its member
+    HOSTILE = {
+        "an object member": r"not a trainer checkpoint container \(member order is missing or unreadable",
+        "no adam_v": r"not a trainer checkpoint container \(member adam_v is missing",
+        "a float32 adam_m": r"not a trainer checkpoint container \(member adam_m must be 1-d float64, got 1-d float32",
+        "a float order": r"not a trainer checkpoint container \(member order must be 1-d int64, got 1-d float64",
+        "a nested order": r"not a trainer checkpoint container \(member order must be 1-d int64, got 2-d int64",
+        "a best_params of another size": r"malformed trainer checkpoint \(.*best_params \(5, or 0\)",
+    }
+
+    @pytest.mark.parametrize("case", HOSTILE)
+    def test_a_hostile_container_is_refused_naming_the_member(self, tmp_path, case):
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
+        if case == "an object member":
+            arrays["order"] = np.array([_Tripwire()], dtype=object)
+        elif case == "no adam_v":
+            del arrays["adam_v"]
+        elif case == "a float32 adam_m":
+            arrays["adam_m"] = arrays["adam_m"].astype(np.float32)
+        elif case == "a float order":
+            arrays["order"] = arrays["order"].astype(np.float64)
+        elif case == "a nested order":
+            arrays["order"] = arrays["order"][None, :]
+        else:
+            arrays["best_params"] = arrays["params"][:5]
+        self._rewrite(path, header, arrays)
+        _Tripwire.unpickled = 0
+        with pytest.raises(CheckpointError, match=f"trainer.json: {self.HOSTILE[case]}"):
+            Trainer.load_checkpoint(path, train_s, valid_s)
+        assert _Tripwire.unpickled == 0
+        if case == "an object member":
+            # the member does unpickle a tripwire when pickles are allowed
+            with np.load(path, allow_pickle=True) as npz:
+                npz["order"]
+            assert _Tripwire.unpickled == 1
 
     @pytest.mark.parametrize(
         "case,message",
@@ -270,42 +366,39 @@ class TestTrainer:
             ("config batch_size 8.5", "batch_size must be an integer"),
             ("iteration 3.5", "iteration must be an integer"),
             ("cursor true", "cursor must be an integer"),
-            ("adam step 2.0", "step must be an integer"),
-            ("best micro_f1 text", "best micro_f1 must be a finite number"),
-            ("order of floats", "order must hold integers"),
+            ("adam_step 2.0", "adam_step must be an integer"),
+            ("best_micro_f1 text", "best_micro_f1 must be a finite number"),
         ],
     )
     def test_a_value_of_the_wrong_kind_is_rejected_at_load(self, tmp_path, case, message):
         # nothing is rounded or converted, so a bad value fails here and not
         # later in run()
-        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
         if case == "config batch_size 8.5":
-            payload["config"]["batch_size"] = 8.5
+            header["config"]["batch_size"] = 8.5
         elif case == "iteration 3.5":
-            payload["iteration"] = 3.5
+            header["iteration"] = 3.5
         elif case == "cursor true":
-            payload["cursor"] = True
-        elif case == "adam step 2.0":
-            payload["adam"]["step"] = 2.0
-        elif case == "best micro_f1 text":
-            payload["best"]["micro_f1"] = "0.5"
+            header["cursor"] = True
+        elif case == "adam_step 2.0":
+            header["adam_step"] = 2.0
         else:
-            payload["order"] = [float(i) for i in payload["order"]]
-        path.write_text(json.dumps(payload))
+            header["best_micro_f1"] = "0.5"
+        self._rewrite(path, header, arrays)
         with pytest.raises(CheckpointError, match=f"trainer.json: malformed trainer checkpoint.*{message}"):
             Trainer.load_checkpoint(path, train_s, valid_s)
 
     @pytest.mark.parametrize(
         "case",
-        ["fewer samples", "more samples", "a repeated row", "a nested order", "cursor past the order", "negative cursor",
+        ["fewer samples", "more samples", "a repeated row", "cursor past the order", "negative cursor",
          "cursor on an empty order"],
     )
     def test_an_epoch_that_does_not_fit_the_training_set_is_rejected_at_load(self, tmp_path, case):
         # a resume on other samples fails here, naming both sizes, and not
         # later with an IndexError inside PackedSamples.take
-        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
         n = len(train_s)
-        assert sorted(payload["order"]) == list(range(n)) and payload["cursor"] == 16
+        assert sorted(arrays["order"]) == list(range(n)) and header["cursor"] == 16
         size = n
         if case == "fewer samples":
             train_s = train_s[:40]
@@ -314,53 +407,81 @@ class TestTrainer:
             train_s = oracles.take(train_s, [*range(n), 0])
             size = n + 1
         elif case == "a repeated row":
-            payload["order"][0] = payload["order"][1]
-        elif case == "a nested order":
-            payload["order"] = [payload["order"]]
+            arrays["order"][0] = arrays["order"][1]
         elif case == "cursor past the order":
-            payload["cursor"] = n + 1
+            header["cursor"] = n + 1
         elif case == "negative cursor":
-            payload["cursor"] = -1
+            header["cursor"] = -1
         else:
-            payload["order"], payload["cursor"] = [], 8
-        path.write_text(json.dumps(payload))
+            arrays["order"], header["cursor"] = np.empty(0, dtype=np.int64), 8
+        self._rewrite(path, header, arrays)
         with pytest.raises(CheckpointError, match=rf"trainer.json: the saved epoch order of \d+ rows .* training set of {size} samples"):
             Trainer.load_checkpoint(path, train_s, valid_s)
 
     def test_an_empty_epoch_order_resumes(self, tmp_path):
-        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
-        payload["order"], payload["cursor"] = [], 0
-        path.write_text(json.dumps(payload))
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
+        arrays["order"], header["cursor"] = np.empty(0, dtype=np.int64), 0
+        self._rewrite(path, header, arrays)
         trainer = Trainer.load_checkpoint(path, train_s, valid_s)
         trainer.run(num_iters=1)
         assert trainer.iteration == 3
 
-    @pytest.mark.parametrize("case", ["no adam", "unknown config key", "iteration not a number", "misshapen moment"])
+    @pytest.mark.parametrize(
+        "case", ["no adam step", "unknown config key", "iteration not a number", "misshapen moment", "header not json",
+                 "header not an object", "encoder dims that do not fit params"],
+    )
     def test_malformed_checkpoint_raises_checkpoint_error(self, tmp_path, case):
-        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
-        if case == "no adam":
-            del payload["adam"]
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
+        if case == "no adam step":
+            del header["adam_step"]
         elif case == "unknown config key":
-            payload["config"]["dropout_rate"] = 0.3
+            header["config"]["dropout_rate"] = 0.3
         elif case == "iteration not a number":
-            payload["iteration"] = "x"
+            header["iteration"] = "x"
+        elif case == "misshapen moment":
+            arrays["adam_v"] = arrays["adam_v"][:-1]
+        elif case == "encoder dims that do not fit params":
+            header["encoder"]["dims"]["hidden_dim"] += 1
+        if case.startswith("header not"):
+            raw = b"\xff{" if case == "header not json" else b"[1, 2]"
+            with open(path, "wb") as fh:
+                np.savez(fh, header=np.frombuffer(raw, dtype=np.uint8), **arrays)
         else:
-            payload["adam"]["v"]["b_in"] = [0.0]
-        path.write_text(json.dumps(payload))
+            self._rewrite(path, header, arrays)
         with pytest.raises(CheckpointError, match="trainer.json"):
             Trainer.load_checkpoint(path, train_s, valid_s)
 
     @pytest.mark.parametrize("which,name,value", [("m", "w_clf", float("nan")), ("v", "b_in", float("inf"))])
     def test_non_finite_adam_moment_is_rejected_at_load(self, tmp_path, which, name, value):
-        # json reads NaN and Infinity; a damaged moment fails at load, named,
-        # not as a non-finite loss steps later
-        payload, path, train_s, valid_s = self._saved_payload(tmp_path)
-        moment = np.asarray(payload["adam"][which][name])
-        moment.flat[0] = value
-        payload["adam"][which][name] = moment.tolist()
-        path.write_text(json.dumps(payload))
+        # a damaged moment fails at load, named, not as a non-finite loss
+        # steps later
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
+        shapes = init_state(tiny_encoder_cfg(tiny_data()[1]), seed=0).shapes
+        views = dict(zip(("w_in", "b_in", "w_emb", "b_emb", "w_clf", "b_clf"), _flat_views(arrays[f"adam_{which}"], shapes)))
+        views[name].flat[0] = value
+        self._rewrite(path, header, arrays)
         with pytest.raises(CheckpointError, match=rf"Adam {which}\[{name}\] holds a NaN or inf"):
             Trainer.load_checkpoint(path, train_s, valid_s)
+
+    def test_a_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
+        before = path.read_bytes()
+        trainer = Trainer.load_checkpoint(path, train_s, valid_s)
+        trainer.run(num_iters=1)
+        real_savez = np.savez
+
+        def failing_savez(fh, **members):
+            # half an archive reaches the file, then the write fails
+            real_savez(fh, **dict(list(members.items())[:3]))
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", failing_savez)
+        with pytest.raises(OSError, match="No space left"):
+            trainer.save_checkpoint(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert Trainer.load_checkpoint(path, train_s, valid_s).iteration == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trainer.json"]
 
     @pytest.mark.parametrize("param,alpha", [("w_clf", 0.3), ("b_emb", 0.3), ("b_emb", 0.0)])
     def test_non_finite_loss_names_the_iteration(self, param, alpha):
