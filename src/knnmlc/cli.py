@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
+import os
 import platform
 import sys
 import time
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, copies
+from . import __version__, copies, floatrepr
 from . import datastore as ds
 from . import training
 from .data import (
@@ -139,14 +141,40 @@ def write_manifest(out_dir: Path, command: str, config_snapshot: dict, seed, art
     return path
 
 
+@functools.cache
+def _blas_core() -> str | None:
+    """The kernel the OpenBLAS library that numpy loaded picked for this CPU
+    (``OPENBLAS_CORETYPE`` overrides the pick), from its
+    ``scipy_openblas_get_corename64_``; None where that cannot be read (no
+    such library loaded, or no such function). Read once per process."""
+    import ctypes
+
+    numpy_dir = Path(np.__file__).parent
+    libraries = [*(numpy_dir.parent / "numpy.libs").glob("*openblas*"), *(numpy_dir / ".dylibs").glob("*openblas*")]
+    # RTLD_NOLOAD: only a library already loaded, never a second copy
+    mode = getattr(os, "RTLD_NOLOAD", None)
+    if mode is None:
+        return None
+    for path in sorted(libraries):
+        try:
+            corename = ctypes.CDLL(str(path), mode=mode).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename()
+        return core.decode("ascii", "replace") if core else None
+    return None
+
+
 def _environment() -> dict:
     """The software versions a manifest records, the BLAS build numpy was
-    built against among them (training bits depend on it)."""
+    built against and the kernel it runs among them (training bits depend
+    on both)."""
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": {"name": blas["name"], "version": blas["version"]},
+        "blas": {"name": blas["name"], "version": blas["version"], "core": _blas_core()},
         "knnmlc": __version__,
     }
 
@@ -302,16 +330,14 @@ def cmd_build_store(args) -> int:
 # samples per predict_batch call: bounds the (rows, k, C) neighbor-vote
 # temporaries and the forward trace; rows do not depend on the split
 _PREDICT_CHUNK = 1024
-# prediction lines rendered, joined and written at a time: bounds the
-# block's strings
-_LINE_BLOCK = 128
-
-# a preds.jsonl line and one neighbor pair: ``json.dumps`` of the record
-# dict (its key order, default separators). Every value is finite
-# (``predict_batch`` checks), and a finite float is written by json as its
-# ``repr``, so ``repr`` of a row list is the JSON of the row.
-_LINE = '{"id": %s, "y_clf": %s, "y_knn": %s, "lambda": %r, "y_final": %s, "y_pred": %s, "neighbors": [%s]}\n'
-_NEIGHBOR = '{"index": %d, "similarity": %r}'
+# a preds.jsonl line is the bytes of ``json.dumps`` of its record dict (its
+# key order, default separators): these pieces around the id, the numbers
+# and the neighbor pairs. Every value is finite (``predict_batch`` checks),
+# and json writes a finite float as its ``repr``, which ``float_slots``
+# gives; the ids go through ``json.dumps``.
+_LINE = ('{"id": ', ', "y_clf": [', '], "y_knn": [', '], "lambda": ', ', "y_final": [', '], "y_pred": [',
+         '], "neighbors": [', ']}\n')
+_NEIGHBOR = ('{"index": ', ', "similarity": ', '}')
 
 
 def _predict_chunks(state, store, samples, infer_cfg):
@@ -321,29 +347,48 @@ def _predict_chunks(state, store, samples, infer_cfg):
         yield chunk, predict_batch(state, store, chunk, infer_cfg)
 
 
+def _id_columns(ids) -> np.ndarray:
+    """The (n, longest) matrix of each id's JSON string (ASCII, no NUL), NUL
+    after it."""
+    encoded = [json.dumps(sample_id).encode("ascii") for sample_id in ids]
+    lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    out = np.zeros((len(encoded), lengths.max(initial=0)), dtype=np.uint8)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    return out
+
+
 def _prediction_lines(ids, bundle, y_pred):
     """The bytes of the preds.jsonl lines of a chunk's rows (docs/formats.md),
-    one block of up to ``_LINE_BLOCK`` lines at a time, rendered straight
-    from the bundle's arrays: one ``repr`` per row of each (n, C) array and
-    one template per row for its k neighbor pairs."""
-    n, k = bundle.neighbor_indices.shape
-    neighbors = ", ".join([_NEIGHBOR] * k)
-    for lo in range(0, n, _LINE_BLOCK):
-        hi = min(lo + _LINE_BLOCK, n)
-        # each row's (index, similarity) pairs in turn, as Python ints and floats
-        pairs = np.empty((hi - lo, 2 * k), dtype=object)
-        pairs[:, 0::2] = bundle.neighbor_indices[lo:hi]
-        pairs[:, 1::2] = bundle.neighbor_sims[lo:hi]
-        fields = zip(
-            map(json.dumps, ids[lo:hi]),
-            map(repr, bundle.y_clf[lo:hi].tolist()),
-            map(repr, bundle.y_knn[lo:hi].tolist()),
-            bundle.lam[lo:hi].tolist(),
-            map(repr, bundle.y_final[lo:hi].tolist()),
-            map(repr, y_pred[lo:hi].tolist()),
-            map(neighbors.__mod__, map(tuple, pairs.tolist())),
-        )
-        yield "".join(map(_LINE.__mod__, fields)).encode("utf-8")
+    laid out from the bundle's arrays in blocks of rows holding about
+    ``floatrepr.BLOCK`` numbers: each block's floats from one
+    ``floatrepr.float_slots`` call and its neighbor indices from one
+    ``int_slots`` call, with the ids and the literal pieces, in one
+    ``floatrepr.lay_out`` matrix."""
+    n, c = bundle.y_clf.shape
+    k = bundle.neighbor_indices.shape[1]
+    step = max(1, floatrepr.BLOCK // (3 * c + 1 + 2 * k))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rows = hi - lo
+        arrays = [bundle.y_clf[lo:hi], bundle.y_knn[lo:hi], bundle.y_final[lo:hi], bundle.neighbor_sims[lo:hi]]
+        slots = floatrepr.float_slots(np.concatenate([arr.ravel() for arr in arrays] + [bundle.lam[lo:hi]]))
+        y_clf, y_knn, y_final, sims, lam = np.split(slots, np.cumsum([rows * c] * 3 + [rows * k]))
+        # a decision is 0 or 1: one digit
+        decisions = (y_pred[lo:hi] + ord("0")).astype(np.uint8).reshape(rows, c, 1)
+        index = floatrepr.int_slots(bundle.neighbor_indices[lo:hi])
+        width = floatrepr.SLOT
+        neighbors = [_NEIGHBOR[0], index.reshape(rows, k, index.shape[1]), _NEIGHBOR[1],
+                     sims.reshape(rows, k, width), _NEIGHBOR[2]]
+        fields = [
+            _id_columns(ids[lo:hi]),
+            (c, [y_clf.reshape(rows, c, width)]),
+            (c, [y_knn.reshape(rows, c, width)]),
+            lam,
+            (c, [y_final.reshape(rows, c, width)]),
+            (c, [decisions]),
+            (k, neighbors),
+        ]
+        yield floatrepr.lay_out(rows, [piece for pair in zip(_LINE, fields) for piece in pair] + [_LINE[-1]])
 
 
 def cmd_predict(args) -> int:

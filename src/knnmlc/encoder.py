@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import copies
+from . import copies, floatrepr
 from .data import PackedSamples, check_kinds
 from .mathops import make_rng
 
@@ -57,7 +57,6 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "state_from_payload",
-    "state_to_payload",
 ]
 
 _ACTIVATIONS = ("tanh", "relu")
@@ -441,18 +440,59 @@ def _payload_header(state: EncoderState) -> dict:
     }
 
 
-def state_to_payload(state: EncoderState) -> dict:
-    """JSON-ready dict holding dims, hyperparameters, and all tensors.
-    float64 values round-trip exactly because json uses shortest-repr
-    formatting."""
-    return {**_payload_header(state), "params": {name: arr.tolist() for name, arr in state.param_items()}}
+def _checkpoint_chunks(state: EncoderState):
+    """The bytes of the checkpoint JSON (docs/formats.md), which are those of
+    ``json.dumps`` of the payload dict with each parameter as nested lists,
+    since json writes a finite float as its ``repr``: the parameters in
+    blocks of whole rows of about ``floatrepr.BLOCK`` values (at least
+    one row; a 1-d parameter is one row), each block's floats laid out by
+    one ``floatrepr.float_slots`` call over its run of ``state.flat``."""
+    # every block: (name, first row, rows, row length, rows of the parameter, 2-d?)
+    blocks, pending, size = [], [], 0
+    for name, arr in state.param_items():
+        width = arr.shape[-1]
+        count = arr.size // width
+        step = max(1, floatrepr.BLOCK // width)
+        for first in range(0, count, step):
+            rows = min(step, count - first)
+            if pending and size + rows * width > floatrepr.BLOCK:
+                blocks.append(pending)
+                pending, size = [], 0
+            pending.append((name, first, rows, width, count, arr.ndim == 2))
+            size += rows * width
+    blocks.append(pending)
+    # the header without its closing brace, then the params object
+    yield json.dumps(_payload_header(state))[:-1].encode("utf-8") + b', "params": {'
+    start = 0
+    for block in blocks:
+        stop = start + sum(rows * width for _, _, rows, width, _, _ in block)
+        slots = floatrepr.float_slots(state.flat[start:stop])
+        chunks, at = [], 0
+        for name, first, rows, width, count, matrix in block:
+            if first == 0:
+                chunks.append(f'{", " if name != _PARAM_NAMES[0] else ""}"{name}": ['.encode("utf-8"))
+            else:
+                chunks.append(b", ")
+            values = slots[at : at + rows * width].reshape(1, rows, width, floatrepr.SLOT)
+            at += rows * width
+            # a 2-d parameter's rows are lists of their own, a 1-d one's one row is not
+            pieces = [(rows, ["[", (width, [values]), "]"])] if matrix else [(width, [values[0]])]
+            chunks.append(floatrepr.lay_out(1, pieces))
+            if first + rows == count:
+                chunks.append(b"]")
+        start = stop
+        yield b"".join(chunks)
+    yield b"}}"
 
 
 def save_checkpoint(state: EncoderState, path) -> None:
-    """Write the checkpoint JSON to ``path`` and its packed copy beside it,
-    keyed by the SHA-256 of the bytes written."""
-    # json.dumps runs the C encoder; json.dump streams through the Python one
-    digest = copies.write_hashed(path, [json.dumps(state_to_payload(state)).encode("utf-8")])
+    """Write the checkpoint JSON to ``path`` in chunks and its packed copy
+    beside it, keyed by the SHA-256 of the bytes written. A NaN or inf
+    parameter is a CheckpointError naming it, raised before any byte is
+    written, so an older checkpoint and its copy stay as they were."""
+    for name, view in state.param_items():
+        finite_array(view, view.shape, f"parameter {name}", path)
+    digest = copies.write_hashed(path, _checkpoint_chunks(state))
     copies.write_copy(path, _COPY_VERSION, digest, _to_copy(state))
 
 

@@ -20,8 +20,11 @@ through the checked form the package once exported (``forward_rowwise``,
 the dropout-off pass with its trace, then retrieval, the vote, the
 high-confidence mask, lambda and the combination), against which
 ``inference.predict_batch`` is checked bit for bit, and
-``prediction_lines`` the predictions file as one ``json.dumps`` of a record
-dict per row, against whose bytes the CLI's line writer is checked. ``adam_step``
+``state_to_payload`` the checkpoint dict whose ``json.dumps`` is
+``model.json``, ``prediction_lines`` the predictions file as one ``json.dumps`` of a record
+dict per row, against whose bytes the CLI's line writer is checked, and
+``template_lines`` that writer as it stood before the ``floatrepr`` kernel
+(``repr`` of each row and one ``%`` template per line). ``adam_step``
 (one update per parameter tensor) and ``backward`` (each gradient its own
 array) are the training step as it stood before parameters, gradients and
 moments shared one flat buffer each, against which the flat forms are
@@ -573,6 +576,15 @@ def predict_batch(state: EncoderState, store: Datastore | None, samples: PackedS
     )
 
 
+def state_to_payload(state: EncoderState) -> dict:
+    """A state's checkpoint payload with each parameter as nested lists: its
+    ``json.dumps`` is ``model.json`` as ``knnmlc train`` wrote it before the
+    ``floatrepr`` kernel, and ``encoder.save_checkpoint`` writes the same
+    bytes. float64 values round-trip exactly, as json writes each one as its
+    shortest ``repr``."""
+    return {**encoder._payload_header(state), "params": {name: arr.tolist() for name, arr in state.param_items()}}
+
+
 def prediction_lines(ids, bundle: PredictionBundle, y_pred: np.ndarray) -> bytes:
     """The preds.jsonl bytes of a bundle's rows as ``knnmlc predict`` wrote
     them before it rendered lines from the arrays: one record dict per row,
@@ -593,6 +605,36 @@ def prediction_lines(ids, bundle: PredictionBundle, y_pred: np.ndarray) -> bytes
         }
         lines.append(json.dumps(record) + "\n")
     return "".join(lines).encode("utf-8")
+
+
+# a preds.jsonl line and one neighbor pair as ``knnmlc predict`` rendered
+# them before it laid the lines out as one uint8 matrix per block
+_LINE = '{"id": %s, "y_clf": %s, "y_knn": %s, "lambda": %r, "y_final": %s, "y_pred": %s, "neighbors": [%s]}\n'
+_NEIGHBOR = '{"index": %d, "similarity": %r}'
+
+
+def template_lines(ids, bundle: PredictionBundle, y_pred: np.ndarray, block: int = 128):
+    """The preds.jsonl bytes of a bundle's rows as ``knnmlc predict`` wrote
+    them before the ``floatrepr`` kernel, one block of up to ``block`` lines
+    at a time: one ``repr`` per row of each (n, C) array, ``%r`` of each
+    lambda and one template per row for its k neighbor pairs."""
+    n, k = bundle.neighbor_indices.shape
+    neighbors = ", ".join([_NEIGHBOR] * k)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        pairs = np.empty((hi - lo, 2 * k), dtype=object)
+        pairs[:, 0::2] = bundle.neighbor_indices[lo:hi]
+        pairs[:, 1::2] = bundle.neighbor_sims[lo:hi]
+        fields = zip(
+            map(json.dumps, ids[lo:hi]),
+            map(repr, bundle.y_clf[lo:hi].tolist()),
+            map(repr, bundle.y_knn[lo:hi].tolist()),
+            bundle.lam[lo:hi].tolist(),
+            map(repr, bundle.y_final[lo:hi].tolist()),
+            map(repr, y_pred[lo:hi].tolist()),
+            map(neighbors.__mod__, map(tuple, pairs.tolist())),
+        )
+        yield "".join(map(_LINE.__mod__, fields)).encode("utf-8")
 
 
 def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:

@@ -137,7 +137,7 @@ class TestPipeline:
         assert environment == {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "blas": {"name": blas["name"], "version": blas["version"]},
+            "blas": {"name": blas["name"], "version": blas["version"], "core": cli._blas_core()},
             "knnmlc": knnmlc.__version__,
         }
         # gen-data's times its draw and its files (build-store, predict and eval: below)
@@ -689,7 +689,24 @@ def test_store_and_predictions_do_not_depend_on_the_blas_kernel(pipeline_artifac
                                     env=env, capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr
         outputs.append([(out / name).read_bytes() for name in ("store.bin", "preds.jsonl")])
+        # the manifest names the kernel each process ran
+        core = json.loads((out / "manifest-predict.json").read_text())["environment"]["blas"]["core"]
+        assert core == (coretype or cli._blas_core())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.skipif(not _openblas_on_x86_64(), reason="the kernel name is read from OpenBLAS")
+def test_the_manifest_names_the_blas_kernel_openblas_runs():
+    # read from the library numpy loaded, so it is the kernel this process runs
+    core = cli._environment()["blas"]["core"]
+    assert isinstance(core, str) and core
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Nehalem",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", "from knnmlc import cli; print(cli._blas_core())"],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "Nehalem"
 
 
 class TestAblateCommand:

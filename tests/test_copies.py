@@ -16,11 +16,12 @@ import zipfile
 import numpy as np
 import pytest
 
-from knnmlc import cli, copies, encoder
+from knnmlc import cli, copies, encoder, floatrepr
 from knnmlc.cli import EXIT_FORMAT, EXIT_OK, main
 from knnmlc.data import load_packed
-from knnmlc.encoder import CheckpointError, EncoderConfig, init_state, load_checkpoint, save_checkpoint, state_to_payload
+from knnmlc.encoder import CheckpointError, EncoderConfig, init_state, load_checkpoint, save_checkpoint
 from knnmlc.inference import INFERENCE_MODES
+from oracles import state_to_payload
 from test_load_packed import member_data
 
 
@@ -303,11 +304,11 @@ def test_predict_writes_the_copy_of_what_it_wrote_and_eval_reads_it(run, tmp_pat
 
 @pytest.mark.parametrize("mode,store", [(mode, True) for mode in INFERENCE_MODES] + [("classifier_only", False)])
 def test_predictions_do_not_depend_on_the_chunk_and_line_block_sizes(run, tmp_path, monkeypatch, capsys, mode, store):
-    # 12 test rows: chunks of 3 rows, each written as line blocks of 2 and 1
+    # 12 test rows: chunks of 3 rows, each written one line at a time
     shipped, small = tmp_path / "shipped.jsonl", tmp_path / "small.jsonl"
     predict(run, shipped, mode, store)
     monkeypatch.setattr(cli, "_PREDICT_CHUNK", 3)
-    monkeypatch.setattr(cli, "_LINE_BLOCK", 2)
+    monkeypatch.setattr(floatrepr, "BLOCK", 2)
     predict(run, small, mode, store)
     assert small.read_bytes() == shipped.read_bytes()
     parses = spy(monkeypatch, cli, "_parse_predictions")

@@ -14,11 +14,10 @@ from knnmlc.encoder import (
     init_state,
     load_checkpoint,
     save_checkpoint,
-    state_to_payload,
 )
 from knnmlc.gradcheck import duplicated_views, gradient_check, random_gradcheck_problem
 from knnmlc.mathops import make_rng, sigmoid
-from oracles import Sample, forward, pack
+from oracles import Sample, forward, pack, state_to_payload
 
 
 def tiny_config(**kw):

@@ -26,11 +26,10 @@ from knnmlc.encoder import (
     load_checkpoint,
     save_checkpoint,
     state_from_payload,
-    state_to_payload,
 )
 from knnmlc.mathops import make_rng
 from knnmlc.training import AdamState, TrainConfig, Trainer, adam_step
-from oracles import Sample, pack
+from oracles import Sample, pack, state_to_payload
 
 NAMES = ("w_in", "b_in", "w_emb", "b_emb", "w_clf", "b_clf")
 # +-0.0, the smallest subnormal, a mid-range subnormal, the smallest normal,

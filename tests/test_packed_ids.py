@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knnmlc import cli, copies, data
+from knnmlc import cli, copies, data, floatrepr
 from knnmlc.data import DataFormatError, load_jsonl, load_packed
 from knnmlc.inference import PredictionBundle
 from oracles import Sample, check_prediction_rows, pack, take, unpack_strings_checked
@@ -106,13 +106,14 @@ def test_the_prediction_lines_are_those_of_the_object_array_ids(ids, block):
         neighbor_sims=rng.random((n, 2)),
     )
     y_pred = (bundle.y_final >= 0.5).astype(np.int8)
-    real = cli._LINE_BLOCK
+    # a block of ``block`` rows: each row holds 3c + 1 + 2k = 11 numbers
+    real = floatrepr.BLOCK
     try:
-        cli._LINE_BLOCK = block
+        floatrepr.BLOCK = 11 * block
         got = b"".join(cli._prediction_lines(split.ids(), bundle, y_pred))
         want = b"".join(cli._prediction_lines(old, bundle, y_pred))
     finally:
-        cli._LINE_BLOCK = real
+        floatrepr.BLOCK = real
     assert got == want
     assert [json.loads(line)["id"] for line in got.decode().splitlines()] == ids
 

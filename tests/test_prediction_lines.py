@@ -1,6 +1,7 @@
 """The predictions file writer (``cli._prediction_lines``) against the
-record-per-line oracle: the same bytes for any finite values, any ids, any
-neighbor count and any row count around the line block size."""
+record-per-line oracle and the template writer it replaced: the same bytes
+for any finite values, any ids, any neighbor count (none too) and any row
+count (none too) around the block size."""
 from unittest import mock
 
 import numpy as np
@@ -9,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from knnmlc import cli
+from knnmlc import cli, floatrepr
 from knnmlc.datastore import Datastore
 from knnmlc.encoder import EncoderConfig, init_state
 from knnmlc.inference import InferenceConfig, PredictionBundle, predict_batch
-from oracles import Sample, pack, prediction_lines
+from oracles import Sample, pack, prediction_lines, template_lines
 
 # values json and repr write alike only when finite; the ones whose repr is
 # easiest to get wrong, then any finite float
@@ -43,16 +44,17 @@ def bundle_of(n, c, k, floats, indices, lam):
 
 
 def written(ids, bundle, y_pred, block):
-    """The writer's bytes with a line block of ``block`` rows, checking that
-    no block it yields holds more lines."""
-    with mock.patch.object(cli, "_LINE_BLOCK", block):
+    """The writer's bytes with blocks of ``block`` rows, checking that no
+    block it yields holds more lines."""
+    c, k = bundle.y_clf.shape[1], bundle.neighbor_indices.shape[1]
+    with mock.patch.object(floatrepr, "BLOCK", block * (3 * c + 1 + 2 * k)):
         blocks = list(cli._prediction_lines(np.array(ids, dtype=object), bundle, y_pred))
     assert all(0 < chunk.count(b"\n") <= block for chunk in blocks)
     return b"".join(blocks)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(1, 9), c=st.integers(1, 5), k=st.sampled_from([0, 1, 30]), block=st.sampled_from([1, 2, 4]))
+@given(data=st.data(), n=st.integers(0, 9), c=st.integers(1, 5), k=st.sampled_from([0, 1, 30]), block=st.sampled_from([1, 2, 4]))
 def test_the_writer_gives_the_bytes_of_one_json_dumps_per_record(data, n, c, k, block):
     floats = [data.draw(hnp.arrays(np.float64, shape, elements=FLOATS)) for shape in [(n, c)] * 3 + [(n * k,)]]
     indices = data.draw(hnp.arrays(np.int64, (n * k,), elements=st.integers(0, 2**63 - 1)))
@@ -65,14 +67,28 @@ def test_the_writer_gives_the_bytes_of_one_json_dumps_per_record(data, n, c, k, 
 
 def test_row_counts_around_the_shipped_block_size():
     rng = np.random.default_rng(0)
-    block = cli._LINE_BLOCK
+    c, k = 7, 30
+    block = floatrepr.BLOCK // (3 * c + 1 + 2 * k)
     for n in (block - 1, block, block + 1, 2 * block + 1):
-        c, k = 7, 30
         floats = [rng.random((n, c)) for _ in range(3)] + [rng.uniform(-1.0, 1.0, n * k)]
         bundle = bundle_of(n, c, k, floats, rng.integers(0, 20000, n * k), rng.random(n))
         y_pred = (bundle.y_final >= 0.5).astype(np.int8)
         ids = [f"test-{i:05d}" for i in range(n)]
-        assert written(ids, bundle, y_pred, block) == prediction_lines(ids, bundle, y_pred)
+        want = prediction_lines(ids, bundle, y_pred)
+        assert written(ids, bundle, y_pred, block) == want
+        assert b"".join(template_lines(np.array(ids, dtype=object), bundle, y_pred)) == want
+
+
+def test_classifier_only_lines_have_no_neighbors():
+    # classifier_only never retrieves: k = 0, y_knn all zeros, lambda 0
+    state = init_state(EncoderConfig(5, 4, 3, 2), seed=0)
+    samples = [Sample({i: 1.0, 4: 0.5}, np.array([1, 0], dtype=np.int8), f"s{i}") for i in range(3)]
+    batch = pack(samples, 5)
+    bundle = predict_batch(state, None, batch, InferenceConfig(mode="classifier_only"))
+    y_pred = bundle.decisions()
+    got = b"".join(cli._prediction_lines(batch.ids(), bundle, y_pred))
+    assert got == prediction_lines(batch.ids(), bundle, y_pred)
+    assert b'"neighbors": []}\n' in got
 
 
 @pytest.mark.parametrize("value", [1, 0, np.float32(0.3)])
