@@ -16,14 +16,19 @@ its saved-and-loaded copy hold the same keys. When a store is made (by
 ``build``, ``load`` or the constructor) every key is checked once, from the
 key norms: a zero-norm key or one holding NaN or inf has no cosine
 similarity and is rejected there (``InvalidKeyError``; ``load`` reports it
-as a ``DatastoreFormatError``), never at query time. Labels are checked
-there too: a value other than 0 or 1 is a ValueError naming it, since the
-file stores one bit per label. For the candidate search the store also
-holds each key's unit vector rounded to float32 (``unit_t``), as many bytes
-again as the keys. It is formed when the store is first searched and then
-kept, so ``build`` (the ``build-store`` command) never forms it. Cosine
-similarity is then an inner product of unit vectors, as in exact
-inner-product search (FAISS ``IndexFlatIP``).
+as a ``DatastoreFormatError``), never at query time. The float64 norms are
+formed in row ranges (``_NORM_RANGE_BYTES``), so making a store never holds
+a float64 copy of its keys; each norm is summed from its own row, so the
+ranges change no bit. Labels are checked there too: a value other than 0 or
+1 is a ValueError naming it, since the file stores one bit per label (int8
+labels by one unsigned maximum, any other dtype by value). ``save`` writes
+the key buffer and the packed labels as they are, and ``load`` unpacks the
+labels once into the int8 rows the store keeps. For the candidate search
+the store also holds each key's unit vector rounded to float32
+(``unit_t``), as many bytes again as the keys. It is formed when the store
+is first searched and then kept, so ``build`` (the ``build-store`` command)
+never forms it. Cosine similarity is then an inner product of unit vectors,
+as in exact inner-product search (FAISS ``IndexFlatIP``).
 
 ``search`` checks its arguments (k, the queries' shape) and, since they
 come from the model, the query values on every call: a query that holds
@@ -92,6 +97,9 @@ _BUILD_TRACE_BYTES = 1 << 20
 # retrieval runs queries in row blocks whose (rows, count) float32 similarity
 # block stays near this size (13 queries against 20k keys)
 _QUERY_BLOCK_BYTES = 1 << 20
+# a store's float64 key norms are formed in row ranges whose float64 squares
+# stay near this size, never in a float64 copy of every key
+_NORM_RANGE_BYTES = 256 << 10
 _FLOAT32_ROUNDOFF = 2.0**-24
 
 
@@ -134,10 +142,12 @@ class Datastore:
     def __post_init__(self):
         self.keys = np.asarray(self.keys, dtype=np.float32)
         values = np.asarray(self.values)
-        # checked before the int8 cast, which turns 0.5 into 0, 1.7 into 1 and 257 into 1
-        bad = values[(values != 0) & (values != 1)]
-        if bad.size:
-            raise ValueError(f"label values must be 0 or 1, got {bad[0]}")
+        # checked before the int8 cast, which turns 0.5 into 0, 1.7 into 1 and
+        # 257 into 1; as unsigned, an int8 below 0 is above 1 too
+        if values.dtype != np.int8 or np.maximum.reduce(values.view(np.uint8), axis=None, initial=0) > 1:
+            bad = values[(values != 0) & (values != 1)]
+            if bad.size:
+                raise ValueError(f"label values must be 0 or 1, got {bad[0]}")
         self.values = values.astype(np.int8, copy=False)
         if self.keys.ndim != 2 or self.values.ndim != 2:
             raise ValueError("keys and values must be 2-d arrays")
@@ -148,7 +158,7 @@ class Datastore:
         # float32 squares cannot overflow in float64: a norm is NaN or inf
         # exactly when an entry is, and a unit vector is finite exactly when
         # its norm is neither that nor zero
-        self.norms = _row_norms(self.keys.astype(np.float64))
+        self.norms = _key_norms(self.keys)
         bad = np.flatnonzero(~((self.norms > 0.0) & (self.norms < np.inf)))
         if bad.size:
             raise InvalidKeyError(
@@ -177,6 +187,24 @@ class Datastore:
     @property
     def num_classes(self) -> int:
         return self.values.shape[1]
+
+
+def _key_norms(keys: np.ndarray) -> np.ndarray:
+    """``_row_norms`` of the float32 ``keys`` in float64, formed in row ranges
+    whose float64 squares stay near ``_NORM_RANGE_BYTES``, so no float64
+    copy of the whole store is made. Each norm is summed from its own row
+    alone, so the ranges do not change a bit."""
+    count, d = keys.shape
+    rows = max(1, _NORM_RANGE_BYTES // (8 * max(d, 1)))
+    norms = np.empty(count)
+    squares = np.empty((min(rows, count), d))
+    for start in range(0, count, rows):
+        part = keys[start : start + rows]
+        block = squares[: len(part)]
+        # the float64 products of the float64 entries, as in _row_norms
+        np.multiply(part, part, out=block, dtype=np.float64)
+        np.add.reduce(block, axis=1, out=norms[start : start + rows])
+    return np.sqrt(norms, out=norms)
 
 
 def _unit_columns(keys: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -293,12 +321,14 @@ def _topk_block(store: Datastore, q: np.ndarray, k: int):
 
 
 def save(store: Datastore, path) -> None:
-    """Write the binary format."""
-    labels_packed = np.packbits(store.values.astype(np.uint8), axis=1, bitorder="big")
+    """Write the binary format straight from the key buffer (copied only
+    when it is not C-ordered little-endian float32) and from the packed
+    labels (the int8 0/1 rows viewed as uint8)."""
+    labels_packed = np.packbits(store.values.view(np.uint8), axis=1, bitorder="big")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, store.dim, store.num_classes, store.count))
-        fh.write(np.ascontiguousarray(store.keys, dtype="<f4").tobytes())
-        fh.write(labels_packed.tobytes())
+        fh.write(np.ascontiguousarray(store.keys, dtype="<f4"))
+        fh.write(labels_packed)
 
 
 def load(path) -> Datastore:
@@ -326,7 +356,8 @@ def load(path) -> Datastore:
     keys_end = _HEADER.size + count * 4 * dim
     keys = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=_HEADER.size).reshape(count, dim)
     packed = np.frombuffer(blob, dtype=np.uint8, offset=keys_end).reshape(count, label_row_bytes)
-    values = np.unpackbits(packed, axis=1, bitorder="big")[:, :num_classes].astype(np.int8)
+    # one (count, C) array of 0/1 bytes, read as int8
+    values = np.unpackbits(packed, axis=1, count=num_classes, bitorder="big").view(np.int8)
     try:
         return Datastore(keys=keys, values=values)
     except InvalidKeyError as exc:

@@ -21,7 +21,12 @@ key i is the float32 of exactly the embedding ``predict`` computes for
 training sample i. It stops at the embedding, which is all the store build
 needs; ``rowwise_logits`` adds the classifier head for inference and
 validation. Neither keeps a trace, and the build gathers every row range
-from one copy of ``w_in.T``.
+from one copy of ``w_in.T``. A batch of several ranges is cut range by
+range from its CSR arrays; when fewer than 1 in ``_SCALE_ALL_SHARE`` of its
+feature values differ from 1.0, only the gathered rows of those values are
+scaled (``x * 1.0`` is ``x`` exactly, so no sum changes a bit). A batch of
+one range (a single query) and the training step's sparse gather scale
+every gathered row, which at that size costs fewer calls.
 
 The six parameters are writable views of one C-ordered float64 buffer,
 ``EncoderState.flat``, which holds them back to back in ``_PARAM_NAMES``
@@ -73,6 +78,10 @@ _COPY_MEMBERS = {"header": (np.uint8, 1), "params": (np.float64, 1)}
 # splits of the default and large benchmark workloads (one pinned CPU),
 # 256-512 KB ran fastest, 128 KB to 1 MB within 12% of that, 2 MB 50-60% slower
 _GATHER_BLOCK_BYTES = 256 << 10
+# the ranged gather scales every gathered row unless fewer than 1 in this
+# many of the batch's feature values are other than 1.0; then it scales only
+# those rows. Per value, scaling chosen rows cost 7-11x a broadcast multiply
+_SCALE_ALL_SHARE = 8
 
 
 class CheckpointError(ValueError):
@@ -306,15 +315,52 @@ def weight_rows(state: EncoderState, entries: int) -> np.ndarray:
 def _input_layer(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) -> np.ndarray:
     """``_gather_rows`` over the whole batch, in ranges of rows whose gathered
     (entries, hidden) block stays near ``_GATHER_BLOCK_BYTES``. Rows are
-    independent, so the bits do not depend on the ranges."""
+    independent, so the bits do not depend on the ranges.
+
+    Each range is cut from the batch's CSR arrays (``_gather_range``). When
+    fewer than 1 in ``_SCALE_ALL_SHARE`` of the batch's feature values are
+    other than 1.0, only the gathered rows of those values are scaled:
+    ``x * 1.0`` is ``x`` exactly, so the sums keep their bits."""
     n = len(batch)
     rows = max(1, _GATHER_BLOCK_BYTES * n // (8 * state.config.hidden_dim * batch.indices.size))
     if rows >= n:
         return _gather_rows(w_rows, batch)
+    indptr, indices, values = batch.indptr, batch.indices, batch.values
+    # range j holds entries edges[j]:edges[j + 1]
+    edges = np.append(indptr[:n:rows], indptr[n])
+    nonunit = (values != 1.0).nonzero()[0]
+    cuts = None
+    if _SCALE_ALL_SHARE * nonunit.size < values.size:
+        cuts = nonunit.searchsorted(edges)
+        factors = values[nonunit, None]
     out = np.empty((n, state.config.hidden_dim))
-    for start in range(0, n, rows):
-        out[start : start + rows] = _gather_rows(w_rows, batch[start : start + rows])
+    for j, start in enumerate(range(0, n, rows)):
+        lo, hi = edges[j], edges[j + 1]
+        if cuts is None:
+            positions, scale = None, values[lo:hi, None]
+        else:
+            # the range's non-unit entries, by position within the range
+            a, b = cuts[j], cuts[j + 1]
+            positions, scale = nonunit[a:b] - lo, factors[a:b]
+        stop = min(start + rows, n)
+        _gather_range(w_rows, indices[lo:hi], indptr[start:stop] - lo, scale, positions, out[start:stop])
     return out
+
+
+def _gather_range(w_rows: np.ndarray, indices: np.ndarray, starts: np.ndarray, factors, positions, out) -> None:
+    """``_gather_rows`` of one row range, from its CSR slices, into ``out``:
+    the rows of ``w_rows`` that ``indices`` pick, scaled by the (m, 1)
+    ``factors`` (every row when ``positions`` is None, else only the rows at
+    those m positions) and summed per segment from ``starts``."""
+    if w_rows.flags.c_contiguous:
+        columns = w_rows.take(indices, axis=0)
+    else:
+        columns = w_rows[indices]
+    if positions is None:
+        columns *= factors
+    elif positions.size:
+        columns[positions] *= factors
+    np.add.reduceat(columns, starts, axis=0, out=out)
 
 
 def forward_batch(

@@ -32,11 +32,13 @@ checked bit for bit. ``unpack_strings_checked`` (one decode per string) and
 ``check_prediction_rows`` (a loop over decoded ids) are the id reader and
 ``eval``'s row checks as they stood before ids stayed packed in memory, and
 ``unit_columns`` the store's search matrix as it was formed at
-construction, before it was formed on first use.
+construction, before it was formed on first use. ``store_file_bytes`` is the
+datastore file (docs/formats.md) written value by value and bit by bit.
 """
 import bisect
 import json
 import logging
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -833,3 +835,20 @@ def unit_columns(keys: np.ndarray) -> np.ndarray:
     """A store's (d, count) float32 search matrix as it was formed when the
     store was made: float64 unit rows, transposed, cast to float32."""
     return _unit_keys(np.asarray(keys, dtype=np.float32)).T.astype(np.float32, order="C")
+
+
+def store_file_bytes(keys: np.ndarray, values: np.ndarray) -> bytes:
+    """The bytes of a datastore file for float32 ``keys`` and 0/1 ``values``,
+    one ``struct`` value at a time: the header, every key entry as a
+    little-endian float32, and each label row as ceil(C/8) bytes with label
+    c at bit 7 - c % 8 of byte c // 8 (big bit order, unused bits 0)."""
+    count, dim = keys.shape
+    num_classes = values.shape[1]
+    out = [struct.pack("<4sHIIQ", b"NNDS", 1, dim, num_classes, count)]
+    out += [struct.pack("<f", x) for x in keys.ravel().tolist()]
+    for row in values.tolist():
+        packed = bytearray((num_classes + 7) // 8)
+        for c, bit in enumerate(row):
+            packed[c // 8] |= bit << (7 - c % 8)
+        out.append(bytes(packed))
+    return b"".join(out)

@@ -8,6 +8,8 @@ kept here as the oracle. The batched path reorders sums (matrix
 products instead of accumulated outer products), so losses and gradients are
 compared to 1e-12 relative; dropout masks must match bit for bit.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,6 +320,62 @@ def test_shared_row_gather_equals_the_column_gather(seed, lengths, input_dim, ac
         trace = forward_batch(state, batch)
         assert trace.pre_hidden.tobytes() == (want + state.b_in).tobytes()
         assert trace.hidden.tobytes() == hidden.tobytes()
+
+
+# how many of the batch's feature values are other than 1.0, against the
+# 1-in-_SCALE_ALL_SHARE share at which the ranged gather scales every row
+NON_UNIT_COUNTS = {
+    "all unit": lambda nnz: 0,
+    "one": lambda nnz: 1,
+    "just below the share": lambda nnz: -(-nnz // encoder._SCALE_ALL_SHARE) - 1,
+    "at the share": lambda nnz: -(-nnz // encoder._SCALE_ALL_SHARE),
+    "a quarter": lambda nnz: nnz // 4,
+    "none unit": lambda nnz: nnz,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("share", NON_UNIT_COUNTS)
+def test_the_ranged_gather_equals_the_column_gather_on_both_scaling_branches(share, seed):
+    # _input_layer in ranges of 4 rows, bit for bit against the column
+    # gather, which scales every entry: below the share only the non-unit
+    # entries are scaled, from the share up every entry is. The non-unit
+    # values hold 0.0, -0.0, negative, non-integer and next-to-1.0 values;
+    # in a mix they sit in the first half of the entries, so later ranges
+    # hold none
+    rng = make_rng(seed)
+    input_dim, hidden, n = 60, 5, 41
+    state = init_state(EncoderConfig(input_dim, hidden, 3, 2, dropout_rate=0.0), seed=seed)
+    lengths = rng.integers(1, 9, size=n)
+    nnz = int(lengths.sum())
+    count = NON_UNIT_COUNTS[share](nnz)
+    values = np.ones(nnz)
+    where = rng.choice(nnz if count == nnz else nnz // 2, size=count, replace=False)
+    values[where] = np.resize([0.0, -0.0, -1.0, -2.5, 0.3, 1.75, 3.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)], count)
+    samples = [Sample({}, np.ones(2, dtype=np.int8)) for _ in range(n)]
+    batch = dataclasses.replace(
+        pack(samples, input_dim),
+        indptr=np.concatenate([[0], np.cumsum(lengths)]),
+        indices=np.concatenate([rng.choice(input_dim, size=m, replace=False) for m in lengths]),
+        values=values,
+    )
+    want = column_gather(state.w_in, batch)
+    ranges = []
+    real_range = encoder._gather_range
+
+    def spy(w_rows, indices, starts, factors, positions, out):
+        ranges.append(None if positions is None else positions.size)
+        return real_range(w_rows, indices, starts, factors, positions, out)
+
+    block_bytes = -(-4 * 8 * hidden * nnz // n)
+    with mock.patch.object(encoder, "_GATHER_BLOCK_BYTES", block_bytes), mock.patch.object(encoder, "_gather_range", spy):
+        for w_rows in (state.w_in.T, np.ascontiguousarray(state.w_in.T)):
+            assert encoder._input_layer(state, batch, w_rows).tobytes() == want.tobytes()
+    assert len(ranges) == 2 * -(-n // 4)
+    if encoder._SCALE_ALL_SHARE * count >= nnz:
+        assert ranges == [None] * len(ranges)
+    else:
+        assert sum(ranges) == 2 * count and 0 in ranges
 
 
 def test_empty_feature_rows_inside_a_batch():

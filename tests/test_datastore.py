@@ -1,5 +1,6 @@
 """Datastore build, exact retrieval, and binary persistence."""
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,9 @@ from knnmlc.datastore import (
 from knnmlc.cli import _encoder_config, load_config
 from knnmlc.encoder import EncoderConfig, init_state, rowwise_layers, weight_rows
 from knnmlc.inference import predict
-from knnmlc.mathops import make_rng
+from knnmlc.mathops import _row_norms, make_rng
 from knnmlc.training import Trainer
-from oracles import forward_rowwise, take
+from oracles import forward_rowwise, store_file_bytes, take
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -223,8 +224,45 @@ class TestLabelChecks:
         save(store, tmp_path / "store.bin")
         np.testing.assert_array_equal(load(tmp_path / "store.bin").values, store.values)
 
+    @pytest.mark.parametrize("first,later", [(-1, 2), (2, -1)])
+    def test_int8_labels_name_the_first_bad_value(self, first, later):
+        # int8 labels are checked by one unsigned maximum, which sees -1 as
+        # 255; the error still names the first bad value in row order
+        keys = np.ones((4, 2))
+        values = np.zeros((4, 3), dtype=np.int8)
+        values[1, 2], values[3, 0] = first, later
+        with pytest.raises(ValueError, match=re.escape(f"label values must be 0 or 1, got {first}")):
+            Datastore(keys=keys, values=values)
+        values[1, 2], values[3, 0] = 1, 0
+        assert Datastore(keys=keys, values=values).values is values
+        with pytest.raises(ValueError, match=re.escape("got 0.5")):
+            Datastore(keys=keys, values=np.where(values == 1, 0.5, 0.0))
+
 
 class TestKeyChecks:
+    # counts 1, R - 1, R, R + 1 and 2R + 3 for a range of R rows
+    @pytest.mark.parametrize("ranges,extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_norms_formed_in_ranges_are_the_whole_array_norms(self, ranges, extra):
+        dim = 16
+        count = ranges * (datastore._NORM_RANGE_BYTES // (8 * dim)) + extra
+        rng = make_rng(16)
+        # magnitudes from 1e-20 to 1e20, so the float64 squares span 80 decades
+        scale = 10.0 ** rng.uniform(-20, 20, size=(count, 1))
+        keys = (rng.normal(size=(count, dim)) * scale).astype(np.float32)
+        want = _row_norms(keys.astype(np.float64))
+        assert datastore._key_norms(keys).tobytes() == want.tobytes()
+        assert Datastore(keys=keys, values=np.zeros((count, 1), dtype=np.int8)).norms.tobytes() == want.tobytes()
+
+    def test_a_bad_key_in_a_later_range_is_named(self):
+        dim = 4
+        r = datastore._NORM_RANGE_BYTES // (8 * dim)
+        keys = make_rng(18).normal(size=(3 * r, dim))
+        keys[2 * r + 5] = 0.0
+        keys[3 * r - 1, 1] = np.nan
+        with pytest.raises(InvalidKeyError, match=re.escape(f"2 key(s) with zero norm or NaN/inf entries (first at index {2 * r + 5})")):
+            Datastore(keys=keys, values=np.zeros((3 * r, 2), dtype=np.int8))
+
+
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
     def test_bad_key_rejected_when_the_store_is_made(self, bad):
         rng = make_rng(14)
@@ -307,6 +345,38 @@ class TestPersistence:
         with pytest.raises(DatastoreFormatError, match="size"):
             load(path)
 
+    @pytest.mark.parametrize("count,dim,classes", [(1, 1, 1), (33, 6, 11), (7, 5, 8), (21, 2, 16), (5, 3, 17)])
+    def test_saved_bytes_are_the_reference_writer_bytes(self, tmp_path, count, dim, classes):
+        rng = make_rng(19)
+        store = random_store(rng, count=count, dim=dim, num_classes=classes)
+        want = store_file_bytes(store.keys, store.values)
+        save(store, tmp_path / "store.bin")
+        assert (tmp_path / "store.bin").read_bytes() == want
+        # F-ordered keys are used as given and written in C order; a loaded
+        # store's keys are a read-only view of the file's bytes
+        save(Datastore(keys=np.asfortranarray(store.keys), values=store.values), tmp_path / "f.bin")
+        save(load(tmp_path / "store.bin"), tmp_path / "again.bin")
+        assert (tmp_path / "f.bin").read_bytes() == want and (tmp_path / "again.bin").read_bytes() == want
+
+    def test_making_saving_and_loading_a_store_allocate_under_one_keys_worth(self, tmp_path):
+        # no float64 copy of the keys, no bytes copy of them on save, one
+        # label unpack on load: beyond what the two stores hold at the end,
+        # the peak stays under the keys' own bytes
+        count, dim, classes = 65536, 16, 8
+        rng = make_rng(20)
+        keys = rng.normal(size=(count, dim)).astype(np.float32)
+        values = (rng.random((count, classes)) < 0.3).astype(np.int8)
+        tracemalloc.start()
+        try:
+            store = Datastore(keys=keys, values=values)
+            save(store, tmp_path / "store.bin")
+            loaded = load(tmp_path / "store.bin")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.keys.tobytes() == store.keys.tobytes() and loaded.values.tobytes() == values.tobytes()
+        assert peak - held < keys.nbytes, (peak - held) / keys.nbytes
+
     def test_retrieval_consistent_after_reload(self, tmp_path):
         # well-separated similarities survive float32 key quantization
         rng = make_rng(13)
@@ -349,14 +419,21 @@ def test_store_keys_are_the_query_path_embeddings(default_run, monkeypatch, gath
     if build_rows is not None:
         row_bytes = 8 * (4 * cfg.hidden_dim + cfg.embed_dim + cfg.num_classes)
         monkeypatch.setattr(datastore, "_BUILD_TRACE_BYTES", build_rows * row_bytes)
+    # the rows of each gathered range: a batch in one range goes through
+    # _gather_rows, a batch in several through _gather_range once per range
     calls = []
-    real_gather = encoder._gather_rows
+    real_gather, real_range = encoder._gather_rows, encoder._gather_range
 
     def spy(w_rows, batch):
         calls.append(len(batch))
         return real_gather(w_rows, batch)
 
+    def range_spy(w_rows, indices, starts, factors, positions, out):
+        calls.append(len(starts))
+        return real_range(w_rows, indices, starts, factors, positions, out)
+
     monkeypatch.setattr(encoder, "_gather_rows", spy)
+    monkeypatch.setattr(encoder, "_gather_range", range_spy)
     # before the float32 rounding too
     assert rowwise_layers(state, train, weight_rows(state, nnz)).tobytes() == singles.tobytes()
     if gather_rows is not None:

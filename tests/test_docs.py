@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from knnmlc import cli, data, encoder, training
+from knnmlc import cli, data, datastore, encoder, training
 from knnmlc.cli import _encoder_config, load_config
 from knnmlc.data import DatasetConfig
 from knnmlc.encoder import EncoderConfig
@@ -132,3 +132,20 @@ def test_the_trainer_checkpoint_header_table_lists_each_saved_key(tmp_path):
     trainer.save_checkpoint(tmp_path / "trainer.npz")
     with np.load(tmp_path / "trainer.npz", allow_pickle=False) as npz:
         assert documented == list(json.loads(npz["header"].tobytes()))
+
+
+def size_words(nbytes: int) -> str:
+    """A range size as the README writes it: whole MB, else whole KB."""
+    return f"{nbytes >> 20} MB" if nbytes % (1 << 20) == 0 else f"{nbytes >> 10} KB"
+
+
+def test_the_documented_range_sizes_and_unit_share_are_the_code_constants():
+    # a retune of a range size or of the scaling share cannot leave README's
+    # design notes or docs/formats.md stale
+    text = " ".join((REPO / "README.md").read_text(encoding="utf-8").split())
+    assert f"row ranges whose block stays near {size_words(encoder._GATHER_BLOCK_BYTES)}" in text
+    assert f"ranges whose trace stays near {size_words(datastore._BUILD_TRACE_BYTES)}" in text
+    assert f"fewer than 1 in {encoder._SCALE_ALL_SHARE} of its feature values" in text
+    assert f"row ranges of about {size_words(datastore._NORM_RANGE_BYTES)} of squares" in text
+    formats = " ".join(FORMATS.read_text(encoding="utf-8").split())
+    assert f"fewer than 1 in {encoder._SCALE_ALL_SHARE} of the batch's feature values" in formats
