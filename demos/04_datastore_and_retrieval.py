@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from knnmlc.data import DatasetConfig, generate_synthetic
-from knnmlc.datastore import build, load, save, search
+from knnmlc.datastore import Datastore, build, load, save, search
 from knnmlc.encoder import EncoderConfig, init_state, rowwise_layers, weight_rows
 from knnmlc.training import TrainConfig, Trainer
 
@@ -54,6 +54,17 @@ query = queries[0] / np.linalg.norm(queries[:1], axis=1)
 cos = np.clip((unit * query).sum(axis=1), -1, 1)
 oracle = sorted(range(store.count), key=lambda i: (-cos[i], i))[:8]
 print(f"matches a brute-force sort exactly: {indices[0].tolist() == oracle}")
+
+# the k-th similarity is bounded from strided groups of keys, so a store
+# sorted by label, whose similar keys sit side by side, gives the
+# brute-force neighbors too (a full sort of every query's cosines)
+order = np.lexsort(store.values.T[::-1])
+by_label = Datastore(keys=store.keys[order], values=store.values[order])
+unit = by_label.keys.astype(np.float64)
+unit /= np.linalg.norm(unit, axis=1)[:, None]
+cos = np.clip((unit * (queries / np.linalg.norm(queries, axis=1)[:, None])[:, None]).sum(axis=2), -1, 1)
+brute = np.stack([np.lexsort((np.arange(store.count), -row))[:8] for row in cos])
+print(f"label-sorted store matches a brute-force sort: {np.array_equal(search(by_label, queries, k=8)[0], brute)}")
 
 # a row does not depend on the block it was retrieved in
 alone = search(store, queries[:1], k=8)

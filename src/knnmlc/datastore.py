@@ -39,16 +39,27 @@ Retrieval takes an (n, d) block of queries and is exact: the result equals a
 full sort by (similarity descending, index ascending) of the similarities
 r = clip(sum_i u_i q_i, -1, 1), with u = key / norm and q = query / norm in
 float64, summed row by row so that r does not depend on the other queries.
-Queries run in row blocks sized so the (rows, count) float32 similarity
-block stays near ``_QUERY_BLOCK_BYTES``. Per block:
+Queries run in row blocks sized by the larger of a row's (count) float32
+similarities and the bookkeeping of its at least k candidates
+(``_CANDIDATE_BYTES`` each), so that a block stays near
+``_QUERY_BLOCK_BYTES``. Per block:
 
 1. one float32 BLAS product of the unit queries with the float32 unit keys
    gives approximate similarities b;
-2. per row, every entry with b >= min(b_k, 1) - M is a candidate, where b_k
-   is the row's k-th largest b, M = 4 gamma_{d+2}, and
-   gamma_m = m e / (1 - m e) with e = 2**-24 the float32 unit roundoff;
+2. per row, a lower bound c on b_k, the row's k-th largest b. With
+   g = 8k groups (``_GROUPS_PER_NEIGHBOR``) below count, and a block of at
+   least ``_BOUND_MIN_ENTRIES`` similarities, c is the k-th largest of the
+   maxima of g strided groups: entry i is in group i mod g, and the
+   count - s g entries past the last whole stride (s = count // g) fold into
+   the first groups. Otherwise c = b_k, from a partition of the row. Every
+   entry with b >= min(c, 1) - M is a candidate, where M = 4 gamma_{d+2},
+   and gamma_m = m e / (1 - m e) with e = 2**-24 the float32 unit roundoff.
+   A row whose group bound admits more than 4k candidates
+   (``_FALLBACK_MULTIPLE``; a store laid out with the groups' period can
+   do that) takes c = b_k and its candidates again;
 3. each candidate gets its exact r (its float64 unit key formed from its
-   key row alone), and the candidates are sorted by (r descending, index
+   key row alone, in chunks of about ``_RESCORE_BYTES`` of float64
+   operands), and the candidates are sorted by (r descending, index
    ascending).
 
 Why that is exact: rounding u and q to float32 and summing d products in
@@ -58,9 +69,14 @@ product, and r is within the float64 gamma_d |u||q| of it, so with
 (underflow adds under 1e-40), and clipping both keeps that bound. The k
 entries with the largest clipped b have r >= clip(b_k) - delta, so the k-th
 largest r is at least that, and any entry at or above it (ties at the cutoff
-included) has clipped b >= clip(b_k) - 2 delta > clip(b_k) - M: it is a
-candidate. Sorting the candidates therefore gives exactly the full sort's
-top k, whatever block a query sat in.
+included) has clipped b >= clip(b_k) - 2 delta > clip(b_k) - M. The group
+bound keeps c <= b_k: the k groups whose maxima are at least c each hold a
+distinct entry that is at least c, so at least k entries are, and so
+clip(b_k) - M >= clip(c) - M. Every entry that can reach the top k is
+therefore a candidate under either form of c, and a lower c only adds
+candidates that the exact r ranks below the k-th. Sorting the candidates
+gives exactly the full sort's top k, whatever block a query sat in and
+whichever form of c its row took.
 """
 from __future__ import annotations
 
@@ -100,7 +116,24 @@ _QUERY_BLOCK_BYTES = 1 << 20
 # a store's float64 key norms are formed in row ranges whose float64 squares
 # stay near this size, never in a float64 copy of every key
 _NORM_RANGE_BYTES = 256 << 10
+# a candidate costs five 8-byte values while a block is ranked: its row, its
+# entry, its exact score, the negated score and its place in the sort order
+_CANDIDATE_BYTES = 40
+# candidates are re-scored in chunks whose float64 operands stay near this size
+_RESCORE_BYTES = 256 << 10
+# the k-th similarity of a row is bounded by the k-th largest maximum over
+# this many strided groups per neighbor ...
+_GROUPS_PER_NEIGHBOR = 8
+# ... when the block holds at least this many similarities: below it a
+# partition of the whole row measured faster
+_BOUND_MIN_ENTRIES = 4096
+# a row whose bound admits more than this many candidates per neighbor
+# takes its exact k-th value
+_FALLBACK_MULTIPLE = 4
+# unit_t is formed in column blocks of this many keys
+_COLUMN_BLOCK = 2048
 _FLOAT32_ROUNDOFF = 2.0**-24
+_FLOAT32_NEG_INF = np.float32(-np.inf)
 
 
 class DatastoreFormatError(ValueError):
@@ -208,12 +241,15 @@ def _key_norms(keys: np.ndarray) -> np.ndarray:
 
 
 def _unit_columns(keys: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """The float32 of ``keys.T / norms`` in float64, in contiguous passes:
-    the float32 keys transposed once, then one division whose float64
-    quotients are cast straight into the float32 result."""
-    # a copy even where keys.T is already C-contiguous (one key): it is divided in place
-    unit_t = keys.T.copy(order="C")
-    np.divide(unit_t, norms, out=unit_t, dtype=np.float64, casting="unsafe")
+    """The float32 of ``keys.T / norms`` in float64, in column blocks of
+    ``_COLUMN_BLOCK`` keys: each block's float64 quotients are cast straight
+    into its columns of the float32 result, with no transposed copy of the
+    whole store. Each entry is one division, so the blocks change no bit."""
+    count, d = keys.shape
+    unit_t = np.empty((d, count), dtype=np.float32)
+    for start in range(0, count, _COLUMN_BLOCK):
+        stop = start + _COLUMN_BLOCK
+        np.divide(keys[start:stop].T, norms[start:stop], out=unit_t[:, start:stop], dtype=np.float64, casting="unsafe")
     return unit_t
 
 
@@ -281,10 +317,9 @@ def search(store: Datastore, queries, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     n, count = q.shape[0], store.count
     k = min(k, count)
-    # with k = count every entry is a candidate and is re-scored: the
-    # (rows * count, d) float64 operands are what to bound
-    row_bytes = count * (8 * store.dim if k == count else 4)
-    block = max(1, _QUERY_BLOCK_BYTES // max(row_bytes, 1))
+    # a row holds its float32 similarities and the bookkeeping of at least
+    # k candidates; the larger of the two sizes the block
+    block = max(1, _QUERY_BLOCK_BYTES // max(4 * count, _CANDIDATE_BYTES * k))
     if block >= n:
         return _topk_block(store, q, k)
     indices = np.empty((n, k), dtype=np.int64)
@@ -299,25 +334,75 @@ def _topk_block(store: Datastore, q: np.ndarray, k: int):
     count, d = store.keys.shape
     n = q.shape[0]
     approx = q.astype(np.float32) @ store.unit_t
-    # with k = count, b_k is the row's smallest b, so every entry is a candidate
-    kth = approx.copy()
-    kth.partition(count - k, axis=1)
-    kth = kth[:, count - k].astype(np.float64)
+    groups = _GROUPS_PER_NEIGHBOR * k
+    bounded = groups < count and n * count >= _BOUND_MIN_ENTRIES
+    kth = _group_bound(approx, k, groups) if bounded else _kth_largest(approx.copy(), k)
+    flat, starts = _candidates(approx, kth, d)
+    # a row whose bound admits too many candidates (a store laid out with
+    # the groups' period) takes its exact k-th value instead; no row can
+    # when the whole block admits no more than that
+    if bounded and flat.size > _FALLBACK_MULTIPLE * k:
+        wide = np.flatnonzero(np.diff(starts, append=flat.size) > _FALLBACK_MULTIPLE * k)
+        if wide.size:
+            kth[wide] = _kth_largest(approx[wide], k)
+            flat, starts = _candidates(approx, kth, d)
+    rows, cand = np.divmod(flat, count)
+    exact = _rescore(store, q, rows, cand)
+    # rows ascend, so each row's candidates keep their span in the sorted order
+    order = np.lexsort((cand, -exact, rows))
+    take = order[starts[:, None] + np.arange(k)]
+    return cand[take], exact[take]
+
+
+def _kth_largest(scratch: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th largest value, by a partition of the rows of
+    ``scratch`` in place (a copy the caller no longer needs)."""
+    count = scratch.shape[1]
+    scratch.partition(count - k, axis=1)
+    return scratch[:, count - k]
+
+
+def _group_bound(approx: np.ndarray, k: int, groups: int) -> np.ndarray:
+    """Each row's k-th largest maximum over ``groups`` strided groups (entry
+    i in group i mod groups): at most the row's k-th largest value, since the
+    k groups whose maximum reaches it hold k distinct entries that do."""
+    n, count = approx.shape
+    s = count // groups
+    maxima = np.maximum.reduce(approx[:, : s * groups].reshape(n, s, groups), axis=1)
+    # the tail's entries fold into the first groups
+    tail = approx[:, s * groups :]
+    np.maximum(maxima[:, : tail.shape[1]], tail, out=maxima[:, : tail.shape[1]])
+    maxima.partition(groups - k, axis=1)
+    return maxima[:, groups - k]
+
+
+def _candidates(approx: np.ndarray, kth: np.ndarray, d: int):
+    """The flat (row * count + entry) indices of the entries at or above
+    each row's cutoff below ``kth``, ascending, and each row's first offset
+    among them."""
+    n, count = approx.shape
     m = (d + 2) * _FLOAT32_ROUNDOFF
-    cutoff = np.minimum(kth, 1.0) - 4.0 * m / (1.0 - m)
+    cutoff = np.minimum(kth, 1.0, dtype=np.float64) - 4.0 * m / (1.0 - m)
     # at or below -1 every entry clips to a candidate
     cutoff[cutoff <= -1.0] = -np.inf
     # rounded to float32 and stepped one ulp down: never above the cutoff
-    cutoff = np.nextafter(cutoff.astype(np.float32), np.float32(-np.inf))
+    cutoff = np.nextafter(cutoff.astype(np.float32), _FLOAT32_NEG_INF)
     # np.flatnonzero without its dispatch: a 2-d nonzero measured many times slower
-    rows, cand = np.divmod((approx >= cutoff[:, None]).ravel().nonzero()[0], count)
+    flat = (approx >= cutoff[:, None]).ravel().nonzero()[0]
+    return flat, flat.searchsorted(np.arange(0, n * count, count))
+
+
+def _rescore(store: Datastore, q: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The exact similarity of each candidate with its row's query, in
+    chunks whose float64 operands stay near ``_RESCORE_BYTES``: each value is
+    summed from its own row, so the chunks change no bit. A single
+    candidate is one chunk whatever its size."""
+    if 8 * q.shape[1] * cand.size > _RESCORE_BYTES and cand.size > 1:
+        step = max(1, _RESCORE_BYTES // (8 * q.shape[1]))
+        return np.concatenate([_rescore(store, q, rows[i : i + step], cand[i : i + step]) for i in range(0, cand.size, step)])
     # ndarray.clip is np.clip without its Python-level dispatch
     unit = store.keys[cand].astype(np.float64) / store.norms[cand, None]
-    exact = np.add.reduce(unit * q[rows], axis=1).clip(-1.0, 1.0)
-    # rows ascend, so each row's candidates keep their span in the sorted order
-    order = np.lexsort((cand, -exact, rows))
-    take = order[rows.searchsorted(np.arange(n))[:, None] + np.arange(k)]
-    return cand[take], exact[take]
+    return np.add.reduce(unit * q[rows], axis=1).clip(-1.0, 1.0)
 
 
 def save(store: Datastore, path) -> None:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc import datastore, encoder
@@ -23,6 +25,7 @@ from knnmlc.encoder import EncoderConfig, init_state, rowwise_layers, weight_row
 from knnmlc.inference import predict
 from knnmlc.mathops import _row_norms, make_rng
 from knnmlc.training import Trainer
+import oracles
 from oracles import forward_rowwise, store_file_bytes, take
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -205,6 +208,196 @@ class TestRetrieve:
             search(store, rng.normal(size=(1, 4)), k=3)
         with pytest.raises(ValueError):
             search(store, rng.normal(size=5), k=3)
+
+
+def layout_keys(rng, layout, count, dim, queries, k):
+    """(count, dim) keys laid out as ``layout`` names: ``random``;
+    ``label-sorted`` (keys of one cluster next to each other, as a store
+    sorted by label holds them); ``period`` (the keys of k - 1 stride classes
+    of the 8k groups, at least one, near the first query: the top keys fill
+    fewer than k groups, so the group bound falls below them all);
+    ``duplicates`` (a few distinct keys repeated, so that similarities tie
+    at the cutoff)."""
+    if layout == "label-sorted":
+        centers = rng.normal(size=(4, dim))
+        return centers[np.sort(rng.integers(4, size=count))] + 0.3 * rng.normal(size=(count, dim))
+    keys = rng.normal(size=(count, dim))
+    if layout == "period":
+        near = np.arange(count) % (datastore._GROUPS_PER_NEIGHBOR * k) < max(1, k - 1)
+        keys[near] = queries[0] + 0.05 * rng.normal(size=(near.sum(), dim))
+    elif layout == "duplicates":
+        keys = keys[rng.integers(min(3, count), size=count)]
+    return keys
+
+
+class Spy:
+    """Counts the calls of one ``datastore`` function while installed."""
+
+    def __init__(self, monkeypatch, name):
+        self.calls, real = [], getattr(datastore, name)
+
+        def spy(approx, k, *rest):
+            self.calls.append(approx.shape[0])
+            return real(approx, k, *rest)
+
+        monkeypatch.setattr(datastore, name, spy)
+
+
+class TestGroupBound:
+    """The k-th similarity bounded by strided group maxima: the same bits as
+    the full-partition oracle (``oracles._retrieve_topk``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        k_base=st.sampled_from([1, 2, 3, 7]),
+        strides=st.integers(1, 40),
+        offset=st.sampled_from([-1, 0, 1, "below"]),
+        k_pick=st.sampled_from(["base", "count - 1", "count"]),
+        layout=st.sampled_from(["random", "label-sorted", "period", "duplicates"]),
+        n=st.integers(1, 16),
+        dim=st.sampled_from([2, 5, 12]),
+    )
+    def test_every_count_layout_and_k_equals_the_full_partition_oracle(
+        self, seed, k_base, strides, offset, k_pick, layout, n, dim
+    ):
+        # counts of g s - 1, g s and g s + 1 for g = 8 k groups, and below g;
+        # every block of queries takes the group path where 8 k < count
+        rng = make_rng(seed)
+        groups = datastore._GROUPS_PER_NEIGHBOR * k_base
+        count = int(rng.integers(1, groups)) if offset == "below" else max(1, groups * strides + offset)
+        k = {"base": k_base, "count - 1": max(1, count - 1), "count": count}[k_pick]
+        queries = rng.normal(size=(n, dim))
+        store = Datastore(keys=layout_keys(rng, layout, count, dim, queries, k_base), values=np.zeros((count, 1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(datastore, "_BOUND_MIN_ENTRIES", 0)
+            bounded = Spy(mp, "_group_bound")
+            got = search(store, queries, k)
+        want = oracles._retrieve_topk(store, queries, k)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert bool(bounded.calls) == (datastore._GROUPS_PER_NEIGHBOR * min(k, count) < count)
+
+    @pytest.mark.parametrize("layout", ["random", "label-sorted", "period", "duplicates"])
+    def test_a_block_past_the_entry_threshold_equals_the_oracle_at_the_real_settings(self, monkeypatch, layout):
+        # 13 queries against 2000 keys at k = 30: the group path without any
+        # patched threshold; the period layout (29 of every 240 keys near
+        # the queries) and the tied keys take the fallback
+        rng = make_rng(31)
+        k = 30
+        queries = rng.normal(size=(13, 12))
+        queries[1:] = queries[0] + 0.05 * rng.normal(size=(12, 12))
+        store = Datastore(keys=layout_keys(rng, layout, 2000, 12, queries, k), values=np.zeros((2000, 1)))
+        bounded, exact = Spy(monkeypatch, "_group_bound"), Spy(monkeypatch, "_kth_largest")
+        got = search(store, queries, k)
+        want = oracles._retrieve_topk(store, queries, k)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert bounded.calls == [13]
+        assert bool(exact.calls) == (layout in ("period", "duplicates"))
+
+    def test_a_row_whose_bound_admits_too_many_candidates_takes_the_exact_kth_value(self, monkeypatch):
+        # rows 0 and 2 look at the period keys, row 1 away from them: only
+        # rows 0 and 2 fall back, and the bits hold
+        rng = make_rng(32)
+        k, dim = 5, 6
+        count = 30 * datastore._GROUPS_PER_NEIGHBOR * k + 7
+        queries = rng.normal(size=(3, dim))
+        queries[1] = -queries[0]
+        queries[2] = queries[0] + 0.01 * rng.normal(size=dim)
+        store = Datastore(keys=layout_keys(rng, "period", count, dim, queries, k), values=np.zeros((count, 1)))
+        monkeypatch.setattr(datastore, "_BOUND_MIN_ENTRIES", 0)
+        exact = Spy(monkeypatch, "_kth_largest")
+        got = search(store, queries, k)
+        want = oracles._retrieve_topk(store, queries, k)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert exact.calls == [2]
+
+    @pytest.mark.parametrize("count, rows, taken", [
+        (8, 600, False), (9, 600, True), (4095, 1, False), (4096, 1, True), (2048, 2, True), (315, 13, False), (316, 13, True),
+    ])
+    def test_the_bound_is_taken_from_the_entry_threshold_on(self, monkeypatch, count, rows, taken):
+        # a block's shape picks the form of the k-th value: at k = 1, more
+        # than 8 keys and at least 4096 similarities (rows x count) take the
+        # bound; a single query against a small store keeps the partition
+        assert (datastore._GROUPS_PER_NEIGHBOR, datastore._BOUND_MIN_ENTRIES) == (8, 4096)
+        rng = make_rng(33)
+        store = Datastore(keys=rng.normal(size=(count, 4)), values=np.zeros((count, 1)))
+        bounded = Spy(monkeypatch, "_group_bound")
+        search(store, rng.normal(size=(rows, 4)), 1)
+        assert bounded.calls == ([rows] if taken else [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**20),
+        rows=st.integers(1, 4),
+        k=st.integers(1, 9),
+        extra=st.integers(1, 200),
+        levels=st.sampled_from([3, 50, None]),
+    )
+    def test_the_kth_largest_group_maximum_is_at_most_the_kth_largest_entry(self, seed, rows, k, extra, levels):
+        # the lemma: against a sort, and the groups against i mod g by hand;
+        # few levels give ties
+        rng = make_rng(seed)
+        groups = 8 * k
+        count = groups + extra
+        approx = rng.normal(size=(rows, count)).astype(np.float32)
+        if levels:
+            approx = np.round(approx * levels / 4).astype(np.float32)
+        before = approx.copy()
+        bound = datastore._group_bound(approx, k, groups)
+        assert approx.tobytes() == before.tobytes()  # the similarities are left as they are
+        kth = np.sort(approx, axis=1)[:, count - k]
+        assert (bound <= kth).all()
+        maxima = np.stack([approx[:, np.arange(count) % groups == g].max(axis=1) for g in range(groups)], axis=1)
+        assert bound.tobytes() == np.sort(maxima, axis=1)[:, groups - k].tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 2047, 2048, 2049, 4097, 6143])
+    def test_unit_columns_are_the_float32_of_the_float64_quotients(self, count):
+        # column blocks of _COLUMN_BLOCK keys, counts off a multiple of it
+        rng = make_rng(34)
+        keys = (rng.normal(size=(count, 7)) * rng.uniform(0.1, 10.0, size=(count, 1))).astype(np.float32)
+        norms = datastore._key_norms(keys)
+        got = datastore._unit_columns(keys, norms)
+        want = (keys.T.astype(np.float64) / norms).astype(np.float32)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rescore_bytes", [1, 8 * 5 * 7])
+    def test_rescoring_in_chunks_gives_the_bits_of_one_chunk(self, monkeypatch, rescore_bytes):
+        # chunks of one candidate (a budget below one key's operands) and of 7
+        rng = make_rng(36)
+        store = Datastore(keys=rng.normal(size=(300, 5)), values=np.zeros((300, 1)))
+        queries = rng.normal(size=(9, 5))
+        whole = search(store, queries, 40)
+        monkeypatch.setattr(datastore, "_RESCORE_BYTES", rescore_bytes)
+        for a, b in zip(search(store, queries, 40), whole):
+            assert a.tobytes() == b.tobytes()
+
+    def test_search_memory_stays_near_the_block_size_whatever_k(self):
+        # a 20000 x 32 store and 13 queries: with k near the count every key
+        # is a candidate, and the blocks and the rescoring chunks keep the
+        # traced peak, beyond the result itself, near two query blocks
+        rng = make_rng(35)
+        count, dim = 20000, 32
+        store = Datastore(keys=rng.normal(size=(count, dim)), values=np.zeros((count, 1)))
+        store.unit_t
+        queries = rng.normal(size=(13, dim))
+        results = {}
+        for k in (30, count - 1, count):
+            tracemalloc.start()
+            try:
+                results[k] = search(store, queries, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            result_bytes = sum(a.nbytes for a in results[k])
+            assert peak - result_bytes < 2 * datastore._QUERY_BLOCK_BYTES, (k, peak - result_bytes)
+        # the exact top k of every k is a prefix of the full sort
+        for k in (30, count - 1):
+            for a, b in zip(results[k], results[count]):
+                assert a.tobytes() == b[:, :k].tobytes()
 
 
 class TestLabelChecks:

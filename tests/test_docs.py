@@ -149,3 +149,19 @@ def test_the_documented_range_sizes_and_unit_share_are_the_code_constants():
     assert f"row ranges of about {size_words(datastore._NORM_RANGE_BYTES)} of squares" in text
     formats = " ".join(FORMATS.read_text(encoding="utf-8").split())
     assert f"fewer than 1 in {encoder._SCALE_ALL_SHARE} of the batch's feature values" in formats
+
+
+def test_the_documented_retrieval_constants_are_the_code_constants():
+    # a retune of the group bound, its fallback or a block size cannot leave
+    # README's retrieval note stale
+    text = " ".join((REPO / "README.md").read_text(encoding="utf-8").split())
+    groups = datastore._GROUPS_PER_NEIGHBOR
+    assert f"maximum over {groups} strided groups per neighbor (key i in group i mod {groups}k)" in text
+    assert f"more than {groups}k keys" in text
+    assert f"Blocks of fewer than {datastore._BOUND_MIN_ENTRIES} similarities" in text
+    assert f"more than {datastore._FALLBACK_MULTIPLE} candidates per neighbor" in text
+    assert f"{datastore._CANDIDATE_BYTES} bytes per candidate" in text
+    assert f"chunks of about {size_words(datastore._RESCORE_BYTES)} of float64 operands" in text
+    assert f"column blocks of {datastore._COLUMN_BLOCK} keys" in text
+    formats = " ".join(FORMATS.read_text(encoding="utf-8").split())
+    assert f"in column blocks of {datastore._COLUMN_BLOCK} keys, each key divided by its norm" in formats
