@@ -48,7 +48,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -350,7 +350,8 @@ def _draw_split(bitgen, cfg: DatasetConfig, tables, name: str, size: int) -> Pac
     the pair's shared block, else the cluster's own) and index, which picks
     ``_index`` into the vocabulary for a noise token, else into the block.
     A sample's features are its distinct tokens, ascending, valued by how
-    often each was drawn."""
+    often each was drawn. Sample i's id is ``f"{name}-{i:05d}"``, packed by
+    ``_split_ids`` without a string per id."""
     cdf, threshold, core, starts, sizes = tables
     num_classes, num_tokens = cfg.num_classes, cfg.tokens_per_sample
     width = 1 + num_classes + 3 * num_tokens
@@ -387,8 +388,25 @@ def _draw_split(bitgen, cfg: DatasetConfig, tables, name: str, size: int) -> Pac
     # cut to the entries drawn, in place: no view of either is alive
     indices.resize(indptr[-1], refcheck=False)
     values.resize(indptr[-1], refcheck=False)
-    id_offsets, id_bytes = copies.pack_strings([f"{name}-{i:05d}" for i in range(size)])
-    return PackedSamples(indptr, indices, values, labels, cfg.vocab_size, id_offsets, id_bytes)
+    return PackedSamples(indptr, indices, values, labels, cfg.vocab_size, *_split_ids(name, size))
+
+
+def _split_ids(name: str, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (id_offsets, id_bytes) that ``copies.pack_strings`` gives for the
+    ids ``f"{name}-{i:05d}"`` of i < size, from array arithmetic: the ids of
+    one width are one uint8 matrix, a row the bytes of ``<name>-`` and then
+    the zero-padded decimal digits of i. An id widens past five digits at
+    i = 100 000, as the format does."""
+    prefix = np.frombuffer(f"{name}-".encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    digits = np.maximum(5, 1 + np.searchsorted(_TENS, np.arange(size), side="right"))
+    blocks = [np.empty(0, dtype=np.uint8)]
+    for width in range(5, int(digits.max(initial=5)) + 1):
+        i = np.arange(0 if width == 5 else 10 ** (width - 1), min(size, 10**width))
+        block = np.empty((i.size, prefix.size + width), dtype=np.uint8)
+        block[:, : prefix.size] = prefix
+        block[:, prefix.size :] = i[:, None] // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")
+        blocks.append(block.ravel())
+    return _offsets(prefix.size + digits), np.concatenate(blocks)
 
 
 def generate_synthetic(cfg: DatasetConfig):
@@ -425,7 +443,17 @@ def save_splits(splits, out_dir) -> dict[str, str]:
     as ``train.jsonl``, ``valid.jsonl`` and ``test.jsonl`` under ``out_dir``,
     with the bytes ``json.dumps`` gives each record dict, and beside each
     its packed copy under the digest of the bytes written, so the first
-    ``load_packed`` of a split is a hit. Returns the paths by split name."""
+    ``load_packed`` of a split is a hit. Returns the paths by split name.
+
+    Any packed splits can be written: a row without labels gets
+    ``"labels": []``, and an id is written as ``json.dumps`` writes it
+    (escapes and all). The feature values must be token counts: ValueError
+    naming the split, row and value for the first one that is not a whole
+    count >= +0.0 (a fraction, a negative, -0.0, NaN or an infinity), raised
+    before any file is written, since the line would not hold the value
+    the copy holds."""
+    for name, split in zip(_SPLITS, splits):
+        _check_counts(name, split)
     paths = {}
     for name, split in zip(_SPLITS, splits):
         path = paths[name] = os.path.join(out_dir, f"{name}.jsonl")
@@ -436,37 +464,87 @@ def save_splits(splits, out_dir) -> dict[str, str]:
     return paths
 
 
+def _check_counts(name: str, split: PackedSamples) -> None:
+    """ValueError naming the first row and feature value of ``split`` that
+    is not a whole count >= +0.0."""
+    values = split.values
+    # NaN equals no floor, and the sign bit marks every negative and -0.0
+    whole = (values == np.floor(values)) & (values < math.inf) & ~np.signbit(values)
+    if not whole.all():
+        at = int(np.argmin(whole))
+        row = int(np.searchsorted(split.indptr, at, side="right")) - 1
+        raise ValueError(f"{name} row {row}: feature value {float(values[at])!r} is not a whole count >= +0.0")
+
+
+# at most this many (feature key, count) codes are counted with np.bincount;
+# a split whose keys times counts span more (huge counts) finds its pairs by
+# np.unique, which sorts its entries
+_PAIR_CODES = 1 << 20
+
+
+def _feature_pieces(split: PackedSamples):
+    """(the table of feature pieces, each entry's row of it) for a split of
+    whole counts: a row of the table for each (key, count) pair in the
+    split, ``"k": v`` for a line's first feature, and a second such block,
+    ``, "k": v``, for the features after it."""
+    span = int(split.values.max(initial=0.0)) + 1
+    if split.input_dim * span <= _PAIR_CODES:
+        # code = key * span + count, then each code's slot, in one array
+        slot = split.indices * span
+        np.add(slot, split.values, out=slot, casting="unsafe")  # exact: below 2**53
+        seen = np.bincount(slot, minlength=split.input_dim * span) > 0
+        np.take(np.cumsum(seen) - 1, slot, out=slot, mode="clip")  # "raise" would stage a copy
+        pairs = np.flatnonzero(seen)
+        keys, counts = pairs // span, (pairs % span).astype(np.float64)
+    else:
+        # a nonnegative float's bits order and compare as its value does
+        entries = np.stack([split.indices, split.values.view(np.int64)], axis=1)
+        pairs, slot = np.unique(entries, axis=0, return_inverse=True)
+        keys, counts = pairs[:, 0], pairs[:, 1].copy().view(np.float64)
+    first = [f'"{k}": {v!r}' for k, v in zip(keys.tolist(), counts.tolist())]
+    return np.array(first + [f", {piece}" for piece in first], dtype=object), slot
+
+
 def _record_lines(split: PackedSamples):
-    """The record lines of a generated split (plain ASCII ids, values that are
-    token counts), ``_CHUNK_LINES`` rows at a time as one bytes object: each
-    chunk is its lines' pieces, looked up in tables, in one join. The ids'
-    bytes are decoded once, as ASCII, and each line's id is a slice of them."""
+    """The record lines of a split of whole counts, ``_CHUNK_LINES`` rows at
+    a time as one bytes object: each chunk is its lines' pieces, looked up in
+    tables, in one join. A line is an opening piece with its id, a piece per
+    feature (``_feature_pieces``), a piece per label and a closing piece, the
+    ``"labels": []`` of a row without labels in its closing piece.
+
+    The ids are one text, each line's id a slice of it: the ids' bytes
+    decoded as ASCII when every byte is printable ASCII other than ``"`` and
+    ``\\`` (which ``json.dumps`` writes as they are), else each id as
+    ``json.dumps`` writes it, quotes cut off."""
     n, num_classes = split.labels.shape
-    vocab_size = split.input_dim
-    # a row's first feature key and first label have pieces of their own
-    keys = np.array([f'"{k}": ' for k in range(vocab_size)] + [f', "{k}": ' for k in range(vocab_size)], dtype=object)
-    counts = np.array([repr(float(c)) for c in range(int(split.values.max()) + 1)], dtype=object)
+    table, slot = _feature_pieces(split)
+    later = table.size // 2  # a feature after the first of its line takes the piece of the second block
     labels = np.array(
         [f'}}, "labels": [{c}' for c in range(num_classes)] + [f", {c}" for c in range(num_classes)], dtype=object
     )
-    id_text, id_bounds = split.id_bytes.tobytes().decode("ascii"), split.id_offsets.tolist()
+    closings = np.array(['}, "labels": []}\n', "]}\n"], dtype=object)
+    id_bytes = split.id_bytes
+    if np.all((id_bytes >= 0x20) & (id_bytes < 0x7F) & (id_bytes != ord('"')) & (id_bytes != ord("\\"))):
+        id_text, id_bounds = id_bytes.tobytes().decode("ascii"), split.id_offsets.tolist()
+    else:
+        escaped = [json.dumps(sample_id)[1:-1] for sample_id in split.ids()]
+        id_text, id_bounds = "".join(escaped), list(accumulate(map(len, escaped), initial=0))
     for lo in range(0, n, _CHUNK_LINES):
         rows = split[lo : lo + _CHUNK_LINES]
         nnz = np.diff(rows.indptr)
-        row, col = np.nonzero(rows.labels)
+        row, col = np.divmod(np.flatnonzero(rows.labels), num_classes)
         num_labels = np.bincount(row, minlength=len(rows))
-        # per row: its opening piece, a key and a count piece per feature, a piece per label, its closing piece
-        bounds = _offsets(2 + 2 * nnz + num_labels)
+        # per row: its opening piece, a piece per feature, a piece per label, its closing piece
+        bounds = _offsets(2 + nnz + num_labels)
         pieces = np.empty(bounds[-1], dtype=object)
         starts = id_bounds[lo : lo + len(rows) + 1]
         pieces[bounds[:-1]] = [f'{{"id": "{id_text[a:b]}", "features": {{' for a, b in zip(starts, starts[1:])]
         j = np.arange(rows.indptr[-1]) - np.repeat(rows.indptr[:-1], nnz)  # place in its row
-        at = np.repeat(bounds[:-1], nnz) + 1 + 2 * j
-        pieces[at] = keys[rows.indices + vocab_size * (j > 0)]
-        pieces[at + 1] = counts[rows.values.astype(np.int64)]
+        entries = slot[split.indptr[lo] : split.indptr[lo + len(rows)]]
+        pieces[np.repeat(bounds[:-1], nnz) + 1 + j] = table[entries + later * (j > 0)]
         j = np.arange(row.size) - np.repeat(np.cumsum(num_labels) - num_labels, num_labels)
-        pieces[bounds[row] + 1 + 2 * nnz[row] + j] = labels[col + num_classes * (j > 0)]
-        pieces[bounds[1:] - 1] = "]}\n"
+        pieces[bounds[row] + 1 + nnz[row] + j] = labels[col + num_classes * (j > 0)]
+        pieces[bounds[1:] - 1] = closings[np.minimum(num_labels, 1)]
         yield "".join(pieces.tolist()).encode()
 
 

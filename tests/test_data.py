@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from knnmlc import data
+from knnmlc import copies, data
 from knnmlc.cli import EXIT_OK, main
 from knnmlc.data import (
     DataFormatError,
@@ -153,6 +154,7 @@ def test_generated_splits_are_the_packed_files_of_save_splits(tmp_path, override
         loaded, num_classes, vocab_size = load_jsonl(path)
         assert (num_classes, vocab_size) == (cfg.num_classes, cfg.vocab_size)
         assert same_split(split, loaded)
+        assert same_split(load_packed(path)[0], loaded)
 
 
 def test_the_tight_vocab_config_has_one_index_blocks():
@@ -305,6 +307,15 @@ def test_a_block_smaller_than_one_row_still_draws_a_row(monkeypatch):
         assert same_split(got, split)
 
 
+@pytest.mark.parametrize("size", [0, 1, 99_999, 100_000, 100_001])
+def test_split_ids_are_the_packed_zero_padded_names(size):
+    # at 100 000 an id widens to six digits
+    for name in ("train", "valid"):
+        got = data._split_ids(name, size)
+        want = copies.pack_strings([f"{name}-{i:05d}" for i in range(size)])
+        assert [(x.dtype, x.tobytes()) for x in got] == [(x.dtype, x.tobytes()) for x in want]
+
+
 @given(
     words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20),
     size=st.one_of(st.integers(1, 2000), st.integers(2**31, 2**32 - 1)),
@@ -455,6 +466,72 @@ def records_of(split: PackedSamples):
         oracles.Sample(dict(zip(split.indices[lo:hi].tolist(), split.values[lo:hi].tolist())), split.labels[i], ids[i])
         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
+
+
+# -- save_splits on hand-built splits -----------------------------------------
+# (id, features, positive labels) per row, C = 5 and V = 10 000: ids that
+# json.dumps escapes (a quote, a backslash, control characters, DEL, text
+# beyond ASCII, a lone surrogate), rows without labels, 4-digit keys with
+# counts of 10 and more, a record without features, and counts past 2**53
+HAND_BUILT_CLASSES, HAND_BUILT_VOCAB = 5, 10_000
+HAND_BUILT = [
+    [
+        ('a"b', {3: 1.0, 1017: 12.0}, []),
+        ("back\\slash", {}, [0]),
+        ("tab\tand\x01ctrl\n", {9999: 1234.0}, [1, 4]),
+        ("café", {0: 2.0, 10: 10.0, 4321: 3.0}, [4]),
+        ("日本\x7f\ud800", {5: 0.0}, []),
+    ] + [(f"row-{i}", {i: 1.0, 1000 + i: float(i + 9)}, [i % 5]) for i in range(8)],
+    [("plain-0", {1000: 10.0}, []), ("plain-1", {2: 1.0, 3: 11.0}, [0, 1, 2, 3, 4])],
+    [("big-0", {7: 2.0**60, 8: 1e300}, [2]), ("big-1", {7: 2.0**60}, []), ("big-2", {}, [])],
+]
+
+
+def hand_built_splits(rows=HAND_BUILT):
+    return [
+        oracles.pack([oracles.Sample(f, np.isin(np.arange(HAND_BUILT_CLASSES), c), i) for i, f, c in split], HAND_BUILT_VOCAB)
+        for split in rows
+    ]
+
+
+@pytest.mark.parametrize("pair_codes", [data._PAIR_CODES, 0], ids=["bincount", "unique"])
+@pytest.mark.parametrize("lines", [1, 7, data._CHUNK_LINES])
+def test_save_splits_writes_the_json_dumps_bytes_of_any_split(tmp_path, monkeypatch, lines, pair_codes):
+    monkeypatch.setattr(data, "_CHUNK_LINES", lines)
+    # 0: every split finds its (key, count) pairs by np.unique; at the shipped
+    # bound only the valid split (counts up to 11) counts them with np.bincount
+    monkeypatch.setattr(data, "_PAIR_CODES", pair_codes)
+    splits = hand_built_splits()
+    paths = save_splits(splits, tmp_path)
+    for (name, path), split in zip(paths.items(), splits):
+        ref = tmp_path / f"{name}.ref"
+        oracles.save_jsonl(records_of(split), ref, HAND_BUILT_CLASSES, HAND_BUILT_VOCAB)
+        assert Path(path).read_bytes() == ref.read_bytes(), name
+        # the copy written beside the file stands for its bytes
+        assert same_split(load_packed(path)[0], load_jsonl(path)[0])
+        assert same_split(load_jsonl(path)[0], split)
+
+
+@pytest.mark.parametrize("odd_id", ['a"b', "back\\slash", "del\x7f", "unit\x1fsep", "café", ""])
+def test_one_id_that_json_dumps_escapes_is_escaped_among_plain_ids(tmp_path, odd_id):
+    rows = [[("plain-0", {1: 1.0}, [0]), (odd_id, {2: 1.0}, [1]), ("plain-2", {3: 2.0}, [])]] * 3
+    splits = hand_built_splits(rows)
+    path = save_splits(splits, tmp_path)["train"]
+    oracles.save_jsonl(records_of(splits[0]), tmp_path / "ref", HAND_BUILT_CLASSES, HAND_BUILT_VOCAB)
+    assert Path(path).read_bytes() == (tmp_path / "ref").read_bytes()
+
+
+def test_a_row_without_labels_is_written_with_an_empty_label_list(tmp_path):
+    path = save_splits(hand_built_splits(), tmp_path)["valid"]
+    assert Path(path).read_text().splitlines()[1] == '{"id": "plain-0", "features": {"1000": 10.0}, "labels": []}'
+
+
+@pytest.mark.parametrize("value", [2.5, -1.0, -0.0, math.nan, math.inf])
+def test_save_splits_refuses_a_value_that_is_no_whole_count_before_writing_a_byte(tmp_path, value):
+    rows = [HAND_BUILT[0], HAND_BUILT[1], [("c-0", {1: 3.0}, [0]), ("c-1", {2: 1.0, 3: value}, [1])]]
+    with pytest.raises(ValueError, match=rf"^test row 1: feature value {re.escape(repr(value))} is not a whole count"):
+        save_splits(hand_built_splits(rows), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestJsonl:
