@@ -130,8 +130,21 @@ class PackedSamples:
     def two_views(self, rows) -> "PackedSamples":
         """The 2N training views of the N given rows: one gather of the rows,
         laid out twice, so view i and view i + N are both row i. The views
-        carry no ids (each is the empty string)."""
-        rows = np.asarray(rows, dtype=np.int64)
+        carry no ids (each is the empty string).
+
+        TypeError for rows that are not of an integer dtype, and IndexError
+        naming the first row outside [0, len(self)): the features and the
+        labels are cut by different means, so no row may count from the end.
+        """
+        given = np.asarray(rows)
+        # an empty list reads as float64 and selects no row
+        if given.dtype.kind not in "iu" and given.size:
+            raise TypeError(f"rows must be integers, got dtype {given.dtype}")
+        rows = given.astype(np.int64, copy=False)
+        # as unsigned, a negative row is larger than any valid one: one reduction checks both ends
+        if rows.size and np.maximum.reduce(rows.view(np.uint64), axis=None) >= len(self):
+            bad = given[(given < 0) | (given >= len(self))].flat[0]
+            raise IndexError(f"row {int(bad)} out of range for {len(self)} rows")
         n = rows.size
         offsets, pos = _gather(self.indptr, rows)
         indptr = np.empty(2 * n + 1, dtype=np.int64)

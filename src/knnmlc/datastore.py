@@ -60,7 +60,11 @@ similarities and the bookkeeping of its at least k candidates
 3. each candidate gets its exact r (its float64 unit key formed from its
    key row alone, in chunks of about ``_RESCORE_BYTES`` of float64
    operands), and the candidates are sorted by (r descending, index
-   ascending).
+   ascending): each row's -r fill one row of an (n, w) matrix, w the
+   largest count of candidates in a row, padded with +inf, and one stable
+   sort of each row orders them, since a row's candidates arrive in
+   ascending index order. When every row holds w candidates, as a single
+   query does, the matrix is the -r reshaped, with no padding.
 
 Why that is exact: rounding u and q to float32 and summing d products in
 float32 in any order puts b within gamma_{d+2} |u||q| of the exact inner
@@ -117,7 +121,8 @@ _QUERY_BLOCK_BYTES = 1 << 20
 # stay near this size, never in a float64 copy of every key
 _NORM_RANGE_BYTES = 256 << 10
 # a candidate costs five 8-byte values while a block is ranked: its row, its
-# entry, its exact score, the negated score and its place in the sort order
+# entry, its exact score, the negated score (in its row's padded run) and
+# its place in the sort order
 _CANDIDATE_BYTES = 40
 # candidates are re-scored in chunks whose float64 operands stay near this size
 _RESCORE_BYTES = 256 << 10
@@ -337,20 +342,29 @@ def _topk_block(store: Datastore, q: np.ndarray, k: int):
     groups = _GROUPS_PER_NEIGHBOR * k
     bounded = groups < count and n * count >= _BOUND_MIN_ENTRIES
     kth = _group_bound(approx, k, groups) if bounded else _kth_largest(approx.copy(), k)
-    flat, starts = _candidates(approx, kth, d)
+    flat, bounds = _candidates(approx, kth, d)
+    lengths = bounds[1:] - bounds[:-1]
     # a row whose bound admits too many candidates (a store laid out with
     # the groups' period) takes its exact k-th value instead; no row can
     # when the whole block admits no more than that
     if bounded and flat.size > _FALLBACK_MULTIPLE * k:
-        wide = np.flatnonzero(np.diff(starts, append=flat.size) > _FALLBACK_MULTIPLE * k)
+        wide = np.flatnonzero(lengths > _FALLBACK_MULTIPLE * k)
         if wide.size:
             kth[wide] = _kth_largest(approx[wide], k)
-            flat, starts = _candidates(approx, kth, d)
+            flat, bounds = _candidates(approx, kth, d)
+            lengths = bounds[1:] - bounds[:-1]
     rows, cand = np.divmod(flat, count)
     exact = _rescore(store, q, rows, cand)
-    # rows ascend, so each row's candidates keep their span in the sorted order
-    order = np.lexsort((cand, -exact, rows))
-    take = order[starts[:, None] + np.arange(k)]
+    # each row's -r in a row of its own, +inf past its candidates: they
+    # arrive in ascending index order, so a stable sort keeps tied r in it
+    width = max(lengths.tolist())
+    if flat.size == n * width:
+        scores = np.negative(exact).reshape(n, width)
+    else:
+        scores = np.full((n, width), np.inf)
+        scores[np.arange(width) < lengths[:, None]] = np.negative(exact)
+    take = scores.argsort(axis=1, kind="stable")[:, :k]
+    take += bounds[:-1, None]
     return cand[take], exact[take]
 
 
@@ -378,8 +392,8 @@ def _group_bound(approx: np.ndarray, k: int, groups: int) -> np.ndarray:
 
 def _candidates(approx: np.ndarray, kth: np.ndarray, d: int):
     """The flat (row * count + entry) indices of the entries at or above
-    each row's cutoff below ``kth``, ascending, and each row's first offset
-    among them."""
+    each row's cutoff below ``kth``, ascending, and the (n + 1,) offsets of
+    each row's first among them and of their end."""
     n, count = approx.shape
     m = (d + 2) * _FLOAT32_ROUNDOFF
     cutoff = np.minimum(kth, 1.0, dtype=np.float64) - 4.0 * m / (1.0 - m)
@@ -389,7 +403,7 @@ def _candidates(approx: np.ndarray, kth: np.ndarray, d: int):
     cutoff = np.nextafter(cutoff.astype(np.float32), _FLOAT32_NEG_INF)
     # np.flatnonzero without its dispatch: a 2-d nonzero measured many times slower
     flat = (approx >= cutoff[:, None]).ravel().nonzero()[0]
-    return flat, flat.searchsorted(np.arange(0, n * count, count))
+    return flat, flat.searchsorted(np.arange(0, (n + 1) * count, count))
 
 
 def _rescore(store: Datastore, q: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:

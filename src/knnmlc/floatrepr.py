@@ -83,14 +83,16 @@ for _place, _shape in enumerate([(10, 1, 1, 1), (10, 1, 1), (10, 1), (10,)]):
 _GROUPS = _GROUPS.view(np.uint32).ravel()
 
 # a slot's layout: the column of the value's source row (``_source``) that
-# each of its SLOT bytes copies. A source row holds 20 digit bytes (3 zeros,
-# then the value's digits scaled to 17 places), the constants, the
-# exponent's sign and last three digits, and a NUL.
+# each of its SLOT bytes copies. A source row is eight 4-byte words: five of
+# digits (3 zeros, then the value's digits scaled to 17 places), the
+# constants, the exponent's sign and last three digits, and NULs.
 _MINUS, _DOT, _ZERO, _E, _ESIGN, _NUL = 20, 21, 22, 23, 24, 28
-_SOURCE = _NUL + 1
+_SOURCE = 32
 # slots laid out per gather, which bounds its index
 _GATHER_ROWS = 2048
-_CONSTANTS = np.frombuffer(b"-.0e", dtype=np.uint8)
+_CONSTANTS = np.frombuffer(b"-.0e", dtype=np.uint32)[0]
+# the exponent word of each decimal exponent from -300 on: "-300" ... "+300"
+_EXPONENTS = np.frombuffer(b"".join(b"%+04d" % p for p in range(-300, 301)), dtype=np.uint32)
 # the decimal point positions (decpt: the value is 0.d1d2... * 10**decpt)
 # that repr writes without an exponent; the cases past them are the
 # exponent form with a 2-digit and with a 3-digit exponent
@@ -236,16 +238,26 @@ def _put_digits(out: np.ndarray, v: np.ndarray) -> None:
 
 
 def _source(scaled: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """The (n, 29) source rows that the layouts index, for the digits scaled
-    to 17 places and the decimal exponents of the first digit."""
-    source = np.empty((scaled.size, _SOURCE), dtype=np.uint8)
-    _put_digits(source[:, :20], scaled)
-    source[:, _MINUS:_ESIGN] = _CONSTANTS
-    # |exponent| < 1000: its 4-digit group starts with a zero, which the sign replaces
-    source[:, _ESIGN:_NUL] = _GROUPS.take(np.abs(exponent)).view(np.uint8).reshape(-1, 4)
-    source[:, _ESIGN] = np.where(exponent < 0, ord("-"), ord("+"))
-    source[:, _NUL] = 0
-    return source
+    """The (n, 32) uint8 source rows that the layouts index, for the int64
+    digits scaled to 17 places and the decimal exponents of the first
+    digit, written as (n, 8) uint32 words."""
+    words = np.empty((scaled.size, _SOURCE // 4), dtype=np.uint32)
+    # split once into the first 9 digits and the last 8, each below 2**32;
+    # then the 4-digit groups "000d", dddd, dddd | dddd, dddd in uint32
+    high = scaled // 100_000_000
+    low = (scaled - high * 100_000_000).astype(np.uint32)
+    high = high.astype(np.uint32)
+    top, mid = high // 10_000, low // 10_000
+    first = top // 10_000
+    words[:, 0] = _GROUPS.take(first)
+    words[:, 1] = _GROUPS.take(top - first * 10_000)
+    words[:, 2] = _GROUPS.take(high - top * 10_000)
+    words[:, 3] = _GROUPS.take(mid)
+    words[:, 4] = _GROUPS.take(low - mid * 10_000)
+    words[:, 5] = _CONSTANTS
+    words[:, 6] = _EXPONENTS.take(exponent + 300)
+    words[:, 7] = 0
+    return words.view(np.uint8)
 
 
 def float_slots(values) -> np.ndarray:

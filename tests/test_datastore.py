@@ -296,6 +296,50 @@ class TestGroupBound:
         assert bounded.calls == [13]
         assert bool(exact.calls) == (layout in ("period", "duplicates"))
 
+    @pytest.mark.parametrize("layout", ["random", "label-sorted", "period", "duplicates"])
+    def test_a_default_block_of_rows_with_unequal_candidate_counts_equals_the_oracle(self, monkeypatch, layout):
+        # 131 queries against 2000 keys at d = 12, k = 30: one whole block of
+        # the default workload, whose rows hold different numbers of
+        # candidates, so each row's scores are padded before the sort
+        rng = make_rng(34)
+        k = 30
+        queries = rng.normal(size=(131, 12))
+        store = Datastore(keys=layout_keys(rng, layout, 2000, 12, queries, k), values=np.zeros((2000, 1)))
+        assert datastore._QUERY_BLOCK_BYTES // (4 * store.count) == 131
+        counts, real = [], datastore._candidates
+
+        def candidates(approx, kth, d):
+            flat, bounds = real(approx, kth, d)
+            counts.append(np.diff(bounds))
+            return flat, bounds
+
+        monkeypatch.setattr(datastore, "_candidates", candidates)
+        got = search(store, queries, k)
+        want = oracles._retrieve_topk(store, queries, k)
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert counts[-1].size == 131 and counts[-1].min() < counts[-1].max()
+
+    @pytest.mark.parametrize("k", [30, 1000, 2000])
+    def test_tied_similarities_of_one_query_come_out_in_ascending_index_order(self, k):
+        # three distinct keys, each repeated at random places among 2000
+        # entries, so each key's copies tie: past the nearest key's copies
+        # the candidates mix two or three tied runs, which an unstable sort
+        # would reorder
+        rng = make_rng(35)
+        queries = rng.normal(size=(1, 12))
+        keys = layout_keys(rng, "duplicates", 2000, 12, queries, k)
+        store = Datastore(keys=keys, values=np.zeros((2000, 1)))
+        got = search(store, queries, k)
+        want = oracles._retrieve_topk(store, queries, k)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        # each key's copies in index order, the nearest key's first
+        distinct, which = np.unique(keys, axis=0, return_inverse=True)
+        nearest_first = np.argsort(-rescored_sims(distinct, queries[0]))
+        runs = np.concatenate([np.flatnonzero(which.ravel() == w) for w in nearest_first])
+        assert len(distinct) == 3 and got[0][0].tolist() == runs[:k].tolist()
+
     def test_a_row_whose_bound_admits_too_many_candidates_takes_the_exact_kth_value(self, monkeypatch):
         # rows 0 and 2 look at the period keys, row 1 away from them: only
         # rows 0 and 2 fall back, and the bits hold

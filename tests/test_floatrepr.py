@@ -43,6 +43,27 @@ def test_the_slots_are_the_reprs_of_random_bit_patterns_and_the_edges():
     assert np.array_equal(floatrepr.float_slots(x), reprs(x))
 
 
+# the source row's digit words split the 17-place digits at 10**8 and into
+# 4-digit groups: values whose digits carry across those edges, where the
+# exponent form starts, and with three-digit exponents of both signs
+WORD_EDGES = (
+    [
+        v
+        for base in (1e8, 99999999.99999999, 1.0000000100000001, 10000000000000002.0, 9.999999999999999e-05, 0.0001)
+        + (1e100, 1e-100, 9.999999999999999e99, 1.2345678912345678e250, 9.87654321e-250, 1.0000000000000001e-123)
+        for v in neighbours(base)
+    ]
+    # runs of nines, and two ones with zeros between, ending at every place
+    + [float(f"{d}e{e}") for e in (-120, -5, 0, 8, 120) for p in range(1, 18) for d in ("9" * p, "1" + "0" * (p - 2) + "1")]
+)
+
+
+def test_the_slots_are_the_reprs_of_values_at_the_digit_word_edges():
+    x = np.array(WORD_EDGES)
+    x = np.concatenate([x, -x])
+    assert np.array_equal(floatrepr.float_slots(x), reprs(x))
+
+
 def test_the_slots_are_the_reprs_of_values_the_writers_see():
     rng = np.random.default_rng(7)
     x = np.concatenate(

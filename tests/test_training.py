@@ -673,6 +673,23 @@ class TestPerSampleStep:
         assert got.input_dim == want.input_dim and got.ids() == [""] * 10
         assert len(train_s.two_views([])) == 0
 
+    @pytest.mark.parametrize("rows, bad", [
+        ([63, -2], "-2"), ([-1], "-1"), ([5, 64, -1], "64"), (np.array([3, 2**64 - 1], dtype=np.uint64), str(2**64 - 1)),
+    ])
+    def test_a_row_outside_the_split_is_an_index_error_naming_the_first(self, rows, bad):
+        # a negative row would cut its features and its labels from
+        # different rows, and -1 would cut a negative length
+        train_s, _, _ = self._data(120)
+        with pytest.raises(IndexError, match=rf"^row {bad} out of range for 64 rows$"):
+            train_s.two_views(rows)
+
+    @pytest.mark.parametrize("rows", [[0.9], np.array([True, False]), np.array(["1"])])
+    def test_rows_of_a_non_integer_dtype_are_a_type_error(self, rows):
+        # 0.9 would be truncated to row 0
+        train_s, _, _ = self._data(120)
+        with pytest.raises(TypeError, match="rows must be integers"):
+            train_s.two_views(rows)
+
     def test_all_zero_label_rows_are_logged_once_per_training_set(self, caplog):
         train_s, valid_s, ecfg = self._data(120, empty_every=5)
         cfg = TrainConfig(batch_size=8, learning_rate=3e-3, alpha=0.5, max_iters=20, seed=0, variant="wscl")
