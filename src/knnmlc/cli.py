@@ -46,9 +46,10 @@ from .data import (
     save_splits,
 )
 from .encoder import CheckpointError, EncoderConfig, init_state, load_checkpoint, save_checkpoint
-from .gradcheck import duplicated_views, gradient_check, run_gradcheck_suite
+from .gradcheck import gradient_check, random_views, run_gradcheck_suite
 from .inference import INFERENCE_MODES, InferenceConfig, predict_batch
 from .losses import CONTRASTIVE_VARIANTS
+from .mathops import make_rng
 from .metrics import confusion, group_report, hamming_loss, macro_prf, micro_prf
 from .training import NonFiniteLossError, TrainConfig, Trainer
 
@@ -330,11 +331,10 @@ def cmd_build_store(args) -> int:
 # samples per predict_batch call: bounds the (rows, k, C) neighbor-vote
 # temporaries and the forward trace; rows do not depend on the split
 _PREDICT_CHUNK = 1024
-# a preds.jsonl line is the bytes of ``json.dumps`` of its record dict (its
-# key order, default separators): these pieces around the id, the numbers
-# and the neighbor pairs. Every value is finite (``predict_batch`` checks),
-# and json writes a finite float as its ``repr``, which ``float_slots``
-# gives; the ids go through ``json.dumps``.
+# a preds.jsonl line is ``json.dumps`` of its record dict (its key order,
+# default separators) with each float in ``float_slots``' fixed form: these
+# pieces around the id, the numbers and the neighbor pairs. Every value is
+# finite (``predict_batch`` checks); the ids go through ``json.dumps``.
 _LINE = ('{"id": ', ', "y_clf": [', '], "y_knn": [', '], "lambda": ', ', "y_final": [', '], "y_pred": [',
          '], "neighbors": [', ']}\n')
 _NEIGHBOR = ('{"index": ', ', "similarity": ', '}')
@@ -710,18 +710,9 @@ def cmd_gradcheck(args) -> int:
             raise ConfigError(f"--dims must be 'input,hidden,embed,classes,batch', got {args.dims!r}") from exc
         if min(dims) < 1:
             raise ConfigError(f"--dims values must all be >= 1, got {args.dims!r}")
-        rng = np.random.default_rng(seed)
         config = EncoderConfig(input_dim, hidden_dim, embed_dim, num_classes, dropout_rate=0.1)
         state = init_state(config, seed=seed)
-        nnz = max(1, input_dim // 3)
-        rows = []
-        for _ in range(batch):
-            idx = rng.choice(input_dim, size=nnz, replace=False)
-            labels = np.zeros(num_classes, dtype=np.int8)
-            labels[rng.integers(num_classes)] = 1
-            rows.append((idx, rng.uniform(0.5, 2.0, nnz), labels))
-        views = duplicated_views(*zip(*rows), input_dim)
-        masks = (rng.random((len(views), hidden_dim)) >= 0.1).astype(np.float64) / 0.9
+        views, masks = random_views(make_rng(seed), batch, config)
         reports = [gradient_check(state, views, masks, alpha=0.1, tau1=0.05, step=args.step)]
     else:
         reports = run_gradcheck_suite(num_configs=args.configs, seed=seed, step=args.step)

@@ -287,20 +287,6 @@ def _check_input_dim(state: EncoderState, batch: PackedSamples) -> None:
         raise ValueError(f"batch packed for input_dim={batch.input_dim}, encoder has {state.config.input_dim}")
 
 
-def _gather_rows(w_rows: np.ndarray, batch: PackedSamples) -> np.ndarray:
-    """Input-layer sums (before the bias) of a packed batch: the rows of
-    ``w_rows`` (``w_in.T``, (input_dim, hidden)) each row's features pick,
-    scaled by their values and summed per row by ``np.add.reduceat``, whose
-    order depends on the row's segment alone."""
-    if w_rows.flags.c_contiguous:
-        columns = w_rows.take(batch.indices, axis=0)
-    else:
-        # take would first copy the whole array
-        columns = w_rows[batch.indices]
-    columns *= batch.values[:, None]
-    return np.add.reduceat(columns, batch.indptr[:-1], axis=0)
-
-
 def weight_rows(state: EncoderState, entries: int) -> np.ndarray:
     """``w_in.T``, the (input_dim, hidden) rows the input layer gathers, for
     a batch of ``entries`` feature entries: C-contiguous when there are at
@@ -313,19 +299,23 @@ def weight_rows(state: EncoderState, entries: int) -> np.ndarray:
 
 
 def _input_layer(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) -> np.ndarray:
-    """``_gather_rows`` over the whole batch, in ranges of rows whose gathered
-    (entries, hidden) block stays near ``_GATHER_BLOCK_BYTES``. Rows are
-    independent, so the bits do not depend on the ranges.
+    """The input-layer sums (before the bias) of the whole batch, in ranges
+    of rows whose gathered (entries, hidden) block stays near
+    ``_GATHER_BLOCK_BYTES``. Rows are independent, so the bits do not
+    depend on the ranges.
 
-    Each range is cut from the batch's CSR arrays (``_gather_range``). When
-    fewer than 1 in ``_SCALE_ALL_SHARE`` of the batch's feature values are
-    other than 1.0, only the gathered rows of those values are scaled:
-    ``x * 1.0`` is ``x`` exactly, so the sums keep their bits."""
+    Each range is cut from the batch's CSR arrays (``_gather_range``). A
+    batch of one range scales every gathered row. A batch of several, when
+    fewer than 1 in ``_SCALE_ALL_SHARE`` of its feature values are other
+    than 1.0, scales only the gathered rows of those values: ``x * 1.0`` is
+    ``x`` exactly, so the sums keep their bits."""
     n = len(batch)
+    out = np.empty((n, state.config.hidden_dim))
     rows = max(1, _GATHER_BLOCK_BYTES * n // (8 * state.config.hidden_dim * batch.indices.size))
-    if rows >= n:
-        return _gather_rows(w_rows, batch)
     indptr, indices, values = batch.indptr, batch.indices, batch.values
+    if rows >= n:
+        _gather_range(w_rows, indices, indptr[:-1], values[:, None], None, out)
+        return out
     # range j holds entries edges[j]:edges[j + 1]
     edges = np.append(indptr[:n:rows], indptr[n])
     nonunit = (values != 1.0).nonzero()[0]
@@ -333,7 +323,6 @@ def _input_layer(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) 
     if _SCALE_ALL_SHARE * nonunit.size < values.size:
         cuts = nonunit.searchsorted(edges)
         factors = values[nonunit, None]
-    out = np.empty((n, state.config.hidden_dim))
     for j, start in enumerate(range(0, n, rows)):
         lo, hi = edges[j], edges[j + 1]
         if cuts is None:
@@ -348,13 +337,16 @@ def _input_layer(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) 
 
 
 def _gather_range(w_rows: np.ndarray, indices: np.ndarray, starts: np.ndarray, factors, positions, out) -> None:
-    """``_gather_rows`` of one row range, from its CSR slices, into ``out``:
-    the rows of ``w_rows`` that ``indices`` pick, scaled by the (m, 1)
+    """The input-layer sums (before the bias) of one row range, from its
+    CSR slices, into ``out``: the rows of ``w_rows`` (``w_in.T``,
+    (input_dim, hidden)) that ``indices`` pick, scaled by the (m, 1)
     ``factors`` (every row when ``positions`` is None, else only the rows at
-    those m positions) and summed per segment from ``starts``."""
+    those m positions) and summed per segment from ``starts`` by
+    ``np.add.reduceat``, whose order depends on the segment alone."""
     if w_rows.flags.c_contiguous:
         columns = w_rows.take(indices, axis=0)
     else:
+        # take would first copy the whole array
         columns = w_rows[indices]
     if positions is None:
         columns *= factors
@@ -381,7 +373,9 @@ def forward_batch(
     if batch.indices.size < state.config.input_dim:
         # fewer features than w_in has columns (small batches over a wide
         # vocabulary): gather the weights the features touch
-        pre_hidden = _gather_rows(state.w_in.T, batch) + state.b_in
+        pre_hidden = np.empty((len(batch), state.config.hidden_dim))
+        _gather_range(state.w_in.T, batch.indices, batch.indptr[:-1], batch.values[:, None], None, pre_hidden)
+        pre_hidden += state.b_in
         dense = None
     else:
         # dense enough that one matrix product over the dense rows is cheaper;
@@ -487,12 +481,12 @@ def _payload_header(state: EncoderState) -> dict:
 
 
 def _checkpoint_chunks(state: EncoderState):
-    """The bytes of the checkpoint JSON (docs/formats.md), which are those of
-    ``json.dumps`` of the payload dict with each parameter as nested lists,
-    since json writes a finite float as its ``repr``: the parameters in
-    blocks of whole rows of about ``floatrepr.BLOCK`` values (at least
-    one row; a 1-d parameter is one row), each block's floats laid out by
-    one ``floatrepr.float_slots`` call over its run of ``state.flat``."""
+    """The bytes of the checkpoint JSON (docs/formats.md): ``json.dumps`` of
+    the payload dict with each parameter as nested lists of floats in
+    ``float_slots``' fixed form. The parameters go in blocks of whole rows
+    of about ``floatrepr.BLOCK`` values (at least one row; a 1-d parameter
+    is one row), each block's floats laid out by one
+    ``floatrepr.float_slots`` call over its run of ``state.flat``."""
     # every block: (name, first row, rows, row length, rows of the parameter, 2-d?)
     blocks, pending, size = [], [], 0
     for name, arr in state.param_items():

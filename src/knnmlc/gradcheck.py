@@ -24,6 +24,7 @@ __all__ = [
     "finite_difference_gradients",
     "gradient_check",
     "random_gradcheck_problem",
+    "random_views",
     "run_gradcheck_suite",
 ]
 
@@ -123,6 +124,28 @@ def duplicated_views(indices, values, labels, input_dim: int) -> PackedSamples:
     return batch.two_views(np.arange(n))
 
 
+def random_views(rng, n: int, config: EncoderConfig) -> tuple[PackedSamples, np.ndarray]:
+    """The 2n duplicated views of n random sparse samples for ``config``
+    (each with at least one feature and one label), and frozen (2n, hidden)
+    dropout masks at the config's rate, drawn from ``rng``."""
+    input_dim, num_classes = config.input_dim, config.num_classes
+    rows = []
+    for _ in range(n):
+        nnz = int(rng.integers(1, max(2, input_dim // 2) + 1))
+        idx = rng.choice(input_dim, size=nnz, replace=False)
+        labels = np.zeros(num_classes, dtype=np.int8)
+        labels[rng.integers(num_classes)] = 1
+        labels[rng.random(num_classes) < 0.3] = 1
+        rows.append((idx, rng.uniform(0.5, 2.0, nnz), labels))
+    views = duplicated_views(*zip(*rows), input_dim)
+    keep = 1.0 - config.dropout_rate
+    if keep < 1.0:
+        masks = (rng.random((len(views), config.hidden_dim)) >= config.dropout_rate).astype(np.float64) / keep
+    else:
+        masks = np.ones((len(views), config.hidden_dim))
+    return views, masks
+
+
 def random_gradcheck_problem(seed: int, variant: str = "dcl"):
     """A random small configuration: dims, a fresh state, a packed duplicated
     batch of random sparse samples, frozen (2N, hidden) dropout masks, and
@@ -146,22 +169,7 @@ def random_gradcheck_problem(seed: int, variant: str = "dcl"):
         dropout_rate=dropout_rate,
     )
     state = init_state(config, seed=int(rng.integers(1 << 30)))
-
-    rows = []
-    for _ in range(n):
-        nnz = int(rng.integers(1, max(2, input_dim // 2) + 1))
-        idx = rng.choice(input_dim, size=nnz, replace=False)
-        labels = np.zeros(num_classes, dtype=np.int8)
-        labels[rng.integers(num_classes)] = 1
-        extra = rng.random(num_classes) < 0.3
-        labels[extra] = 1
-        rows.append((idx, rng.uniform(0.5, 2.0, nnz), labels))
-    views = duplicated_views(*zip(*rows), input_dim)
-    keep = 1.0 - dropout_rate
-    if keep < 1.0:
-        masks = (rng.random((len(views), hidden_dim)) >= dropout_rate).astype(np.float64) / keep
-    else:
-        masks = np.ones((len(views), hidden_dim))
+    views, masks = random_views(rng, n, config)
     return state, views, masks, alpha, tau1, variant
 
 

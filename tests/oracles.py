@@ -20,11 +20,12 @@ through the checked form the package once exported (``forward_rowwise``,
 the dropout-off pass with its trace, then retrieval, the vote, the
 high-confidence mask, lambda and the combination), against which
 ``inference.predict_batch`` is checked bit for bit, and
-``state_to_payload`` the checkpoint dict whose ``json.dumps`` is
-``model.json``, ``prediction_lines`` the predictions file as one ``json.dumps`` of a record
-dict per row, against whose bytes the CLI's line writer is checked, and
-``template_lines`` that writer as it stood before the ``floatrepr`` kernel
-(``repr`` of each row and one ``%`` template per line). ``adam_step``
+``state_to_payload`` the checkpoint dict that ``model.json`` holds;
+``json_text`` is ``json.dumps`` with each float written as the JSON writers
+write it (``fixed_float``: ``'%.16e'`` with a three-digit exponent), from
+which ``checkpoint_text`` forms ``model.json`` and ``prediction_lines`` the
+predictions file (one record dict per row), against whose bytes the
+package's writers are checked. ``adam_step``
 (one update per parameter tensor) and ``backward`` (each gradient its own
 array) are the training step as it stood before parameters, gradients and
 moments shared one flat buffer each, against which the flat forms are
@@ -47,7 +48,7 @@ from knnmlc import encoder, training
 from knnmlc.copies import pack_strings
 from knnmlc.data import DataFormatError, PackedSamples, _cluster_draws, _gather, check_kind, cluster_layout, pack_samples
 from knnmlc.datastore import Datastore, NonFiniteQueryError
-from knnmlc.encoder import EncoderState, ForwardTrace, ParameterGradients, _gather_rows
+from knnmlc.encoder import EncoderState, ForwardTrace, ParameterGradients
 from knnmlc.inference import InferenceConfig, PredictionBundle
 from knnmlc.losses import (
     CONTRASTIVE_VARIANTS,
@@ -579,18 +580,40 @@ def predict_batch(state: EncoderState, store: Datastore | None, samples: PackedS
 
 
 def state_to_payload(state: EncoderState) -> dict:
-    """A state's checkpoint payload with each parameter as nested lists: its
-    ``json.dumps`` is ``model.json`` as ``knnmlc train`` wrote it before the
-    ``floatrepr`` kernel, and ``encoder.save_checkpoint`` writes the same
-    bytes. float64 values round-trip exactly, as json writes each one as its
-    shortest ``repr``."""
+    """A state's checkpoint payload with each parameter as nested lists: the
+    dict ``model.json`` holds (``checkpoint_text``)."""
     return {**encoder._payload_header(state), "params": {name: arr.tolist() for name, arr in state.param_items()}}
 
 
+def fixed_float(v: float) -> str:
+    """A float as the JSON writers write it: ``'%.16e'`` with its exponent
+    widened to three digits."""
+    mantissa, exponent = ("%.16e" % v).split("e")
+    return "%se%+04d" % (mantissa, int(exponent))
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj)`` for dicts, lists, strings, ints and floats, with
+    each float written as ``fixed_float``."""
+    if isinstance(obj, float):
+        return fixed_float(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(key)}: {json_text(value)}" for key, value in obj.items()) + "}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(json_text, obj)) + "]"
+    return json.dumps(obj)
+
+
+def checkpoint_text(state: EncoderState) -> str:
+    """``model.json`` of a state: ``json.dumps`` of the payload header, and
+    the parameters as nested lists in ``json_text``."""
+    params = json_text(state_to_payload(state)["params"])
+    return json.dumps(encoder._payload_header(state))[:-1] + ', "params": ' + params + "}"
+
+
 def prediction_lines(ids, bundle: PredictionBundle, y_pred: np.ndarray) -> bytes:
-    """The preds.jsonl bytes of a bundle's rows as ``knnmlc predict`` wrote
-    them before it rendered lines from the arrays: one record dict per row,
-    each line ``json.dumps(record) + "\\n"``."""
+    """The preds.jsonl bytes of a bundle's rows: one record dict per row,
+    each line its ``json_text`` and a newline."""
     lines = []
     for i, sample_id in enumerate(ids):
         record = {
@@ -605,38 +628,8 @@ def prediction_lines(ids, bundle: PredictionBundle, y_pred: np.ndarray) -> bytes
                 for index, sim in zip(bundle.neighbor_indices[i].tolist(), bundle.neighbor_sims[i].tolist())
             ],
         }
-        lines.append(json.dumps(record) + "\n")
+        lines.append(json_text(record) + "\n")
     return "".join(lines).encode("utf-8")
-
-
-# a preds.jsonl line and one neighbor pair as ``knnmlc predict`` rendered
-# them before it laid the lines out as one uint8 matrix per block
-_LINE = '{"id": %s, "y_clf": %s, "y_knn": %s, "lambda": %r, "y_final": %s, "y_pred": %s, "neighbors": [%s]}\n'
-_NEIGHBOR = '{"index": %d, "similarity": %r}'
-
-
-def template_lines(ids, bundle: PredictionBundle, y_pred: np.ndarray, block: int = 128):
-    """The preds.jsonl bytes of a bundle's rows as ``knnmlc predict`` wrote
-    them before the ``floatrepr`` kernel, one block of up to ``block`` lines
-    at a time: one ``repr`` per row of each (n, C) array, ``%r`` of each
-    lambda and one template per row for its k neighbor pairs."""
-    n, k = bundle.neighbor_indices.shape
-    neighbors = ", ".join([_NEIGHBOR] * k)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        pairs = np.empty((hi - lo, 2 * k), dtype=object)
-        pairs[:, 0::2] = bundle.neighbor_indices[lo:hi]
-        pairs[:, 1::2] = bundle.neighbor_sims[lo:hi]
-        fields = zip(
-            map(json.dumps, ids[lo:hi]),
-            map(repr, bundle.y_clf[lo:hi].tolist()),
-            map(repr, bundle.y_knn[lo:hi].tolist()),
-            bundle.lam[lo:hi].tolist(),
-            map(repr, bundle.y_final[lo:hi].tolist()),
-            map(repr, y_pred[lo:hi].tolist()),
-            map(neighbors.__mod__, map(tuple, pairs.tolist())),
-        )
-        yield "".join(map(_LINE.__mod__, fields)).encode("utf-8")
 
 
 def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
@@ -644,10 +637,7 @@ def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
     expressions, with its trace (an all-ones mask): the pass
     ``encoder.rowwise_layers`` and ``encoder.rowwise_logits`` compute in row
     ranges, bit for bit."""
-    w_rows = state.w_in.T
-    if batch.indices.size >= state.config.input_dim:
-        w_rows = np.ascontiguousarray(w_rows)
-    pre_hidden = _gather_rows(w_rows, batch) + state.b_in
+    pre_hidden = np.ascontiguousarray(column_gather(state.w_in, batch)) + state.b_in
     hidden = np.tanh(pre_hidden) if state.config.activation == "tanh" else np.maximum(pre_hidden, 0.0)
     embedding = np.einsum("ij,kj->ik", hidden, state.w_emb) + state.b_emb
     logits = np.einsum("ij,kj->ik", embedding, state.w_clf) + state.b_clf

@@ -307,7 +307,9 @@ def test_shared_row_gather_equals_the_column_gather(seed, lengths, input_dim, ac
     batch = pack(samples, input_dim)
     want = column_gather(state.w_in, batch)
     for w_rows in (state.w_in.T, np.ascontiguousarray(state.w_in.T)):
-        assert encoder._gather_rows(w_rows, batch).tobytes() == want.tobytes()
+        got = np.empty(want.shape)
+        encoder._gather_range(w_rows, batch.indices, batch.indptr[:-1], batch.values[:, None], None, got)
+        assert got.tobytes() == want.tobytes()
     hidden = encoder._activate(state.config, want + state.b_in)
     with mock.patch.object(encoder, "_GATHER_BLOCK_BYTES", block_bytes):
         # the gather in row ranges, and the dropout-off pass built on it

@@ -656,20 +656,14 @@ def test_store_keys_are_the_query_path_embeddings(default_run, monkeypatch, gath
     if build_rows is not None:
         row_bytes = 8 * (4 * cfg.hidden_dim + cfg.embed_dim + cfg.num_classes)
         monkeypatch.setattr(datastore, "_BUILD_TRACE_BYTES", build_rows * row_bytes)
-    # the rows of each gathered range: a batch in one range goes through
-    # _gather_rows, a batch in several through _gather_range once per range
+    # the rows of each gathered range: _gather_range runs once per range
     calls = []
-    real_gather, real_range = encoder._gather_rows, encoder._gather_range
-
-    def spy(w_rows, batch):
-        calls.append(len(batch))
-        return real_gather(w_rows, batch)
+    real_range = encoder._gather_range
 
     def range_spy(w_rows, indices, starts, factors, positions, out):
         calls.append(len(starts))
         return real_range(w_rows, indices, starts, factors, positions, out)
 
-    monkeypatch.setattr(encoder, "_gather_rows", spy)
     monkeypatch.setattr(encoder, "_gather_range", range_spy)
     # before the float32 rounding too
     assert rowwise_layers(state, train, weight_rows(state, nnz)).tobytes() == singles.tobytes()

@@ -1,5 +1,4 @@
 """Forward/backward passes, dropout behavior, and checkpointing."""
-import io
 import json
 
 import numpy as np
@@ -17,7 +16,7 @@ from knnmlc.encoder import (
 )
 from knnmlc.gradcheck import duplicated_views, gradient_check, random_gradcheck_problem
 from knnmlc.mathops import make_rng, sigmoid
-from oracles import Sample, forward, pack, state_to_payload
+from oracles import Sample, checkpoint_text, forward, pack, state_to_payload
 
 
 def tiny_config(**kw):
@@ -205,13 +204,12 @@ class TestCheckpoint:
         for (name, arr), (_, arr2) in zip(state.param_items(), loaded.param_items()):
             np.testing.assert_array_equal(arr, arr2), name
 
-    def test_file_holds_the_bytes_json_dump_writes(self, tmp_path):
+    def test_file_holds_the_checkpoint_text(self, tmp_path):
         state = init_state(tiny_config(), seed=11)
         path = tmp_path / "model.json"
         save_checkpoint(state, path)
-        stream = io.StringIO()
-        json.dump(state_to_payload(state), stream)
-        assert path.read_text(encoding="utf-8") == stream.getvalue()
+        assert path.read_text(encoding="utf-8") == checkpoint_text(state)
+        assert json.loads(path.read_text(encoding="utf-8")) == state_to_payload(state)
 
     def test_wrong_format_marker(self, tmp_path):
         path = tmp_path / "model.json"

@@ -1,7 +1,8 @@
 """The predictions file writer (``cli._prediction_lines``) against the
-record-per-line oracle and the template writer it replaced: the same bytes
-for any finite values, any ids, any neighbor count (none too) and any row
-count (none too) around the block size."""
+record-per-line oracle (``json.dumps`` with every float as ``'%.16e'`` and
+a three-digit exponent): the same bytes for any finite values, any ids, any
+neighbor count (none too) and any row count (none too) around the block
+size."""
 from unittest import mock
 
 import numpy as np
@@ -14,11 +15,12 @@ from knnmlc import cli, floatrepr
 from knnmlc.datastore import Datastore
 from knnmlc.encoder import EncoderConfig, init_state
 from knnmlc.inference import InferenceConfig, PredictionBundle, predict_batch
-from oracles import Sample, pack, prediction_lines, template_lines
+from oracles import Sample, pack, prediction_lines
 
-# values json and repr write alike only when finite; the ones whose repr is
-# easiest to get wrong, then any finite float
+# the writers take finite floats only; the ones whose text is easiest to get
+# wrong (a tie at the 17th digit among them), then any finite float
 SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 1.0, 0.5, float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))]
+SPECIAL_FLOATS += [1e17, float(np.nextafter(1e17, 0.0)), 1e300, 1528906662046067.75]
 FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 # quotes, backslashes, control characters, non-ASCII text and lone surrogates
 SPECIAL_IDS = ["test-00000", "", 'a"b', "back\\slash", "\x00\t\n\x1f\x7f", "héllo 漢字 😀", "\ud800", "x\udfffy\ud83d"]
@@ -55,7 +57,7 @@ def written(ids, bundle, y_pred, block):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(0, 9), c=st.integers(1, 5), k=st.sampled_from([0, 1, 30]), block=st.sampled_from([1, 2, 4]))
-def test_the_writer_gives_the_bytes_of_one_json_dumps_per_record(data, n, c, k, block):
+def test_the_writer_gives_the_bytes_of_one_record_per_line(data, n, c, k, block):
     floats = [data.draw(hnp.arrays(np.float64, shape, elements=FLOATS)) for shape in [(n, c)] * 3 + [(n * k,)]]
     indices = data.draw(hnp.arrays(np.int64, (n * k,), elements=st.integers(0, 2**63 - 1)))
     lam = data.draw(hnp.arrays(np.float64, (n,), elements=FLOATS))
@@ -76,7 +78,6 @@ def test_row_counts_around_the_shipped_block_size():
         ids = [f"test-{i:05d}" for i in range(n)]
         want = prediction_lines(ids, bundle, y_pred)
         assert written(ids, bundle, y_pred, block) == want
-        assert b"".join(template_lines(np.array(ids, dtype=object), bundle, y_pred)) == want
 
 
 def test_classifier_only_lines_have_no_neighbors():
@@ -92,9 +93,9 @@ def test_classifier_only_lines_have_no_neighbors():
 
 
 @pytest.mark.parametrize("value", [1, 0, np.float32(0.3)])
-def test_a_fixed_lambda_setting_of_another_kind_is_written_as_json_writes_its_float(value):
+def test_a_fixed_lambda_setting_of_another_kind_is_written_as_a_float(value):
     # an integer or float32 setting passes the config's kind check; lambda
-    # is a float64 row all the same, so the file holds 1.0, not 1
+    # is a float64 row all the same, so the file holds 1.0000000000000000e+000, not 1
     state = init_state(EncoderConfig(5, 4, 3, 2), seed=0)
     rng = np.random.default_rng(1)
     store = Datastore(keys=rng.normal(size=(6, 3)), values=rng.integers(0, 2, (6, 2)))
