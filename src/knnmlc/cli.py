@@ -51,7 +51,7 @@ from .inference import INFERENCE_MODES, InferenceConfig, predict_batch
 from .losses import CONTRASTIVE_VARIANTS
 from .mathops import make_rng
 from .metrics import confusion, group_report, hamming_loss, macro_prf, micro_prf
-from .training import NonFiniteLossError, TrainConfig, Trainer
+from .training import TRAIN_DTYPE, NonFiniteLossError, TrainConfig, Trainer
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -256,8 +256,7 @@ def cmd_train(args) -> int:
     loaded = time.perf_counter()
 
     encoder_cfg = _encoder_config(encoder_section, input_dim=vocab_size, num_classes=num_classes)
-    state = init_state(encoder_cfg, seed=train_cfg.seed)
-    trainer = Trainer(train_samples, valid_samples, state, train_cfg)
+    trainer = Trainer(train_samples, valid_samples, init_state(encoder_cfg, seed=train_cfg.seed), train_cfg)
     run_start = time.perf_counter()
     trainer.run()
     run_end = time.perf_counter()
@@ -284,6 +283,9 @@ def cmd_train(args) -> int:
             "save_s": saved - run_end,
             "iterations_per_s": trainer.iteration / run_s if trainer.iteration else 0.0,
         },
+        # the training budget in passes over the training split
+        epochs=trainer.iteration * min(train_cfg.batch_size, len(train_samples)) / len(train_samples),
+        train_dtype=np.dtype(TRAIN_DTYPE).name,
         environment=_environment(),
     )
     last_f1 = next(
@@ -716,17 +718,19 @@ def cmd_gradcheck(args) -> int:
         reports = [gradient_check(state, views, masks, alpha=0.1, tau1=0.05, step=args.step)]
     else:
         reports = run_gradcheck_suite(num_configs=args.configs, seed=seed, step=args.step)
-    worst = 0.0
+    worst = gap = 0.0
     all_passed = True
     for i, report in enumerate(reports):
         status = "pass" if report.passed else "FAIL"
         print(
             f"config {i:>3}: {status}  max_rel_error={report.max_rel_error:.3e} "
-            f"worst={report.worst_param} params={report.num_params}"
+            f"float32_gap={report.float32_gap:.3e} worst={report.worst_param} params={report.num_params}"
         )
         worst = max(worst, report.max_rel_error)
+        gap = max(gap, report.float32_gap)
         all_passed = all_passed and report.passed
-    print(f"{'PASS' if all_passed else 'FAIL'}: {len(reports)} configurations, max relative error {worst:.3e}")
+    print(f"{'PASS' if all_passed else 'FAIL'}: {len(reports)} configurations, max relative error {worst:.3e}, "
+          f"max float32 gap {gap:.3e}")
     return EXIT_OK if all_passed else EXIT_ERROR
 
 

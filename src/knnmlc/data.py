@@ -165,10 +165,11 @@ class PackedSamples:
         """The sample ids, decoded."""
         return copies.unpack_strings(self.id_offsets, self.id_bytes)
 
-    def to_dense(self) -> np.ndarray:
-        """The (n, input_dim) float64 feature matrix."""
+    def to_dense(self, dtype=np.float64) -> np.ndarray:
+        """The (n, input_dim) feature matrix, of ``dtype``: the training step
+        asks for its parameters' dtype."""
         n = len(self)
-        dense = np.zeros((n, self.input_dim))
+        dense = np.zeros((n, self.input_dim), dtype)
         dense[np.arange(n).repeat(self.indptr[1:] - self.indptr[:-1]), self.indices] = self.values
         return dense
 

@@ -28,10 +28,15 @@ scaled (``x * 1.0`` is ``x`` exactly, so no sum changes a bit). A batch of
 one range (a single query) and the training step's sparse gather scale
 every gathered row, which at that size costs fewer calls.
 
-The six parameters are writable views of one C-ordered float64 buffer,
+The six parameters are writable views of one C-ordered buffer,
 ``EncoderState.flat``, which holds them back to back in ``_PARAM_NAMES``
-order; ``backward`` writes its gradients into views of one such buffer and
-the Adam moments are two more flat buffers of that layout, so an Adam step
+order. The buffer is float32 or float64, and the training pass
+(``forward_batch``, ``backward``) runs in its dtype: the ``Trainer`` trains
+a float32 state, while the gradient check runs the same code on a float64
+one. Checkpoints, the dropout-off pass and everything downstream of
+training take float64 states (``EncoderState.astype``, an exact upcast).
+``backward`` writes its gradients into views of one such buffer and the
+Adam moments are two more flat buffers of that layout, so an Adam step
 is a dozen ufunc calls over whole buffers. It is also the layout of a
 checkpoint's packed copy and of a trainer checkpoint: the ``params``
 member is written from the state's own buffer and read back as the loaded
@@ -109,14 +114,14 @@ class EncoderConfig:
 
 class _FlatParameters:
     """The six parameters (``_PARAM_NAMES``) as writable views of one
-    C-ordered float64 buffer ``flat`` that holds them back to back in that
-    order, the layout of the checkpoint copy's ``params`` member; ``shapes``
-    is their shapes. Write into a view (``grads.w_clf[...] = g``): a field
+    C-ordered float32 or float64 buffer ``flat`` that holds them back to
+    back in that order, the layout of the checkpoint copy's ``params``
+    member; ``shapes`` is their shapes. Write into a view (``grads.w_clf[...] = g``): a field
     rebound to another array is no longer part of ``flat``, and
     ``_check_views`` names it."""
 
     def __post_init__(self):
-        # the constructor's arrays are copied into one new buffer
+        # the constructor's arrays are copied into one new float64 buffer
         parts = [np.asarray(getattr(self, name), dtype=np.float64) for name in _PARAM_NAMES]
         self._bind(np.concatenate([part.ravel() for part in parts]), tuple(part.shape for part in parts))
 
@@ -159,11 +164,13 @@ def _rebuild(cls, flat, shapes, fields):
 
 
 def _flat_views(flat: np.ndarray, shapes: tuple) -> tuple:
-    """Writable views of the 1-d C-ordered float64 ``flat`` with ``shapes``,
-    back to back; ValueError unless they cover it exactly."""
+    """Writable views of the 1-d C-ordered float32 or float64 ``flat`` with
+    ``shapes``, back to back; ValueError unless they cover it exactly."""
     flags = flat.flags
-    if flat.dtype != np.float64 or flat.ndim != 1 or not (flags.c_contiguous and flags.writeable):
-        raise ValueError("a parameter buffer must be a writable 1-d C-contiguous float64 array")
+    # float32 trains; float64 is checked against finite differences and
+    # serves every artifact
+    if flat.dtype not in (np.float32, np.float64) or flat.ndim != 1 or not (flags.c_contiguous and flags.writeable):
+        raise ValueError("a parameter buffer must be a writable 1-d C-contiguous float32 or float64 array")
     views, start = [], 0
     for shape in shapes:
         stop = start + math.prod(shape)
@@ -202,6 +209,14 @@ class EncoderState(_FlatParameters):
 
     def copy(self) -> "EncoderState":
         return EncoderState.on_buffer(self.config, self.flat.copy(), self.init_seed)
+
+    def astype(self, dtype) -> "EncoderState":
+        """This state when its buffer is of ``dtype``, else the state on a new
+        buffer of the values rounded to ``dtype`` (exact from float32 to
+        float64)."""
+        if self.flat.dtype == dtype:
+            return self
+        return EncoderState.on_buffer(self.config, self.flat.astype(dtype), self.init_seed)
 
 
 @dataclass
@@ -264,11 +279,12 @@ def _activate(cfg: EncoderConfig, pre_hidden: np.ndarray) -> np.ndarray:
 
 
 def _dropout_mask(cfg: EncoderConfig, hidden: np.ndarray, rng, masks) -> np.ndarray:
-    """The scaled (n, hidden) dropout mask: the given ``masks``, one block of
-    uniforms from ``rng`` (the same stream as n per-row draws), or all ones
-    laid out like ``hidden`` when the rate is 0."""
+    """The scaled (n, hidden) dropout mask, of ``hidden``'s dtype: the given
+    ``masks``, one block of float64 uniforms from ``rng`` (the same stream as
+    n per-row draws, whatever the dtype), or all ones laid out like
+    ``hidden`` when the rate is 0."""
     if masks is not None:
-        mask = np.asarray(masks, dtype=np.float64)
+        mask = np.asarray(masks, dtype=hidden.dtype)
         if mask.shape != hidden.shape:
             raise ValueError(f"mask shape {mask.shape} != hidden shape {hidden.shape}")
         return mask
@@ -276,7 +292,7 @@ def _dropout_mask(cfg: EncoderConfig, hidden: np.ndarray, rng, masks) -> np.ndar
         if rng is None:
             raise ValueError(f"dropout at rate {cfg.dropout_rate} requires an rng or masks")
         keep = rng.random(hidden.shape) >= cfg.dropout_rate
-        return keep.astype(np.float64) / (1.0 - cfg.dropout_rate)
+        return keep.astype(hidden.dtype) / (1.0 - cfg.dropout_rate)
     mask = np.empty_like(hidden)
     mask.fill(1.0)
     return mask
@@ -362,7 +378,7 @@ def forward_batch(
     masks: np.ndarray | None = None,
 ) -> ForwardTrace:
     """The training pass: run the network with dropout on every row of a
-    packed batch.
+    packed batch, in the dtype of the state's buffer.
 
     The scaled (n, hidden) dropout ``masks`` are given (which is how the
     gradient check freezes them), or drawn as one (n, hidden) block of
@@ -370,17 +386,19 @@ def forward_batch(
     when the encoder's dropout rate is 0.
     """
     _check_input_dim(state, batch)
+    dtype = state.flat.dtype
     if batch.indices.size < state.config.input_dim:
         # fewer features than w_in has columns (small batches over a wide
         # vocabulary): gather the weights the features touch
-        pre_hidden = np.empty((len(batch), state.config.hidden_dim))
-        _gather_range(state.w_in.T, batch.indices, batch.indptr[:-1], batch.values[:, None], None, pre_hidden)
+        pre_hidden = np.empty((len(batch), state.config.hidden_dim), dtype)
+        factors = batch.values.astype(dtype, copy=False)[:, None]
+        _gather_range(state.w_in.T, batch.indices, batch.indptr[:-1], factors, None, pre_hidden)
         pre_hidden += state.b_in
         dense = None
     else:
         # dense enough that one matrix product over the dense rows is cheaper;
         # backward reuses the dense rows
-        dense = batch.to_dense()
+        dense = batch.to_dense(dtype)
         pre_hidden = dense @ state.w_in.T + state.b_in
     hidden = _activate(state.config, pre_hidden)
     mask = _dropout_mask(state.config, hidden, rng, masks)
@@ -426,16 +444,18 @@ def backward(
     batch trace, given upstream (n, embed) gradients on the embeddings
     (contrastive path) and/or (n, C) gradients on the logits (classification
     path). The gradients are written into one new flat buffer laid out as
-    the state's (``ParameterGradients``), each product and sum straight into
-    its view."""
+    the state's and of its dtype (``ParameterGradients``), each product and
+    sum straight into its view; the upstream gradients are taken in that
+    dtype."""
     cfg = state.config
+    dtype = state.flat.dtype
     if trace.embedding.ndim != 2:
         raise ValueError("backward needs a batch trace from forward_batch")
     n = trace.embedding.shape[0]
     if grad_embedding is None:
-        d_embedding = np.zeros((n, cfg.embed_dim))
+        d_embedding = np.zeros((n, cfg.embed_dim), dtype)
     else:
-        d_embedding = np.asarray(grad_embedding, dtype=np.float64)
+        d_embedding = np.asarray(grad_embedding, dtype=dtype)
     if d_embedding.shape != (n, cfg.embed_dim):
         raise ValueError(f"grad_embedding shape {d_embedding.shape} != ({n}, {cfg.embed_dim})")
     grads = ParameterGradients._on_buffer(np.empty_like(state.flat), state.shapes)
@@ -443,7 +463,7 @@ def backward(
         grads.w_clf.fill(0.0)
         grads.b_clf.fill(0.0)
     else:
-        d_logits = np.asarray(grad_logits, dtype=np.float64)
+        d_logits = np.asarray(grad_logits, dtype=dtype)
         if d_logits.shape != (n, cfg.num_classes):
             raise ValueError(f"grad_logits shape {d_logits.shape} != ({n}, {cfg.num_classes})")
         np.matmul(d_logits.T, trace.embedding, out=grads.w_clf)
@@ -455,7 +475,7 @@ def backward(
         d_pre = d_hidden * (1.0 - trace.hidden**2)
     else:
         d_pre = d_hidden * (trace.pre_hidden > 0.0)
-    np.matmul(d_pre.T, trace.inputs.to_dense() if trace.dense is None else trace.dense, out=grads.w_in)
+    np.matmul(d_pre.T, trace.inputs.to_dense(dtype) if trace.dense is None else trace.dense, out=grads.w_in)
     np.add.reduce(d_pre, axis=0, out=grads.b_in)
     np.matmul(d_embedding.T, trace.hidden * trace.mask, out=grads.w_emb)
     np.add.reduce(d_embedding, axis=0, out=grads.b_emb)
@@ -529,7 +549,9 @@ def save_checkpoint(state: EncoderState, path) -> None:
     """Write the checkpoint JSON to ``path`` in chunks and its packed copy
     beside it, keyed by the SHA-256 of the bytes written. A NaN or inf
     parameter is a CheckpointError naming it, raised before any byte is
-    written, so an older checkpoint and its copy stay as they were."""
+    written, so an older checkpoint and its copy stay as they were. A
+    float32 state is written as its exact float64 upcast."""
+    state = state.astype(np.float64)
     for name, view in state.param_items():
         finite_array(view, view.shape, f"parameter {name}", path)
     digest = copies.write_hashed(path, _checkpoint_chunks(state))
@@ -552,7 +574,8 @@ def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState
     """The EncoderState of a checkpoint payload, each value of its field's
     kind (``data.check_kind``, nothing converted); CheckpointError otherwise.
     ``params`` maps each name to its nested lists, or is a packed copy's
-    flat float64 array, which becomes the state's buffer as it is."""
+    flat array (float64 from a model copy, float32 from a trainer
+    checkpoint), which becomes the state's buffer as it is."""
     if not isinstance(payload, dict) or payload.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointError(f"{source}: wrong or missing format marker")
     if payload.get("version") != _CHECKPOINT_VERSION:

@@ -5,6 +5,10 @@ parameter gradients of the combined objective (binary cross entropy plus
 alpha times the contrastive loss) against central finite differences of the
 same objective. The finite-difference side only ever re-evaluates the loss;
 it never calls the backward pass, so the two sides stay independent.
+
+The check runs in float64. The ``Trainer`` runs the same functions in
+float32, so each report also gives the gap between the analytic gradients
+of the two dtypes at the same parameters (``float32_gap``).
 """
 from __future__ import annotations
 
@@ -22,6 +26,8 @@ __all__ = [
     "GradCheckReport",
     "duplicated_views",
     "finite_difference_gradients",
+    "float32_gap",
+    "gradcheck_suite_problems",
     "gradient_check",
     "random_gradcheck_problem",
     "random_views",
@@ -36,6 +42,9 @@ class GradCheckReport:
     num_params: int
     passed: bool
     per_param: dict[str, float]
+    # the largest relative gap between the float32 and float64 analytic
+    # gradients at the float32 rounding of the parameters
+    float32_gap: float
 
 
 def finite_difference_gradients(
@@ -57,6 +66,26 @@ def finite_difference_gradients(
     return grads
 
 
+def _relative_errors(a: np.ndarray, b: np.ndarray, rel_tol: float, abs_floor: float) -> np.ndarray:
+    """|a - b| over max(|a|, |b|, abs_floor / rel_tol), entrywise; inf where
+    either side is NaN or inf (inf - inf and inf / inf would give NaN)."""
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), abs_floor / rel_tol)
+        return np.where(np.isfinite(a) & np.isfinite(b), np.abs(a - b) / scale, np.inf)
+
+
+def float32_gap(state: EncoderState, views, masks, alpha, tau1, variant="dcl", rel_tol=1e-4, abs_floor=1e-7) -> float:
+    """The largest relative gap (scaled as in ``gradient_check``) between the
+    analytic gradients of float32 and of float64 arithmetic, both at the
+    float32 rounding of ``state``'s parameters and with ``masks`` rounded
+    to float32 on the float32 side, as a ``Trainer`` step rounds them."""
+    low = state.astype(np.float32)
+    grads32 = batch_gradients(low, views, alpha, tau1, variant, masks=masks)[3]
+    grads64 = batch_gradients(low.astype(np.float64), views, alpha, tau1, variant, masks=masks)[3]
+    gaps = _relative_errors(grads32.flat.astype(np.float64), grads64.flat, rel_tol, abs_floor)
+    return float(gaps.max()) if gaps.size else 0.0
+
+
 def gradient_check(
     state: EncoderState,
     views,
@@ -74,7 +103,8 @@ def gradient_check(
     with scale = max(|analytic|, |numeric|). Reports the worst relative error
     (measured against that tolerance structure). A NaN or infinite entry on
     either side fails, with relative error inf, so the first parameter that
-    holds one is the worst."""
+    holds one is the worst. The report's ``float32_gap`` is ``float32_gap``
+    of the same problem."""
     _, _, _, analytic, _ = batch_gradients(state, views, alpha, tau1, variant, masks=masks)
     numeric = finite_difference_gradients(state, views, masks, alpha, tau1, variant, step=step)
 
@@ -85,22 +115,20 @@ def gradient_check(
     passed = True
     for name, a in analytic.param_items():
         n = getattr(numeric, name)
-        # every comparison with NaN is false, so a non-finite entry's error
-        # is set to inf (inf - inf and inf / inf would give NaN)
-        with np.errstate(invalid="ignore"):
-            diff = np.abs(a - n)
-            scale = np.maximum(np.maximum(np.abs(a), np.abs(n)), abs_floor / rel_tol)
-            rel = np.where(np.isfinite(a) & np.isfinite(n), diff / scale, np.inf)
+        rel = _relative_errors(a, n, rel_tol, abs_floor)
         param_max = float(rel.max()) if rel.size else 0.0
         per_param[name] = param_max
         total += a.size
         if param_max > max_rel:
             max_rel = param_max
             worst = name
-        if param_max == np.inf or np.any(diff > abs_floor + rel_tol * np.maximum(np.abs(a), np.abs(n))):
+        with np.errstate(invalid="ignore"):
+            failing = np.abs(a - n) > abs_floor + rel_tol * np.maximum(np.abs(a), np.abs(n))
+        if param_max == np.inf or failing.any():
             passed = False
     return GradCheckReport(
-        max_rel_error=max_rel, worst_param=worst, num_params=total, passed=passed, per_param=per_param
+        max_rel_error=max_rel, worst_param=worst, num_params=total, passed=passed, per_param=per_param,
+        float32_gap=float32_gap(state, views, masks, alpha, tau1, variant, rel_tol, abs_floor),
     )
 
 
@@ -173,10 +201,13 @@ def random_gradcheck_problem(seed: int, variant: str = "dcl"):
     return state, views, masks, alpha, tau1, variant
 
 
+def gradcheck_suite_problems(num_configs: int = 20, seed: int = 0):
+    """The problems ``run_gradcheck_suite`` checks: ``random_gradcheck_problem``
+    of seeds ``seed``, ``seed + 1``, ..., cycling through the variants."""
+    for i in range(num_configs):
+        yield random_gradcheck_problem(seed + i, variant=CONTRASTIVE_VARIANTS[i % len(CONTRASTIVE_VARIANTS)])
+
+
 def run_gradcheck_suite(num_configs: int = 20, seed: int = 0, step: float = 1e-5):
     """Gradient-check many random configurations; returns the list of reports."""
-    reports = []
-    for i in range(num_configs):
-        problem = random_gradcheck_problem(seed + i, variant=CONTRASTIVE_VARIANTS[i % len(CONTRASTIVE_VARIANTS)])
-        reports.append(gradient_check(*problem, step=step))
-    return reports
+    return [gradient_check(*problem, step=step) for problem in gradcheck_suite_problems(num_configs, seed)]

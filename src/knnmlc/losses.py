@@ -19,8 +19,13 @@ their overlap equals both positive counts. Every label-derived quantity
 depends on the samples alone, so these are formed once on the (N, N) grid of
 samples and broadcast over the four (N, N) blocks of the (2N, 2N) view grid.
 
+Every array follows the dtype of its input (``mathops.work_dtype``): the
+training step runs them in float32, the gradient check in float64. Only the
+loss scalars are summed in float64 whatever the dtype, and BCE's log terms
+are formed in float64, where its clamp 1 - 1e-12 is not 1.0.
+
 ``contrastive_loss_from_similarities`` makes one pass of each kind over two
-(2N, 2N) float64 arrays, in place: the weights' logs, the masked softmax
+(2N, 2N) arrays, in place: the weights' logs, the masked softmax
 (the diagonal set to -inf, so exp gives it exactly 0) and then the gradient,
 which is returned in the first array. The similarities may be the second
 array itself. A caller that runs many steps of one batch size passes the
@@ -41,6 +46,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mathops import work_dtype
+
 __all__ = [
     "CONTRASTIVE_VARIANTS",
     "bce_loss",
@@ -57,15 +64,19 @@ def bce_loss(y_hat, y):
     """Binary cross entropy summed over classes (not averaged).
 
     Returns (loss, gradient with respect to the pre-sigmoid logits), the
-    gradient being the fused stable form y_hat - y. Probabilities are clamped
-    to [eps, 1-eps] inside the log only.
+    gradient being the fused stable form y_hat - y in ``y_hat``'s
+    ``work_dtype``. Probabilities are clamped to [eps, 1-eps] inside the log
+    only, and the loss is formed in float64.
     """
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    dtype = work_dtype(y_hat)
+    y_hat = np.asarray(y_hat, dtype=dtype)
+    y = np.asarray(y, dtype=dtype)
     if y_hat.shape != y.shape:
         raise ValueError(f"shape mismatch: predictions {y_hat.shape} vs labels {y.shape}")
-    p = y_hat.clip(_BCE_EPS, 1.0 - _BCE_EPS)
-    loss = -float(np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=None))
+    # float64 whatever the dtype: in float32, 1 - 1e-12 is 1.0 and log(1 - p) -inf
+    p = y_hat.astype(np.float64, copy=False).clip(_BCE_EPS, 1.0 - _BCE_EPS)
+    t = y.astype(np.float64, copy=False)
+    loss = -float(np.add.reduce(t * np.log(p) + (1.0 - t) * np.log(1.0 - p), axis=None))
     return loss, y_hat - y
 
 
@@ -88,8 +99,10 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
     any other value is a ValueError naming it. A pair with an all-zero label
     row gets l_ij = 0.
 
-    ``workspace`` is an optional pair of C-contiguous (2N, 2N) float64
-    arrays that the call overwrites; the returned gradient is the first.
+    Every array is of the similarities' ``work_dtype``, and the loss is
+    summed in float64. ``workspace`` is an optional pair of C-contiguous
+    (2N, 2N) arrays of that dtype that the call overwrites; the returned
+    gradient is the first.
     ``sims`` may be the second (scl and wscl overwrite it with the
     positives' product), never the first. Without a workspace the call
     allocates both, so its gradient is its own.
@@ -98,7 +111,8 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
         raise ValueError(f"variant must be one of {CONTRASTIVE_VARIANTS}, got {variant!r}")
     if tau1 <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau1}")
-    s = np.asarray(sims, dtype=np.float64)
+    dtype = work_dtype(sims)
+    s = np.asarray(sims, dtype=dtype)
     labels = np.asarray(labels)
     n2 = s.shape[0]
     if s.shape != (n2, n2) or n2 < 2 or n2 % 2 != 0:
@@ -110,12 +124,12 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
     if bad.size:
         raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
     rows = np.arange(n2)
-    z, pair = (np.empty((n2, n2)), np.empty((n2, n2))) if workspace is None else workspace
+    z, pair = (np.empty((n2, n2), dtype), np.empty((n2, n2), dtype)) if workspace is None else workspace
     # the four (N, N) view blocks: z4[a, i, b, j] is z[aN + i, bN + j]
     z4 = z.reshape(2, n, 2, n)
     np.divide(s, tau1, out=z)
     if variant != "ucl":
-        y = labels.astype(np.float64)
+        y = labels.astype(dtype)
         counts = y.sum(axis=1)
         # shared positive labels of each pair of samples, exact integers; the
         # contiguous copy of y.T makes this a gemm, several times faster than y @ y.T
@@ -129,7 +143,7 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
         # per view: every view of an identical sample but the view itself
         num_positive = 2 * np.count_nonzero(positive, axis=1) - 1
         # as 0.0/1.0, which is what a product with the bool mask casts it to
-        positive = positive.astype(np.float64)
+        positive = positive.astype(dtype)
     if variant in ("dcl", "wscl"):
         # log w_ij = log(2 - l_ij), l_ij = overlap / max(count_i, count_j, 1)
         larger = np.maximum(counts, 1.0)
@@ -163,9 +177,10 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
         # positive * c, which is +0.0 off the positives (c finite and > 0),
         # gives the bits of subtracting c on the positives alone, without a
         # masked ufunc; the diagonal is reset below
-        z4 -= (positive * (1.0 / (num_positive * tau1))[:, None])[None, :, None, :]
+        share = (1.0 / (num_positive * tau1)).astype(dtype)
+        z4 -= (positive * share[:, None])[None, :, None, :]
     z[rows, rows] = 0.0
-    loss = float(np.add.reduce(log_denom - mean_positive / tau1))
+    loss = float(np.add.reduce(log_denom - mean_positive / tau1, dtype=np.float64))
     return loss, z
 
 
@@ -179,12 +194,13 @@ def contrastive_embedding_grads(
     (``mathops.unit_rows`` of the (2N, d) embeddings and the unclipped
     cosine matrix ``unit @ unit.T``), so a training step forms them once.
     Both (i, j) and (j, i) entries flow into h_i because the similarity
-    matrix is symmetric in the embeddings. ``out`` is an optional
-    C-contiguous (2N, 2N) float64 array, neither ``cos`` nor ``grad_sims``,
+    matrix is symmetric in the embeddings. Every array is of
+    ``grad_sims``' ``work_dtype``. ``out`` is an optional C-contiguous
+    (2N, 2N) array of that dtype, neither ``cos`` nor ``grad_sims``,
     that the call overwrites with its (2N, 2N) terms; without it the call
     allocates one. The returned (2N, d) gradient is its own either way.
     """
-    g = np.asarray(grad_sims, dtype=np.float64)
+    g = np.asarray(grad_sims, dtype=work_dtype(grad_sims))
     m = np.add(g, g.T, out=out)
     # the diagonal, as np.fill_diagonal sets it, without its checks
     m.flat[:: m.shape[0] + 1] = 0.0

@@ -1,8 +1,10 @@
 """Shared deterministic numerics: row norms and unit rows, temperature
 softmax, stable sigmoid, and seeded RNG construction.
 
-All arithmetic is done in float64 regardless of input dtype. Functions are
-pure; RNG instances are single-owner and must not be shared across threads.
+``unit_rows`` and ``sigmoid`` keep a float32 input in float32, which is how
+the training step runs (``work_dtype``); every other input, and all of
+``softmax_temp``, is computed in float64. Functions are pure; RNG instances
+are single-owner and must not be shared across threads.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ __all__ = [
     "sigmoid",
     "softmax_temp",
     "unit_rows",
+    "work_dtype",
 ]
 
 
@@ -27,8 +30,15 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def work_dtype(x) -> type:
+    """The dtype arithmetic on ``x`` runs in: float32 for a float32 array,
+    float64 for anything else. Training runs in float32 and the gradient
+    check and inference in float64, through the same functions."""
+    return np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a float64 (n, d) array, each from its
+    """Euclidean norms of the rows of a float (n, d) array, each from its
     own row alone: the arithmetic of ``np.linalg.norm(rows, axis=1)``
     without its Python-level dispatch."""
     return np.sqrt(np.add.reduce(rows * rows, axis=1))
@@ -36,11 +46,12 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 def unit_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     """``(unit, norms)``: the rows of an (n, d) array scaled to unit length,
-    and their Euclidean norms. Every row's result depends on that row alone.
+    and their Euclidean norms, in ``work_dtype``. Every row's result depends
+    on that row alone.
 
     Raises ValueError if any row has zero norm.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.asarray(rows, dtype=work_dtype(rows))
     norms = _row_norms(rows)
     if (norms == 0.0).any():
         raise ValueError("cosine similarity is undefined for zero-norm rows")
@@ -64,12 +75,12 @@ def softmax_temp(scores, tau: float) -> np.ndarray:
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise.
+    """Numerically stable logistic function, elementwise, in ``work_dtype``.
 
     Uses the two-branch form so exp() is only ever called on non-positive
     arguments; safe for |x| well beyond 700.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=work_dtype(x))
     e = np.exp(-np.abs(x))
     # one division: the same quotient 1/denom or e/denom for each entry
     out = np.where(x >= 0, 1.0, e) / (1.0 + e)

@@ -13,6 +13,13 @@ the parameters, and one Adam step over the flat buffers that hold every
 parameter, gradient and moment follows. The state with the best validation
 micro-F1 (classifier-only, threshold 0.5, from the dropout-off pass that
 inference runs) is kept as the result.
+
+The ``Trainer`` trains in float32: its parameters, Adam moments, dropout
+masks, activations, workspaces and gradients (the step's functions follow
+the state's dtype, so the gradient check runs them in float64). The loss
+scalars are summed in float64. Validation, ``best_state`` and ``train`` see
+the exact float64 upcast of a float32 state, so every artifact and all of
+inference stay float64.
 """
 from __future__ import annotations
 
@@ -55,6 +62,7 @@ from .metrics import confusion, micro_prf
 __all__ = [
     "AdamState",
     "NonFiniteLossError",
+    "TRAIN_DTYPE",
     "TrainConfig",
     "Trainer",
     "adam_step",
@@ -66,10 +74,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TRAINER_FORMAT = "knnmlc-trainer"
-_TRAINER_VERSION = 4
+_TRAINER_VERSION = 5
+# the dtype the Trainer trains in
+TRAIN_DTYPE = np.float32
 # a trainer checkpoint's members (docs/formats.md), {name: (dtype, ndim)}: the
 # JSON header, four arrays laid out as ``EncoderState.flat``, the epoch order
-_TRAINER_MEMBERS = {"header": (np.uint8, 1), **dict.fromkeys(("params", "adam_m", "adam_v", "best_params"), (np.float64, 1)),
+_TRAINER_MEMBERS = {"header": (np.uint8, 1), **dict.fromkeys(("params", "adam_m", "adam_v", "best_params"), (TRAIN_DTYPE, 1)),
                     "order": (np.int64, 1)}
 
 
@@ -111,10 +121,10 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """The step count and the first and second moments, each one flat float64
-    buffer laid out as ``EncoderState.flat`` (``_flat_views`` cuts it per
-    parameter), kept as given; ``adam_step`` updates both in place, with two
-    scratch buffers of that size kept across steps."""
+    """The step count and the first and second moments, each one flat buffer
+    laid out as ``EncoderState.flat`` and of its dtype (``_flat_views`` cuts
+    it per parameter), kept as given; ``adam_step`` updates both in place,
+    with two scratch buffers of that size kept across steps."""
 
     m_flat: np.ndarray
     v_flat: np.ndarray
@@ -141,10 +151,11 @@ def adam_step(
     Computes theta -= lr * m_hat / (sqrt(v_hat) + eps) once over the flat
     buffers that hold every parameter, gradient and moment, with the moments
     updated in place and ``adam``'s two scratch buffers, operation for
-    operation as the textbook expression, so the result is bit-identical to
-    a per-tensor update. A parameter or gradient rebound away from its flat
-    buffer, or a moment not of the parameter buffer's shape, is a ValueError
-    naming it, and nothing is updated.
+    operation as the textbook expression in the buffers' dtype, so the
+    result is bit-identical to a per-tensor update. A parameter or gradient
+    rebound away from its flat buffer, or a moment not of the parameter
+    buffer's shape and dtype, is a ValueError naming it, and nothing is
+    updated.
     """
     shapes = state.shapes
     state._check_views("parameter", shapes)
@@ -153,6 +164,8 @@ def adam_step(
     for which, moment in (("m", m), ("v", v)):
         if moment.shape != state.flat.shape:
             raise ValueError(f"Adam {which} shape {moment.shape} != parameter buffer shape {state.flat.shape}")
+        if moment.dtype != state.flat.dtype:
+            raise ValueError(f"Adam {which} dtype {moment.dtype} != parameter buffer dtype {state.flat.dtype}")
     b1, b2 = betas
     adam.step += 1
     t = adam.step
@@ -196,13 +209,13 @@ def _batch_losses(trace, views, tau1, variant, workspace=None):
     logits and on the similarities, the cosine pieces (unit rows, norms,
     unclipped cosine matrix) that the embedding gradient reuses, and the
     (2N, 2N) array the loss is done with, free for that gradient.
-    ``workspace`` is an optional triple of (2N, 2N) float64 arrays, as
-    ``batch_gradients`` takes it; without it three are allocated."""
+    ``workspace`` is an optional triple of (2N, 2N) arrays of the trace's
+    dtype, as ``batch_gradients`` takes it; without it three are allocated."""
     sample_labels = _sample_labels(views)
     bce, logit_grads = bce_loss(sigmoid(trace.logits), views.labels)
     unit, norms = unit_rows(trace.embedding)
     n2 = len(unit)
-    grad, sims, cos = (np.empty((n2, n2)) for _ in range(3)) if workspace is None else workspace
+    grad, sims, cos = (np.empty((n2, n2), unit.dtype) for _ in range(3)) if workspace is None else workspace
     # a general product (gemm) of a contiguous copy: unit @ unit.T goes to
     # syrk plus a triangle copy, about 4x slower at 2N = 256. The two give
     # the same bits at the shipped batch shapes, not at every shape
@@ -233,12 +246,14 @@ def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng
     from the first's, is a ValueError naming the first such row; the features
     are not compared.
 
-    Returns (bce, con, total, grads, masks_used) with masks_used (2N, hidden).
-    ``workspace`` is an optional triple of C-contiguous (2N, 2N) float64
-    arrays that the call overwrites: the first ends up holding the
-    similarity gradient, the second the clipped similarities and then the
-    embedding gradient's (2N, 2N) terms, the third the cosines. Without it
-    the call allocates three. Nothing returned lives in them.
+    Everything runs in the dtype of the state's buffer; the three losses are
+    float64 scalars. Returns (bce, con, total, grads, masks_used) with
+    masks_used (2N, hidden). ``workspace`` is an optional triple of
+    C-contiguous (2N, 2N) arrays of that dtype that the call overwrites: the
+    first ends up holding the similarity gradient, the second the clipped
+    similarities and then the embedding gradient's (2N, 2N) terms, the third
+    the cosines. Without it the call allocates three. Nothing returned lives
+    in them.
     """
     trace = forward_batch(state, views, rng=rng, masks=masks)
     bce, con, logit_grads, grad_sims, cosine, spare = _batch_losses(trace, views, tau1, variant, workspace)
@@ -264,6 +279,12 @@ class Trainer:
     (epoch shuffle, then one (2N, hidden) mask block per step, the same stream
     as one mask per view), so equal seeds give bit-identical trajectories and
     a saved checkpoint resumes exactly where it left off.
+
+    The given state is rounded to float32 (``TRAIN_DTYPE``; a float32 state
+    is trained in place), and every step runs in float32. Validation and
+    ``best_state`` use the exact float64 upcast, so the selected model and
+    every artifact made from it are float64; validation forms it in one
+    float64 buffer kept across validations.
 
     The training and validation sets are PackedSamples (as
     ``data.load_packed`` reads them); an empty or None validation set means
@@ -294,9 +315,12 @@ class Trainer:
                     "%d of %d training samples have no positive label; the contrastive loss gives their pairs "
                     "label similarity 0", empty, len(self.train_set),
                 )
-        self.state = state
+        self.state = state = state.astype(TRAIN_DTYPE)
         self.cfg = cfg
         self.adam = AdamState.zeros_like(state)
+        # validation runs on the float64 upcast, formed in this one buffer:
+        # a fresh one per validation moved the process's peak RSS
+        self._upcast = state.astype(np.float64)
         self.rng = make_rng(cfg.seed)
         self.iteration = 0
         self.history: list[dict] = []
@@ -306,7 +330,7 @@ class Trainer:
         self._best_f1 = -1.0
         self._best_iteration = 0
         n2 = 2 * min(cfg.batch_size, len(self.train_set))
-        self._workspace = tuple(np.empty((n2, n2)) for _ in range(3))
+        self._workspace = tuple(np.empty((n2, n2), TRAIN_DTYPE) for _ in range(3))
 
     @property
     def eval_interval(self) -> int:
@@ -327,7 +351,8 @@ class Trainer:
         return rows
 
     def _validate(self) -> float:
-        f1 = classifier_micro_f1(self.state, self.valid_set)
+        np.copyto(self._upcast.flat, self.state.flat)
+        f1 = classifier_micro_f1(self._upcast, self.valid_set)
         if f1 > self._best_f1:
             self._best_f1 = f1
             self._best_state = self.state.copy()
@@ -376,11 +401,10 @@ class Trainer:
         return self.history
 
     def best_state(self) -> EncoderState:
-        """State with the best validation micro-F1; the current state when no
-        validation ever ran."""
-        if self._best_state is None:
-            return self.state
-        return self._best_state
+        """The exact float64 upcast of the state with the best validation
+        micro-F1, or of the current state when no validation ever ran; a new
+        state on each call."""
+        return (self.state if self._best_state is None else self._best_state).astype(np.float64)
 
     @property
     def best_validation_f1(self) -> float | None:
@@ -398,7 +422,7 @@ class Trainer:
             "adam_step": self.adam.step, "rng_state": self.rng.bit_generator.state,
             "best_micro_f1": self._best_f1, "best_iteration": self._best_iteration, "history": self.history,
         }
-        best = np.empty(0) if self._best_state is None else self._best_state.flat
+        best = np.empty(0, TRAIN_DTYPE) if self._best_state is None else self._best_state.flat
         copies.write_archive(path, {
             "header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8), "params": self.state.flat,
             "adam_m": self.adam.m_flat, "adam_v": self.adam.v_flat, "best_params": best, "order": self._order,
@@ -409,8 +433,9 @@ class Trainer:
         """The trainer ``save_checkpoint`` wrote, resuming exactly where it
         stopped, with the loaded members as its buffers. A file that is not
         such an archive (``copies.read_archive``), a misshapen, non-finite
-        or wrong-kind (``data.check_kind``) field, and an epoch order or
-        cursor that does not fit ``train_samples`` raise CheckpointError."""
+        or wrong-kind (``data.check_kind``) field, counters that disagree
+        (``_check_counters``), and an epoch order or cursor that does not
+        fit ``train_samples`` raise CheckpointError."""
         try:
             arrays = copies.read_archive(path, _TRAINER_MEMBERS)
             header = json.loads(arrays["header"].tobytes())
@@ -445,6 +470,7 @@ class Trainer:
             rng = make_rng(0)
             rng.bit_generator.state = header["rng_state"]
             history = list(header["history"])
+            _check_counters(path, header["iteration"], header["adam_step"], header["best_iteration"], len(history))
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, CheckpointError):
                 raise
@@ -466,8 +492,25 @@ class Trainer:
         return trainer
 
 
+def _check_counters(path, iteration: int, adam_step: int, best_iteration: int, records: int) -> None:
+    """CheckpointError naming the first of a trainer checkpoint's counters
+    that disagrees with the others: every step takes one Adam step and
+    appends one history record, and the best state was reached at a step
+    already taken, so ``adam_step == iteration >= 0``, ``0 <=
+    best_iteration <= iteration`` and ``records == iteration``."""
+    if iteration < 0:
+        raise CheckpointError(f"{path}: iteration {iteration} is negative")
+    if adam_step != iteration:
+        raise CheckpointError(f"{path}: adam_step {adam_step} != iteration {iteration}; each step takes one Adam step")
+    if not 0 <= best_iteration <= iteration:
+        raise CheckpointError(f"{path}: best_iteration {best_iteration} does not lie in [0, iteration {iteration}]")
+    if records != iteration:
+        raise CheckpointError(f"{path}: history holds {records} records, expected one per iteration ({iteration})")
+
+
 def train(train_samples, valid_samples, encoder_config: EncoderConfig, cfg: TrainConfig):
-    """Train from a fresh seeded initialization; returns (best_state, history)."""
+    """Train from a fresh seeded initialization; returns (best_state, history),
+    the state float64 (``Trainer.best_state``)."""
     state = init_state(encoder_config, seed=cfg.seed)
     trainer = Trainer(train_samples, valid_samples, state, cfg)
     history = trainer.run()

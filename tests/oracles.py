@@ -57,7 +57,7 @@ from knnmlc.losses import (
     contrastive_loss_from_similarities,
     total_loss,
 )
-from knnmlc.mathops import make_rng, sigmoid, unit_rows
+from knnmlc.mathops import make_rng, sigmoid, unit_rows, work_dtype
 
 logger = logging.getLogger(__name__)
 
@@ -276,15 +276,19 @@ def per_view_contrastive_loss(sims, labels, tau1: float, variant: str = "dcl", w
     temperatures cannot overflow. Labels must be 0/1; any other value is a
     ValueError naming it.
 
-    ``workspace`` is an optional pair of (2N, 2N) float64 arrays that the
-    call overwrites, neither of them ``sims``; the returned gradient is the
-    first. Without it the call allocates both, so its gradient is its own.
+    Like the package's pass, it runs in the similarities' ``work_dtype``
+    (float32 in a ``Trainer`` step) and sums the loss in float64.
+    ``workspace`` is an optional pair of (2N, 2N) arrays of that dtype that
+    the call overwrites, neither of them ``sims``; the returned gradient is
+    the first. Without it the call allocates both, so its gradient is its
+    own.
     """
     if variant not in CONTRASTIVE_VARIANTS:
         raise ValueError(f"variant must be one of {CONTRASTIVE_VARIANTS}, got {variant!r}")
     if tau1 <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau1}")
-    s = np.asarray(sims, dtype=np.float64)
+    dtype = work_dtype(sims)
+    s = np.asarray(sims, dtype=dtype)
     labels = np.asarray(labels)
     n2 = s.shape[0]
     if s.shape != (n2, n2) or n2 < 2 or n2 % 2 != 0:
@@ -296,9 +300,9 @@ def per_view_contrastive_loss(sims, labels, tau1: float, variant: str = "dcl", w
         raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
     rows = np.arange(n2)
     partners = (rows + n2 // 2) % n2
-    z, pair = (np.empty((n2, n2)), np.empty((n2, n2))) if workspace is None else workspace
+    z, pair = (np.empty((n2, n2), dtype), np.empty((n2, n2), dtype)) if workspace is None else workspace
     if variant != "ucl":
-        y = labels.astype(np.float64)
+        y = labels.astype(dtype)
         counts = y.sum(axis=1)
         # shared positive labels of each pair, exact integers; the contiguous
         # copy of y.T makes this a gemm, several times faster than y @ y.T
@@ -341,9 +345,9 @@ def per_view_contrastive_loss(sims, labels, tau1: float, variant: str = "dcl", w
         num_positive = np.count_nonzero(positive, axis=1)
         np.multiply(positive, s, out=pair)
         mean_positive = pair.sum(axis=1) / num_positive
-        np.subtract(z, (1.0 / (num_positive * tau1))[:, None], out=z, where=positive)
+        np.subtract(z, (1.0 / (num_positive * tau1)).astype(dtype)[:, None], out=z, where=positive)
     z[rows, rows] = 0.0
-    loss = float(np.add.reduce(log_denom - mean_positive / tau1))
+    loss = float(np.add.reduce(log_denom - mean_positive / tau1, dtype=np.float64))
     return loss, z
 
 

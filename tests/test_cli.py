@@ -145,11 +145,17 @@ class TestPipeline:
         assert set(gen_data["timings"]) == {"run_s", "save_s"}
         assert all(isinstance(v, float) and v >= 0.0 for v in gen_data["timings"].values())
         assert gen_data["environment"] == environment
+        # the budget in passes over the training split, and the dtype trained in
+        train = SMALL_CONFIG["train"]
+        rows = SMALL_CONFIG["dataset"]["train_size"]
+        assert manifest["epochs"] == iterations * min(train["batch_size"], rows) / rows
+        assert manifest["train_dtype"] == "float32"
         # and docs/formats.md names every key
         formats = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
         for section, keys in (("timings", timings), ("environment", environment)):
             for key in keys:
                 assert f"`{section}.{key}`" in formats
+        assert "| `epochs`" in formats and "| `train_dtype`" in formats
 
     def test_store_predict_and_eval_manifests_record_stage_timings_and_environment(self, pipeline_artifacts, tmp_path):
         a = pipeline_artifacts
@@ -616,7 +622,7 @@ class TestGradcheckCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out
-        assert "max relative error" in out
+        assert "max relative error" in out and "max float32 gap" in out
 
     def test_fixed_dims(self, capsys):
         code = main(["--seed", "5", "gradcheck", "--dims", "8,5,4,3,4"])
@@ -646,8 +652,8 @@ class TestGradcheckCommand:
         # the report of the rows and masks gradcheck.random_views draws for these dims
         assert main(["--seed", "0", "gradcheck", "--dims", "7,5,3,4,3"]) == EXIT_OK
         assert capsys.readouterr().out == (
-            "config   0: pass  max_rel_error=1.238e-08 worst=b_in params=74\n"
-            "PASS: 1 configurations, max relative error 1.238e-08\n"
+            "config   0: pass  max_rel_error=1.238e-08 float32_gap=2.909e-06 worst=b_in params=74\n"
+            "PASS: 1 configurations, max relative error 1.238e-08, max float32 gap 2.909e-06\n"
         )
 
 

@@ -247,7 +247,8 @@ class TestGroupBound:
     """The k-th similarity bounded by strided group maxima: the same bits as
     the full-partition oracle (``oracles._retrieve_topk``)."""
 
-    @settings(max_examples=60, deadline=None)
+    # print_blob: a failure prints the @reproduce_failure blob that replays it
+    @settings(max_examples=60, deadline=None, print_blob=True)
     @given(
         seed=st.integers(0, 2**20),
         k_base=st.sampled_from([1, 2, 3, 7]),

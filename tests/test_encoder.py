@@ -178,6 +178,22 @@ class TestBackward:
         report = gradient_check(*random_gradcheck_problem(21), step=np.nan)
         assert report.passed is False and report.max_rel_error == np.inf
 
+    # the largest float32-vs-float64 gap over the 20 problems of the default
+    # suite measured 2.007e-04 (OpenBLAS 0.3.31, SkylakeX kernel); the bound
+    # leaves a margin of more than 10x
+    FLOAT32_GAP_BOUND = 2.5e-3
+
+    def test_the_float32_analytic_gradients_stay_near_the_float64_ones_on_the_suite_problems(self):
+        # the Trainer runs the checked float64 code in float32: on every
+        # problem of run_gradcheck_suite, its gradients keep within the bound
+        # of float64 ones at the same parameters, scaled as gradient_check
+        # scales its errors
+        gaps = [gradcheck.float32_gap(*problem) for problem in gradcheck.gradcheck_suite_problems()]
+        assert len(gaps) == 20
+        assert max(gaps) <= self.FLOAT32_GAP_BOUND, f"float32 gap {max(gaps):.3e}"
+        # and float32 arithmetic did run: no problem's gradients came out exact
+        assert min(gaps) > 0.0
+
 
 def test_inverted_dropout_preserves_expected_embedding():
     # mean over masks of the dropped forward should match the dropout-off

@@ -38,15 +38,15 @@ SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072
 
 
 def assert_views_of(flat, arrays):
-    """Each array is a writable view of ``flat``, back to back in order, and
-    together they cover it."""
-    assert flat.dtype == np.float64 and flat.ndim == 1
+    """Each array is a writable view of the float32 or float64 ``flat``, back
+    to back in order, and together they cover it."""
+    assert flat.dtype in (np.float32, np.float64) and flat.ndim == 1
     assert flat.flags.c_contiguous and flat.flags.writeable
     start = flat.__array_interface__["data"][0]
     offset = 0
     for arr in arrays:
-        assert arr.flags.writeable and arr.flags.c_contiguous
-        assert arr.__array_interface__["data"][0] == start + 8 * offset
+        assert arr.flags.writeable and arr.flags.c_contiguous and arr.dtype == flat.dtype
+        assert arr.__array_interface__["data"][0] == start + flat.itemsize * offset
         assert np.shares_memory(arr, flat)
         offset += arr.size
     assert offset == flat.size
@@ -57,9 +57,10 @@ def assert_flat(owner):
 
 
 def assert_flat_moments(adam, state):
-    """Both moments are writable 1-d C-contiguous float64 buffers laid out as
-    the parameters, apart from each other."""
+    """Both moments are writable 1-d C-contiguous buffers laid out as the
+    parameters and of their dtype, apart from each other."""
     for flat in (adam.m_flat, adam.v_flat):
+        assert flat.dtype == state.flat.dtype
         assert_views_of(flat, _flat_views(flat, state.shapes))
     assert not np.shares_memory(adam.m_flat, adam.v_flat)
 
@@ -209,17 +210,22 @@ class TestViews:
         monkeypatch.setattr(copies, "write_archive", lambda *args: written.append(args[1]) or write_archive(*args))
         monkeypatch.setattr(copies, "read_archive", lambda *args: read.append(read_archive(*args)) or read[-1])
         trainer.save_checkpoint(path)
-        # the flat members are written from the trainer's own buffers
+        # the flat members are written from the trainer's own float32 buffers
         members = written[-1]
-        assert members["params"] is trainer.state.flat and members["best_params"] is trainer.best_state().flat
+        assert members["params"] is trainer.state.flat and members["best_params"] is trainer._best_state.flat
         assert members["adam_m"] is trainer.adam.m_flat and members["adam_v"] is trainer.adam.v_flat
+        assert {members[name].dtype for name in ("params", "best_params", "adam_m", "adam_v")} == {np.dtype(np.float32)}
         loaded = Trainer.load_checkpoint(path, train_s, valid_s)
         # and read back as the loaded trainer's buffers, no copies
         arrays = read[-1]
-        assert loaded.state.flat is arrays["params"] and loaded.best_state().flat is arrays["best_params"]
+        assert loaded.state.flat is arrays["params"] and loaded._best_state.flat is arrays["best_params"]
         assert loaded.adam.m_flat is arrays["adam_m"] and loaded.adam.v_flat is arrays["adam_v"]
         assert_flat(loaded.state)
-        assert_flat(loaded.best_state())
+        assert_flat(loaded._best_state)
+        # the best state leaves the trainer as its exact float64 upcast
+        best = loaded.best_state()
+        assert_flat(best)
+        assert best.flat.dtype == np.float64 and np.array_equal(best.flat, arrays["best_params"])
         assert_flat_moments(loaded.adam, loaded.state)
         assert loaded.adam.step == trainer.adam.step
         assert loaded.adam.m_flat.tobytes() == trainer.adam.m_flat.tobytes()
@@ -260,11 +266,17 @@ def test_gradients_of_other_shapes_are_refused():
     assert short.step == 0 and not short.m_flat.any()
 
 
-def test_a_buffer_that_is_not_flat_float64_is_refused():
+def test_a_buffer_that_is_not_flat_float32_or_float64_is_refused():
     cfg = EncoderConfig(3, 2, 2, 2)
     size = init_state(cfg).flat.size
-    for bad in (np.zeros(size, dtype=np.float32), np.zeros((size, 2))[:, 0], np.zeros(size + 1)):
-        with pytest.raises(ValueError):
+    for dtype in (np.float32, np.float64):
+        flat = np.zeros(size, dtype=dtype)
+        assert_flat(EncoderState.on_buffer(cfg, flat))
+        assert_flat(ParameterGradients._on_buffer(flat, init_state(cfg).shapes))
+    others = [np.zeros(size, dtype=dtype) for dtype in (np.float16, np.longdouble, np.complex128, np.int64, np.int32, bool)]
+    for bad in (*others, np.zeros((size, 2))[:, 0], np.zeros(size + 1), np.zeros(size + 1, dtype=np.float32)):
+        with pytest.raises(ValueError, match="a parameter buffer must be a writable 1-d C-contiguous float32 or float64"
+                                             "|shapes hold"):
             EncoderState.on_buffer(cfg, bad)
     frozen = np.zeros(size)
     frozen.flags.writeable = False

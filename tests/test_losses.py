@@ -142,6 +142,15 @@ class TestBce:
         many, _ = bce_loss(np.full(7, 0.3), np.ones(7))
         assert many == pytest.approx(7 * one, rel=1e-12)
 
+    def test_float32_probabilities_keep_their_dtype_and_clamp_in_float64(self):
+        # in float32, 1 - 1e-12 is 1.0: a clamp there would take log(0)
+        y_hat = np.array([[1.0, 0.0, 0.5, 0.25]], dtype=np.float32)
+        y = np.array([[0, 1, 1, 0]], dtype=np.int8)
+        loss, grad = bce_loss(y_hat, y)
+        want, _ = bce_loss(y_hat.astype(np.float64), y)
+        assert math.isfinite(loss) and loss == want
+        assert grad.dtype == np.float32 and grad.tobytes() == (y_hat - y.astype(np.float32)).tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             bce_loss(np.zeros(3), np.zeros(4))
@@ -399,18 +408,22 @@ class TestInPlacePass:
         variant=st.sampled_from(CONTRASTIVE_VARIANTS),
         label_kind=st.sampled_from(["random", "identical rows", "all-zero rows"]),
         tau1=st.sampled_from([0.02, 0.1, 1.0]),
+        dtype=st.sampled_from([np.float64, np.float32]),
     )
-    def test_bit_identical_to_the_per_view_reference(self, seed, n, num_classes, variant, label_kind, tau1):
+    def test_bit_identical_to_the_per_view_reference(self, seed, n, num_classes, variant, label_kind, tau1, dtype):
         """Label work on the N samples, broadcast over the view blocks, gives
         the bits of the same work on the 2N views; with fresh arrays, with a
         workspace reused from another call, and with the similarities in
-        that workspace's second array, as the training step passes them."""
+        that workspace's second array, as the training step passes them. In
+        float32 (as the Trainer runs it) too."""
         rng = make_rng(seed)
         labels = self._labels(rng, n, num_classes, label_kind)
-        sims = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+        sims = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n)).astype(dtype)
         want = per_view_contrastive_loss(sims, np.vstack([labels, labels]), tau1, variant)
+        assert want[1].dtype == dtype
         workspace = (np.empty_like(sims), np.empty_like(sims))
-        contrastive_loss_from_similarities(rng.uniform(-1.0, 1.0, size=sims.shape), labels, tau1, variant, workspace)
+        other = rng.uniform(-1.0, 1.0, size=sims.shape).astype(dtype)
+        contrastive_loss_from_similarities(other, labels, tau1, variant, workspace)
         for kept, in_second in ((None, False), (workspace, False), (workspace, True)):
             given = sims
             if in_second:

@@ -206,7 +206,10 @@ class TestTrainer:
         for empty in (None, valid_s[:0]):
             trainer = Trainer(train_s, empty, init_state(ecfg, seed=0), cfg)
             trainer.run()
-            assert trainer.best_state() is trainer.state
+            # the trained float32 state, upcast exactly
+            best = trainer.best_state()
+            assert best.flat.dtype == np.float64 and trainer.state.flat.dtype == np.float32
+            assert best.flat.tobytes() == trainer.state.flat.astype(np.float64).tobytes()
 
     def test_best_state_tracks_validation(self):
         (train_s, valid_s, _), dcfg = tiny_data()
@@ -281,7 +284,7 @@ class TestTrainer:
         with open(path, "wb") as fh:
             np.savez(fh, header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8), **arrays)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_an_older_version_header_is_rejected(self, tmp_path, version):
         header, arrays, path, train_s, valid_s = self._saved(tmp_path)
         header["version"] = version
@@ -328,7 +331,7 @@ class TestTrainer:
     HOSTILE = {
         "an object member": r"not a trainer checkpoint container \(member order is missing or unreadable",
         "no adam_v": r"not a trainer checkpoint container \(member adam_v is missing",
-        "a float32 adam_m": r"not a trainer checkpoint container \(member adam_m must be 1-d float64, got 1-d float32",
+        "a float64 adam_m": r"not a trainer checkpoint container \(member adam_m must be 1-d float32, got 1-d float64",
         "a float order": r"not a trainer checkpoint container \(member order must be 1-d int64, got 1-d float64",
         "a nested order": r"not a trainer checkpoint container \(member order must be 1-d int64, got 2-d int64",
         "a best_params of another size": r"malformed trainer checkpoint \(.*best_params \(5, or 0\)",
@@ -341,8 +344,8 @@ class TestTrainer:
             arrays["order"] = np.array([_Tripwire()], dtype=object)
         elif case == "no adam_v":
             del arrays["adam_v"]
-        elif case == "a float32 adam_m":
-            arrays["adam_m"] = arrays["adam_m"].astype(np.float32)
+        elif case == "a float64 adam_m":
+            arrays["adam_m"] = arrays["adam_m"].astype(np.float64)
         elif case == "a float order":
             arrays["order"] = arrays["order"].astype(np.float64)
         elif case == "a nested order":
@@ -416,6 +419,32 @@ class TestTrainer:
             arrays["order"], header["cursor"] = np.empty(0, dtype=np.int64), 8
         self._rewrite(path, header, arrays)
         with pytest.raises(CheckpointError, match=rf"trainer.json: the saved epoch order of \d+ rows .* training set of {size} samples"):
+            Trainer.load_checkpoint(path, train_s, valid_s)
+
+    # each set of counters that disagree (the saved trainer is two steps in,
+    # no validation yet), what is set and the message naming the field
+    COUNTERS = {
+        # failed two steps later as a NonFiniteLossError
+        "adam_step -1": ({"adam_step": -1}, r"adam_step -1 != iteration 2"),
+        # ran past max_iters, leaving more history records than iterations
+        "iteration -3": ({"iteration": -3, "adam_step": -3}, r"iteration -3 is negative"),
+        # silently changed the bias correction
+        "adam_step behind iteration": ({"adam_step": 1}, r"adam_step 1 != iteration 2"),
+        "best_iteration past iteration": ({"best_iteration": 99}, r"best_iteration 99 does not lie in \[0, iteration 2\]"),
+        "negative best_iteration": ({"best_iteration": -1}, r"best_iteration -1 does not lie in \[0, iteration 2\]"),
+        "a history record short": ({"history": "drop"}, r"history holds 1 records, expected one per iteration \(2\)"),
+        "a history record over": ({"iteration": 1, "adam_step": 1}, r"history holds 2 records, expected one per iteration \(1\)"),
+    }
+
+    @pytest.mark.parametrize("case", COUNTERS)
+    def test_counters_that_disagree_are_rejected_at_load_naming_the_field(self, tmp_path, case):
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
+        assert (header["iteration"], header["adam_step"], header["best_iteration"], len(header["history"])) == (2, 2, 0, 2)
+        changes, message = self.COUNTERS[case]
+        for key, value in changes.items():
+            header[key] = header[key][:-1] if value == "drop" else value
+        self._rewrite(path, header, arrays)
+        with pytest.raises(CheckpointError, match=rf"^\S*trainer.json: {message}"):
             Trainer.load_checkpoint(path, train_s, valid_s)
 
     def test_an_empty_epoch_order_resumes(self, tmp_path):
@@ -645,6 +674,8 @@ class TestPerSampleStep:
             got.step()
             oracles.trainer_step(want)
         assert paths == [path] * 25
+        # compared in the dtype the trainer runs
+        assert got.state.flat.dtype == want.state.flat.dtype == np.float32
         assert got.state.flat.tobytes() == want.state.flat.tobytes()
         assert got.adam.m_flat.tobytes() == want.adam.m_flat.tobytes()
         assert got.adam.v_flat.tobytes() == want.adam.v_flat.tobytes()
