@@ -70,6 +70,3 @@ for label, g in groups.items():
 print("\nautomatic frequency groups (descending frequency, near-equal sizes):")
 for g in sorted(by_group):
     print(f"  group {g}: labels {sorted(by_group[g])}")
-
-# explicit boundaries are also supported, e.g. the classic >4500 / >1700 / >870 split
-# for corpus-scale frequency tables: frequency_groups(train.labels, thresholds=[4500, 1700, 870])

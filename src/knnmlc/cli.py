@@ -575,6 +575,8 @@ def _format_report(report: dict) -> str:
 def cmd_eval(args) -> int:
     if args.num_groups < 0:
         raise ConfigError(f"--num-groups must be >= 0, got {args.num_groups}")
+    if args.groups_from and not args.num_groups:
+        raise ConfigError(f"--groups-from {args.groups_from} needs --num-groups >= 1 to report groups")
     if not Path(args.predictions).exists():
         raise FileNotFoundError(f"predictions file not found: {Path(args.predictions)}")
     start = time.perf_counter()

@@ -836,36 +836,17 @@ def label_frequencies(labels: np.ndarray) -> np.ndarray:
     return labels.sum(axis=0, dtype=np.int64)
 
 
-def frequency_groups(labels, num_groups: int = 4, thresholds=None) -> dict[int, int]:
+def frequency_groups(labels, num_groups: int = 4) -> dict[int, int]:
     """Partition labels into frequency groups by their counts in the (n, C)
     0/1 label rows ``labels`` (a split's ``labels``, or ``load_labels``').
 
-    With explicit ``thresholds`` [t0 > t1 > ...]: group 0 holds labels with
-    frequency > t0, group i holds t_{i-1} >= frequency > t_i, and the last
-    group holds frequency <= t_last. Without thresholds, labels are sorted by
-    descending frequency (ties broken by ascending label index) and split into
-    ``num_groups`` near-equal chunks.
+    Labels are sorted by descending frequency (ties broken by ascending label
+    index) and split into ``num_groups`` near-equal chunks; the dict holds
+    them in that order.
     """
     freqs = label_frequencies(labels)
-    num_classes = len(freqs)
-    groups: dict[int, int] = {}
-    if thresholds is not None:
-        ts = list(thresholds)
-        if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
-            raise ValueError("thresholds must be strictly decreasing")
-        for c in range(num_classes):
-            g = 0
-            for t in ts:
-                if freqs[c] > t:
-                    break
-                g += 1
-            groups[c] = g
-        return groups
     if num_groups < 1:
         raise ValueError("num_groups must be >= 1")
-    num_groups = min(num_groups, num_classes)
-    order = sorted(range(num_classes), key=lambda c: (-int(freqs[c]), c))
-    for g, chunk in enumerate(np.array_split(np.asarray(order), num_groups)):
-        for c in chunk:
-            groups[int(c)] = g
-    return groups
+    order = sorted(range(len(freqs)), key=lambda c: (-int(freqs[c]), c))
+    chunks = np.array_split(np.asarray(order), min(num_groups, len(freqs)))
+    return {int(c): g for g, chunk in enumerate(chunks) for c in chunk}

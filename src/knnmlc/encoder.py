@@ -503,45 +503,24 @@ def _payload_header(state: EncoderState) -> dict:
 def _checkpoint_chunks(state: EncoderState):
     """The bytes of the checkpoint JSON (docs/formats.md): ``json.dumps`` of
     the payload dict with each parameter as nested lists of floats in
-    ``float_slots``' fixed form. The parameters go in blocks of whole rows
-    of about ``floatrepr.BLOCK`` values (at least one row; a 1-d parameter
+    ``float_slots``' fixed form. Each parameter goes in blocks of whole rows
+    of at most ``floatrepr.BLOCK`` values (at least one row; a 1-d parameter
     is one row), each block's floats laid out by one
-    ``floatrepr.float_slots`` call over its run of ``state.flat``."""
-    # every block: (name, first row, rows, row length, rows of the parameter, 2-d?)
-    blocks, pending, size = [], [], 0
-    for name, arr in state.param_items():
-        width = arr.shape[-1]
-        count = arr.size // width
-        step = max(1, floatrepr.BLOCK // width)
-        for first in range(0, count, step):
-            rows = min(step, count - first)
-            if pending and size + rows * width > floatrepr.BLOCK:
-                blocks.append(pending)
-                pending, size = [], 0
-            pending.append((name, first, rows, width, count, arr.ndim == 2))
-            size += rows * width
-    blocks.append(pending)
+    ``floatrepr.float_slots`` call."""
     # the header without its closing brace, then the params object
     yield json.dumps(_payload_header(state))[:-1].encode("utf-8") + b', "params": {'
-    start = 0
-    for block in blocks:
-        stop = start + sum(rows * width for _, _, rows, width, _, _ in block)
-        slots = floatrepr.float_slots(state.flat[start:stop])
-        chunks, at = [], 0
-        for name, first, rows, width, count, matrix in block:
-            if first == 0:
-                chunks.append(f'{", " if name != _PARAM_NAMES[0] else ""}"{name}": ['.encode("utf-8"))
-            else:
-                chunks.append(b", ")
-            values = slots[at : at + rows * width].reshape(1, rows, width, floatrepr.SLOT)
-            at += rows * width
+    for name, arr in state.param_items():
+        rows = arr.reshape(-1, arr.shape[-1])
+        count, width = rows.shape
+        step = max(1, floatrepr.BLOCK // width)
+        yield f'{", " if name != _PARAM_NAMES[0] else ""}"{name}": ['.encode("utf-8")
+        for first in range(0, count, step):
+            block = rows[first : first + step]
+            values = floatrepr.float_slots(block.ravel()).reshape(1, len(block), width, floatrepr.SLOT)
             # a 2-d parameter's rows are lists of their own, a 1-d one's one row is not
-            pieces = [(rows, ["[", (width, [values]), "]"])] if matrix else [(width, [values[0]])]
-            chunks.append(floatrepr.lay_out(1, pieces))
-            if first + rows == count:
-                chunks.append(b"]")
-        start = stop
-        yield b"".join(chunks)
+            pieces = [(len(block), ["[", (width, [values]), "]"])] if arr.ndim == 2 else [(width, [values[0]])]
+            yield (b", " if first else b"") + floatrepr.lay_out(1, pieces)
+        yield b"]"
     yield b"}}"
 
 

@@ -74,13 +74,17 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TRAINER_FORMAT = "knnmlc-trainer"
-_TRAINER_VERSION = 5
+_TRAINER_VERSION = 6
 # the dtype the Trainer trains in
 TRAIN_DTYPE = np.float32
 # a trainer checkpoint's members (docs/formats.md), {name: (dtype, ndim)}: the
 # JSON header, four arrays laid out as ``EncoderState.flat``, the epoch order
 _TRAINER_MEMBERS = {"header": (np.uint8, 1), **dict.fromkeys(("params", "adam_m", "adam_v", "best_params"), (TRAIN_DTYPE, 1)),
                     "order": (np.int64, 1)}
+# the header's keys (the history gives the step count, the Adam step and the
+# best validation), and a history record's, sorted; a validated one adds "valid_micro_f1"
+_TRAINER_HEADER = {"format", "version", "config", "encoder", "cursor", "rng_state", "history"}
+_RECORD_KEYS = ["bce", "con", "iteration", "total"]
 
 
 class NonFiniteLossError(ValueError):
@@ -322,15 +326,17 @@ class Trainer:
         # a fresh one per validation moved the process's peak RSS
         self._upcast = state.astype(np.float64)
         self.rng = make_rng(cfg.seed)
-        self.iteration = 0
         self.history: list[dict] = []
         self._order = np.empty(0, dtype=np.int64)
         self._cursor = 0
         self._best_state: EncoderState | None = None
         self._best_f1 = -1.0
-        self._best_iteration = 0
         n2 = 2 * min(cfg.batch_size, len(self.train_set))
         self._workspace = tuple(np.empty((n2, n2), TRAIN_DTYPE) for _ in range(3))
+
+    @property
+    def iteration(self) -> int:
+        return len(self.history)
 
     @property
     def eval_interval(self) -> int:
@@ -356,7 +362,6 @@ class Trainer:
         if f1 > self._best_f1:
             self._best_f1 = f1
             self._best_state = self.state.copy()
-            self._best_iteration = self.iteration
         return f1
 
     def step(self) -> dict:
@@ -377,11 +382,10 @@ class Trainer:
                 f"iteration {self.iteration + 1}: non-finite training loss (bce={bce}, con={con})"
             )
         adam_step(self.state, grads, self.adam, lr=self.cfg.learning_rate)
-        self.iteration += 1
-        record = {"iteration": self.iteration, "bce": bce, "con": con, "total": total}
+        record = {"iteration": self.iteration + 1, "bce": bce, "con": con, "total": total}
+        self.history.append(record)
         if self.valid_set is not None and self.iteration % self.eval_interval == 0:
             record["valid_micro_f1"] = self._validate()
-        self.history.append(record)
         return record
 
     def run(self, num_iters: int | None = None) -> list[dict]:
@@ -418,9 +422,8 @@ class Trainer:
         write leaves a file already at ``path`` as it was."""
         header = {
             "format": _TRAINER_FORMAT, "version": _TRAINER_VERSION, "config": asdict(self.cfg),
-            "encoder": _payload_header(self.state), "iteration": self.iteration, "cursor": self._cursor,
-            "adam_step": self.adam.step, "rng_state": self.rng.bit_generator.state,
-            "best_micro_f1": self._best_f1, "best_iteration": self._best_iteration, "history": self.history,
+            "encoder": _payload_header(self.state), "cursor": self._cursor,
+            "rng_state": self.rng.bit_generator.state, "history": self.history,
         }
         best = np.empty(0, TRAIN_DTYPE) if self._best_state is None else self._best_state.flat
         copies.write_archive(path, {
@@ -431,11 +434,14 @@ class Trainer:
     @classmethod
     def load_checkpoint(cls, path, train_samples, valid_samples) -> "Trainer":
         """The trainer ``save_checkpoint`` wrote, resuming exactly where it
-        stopped, with the loaded members as its buffers. A file that is not
-        such an archive (``copies.read_archive``), a misshapen, non-finite
-        or wrong-kind (``data.check_kind``) field, counters that disagree
-        (``_check_counters``), and an epoch order or cursor that does not
-        fit ``train_samples`` raise CheckpointError."""
+        stopped, with the loaded members as its buffers; the step count and
+        the Adam step are the history's length. A file that is not such an
+        archive (``copies.read_archive``), a header of other keys, a
+        misshapen, non-finite or wrong-kind (``data.check_kind``) field, a
+        bad history (``_history_best_f1``), a ``best_params`` empty although
+        a validation is recorded or held although none is, and an epoch
+        order or cursor that does not fit ``train_samples`` raise
+        CheckpointError."""
         try:
             arrays = copies.read_archive(path, _TRAINER_MEMBERS)
             header = json.loads(arrays["header"].tobytes())
@@ -446,6 +452,8 @@ class Trainer:
             raise CheckpointError(f"{path}: wrong or missing format marker")
         if header.get("version") != _TRAINER_VERSION:
             raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
+        if header.keys() != _TRAINER_HEADER:
+            raise CheckpointError(f"{path}: the header must hold the keys {sorted(_TRAINER_HEADER)}, got {sorted(header)}")
         # read every field before the trainer exists, so that only a bad
         # checkpoint, not bad training data, becomes a CheckpointError
         try:
@@ -464,13 +472,14 @@ class Trainer:
                     raise CheckpointError(f"{path}: Adam {which} has shape {flat.shape}, expected {params.shape}")
                 for name, view in zip(_PARAM_NAMES, _flat_views(flat, state.shapes)):
                     finite_array(view, view.shape, f"Adam {which}[{name}]", path)
-            for key, kind in (("adam_step", "int"), ("iteration", "int"), ("cursor", "int"), ("best_iteration", "int"),
-                              ("best_micro_f1", "float")):
-                check_kind(key, header[key], kind)
+            check_kind("cursor", header["cursor"], "int")
             rng = make_rng(0)
             rng.bit_generator.state = header["rng_state"]
-            history = list(header["history"])
-            _check_counters(path, header["iteration"], header["adam_step"], header["best_iteration"], len(history))
+            history = header["history"]
+            best_f1 = _history_best_f1(history)
+            if (best_f1 >= 0.0) != bool(best_params.size):
+                raise ValueError(f"best_params holds {best_params.size} values, but {'a' if best_f1 >= 0.0 else 'no'} "
+                                 "validation is recorded")
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, CheckpointError):
                 raise
@@ -486,26 +495,34 @@ class Trainer:
                 f"training set of {n} samples: it must be empty or a permutation of range({n}), "
                 "with 0 <= cursor <= its size"
             )
-        trainer.adam, trainer.rng = AdamState(*moments, step=header["adam_step"]), rng
-        trainer.iteration, trainer.history, trainer._order, trainer._cursor = header["iteration"], history, order, cursor
-        trainer._best_f1, trainer._best_iteration, trainer._best_state = header["best_micro_f1"], header["best_iteration"], best_state
+        trainer.adam, trainer.rng = AdamState(*moments, step=len(history)), rng
+        trainer.history, trainer._order, trainer._cursor = history, order, cursor
+        trainer._best_f1, trainer._best_state = best_f1, best_state
         return trainer
 
 
-def _check_counters(path, iteration: int, adam_step: int, best_iteration: int, records: int) -> None:
-    """CheckpointError naming the first of a trainer checkpoint's counters
-    that disagrees with the others: every step takes one Adam step and
-    appends one history record, and the best state was reached at a step
-    already taken, so ``adam_step == iteration >= 0``, ``0 <=
-    best_iteration <= iteration`` and ``records == iteration``."""
-    if iteration < 0:
-        raise CheckpointError(f"{path}: iteration {iteration} is negative")
-    if adam_step != iteration:
-        raise CheckpointError(f"{path}: adam_step {adam_step} != iteration {iteration}; each step takes one Adam step")
-    if not 0 <= best_iteration <= iteration:
-        raise CheckpointError(f"{path}: best_iteration {best_iteration} does not lie in [0, iteration {iteration}]")
-    if records != iteration:
-        raise CheckpointError(f"{path}: history holds {records} records, expected one per iteration ({iteration})")
+def _history_best_f1(history) -> float:
+    """The largest ``valid_micro_f1`` in a trainer checkpoint's history, -1
+    with none (``_validate`` writes each result into one record). TypeError
+    or ValueError naming the record and field unless record i is an object
+    of ``_RECORD_KEYS`` (and ``valid_micro_f1``) with ``"iteration": i + 1``,
+    finite losses and an F1 in [0, 1]."""
+    if not isinstance(history, list):
+        raise TypeError(f"history must be a list of records, got {type(history).__name__}")
+    best = -1.0
+    for i, record in enumerate(history):
+        keys = sorted(record) if isinstance(record, dict) else type(record).__name__
+        if keys not in (_RECORD_KEYS, [*_RECORD_KEYS, "valid_micro_f1"]):
+            raise ValueError(f"history record {i} must be an object of the keys {_RECORD_KEYS} and, once "
+                             f"validated, valid_micro_f1, got {keys}")
+        for key in keys:
+            check_kind(f"history record {i} {key}", record[key], "int" if key == "iteration" else "float")
+        if record["iteration"] != i + 1:
+            raise ValueError(f"history record {i} iteration must be {i + 1} (one record per step), got {record['iteration']}")
+        if not 0.0 <= record.get("valid_micro_f1", 0.0) <= 1.0:
+            raise ValueError(f"history record {i} valid_micro_f1 must lie in [0, 1], got {record['valid_micro_f1']!r}")
+        best = max(best, record.get("valid_micro_f1", best))
+    return best
 
 
 def train(train_samples, valid_samples, encoder_config: EncoderConfig, cfg: TrainConfig):

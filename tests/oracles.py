@@ -385,11 +385,10 @@ def trainer_step(trainer: training.Trainer) -> dict:
     emb_grads = cfg.alpha * contrastive_embedding_grads(unit, norms, cos, grad_sims) if cfg.alpha > 0.0 else None
     grads = encoder.backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
     training.adam_step(state, grads, trainer.adam, lr=cfg.learning_rate)
-    trainer.iteration += 1
-    record = {"iteration": trainer.iteration, "bce": bce, "con": con, "total": total_loss(bce, con, cfg.alpha)}
+    record = {"iteration": trainer.iteration + 1, "bce": bce, "con": con, "total": total_loss(bce, con, cfg.alpha)}
+    trainer.history.append(record)
     if trainer.valid_set is not None and trainer.iteration % trainer.eval_interval == 0:
         record["valid_micro_f1"] = trainer._validate()
-    trainer.history.append(record)
     return record
 
 

@@ -374,6 +374,18 @@ class TestErrorPaths:
         out, err = capsys.readouterr()
         assert "--num-groups must be >= 0, got -1" in err and out == ""
 
+    def test_groups_from_without_a_group_count_fails_by_name(self, pipeline_artifacts, tmp_path, capsys):
+        # without --num-groups there is no group report, so --groups-from would be ignored
+        a = pipeline_artifacts
+        train = str(a["data"] / "train.jsonl")
+        report = tmp_path / "report.json"
+        argv = ["eval", "--predictions", str(a["preds"]), "--gold", str(a["data"] / "test.jsonl"), "--groups-from", train,
+                "--out", str(report)]
+        assert main(argv) == EXIT_FORMAT
+        out, err = capsys.readouterr()
+        assert f"--groups-from {train} needs --num-groups >= 1" in err and out == ""
+        assert not report.exists()
+
     def test_unparseable_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

@@ -609,13 +609,6 @@ def _samples_with_frequencies(freqs):
 
 
 class TestFrequencyGroups:
-    def test_explicit_thresholds_reproduce_reference_grouping(self):
-        # frequencies straddling the 4500/1700/870 boundaries
-        freqs = [5000, 4500, 3000, 1701, 1700, 871, 870, 3]
-        samples = _samples_with_frequencies(freqs)
-        groups = frequency_groups(samples.labels, thresholds=[4500, 1700, 870])
-        assert groups == {0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
-
     def test_single_group(self):
         samples = _samples_with_frequencies([4, 2, 9])
         assert frequency_groups(samples.labels, num_groups=1) == {0: 0, 1: 0, 2: 0}
@@ -641,12 +634,16 @@ class TestFrequencyGroups:
                 if groups[a] < groups[b]:
                     assert freqs[a] >= freqs[b]
 
-    def test_bad_thresholds(self):
-        samples = _samples_with_frequencies([1, 2])
-        with pytest.raises(ValueError):
-            frequency_groups(samples.labels, thresholds=[10, 10])
-
     def test_more_groups_than_labels(self):
         samples = _samples_with_frequencies([3, 1])
         groups = frequency_groups(samples.labels, num_groups=10)
         assert sorted(groups) == [0, 1]
+
+    def test_the_dict_lists_labels_by_descending_frequency(self):
+        # eval's group report lists each group's labels in this order
+        samples = _samples_with_frequencies([1, 5, 3, 5])
+        assert list(frequency_groups(samples.labels, num_groups=2).items()) == [(1, 0), (3, 0), (2, 1), (0, 1)]
+
+    def test_a_group_count_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="num_groups must be >= 1"):
+            frequency_groups(_samples_with_frequencies([1, 2]).labels, num_groups=0)

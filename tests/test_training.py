@@ -1,10 +1,15 @@
 """Adam updates, training determinism, and checkpoint resume."""
 import dataclasses
+import functools
 import json
 import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc import training
@@ -267,12 +272,50 @@ class TestTrainer:
         assert trainer_c.adam.v_flat.tobytes() == trainer_a.adam.v_flat.tobytes()
         assert trainer_c.rng.bit_generator.state == trainer_a.rng.bit_generator.state
 
-    def _saved(self, tmp_path):
-        """A trainer two steps in, saved: its header, its other members,
-        the path and the samples."""
+    # validated at steps 3 and 6 and, closing the run, at step 7
+    RESUME_CFG = TrainConfig(batch_size=8, learning_rate=3e-3, max_iters=7, seed=4, eval_every=3)
+
+    @staticmethod
+    @functools.cache
+    def _uninterrupted():
         (train_s, valid_s, _), dcfg = tiny_data()
-        trainer = Trainer(train_s, valid_s, init_state(tiny_encoder_cfg(dcfg), seed=0), TrainConfig(batch_size=8, max_iters=4))
-        trainer.run(num_iters=2)
+        trainer = Trainer(train_s, valid_s, init_state(tiny_encoder_cfg(dcfg), seed=4), TestTrainer.RESUME_CFG)
+        trainer.run()
+        return trainer, train_s, valid_s, tiny_encoder_cfg(dcfg)
+
+    @settings(max_examples=16, deadline=None)
+    @given(stop=st.integers(0, 7), closed=st.booleans())
+    def test_a_save_at_any_iteration_resumes_to_the_uninterrupted_run(self, stop, closed):
+        # saved before any step, between steps, after the last step, or
+        # (stop 7, closed) after the closing validation too
+        want, train_s, valid_s, ecfg = self._uninterrupted()
+        trainer = Trainer(train_s, valid_s, init_state(ecfg, seed=4), self.RESUME_CFG)
+        if stop == 7 and closed:
+            trainer.run()
+        for _ in range(trainer.iteration, stop):
+            trainer.step()
+        with tempfile.TemporaryDirectory() as tmp:
+            trainer.save_checkpoint(Path(tmp) / "trainer.npz")
+            got = Trainer.load_checkpoint(Path(tmp) / "trainer.npz", train_s, valid_s)
+        assert (got.iteration, got.adam.step, got.history) == (stop, stop, trainer.history)
+        got.run()
+        assert got.history == want.history
+        assert got.best_validation_f1 == want.best_validation_f1
+        for a, b in [(got.state, want.state), (got.best_state(), want.best_state())]:
+            assert a.flat.tobytes() == b.flat.tobytes()
+        assert got.adam.step == want.adam.step == 7
+        assert got.adam.m_flat.tobytes() == want.adam.m_flat.tobytes()
+        assert got.adam.v_flat.tobytes() == want.adam.v_flat.tobytes()
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+    def _saved(self, tmp_path, iters=2, **cfg):
+        """A trainer ``iters`` steps into a run of TrainConfig(batch_size=8,
+        max_iters=4, **cfg), saved: its header, its other members, the path
+        and the samples."""
+        (train_s, valid_s, _), dcfg = tiny_data()
+        cfg = TrainConfig(**{"batch_size": 8, "max_iters": 4, **cfg})
+        trainer = Trainer(train_s, valid_s, init_state(tiny_encoder_cfg(dcfg), seed=0), cfg)
+        trainer.run(num_iters=iters)
         path = tmp_path / "trainer.json"
         trainer.save_checkpoint(path)
         with np.load(path, allow_pickle=False) as npz:
@@ -284,7 +327,7 @@ class TestTrainer:
         with open(path, "wb") as fh:
             np.savez(fh, header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8), **arrays)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_an_older_version_header_is_rejected(self, tmp_path, version):
         header, arrays, path, train_s, valid_s = self._saved(tmp_path)
         header["version"] = version
@@ -308,10 +351,10 @@ class TestTrainer:
             params = dict(zip(names, (view.tolist() for view in _flat_views(arrays["params"], shapes))))
             payload = {
                 "format": "knnmlc-trainer", "version": 3, "config": header["config"],
-                "iteration": header["iteration"], "encoder": {**header["encoder"], "params": params},
-                "adam": {"step": header["adam_step"], **nested}, "rng_state": header["rng_state"],
+                "iteration": 2, "encoder": {**header["encoder"], "params": params},
+                "adam": {"step": 2, **nested}, "rng_state": header["rng_state"],
                 "order": arrays["order"].tolist(), "cursor": header["cursor"],
-                "best": {"micro_f1": header["best_micro_f1"], "iteration": header["best_iteration"], "encoder": None},
+                "best": {"micro_f1": -1.0, "iteration": 0, "encoder": None},
                 "history": header["history"],
             }
             path.write_text(json.dumps(payload))
@@ -367,10 +410,7 @@ class TestTrainer:
         "case,message",
         [
             ("config batch_size 8.5", "batch_size must be an integer"),
-            ("iteration 3.5", "iteration must be an integer"),
             ("cursor true", "cursor must be an integer"),
-            ("adam_step 2.0", "adam_step must be an integer"),
-            ("best_micro_f1 text", "best_micro_f1 must be a finite number"),
         ],
     )
     def test_a_value_of_the_wrong_kind_is_rejected_at_load(self, tmp_path, case, message):
@@ -379,14 +419,8 @@ class TestTrainer:
         header, arrays, path, train_s, valid_s = self._saved(tmp_path)
         if case == "config batch_size 8.5":
             header["config"]["batch_size"] = 8.5
-        elif case == "iteration 3.5":
-            header["iteration"] = 3.5
-        elif case == "cursor true":
-            header["cursor"] = True
-        elif case == "adam_step 2.0":
-            header["adam_step"] = 2.0
         else:
-            header["best_micro_f1"] = "0.5"
+            header["cursor"] = True
         self._rewrite(path, header, arrays)
         with pytest.raises(CheckpointError, match=f"trainer.json: malformed trainer checkpoint.*{message}"):
             Trainer.load_checkpoint(path, train_s, valid_s)
@@ -421,31 +455,81 @@ class TestTrainer:
         with pytest.raises(CheckpointError, match=rf"trainer.json: the saved epoch order of \d+ rows .* training set of {size} samples"):
             Trainer.load_checkpoint(path, train_s, valid_s)
 
-    # each set of counters that disagree (the saved trainer is two steps in,
-    # no validation yet), what is set and the message naming the field
-    COUNTERS = {
-        # failed two steps later as a NonFiniteLossError
-        "adam_step -1": ({"adam_step": -1}, r"adam_step -1 != iteration 2"),
-        # ran past max_iters, leaving more history records than iterations
-        "iteration -3": ({"iteration": -3, "adam_step": -3}, r"iteration -3 is negative"),
-        # silently changed the bias correction
-        "adam_step behind iteration": ({"adam_step": 1}, r"adam_step 1 != iteration 2"),
-        "best_iteration past iteration": ({"best_iteration": 99}, r"best_iteration 99 does not lie in \[0, iteration 2\]"),
-        "negative best_iteration": ({"best_iteration": -1}, r"best_iteration -1 does not lie in \[0, iteration 2\]"),
-        "a history record short": ({"history": "drop"}, r"history holds 1 records, expected one per iteration \(2\)"),
-        "a history record over": ({"iteration": 1, "adam_step": 1}, r"history holds 2 records, expected one per iteration \(1\)"),
+    # each history that is not one of step's records, or that disagrees with
+    # best_params (the saved trainer is two steps in, both validated), how it
+    # is made and the message naming the record and field
+    HISTORY = {
+        "not a list": (lambda h, a: h.update(history={"0": h["history"][0]}),
+                       r"history must be a list of records, got dict"),
+        "a record not an object": (lambda h, a: h["history"].__setitem__(1, 5),
+                                   r"history record 1 must be an object of the keys .*, got int"),
+        "a record without a loss": (lambda h, a: h["history"][0].pop("con"),
+                                    r"history record 0 must be an object .*got \['bce', 'iteration', 'total', 'valid"),
+        "a record with another key": (lambda h, a: h["history"][0].update(lr=0.1),
+                                      r"history record 0 must be an object .*got \['bce', 'con', 'iteration', 'lr'"),
+        "an iteration out of step": (lambda h, a: h["history"][1].update(iteration=1),
+                                     r"history record 1 iteration must be 2 \(one record per step\), got 1"),
+        "a float iteration": (lambda h, a: h["history"][0].update(iteration=1.0),
+                              r"history record 0 iteration must be an integer"),
+        "a NaN loss": (lambda h, a: h["history"][0].update(bce=float("nan")),
+                       r"history record 0 bce must be a finite number"),
+        "an inf total": (lambda h, a: h["history"][1].update(total=float("inf")),
+                         r"history record 1 total must be a finite number"),
+        "a loss as text": (lambda h, a: h["history"][1].update(con="0.5"),
+                           r"history record 1 con must be a finite number"),
+        "an F1 above 1": (lambda h, a: h["history"][1].update(valid_micro_f1=1.5),
+                          r"history record 1 valid_micro_f1 must lie in \[0, 1\], got 1.5"),
+        "a negative F1": (lambda h, a: h["history"][0].update(valid_micro_f1=-0.25),
+                          r"history record 0 valid_micro_f1 must lie in \[0, 1\], got -0.25"),
+        "a NaN F1": (lambda h, a: h["history"][0].update(valid_micro_f1=float("nan")),
+                     r"history record 0 valid_micro_f1 must be a finite number"),
+        "no best_params though validated": (lambda h, a: a.update(best_params=a["best_params"][:0]),
+                                            r"best_params holds 0 values, but a validation is recorded"),
+        "best_params though never validated": (lambda h, a: [r.pop("valid_micro_f1") for r in h["history"]],
+                                               r"best_params holds \d+ values, but no validation is recorded"),
     }
 
-    @pytest.mark.parametrize("case", COUNTERS)
-    def test_counters_that_disagree_are_rejected_at_load_naming_the_field(self, tmp_path, case):
-        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
-        assert (header["iteration"], header["adam_step"], header["best_iteration"], len(header["history"])) == (2, 2, 0, 2)
-        changes, message = self.COUNTERS[case]
-        for key, value in changes.items():
-            header[key] = header[key][:-1] if value == "drop" else value
+    @pytest.mark.parametrize("case", HISTORY)
+    def test_a_history_that_is_not_the_steps_records_is_rejected_naming_the_field(self, tmp_path, case):
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path, eval_every=1)
+        assert [sorted(r) for r in header["history"]] == [["bce", "con", "iteration", "total", "valid_micro_f1"]] * 2
+        make, message = self.HISTORY[case]
+        make(header, arrays)
+        self._rewrite(path, header, arrays)
+        with pytest.raises(CheckpointError, match=rf"^\S*trainer.json: malformed trainer checkpoint \(.*{message}"):
+            Trainer.load_checkpoint(path, train_s, valid_s)
+
+    # the three ways a version 5 checkpoint could claim a best validation its
+    # members do not hold, made on a 6-iteration run validated every 3rd
+    PROBES = {
+        # loaded, and best_state() silently gave the current state
+        "best_params emptied": (lambda h, a: a.update(best_params=a["best_params"][:0]),
+                                r"malformed trainer checkpoint \(.*best_params holds 0 values, but a validation is recorded"),
+        # loaded, reported 0.99, and no later validation could replace the best
+        "a best_micro_f1 of 0.99": (lambda h, a: h.update(best_micro_f1=0.99),
+                                    r"the header must hold the keys .*, got \[.*'best_micro_f1'"),
+        # loaded, and training went on
+        "history as range(6)": (lambda h, a: h.update(history=list(range(6))),
+                                r"malformed trainer checkpoint \(.*history record 0 must be an object .*, got int"),
+    }
+
+    @pytest.mark.parametrize("case", PROBES)
+    def test_a_best_validation_the_members_do_not_hold_is_refused(self, tmp_path, case):
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path, iters=6, max_iters=6, eval_every=3)
+        assert [r.get("valid_micro_f1") is not None for r in header["history"]] == [False, False, True] * 2
+        make, message = self.PROBES[case]
+        make(header, arrays)
         self._rewrite(path, header, arrays)
         with pytest.raises(CheckpointError, match=rf"^\S*trainer.json: {message}"):
             Trainer.load_checkpoint(path, train_s, valid_s)
+
+    def test_the_counters_are_the_history_length_and_its_best(self, tmp_path):
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path, iters=6, max_iters=6, eval_every=3)
+        trainer = Trainer.load_checkpoint(path, train_s, valid_s)
+        f1s = [r["valid_micro_f1"] for r in header["history"] if "valid_micro_f1" in r]
+        assert (trainer.iteration, trainer.adam.step, trainer.best_validation_f1) == (6, 6, max(f1s))
+        with pytest.raises(AttributeError):
+            trainer.iteration = 5
 
     def test_an_empty_epoch_order_resumes(self, tmp_path):
         header, arrays, path, train_s, valid_s = self._saved(tmp_path)
@@ -456,17 +540,17 @@ class TestTrainer:
         assert trainer.iteration == 3
 
     @pytest.mark.parametrize(
-        "case", ["no adam step", "unknown config key", "iteration not a number", "misshapen moment", "header not json",
+        "case", ["no history", "unknown config key", "a version 5 counter", "misshapen moment", "header not json",
                  "header not an object", "encoder dims that do not fit params"],
     )
     def test_malformed_checkpoint_raises_checkpoint_error(self, tmp_path, case):
         header, arrays, path, train_s, valid_s = self._saved(tmp_path)
-        if case == "no adam step":
-            del header["adam_step"]
+        if case == "no history":
+            del header["history"]
         elif case == "unknown config key":
             header["config"]["dropout_rate"] = 0.3
-        elif case == "iteration not a number":
-            header["iteration"] = "x"
+        elif case == "a version 5 counter":
+            header["adam_step"] = 2
         elif case == "misshapen moment":
             arrays["adam_v"] = arrays["adam_v"][:-1]
         elif case == "encoder dims that do not fit params":
