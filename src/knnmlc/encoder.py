@@ -5,7 +5,12 @@ The batch is the unit of work, and there are two forward passes, one per
 use. ``forward_batch`` is the training pass: it runs every row of a packed
 batch (``data.PackedSamples``) through the network with dropout, using
 matrix products, and ``backward`` returns the parameter gradients summed
-over those rows as matrix products. Both are written out by hand; the
+over those rows as matrix products. A batch with fewer feature entries
+than ``w_in`` has columns multiplies only the columns it touches: the
+input layer is ``dense_c @ w_in[:, cols].T`` and the ``w_in`` gradient
+``d_pre.T @ dense_c`` in those columns and exact zeros in the rest, where
+``dense_c`` holds the batch's dense rows cut to the sorted touched columns
+``cols``. Both passes are written out by hand; the
 backward pass is validated against central finite differences (see
 gradcheck). Dropout is applied to the hidden activations only, with
 surviving units scaled by 1/(1 - rate) so the dropout-off pass needs no
@@ -25,8 +30,8 @@ from one copy of ``w_in.T``. A batch of several ranges is cut range by
 range from its CSR arrays; when fewer than 1 in ``_SCALE_ALL_SHARE`` of its
 feature values differ from 1.0, only the gathered rows of those values are
 scaled (``x * 1.0`` is ``x`` exactly, so no sum changes a bit). A batch of
-one range (a single query) and the training step's sparse gather scale
-every gathered row, which at that size costs fewer calls.
+one range (a single query) scales every gathered row, which at that size
+costs fewer calls.
 
 The six parameters are writable views of one C-ordered buffer,
 ``EncoderState.flat``, which holds them back to back in ``_PARAM_NAMES``
@@ -241,8 +246,10 @@ class ForwardTrace:
     """Everything the backward pass needs, one row per batch row: the packed
     inputs, pre-activations, activations, the dropout mask (already scaled by
     1/(1-rate); all-ones when dropout is off), the embeddings, the
-    classifier logits, and the dense (n, input_dim) inputs when the forward
-    pass formed them (None when it gathered weight rows instead)."""
+    classifier logits, and the inputs the training pass multiplied: the
+    dense rows ``dense_c`` over the sorted input columns ``cols`` the batch
+    touches, or over every input column when ``cols`` is None; ``backward``
+    refuses a trace without ``dense_c``."""
 
     inputs: PackedSamples
     pre_hidden: np.ndarray
@@ -250,7 +257,8 @@ class ForwardTrace:
     mask: np.ndarray
     embedding: np.ndarray
     logits: np.ndarray
-    dense: np.ndarray | None = None
+    dense_c: np.ndarray | None = None
+    cols: np.ndarray | None = None
 
 
 def _param_shapes(c: EncoderConfig) -> dict[str, tuple]:
@@ -389,22 +397,36 @@ def forward_batch(
     dtype = state.flat.dtype
     if batch.indices.size < state.config.input_dim:
         # fewer features than w_in has columns (small batches over a wide
-        # vocabulary): gather the weights the features touch
-        pre_hidden = np.empty((len(batch), state.config.hidden_dim), dtype)
-        factors = batch.values.astype(dtype, copy=False)[:, None]
-        _gather_range(state.w_in.T, batch.indices, batch.indptr[:-1], factors, None, pre_hidden)
-        pre_hidden += state.b_in
-        dense = None
+        # vocabulary): one product over the columns the batch touches
+        dense_c, cols = _touched_columns(batch, dtype)
+        pre_hidden = dense_c @ state.w_in[:, cols].T
     else:
-        # dense enough that one matrix product over the dense rows is cheaper;
-        # backward reuses the dense rows
-        dense = batch.to_dense(dtype)
-        pre_hidden = dense @ state.w_in.T + state.b_in
+        dense_c, cols = batch.to_dense(dtype), None
+        pre_hidden = dense_c @ state.w_in.T
+    pre_hidden += state.b_in
     hidden = _activate(state.config, pre_hidden)
     mask = _dropout_mask(state.config, hidden, rng, masks)
     embedding = (hidden * mask) @ state.w_emb.T + state.b_emb
     logits = embedding @ state.w_clf.T + state.b_clf
-    return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits, dense)
+    return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits, dense_c, cols)
+
+
+def _touched_columns(batch: PackedSamples, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(dense_c, cols): the sorted input columns ``cols`` that the batch's
+    entries touch (an explicit zero value touches its column too) and the
+    (n, cols.size) rows of ``batch.to_dense(dtype)`` cut to those columns.
+    One mark per input column finds them, and each entry is written to its
+    slot among them."""
+    input_dim, indices = batch.input_dim, batch.indices
+    touched = np.zeros(input_dim, dtype=bool)
+    touched[indices] = True
+    cols = touched.nonzero()[0]
+    slot = np.empty(input_dim, dtype=np.intp)
+    slot[cols] = np.arange(cols.size)
+    n = len(batch)
+    dense_c = np.zeros((n, cols.size), dtype)
+    dense_c[np.arange(n).repeat(np.diff(batch.indptr)), slot[indices]] = batch.values
+    return dense_c, cols
 
 
 def rowwise_layers(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) -> np.ndarray:
@@ -449,7 +471,7 @@ def backward(
     dtype."""
     cfg = state.config
     dtype = state.flat.dtype
-    if trace.embedding.ndim != 2:
+    if trace.embedding.ndim != 2 or trace.dense_c is None:
         raise ValueError("backward needs a batch trace from forward_batch")
     n = trace.embedding.shape[0]
     if grad_embedding is None:
@@ -475,7 +497,12 @@ def backward(
         d_pre = d_hidden * (1.0 - trace.hidden**2)
     else:
         d_pre = d_hidden * (trace.pre_hidden > 0.0)
-    np.matmul(d_pre.T, trace.inputs.to_dense(dtype) if trace.dense is None else trace.dense, out=grads.w_in)
+    if trace.cols is None:
+        np.matmul(d_pre.T, trace.dense_c, out=grads.w_in)
+    else:
+        # the columns no input touched get exact zeros
+        grads.w_in.fill(0.0)
+        grads.w_in[:, trace.cols] = d_pre.T @ trace.dense_c
     np.add.reduce(d_pre, axis=0, out=grads.b_in)
     np.matmul(d_embedding.T, trace.hidden * trace.mask, out=grads.w_emb)
     np.add.reduce(d_embedding, axis=0, out=grads.b_emb)

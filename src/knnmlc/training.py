@@ -6,7 +6,10 @@ The training and validation sets are packed into CSR arrays once. Each
 iteration draws N row indices (shuffled epochs without replacement),
 gathers those rows once and lays them out twice, without ids, as one packed
 batch of 2N views. One forward pass runs all 2N views with independent
-dropout masks; binary cross entropy is summed over all 2N classifier
+dropout masks (when the views hold fewer feature entries than the encoder
+has input columns, its input layer and the backward pass's ``w_in``
+gradient multiply only the columns they touch; see ``encoder``); binary
+cross entropy is summed over all 2N classifier
 outputs, alpha times the contrastive loss over the 2N embeddings (with the
 labels of the N samples) is added, one backward pass carries both paths to
 the parameters, and one Adam step over the flat buffers that hold every

@@ -789,8 +789,14 @@ def backward(state: EncoderState, trace: ForwardTrace, grad_embedding=None, grad
         d_pre = d_hidden * (1.0 - trace.hidden**2)
     else:
         d_pre = d_hidden * (trace.pre_hidden > 0.0)
+    if trace.cols is None:
+        w_in = d_pre.T @ trace.dense_c
+    else:
+        # the gradient of the touched columns, scattered among zeros
+        w_in = np.zeros_like(state.w_in)
+        w_in[:, trace.cols] = d_pre.T @ trace.dense_c
     return ParameterGradients(
-        w_in=d_pre.T @ (trace.inputs.to_dense() if trace.dense is None else trace.dense),
+        w_in=w_in,
         b_in=d_pre.sum(axis=0),
         w_emb=d_embedding.T @ (trace.hidden * trace.mask),
         b_emb=d_embedding.sum(axis=0),

@@ -291,9 +291,10 @@ def test_gathered_and_dense_input_layers_match_reference():
     block_bytes=st.integers(1, 1 << 14),
 )
 def test_shared_row_gather_equals_the_column_gather(seed, lengths, input_dim, activation, block_bytes):
-    # the row gather both passes share against the column gather forward_batch
-    # used before, bit for bit: featureless rows (length 0), segments longer
-    # than 8, values other than 1.0, both activations, any gather block
+    # the row gather of the dropout-off pass against the column gather the
+    # training pass used before, bit for bit: featureless rows (length 0),
+    # segments longer than 8, values other than 1.0, both activations, any
+    # gather block
     rng = make_rng(seed)
     hidden = int(rng.integers(1, 10))
     state = init_state(EncoderConfig(input_dim, hidden, 3, 2, activation=activation, dropout_rate=0.0), seed=seed)
@@ -318,10 +319,15 @@ def test_shared_row_gather_equals_the_column_gather(seed, lengths, input_dim, ac
     # einsum on C-contiguous operands, as the pass runs it (want is a transpose)
     assert embedding.tobytes() == (np.einsum("ij,kj->ik", np.ascontiguousarray(hidden), state.w_emb) + state.b_emb).tobytes()
     if batch.indices.size < input_dim:
-        # forward_batch gathers only below one entry per input column
+        # below one entry per input column forward_batch multiplies only the
+        # columns the batch touches
         trace = forward_batch(state, batch)
-        assert trace.pre_hidden.tobytes() == (want + state.b_in).tobytes()
-        assert trace.hidden.tobytes() == hidden.tobytes()
+        cols = np.unique(batch.indices)
+        # C-ordered, as the trace holds it (a column gather is F-ordered)
+        dense_c = np.ascontiguousarray(batch.to_dense()[:, cols])
+        pre_hidden = dense_c @ state.w_in[:, cols].T + state.b_in
+        assert trace.pre_hidden.tobytes() == pre_hidden.tobytes()
+        assert trace.hidden.tobytes() == encoder._activate(state.config, pre_hidden).tobytes()
 
 
 # how many of the batch's feature values are other than 1.0, against the

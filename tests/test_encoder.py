@@ -1,8 +1,11 @@
 """Forward/backward passes, dropout behavior, and checkpointing."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knnmlc import gradcheck
 from knnmlc.encoder import (
@@ -193,6 +196,83 @@ class TestBackward:
         assert max(gaps) <= self.FLOAT32_GAP_BOUND, f"float32 gap {max(gaps):.3e}"
         # and float32 arithmetic did run: no problem's gradients came out exact
         assert min(gaps) > 0.0
+
+
+def _pre_activation_grad(state, trace, grad_embedding):
+    """d loss / d pre_hidden for an upstream embedding gradient, formed as
+    ``backward`` forms it."""
+    d_hidden = (np.asarray(grad_embedding, dtype=state.flat.dtype) @ state.w_emb) * trace.mask
+    if state.config.activation == "tanh":
+        return d_hidden * (1.0 - trace.hidden**2)
+    return d_hidden * (trace.pre_hidden > 0.0)
+
+
+# feature values: 1.0, an explicit zero of either sign, and others
+_FEATURE_VALUES = st.sampled_from([1.0, 0.0, -0.0, 2.5, -1.25, 1e-3])
+
+
+class TestTouchedColumns:
+    """Below one feature entry per input column the training pass multiplies
+    only the columns the batch touches."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.lists(st.dictionaries(st.integers(0, 30), _FEATURE_VALUES, max_size=4), min_size=1, max_size=6),
+        spare=st.integers(1, 12),
+        hidden=st.integers(1, 5),
+        activation=st.sampled_from(["tanh", "relu"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    # feature 5 in both rows, an explicit zero at index 0, values other than 1.0
+    @example(rows=[{0: 0.0, 5: 2.5}, {5: 1.0, 9: -1.25}], spare=1, hidden=3, activation="tanh", dtype=np.float32, seed=0)
+    # records without features: each holds an explicit zero at index 0
+    @example(rows=[{}, {}], spare=1, hidden=2, activation="relu", dtype=np.float64, seed=1)
+    def test_the_product_over_the_sorted_touched_columns(self, rows, spare, hidden, activation, dtype, seed):
+        entries = sum(max(1, len(r)) for r in rows)
+        input_dim = max([entries, *(max(r) + 1 for r in rows if r)]) + spare
+        cfg = EncoderConfig(input_dim, hidden, 3, 2, activation=activation, dropout_rate=0.3)
+        state = init_state(cfg, seed=seed).astype(dtype)
+        batch = pack([Sample(r, np.ones(2, dtype=np.int8)) for r in rows], input_dim)
+        trace = forward_batch(state, batch, rng=make_rng(seed))
+
+        cols = np.unique(batch.indices)
+        assert trace.cols.dtype == np.intp and trace.cols.tobytes() == cols.tobytes()
+        dense_c = np.ascontiguousarray(batch.to_dense(dtype)[:, cols])
+        assert trace.dense_c.dtype == dtype and trace.dense_c.tobytes() == dense_c.tobytes()
+        assert trace.pre_hidden.tobytes() == (dense_c @ state.w_in[:, cols].T + state.b_in).tobytes()
+
+        grad_embedding = np.random.default_rng(seed).standard_normal((len(rows), 3))
+        grads = backward(state, trace, grad_embedding=grad_embedding)
+        d_pre = _pre_activation_grad(state, trace, grad_embedding)
+        untouched = np.setdiff1d(np.arange(input_dim), cols)
+        # +0.0 on every column no entry touched, the compacted product on the rest
+        assert grads.w_in[:, untouched].tobytes() == np.zeros((hidden, untouched.size), dtype).tobytes()
+        assert grads.w_in[:, cols].tobytes() == (d_pre.T @ dense_c).tobytes()
+
+    @staticmethod
+    def _widened(problem):
+        """A gradient check problem of the default suite moved onto the
+        compacted branch: the input dimension grown to more than twice the
+        views' feature entries, feature j moved to column j * stride + 1, and
+        a fresh state of the wider dims."""
+        state, views, masks, alpha, tau1, variant = problem
+        cfg = state.config
+        stride = 2 * views.indices.size // cfg.input_dim + 2
+        wide = dataclasses.replace(cfg, input_dim=cfg.input_dim * stride)
+        views = dataclasses.replace(views, indices=views.indices * stride + 1, input_dim=wide.input_dim)
+        return init_state(wide, seed=state.init_seed), views, masks, alpha, tau1, variant
+
+    def test_the_gradient_check_passes_on_suite_problems_forced_onto_the_compacted_branch(self):
+        # the suite's first 8 problems, two per variant (1 of its 20 takes
+        # this branch unwidened); measured: max relative error 8.5e-7, max
+        # float32 gap 3.3e-4
+        for problem in map(self._widened, gradcheck.gradcheck_suite_problems(num_configs=8)):
+            state, views, masks = problem[:3]
+            assert forward_batch(state, views, masks=masks).cols is not None
+            report = gradient_check(*problem)
+            assert report.passed, f"max relative error {report.max_rel_error:.3e} in {report.worst_param}"
+            assert report.float32_gap <= TestBackward.FLOAT32_GAP_BOUND, f"float32 gap {report.float32_gap:.3e}"
 
 
 def test_inverted_dropout_preserves_expected_embedding():

@@ -354,7 +354,8 @@ def test_backward_is_bit_identical_to_the_per_array_form(
         input_dim = int(rng.integers(1, 5))
         rows = [{int(k): float(v) for k, v in enumerate(rng.standard_normal(input_dim))} for _ in range(n)]
     else:
-        # at most two features per row (none for some) over a wider vocabulary: the gather
+        # at most two features per row (none for some) over a wider vocabulary:
+        # the product over the touched columns
         input_dim = 2 * n + int(rng.integers(1, 6))
         rows = [
             {int(k): float(rng.standard_normal()) for k in rng.choice(input_dim, size=int(rng.integers(0, 3)), replace=False)}
@@ -364,7 +365,7 @@ def test_backward_is_bit_identical_to_the_per_array_form(
     cfg = EncoderConfig(input_dim, hidden, embed, classes, activation=activation, dropout_rate=dropout)
     state = init_state(cfg, seed=seed % 1000)
     trace = forward_batch(state, pack(samples, input_dim), rng=make_rng(seed))
-    assert (trace.dense is not None) == dense
+    assert (trace.cols is None) == dense
     grad_embedding = rng.standard_normal((n, embed)) if with_embedding else None
     grad_logits = rng.standard_normal((n, classes)) if with_logits else None
     got = backward(state, trace, grad_embedding, grad_logits)

@@ -748,7 +748,7 @@ class TestPerSampleStep:
 
         def recording_forward(*args, **kwargs):
             trace = real_forward(*args, **kwargs)
-            paths.append("sparse" if trace.dense is None else "dense")
+            paths.append("dense" if trace.cols is None else "sparse")
             return trace
 
         monkeypatch.setattr(training, "forward_batch", recording_forward)
