@@ -247,6 +247,11 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _epochs(iterations: int, train_cfg: TrainConfig, rows: int) -> float:
+    """The training budget in passes over a training split of ``rows``."""
+    return iterations * min(train_cfg.batch_size, rows) / rows
+
+
 def cmd_train(args) -> int:
     _, encoder_section, train_cfg, _ = load_config(args.config)
     if args.seed is not None:
@@ -283,8 +288,7 @@ def cmd_train(args) -> int:
             "save_s": saved - run_end,
             "iterations_per_s": trainer.iteration / run_s if trainer.iteration else 0.0,
         },
-        # the training budget in passes over the training split
-        epochs=trainer.iteration * min(train_cfg.batch_size, len(train_samples)) / len(train_samples),
+        epochs=_epochs(trainer.iteration, train_cfg, len(train_samples)),
         train_dtype=np.dtype(TRAIN_DTYPE).name,
         environment=_environment(),
     )
@@ -695,6 +699,8 @@ def cmd_ablate(args) -> int:
             _config_snapshot(encoder_cfg, train_cfg, infer_cfg),
             train_cfg.seed,
             {"table": table_path},
+            # each model trains the configured run to its end
+            epochs=_epochs(train_cfg.max_iters, train_cfg, len(train_samples)),
         )
         print(f"wrote ablation table to {table_path}")
     return EXIT_OK
@@ -716,8 +722,8 @@ def cmd_gradcheck(args) -> int:
             raise ConfigError(f"--dims values must all be >= 1, got {args.dims!r}")
         config = EncoderConfig(input_dim, hidden_dim, embed_dim, num_classes, dropout_rate=0.1)
         state = init_state(config, seed=seed)
-        views, masks = random_views(make_rng(seed), batch, config)
-        reports = [gradient_check(state, views, masks, alpha=0.1, tau1=0.05, step=args.step)]
+        samples, masks = random_views(make_rng(seed), batch, config)
+        reports = [gradient_check(state, samples, masks, alpha=0.1, tau1=0.05, step=args.step)]
     else:
         reports = run_gradcheck_suite(num_configs=args.configs, seed=seed, step=args.step)
     worst = gap = 0.0

@@ -127,10 +127,9 @@ class PackedSamples:
             self.id_bytes[id_lo:id_hi],
         )
 
-    def two_views(self, rows) -> "PackedSamples":
-        """The 2N training views of the N given rows: one gather of the rows,
-        laid out twice, so view i and view i + N are both row i. The views
-        carry no ids (each is the empty string).
+    def take(self, rows) -> "PackedSamples":
+        """The given rows, in the given order, as a batch without ids (each
+        is the empty string): the training step's gather of its N samples.
 
         TypeError for rows that are not of an integer dtype, and IndexError
         naming the first row outside [0, len(self)): the features and the
@@ -145,19 +144,14 @@ class PackedSamples:
         if rows.size and np.maximum.reduce(rows.view(np.uint64), axis=None) >= len(self):
             bad = given[(given < 0) | (given >= len(self))].flat[0]
             raise IndexError(f"row {int(bad)} out of range for {len(self)} rows")
-        n = rows.size
-        offsets, pos = _gather(self.indptr, rows)
-        indptr = np.empty(2 * n + 1, dtype=np.int64)
-        indptr[: n + 1] = offsets
-        np.add(offsets[1:], offsets[-1], out=indptr[n + 1 :])
-        indices, values, labels = self.indices[pos], self.values[pos], self.labels[rows]
+        indptr, pos = _gather(self.indptr, rows)
         return PackedSamples(
             indptr,
-            np.concatenate([indices, indices]),
-            np.concatenate([values, values]),
-            np.concatenate([labels, labels]),
+            self.indices[pos],
+            self.values[pos],
+            self.labels[rows],
             self.input_dim,
-            np.zeros(2 * n + 1, dtype=np.int64),
+            np.zeros(rows.size + 1, dtype=np.int64),
             np.empty(0, dtype=np.uint8),
         )
 

@@ -2,15 +2,17 @@
 inverted dropout) -> linear embedding, plus a sigmoid classifier head.
 
 The batch is the unit of work, and there are two forward passes, one per
-use. ``forward_batch`` is the training pass: it runs every row of a packed
-batch (``data.PackedSamples``) through the network with dropout, using
-matrix products, and ``backward`` returns the parameter gradients summed
-over those rows as matrix products. A batch with fewer feature entries
-than ``w_in`` has columns multiplies only the columns it touches: the
-input layer is ``dense_c @ w_in[:, cols].T`` and the ``w_in`` gradient
-``d_pre.T @ dense_c`` in those columns and exact zeros in the rest, where
-``dense_c`` holds the batch's dense rows cut to the sorted touched columns
-``cols``. Both passes are written out by hand; the
+use. ``forward_batch`` is the training pass: it runs the N samples of a
+packed batch (``data.PackedSamples``) through the input layer once and
+forms two dropout views of each, view i + N the second view of sample i,
+using matrix products; ``backward`` returns the parameter gradients summed
+over the 2N views as matrix products, with both views' hidden gradients
+added on the sample's row before the input layer. A batch with fewer
+feature entries than ``w_in`` has columns multiplies only the columns it
+touches: the input layer is ``dense_c @ w_in[:, cols].T`` and the ``w_in``
+gradient ``d_pre.T @ dense_c`` in those columns and exact zeros in the
+rest, where ``dense_c`` holds the batch's dense rows cut to the sorted
+touched columns ``cols``. Both passes are written out by hand; the
 backward pass is validated against central finite differences (see
 gradcheck). Dropout is applied to the hidden activations only, with
 surviving units scaled by 1/(1 - rate) so the dropout-off pass needs no
@@ -243,15 +245,15 @@ class ParameterGradients(_FlatParameters):
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, one row per batch row: the packed
-    inputs, pre-activations, activations, the dropout mask (already scaled by
-    1/(1-rate); all-ones when dropout is off), the embeddings, the
-    classifier logits, and the inputs the training pass multiplied: the
+    """Everything the backward pass needs: per sample (N rows) the
+    pre-activations and activations; per view (2N rows, view i + N the
+    second view of sample i) the dropout mask (already scaled by
+    1/(1-rate); all-ones when dropout is off), the embeddings and the
+    classifier logits; and the inputs the training pass multiplied: the
     dense rows ``dense_c`` over the sorted input columns ``cols`` the batch
     touches, or over every input column when ``cols`` is None; ``backward``
     refuses a trace without ``dense_c``."""
 
-    inputs: PackedSamples
     pre_hidden: np.ndarray
     hidden: np.ndarray
     mask: np.ndarray
@@ -286,24 +288,28 @@ def _activate(cfg: EncoderConfig, pre_hidden: np.ndarray) -> np.ndarray:
     return np.maximum(pre_hidden, 0.0)
 
 
-def _dropout_mask(cfg: EncoderConfig, hidden: np.ndarray, rng, masks) -> np.ndarray:
-    """The scaled (n, hidden) dropout mask, of ``hidden``'s dtype: the given
+def _dropout_mask(cfg: EncoderConfig, shape: tuple, dtype, rng, masks) -> np.ndarray:
+    """The scaled dropout mask of ``shape`` and ``dtype``: the given
     ``masks``, one block of float64 uniforms from ``rng`` (the same stream as
-    n per-row draws, whatever the dtype), or all ones laid out like
-    ``hidden`` when the rate is 0."""
+    one draw per row, whatever the dtype), or all ones when the rate is 0."""
     if masks is not None:
-        mask = np.asarray(masks, dtype=hidden.dtype)
-        if mask.shape != hidden.shape:
-            raise ValueError(f"mask shape {mask.shape} != hidden shape {hidden.shape}")
+        mask = np.asarray(masks, dtype=dtype)
+        if mask.shape != shape:
+            raise ValueError(f"mask shape {mask.shape} != views' hidden shape {shape}")
         return mask
     if cfg.dropout_rate > 0.0:
         if rng is None:
             raise ValueError(f"dropout at rate {cfg.dropout_rate} requires an rng or masks")
-        keep = rng.random(hidden.shape) >= cfg.dropout_rate
-        return keep.astype(hidden.dtype) / (1.0 - cfg.dropout_rate)
-    mask = np.empty_like(hidden)
-    mask.fill(1.0)
-    return mask
+        keep = rng.random(shape) >= cfg.dropout_rate
+        return keep.astype(dtype) / (1.0 - cfg.dropout_rate)
+    return np.ones(shape, dtype)
+
+
+def _views(hidden: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The (2N, hidden) dropped hidden rows of both views of N samples:
+    sample i's row times mask rows i and i + N."""
+    n, width = hidden.shape
+    return (mask.reshape(2, n, width) * hidden).reshape(2 * n, width)
 
 
 def _check_input_dim(state: EncoderState, batch: PackedSamples) -> None:
@@ -385,13 +391,15 @@ def forward_batch(
     rng: np.random.Generator | None = None,
     masks: np.ndarray | None = None,
 ) -> ForwardTrace:
-    """The training pass: run the network with dropout on every row of a
-    packed batch, in the dtype of the state's buffer.
+    """The training pass over a packed batch of N samples, in the dtype of
+    the state's buffer: the input layer and the activation once per sample,
+    then two dropout views of each, view i + N the second view of sample i,
+    through the embedding and classifier layers (2N rows each).
 
-    The scaled (n, hidden) dropout ``masks`` are given (which is how the
-    gradient check freezes them), or drawn as one (n, hidden) block of
-    uniforms from ``rng`` (the same stream as n per-row draws), or all ones
-    when the encoder's dropout rate is 0.
+    The scaled (2N, hidden) dropout ``masks`` are given (which is how the
+    gradient check freezes them), or drawn as one (2N, hidden) block of
+    uniforms from ``rng`` (the same stream as 2N per-view draws), or all
+    ones when the encoder's dropout rate is 0.
     """
     _check_input_dim(state, batch)
     dtype = state.flat.dtype
@@ -405,10 +413,11 @@ def forward_batch(
         pre_hidden = dense_c @ state.w_in.T
     pre_hidden += state.b_in
     hidden = _activate(state.config, pre_hidden)
-    mask = _dropout_mask(state.config, hidden, rng, masks)
-    embedding = (hidden * mask) @ state.w_emb.T + state.b_emb
+    n, width = hidden.shape
+    mask = _dropout_mask(state.config, (2 * n, width), dtype, rng, masks)
+    embedding = _views(hidden, mask) @ state.w_emb.T + state.b_emb
     logits = embedding @ state.w_clf.T + state.b_clf
-    return ForwardTrace(batch, pre_hidden, hidden, mask, embedding, logits, dense_c, cols)
+    return ForwardTrace(pre_hidden, hidden, mask, embedding, logits, dense_c, cols)
 
 
 def _touched_columns(batch: PackedSamples, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -462,10 +471,12 @@ def backward(
     grad_embedding: np.ndarray | None = None,
     grad_logits: np.ndarray | None = None,
 ) -> ParameterGradients:
-    """Reverse-mode gradients for every parameter, summed over the rows of a
-    batch trace, given upstream (n, embed) gradients on the embeddings
-    (contrastive path) and/or (n, C) gradients on the logits (classification
-    path). The gradients are written into one new flat buffer laid out as
+    """Reverse-mode gradients for every parameter, summed over the 2N views
+    of a batch trace, given upstream (2N, embed) gradients on the embeddings
+    (contrastive path) and/or (2N, C) gradients on the logits
+    (classification path). Both views' hidden gradients are added on their
+    sample's row, so the input layer's gradients are products over the N
+    samples. The gradients are written into one new flat buffer laid out as
     the state's and of its dtype (``ParameterGradients``), each product and
     sum straight into its view; the upstream gradients are taken in that
     dtype."""
@@ -492,7 +503,9 @@ def backward(
         np.add.reduce(d_logits, axis=0, out=grads.b_clf)
         d_embedding = d_embedding + d_logits @ state.w_clf
 
-    d_hidden = (d_embedding @ state.w_emb) * trace.mask
+    d_views = (d_embedding @ state.w_emb) * trace.mask
+    # both views of sample i reach its one hidden row
+    d_hidden = d_views[: n // 2] + d_views[n // 2 :]
     if cfg.activation == "tanh":
         d_pre = d_hidden * (1.0 - trace.hidden**2)
     else:
@@ -504,7 +517,7 @@ def backward(
         grads.w_in.fill(0.0)
         grads.w_in[:, trace.cols] = d_pre.T @ trace.dense_c
     np.add.reduce(d_pre, axis=0, out=grads.b_in)
-    np.matmul(d_embedding.T, trace.hidden * trace.mask, out=grads.w_emb)
+    np.matmul(d_embedding.T, _views(trace.hidden, trace.mask), out=grads.w_emb)
     np.add.reduce(d_embedding, axis=0, out=grads.b_emb)
     return grads
 

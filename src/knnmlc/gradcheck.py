@@ -24,7 +24,6 @@ from .training import batch_gradients, batch_objective
 
 __all__ = [
     "GradCheckReport",
-    "duplicated_views",
     "finite_difference_gradients",
     "float32_gap",
     "gradcheck_suite_problems",
@@ -48,7 +47,7 @@ class GradCheckReport:
 
 
 def finite_difference_gradients(
-    state: EncoderState, views, masks, alpha, tau1, variant="dcl", step: float = 1e-5
+    state: EncoderState, batch, masks, alpha, tau1, variant="dcl", step: float = 1e-5
 ) -> ParameterGradients:
     """Central differences of the frozen-mask objective over every parameter
     entry. O(#params) loss evaluations; meant for small configurations."""
@@ -58,9 +57,9 @@ def finite_difference_gradients(
     for j in range(theta.size):
         orig = theta[j]
         theta[j] = orig + step
-        up = batch_objective(state, views, masks, alpha, tau1, variant)
+        up = batch_objective(state, batch, masks, alpha, tau1, variant)
         theta[j] = orig - step
-        down = batch_objective(state, views, masks, alpha, tau1, variant)
+        down = batch_objective(state, batch, masks, alpha, tau1, variant)
         theta[j] = orig
         grads.flat[j] = (up - down) / (2.0 * step)
     return grads
@@ -74,21 +73,21 @@ def _relative_errors(a: np.ndarray, b: np.ndarray, rel_tol: float, abs_floor: fl
         return np.where(np.isfinite(a) & np.isfinite(b), np.abs(a - b) / scale, np.inf)
 
 
-def float32_gap(state: EncoderState, views, masks, alpha, tau1, variant="dcl", rel_tol=1e-4, abs_floor=1e-7) -> float:
+def float32_gap(state: EncoderState, batch, masks, alpha, tau1, variant="dcl", rel_tol=1e-4, abs_floor=1e-7) -> float:
     """The largest relative gap (scaled as in ``gradient_check``) between the
     analytic gradients of float32 and of float64 arithmetic, both at the
     float32 rounding of ``state``'s parameters and with ``masks`` rounded
     to float32 on the float32 side, as a ``Trainer`` step rounds them."""
     low = state.astype(np.float32)
-    grads32 = batch_gradients(low, views, alpha, tau1, variant, masks=masks)[3]
-    grads64 = batch_gradients(low.astype(np.float64), views, alpha, tau1, variant, masks=masks)[3]
+    grads32 = batch_gradients(low, batch, alpha, tau1, variant, masks=masks)[3]
+    grads64 = batch_gradients(low.astype(np.float64), batch, alpha, tau1, variant, masks=masks)[3]
     gaps = _relative_errors(grads32.flat.astype(np.float64), grads64.flat, rel_tol, abs_floor)
     return float(gaps.max()) if gaps.size else 0.0
 
 
 def gradient_check(
     state: EncoderState,
-    views,
+    batch,
     masks,
     alpha: float,
     tau1: float,
@@ -105,8 +104,8 @@ def gradient_check(
     either side fails, with relative error inf, so the first parameter that
     holds one is the worst. The report's ``float32_gap`` is ``float32_gap``
     of the same problem."""
-    _, _, _, analytic, _ = batch_gradients(state, views, alpha, tau1, variant, masks=masks)
-    numeric = finite_difference_gradients(state, views, masks, alpha, tau1, variant, step=step)
+    _, _, _, analytic, _ = batch_gradients(state, batch, alpha, tau1, variant, masks=masks)
+    numeric = finite_difference_gradients(state, batch, masks, alpha, tau1, variant, step=step)
 
     max_rel = 0.0
     worst = ""
@@ -128,56 +127,39 @@ def gradient_check(
             passed = False
     return GradCheckReport(
         max_rel_error=max_rel, worst_param=worst, num_params=total, passed=passed, per_param=per_param,
-        float32_gap=float32_gap(state, views, masks, alpha, tau1, variant, rel_tol, abs_floor),
+        float32_gap=float32_gap(state, batch, masks, alpha, tau1, variant, rel_tol, abs_floor),
     )
-
-
-def duplicated_views(indices, values, labels, input_dim: int) -> PackedSamples:
-    """The 2N views of N samples (``PackedSamples.two_views``), packed
-    straight from each sample's feature indices (distinct, in [0,
-    input_dim)), feature values and (C,) label row; rows N..2N-1 repeat rows
-    0..N-1, and no view has an id."""
-    n = len(indices)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, indices), dtype=np.int64, count=n), out=indptr[1:])
-    batch = PackedSamples(
-        indptr,
-        np.concatenate(indices).astype(np.int64, copy=False),
-        np.concatenate(values).astype(np.float64, copy=False),
-        np.array(labels, dtype=np.int8),
-        input_dim,
-        np.zeros(n + 1, dtype=np.int64),
-        np.empty(0, dtype=np.uint8),
-    )
-    return batch.two_views(np.arange(n))
 
 
 def random_views(rng, n: int, config: EncoderConfig) -> tuple[PackedSamples, np.ndarray]:
-    """The 2n duplicated views of n random sparse samples for ``config``
-    (each with at least one feature and one label), and frozen (2n, hidden)
-    dropout masks at the config's rate, drawn from ``rng``."""
+    """A packed batch of n random sparse samples for ``config`` (each with
+    at least one feature and one label, and no id), and frozen (2n, hidden)
+    dropout masks of their two views at the config's rate, drawn from
+    ``rng``."""
     input_dim, num_classes = config.input_dim, config.num_classes
-    rows = []
-    for _ in range(n):
+    indices, values, labels = [], [], np.zeros((n, num_classes), dtype=np.int8)
+    for i in range(n):
         nnz = int(rng.integers(1, max(2, input_dim // 2) + 1))
-        idx = rng.choice(input_dim, size=nnz, replace=False)
-        labels = np.zeros(num_classes, dtype=np.int8)
-        labels[rng.integers(num_classes)] = 1
-        labels[rng.random(num_classes) < 0.3] = 1
-        rows.append((idx, rng.uniform(0.5, 2.0, nnz), labels))
-    views = duplicated_views(*zip(*rows), input_dim)
+        indices.append(rng.choice(input_dim, size=nnz, replace=False))
+        labels[i, rng.integers(num_classes)] = 1
+        labels[i, rng.random(num_classes) < 0.3] = 1
+        values.append(rng.uniform(0.5, 2.0, nnz))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([idx.size for idx in indices], out=indptr[1:])
+    batch = PackedSamples(indptr, np.concatenate(indices).astype(np.int64), np.concatenate(values), labels,
+                          input_dim, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.uint8))
     keep = 1.0 - config.dropout_rate
     if keep < 1.0:
-        masks = (rng.random((len(views), config.hidden_dim)) >= config.dropout_rate).astype(np.float64) / keep
+        masks = (rng.random((2 * n, config.hidden_dim)) >= config.dropout_rate).astype(np.float64) / keep
     else:
-        masks = np.ones((len(views), config.hidden_dim))
-    return views, masks
+        masks = np.ones((2 * n, config.hidden_dim))
+    return batch, masks
 
 
 def random_gradcheck_problem(seed: int, variant: str = "dcl"):
-    """A random small configuration: dims, a fresh state, a packed duplicated
-    batch of random sparse samples, frozen (2N, hidden) dropout masks, and
-    loss hyperparameters."""
+    """A random small configuration: dims, a fresh state, a packed batch of N
+    random sparse samples, frozen (2N, hidden) dropout masks, and loss
+    hyperparameters."""
     rng = make_rng(seed)
     input_dim = int(rng.integers(4, 13))
     hidden_dim = int(rng.integers(3, 9))
@@ -197,8 +179,8 @@ def random_gradcheck_problem(seed: int, variant: str = "dcl"):
         dropout_rate=dropout_rate,
     )
     state = init_state(config, seed=int(rng.integers(1 << 30)))
-    views, masks = random_views(rng, n, config)
-    return state, views, masks, alpha, tau1, variant
+    batch, masks = random_views(rng, n, config)
+    return state, batch, masks, alpha, tau1, variant
 
 
 def gradcheck_suite_problems(num_configs: int = 20, seed: int = 0):

@@ -1,19 +1,20 @@
-"""Minibatch training loop: duplicated dropout-augmented batches, hand-rolled
+"""Minibatch training loop: two dropout views of each sample, hand-rolled
 Adam with bias correction, validation-based model selection, and resumable
 checkpoints.
 
 The training and validation sets are packed into CSR arrays once. Each
-iteration draws N row indices (shuffled epochs without replacement),
-gathers those rows once and lays them out twice, without ids, as one packed
-batch of 2N views. One forward pass runs all 2N views with independent
-dropout masks (when the views hold fewer feature entries than the encoder
-has input columns, its input layer and the backward pass's ``w_in``
-gradient multiply only the columns they touch; see ``encoder``); binary
-cross entropy is summed over all 2N classifier
-outputs, alpha times the contrastive loss over the 2N embeddings (with the
-labels of the N samples) is added, one backward pass carries both paths to
-the parameters, and one Adam step over the flat buffers that hold every
-parameter, gradient and moment follows. The state with the best validation
+iteration draws N row indices (shuffled epochs without replacement) and
+gathers those rows, without ids, as one packed batch. One forward pass runs
+the input layer once over the N samples and forms 2N views with independent
+dropout masks, view i + N the second view of sample i (when the batch holds
+fewer feature entries than the encoder has input columns, its input layer
+and the backward pass's ``w_in`` gradient multiply only the columns they
+touch; see ``encoder``); binary cross entropy is summed over all 2N
+classifier outputs (each view with its sample's labels), alpha times the
+contrastive loss over the 2N embeddings (with the labels of the N samples)
+is added, one backward pass carries both paths to the parameters, and one
+Adam step over the flat buffers that hold every parameter, gradient and
+moment follows. The state with the best validation
 micro-F1 (classifier-only, threshold 0.5, from the dropout-off pass that
 inference runs) is kept as the result.
 
@@ -194,32 +195,15 @@ def adam_step(
     return state
 
 
-def _sample_labels(views: PackedSamples) -> np.ndarray:
-    """The (N, C) labels of the N samples behind 2N views: the first half's
-    rows, once the second half is found to repeat them. An odd number of
-    views, or a view i + N whose labels are not view i's, is a ValueError
-    naming the first row without a twin."""
-    labels = views.labels
-    n2 = len(labels)
-    n = n2 // 2
-    contract = "views must be two halves of N rows, view i + N a twin of view i"
-    if n2 % 2:
-        raise ValueError(f"{contract}; row {n2 - 1} of {n2} has no twin")
-    if not np.array_equal(labels[:n], labels[n:]):
-        row = n + int(np.flatnonzero((labels[:n] != labels[n:]).any(axis=1))[0])
-        raise ValueError(f"{contract}; row {row} does not carry the labels of row {row - n}")
-    return labels[:n]
-
-
-def _batch_losses(trace, views, tau1, variant, workspace=None):
-    """Both objectives of a batch trace of ``views``, their gradients on the
-    logits and on the similarities, the cosine pieces (unit rows, norms,
-    unclipped cosine matrix) that the embedding gradient reuses, and the
-    (2N, 2N) array the loss is done with, free for that gradient.
-    ``workspace`` is an optional triple of (2N, 2N) arrays of the trace's
-    dtype, as ``batch_gradients`` takes it; without it three are allocated."""
-    sample_labels = _sample_labels(views)
-    bce, logit_grads = bce_loss(sigmoid(trace.logits), views.labels)
+def _batch_losses(trace, labels, tau1, variant, workspace=None):
+    """Both objectives of a batch trace of the N samples with (N, C)
+    ``labels``, their gradients on the logits and on the similarities, the
+    cosine pieces (unit rows, norms, unclipped cosine matrix) that the
+    embedding gradient reuses, and the (2N, 2N) array the loss is done with,
+    free for that gradient. ``workspace`` is an optional triple of (2N, 2N)
+    arrays of the trace's dtype, as ``batch_gradients`` takes it; without it
+    three are allocated."""
+    bce, logit_grads = bce_loss(sigmoid(trace.logits), np.concatenate([labels, labels]))
     unit, norms = unit_rows(trace.embedding)
     n2 = len(unit)
     grad, sims, cos = (np.empty((n2, n2), unit.dtype) for _ in range(3)) if workspace is None else workspace
@@ -229,29 +213,27 @@ def _batch_losses(trace, views, tau1, variant, workspace=None):
     # (docs/formats.md, "What bit-identical covers")
     np.matmul(unit, unit.T.copy(), out=cos)
     np.clip(cos, -1.0, 1.0, out=sims)
-    con, grad_sims = contrastive_loss_from_similarities(sims, sample_labels, tau1, variant, workspace=(grad, sims))
+    con, grad_sims = contrastive_loss_from_similarities(sims, labels, tau1, variant, workspace=(grad, sims))
     return bce, con, logit_grads, grad_sims, (unit, norms, cos), sims
 
 
-def batch_objective(state, views: PackedSamples, masks, alpha, tau1, variant="dcl") -> float:
-    """Total loss of a packed duplicated batch under fixed (2N, hidden)
-    dropout masks. This is the scalar the finite-difference gradient check
-    perturbs; it never touches the backward pass. ``views`` holds 2N rows,
-    view i + N a twin of view i, as ``batch_gradients`` takes them."""
-    trace = forward_batch(state, views, masks=masks)
-    bce, con, *_ = _batch_losses(trace, views, tau1, variant)
+def batch_objective(state, batch: PackedSamples, masks, alpha, tau1, variant="dcl") -> float:
+    """Total loss of a packed batch of N samples under fixed (2N, hidden)
+    dropout masks, as ``batch_gradients`` takes them. This is the scalar the
+    finite-difference gradient check perturbs; it never touches the
+    backward pass."""
+    trace = forward_batch(state, batch, masks=masks)
+    bce, con, *_ = _batch_losses(trace, batch.labels, tau1, variant)
     return total_loss(bce, con, alpha)
 
 
-def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng=None, masks=None, workspace=None):
-    """Forward the 2N packed views in one pass, evaluate both objectives, and
-    backpropagate both paths in one pass.
+def batch_gradients(state, batch: PackedSamples, alpha, tau1, variant="dcl", rng=None, masks=None, workspace=None):
+    """Forward two dropout views of each of the N packed samples in one pass,
+    evaluate both objectives, and backpropagate both paths in one pass.
 
-    Views i and i + N are two dropout views of sample i (as
-    ``PackedSamples.two_views`` draws them): the contrastive loss takes the N
-    samples' labels from the first half. An odd number of views, or a second half whose labels differ
-    from the first's, is a ValueError naming the first such row; the features
-    are not compared.
+    Views i and i + N are the two views of sample i (``forward_batch``): the
+    contrastive loss takes the N samples' labels, and BCE gives each view
+    its sample's labels.
 
     Everything runs in the dtype of the state's buffer; the three losses are
     float64 scalars. Returns (bce, con, total, grads, masks_used) with
@@ -262,8 +244,8 @@ def batch_gradients(state, views: PackedSamples, alpha, tau1, variant="dcl", rng
     the cosines. Without it the call allocates three. Nothing returned lives
     in them.
     """
-    trace = forward_batch(state, views, rng=rng, masks=masks)
-    bce, con, logit_grads, grad_sims, cosine, spare = _batch_losses(trace, views, tau1, variant, workspace)
+    trace = forward_batch(state, batch, rng=rng, masks=masks)
+    bce, con, logit_grads, grad_sims, cosine, spare = _batch_losses(trace, batch.labels, tau1, variant, workspace)
     emb_grads = alpha * contrastive_embedding_grads(*cosine, grad_sims, out=spare) if alpha > 0.0 else None
     grads = backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
     return bce, con, total_loss(bce, con, alpha), grads, trace.mask
@@ -297,8 +279,8 @@ class Trainer:
     ``data.load_packed`` reads them); an empty or None validation set means
     no validation. The dropout rate is the encoder config's. A step whose
     BCE or contrastive loss is NaN or inf raises NonFiniteLossError, naming
-    the iteration, before its update is applied. Every step's batch holds
-    the same number 2N of views, so the trainer keeps the three (2N, 2N)
+    the iteration, before its update is applied. Every step forms the same
+    number 2N of views, so the trainer keeps the three (2N, 2N)
     arrays of ``batch_gradients`` (the similarity gradient, the clipped
     similarities and then the embedding gradient's terms, the cosines)
     rather than allocate them each step. A
@@ -368,11 +350,10 @@ class Trainer:
         return f1
 
     def step(self) -> dict:
-        rows = self._next_batch()
-        views = self.train_set.two_views(rows)
+        batch = self.train_set.take(self._next_batch())
         bce, con, total, grads, _ = batch_gradients(
             self.state,
-            views,
+            batch,
             alpha=self.cfg.alpha,
             tau1=self.cfg.tau1,
             variant=self.cfg.variant,
@@ -442,8 +423,9 @@ class Trainer:
         archive (``copies.read_archive``), a header of other keys, a
         misshapen, non-finite or wrong-kind (``data.check_kind``) field, a
         bad history (``_history_best_f1``), a ``best_params`` empty although
-        a validation is recorded or held although none is, and an epoch
-        order or cursor that does not fit ``train_samples`` raise
+        a validation is recorded or held although none is, an epoch order or
+        cursor that does not fit ``train_samples``, and a cursor other than
+        the one the history's steps leave (``_saved_cursor``) raise
         CheckpointError."""
         try:
             arrays = copies.read_archive(path, _TRAINER_MEMBERS)
@@ -498,10 +480,25 @@ class Trainer:
                 f"training set of {n} samples: it must be empty or a permutation of range({n}), "
                 "with 0 <= cursor <= its size"
             )
-        trainer.adam, trainer.rng = AdamState(*moments, step=len(history)), rng
+        # the history holds every step only if it leaves the saved cursor
+        steps, size = len(history), min(cfg.batch_size, n)
+        want = _saved_cursor(steps, size, n)
+        if cursor != want or not steps and order.size:
+            raise CheckpointError(
+                f"{path}: the saved cursor is {cursor} over an epoch order of {order.size} rows, but the history's "
+                f"{steps} steps of {size} samples leave it at {want}, over {n if steps else 0} rows"
+            )
+        trainer.adam, trainer.rng = AdamState(*moments, step=steps), rng
         trainer.history, trainer._order, trainer._cursor = history, order, cursor
         trainer._best_f1, trainer._best_state = best_f1, best_state
         return trainer
+
+
+def _saved_cursor(steps: int, size: int, n: int) -> int:
+    """The epoch cursor after ``steps`` batches of ``size`` of ``n`` samples
+    (``Trainer._next_batch``): 0 before the first, then the end of the
+    step's batch in an epoch of n // size batches."""
+    return (steps - 1) % (n // size) * size + size if steps else 0
 
 
 def _history_best_f1(history) -> float:

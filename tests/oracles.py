@@ -11,12 +11,16 @@ is the contrastive loss as whole-matrix expressions, against which the
 package's in-place pass is checked bit for bit, and ``cosine_sim_matrix``
 the similarities it is handed. ``per_view_contrastive_loss`` is that pass
 as it stood when it took one label row per view and formed the label work
-on the (2N, 2N) grid, and ``trainer_step`` the training step of that time
-(the 2N views by ``take``, a gather of rows with their ids, then that loss,
-with the cosines by ``unit @ unit.T``), against which the
-per-sample forms are checked bit for bit. ``predict_batch`` is the inference path as
-it stood before its per-call checks and wrappers were trimmed, each stage
-through the checked form the package once exported (``forward_rowwise``,
+on the (2N, 2N) grid, and ``trainer_step`` the training step with that loss
+(the N samples by ``take``, a gather of rows with their ids, each sample's
+label row given to both of its views, and the cosines by ``unit @ unit.T``),
+against which the per-sample forms are checked bit for bit.
+``duplicated_forward`` and ``duplicated_gradients`` are the training pass
+as it stood when it ran the input layer on 2N rows, sample i's row laid
+out again as row i + N, with ``backward`` on that trace: the float64
+reference of the pass that runs the input layer once per sample.
+``predict_batch`` is the inference path as it stood before its per-call
+checks and wrappers were trimmed, each stage through the checked form the package once exported (``forward_rowwise``,
 the dropout-off pass with its trace, then retrieval, the vote, the
 high-confidence mask, lambda and the combination), against which
 ``inference.predict_batch`` is checked bit for bit, and
@@ -353,8 +357,8 @@ def per_view_contrastive_loss(sims, labels, tau1: float, variant: str = "dcl", w
 
 def take(split: PackedSamples, rows) -> PackedSamples:
     """The given rows of ``split``, in the given order (repeats allowed),
-    ids too: the gather the package's ``PackedSamples.take`` made before the
-    training step drew its views with ``two_views``."""
+    ids too: ``PackedSamples.take`` as it stood before the training step's
+    gather dropped the ids."""
     rows = np.asarray(rows, dtype=np.int64)
     indptr, pos = _gather(split.indptr, rows)
     id_offsets, id_pos = _gather(split.id_offsets, rows)
@@ -370,18 +374,19 @@ def take(split: PackedSamples, rows) -> PackedSamples:
 
 
 def trainer_step(trainer: training.Trainer) -> dict:
-    """``trainer.step()`` as it stood with per-view labels: the N drawn rows
-    taken twice by ``take`` (ids too), the contrastive loss by
-    ``per_view_contrastive_loss`` on the views' (2N, C) labels with fresh
-    arrays, then the package's backward pass, Adam step and validation."""
+    """``trainer.step()`` with per-view labels: the N drawn rows by ``take``
+    (ids too) through the package's forward pass, the contrastive loss by
+    ``per_view_contrastive_loss`` on the views' (2N, C) labels (each
+    sample's row twice) with fresh arrays, then the package's backward pass,
+    Adam step and validation."""
     cfg, state = trainer.cfg, trainer.state
-    rows = trainer._next_batch()
-    views = take(trainer.train_set, np.concatenate([rows, rows]))
-    trace = encoder.forward_batch(state, views, rng=trainer.rng)
-    bce, logit_grads = bce_loss(sigmoid(trace.logits), views.labels)
+    batch = take(trainer.train_set, trainer._next_batch())
+    labels = np.concatenate([batch.labels, batch.labels])
+    trace = encoder.forward_batch(state, batch, rng=trainer.rng)
+    bce, logit_grads = bce_loss(sigmoid(trace.logits), labels)
     unit, norms = unit_rows(trace.embedding)
     cos = unit @ unit.T
-    con, grad_sims = per_view_contrastive_loss(cos.clip(-1.0, 1.0), views.labels, cfg.tau1, cfg.variant)
+    con, grad_sims = per_view_contrastive_loss(cos.clip(-1.0, 1.0), labels, cfg.tau1, cfg.variant)
     emb_grads = cfg.alpha * contrastive_embedding_grads(unit, norms, cos, grad_sims) if cfg.alpha > 0.0 else None
     grads = encoder.backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
     training.adam_step(state, grads, trainer.adam, lr=cfg.learning_rate)
@@ -398,7 +403,7 @@ def forward(state: EncoderState, sample: PackedSamples) -> ForwardTrace:
     inference batch; the trace holds the 1-d rows."""
     assert len(sample) == 1
     t = forward_rowwise(state, pack_samples(sample, state.config.input_dim))
-    return ForwardTrace(t.inputs, t.pre_hidden[0], t.hidden[0], t.mask[0], t.embedding[0], t.logits[0])
+    return ForwardTrace(t.pre_hidden[0], t.hidden[0], t.mask[0], t.embedding[0], t.logits[0])
 
 
 def column_gather(w_in: np.ndarray, batch: PackedSamples) -> np.ndarray:
@@ -644,7 +649,7 @@ def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
     hidden = np.tanh(pre_hidden) if state.config.activation == "tanh" else np.maximum(pre_hidden, 0.0)
     embedding = np.einsum("ij,kj->ik", hidden, state.w_emb) + state.b_emb
     logits = np.einsum("ij,kj->ik", embedding, state.w_clf) + state.b_clf
-    return ForwardTrace(batch, pre_hidden, hidden, np.ones_like(hidden), embedding, logits)
+    return ForwardTrace(pre_hidden, hidden, np.ones_like(hidden), embedding, logits)
 
 
 def _sigmoid(x):
@@ -760,9 +765,36 @@ def adam_step(state, grads, adam, lr, betas=(0.9, 0.999), eps=1e-8):
     return state
 
 
+def duplicated_forward(state: EncoderState, batch: PackedSamples, masks) -> ForwardTrace:
+    """``encoder.forward_batch`` under fixed (2N, hidden) ``masks`` as it
+    stood before the input layer ran once per sample: the N samples laid out
+    twice, view i + N a copy of sample i, and every array of the trace 2N
+    rows, the input layer the product over every input column."""
+    views = take(batch, np.tile(np.arange(len(batch)), 2))
+    dense = views.to_dense(state.flat.dtype)
+    pre_hidden = dense @ state.w_in.T + state.b_in
+    hidden = encoder._activate(state.config, pre_hidden)
+    mask = np.asarray(masks, dtype=state.flat.dtype)
+    embedding = (hidden * mask) @ state.w_emb.T + state.b_emb
+    return ForwardTrace(pre_hidden, hidden, mask, embedding, embedding @ state.w_clf.T + state.b_clf, dense)
+
+
+def duplicated_gradients(state: EncoderState, batch: PackedSamples, masks, alpha, tau1, variant) -> ParameterGradients:
+    """``training.batch_gradients``' parameter gradients through
+    ``duplicated_forward`` and ``backward`` on its 2N-row trace, the losses
+    the package's."""
+    trace = duplicated_forward(state, batch, masks)
+    _, _, logit_grads, grad_sims, cosine, _ = training._batch_losses(trace, batch.labels, tau1, variant)
+    emb_grads = alpha * contrastive_embedding_grads(*cosine, grad_sims) if alpha > 0.0 else None
+    return backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
+
+
 def backward(state: EncoderState, trace: ForwardTrace, grad_embedding=None, grad_logits=None) -> ParameterGradients:
-    """Reverse-mode gradients summed over the rows of a batch trace, each
-    product and sum formed as its own array."""
+    """Reverse-mode gradients summed over the 2N views of a batch trace, each
+    product and sum formed as its own array. In a trace of N samples (from
+    ``forward_batch``) both views' hidden gradients are added on their
+    sample's row; in a trace of 2N rows (``duplicated_forward``) each view
+    keeps its own."""
     cfg = state.config
     if trace.embedding.ndim != 2:
         raise ValueError("backward needs a batch trace from forward_batch")
@@ -785,6 +817,10 @@ def backward(state: EncoderState, trace: ForwardTrace, grad_embedding=None, grad
         d_embedding = d_embedding + d_logits @ state.w_clf
 
     d_hidden = (d_embedding @ state.w_emb) * trace.mask
+    # 2 views per hidden row in a trace of N samples, 1 in one of 2N rows
+    views = n // len(trace.hidden)
+    if views == 2:
+        d_hidden = d_hidden[: n // 2] + d_hidden[n // 2 :]
     if cfg.activation == "tanh":
         d_pre = d_hidden * (1.0 - trace.hidden**2)
     else:
@@ -798,7 +834,7 @@ def backward(state: EncoderState, trace: ForwardTrace, grad_embedding=None, grad
     return ParameterGradients(
         w_in=w_in,
         b_in=d_pre.sum(axis=0),
-        w_emb=d_embedding.T @ (trace.hidden * trace.mask),
+        w_emb=d_embedding.T @ (np.tile(trace.hidden, (views, 1)) * trace.mask),
         b_emb=d_embedding.sum(axis=0),
         w_clf=w_clf,
         b_clf=b_clf,

@@ -196,7 +196,8 @@ def test_batched_step_matches_per_view(seed, n, variant, activation, dropout, em
     masks = (rng.random((2 * n, hidden)) >= rate).astype(np.float64) / (1.0 - rate) if dropout == "frozen" else None
 
     want = ref_batch_gradients(state, views, alpha, tau1, variant, rng=make_rng(seed), masks=masks)
-    packed = pack(views, state.config.input_dim)
+    # the batch is the n samples; the step forms their 2n views
+    packed = pack(samples, state.config.input_dim)
     got = batch_gradients(state, packed, alpha, tau1, variant, rng=make_rng(seed), masks=masks)
 
     for name, a, b in zip(("bce", "con", "total"), got[:3], want[:3]):
@@ -248,7 +249,7 @@ def test_embedding_grads_from_step_pieces_are_bit_identical(seed, n2, d):
 @pytest.mark.parametrize("features", [{}, {1: 2.0, 3: 0.5}])
 def test_single_sample_forward_matches_reference(activation, features):
     # a batch of one through the row-stable pass and through forward_batch
-    # with masks of ones and with drawn masks
+    # (its first view) with masks of ones and with drawn masks
     state, _, _ = random_problem(3, 1, activation, 0.2)
     sample = Sample(features=features, labels=np.ones(state.config.num_classes, dtype=np.int8))
     batch = pack([sample], state.config.input_dim)
@@ -257,7 +258,7 @@ def test_single_sample_forward_matches_reference(activation, features):
     assert_close(embedding[0], want["embedding"], "rowwise embedding")
     assert_close(rowwise_logits(state, embedding)[0], want["logits"], "rowwise logits")
     traces = {
-        "off": ("off", forward_batch(state, batch, masks=np.ones((1, state.config.hidden_dim)))),
+        "off": ("off", forward_batch(state, batch, masks=np.ones((2, state.config.hidden_dim)))),
         "on": ("on", forward_batch(state, batch, rng=make_rng(5))),
     }
     for name, (mode, got) in traces.items():
@@ -276,7 +277,7 @@ def test_gathered_and_dense_input_layers_match_reference():
     sample = Sample({4: 1.5, 17: 2.0, 29: 0.25}, np.array([1, 0, 1], dtype=np.int8))
     want = ref_forward(state, sample)
     for n in (1, 12):
-        trace = forward_batch(state, pack([sample] * n, 30), masks=np.ones((n, 7)))
+        trace = forward_batch(state, pack([sample] * n, 30), masks=np.ones((2 * n, 7)))
         for i in range(n):
             assert_close(trace.pre_hidden[i], want["pre_hidden"], f"n={n} row {i} pre_hidden")
             assert_close(trace.embedding[i], want["embedding"], f"n={n} row {i} embedding")

@@ -664,8 +664,8 @@ class TestGradcheckCommand:
         # the report of the rows and masks gradcheck.random_views draws for these dims
         assert main(["--seed", "0", "gradcheck", "--dims", "7,5,3,4,3"]) == EXIT_OK
         assert capsys.readouterr().out == (
-            "config   0: pass  max_rel_error=1.238e-08 float32_gap=2.909e-06 worst=b_in params=74\n"
-            "PASS: 1 configurations, max relative error 1.238e-08, max float32 gap 2.909e-06\n"
+            "config   0: pass  max_rel_error=1.238e-08 float32_gap=2.539e-06 worst=b_in params=74\n"
+            "PASS: 1 configurations, max relative error 1.238e-08, max float32 gap 2.539e-06\n"
         )
 
 
@@ -754,6 +754,10 @@ class TestAblateCommand:
             assert 0.0 <= r["macro_f1"] <= 1.0
         assert names_by_section["mode"] == {"classifier_only", "knn_only", "denn", "fixed_lambda"}
         assert names_by_section["variant"] == {"dcl", "ucl", "scl", "wscl"}
+        # each model's budget in passes over the training split, as train records it
+        manifest = json.loads((out_dir / "manifest-ablate.json").read_text())
+        rows = SMALL_CONFIG["dataset"]["train_size"]
+        assert manifest["epochs"] == 12 * min(fast_cfg["train"]["batch_size"], rows) / rows
 
     @pytest.mark.parametrize(
         "flag,values,message",

@@ -17,9 +17,11 @@ from knnmlc.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from knnmlc.gradcheck import duplicated_views, gradient_check, random_gradcheck_problem
+from knnmlc.gradcheck import gradient_check, random_gradcheck_problem, random_views
+from knnmlc.losses import CONTRASTIVE_VARIANTS
 from knnmlc.mathops import make_rng, sigmoid
-from oracles import Sample, checkpoint_text, forward, pack, state_to_payload
+from knnmlc.training import batch_gradients
+from oracles import Sample, checkpoint_text, duplicated_gradients, forward, pack, state_to_payload
 
 
 def tiny_config(**kw):
@@ -111,18 +113,19 @@ class TestClassify:
 
 class TestBackward:
     def _trace(self, state):
-        return forward_batch(state, tiny_batch(state), masks=np.ones((1, state.config.hidden_dim)))
+        # one sample, two views
+        return forward_batch(state, tiny_batch(state), masks=np.ones((2, state.config.hidden_dim)))
 
     def test_zero_upstream_gives_zero_gradients(self):
         state = init_state(tiny_config(), seed=1)
-        grads = backward(state, self._trace(state), grad_embedding=np.zeros((1, 3)), grad_logits=np.zeros((1, 3)))
+        grads = backward(state, self._trace(state), grad_embedding=np.zeros((2, 3)), grad_logits=np.zeros((2, 3)))
         for _, arr in grads.param_items():
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
 
     def test_classifier_gradient_is_outer_product(self):
         state = init_state(tiny_config(), seed=2)
         trace = self._trace(state)
-        g = np.array([[0.3, -0.7, 1.1]])
+        g = np.array([[0.3, -0.7, 1.1], [0.0, 0.0, 0.0]])
         grads = backward(state, trace, grad_logits=g)
         np.testing.assert_allclose(grads.w_clf, np.outer(g[0], trace.embedding[0]), atol=1e-15)
         np.testing.assert_allclose(grads.b_clf, g[0], atol=1e-15)
@@ -140,20 +143,12 @@ class TestBackward:
         with pytest.raises(ValueError, match="batch trace"):
             backward(state, forward(state, tiny_sample()), grad_logits=np.zeros((1, 3)))
 
-    def test_duplicated_views_equal_the_samples_packed_twice(self):
-        rng = np.random.default_rng(3)
-        rows, samples = [], []
-        for i in range(5):
-            idx = rng.choice(9, size=1 + i % 4, replace=False)
-            values = rng.uniform(0.5, 2.0, idx.size)
-            labels = (rng.random(4) < 0.5).astype(np.int8)
-            rows.append((idx, values, labels))
-            samples.append(Sample({int(j): float(v) for j, v in zip(idx, values)}, labels, f"gc-{i}"))
-        got, want = duplicated_views(*zip(*rows), 9), pack(samples + samples, 9)
-        for name in ("indptr", "indices", "values", "labels"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert got.input_dim == 9 and got.ids() == [""] * 10
+    def test_random_views_draws_n_samples_and_the_masks_of_2n_views(self):
+        config = tiny_config(input_dim=9, hidden_dim=5, dropout_rate=0.5)
+        batch, masks = random_views(make_rng(3), 4, config)
+        assert len(batch) == 4 and batch.ids() == [""] * 4 and batch.input_dim == 9
+        assert np.all(np.diff(batch.indptr) >= 1) and batch.labels.any(axis=1).all()
+        assert masks.shape == (8, 5) and set(np.unique(masks)) <= {0.0, 2.0}
 
     @pytest.mark.parametrize("seed", [21, 22, 23, 24])
     def test_full_gradient_check(self, seed):
@@ -182,7 +177,7 @@ class TestBackward:
         assert report.passed is False and report.max_rel_error == np.inf
 
     # the largest float32-vs-float64 gap over the 20 problems of the default
-    # suite measured 2.007e-04 (OpenBLAS 0.3.31, SkylakeX kernel); the bound
+    # suite measured 2.010e-04 (OpenBLAS 0.3.31, SkylakeX kernel); the bound
     # leaves a margin of more than 10x
     FLOAT32_GAP_BOUND = 2.5e-3
 
@@ -199,9 +194,12 @@ class TestBackward:
 
 
 def _pre_activation_grad(state, trace, grad_embedding):
-    """d loss / d pre_hidden for an upstream embedding gradient, formed as
-    ``backward`` forms it."""
-    d_hidden = (np.asarray(grad_embedding, dtype=state.flat.dtype) @ state.w_emb) * trace.mask
+    """d loss / d pre_hidden for an upstream (2N, embed) embedding gradient,
+    formed as ``backward`` forms it: both views' gradients added on their
+    sample's row."""
+    d_views = (np.asarray(grad_embedding, dtype=state.flat.dtype) @ state.w_emb) * trace.mask
+    n = len(trace.hidden)
+    d_hidden = d_views[:n] + d_views[n:]
     if state.config.activation == "tanh":
         return d_hidden * (1.0 - trace.hidden**2)
     return d_hidden * (trace.pre_hidden > 0.0)
@@ -242,7 +240,7 @@ class TestTouchedColumns:
         assert trace.dense_c.dtype == dtype and trace.dense_c.tobytes() == dense_c.tobytes()
         assert trace.pre_hidden.tobytes() == (dense_c @ state.w_in[:, cols].T + state.b_in).tobytes()
 
-        grad_embedding = np.random.default_rng(seed).standard_normal((len(rows), 3))
+        grad_embedding = np.random.default_rng(seed).standard_normal((2 * len(rows), 3))
         grads = backward(state, trace, grad_embedding=grad_embedding)
         d_pre = _pre_activation_grad(state, trace, grad_embedding)
         untouched = np.setdiff1d(np.arange(input_dim), cols)
@@ -254,38 +252,68 @@ class TestTouchedColumns:
     def _widened(problem):
         """A gradient check problem of the default suite moved onto the
         compacted branch: the input dimension grown to more than twice the
-        views' feature entries, feature j moved to column j * stride + 1, and
-        a fresh state of the wider dims."""
-        state, views, masks, alpha, tau1, variant = problem
+        batch's feature entries, feature j moved to column j * stride + 1,
+        and a fresh state of the wider dims."""
+        state, batch, masks, alpha, tau1, variant = problem
         cfg = state.config
-        stride = 2 * views.indices.size // cfg.input_dim + 2
+        stride = 2 * batch.indices.size // cfg.input_dim + 2
         wide = dataclasses.replace(cfg, input_dim=cfg.input_dim * stride)
-        views = dataclasses.replace(views, indices=views.indices * stride + 1, input_dim=wide.input_dim)
-        return init_state(wide, seed=state.init_seed), views, masks, alpha, tau1, variant
+        batch = dataclasses.replace(batch, indices=batch.indices * stride + 1, input_dim=wide.input_dim)
+        return init_state(wide, seed=state.init_seed), batch, masks, alpha, tau1, variant
 
     def test_the_gradient_check_passes_on_suite_problems_forced_onto_the_compacted_branch(self):
-        # the suite's first 8 problems, two per variant (1 of its 20 takes
-        # this branch unwidened); measured: max relative error 8.5e-7, max
-        # float32 gap 3.3e-4
+        # the suite's first 8 problems, two per variant (6 of its 20 take
+        # this branch unwidened); measured: max relative error 6.2e-7, max
+        # float32 gap 1.2e-4
         for problem in map(self._widened, gradcheck.gradcheck_suite_problems(num_configs=8)):
-            state, views, masks = problem[:3]
-            assert forward_batch(state, views, masks=masks).cols is not None
+            state, batch, masks = problem[:3]
+            assert forward_batch(state, batch, masks=masks).cols is not None
             report = gradient_check(*problem)
             assert report.passed, f"max relative error {report.max_rel_error:.3e} in {report.worst_param}"
             assert report.float32_gap <= TestBackward.FLOAT32_GAP_BOUND, f"float32 gap {report.float32_gap:.3e}"
 
 
+class TestOneInputLayerForTwoViews:
+    """The training pass runs the input layer once per sample and forms both
+    dropout views after it; in float64 its gradients are those of the pass
+    that ran the input layer on 2N rows, sample i laid out again as row
+    i + N (``oracles.duplicated_gradients``), to a relative 1e-12."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("branch", ["dense", "touched"])
+    @pytest.mark.parametrize("variant", CONTRASTIVE_VARIANTS)
+    def test_the_gradients_equal_the_duplicated_2n_row_reference(self, variant, branch, activation):
+        checked = 0
+        for seed in range(10):
+            problem = random_gradcheck_problem(seed, variant)
+            if branch == "touched":
+                problem = TestTouchedColumns._widened(problem)
+            state, batch, masks, alpha, tau1, _ = problem
+            state = type(state).on_buffer(dataclasses.replace(state.config, activation=activation), state.flat)
+            if (forward_batch(state, batch, masks=masks).cols is None) != (branch == "dense"):
+                continue
+            got = batch_gradients(state, batch, alpha, tau1, variant, masks=masks)[3]
+            want = duplicated_gradients(state, batch, masks, alpha, tau1, variant)
+            # relative to each gradient's largest entry: a sum that cancels
+            # can differ by more than 1e-12 of itself (measured: at most
+            # 3.3e-15 of the largest entry over these problems)
+            for name, g in got.param_items():
+                w = getattr(want, name)
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max(), err_msg=f"seed {seed} {name}")
+            checked += 1
+        assert checked >= 3
+
+
 def test_inverted_dropout_preserves_expected_embedding():
     # mean over masks of the dropped forward should match the dropout-off
-    # forward; checked to 3 standard errors per coordinate. One batch of n
-    # copies draws the same masks as n batches of one.
+    # forward; checked to 3 standard errors per coordinate. A batch of n
+    # copies gives 2n views, each with a mask of its own.
     state = init_state(tiny_config(dropout_rate=0.3, hidden_dim=8), seed=5)
     rng = make_rng(99)
-    n = 20000
-    draws = forward_batch(state, tiny_batch(state, n), rng=rng).embedding
+    draws = forward_batch(state, tiny_batch(state, 10000), rng=rng).embedding
     reference = forward(state, tiny_sample()).embedding
     mean = draws.mean(axis=0)
-    stderr = draws.std(axis=0, ddof=1) / np.sqrt(n)
+    stderr = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
     assert np.all(np.abs(mean - reference) <= 3.0 * stderr + 1e-12)
 
 

@@ -159,7 +159,8 @@ class TestViews:
         state = small_state()
         batch = pack([Sample({0: 1.0, 3: -2.0}, [1, 0, 1, 0]), Sample({5: 0.5}, [0, 1, 0, 0])], 7)
         trace = forward_batch(state, batch)
-        grads = backward(state, trace, np.ones((2, 3)), np.ones((2, 4)))
+        # two samples, four views
+        grads = backward(state, trace, np.ones((4, 3)), np.ones((4, 4)))
         assert_flat(grads)
         assert grads.shapes == state.shapes
         assert not np.shares_memory(grads.flat, state.flat)
@@ -366,8 +367,9 @@ def test_backward_is_bit_identical_to_the_per_array_form(
     state = init_state(cfg, seed=seed % 1000)
     trace = forward_batch(state, pack(samples, input_dim), rng=make_rng(seed))
     assert (trace.cols is None) == dense
-    grad_embedding = rng.standard_normal((n, embed)) if with_embedding else None
-    grad_logits = rng.standard_normal((n, classes)) if with_logits else None
+    # one upstream row per view, two per sample
+    grad_embedding = rng.standard_normal((2 * n, embed)) if with_embedding else None
+    grad_logits = rng.standard_normal((2 * n, classes)) if with_logits else None
     got = backward(state, trace, grad_embedding, grad_logits)
     want = oracles.backward(state, trace, grad_embedding, grad_logits)
     for name in NAMES:

@@ -65,7 +65,8 @@ def ref_knn_predict(neighbors, tau2):
 
 
 def ref_predict(state, store, sample, cfg):
-    trace = forward_batch(state, pack_samples(sample, state.config.input_dim), masks=np.ones((1, state.config.hidden_dim)))
+    # the first of the sample's two views, both without dropout
+    trace = forward_batch(state, pack_samples(sample, state.config.input_dim), masks=np.ones((2, state.config.hidden_dim)))
     y_clf = sigmoid(trace.logits[0])
     neighbors = ref_search(store, trace.embedding[0], cfg.k)
     y_knn = ref_knn_predict(neighbors, cfg.tau2)

@@ -531,13 +531,41 @@ class TestTrainer:
         with pytest.raises(AttributeError):
             trainer.iteration = 5
 
-    def test_an_empty_epoch_order_resumes(self, tmp_path):
-        header, arrays, path, train_s, valid_s = self._saved(tmp_path)
-        arrays["order"], header["cursor"] = np.empty(0, dtype=np.int64), 0
+    # each way the history and the saved epoch can disagree (120 training
+    # samples, batches of 8: 15 per epoch), and the message naming both cursors
+    CURSORS = {
+        # loaded as step 4 with the parameters and moments of step 5
+        "the last of 5 records cut": (5, lambda h, a: h["history"].pop(),
+                                      r"cursor is 40 over an epoch order of 120 rows, but the history's 4 steps of 8 "
+                                      r"samples leave it at 32, over 120 rows"),
+        "an empty order after 2 steps": (2, lambda h, a: a.update(order=a["order"][:0]) or h.update(cursor=0),
+                                         r"cursor is 0 over an epoch order of 0 rows, but the history's 2 steps of 8 "
+                                         r"samples leave it at 16, over 120 rows"),
+        "a full order before the first step": (0, lambda h, a: a.update(order=np.arange(120)),
+                                               r"cursor is 0 over an epoch order of 120 rows, but the history's 0 steps "
+                                               r"of 8 samples leave it at 0, over 0 rows"),
+    }
+
+    @pytest.mark.parametrize("case", CURSORS)
+    def test_a_history_that_does_not_leave_the_saved_cursor_is_refused_naming_both(self, tmp_path, case):
+        iters, make, message = self.CURSORS[case]
+        header, arrays, path, train_s, valid_s = self._saved(tmp_path, iters=iters, max_iters=6)
+        assert len(train_s) == 120 and len(header["history"]) == iters
+        make(header, arrays)
         self._rewrite(path, header, arrays)
-        trainer = Trainer.load_checkpoint(path, train_s, valid_s)
-        trainer.run(num_iters=1)
-        assert trainer.iteration == 3
+        with pytest.raises(CheckpointError, match=rf"^\S*trainer.json: the saved {message}$"):
+            Trainer.load_checkpoint(path, train_s, valid_s)
+
+    @pytest.mark.parametrize("n, batch_size", [(120, 8), (120, 7), (7, 7), (9, 4), (5, 50), (64, 64)])
+    def test_the_saved_cursor_follows_from_the_step_count(self, n, batch_size):
+        (train_s, _, _), dcfg = tiny_data()
+        trainer = Trainer(train_s[:n], None, init_state(tiny_encoder_cfg(dcfg), seed=0),
+                          TrainConfig(batch_size=batch_size, max_iters=40))
+        for steps in range(41):
+            assert trainer._cursor == training._saved_cursor(steps, min(batch_size, n), n)
+            assert trainer._order.size == (n if steps else 0)
+            if steps < 40:
+                trainer.step()
 
     @pytest.mark.parametrize(
         "case", ["no history", "unknown config key", "a version 5 counter", "misshapen moment", "header not json",
@@ -646,12 +674,12 @@ class TestWorkspace:
         real = training.batch_gradients
         checked = []
 
-        def checking(state, views, **kwargs):
+        def checking(state, batch, **kwargs):
             assert kwargs["workspace"] is trainer._workspace
             fresh_rng = make_rng(0)
             fresh_rng.bit_generator.state = kwargs["rng"].bit_generator.state
-            want = real(state.copy(), views, **{**kwargs, "rng": fresh_rng, "workspace": None})
-            got = real(state, views, **kwargs)
+            want = real(state.copy(), batch, **{**kwargs, "rng": fresh_rng, "workspace": None})
+            got = real(state, batch, **kwargs)
             for a, b in zip(got[:3], want[:3]):
                 assert np.float64(a).tobytes() == np.float64(b).tobytes()
             for name, g in got[3].param_items():
@@ -687,10 +715,10 @@ class TestWorkspace:
         (train_s, _, _), dcfg = tiny_data()
         state = init_state(tiny_encoder_cfg(dcfg), seed=0)
         rows = np.arange(6)
-        first_views, second_views = (train_s.two_views(r) for r in (rows, rows + 6))
-        first = training.batch_gradients(state, first_views, 0.5, 0.05, "wscl", rng=make_rng(0))
+        first_batch, second_batch = (train_s.take(r) for r in (rows, rows + 6))
+        first = training.batch_gradients(state, first_batch, 0.5, 0.05, "wscl", rng=make_rng(0))
         kept = {name: g.copy() for name, g in first[3].param_items()}
-        training.batch_gradients(state, second_views, 0.5, 0.05, "wscl", rng=make_rng(1))
+        training.batch_gradients(state, second_batch, 0.5, 0.05, "wscl", rng=make_rng(1))
         for name, g in first[3].param_items():
             np.testing.assert_array_equal(g, kept[name])
 
@@ -720,10 +748,11 @@ class TestCosineProduct:
 
 
 class TestPerSampleStep:
-    """The step draws its 2N views as one gather of N rows laid out twice
-    (``PackedSamples.two_views``) and forms the label work of the
-    contrastive loss on the N samples; ``oracles.trainer_step`` takes the 2N
-    rows and runs the per-view loss. Both must leave the same bits."""
+    """The step gathers its N samples without ids (``PackedSamples.take``)
+    and forms the label work of the contrastive loss on them;
+    ``oracles.trainer_step`` gathers them with their ids and runs the
+    per-view loss on each sample's labels laid out twice. Both must leave
+    the same bits."""
 
     @staticmethod
     def _data(vocab_size, n=64, empty_every=0):
@@ -778,15 +807,15 @@ class TestPerSampleStep:
     def test_25_steps_at_batch_128_equal_the_per_view_oracle_step(self, monkeypatch, variant, vocab_size, path):
         self._steps_equal_the_oracle_steps(monkeypatch, variant, vocab_size, path, batch_size=128, n=256)
 
-    def test_two_views_is_the_rows_taken_twice_without_ids(self):
+    def test_take_is_the_rows_without_ids(self):
         train_s, _, _ = self._data(120)
         rows = np.array([5, 0, 63, 5, 17])
-        got, want = train_s.two_views(rows), oracles.take(train_s, np.concatenate([rows, rows]))
+        got, want = train_s.take(rows), oracles.take(train_s, rows)
         for name in ("indptr", "indices", "values", "labels"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert got.input_dim == want.input_dim and got.ids() == [""] * 10
-        assert len(train_s.two_views([])) == 0
+        assert got.input_dim == want.input_dim and got.ids() == [""] * 5
+        assert len(train_s.take([])) == 0
 
     @pytest.mark.parametrize("rows, bad", [
         ([63, -2], "-2"), ([-1], "-1"), ([5, 64, -1], "64"), (np.array([3, 2**64 - 1], dtype=np.uint64), str(2**64 - 1)),
@@ -796,14 +825,14 @@ class TestPerSampleStep:
         # different rows, and -1 would cut a negative length
         train_s, _, _ = self._data(120)
         with pytest.raises(IndexError, match=rf"^row {bad} out of range for 64 rows$"):
-            train_s.two_views(rows)
+            train_s.take(rows)
 
     @pytest.mark.parametrize("rows", [[0.9], np.array([True, False]), np.array(["1"])])
     def test_rows_of_a_non_integer_dtype_are_a_type_error(self, rows):
         # 0.9 would be truncated to row 0
         train_s, _, _ = self._data(120)
         with pytest.raises(TypeError, match="rows must be integers"):
-            train_s.two_views(rows)
+            train_s.take(rows)
 
     def test_all_zero_label_rows_are_logged_once_per_training_set(self, caplog):
         train_s, valid_s, ecfg = self._data(120, empty_every=5)
@@ -819,24 +848,3 @@ class TestPerSampleStep:
         with caplog.at_level(logging.WARNING):
             train(train_s, valid_s, ecfg, TrainConfig(batch_size=8, max_iters=3))
         assert not caplog.records
-
-    @pytest.mark.parametrize("objective", ["gradients", "objective"])
-    def test_views_that_are_not_two_halves_are_rejected_naming_the_row(self, objective):
-        train_s, _, ecfg = self._data(120)
-        state = init_state(ecfg, seed=0)
-
-        def run(views):
-            masks = np.ones((len(views), ecfg.hidden_dim))
-            if objective == "gradients":
-                return training.batch_gradients(state, views, 0.5, 0.05, "wscl", masks=masks)
-            return training.batch_objective(state, views, masks, 0.5, 0.05, "wscl")
-
-        twins = train_s.two_views(np.arange(6))
-        run(twins)
-        with pytest.raises(ValueError, match=r"view i \+ N a twin of view i; row 12 of 13 has no twin"):
-            run(oracles.take(train_s, [*range(6), *range(7)]))
-        labels = twins.labels.copy()
-        labels[9] = 1 - labels[9]
-        labels[11] = 1 - labels[11]
-        with pytest.raises(ValueError, match=r"twin of view i; row 9 does not carry the labels of row 3"):
-            run(dataclasses.replace(twins, labels=labels))
