@@ -285,6 +285,7 @@ def cmd_train(args) -> int:
         timings={
             "load_s": loaded - start,
             "run_s": run_s,
+            "validate_s": trainer.validate_s,
             "save_s": saved - run_end,
             "iterations_per_s": trainer.iteration / run_s if trainer.iteration else 0.0,
         },
@@ -701,6 +702,8 @@ def cmd_ablate(args) -> int:
             {"table": table_path},
             # each model trains the configured run to its end
             epochs=_epochs(train_cfg.max_iters, train_cfg, len(train_samples)),
+            train_dtype=np.dtype(TRAIN_DTYPE).name,
+            environment=_environment(),
         )
         print(f"wrote ablation table to {table_path}")
     return EXIT_OK

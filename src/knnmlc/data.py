@@ -159,11 +159,17 @@ class PackedSamples:
         """The sample ids, decoded."""
         return copies.unpack_strings(self.id_offsets, self.id_bytes)
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
+    def to_dense(self, dtype=np.float64, out=None) -> np.ndarray:
         """The (n, input_dim) feature matrix, of ``dtype``: the training step
-        asks for its parameters' dtype."""
+        asks for its parameters' dtype. ``out`` is an optional
+        C-contiguous array of that shape and dtype that the call fills
+        and returns; without it the call allocates one."""
         n = len(self)
-        dense = np.zeros((n, self.input_dim), dtype)
+        if out is None:
+            dense = np.zeros((n, self.input_dim), dtype)
+        else:
+            dense = out
+            dense.fill(0.0)
         dense[np.arange(n).repeat(self.indptr[1:] - self.indptr[:-1]), self.indices] = self.values
         return dense
 
@@ -220,6 +226,18 @@ def check_kind(name: str, value, kind: str) -> None:
     # abs(value) < inf is false for NaN and +-inf, and never overflows
     if isinstance(value, bool) or not isinstance(value, types) or kind == "float" and not abs(value) < math.inf:
         raise TypeError(f"{name} must be {what}, got {value!r}")
+
+
+def check_binary_labels(labels, what: str = "labels") -> None:
+    """ValueError naming the first label other than 0 or 1 (``what`` names
+    the labels). int8 labels take one unsigned maximum, with no temporary
+    array (as unsigned, an int8 below 0 is above 1 too); labels of any other
+    dtype, or int8 labels that fail it, are compared by value."""
+    labels = np.asarray(labels)
+    if labels.dtype != np.int8 or np.maximum.reduce(labels.view(np.uint8), axis=None, initial=0) > 1:
+        bad = labels[(labels != 0) & (labels != 1)]
+        if bad.size:
+            raise ValueError(f"{what} must be 0 or 1, got {bad[0]}")
 
 
 @functools.cache

@@ -92,7 +92,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import PackedSamples, pack_samples
+from .data import PackedSamples, check_binary_labels, pack_samples
 from .encoder import EncoderState, rowwise_layers, weight_rows
 from .mathops import _row_norms
 
@@ -181,11 +181,8 @@ class Datastore:
         self.keys = np.asarray(self.keys, dtype=np.float32)
         values = np.asarray(self.values)
         # checked before the int8 cast, which turns 0.5 into 0, 1.7 into 1 and
-        # 257 into 1; as unsigned, an int8 below 0 is above 1 too
-        if values.dtype != np.int8 or np.maximum.reduce(values.view(np.uint8), axis=None, initial=0) > 1:
-            bad = values[(values != 0) & (values != 1)]
-            if bad.size:
-                raise ValueError(f"label values must be 0 or 1, got {bad[0]}")
+        # 257 into 1
+        check_binary_labels(values, "label values")
         self.values = values.astype(np.int8, copy=False)
         if self.keys.ndim != 2 or self.values.ndim != 2:
             raise ValueError("keys and values must be 2-d arrays")

@@ -390,6 +390,7 @@ def forward_batch(
     batch: PackedSamples,
     rng: np.random.Generator | None = None,
     masks: np.ndarray | None = None,
+    dense: np.ndarray | None = None,
 ) -> ForwardTrace:
     """The training pass over a packed batch of N samples, in the dtype of
     the state's buffer: the input layer and the activation once per sample,
@@ -399,7 +400,10 @@ def forward_batch(
     The scaled (2N, hidden) dropout ``masks`` are given (which is how the
     gradient check freezes them), or drawn as one (2N, hidden) block of
     uniforms from ``rng`` (the same stream as 2N per-view draws), or all
-    ones when the encoder's dropout rate is 0.
+    ones when the encoder's dropout rate is 0. ``dense`` is the batch's
+    ``to_dense`` rows of that dtype, formed by the caller; the dense branch
+    multiplies them (the trace keeps them) instead of forming its own, and
+    the touched-column branch does not read them.
     """
     _check_input_dim(state, batch)
     dtype = state.flat.dtype
@@ -409,7 +413,7 @@ def forward_batch(
         dense_c, cols = _touched_columns(batch, dtype)
         pre_hidden = dense_c @ state.w_in[:, cols].T
     else:
-        dense_c, cols = batch.to_dense(dtype), None
+        dense_c, cols = batch.to_dense(dtype) if dense is None else dense, None
         pre_hidden = dense_c @ state.w_in.T
     pre_hidden += state.b_in
     hidden = _activate(state.config, pre_hidden)
@@ -470,15 +474,18 @@ def backward(
     trace: ForwardTrace,
     grad_embedding: np.ndarray | None = None,
     grad_logits: np.ndarray | None = None,
+    out: ParameterGradients | None = None,
 ) -> ParameterGradients:
     """Reverse-mode gradients for every parameter, summed over the 2N views
     of a batch trace, given upstream (2N, embed) gradients on the embeddings
     (contrastive path) and/or (2N, C) gradients on the logits
     (classification path). Both views' hidden gradients are added on their
     sample's row, so the input layer's gradients are products over the N
-    samples. The gradients are written into one new flat buffer laid out as
-    the state's and of its dtype (``ParameterGradients``), each product and
-    sum straight into its view; the upstream gradients are taken in that
+    samples. The gradients are written into one flat buffer laid out as the
+    state's and of its dtype (``ParameterGradients``), each product and sum
+    straight into its view: ``out``'s, which the call overwrites and
+    returns (a ValueError names a view rebound away from it or a buffer of
+    another dtype), or a new one; the upstream gradients are taken in that
     dtype."""
     cfg = state.config
     dtype = state.flat.dtype
@@ -491,7 +498,13 @@ def backward(
         d_embedding = np.asarray(grad_embedding, dtype=dtype)
     if d_embedding.shape != (n, cfg.embed_dim):
         raise ValueError(f"grad_embedding shape {d_embedding.shape} != ({n}, {cfg.embed_dim})")
-    grads = ParameterGradients._on_buffer(np.empty_like(state.flat), state.shapes)
+    if out is None:
+        grads = ParameterGradients._on_buffer(np.empty_like(state.flat), state.shapes)
+    else:
+        out._check_views("gradient", state.shapes)
+        if out.flat.dtype != dtype:
+            raise ValueError(f"gradient buffer dtype {out.flat.dtype} != parameter buffer dtype {dtype}")
+        grads = out
     if grad_logits is None:
         grads.w_clf.fill(0.0)
         grads.b_clf.fill(0.0)

@@ -16,8 +16,12 @@ l_ij is the label similarity: shared positive labels over the larger positive
 count (0 for two all-zero rows). Labels are 0/1, so one product of the label
 matrix with itself gives every l_ij, and two rows are identical exactly when
 their overlap equals both positive counts. Every label-derived quantity
-depends on the samples alone, so these are formed once on the (N, N) grid of
-samples and broadcast over the four (N, N) blocks of the (2N, 2N) view grid.
+depends on the samples alone, so ``label_pairs`` forms these once on the
+(N, N) grid of samples (``LabelPairs``), and the loss broadcasts them over
+the four (N, N) blocks of the (2N, 2N) view grid. ``label_pairs`` takes a
+stack of batches too, with one batched product: the overlaps are exact
+integers, so each batch's terms are the bits it would get on its own, and
+the ``Trainer`` forms them once per chunk of batches.
 
 Every array follows the dtype of its input (``mathops.work_dtype``): the
 training step runs them in float32, the gradient check in float64. Only the
@@ -44,15 +48,20 @@ reuses; and the softmax that becomes the similarity gradient.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
+from .data import check_binary_labels
 from .mathops import work_dtype
 
 __all__ = [
     "CONTRASTIVE_VARIANTS",
+    "LabelPairs",
     "bce_loss",
     "contrastive_embedding_grads",
     "contrastive_loss_from_similarities",
+    "label_pairs",
     "total_loss",
 ]
 
@@ -80,6 +89,70 @@ def bce_loss(y_hat, y):
     return loss, y_hat - y
 
 
+class LabelPairs(NamedTuple):
+    """The label terms of the contrastive loss (``label_pairs``) for one
+    batch of N samples, or for a stack of batches along leading axes, where
+    index j gives batch j's terms. A field a variant does not use is None."""
+
+    log_weights: np.ndarray | None  # (..., N, N) log(2 - l_ij): dcl, wscl
+    positive: np.ndarray | None  # (..., N, N) 0.0/1.0, identical label rows: scl, wscl
+    num_positive: np.ndarray | None  # (..., N) int64, positives of each of a sample's views: scl, wscl
+
+    @classmethod
+    def empty(cls, grid: tuple, variant: str, dtype) -> "LabelPairs":
+        """Unfilled arrays of ``variant``'s terms on the (..., N, N) ``grid``."""
+        weighted, identical = variant in ("dcl", "wscl"), variant in ("scl", "wscl")
+        return cls(
+            np.empty(grid, dtype) if weighted else None,
+            np.empty(grid, dtype) if identical else None,
+            np.empty(grid[:-1], np.int64) if identical else None,
+        )
+
+
+def label_pairs(labels, variant: str, dtype, out: LabelPairs | None = None) -> LabelPairs:
+    """The label terms of ``variant``'s contrastive loss, of ``dtype``, for
+    the (..., N, C) 0/1 ``labels`` of one batch or a stack of batches: the
+    log weights log(2 - l_ij), the mask of identical label rows and, per
+    view, the count of its positives. Nothing is checked: the labels must be
+    0/1 (``check_binary_labels``).
+
+    Each batch's terms are the bits of a call on that batch alone: the
+    overlaps are exact integers whatever order a batched product sums them
+    in, and the rest is elementwise. ``out`` is an optional ``LabelPairs``
+    of arrays of the results' shapes (``LabelPairs.empty``) that the call
+    fills and returns; without it the call allocates them.
+    """
+    labels = np.asarray(labels)
+    if out is None:
+        out = LabelPairs.empty(labels.shape[:-1] + labels.shape[-2:-1], variant, dtype)
+    # the fields the variant uses are the ones LabelPairs.empty makes
+    weighted, identical = out.log_weights is not None, out.positive is not None
+    if not (weighted or identical):
+        return out
+    y = labels.astype(dtype)
+    counts = y.sum(axis=-1)
+    # shared positive labels of each pair of samples, exact integers; the
+    # contiguous copy of y.T makes this a gemm, several times faster than y @ y.T
+    overlap = np.matmul(y, np.swapaxes(y, -1, -2).copy(), out=out.log_weights)
+    if identical:
+        # two 0/1 rows are identical iff their overlap equals both counts; a
+        # sample is identical to itself, so this holds each view's twin too
+        same = overlap == counts[..., :, None]
+        same &= overlap == counts[..., None, :]
+        # per view: every view of an identical sample but the view itself
+        num_positive = np.multiply(np.count_nonzero(same, axis=-1), 2, out=out.num_positive)
+        num_positive -= 1
+        # as 0.0/1.0, which is what a product with the bool mask casts it to
+        np.copyto(out.positive, same)
+    if weighted:
+        # log w_ij = log(2 - l_ij), l_ij = overlap / max(count_i, count_j, 1)
+        larger = np.maximum(counts, 1.0)
+        overlap /= np.maximum(larger[..., :, None], larger[..., None, :])
+        np.subtract(2.0, overlap, out=overlap)
+        np.log(overlap, out=overlap)
+    return out
+
+
 def total_loss(bce: float, con: float, alpha: float) -> float:
     """Combined objective: bce + alpha * con."""
     if alpha < 0.0:
@@ -87,7 +160,7 @@ def total_loss(bce: float, con: float, alpha: float) -> float:
     return bce + alpha * con
 
 
-def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str = "dcl", workspace=None):
+def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str = "dcl", workspace=None, pairs=None):
     """Loss and gradient treating the (2N, 2N) similarity matrix of the 2N
     views as free variables; entry (i, j) appears only in anchor i's term.
 
@@ -96,8 +169,11 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
     matrix of the similarities' shape). Per anchor i: -mean over positives p
     of log(exp(s_ip/tau) / sum_{j != i} w_ij exp(s_ij/tau)). Computed via
     log-sum-exp so small temperatures cannot overflow. Labels must be 0/1;
-    any other value is a ValueError naming it. A pair with an all-zero label
-    row gets l_ij = 0.
+    any other value is a ValueError naming it (``check_binary_labels``). A
+    pair with an all-zero label row gets l_ij = 0. ``pairs`` is the labels'
+    ``label_pairs`` for this variant and dtype, formed by a caller that
+    checked the labels already; without it the call checks the labels and
+    forms them.
 
     Every array is of the similarities' ``work_dtype``, and the loss is
     summed in float64. ``workspace`` is an optional pair of C-contiguous
@@ -120,37 +196,17 @@ def contrastive_loss_from_similarities(sims, labels, tau1: float, variant: str =
     n = n2 // 2
     if labels.ndim != 2 or labels.shape[0] != n:
         raise ValueError(f"labels of shape {labels.shape} do not give one row per sample of a batch of {n2} views")
-    bad = labels[(labels != 0) & (labels != 1)]
-    if bad.size:
-        raise ValueError(f"labels must be 0 or 1, got {bad[0]}")
+    if pairs is None:
+        check_binary_labels(labels)
+        pairs = label_pairs(labels, variant, dtype)
     rows = np.arange(n2)
     z, pair = (np.empty((n2, n2), dtype), np.empty((n2, n2), dtype)) if workspace is None else workspace
     # the four (N, N) view blocks: z4[a, i, b, j] is z[aN + i, bN + j]
     z4 = z.reshape(2, n, 2, n)
     np.divide(s, tau1, out=z)
-    if variant != "ucl":
-        y = labels.astype(dtype)
-        counts = y.sum(axis=1)
-        # shared positive labels of each pair of samples, exact integers; the
-        # contiguous copy of y.T makes this a gemm, several times faster than y @ y.T
-        overlap = y @ y.T.copy()
-
-    if variant in ("scl", "wscl"):
-        # two 0/1 rows are identical iff their overlap equals both counts; a
-        # sample is identical to itself, so this holds each view's twin too
-        positive = overlap == counts[:, None]
-        positive &= overlap == counts
-        # per view: every view of an identical sample but the view itself
-        num_positive = 2 * np.count_nonzero(positive, axis=1) - 1
-        # as 0.0/1.0, which is what a product with the bool mask casts it to
-        positive = positive.astype(dtype)
+    positive, num_positive = pairs.positive, pairs.num_positive
     if variant in ("dcl", "wscl"):
-        # log w_ij = log(2 - l_ij), l_ij = overlap / max(count_i, count_j, 1)
-        larger = np.maximum(counts, 1.0)
-        overlap /= np.maximum(larger[:, None], larger)
-        np.subtract(2.0, overlap, out=overlap)
-        np.log(overlap, out=overlap)
-        z4 += overlap[None, :, None, :]
+        z4 += pairs.log_weights[None, :, None, :]
 
     # row-wise softmax over j != i gives the P_ij shares of the denominator
     z[rows, rows] = -np.inf

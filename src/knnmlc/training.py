@@ -3,8 +3,18 @@ Adam with bias correction, validation-based model selection, and resumable
 checkpoints.
 
 The training and validation sets are packed into CSR arrays once. Each
-iteration draws N row indices (shuffled epochs without replacement) and
-gathers those rows, without ids, as one packed batch. One forward pass runs
+iteration takes the next N row indices of a shuffled epoch order (epochs
+without replacement) as one packed batch. The ``Trainer`` gathers them a
+chunk at a time: a chunk is a run of consecutive batches of the epoch
+order, as many as keep its arrays near ``_CHUNK_BYTES`` (at least one, and
+never past the epoch's end). At a chunk's first step it gathers the chunk's
+rows once, without ids, and forms each of its batches' terms
+(``_chunk_terms``): the float32 dense rows when a batch takes the dense
+input branch, the BCE targets of both views and the contrastive loss's
+label-pair terms (``losses.label_pairs``, one batched product). Each step
+then slices its batch and its terms from the chunk; they are the bits a
+batch gathered on its own gives, so neither chunking nor a resume in the
+middle of a chunk changes a bit. One forward pass runs
 the input layer once over the N samples and forms 2N views with independent
 dropout masks, view i + N the second view of sample i (when the batch holds
 fewer feature entries than the encoder has input columns, its input layer
@@ -12,9 +22,9 @@ and the backward pass's ``w_in`` gradient multiply only the columns they
 touch; see ``encoder``); binary cross entropy is summed over all 2N
 classifier outputs (each view with its sample's labels), alpha times the
 contrastive loss over the 2N embeddings (with the labels of the N samples)
-is added, one backward pass carries both paths to the parameters, and one
-Adam step over the flat buffers that hold every parameter, gradient and
-moment follows. The state with the best validation
+is added, one backward pass carries both paths to the parameters into the
+gradient buffer the trainer keeps, and one Adam step over the flat buffers
+that hold every parameter, gradient and moment follows. The state with the best validation
 micro-F1 (classifier-only, threshold 0.5, from the dropout-off pass that
 inference runs) is kept as the result.
 
@@ -30,12 +40,14 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import copies
-from .data import PackedSamples, check_kind, check_kinds, pack_samples
+from .data import PackedSamples, check_binary_labels, check_kind, check_kinds, pack_samples
 from .encoder import (
     _PARAM_NAMES,
     CheckpointError,
@@ -55,9 +67,11 @@ from .encoder import (
 )
 from .losses import (
     CONTRASTIVE_VARIANTS,
+    LabelPairs,
     bce_loss,
     contrastive_embedding_grads,
     contrastive_loss_from_similarities,
+    label_pairs,
     total_loss,
 )
 from .mathops import make_rng, sigmoid, unit_rows
@@ -89,6 +103,9 @@ _TRAINER_MEMBERS = {"header": (np.uint8, 1), **dict.fromkeys(("params", "adam_m"
 # best validation), and a history record's, sorted; a validated one adds "valid_micro_f1"
 _TRAINER_HEADER = {"format", "version", "config", "encoder", "cursor", "rng_state", "history"}
 _RECORD_KEYS = ["bce", "con", "iteration", "total"]
+# about the bytes of one chunk of batches (``Trainer``): its gathered rows
+# and their terms
+_CHUNK_BYTES = 1 << 20
 
 
 class NonFiniteLossError(ValueError):
@@ -195,15 +212,67 @@ def adam_step(
     return state
 
 
-def _batch_losses(trace, labels, tau1, variant, workspace=None):
+class _BatchTerms(NamedTuple):
+    """What a training step takes of its batch beyond the packed rows, in
+    the training dtype (``_chunk_terms``)."""
+
+    dense: np.ndarray | None  # (N, input_dim) to_dense rows on the dense branch, else None
+    targets: np.ndarray  # (2N, C) BCE targets: each view its sample's labels
+    pairs: LabelPairs  # the contrastive loss's label terms
+
+
+def _chunk_terms(chunk: PackedSamples, size: int, variant: str, dtype, kept: _BatchTerms | None = None) -> list:
+    """[(batch, terms)] for the k = len(chunk) // size consecutive batches
+    of ``size`` rows of a gathered chunk: each batch a slice of the chunk,
+    each its ``_BatchTerms``. The dense rows (of the whole chunk, when any
+    of its batches takes the dense input branch: ``forward_batch``'s rule
+    ``indices.size < input_dim`` picks the other), the targets and the
+    label-pair terms are each formed once for the chunk, in ``kept``'s
+    arrays when given (a ``_BatchTerms`` of the Trainer's, each array with
+    room for at least k batches), else in new ones. Labels are not checked.
+    """
+    k, input_dim, num_classes = len(chunk) // size, chunk.input_dim, chunk.labels.shape[1]
+    labels = chunk.labels.reshape(k, size, num_classes)
+    bounds = chunk.indptr[::size]
+    dense_batches = np.diff(bounds) >= input_dim
+    dense = None
+    if dense_batches.any():
+        room = None if kept is None else kept.dense[: k * size]
+        dense = chunk.to_dense(dtype, out=room)
+    targets = np.empty((k, 2 * size, num_classes), dtype) if kept is None else kept.targets[:k]
+    np.copyto(targets.reshape(k, 2, size, num_classes), labels[:, None])
+    room = None if kept is None else LabelPairs(*(None if a is None else a[:k] for a in kept.pairs))
+    pairs = label_pairs(labels, variant, dtype, out=room)
+    return [
+        (
+            chunk[j * size : (j + 1) * size],
+            _BatchTerms(
+                dense[j * size : (j + 1) * size] if dense_batches[j] else None,
+                targets[j],
+                LabelPairs(*(None if a is None else a[j] for a in pairs)),
+            ),
+        )
+        for j in range(k)
+    ]
+
+
+def _own_terms(batch: PackedSamples, variant: str, dtype) -> _BatchTerms:
+    """The terms of a batch given without them: its labels checked
+    (``data.check_binary_labels``), then ``_chunk_terms`` of it as a chunk
+    of one batch."""
+    check_binary_labels(batch.labels)
+    return _chunk_terms(batch, len(batch), variant, dtype)[0][1]
+
+
+def _batch_losses(trace, labels, terms: _BatchTerms, tau1, variant, workspace=None):
     """Both objectives of a batch trace of the N samples with (N, C)
-    ``labels``, their gradients on the logits and on the similarities, the
-    cosine pieces (unit rows, norms, unclipped cosine matrix) that the
-    embedding gradient reuses, and the (2N, 2N) array the loss is done with,
-    free for that gradient. ``workspace`` is an optional triple of (2N, 2N)
-    arrays of the trace's dtype, as ``batch_gradients`` takes it; without it
-    three are allocated."""
-    bce, logit_grads = bce_loss(sigmoid(trace.logits), np.concatenate([labels, labels]))
+    ``labels`` and their ``terms``, their gradients on the logits and on the
+    similarities, the cosine pieces (unit rows, norms, unclipped cosine
+    matrix) that the embedding gradient reuses, and the (2N, 2N) array the
+    loss is done with, free for that gradient. ``workspace`` is an optional
+    triple of (2N, 2N) arrays of the trace's dtype, as ``batch_gradients``
+    takes it; without it three are allocated."""
+    bce, logit_grads = bce_loss(sigmoid(trace.logits), terms.targets)
     unit, norms = unit_rows(trace.embedding)
     n2 = len(unit)
     grad, sims, cos = (np.empty((n2, n2), unit.dtype) for _ in range(3)) if workspace is None else workspace
@@ -213,7 +282,9 @@ def _batch_losses(trace, labels, tau1, variant, workspace=None):
     # (docs/formats.md, "What bit-identical covers")
     np.matmul(unit, unit.T.copy(), out=cos)
     np.clip(cos, -1.0, 1.0, out=sims)
-    con, grad_sims = contrastive_loss_from_similarities(sims, labels, tau1, variant, workspace=(grad, sims))
+    con, grad_sims = contrastive_loss_from_similarities(
+        sims, labels, tau1, variant, workspace=(grad, sims), pairs=terms.pairs
+    )
     return bce, con, logit_grads, grad_sims, (unit, norms, cos), sims
 
 
@@ -222,12 +293,15 @@ def batch_objective(state, batch: PackedSamples, masks, alpha, tau1, variant="dc
     dropout masks, as ``batch_gradients`` takes them. This is the scalar the
     finite-difference gradient check perturbs; it never touches the
     backward pass."""
-    trace = forward_batch(state, batch, masks=masks)
-    bce, con, *_ = _batch_losses(trace, batch.labels, tau1, variant)
+    terms = _own_terms(batch, variant, state.flat.dtype)
+    trace = forward_batch(state, batch, masks=masks, dense=terms.dense)
+    bce, con, *_ = _batch_losses(trace, batch.labels, terms, tau1, variant)
     return total_loss(bce, con, alpha)
 
 
-def batch_gradients(state, batch: PackedSamples, alpha, tau1, variant="dcl", rng=None, masks=None, workspace=None):
+def batch_gradients(
+    state, batch: PackedSamples, alpha, tau1, variant="dcl", rng=None, masks=None, workspace=None, terms=None, out=None
+):
     """Forward two dropout views of each of the N packed samples in one pass,
     evaluate both objectives, and backpropagate both paths in one pass.
 
@@ -243,11 +317,19 @@ def batch_gradients(state, batch: PackedSamples, alpha, tau1, variant="dcl", rng
     similarities and then the embedding gradient's (2N, 2N) terms, the third
     the cosines. Without it the call allocates three. Nothing returned lives
     in them.
+
+    ``terms`` is the batch's ``_BatchTerms`` as the ``Trainer`` cuts them
+    from its chunk (``_chunk_terms``); without them the call checks the
+    labels and forms them (``_own_terms``), so both paths run the same
+    arithmetic. ``out`` is a ``ParameterGradients`` the gradients are
+    written into (``encoder.backward``); without it they get a new buffer.
     """
-    trace = forward_batch(state, batch, rng=rng, masks=masks)
-    bce, con, logit_grads, grad_sims, cosine, spare = _batch_losses(trace, batch.labels, tau1, variant, workspace)
+    if terms is None:
+        terms = _own_terms(batch, variant, state.flat.dtype)
+    trace = forward_batch(state, batch, rng=rng, masks=masks, dense=terms.dense)
+    bce, con, logit_grads, grad_sims, cosine, spare = _batch_losses(trace, batch.labels, terms, tau1, variant, workspace)
     emb_grads = alpha * contrastive_embedding_grads(*cosine, grad_sims, out=spare) if alpha > 0.0 else None
-    grads = backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
+    grads = backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads, out=out)
     return bce, con, total_loss(bce, con, alpha), grads, trace.mask
 
 
@@ -277,15 +359,25 @@ class Trainer:
 
     The training and validation sets are PackedSamples (as
     ``data.load_packed`` reads them); an empty or None validation set means
-    no validation. The dropout rate is the encoder config's. A step whose
+    no validation, and a training label other than 0 or 1 is a ValueError
+    naming it. The dropout rate is the encoder config's. A step whose
     BCE or contrastive loss is NaN or inf raises NonFiniteLossError, naming
     the iteration, before its update is applied. Every step forms the same
     number 2N of views, so the trainer keeps the three (2N, 2N)
     arrays of ``batch_gradients`` (the similarity gradient, the clipped
     similarities and then the embedding gradient's terms, the cosines)
-    rather than allocate them each step. A
+    and its gradient buffer rather than allocate them each step. A
     training set with all-zero label rows is logged once, here, when a
     weighted variant gives their pairs label similarity 0.
+
+    Batches come from chunks of ``_chunk_batches`` consecutive batches of
+    the epoch order (fewer at an epoch's end), sized so that a chunk's
+    gathered rows and their terms take about ``_CHUNK_BYTES``
+    (``_chunk_terms``, whose arrays the trainer allocates once and reuses).
+    The chunk is formed after the epoch's permutation is drawn and draws
+    nothing, and a checkpoint does not hold it: a resumed trainer forms one
+    from the saved order and cursor. ``validate_s`` is the seconds spent in
+    validation passes.
     """
 
     def __init__(
@@ -297,6 +389,7 @@ class Trainer:
         input_dim = state.config.input_dim
         self.train_set = pack_samples(train_samples, input_dim)
         self.valid_set = pack_samples(valid_samples, input_dim) if valid_samples else None
+        check_binary_labels(self.train_set.labels, "training labels")
         if cfg.variant in ("dcl", "wscl"):
             empty = np.count_nonzero(~self.train_set.labels.any(axis=1))
             if empty:
@@ -316,8 +409,37 @@ class Trainer:
         self._cursor = 0
         self._best_state: EncoderState | None = None
         self._best_f1 = -1.0
-        n2 = 2 * min(cfg.batch_size, len(self.train_set))
-        self._workspace = tuple(np.empty((n2, n2), TRAIN_DTYPE) for _ in range(3))
+        self.validate_s = 0.0
+        size = min(cfg.batch_size, len(self.train_set))
+        self._workspace = tuple(np.empty((2 * size, 2 * size), TRAIN_DTYPE) for _ in range(3))
+        # every backward pass writes all of it, so it is left unfilled
+        self._grads = ParameterGradients._on_buffer(np.empty_like(state.flat), state.shapes)
+        self._chunk_batches, self._kept = self._chunk_buffers(size)
+        # the current chunk's [(batch, terms)] and the cursor at its start
+        self._chunk: list = []
+        self._chunk_start = 0
+
+    def _chunk_buffers(self, size: int) -> tuple[int, _BatchTerms]:
+        """(batches per chunk, the kept arrays of ``_chunk_terms``): as many
+        batches as keep a chunk near ``_CHUNK_BYTES``, counting per row its
+        mean gathered entries (int64 index, float64 value), its targets, its
+        label-pair rows and, when some batch of ``size`` rows can hold at
+        least ``input_dim`` entries, its dense row."""
+        train, itemsize = self.train_set, np.dtype(TRAIN_DTYPE).itemsize
+        n, (input_dim, num_classes) = len(train), (train.input_dim, train.labels.shape[1])
+        lengths = np.diff(train.indptr)
+        mean_entries = lengths.mean()
+        # the size longest rows
+        lengths.partition(n - size)
+        dense = lengths[n - size :].sum() >= input_dim
+        row_bytes = 16 * mean_entries + itemsize * (2 * num_classes + 2 * size + dense * input_dim)
+        batches = int(max(1, min(n // size, _CHUNK_BYTES // (size * row_bytes))))
+        kept = _BatchTerms(
+            np.empty((batches * size, input_dim), TRAIN_DTYPE) if dense else None,
+            np.empty((batches, 2 * size, num_classes), TRAIN_DTYPE),
+            LabelPairs.empty((batches, size, size), self.cfg.variant, TRAIN_DTYPE),
+        )
+        return batches, kept
 
     @property
     def iteration(self) -> int:
@@ -337,20 +459,37 @@ class Trainer:
         if self._cursor + size > self._order.size:
             self._order = self.rng.permutation(n)
             self._cursor = 0
+            self._chunk = []
         rows = self._order[self._cursor : self._cursor + size]
         self._cursor += size
         return rows
 
+    def _chunk_batch(self) -> tuple[PackedSamples, _BatchTerms]:
+        """The next batch and its terms, cut from the chunk that holds it; a
+        batch past the current chunk starts the next one, which gathers up
+        to ``_chunk_batches`` batches of the epoch order from there."""
+        size = self._next_batch().size
+        start = self._cursor - size
+        j = (start - self._chunk_start) // size
+        if not self._chunk or j >= len(self._chunk):
+            batches = min(self._chunk_batches, (self._order.size - start) // size)
+            chunk = self.train_set.take(self._order[start : start + batches * size])
+            self._chunk = _chunk_terms(chunk, size, self.cfg.variant, TRAIN_DTYPE, self._kept)
+            self._chunk_start, j = start, 0
+        return self._chunk[j]
+
     def _validate(self) -> float:
+        began = time.perf_counter()
         np.copyto(self._upcast.flat, self.state.flat)
         f1 = classifier_micro_f1(self._upcast, self.valid_set)
         if f1 > self._best_f1:
             self._best_f1 = f1
             self._best_state = self.state.copy()
+        self.validate_s += time.perf_counter() - began
         return f1
 
     def step(self) -> dict:
-        batch = self.train_set.take(self._next_batch())
+        batch, terms = self._chunk_batch()
         bce, con, total, grads, _ = batch_gradients(
             self.state,
             batch,
@@ -359,6 +498,8 @@ class Trainer:
             variant=self.cfg.variant,
             rng=self.rng,
             workspace=self._workspace,
+            terms=terms,
+            out=self._grads,
         )
         # alpha * con is NaN for a non-finite con even at alpha = 0
         if not math.isfinite(total):

@@ -15,6 +15,11 @@ on the (2N, 2N) grid, and ``trainer_step`` the training step with that loss
 (the N samples by ``take``, a gather of rows with their ids, each sample's
 label row given to both of its views, and the cosines by ``unit @ unit.T``),
 against which the per-sample forms are checked bit for bit.
+``per_batch_step`` is the step as it stood before the ``Trainer`` gathered
+its batches a chunk at a time: ``take`` of the N drawn rows, then
+``training.batch_gradients`` forming the batch's terms itself in fresh
+buffers, then ``adam_step``; the chunked trainer is checked against it bit
+for bit.
 ``duplicated_forward`` and ``duplicated_gradients`` are the training pass
 as it stood when it ran the input layer on 2N rows, sample i's row laid
 out again as row i + N, with ``backward`` on that trace: the float64
@@ -391,6 +396,25 @@ def trainer_step(trainer: training.Trainer) -> dict:
     grads = encoder.backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
     training.adam_step(state, grads, trainer.adam, lr=cfg.learning_rate)
     record = {"iteration": trainer.iteration + 1, "bce": bce, "con": con, "total": total_loss(bce, con, cfg.alpha)}
+    trainer.history.append(record)
+    if trainer.valid_set is not None and trainer.iteration % trainer.eval_interval == 0:
+        record["valid_micro_f1"] = trainer._validate()
+    return record
+
+
+def per_batch_step(trainer: training.Trainer) -> dict:
+    """``trainer.step()`` one batch at a time: the N drawn rows by
+    ``PackedSamples.take``, ``training.batch_gradients`` without terms or
+    buffers (the labels checked and every term formed for this batch
+    alone), then the Adam step and validation."""
+    cfg = trainer.cfg
+    batch = trainer.train_set.take(trainer._next_batch())
+    bce, con, total, grads, _ = training.batch_gradients(
+        trainer.state, batch, cfg.alpha, cfg.tau1, cfg.variant, rng=trainer.rng
+    )
+    assert np.isfinite(total)
+    training.adam_step(trainer.state, grads, trainer.adam, lr=cfg.learning_rate)
+    record = {"iteration": trainer.iteration + 1, "bce": bce, "con": con, "total": total}
     trainer.history.append(record)
     if trainer.valid_set is not None and trainer.iteration % trainer.eval_interval == 0:
         record["valid_micro_f1"] = trainer._validate()
@@ -784,7 +808,8 @@ def duplicated_gradients(state: EncoderState, batch: PackedSamples, masks, alpha
     ``duplicated_forward`` and ``backward`` on its 2N-row trace, the losses
     the package's."""
     trace = duplicated_forward(state, batch, masks)
-    _, _, logit_grads, grad_sims, cosine, _ = training._batch_losses(trace, batch.labels, tau1, variant)
+    terms = training._own_terms(batch, variant, state.flat.dtype)
+    _, _, logit_grads, grad_sims, cosine, _ = training._batch_losses(trace, batch.labels, terms, tau1, variant)
     emb_grads = alpha * contrastive_embedding_grads(*cosine, grad_sims) if alpha > 0.0 else None
     return backward(state, trace, grad_embedding=emb_grads, grad_logits=logit_grads)
 

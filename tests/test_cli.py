@@ -129,10 +129,12 @@ class TestPipeline:
         a = pipeline_artifacts
         manifest = json.loads((a["run"] / "manifest-train.json").read_text())
         timings, environment = manifest["timings"], manifest["environment"]
-        assert set(timings) == {"load_s", "run_s", "save_s", "iterations_per_s"}
+        assert set(timings) == {"load_s", "run_s", "validate_s", "save_s", "iterations_per_s"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         iterations = len((a["run"] / "history.jsonl").read_text().splitlines())
         assert timings["iterations_per_s"] == iterations / timings["run_s"]
+        # the run validated, and its validation passes are part of run_s
+        assert 0.0 < timings["validate_s"] < timings["run_s"]
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert environment == {
             "python": platform.python_version(),
@@ -754,10 +756,14 @@ class TestAblateCommand:
             assert 0.0 <= r["macro_f1"] <= 1.0
         assert names_by_section["mode"] == {"classifier_only", "knn_only", "denn", "fixed_lambda"}
         assert names_by_section["variant"] == {"dcl", "ucl", "scl", "wscl"}
-        # each model's budget in passes over the training split, as train records it
+        # each model's budget in passes over the training split, the dtype
+        # its models trained in and the environment, as train records them
         manifest = json.loads((out_dir / "manifest-ablate.json").read_text())
         rows = SMALL_CONFIG["dataset"]["train_size"]
         assert manifest["epochs"] == 12 * min(fast_cfg["train"]["batch_size"], rows) / rows
+        train = json.loads((a["run"] / "manifest-train.json").read_text())
+        assert manifest["train_dtype"] == train["train_dtype"] == "float32"
+        assert manifest["environment"] == train["environment"]
 
     @pytest.mark.parametrize(
         "flag,values,message",

@@ -372,5 +372,22 @@ def test_backward_is_bit_identical_to_the_per_array_form(
     grad_logits = rng.standard_normal((2 * n, classes)) if with_logits else None
     got = backward(state, trace, grad_embedding, grad_logits)
     want = oracles.backward(state, trace, grad_embedding, grad_logits)
+    # a kept buffer holding the last step's values (NaN here) is overwritten everywhere
+    kept = ParameterGradients._on_buffer(np.full_like(state.flat, np.nan), state.shapes)
+    assert backward(state, trace, grad_embedding, grad_logits, out=kept) is kept
     for name in NAMES:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert getattr(kept, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_a_gradient_buffer_rebound_or_of_another_dtype_is_refused_by_backward():
+    state = small_state()
+    samples = [Sample({0: 1.0, 5: -0.5}, np.array([1, 0, 1, 0])), Sample({2: 2.0}, np.array([0, 1, 0, 0]))]
+    trace = forward_batch(state, pack(samples, 7), rng=make_rng(0))
+    rebound = ParameterGradients.zeros_like(state)
+    rebound.b_emb = np.zeros_like(state.b_emb)
+    with pytest.raises(ValueError, match="gradient b_emb was rebound"):
+        backward(state, trace, out=rebound)
+    narrow = ParameterGradients._on_buffer(state.flat.astype(np.float32), state.shapes)
+    with pytest.raises(ValueError, match="gradient buffer dtype float32 != parameter buffer dtype float64"):
+        backward(state, trace, out=narrow)

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from knnmlc.losses import (
     CONTRASTIVE_VARIANTS,
+    LabelPairs,
     bce_loss,
     contrastive_embedding_grads,
     contrastive_loss_from_similarities,
+    label_pairs,
     total_loss,
 )
 from knnmlc.mathops import make_rng, sigmoid, unit_rows
@@ -481,3 +483,45 @@ class TestInPlacePass:
             for variant in CONTRASTIVE_VARIANTS:
                 contrastive_loss_from_similarities(np.zeros((4, 4)), labels, 0.1, variant)
         assert not caplog.records
+
+
+class TestLabelPairs:
+    """``label_pairs`` of a stack of batches (one batched product, as the
+    trainer forms a chunk's terms) gives each batch the bits of a call on
+    that batch alone, in arrays it is given or in its own, and the loss
+    given those terms the bits of the loss that forms its own."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,num_classes", [(1, 3), (8, 6), (32, 12), (128, 12)])
+    @pytest.mark.parametrize("variant", CONTRASTIVE_VARIANTS)
+    def test_a_stack_gives_each_batch_the_bits_of_its_own_call(self, variant, n, num_classes, dtype):
+        rng = make_rng(n + num_classes)
+        labels = (rng.random((5, n, num_classes)) < 0.3).astype(np.int8)
+        # all-zero rows and repeated rows
+        labels[:, ::4] = 0
+        labels[:, 1::3] = labels[:, :1]
+        stale = label_pairs(labels, variant, dtype)
+        for a in stale:
+            if a is not None:
+                a.fill(7)
+        got = label_pairs(labels, variant, dtype, out=stale)
+        assert got is stale
+        for j in range(len(labels)):
+            alone = label_pairs(labels[j], variant, dtype)
+            for field, a, b in zip(LabelPairs._fields, got, alone):
+                assert (a is None) == (b is None), field
+                if a is not None:
+                    assert a.dtype == b.dtype and a[j].tobytes() == b.tobytes(), (field, j)
+
+    @pytest.mark.parametrize("variant", CONTRASTIVE_VARIANTS)
+    def test_the_loss_given_the_terms_equals_the_loss_that_forms_them(self, variant):
+        rng = make_rng(21)
+        labels = (rng.random((16, 5)) < 0.4).astype(np.int8)
+        labels[::3] = labels[0]
+        sims = np.clip(rng.normal(size=(32, 32)).astype(np.float32), -1, 1)
+        want = contrastive_loss_from_similarities(sims, labels, 0.05, variant)
+        stack = label_pairs(np.stack([labels, labels[::-1]]), variant, np.float32)
+        pairs = LabelPairs(*(None if a is None else a[0] for a in stack))
+        got = contrastive_loss_from_similarities(sims, labels, 0.05, variant, pairs=pairs)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()

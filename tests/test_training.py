@@ -660,11 +660,34 @@ class TestTrainer:
         with pytest.raises(ValueError):
             TrainConfig(variant="other").validate()
 
+    def test_validate_s_counts_the_validation_passes_only(self, monkeypatch):
+        (train_s, valid_s, _), dcfg = tiny_data()
+        cfg = TrainConfig(batch_size=8, max_iters=6, seed=0, eval_every=2)
+        unvalidated = Trainer(train_s, None, init_state(tiny_encoder_cfg(dcfg), seed=0), cfg)
+        unvalidated.run()
+        assert unvalidated.validate_s == 0.0
+        # a clock that moves 1 s per reading: each validation pass reads it twice
+        ticks = iter(range(1000))
+        monkeypatch.setattr(training.time, "perf_counter", lambda: float(next(ticks)))
+        trainer = Trainer(train_s, valid_s, init_state(tiny_encoder_cfg(dcfg), seed=0), cfg)
+        trainer.run()
+        assert sum("valid_micro_f1" in r for r in trainer.history) == 3
+        assert trainer.validate_s == 3.0
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_a_training_label_other_than_0_or_1_is_refused_by_the_constructor(self, bad):
+        (train_s, valid_s, _), dcfg = tiny_data()
+        labels = train_s.labels.copy()
+        labels[7, 3] = bad
+        train_s = dataclasses.replace(train_s, labels=labels)
+        with pytest.raises(ValueError, match=rf"^training labels must be 0 or 1, got {bad}$"):
+            Trainer(train_s, valid_s, init_state(tiny_encoder_cfg(dcfg), seed=0), TrainConfig(batch_size=8))
+
 
 class TestWorkspace:
     """The trainer keeps three (2N, 2N) arrays for the contrastive loss and
-    its embedding gradient across steps; nothing of one step may reach
-    another."""
+    its embedding gradient, and its gradient buffer, across steps; nothing
+    of one step may reach another."""
 
     @staticmethod
     def _check_each_step_against_fresh_buffers(monkeypatch, trainer):
@@ -675,11 +698,14 @@ class TestWorkspace:
         checked = []
 
         def checking(state, batch, **kwargs):
-            assert kwargs["workspace"] is trainer._workspace
+            assert kwargs["workspace"] is trainer._workspace and kwargs["out"] is trainer._grads
             fresh_rng = make_rng(0)
             fresh_rng.bit_generator.state = kwargs["rng"].bit_generator.state
-            want = real(state.copy(), batch, **{**kwargs, "rng": fresh_rng, "workspace": None})
+            # fresh arrays for everything: the workspace, the gradients and the batch's terms
+            fresh = {"rng": fresh_rng, "workspace": None, "out": None, "terms": None}
+            want = real(state.copy(), batch, **{**kwargs, **fresh})
             got = real(state, batch, **kwargs)
+            assert got[3] is trainer._grads
             for a, b in zip(got[:3], want[:3]):
                 assert np.float64(a).tobytes() == np.float64(b).tobytes()
             for name, g in got[3].param_items():
@@ -721,6 +747,124 @@ class TestWorkspace:
         training.batch_gradients(state, second_batch, 0.5, 0.05, "wscl", rng=make_rng(1))
         for name, g in first[3].param_items():
             np.testing.assert_array_equal(g, kept[name])
+
+
+class TestChunkedSteps:
+    """The trainer gathers its batches a chunk at a time and forms their
+    terms once per chunk (``training._chunk_terms``); ``oracles.per_batch_step``
+    gathers each batch on its own and lets ``batch_gradients`` form its
+    terms in fresh arrays. Both must leave the same bits."""
+
+    STEPS = 20
+
+    @staticmethod
+    def _data(vocab_size, n=230):
+        # every fifth sample without labels, as in TestPerSampleStep
+        cfg = DatasetConfig(num_classes=12, num_clusters=4, train_size=n, valid_size=40, test_size=4,
+                            vocab_size=vocab_size, seed=7)
+        train_s, valid_s, _ = generate_synthetic(cfg)
+        labels = train_s.labels.copy()
+        labels[::5] = 0
+        return dataclasses.replace(train_s, labels=labels), valid_s, EncoderConfig(vocab_size, 12, 6, 12, dropout_rate=0.1)
+
+    @staticmethod
+    def _record_chunks(monkeypatch):
+        """The batch count of each chunk the trainer forms, and the input
+        branch of each step."""
+        chunks, paths = [], []
+        real_terms, real_forward = training._chunk_terms, training.forward_batch
+
+        def recording_terms(chunk, size, variant, dtype, kept=None):
+            if kept is not None:
+                chunks.append(len(chunk) // size)
+            return real_terms(chunk, size, variant, dtype, kept)
+
+        def recording_forward(*args, **kwargs):
+            trace = real_forward(*args, **kwargs)
+            paths.append("dense" if trace.cols is None else "touched")
+            return trace
+
+        monkeypatch.setattr(training, "_chunk_terms", recording_terms)
+        monkeypatch.setattr(training, "forward_batch", recording_forward)
+        return chunks, paths
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert got.state.flat.dtype == want.state.flat.dtype == np.float32
+        assert got.state.flat.tobytes() == want.state.flat.tobytes()
+        assert got.adam.m_flat.tobytes() == want.adam.m_flat.tobytes()
+        assert got.adam.v_flat.tobytes() == want.adam.v_flat.tobytes()
+        assert got.adam.step == want.adam.step
+        assert got.history == want.history
+        assert got.best_state().flat.tobytes() == want.best_state().flat.tobytes()
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+    # 230 samples in batches of 32: epochs of 7 batches, 6 rows left out of
+    # each. The budgets give chunks of 2 or 3 batches, so the epoch's last
+    # chunk is shorter
+    @pytest.mark.parametrize("vocab_size,path,budget", [(120, "dense", 110_000), (2000, "touched", 60_000)])
+    @pytest.mark.parametrize("variant", ["dcl", "ucl", "scl", "wscl"])
+    def test_chunked_steps_equal_the_per_batch_steps(self, monkeypatch, variant, vocab_size, path, budget):
+        train_s, valid_s, ecfg = self._data(vocab_size)
+        cfg = TrainConfig(batch_size=32, learning_rate=3e-3, alpha=0.5, max_iters=self.STEPS, seed=4,
+                          variant=variant, eval_every=5)
+        monkeypatch.setattr(training, "_CHUNK_BYTES", budget)
+        chunks, paths = self._record_chunks(monkeypatch)
+        got = Trainer(train_s, valid_s, init_state(ecfg, seed=4), cfg)
+        want = Trainer(train_s, valid_s, init_state(ecfg, seed=4), cfg)
+        per_chunk = got._chunk_batches
+        assert 1 < per_chunk < 7
+        got.run()
+        for _ in range(self.STEPS):
+            oracles.per_batch_step(want)
+        want.run()
+        # the step's own batches, then the reference's through batch_gradients
+        assert paths == [path] * (2 * self.STEPS)
+        # three epochs of 7 batches, each cut into full chunks and a shorter last one
+        epoch = [per_chunk] * (7 // per_chunk) + [7 % per_chunk]
+        assert chunks == (3 * epoch)[: len(chunks)] and sum(chunks) >= self.STEPS > sum(chunks[:-1])
+        self._assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("variant", ["dcl", "wscl"])
+    def test_a_batch_as_large_as_the_training_set_is_a_chunk_per_step(self, monkeypatch, variant):
+        train_s, valid_s, ecfg = self._data(120)
+        train_s = train_s[:20]
+        cfg = TrainConfig(batch_size=32, learning_rate=3e-3, alpha=0.5, max_iters=6, seed=1, variant=variant)
+        chunks, _ = self._record_chunks(monkeypatch)
+        got = Trainer(train_s, valid_s, init_state(ecfg, seed=1), cfg)
+        want = Trainer(train_s, valid_s, init_state(ecfg, seed=1), cfg)
+        got.run()
+        for _ in range(6):
+            oracles.per_batch_step(want)
+        want.run()
+        assert chunks == [1] * 6
+        self._assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("vocab_size,budget", [(120, 110_000), (2000, 60_000)])
+    def test_a_resume_in_the_middle_of_a_chunk_equals_the_uninterrupted_run(self, monkeypatch, tmp_path, vocab_size, budget):
+        train_s, valid_s, ecfg = self._data(vocab_size)
+        cfg = TrainConfig(batch_size=32, learning_rate=3e-3, alpha=0.5, max_iters=self.STEPS, seed=6,
+                          variant="wscl", eval_every=3)
+        monkeypatch.setattr(training, "_CHUNK_BYTES", budget)
+        chunks, _ = self._record_chunks(monkeypatch)
+        whole = Trainer(train_s, valid_s, init_state(ecfg, seed=6), cfg)
+        whole.run()
+        want = Trainer(train_s, valid_s, init_state(ecfg, seed=6), cfg)
+        for _ in range(self.STEPS):
+            oracles.per_batch_step(want)
+        want.run()
+        self._assert_same_bits(whole, want)
+        # 8 steps: the second epoch's first batch, the first of a chunk of 2 or 3
+        part = Trainer(train_s, valid_s, init_state(ecfg, seed=6), cfg)
+        part.run(num_iters=8)
+        assert len(part._chunk) > 1 and part._cursor - part._chunk_start == 32
+        chunks.clear()
+        part.save_checkpoint(tmp_path / "trainer.npz")
+        resumed = Trainer.load_checkpoint(tmp_path / "trainer.npz", train_s, valid_s)
+        resumed.run()
+        # the resumed trainer's first chunk starts at the saved cursor
+        assert chunks[0] == min(part._chunk_batches, 6)
+        self._assert_same_bits(resumed, whole)
 
 
 class TestCosineProduct:
