@@ -14,7 +14,7 @@ import numpy as np
 
 from knnmlc.data import DatasetConfig, generate_synthetic
 from knnmlc.datastore import Datastore, build, load, save, search
-from knnmlc.encoder import EncoderConfig, init_state, rowwise_layers, weight_rows
+from knnmlc.encoder import EncoderConfig, init_state, rowwise_layers
 from knnmlc.training import TrainConfig, Trainer
 
 dcfg = DatasetConfig(train_size=600, valid_size=100, test_size=100, seed=3)
@@ -38,7 +38,7 @@ print(f"20% store: {fifth.count} entries, prefix of the full store: "
 
 # one block of queries, embedded by the dropout-off pass that made the keys:
 # row i holds test sample i's neighbors as (indices, sims) arrays
-queries = rowwise_layers(state, test, weight_rows(state, test.indices.size))
+queries = rowwise_layers(state, test)
 indices, sims = search(store, queries, k=8)
 query_sample = test[0]  # a batch of one
 print(f"\nquery {query_sample.ids()[0]} with labels {np.flatnonzero(query_sample.labels[0]).tolist()}")

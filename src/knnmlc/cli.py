@@ -59,6 +59,7 @@ EXIT_MISSING_FILE = 2
 EXIT_FORMAT = 3
 EXIT_DIMENSION = 4
 EXIT_NON_FINITE = 5
+EXIT_CLOSED_OUTPUT = 6
 
 
 class ConfigError(ValueError):
@@ -252,6 +253,15 @@ def _epochs(iterations: int, train_cfg: TrainConfig, rows: int) -> float:
     return iterations * min(train_cfg.batch_size, rows) / rows
 
 
+def _quantiles(seconds: list[float]) -> dict | None:
+    """The median, 90th percentile and largest of the training steps' wall
+    seconds (``Trainer.step_s``); None when no step ran."""
+    if not seconds:
+        return None
+    p50, p90 = np.quantile(seconds, [0.5, 0.9]).tolist()
+    return {"p50": p50, "p90": p90, "max": max(seconds)}
+
+
 def cmd_train(args) -> int:
     _, encoder_section, train_cfg, _ = load_config(args.config)
     if args.seed is not None:
@@ -288,6 +298,7 @@ def cmd_train(args) -> int:
             "validate_s": trainer.validate_s,
             "save_s": saved - run_end,
             "iterations_per_s": trainer.iteration / run_s if trainer.iteration else 0.0,
+            "step_s": _quantiles(trainer.step_s),
         },
         epochs=_epochs(trainer.iteration, train_cfg, len(train_samples)),
         train_dtype=np.dtype(TRAIN_DTYPE).name,
@@ -813,7 +824,11 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        code = args.func(args)
+        # standard output into a pipe is block-buffered: flushed here, a
+        # reader that went away is a BrokenPipeError below, not one at exit
+        sys.stdout.flush()
+        return code
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
@@ -829,6 +844,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except BrokenPipeError as exc:
+        print(f"error: standard output was closed: {exc}", file=sys.stderr)
+        return EXIT_CLOSED_OUTPUT
 
 
 if __name__ == "__main__":

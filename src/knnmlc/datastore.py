@@ -93,7 +93,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import PackedSamples, check_binary_labels, pack_samples
-from .encoder import EncoderState, rowwise_layers, weight_rows
+from .encoder import EncoderState, rowwise_layers
 from .mathops import _row_norms
 
 __all__ = [
@@ -277,10 +277,8 @@ def build(state: EncoderState, train_samples: PackedSamples, fraction: float = 1
     n = max(1, int(np.ceil(fraction * len(train))))
     rows = max(1, _BUILD_TRACE_BYTES // (8 * (4 * cfg.hidden_dim + cfg.embed_dim)))
     keys = np.empty((n, cfg.embed_dim), dtype=np.float32)
-    # one copy of the input-layer rows serves every range
-    w_rows = weight_rows(state, int(train.indptr[n]))
     for start in range(0, n, rows):
-        keys[start : start + rows] = rowwise_layers(state, train[start : min(start + rows, n)], w_rows)
+        keys[start : start + rows] = rowwise_layers(state, train[start : min(start + rows, n)])
     return Datastore(keys=keys, values=train.labels[:n].copy())
 
 

@@ -1,6 +1,10 @@
 """Small trainable encoder: sparse input -> hidden layer (tanh or relu, with
 inverted dropout) -> linear embedding, plus a sigmoid classifier head.
 
+The input layer is an (input_dim, hidden) table, ``w_in``: row j is the
+weight vector of input feature j, so a sample's input-layer sum is the sum
+of the rows of its features, scaled by their values (an embedding bag).
+
 The batch is the unit of work, and there are two forward passes, one per
 use. ``forward_batch`` is the training pass: it runs the N samples of a
 packed batch (``data.PackedSamples``) through the input layer once and
@@ -8,15 +12,16 @@ forms two dropout views of each, view i + N the second view of sample i,
 using matrix products; ``backward`` returns the parameter gradients summed
 over the 2N views as matrix products, with both views' hidden gradients
 added on the sample's row before the input layer. A batch with fewer
-feature entries than ``w_in`` has columns multiplies only the columns it
-touches: the input layer is ``dense_c @ w_in[:, cols].T`` and the ``w_in``
-gradient ``d_pre.T @ dense_c`` in those columns and exact zeros in the
-rest, where ``dense_c`` holds the batch's dense rows cut to the sorted
-touched columns ``cols``. Both passes are written out by hand; the
-backward pass is validated against central finite differences (see
-gradcheck). Dropout is applied to the hidden activations only, with
-surviving units scaled by 1/(1 - rate) so the dropout-off pass needs no
-rescaling.
+feature entries than ``w_in`` has rows multiplies only the rows it
+touches: the input layer is ``dense_c @ w_in[cols]`` and the ``w_in``
+gradient the (m, hidden) product ``dense_c.T @ d_pre`` for those m rows
+alone (``ParameterGradients.rows``; every other row's gradient is exactly
+zero), where ``dense_c`` holds the batch's dense rows cut to the sorted
+touched columns ``cols``. The dense branch is ``dense @ w_in`` and
+``dense.T @ d_pre``. Both passes are written out by hand; the backward
+pass is validated against central finite differences (see gradcheck).
+Dropout is applied to the hidden activations only, with surviving units
+scaled by 1/(1 - rate) so the dropout-off pass needs no rescaling.
 
 ``rowwise_layers`` is the only dropout-off pass. Every output row is
 bit-identical whatever batch the row sits in (a BLAS product may round a
@@ -27,27 +32,31 @@ the test split and the whole training split use the same code, so store
 key i is the float32 of exactly the embedding ``predict`` computes for
 training sample i. It stops at the embedding, which is all the store build
 needs; ``rowwise_logits`` adds the classifier head for inference and
-validation. Neither keeps a trace, and the build gathers every row range
-from one copy of ``w_in.T``. A batch of several ranges is cut range by
-range from its CSR arrays; when fewer than 1 in ``_SCALE_ALL_SHARE`` of its
-feature values differ from 1.0, only the gathered rows of those values are
-scaled (``x * 1.0`` is ``x`` exactly, so no sum changes a bit). A batch of
-one range (a single query) scales every gathered row, which at that size
-costs fewer calls.
+validation. Neither keeps a trace, and each row range gathers its rows of
+the ``w_in`` table. A batch of several ranges is cut range by range from
+its CSR arrays; when fewer than 1 in ``_SCALE_ALL_SHARE`` of its feature
+values differ from 1.0, only the gathered rows of those values are scaled
+(``x * 1.0`` is ``x`` exactly, so no sum changes a bit). A batch of one
+range (a single query) scales every gathered row, which at that size costs
+fewer calls.
 
 The six parameters are writable views of one C-ordered buffer,
 ``EncoderState.flat``, which holds them back to back in ``_PARAM_NAMES``
-order. The buffer is float32 or float64, and the training pass
-(``forward_batch``, ``backward``) runs in its dtype: the ``Trainer`` trains
-a float32 state, while the gradient check runs the same code on a float64
-one. Checkpoints, the dropout-off pass and everything downstream of
-training take float64 states (``EncoderState.astype``, an exact upcast).
-``backward`` writes its gradients into views of one such buffer and the
-Adam moments are two more flat buffers of that layout, so an Adam step
-is a dozen ufunc calls over whole buffers. It is also the layout of a
-checkpoint's packed copy and of a trainer checkpoint: the ``params``
-member is written from the state's own buffer and read back as the loaded
-state's buffer, with no concatenation or reassembly either way.
+order, ``w_in`` first as its (input_dim, hidden) table. The buffer is
+float32 or float64, and the training pass (``forward_batch``,
+``backward``) runs in its dtype: the ``Trainer`` trains a float32 state,
+while the gradient check runs the same code on a float64 one. Checkpoints,
+the dropout-off pass and everything downstream of training take float64
+states (``EncoderState.astype``, an exact upcast). ``backward`` writes its
+gradients into views of one such buffer and the Adam moments are two more
+flat buffers of that layout, so an Adam step is a dozen ufunc calls over
+whole buffers, or over the touched rows of ``w_in`` and the contiguous
+rest. It is also the layout of a checkpoint's packed copy and of a trainer
+checkpoint: the ``params`` member is written from the state's own buffer
+and read back as the loaded state's buffer, with no concatenation or
+reassembly either way. ``model.json`` alone holds ``w_in`` as (hidden,
+input), the layout it has always had, written and parsed with a
+transpose.
 """
 from __future__ import annotations
 
@@ -82,8 +91,10 @@ _CHECKPOINT_VERSION = 1
 _PARAM_NAMES = ("w_in", "b_in", "w_emb", "b_emb", "w_clf", "b_clf")
 # the packed copy of a checkpoint (see docs/formats.md): the payload without
 # its params as JSON bytes, and the parameters back to back in
-# ``_PARAM_NAMES`` order, shaped by the header's dims; {name: (dtype, ndim)}
-_COPY_VERSION = 2
+# ``_PARAM_NAMES`` order, shaped by the header's dims; {name: (dtype, ndim)}.
+# Version 3 holds ``w_in`` as the (input_dim, hidden) table, version 2 as
+# (hidden, input_dim): a version 2 copy is a miss, and the file is parsed
+_COPY_VERSION = 3
 _COPY_MEMBERS = {"header": (np.uint8, 1), "params": (np.float64, 1)}
 # the dropout-off pass gathers input-layer weights in row ranges whose
 # (entries, hidden) float64 block stays near this size: over the training
@@ -192,8 +203,9 @@ def _flat_views(flat: np.ndarray, shapes: tuple) -> tuple:
 class EncoderState(_FlatParameters):
     """All trainable parameters plus the hyperparameters that shape them.
 
-    w_in: (hidden, input), w_emb: (embed, hidden), w_clf: (C, embed);
-    biases match their layer's output dimension. The six arrays are views of
+    w_in: (input, hidden), the table of one row per input feature; w_emb:
+    (embed, hidden), w_clf: (C, embed); biases match their layer's output
+    dimension. The six arrays are views of
     one buffer ``flat`` (``_FlatParameters``): the constructor copies the
     arrays it is given into a new one, ``copy`` copies the buffer once, and
     a state loaded from a checkpoint's packed copy uses its ``params``
@@ -229,7 +241,13 @@ class EncoderState(_FlatParameters):
 @dataclass
 class ParameterGradients(_FlatParameters):
     """One gradient per parameter, views of one buffer ``flat`` laid out as
-    the state's (``_FlatParameters``)."""
+    the state's (``_FlatParameters``).
+
+    ``rows`` is None when ``w_in`` holds the gradient of every input row.
+    Otherwise it is the sorted distinct input rows, m of them, whose
+    gradients are the first m rows of ``w_in``: every other input row's
+    gradient is exactly zero, and the rows of ``w_in`` past m are not part
+    of the gradient (``dense`` scatters the m rows among zeros)."""
 
     w_in: np.ndarray
     b_in: np.ndarray
@@ -237,10 +255,22 @@ class ParameterGradients(_FlatParameters):
     b_emb: np.ndarray
     w_clf: np.ndarray
     b_clf: np.ndarray
+    rows: np.ndarray | None = None
 
     @classmethod
     def zeros_like(cls, state: EncoderState) -> "ParameterGradients":
         return cls._on_buffer(np.zeros_like(state.flat), state.shapes)
+
+    def dense(self) -> "ParameterGradients":
+        """These gradients with ``w_in`` holding every input row's: ``self``
+        when ``rows`` is None, else new ones with the m rows at ``rows`` and
+        exact zeros in every other row."""
+        if self.rows is None:
+            return self
+        full = ParameterGradients._on_buffer(self.flat.copy(), self.shapes)
+        full.w_in.fill(0.0)
+        full.w_in[self.rows] = self.w_in[: self.rows.size]
+        return full
 
 
 @dataclass
@@ -263,22 +293,32 @@ class ForwardTrace:
     cols: np.ndarray | None = None
 
 
-def _param_shapes(c: EncoderConfig) -> dict[str, tuple]:
-    """Each parameter's shape, in ``_PARAM_NAMES`` order."""
+def _file_shapes(c: EncoderConfig) -> dict[str, tuple]:
+    """Each parameter's shape in ``model.json``, in ``_PARAM_NAMES`` order:
+    every weight (out, in), ``w_in`` too."""
     h, e, k = c.hidden_dim, c.embed_dim, c.num_classes
     return {"w_in": (h, c.input_dim), "b_in": (h,), "w_emb": (e, h), "b_emb": (e,), "w_clf": (k, e), "b_clf": (k,)}
 
 
+def _param_shapes(c: EncoderConfig) -> dict[str, tuple]:
+    """Each parameter's shape in memory, in ``_PARAM_NAMES`` order: the file's,
+    but ``w_in`` the (input_dim, hidden) table."""
+    return {**_file_shapes(c), "w_in": (c.input_dim, c.hidden_dim)}
+
+
 def init_state(config: EncoderConfig, seed: int = 0) -> EncoderState:
     """Uniform +-1/sqrt(fan_in) initialization for every tensor, seeded, in
-    ``_PARAM_NAMES`` order; a bias takes its layer's fan-in."""
+    ``_PARAM_NAMES`` order, each drawn in its ``model.json`` shape (``w_in``
+    as (hidden, input), then transposed into the table); a bias takes its
+    layer's fan-in."""
     config.validate()
     rng = make_rng(seed)
-    shapes = _param_shapes(config)
+    shapes = _file_shapes(config)
     params = {}
     for name, shape in shapes.items():
         bound = 1.0 / np.sqrt(shapes["w" + name[1:]][1])
         params[name] = rng.uniform(-bound, bound, size=shape)
+    params["w_in"] = params["w_in"].T
     return EncoderState(config=config, init_seed=seed, **params)
 
 
@@ -317,18 +357,7 @@ def _check_input_dim(state: EncoderState, batch: PackedSamples) -> None:
         raise ValueError(f"batch packed for input_dim={batch.input_dim}, encoder has {state.config.input_dim}")
 
 
-def weight_rows(state: EncoderState, entries: int) -> np.ndarray:
-    """``w_in.T``, the (input_dim, hidden) rows the input layer gathers, for
-    a batch of ``entries`` feature entries: C-contiguous when there are at
-    least as many entries as rows, since gathering many rows of the
-    F-ordered view is strided loads. The copy holds the same values, so the
-    choice does not change a bit. Adam updates ``w_in`` in place, so a copy
-    serves one pass (or one store build) and is not kept."""
-    w_rows = state.w_in.T
-    return np.ascontiguousarray(w_rows) if entries >= state.config.input_dim else w_rows
-
-
-def _input_layer(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) -> np.ndarray:
+def _input_layer(state: EncoderState, batch: PackedSamples) -> np.ndarray:
     """The input-layer sums (before the bias) of the whole batch, in ranges
     of rows whose gathered (entries, hidden) block stays near
     ``_GATHER_BLOCK_BYTES``. Rows are independent, so the bits do not
@@ -344,7 +373,7 @@ def _input_layer(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) 
     rows = max(1, _GATHER_BLOCK_BYTES * n // (8 * state.config.hidden_dim * batch.indices.size))
     indptr, indices, values = batch.indptr, batch.indices, batch.values
     if rows >= n:
-        _gather_range(w_rows, indices, indptr[:-1], values[:, None], None, out)
+        _gather_range(state.w_in, indices, indptr[:-1], values[:, None], None, out)
         return out
     # range j holds entries edges[j]:edges[j + 1]
     edges = np.append(indptr[:n:rows], indptr[n])
@@ -362,27 +391,23 @@ def _input_layer(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) 
             a, b = cuts[j], cuts[j + 1]
             positions, scale = nonunit[a:b] - lo, factors[a:b]
         stop = min(start + rows, n)
-        _gather_range(w_rows, indices[lo:hi], indptr[start:stop] - lo, scale, positions, out[start:stop])
+        _gather_range(state.w_in, indices[lo:hi], indptr[start:stop] - lo, scale, positions, out[start:stop])
     return out
 
 
-def _gather_range(w_rows: np.ndarray, indices: np.ndarray, starts: np.ndarray, factors, positions, out) -> None:
+def _gather_range(w_in: np.ndarray, indices: np.ndarray, starts: np.ndarray, factors, positions, out) -> None:
     """The input-layer sums (before the bias) of one row range, from its
-    CSR slices, into ``out``: the rows of ``w_rows`` (``w_in.T``,
-    (input_dim, hidden)) that ``indices`` pick, scaled by the (m, 1)
-    ``factors`` (every row when ``positions`` is None, else only the rows at
-    those m positions) and summed per segment from ``starts`` by
-    ``np.add.reduceat``, whose order depends on the segment alone."""
-    if w_rows.flags.c_contiguous:
-        columns = w_rows.take(indices, axis=0)
-    else:
-        # take would first copy the whole array
-        columns = w_rows[indices]
+    CSR slices, into ``out``: the rows of the ``w_in`` table that
+    ``indices`` pick, scaled by the (m, 1) ``factors`` (every row when
+    ``positions`` is None, else only the rows at those m positions) and
+    summed per segment from ``starts`` by ``np.add.reduceat``, whose order
+    depends on the segment alone."""
+    gathered = w_in.take(indices, axis=0)
     if positions is None:
-        columns *= factors
+        gathered *= factors
     elif positions.size:
-        columns[positions] *= factors
-    np.add.reduceat(columns, starts, axis=0, out=out)
+        gathered[positions] *= factors
+    np.add.reduceat(gathered, starts, axis=0, out=out)
 
 
 def forward_batch(
@@ -408,13 +433,13 @@ def forward_batch(
     _check_input_dim(state, batch)
     dtype = state.flat.dtype
     if batch.indices.size < state.config.input_dim:
-        # fewer features than w_in has columns (small batches over a wide
-        # vocabulary): one product over the columns the batch touches
+        # fewer features than w_in has rows (small batches over a wide
+        # vocabulary): one product over the rows the batch touches
         dense_c, cols = _touched_columns(batch, dtype)
-        pre_hidden = dense_c @ state.w_in[:, cols].T
+        pre_hidden = dense_c @ state.w_in.take(cols, axis=0)
     else:
         dense_c, cols = batch.to_dense(dtype) if dense is None else dense, None
-        pre_hidden = dense_c @ state.w_in.T
+        pre_hidden = dense_c @ state.w_in
     pre_hidden += state.b_in
     hidden = _activate(state.config, pre_hidden)
     n, width = hidden.shape
@@ -442,18 +467,18 @@ def _touched_columns(batch: PackedSamples, dtype) -> tuple[np.ndarray, np.ndarra
     return dense_c, cols
 
 
-def rowwise_layers(state: EncoderState, batch: PackedSamples, w_rows: np.ndarray) -> np.ndarray:
+def rowwise_layers(state: EncoderState, batch: PackedSamples) -> np.ndarray:
     """The (n, embed) embeddings of the dropout-off pass over a batch already
-    checked against the encoder (``pack_samples``), with ``w_rows`` from
-    ``weight_rows``; each output row depends on its input row alone and
-    comes out bit-identical in a batch of any size or order.
+    checked against the encoder (``pack_samples``); each output row depends
+    on its input row alone and comes out bit-identical in a batch of any
+    size or order.
 
     The input layer is ``_input_layer`` (row ranges of gathered ``w_in``
     rows, each segment summed on its own); the embedding layer uses
     ``einsum`` on C-contiguous operands, which reduces each output entry over
     the last axis on its own.
     """
-    pre_hidden = _input_layer(state, batch, w_rows)
+    pre_hidden = _input_layer(state, batch)
     pre_hidden += state.b_in
     hidden = _activate(state.config, pre_hidden)
     embedding = np.einsum("ij,kj->ik", hidden, state.w_emb)
@@ -483,7 +508,9 @@ def backward(
     sample's row, so the input layer's gradients are products over the N
     samples. The gradients are written into one flat buffer laid out as the
     state's and of its dtype (``ParameterGradients``), each product and sum
-    straight into its view: ``out``'s, which the call overwrites and
+    straight into its view (the ``w_in`` gradient of a trace over m touched
+    columns as the first m rows, ``ParameterGradients.rows`` naming them):
+    ``out``'s, which the call overwrites and
     returns (a ValueError names a view rebound away from it or a buffer of
     another dtype), or a new one; the upstream gradients are taken in that
     dtype."""
@@ -523,12 +550,9 @@ def backward(
         d_pre = d_hidden * (1.0 - trace.hidden**2)
     else:
         d_pre = d_hidden * (trace.pre_hidden > 0.0)
-    if trace.cols is None:
-        np.matmul(d_pre.T, trace.dense_c, out=grads.w_in)
-    else:
-        # the columns no input touched get exact zeros
-        grads.w_in.fill(0.0)
-        grads.w_in[:, trace.cols] = d_pre.T @ trace.dense_c
+    rows = trace.cols
+    np.matmul(trace.dense_c.T, d_pre, out=grads.w_in if rows is None else grads.w_in[: rows.size])
+    grads.rows = rows
     np.add.reduce(d_pre, axis=0, out=grads.b_in)
     np.matmul(d_embedding.T, _views(trace.hidden, trace.mask), out=grads.w_emb)
     np.add.reduce(d_embedding, axis=0, out=grads.b_emb)
@@ -556,14 +580,15 @@ def _payload_header(state: EncoderState) -> dict:
 def _checkpoint_chunks(state: EncoderState):
     """The bytes of the checkpoint JSON (docs/formats.md): ``json.dumps`` of
     the payload dict with each parameter as nested lists of floats in
-    ``float_slots``' fixed form. Each parameter goes in blocks of whole rows
+    ``float_slots``' fixed form, ``w_in`` as (hidden, input), the transpose
+    of its table. Each parameter goes in blocks of whole rows
     of at most ``floatrepr.BLOCK`` values (at least one row; a 1-d parameter
     is one row), each block's floats laid out by one
     ``floatrepr.float_slots`` call."""
     # the header without its closing brace, then the params object
     yield json.dumps(_payload_header(state))[:-1].encode("utf-8") + b', "params": {'
     for name, arr in state.param_items():
-        rows = arr.reshape(-1, arr.shape[-1])
+        rows = np.ascontiguousarray(arr.T) if name == "w_in" else arr.reshape(-1, arr.shape[-1])
         count, width = rows.shape
         step = max(1, floatrepr.BLOCK // width)
         yield f'{", " if name != _PARAM_NAMES[0] else ""}"{name}": ['.encode("utf-8")
@@ -605,9 +630,11 @@ def finite_array(value, shape: tuple, what: str, source) -> np.ndarray:
 def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState:
     """The EncoderState of a checkpoint payload, each value of its field's
     kind (``data.check_kind``, nothing converted); CheckpointError otherwise.
-    ``params`` maps each name to its nested lists, or is a packed copy's
-    flat array (float64 from a model copy, float32 from a trainer
-    checkpoint), which becomes the state's buffer as it is."""
+    ``params`` maps each name to its nested lists of its ``model.json``
+    shape (``w_in`` (hidden, input), transposed into the table), or is a
+    packed copy's flat array in the buffer's layout (float64 from a model
+    copy, float32 from a trainer checkpoint), which becomes the state's
+    buffer as it is."""
     if not isinstance(payload, dict) or payload.get("format") != _CHECKPOINT_FORMAT:
         raise CheckpointError(f"{source}: wrong or missing format marker")
     if payload.get("version") != _CHECKPOINT_VERSION:
@@ -619,9 +646,11 @@ def state_from_payload(payload: dict, source: str = "<payload>") -> EncoderState
         config.validate()
         params = payload["params"]
         if not isinstance(params, np.ndarray):
-            # nested lists, each of its parameter's shape, into one new buffer
-            params = np.concatenate([finite_array(params[name], shape, f"parameter {name}", source).ravel()
-                                     for name, shape in _param_shapes(config).items()])
+            # nested lists, each of its parameter's file shape, into one new buffer
+            arrays = {name: finite_array(params[name], shape, f"parameter {name}", source)
+                      for name, shape in _file_shapes(config).items()}
+            arrays["w_in"] = arrays["w_in"].T
+            params = np.concatenate([arrays[name].ravel() for name in _PARAM_NAMES])
         # a packed copy's params member (sized by ``_from_copy``) is the buffer as it is
         state = EncoderState.on_buffer(config, params, payload.get("init_seed", 0))
         for name, view in state.param_items():

@@ -79,8 +79,8 @@ def float32_gap(state: EncoderState, batch, masks, alpha, tau1, variant="dcl", r
     float32 rounding of ``state``'s parameters and with ``masks`` rounded
     to float32 on the float32 side, as a ``Trainer`` step rounds them."""
     low = state.astype(np.float32)
-    grads32 = batch_gradients(low, batch, alpha, tau1, variant, masks=masks)[3]
-    grads64 = batch_gradients(low.astype(np.float64), batch, alpha, tau1, variant, masks=masks)[3]
+    grads32 = batch_gradients(low, batch, alpha, tau1, variant, masks=masks)[3].dense()
+    grads64 = batch_gradients(low.astype(np.float64), batch, alpha, tau1, variant, masks=masks)[3].dense()
     gaps = _relative_errors(grads32.flat.astype(np.float64), grads64.flat, rel_tol, abs_floor)
     return float(gaps.max()) if gaps.size else 0.0
 
@@ -104,7 +104,7 @@ def gradient_check(
     either side fails, with relative error inf, so the first parameter that
     holds one is the worst. The report's ``float32_gap`` is ``float32_gap``
     of the same problem."""
-    _, _, _, analytic, _ = batch_gradients(state, batch, alpha, tau1, variant, masks=masks)
+    analytic = batch_gradients(state, batch, alpha, tau1, variant, masks=masks)[3].dense()
     numeric = finite_difference_gradients(state, batch, masks, alpha, tau1, variant, step=step)
 
     max_rel = 0.0

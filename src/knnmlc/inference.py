@@ -44,7 +44,7 @@ import numpy as np
 
 from .data import PackedSamples, check_kinds, pack_samples
 from .datastore import Datastore, NonFiniteQueryError, search
-from .encoder import EncoderState, rowwise_layers, rowwise_logits, weight_rows
+from .encoder import EncoderState, rowwise_layers, rowwise_logits
 from .mathops import sigmoid, softmax_temp
 
 __all__ = [
@@ -173,7 +173,7 @@ def predict_batch(
             f"datastore dims (d={store.dim}, C={store.num_classes}) do not match encoder "
             f"(d={enc.embed_dim}, C={enc.num_classes})"
         )
-    embedding = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
+    embedding = rowwise_layers(state, batch)
     y_clf = sigmoid(rowwise_logits(state, embedding))
     n = len(batch)
 

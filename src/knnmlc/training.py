@@ -1,6 +1,6 @@
 """Minibatch training loop: two dropout views of each sample, hand-rolled
-Adam with bias correction, validation-based model selection, and resumable
-checkpoints.
+Adam with bias correction (lazy on the input table's untouched rows),
+validation-based model selection, and resumable checkpoints.
 
 The training and validation sets are packed into CSR arrays once. Each
 iteration takes the next N row indices of a shuffled epoch order (epochs
@@ -17,16 +17,21 @@ batch gathered on its own gives, so neither chunking nor a resume in the
 middle of a chunk changes a bit. One forward pass runs
 the input layer once over the N samples and forms 2N views with independent
 dropout masks, view i + N the second view of sample i (when the batch holds
-fewer feature entries than the encoder has input columns, its input layer
-and the backward pass's ``w_in`` gradient multiply only the columns they
-touch; see ``encoder``); binary cross entropy is summed over all 2N
-classifier outputs (each view with its sample's labels), alpha times the
-contrastive loss over the 2N embeddings (with the labels of the N samples)
-is added, one backward pass carries both paths to the parameters into the
-gradient buffer the trainer keeps, and one Adam step over the flat buffers
-that hold every parameter, gradient and moment follows. The state with the best validation
-micro-F1 (classifier-only, threshold 0.5, from the dropout-off pass that
-inference runs) is kept as the result.
+fewer feature entries than the encoder has input rows, its input layer
+and the backward pass's ``w_in`` gradient multiply only the rows of the
+``w_in`` table it touches; see ``encoder``); binary cross entropy is summed
+over all 2N classifier outputs (each view with its sample's labels), alpha
+times the contrastive loss over the 2N embeddings (with the labels of the
+N samples) is added, one backward pass carries both paths to the
+parameters into the gradient buffer the trainer keeps, and one Adam step
+follows. On the dense branch the step runs over the flat buffers that hold
+every parameter, gradient and moment. On the touched-row branch it is lazy
+Adam (PyTorch's ``SparseAdam``, TensorFlow Addons' ``LazyAdam``): it
+updates the touched rows of ``w_in`` and of its two moments, and every
+other parameter, and an untouched row keeps its parameter and moment bits
+that step. The state with the best validation micro-F1 (classifier-only,
+threshold 0.5, from the dropout-off pass that inference runs) is kept as
+the result.
 
 The ``Trainer`` trains in float32: its parameters, Adam moments, dropout
 masks, activations, workspaces and gradients (the step's functions follow
@@ -63,7 +68,6 @@ from .encoder import (
     init_state,
     rowwise_layers,
     rowwise_logits,
-    weight_rows,
 )
 from .losses import (
     CONTRASTIVE_VARIANTS,
@@ -92,7 +96,9 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _TRAINER_FORMAT = "knnmlc-trainer"
-_TRAINER_VERSION = 6
+# version 7 holds ``w_in`` as the (input_dim, hidden) table in every flat
+# member; version 6, (hidden, input_dim), is refused
+_TRAINER_VERSION = 7
 # the dtype the Trainer trains in
 TRAIN_DTYPE = np.float32
 # a trainer checkpoint's members (docs/formats.md), {name: (dtype, ndim)}: the
@@ -149,7 +155,8 @@ class AdamState:
     """The step count and the first and second moments, each one flat buffer
     laid out as ``EncoderState.flat`` and of its dtype (``_flat_views`` cuts
     it per parameter), kept as given; ``adam_step`` updates both in place,
-    with two scratch buffers of that size kept across steps."""
+    with two scratch buffers of that size kept across steps (the lazy
+    update gathers its rows into them)."""
 
     m_flat: np.ndarray
     v_flat: np.ndarray
@@ -173,13 +180,18 @@ def adam_step(
 ) -> EncoderState:
     """One bias-corrected Adam update, applied to the state in place.
 
-    Computes theta -= lr * m_hat / (sqrt(v_hat) + eps) once over the flat
-    buffers that hold every parameter, gradient and moment, with the moments
+    Computes theta -= lr * m_hat / (sqrt(v_hat) + eps), with the moments
     updated in place and ``adam``'s two scratch buffers, operation for
     operation as the textbook expression in the buffers' dtype, so the
-    result is bit-identical to a per-tensor update. A parameter or gradient
-    rebound away from its flat buffer, or a moment not of the parameter
-    buffer's shape and dtype, is a ValueError naming it, and nothing is
+    result is bit-identical to a per-tensor update. Gradients of every
+    ``w_in`` row (``grads.rows`` None) update the flat buffers that hold
+    every parameter, gradient and moment, whole. Gradients of m touched rows
+    update those rows of ``w_in`` and of its moments (gathered, updated and
+    written back) and the contiguous rest of the buffers, every other
+    parameter: lazy Adam, where an untouched row keeps its parameter and
+    moment bits. A parameter or gradient rebound away from its flat buffer,
+    a moment not of the parameter buffer's shape and dtype, or ``rows``
+    that are not input rows is a ValueError naming it, and nothing is
     updated.
     """
     shapes = state.shapes
@@ -191,10 +203,31 @@ def adam_step(
             raise ValueError(f"Adam {which} shape {moment.shape} != parameter buffer shape {state.flat.shape}")
         if moment.dtype != state.flat.dtype:
             raise ValueError(f"Adam {which} dtype {moment.dtype} != parameter buffer dtype {state.flat.dtype}")
-    b1, b2 = betas
+    rows, (input_rows, width) = grads.rows, state.w_in.shape
+    # the lazy update gathers rows with mode="clip", which would clamp a row out of range
+    if rows is not None and (rows.ndim != 1 or rows.size > input_rows or rows.size and not 0 <= rows.min() <= rows.max() < input_rows):
+        raise ValueError(f"gradient rows must be at most {input_rows} input rows in [0, {input_rows})")
     adam.step += 1
-    t = adam.step
+    hyper = (*betas, adam.step, lr, eps)
     scratch, step = adam._scratch
+    if rows is None:
+        _adam_update(state.flat, g, m, v, scratch, step, *hyper)
+        return state
+    # w_in and its moments as tables, the rows' gradients the first rows of
+    # the w_in view, and the other parameters the contiguous rest
+    rest, size = state.w_in.size, rows.size * width
+    m_table, v_table = m[:rest].reshape(input_rows, width), v[:rest].reshape(input_rows, width)
+    _adam_rows(state.w_in, grads.w_in[: rows.size], m_table, v_table, rows, scratch[:size].reshape(-1, width),
+               step[:size].reshape(-1, width), *hyper)
+    tail = state.flat.size - rest
+    _adam_update(state.flat[rest:], g[rest:], m[rest:], v[rest:], scratch[:tail], step[:tail], *hyper)
+    return state
+
+
+def _adam_update(theta, g, m, v, scratch, step, b1, b2, t, lr, eps) -> None:
+    """The textbook Adam update of the parameters ``theta`` in place, with
+    gradients ``g`` and moments ``m`` and ``v`` of its shape, and two scratch
+    arrays of it."""
     np.multiply(g, 1.0 - b1, out=scratch)
     m *= b1
     m += scratch
@@ -208,8 +241,39 @@ def adam_step(
     np.sqrt(scratch, out=scratch)
     scratch += eps
     step /= scratch
-    state.flat -= step
-    return state
+    theta -= step
+
+
+def _adam_rows(table, g, m_table, v_table, rows, a, b, b1, b2, t, lr, eps) -> None:
+    """``_adam_update`` of the rows ``rows`` (sorted, distinct, in range) of
+    the parameter table ``table`` and its moment tables, with the (m, width)
+    gradients ``g`` of those rows, every value by the same operations in the
+    same order. Each table's rows are gathered into the (m, width) arrays
+    ``a`` and ``b``, updated there and written back; two arrays hold every
+    intermediate, so the new first moment is gathered twice. ``np.take``
+    gathers straight into its ``out`` in mode "clip"; in its default mode
+    it would copy through a buffer of its own."""
+    np.take(m_table, rows, axis=0, out=a, mode="clip")
+    np.multiply(g, 1.0 - b1, out=b)
+    a *= b1
+    a += b
+    m_table[rows] = a
+    np.multiply(g, 1.0 - b2, out=a)
+    a *= g
+    np.take(v_table, rows, axis=0, out=b, mode="clip")
+    b *= b2
+    b += a
+    v_table[rows] = b
+    b /= 1.0 - b2**t
+    np.sqrt(b, out=b)
+    b += eps
+    np.take(m_table, rows, axis=0, out=a, mode="clip")
+    a /= 1.0 - b1**t
+    a *= lr
+    a /= b
+    np.take(table, rows, axis=0, out=b, mode="clip")
+    b -= a
+    table[rows] = b
 
 
 class _BatchTerms(NamedTuple):
@@ -338,7 +402,7 @@ def classifier_micro_f1(state: EncoderState, samples: PackedSamples, threshold: 
     dropout-off pass (``encoder.rowwise_layers``, the pass inference runs)
     over the packed samples."""
     samples = pack_samples(samples, state.config.input_dim)
-    embedding = rowwise_layers(state, samples, weight_rows(state, samples.indices.size))
+    embedding = rowwise_layers(state, samples)
     pred = (sigmoid(rowwise_logits(state, embedding)) >= threshold).astype(np.int8)
     return micro_prf(confusion(samples.labels, pred))[2]
 
@@ -377,7 +441,9 @@ class Trainer:
     The chunk is formed after the epoch's permutation is drawn and draws
     nothing, and a checkpoint does not hold it: a resumed trainer forms one
     from the saved order and cursor. ``validate_s`` is the seconds spent in
-    validation passes.
+    validation passes, and ``step_s`` the wall seconds of each step this
+    trainer took, in order (the batch, its gradients and the Adam step,
+    not the validation); neither is saved in a checkpoint.
     """
 
     def __init__(
@@ -410,6 +476,7 @@ class Trainer:
         self._best_state: EncoderState | None = None
         self._best_f1 = -1.0
         self.validate_s = 0.0
+        self.step_s: list[float] = []
         size = min(cfg.batch_size, len(self.train_set))
         self._workspace = tuple(np.empty((2 * size, 2 * size), TRAIN_DTYPE) for _ in range(3))
         # every backward pass writes all of it, so it is left unfilled
@@ -489,6 +556,7 @@ class Trainer:
         return f1
 
     def step(self) -> dict:
+        began = time.perf_counter()
         batch, terms = self._chunk_batch()
         bce, con, total, grads, _ = batch_gradients(
             self.state,
@@ -509,6 +577,7 @@ class Trainer:
         adam_step(self.state, grads, self.adam, lr=self.cfg.learning_rate)
         record = {"iteration": self.iteration + 1, "bce": bce, "con": con, "total": total}
         self.history.append(record)
+        self.step_s.append(time.perf_counter() - began)
         if self.valid_set is not None and self.iteration % self.eval_interval == 0:
             record["valid_micro_f1"] = self._validate()
         return record

@@ -433,8 +433,9 @@ def forward(state: EncoderState, sample: PackedSamples) -> ForwardTrace:
 def column_gather(w_in: np.ndarray, batch: PackedSamples) -> np.ndarray:
     """The (n, hidden) input-layer sums before the bias, as the sparse branch
     of ``forward_batch`` formed them before it shared the row gather: the
-    ``w_in`` columns the features touch, scaled by their values and summed
-    per row segment along axis 1."""
+    columns of the (hidden, input) ``w_in`` (``model.json``'s layout, the
+    transpose of the state's table) that the features touch, scaled by their
+    values and summed per row segment along axis 1."""
     columns = w_in[:, batch.indices] * batch.values
     return np.add.reduceat(columns, batch.indptr[:-1], axis=1).T
 
@@ -613,8 +614,10 @@ def predict_batch(state: EncoderState, store: Datastore | None, samples: PackedS
 
 def state_to_payload(state: EncoderState) -> dict:
     """A state's checkpoint payload with each parameter as nested lists: the
-    dict ``model.json`` holds (``checkpoint_text``)."""
-    return {**encoder._payload_header(state), "params": {name: arr.tolist() for name, arr in state.param_items()}}
+    dict ``model.json`` holds (``checkpoint_text``), ``w_in`` as (hidden,
+    input), the transpose of the state's table."""
+    params = {name: (arr.T if name == "w_in" else arr).tolist() for name, arr in state.param_items()}
+    return {**encoder._payload_header(state), "params": params}
 
 
 def fixed_float(v: float) -> str:
@@ -669,7 +672,7 @@ def forward_rowwise(state: EncoderState, batch: PackedSamples) -> ForwardTrace:
     expressions, with its trace (an all-ones mask): the pass
     ``encoder.rowwise_layers`` and ``encoder.rowwise_logits`` compute in row
     ranges, bit for bit."""
-    pre_hidden = np.ascontiguousarray(column_gather(state.w_in, batch)) + state.b_in
+    pre_hidden = np.ascontiguousarray(column_gather(state.w_in.T, batch)) + state.b_in
     hidden = np.tanh(pre_hidden) if state.config.activation == "tanh" else np.maximum(pre_hidden, 0.0)
     embedding = np.einsum("ij,kj->ik", hidden, state.w_emb) + state.b_emb
     logits = np.einsum("ij,kj->ik", embedding, state.w_clf) + state.b_clf
@@ -796,7 +799,7 @@ def duplicated_forward(state: EncoderState, batch: PackedSamples, masks) -> Forw
     rows, the input layer the product over every input column."""
     views = take(batch, np.tile(np.arange(len(batch)), 2))
     dense = views.to_dense(state.flat.dtype)
-    pre_hidden = dense @ state.w_in.T + state.b_in
+    pre_hidden = dense @ state.w_in + state.b_in
     hidden = encoder._activate(state.config, pre_hidden)
     mask = np.asarray(masks, dtype=state.flat.dtype)
     embedding = (hidden * mask) @ state.w_emb.T + state.b_emb
@@ -851,11 +854,11 @@ def backward(state: EncoderState, trace: ForwardTrace, grad_embedding=None, grad
     else:
         d_pre = d_hidden * (trace.pre_hidden > 0.0)
     if trace.cols is None:
-        w_in = d_pre.T @ trace.dense_c
+        w_in = trace.dense_c.T @ d_pre
     else:
-        # the gradient of the touched columns, scattered among zeros
+        # the gradient of the touched rows, scattered among zeros (rows None)
         w_in = np.zeros_like(state.w_in)
-        w_in[:, trace.cols] = d_pre.T @ trace.dense_c
+        w_in[trace.cols] = trace.dense_c.T @ d_pre
     return ParameterGradients(
         w_in=w_in,
         b_in=d_pre.sum(axis=0),

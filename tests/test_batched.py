@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from unittest import mock
 
 from knnmlc import encoder
-from knnmlc.encoder import EncoderConfig, ParameterGradients, forward_batch, init_state, rowwise_layers, rowwise_logits, weight_rows
+from knnmlc.encoder import EncoderConfig, ParameterGradients, forward_batch, init_state, rowwise_layers, rowwise_logits
 from knnmlc.losses import (
     CONTRASTIVE_VARIANTS,
     bce_loss,
@@ -39,7 +39,7 @@ def ref_forward(state, sample, dropout_mode="off", rng=None, mask_override=None)
     cfg = state.config
     idx = np.fromiter(sample.features.keys(), dtype=np.int64, count=len(sample.features))
     val = np.fromiter(sample.features.values(), dtype=np.float64, count=len(sample.features))
-    pre_hidden = state.b_in + state.w_in[:, idx] @ val
+    pre_hidden = state.b_in + val @ state.w_in[idx]
     hidden = np.tanh(pre_hidden) if cfg.activation == "tanh" else np.maximum(pre_hidden, 0.0)
     if mask_override is not None:
         mask = np.asarray(mask_override, dtype=np.float64)
@@ -66,7 +66,7 @@ def ref_backward(state, trace, grad_embedding, grad_logits, grads):
         d_pre = d_hidden * (trace["pre_hidden"] > 0.0)
     grads.b_in += d_pre
     if trace["idx"].size:
-        grads.w_in[:, trace["idx"]] += np.outer(d_pre, trace["val"])
+        grads.w_in[trace["idx"]] += np.outer(trace["val"], d_pre)
 
 
 def ref_positive_sets(labels, variant):
@@ -202,7 +202,7 @@ def test_batched_step_matches_per_view(seed, n, variant, activation, dropout, em
 
     for name, a, b in zip(("bce", "con", "total"), got[:3], want[:3]):
         assert_close(a, b, name)
-    for name, g in got[3].param_items():
+    for name, g in got[3].dense().param_items():
         assert_close(g, getattr(want[3], name), name)
     np.testing.assert_array_equal(got[4], want[4])
     if masks is not None:
@@ -253,7 +253,7 @@ def test_single_sample_forward_matches_reference(activation, features):
     state, _, _ = random_problem(3, 1, activation, 0.2)
     sample = Sample(features=features, labels=np.ones(state.config.num_classes, dtype=np.int8))
     batch = pack([sample], state.config.input_dim)
-    embedding = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
+    embedding = rowwise_layers(state, batch)
     want = ref_forward(state, sample, "off")
     assert_close(embedding[0], want["embedding"], "rowwise embedding")
     assert_close(rowwise_logits(state, embedding)[0], want["logits"], "rowwise logits")
@@ -271,7 +271,7 @@ def test_single_sample_forward_matches_reference(activation, features):
 
 
 def test_gathered_and_dense_input_layers_match_reference():
-    # 3 features against input_dim 30: a batch of one gathers w_in columns,
+    # 3 features against input_dim 30: a batch of one gathers w_in rows,
     # a batch of 12 (36 features) goes through the dense rows
     state = init_state(EncoderConfig(input_dim=30, hidden_dim=7, embed_dim=4, num_classes=3), seed=8)
     sample = Sample({4: 1.5, 17: 2.0, 29: 0.25}, np.array([1, 0, 1], dtype=np.int8))
@@ -307,26 +307,25 @@ def test_shared_row_gather_equals_the_column_gather(seed, lengths, input_dim, ac
         for m in lengths
     ]
     batch = pack(samples, input_dim)
-    want = column_gather(state.w_in, batch)
-    for w_rows in (state.w_in.T, np.ascontiguousarray(state.w_in.T)):
-        got = np.empty(want.shape)
-        encoder._gather_range(w_rows, batch.indices, batch.indptr[:-1], batch.values[:, None], None, got)
-        assert got.tobytes() == want.tobytes()
+    want = column_gather(state.w_in.T, batch)
+    got = np.empty(want.shape)
+    encoder._gather_range(state.w_in, batch.indices, batch.indptr[:-1], batch.values[:, None], None, got)
+    assert got.tobytes() == want.tobytes()
     hidden = encoder._activate(state.config, want + state.b_in)
     with mock.patch.object(encoder, "_GATHER_BLOCK_BYTES", block_bytes):
         # the gather in row ranges, and the dropout-off pass built on it
-        assert encoder._input_layer(state, batch, weight_rows(state, batch.indices.size)).tobytes() == want.tobytes()
-        embedding = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
+        assert encoder._input_layer(state, batch).tobytes() == want.tobytes()
+        embedding = rowwise_layers(state, batch)
     # einsum on C-contiguous operands, as the pass runs it (want is a transpose)
     assert embedding.tobytes() == (np.einsum("ij,kj->ik", np.ascontiguousarray(hidden), state.w_emb) + state.b_emb).tobytes()
     if batch.indices.size < input_dim:
-        # below one entry per input column forward_batch multiplies only the
-        # columns the batch touches
+        # below one entry per input row forward_batch multiplies only the
+        # rows the batch touches
         trace = forward_batch(state, batch)
         cols = np.unique(batch.indices)
         # C-ordered, as the trace holds it (a column gather is F-ordered)
         dense_c = np.ascontiguousarray(batch.to_dense()[:, cols])
-        pre_hidden = dense_c @ state.w_in[:, cols].T + state.b_in
+        pre_hidden = dense_c @ state.w_in[cols] + state.b_in
         assert trace.pre_hidden.tobytes() == pre_hidden.tobytes()
         assert trace.hidden.tobytes() == encoder._activate(state.config, pre_hidden).tobytes()
 
@@ -368,23 +367,22 @@ def test_the_ranged_gather_equals_the_column_gather_on_both_scaling_branches(sha
         indices=np.concatenate([rng.choice(input_dim, size=m, replace=False) for m in lengths]),
         values=values,
     )
-    want = column_gather(state.w_in, batch)
+    want = column_gather(state.w_in.T, batch)
     ranges = []
     real_range = encoder._gather_range
 
-    def spy(w_rows, indices, starts, factors, positions, out):
+    def spy(w_in, indices, starts, factors, positions, out):
         ranges.append(None if positions is None else positions.size)
-        return real_range(w_rows, indices, starts, factors, positions, out)
+        return real_range(w_in, indices, starts, factors, positions, out)
 
     block_bytes = -(-4 * 8 * hidden * nnz // n)
     with mock.patch.object(encoder, "_GATHER_BLOCK_BYTES", block_bytes), mock.patch.object(encoder, "_gather_range", spy):
-        for w_rows in (state.w_in.T, np.ascontiguousarray(state.w_in.T)):
-            assert encoder._input_layer(state, batch, w_rows).tobytes() == want.tobytes()
-    assert len(ranges) == 2 * -(-n // 4)
+        assert encoder._input_layer(state, batch).tobytes() == want.tobytes()
+    assert len(ranges) == -(-n // 4)
     if encoder._SCALE_ALL_SHARE * count >= nnz:
         assert ranges == [None] * len(ranges)
     else:
-        assert sum(ranges) == 2 * count and 0 in ranges
+        assert sum(ranges) == count and 0 in ranges
 
 
 def test_empty_feature_rows_inside_a_batch():

@@ -14,6 +14,7 @@ import numpy as np
 import knnmlc
 from knnmlc import cli
 from knnmlc.cli import (
+    EXIT_CLOSED_OUTPUT,
     EXIT_DIMENSION,
     EXIT_FORMAT,
     EXIT_MISSING_FILE,
@@ -129,12 +130,17 @@ class TestPipeline:
         a = pipeline_artifacts
         manifest = json.loads((a["run"] / "manifest-train.json").read_text())
         timings, environment = manifest["timings"], manifest["environment"]
-        assert set(timings) == {"load_s", "run_s", "validate_s", "save_s", "iterations_per_s"}
+        assert set(timings) == {"load_s", "run_s", "validate_s", "save_s", "iterations_per_s", "step_s"}
+        steps = timings.pop("step_s")
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
         iterations = len((a["run"] / "history.jsonl").read_text().splitlines())
         assert timings["iterations_per_s"] == iterations / timings["run_s"]
         # the run validated, and its validation passes are part of run_s
         assert 0.0 < timings["validate_s"] < timings["run_s"]
+        # the quantiles of the steps' seconds, each step inside run_s but out of its validations
+        assert set(steps) == {"p50", "p90", "max"} and all(isinstance(v, float) for v in steps.values())
+        assert 0.0 < steps["p50"] <= steps["p90"] <= steps["max"] <= timings["run_s"] - timings["validate_s"]
+        timings["step_s"] = steps
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert environment == {
             "python": platform.python_version(),
@@ -679,6 +685,30 @@ def test_python_dash_m_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: knnmlc") and "gen-data" in result.stdout
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_output_into_a_closed_pipe_is_one_error_line_and_its_exit_code(pipeline_artifacts, buffered):
+    # the pipe's read end is closed before the process starts, so writing
+    # the report fails: in main's flush when standard output is
+    # block-buffered, in the print itself when it is not
+    a = pipeline_artifacts
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "knnmlc", "eval", "--predictions", str(a["preds"]), "--gold", str(a["data"] / "test.jsonl")],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == EXIT_CLOSED_OUTPUT, result.stderr
+    assert result.stderr.startswith("error: standard output was closed: ") and result.stderr.count("\n") == 1, result.stderr
 
 
 def _openblas_on_x86_64() -> bool:

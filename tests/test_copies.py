@@ -76,6 +76,21 @@ def model(tmp_path, monkeypatch):
     return path, parsed, spy(monkeypatch, encoder, "_parse_checkpoint")
 
 
+def test_a_version_2_copy_is_parsed_and_rewritten_never_read_as_a_table(model):
+    # version 2 held w_in as (hidden, input): the same members and size, so
+    # only the version tells it from a version 3 copy
+    path, parsed, parses = model
+    stale = np.concatenate([(arr.T if name == "w_in" else arr).ravel() for name, arr in parsed.param_items()])
+    arrays = {**encoder._to_copy(parsed), "params": stale}
+    copies.write_copy(path, 2, copies.file_digest(path), arrays)
+    # read as a table, its params would scramble w_in
+    assert encoder._from_copy(arrays, str(path)).w_in.tobytes() != parsed.w_in.tobytes()
+    assert_identical_states(load_checkpoint(path), parsed)
+    assert len(parses) == 1 and copy_arrays(path)["version"] == encoder._COPY_VERSION == 3
+    assert_identical_states(load_checkpoint(path), parsed)
+    assert len(parses) == 1
+
+
 def test_a_saved_checkpoint_is_read_from_its_copy_bit_for_bit(model):
     path, parsed, parses = model
     assert np.signbit(parsed.w_in.flat[0]) and parsed.w_in.flat[1] == 5e-324 and np.signbit(parsed.b_clf[1])

@@ -21,7 +21,7 @@ from knnmlc.datastore import (
     search,
 )
 from knnmlc.cli import _encoder_config, load_config
-from knnmlc.encoder import EncoderConfig, init_state, rowwise_layers, weight_rows
+from knnmlc.encoder import EncoderConfig, init_state, rowwise_layers
 from knnmlc.inference import predict
 from knnmlc.mathops import _row_norms, make_rng
 from knnmlc.training import Trainer
@@ -661,13 +661,13 @@ def test_store_keys_are_the_query_path_embeddings(default_run, monkeypatch, gath
     calls = []
     real_range = encoder._gather_range
 
-    def range_spy(w_rows, indices, starts, factors, positions, out):
+    def range_spy(w_in, indices, starts, factors, positions, out):
         calls.append(len(starts))
-        return real_range(w_rows, indices, starts, factors, positions, out)
+        return real_range(w_in, indices, starts, factors, positions, out)
 
     monkeypatch.setattr(encoder, "_gather_range", range_spy)
     # before the float32 rounding too
-    assert rowwise_layers(state, train, weight_rows(state, nnz)).tobytes() == singles.tobytes()
+    assert rowwise_layers(state, train).tobytes() == singles.tobytes()
     if gather_rows is not None:
         assert calls[0] == gather_rows and len(calls) == -(-n // gather_rows)
     assert build(state, train).keys.tobytes() == want.tobytes()

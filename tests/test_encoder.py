@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knnmlc import gradcheck
+from knnmlc import encoder, gradcheck
 from knnmlc.encoder import (
     CheckpointError,
     EncoderConfig,
@@ -119,7 +119,7 @@ class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         state = init_state(tiny_config(), seed=1)
         grads = backward(state, self._trace(state), grad_embedding=np.zeros((2, 3)), grad_logits=np.zeros((2, 3)))
-        for _, arr in grads.param_items():
+        for _, arr in grads.dense().param_items():
             np.testing.assert_array_equal(arr, np.zeros_like(arr))
 
     def test_classifier_gradient_is_outer_product(self):
@@ -238,15 +238,19 @@ class TestTouchedColumns:
         assert trace.cols.dtype == np.intp and trace.cols.tobytes() == cols.tobytes()
         dense_c = np.ascontiguousarray(batch.to_dense(dtype)[:, cols])
         assert trace.dense_c.dtype == dtype and trace.dense_c.tobytes() == dense_c.tobytes()
-        assert trace.pre_hidden.tobytes() == (dense_c @ state.w_in[:, cols].T + state.b_in).tobytes()
+        assert trace.pre_hidden.tobytes() == (dense_c @ state.w_in[cols] + state.b_in).tobytes()
 
         grad_embedding = np.random.default_rng(seed).standard_normal((2 * len(rows), 3))
         grads = backward(state, trace, grad_embedding=grad_embedding)
         d_pre = _pre_activation_grad(state, trace, grad_embedding)
+        # the compacted product as the first rows of w_in, for the rows it names
+        assert grads.rows.tobytes() == cols.tobytes()
+        assert grads.w_in[: cols.size].tobytes() == (dense_c.T @ d_pre).tobytes()
+        # and, spread out, +0.0 on every row no entry touched
+        full = grads.dense()
         untouched = np.setdiff1d(np.arange(input_dim), cols)
-        # +0.0 on every column no entry touched, the compacted product on the rest
-        assert grads.w_in[:, untouched].tobytes() == np.zeros((hidden, untouched.size), dtype).tobytes()
-        assert grads.w_in[:, cols].tobytes() == (d_pre.T @ dense_c).tobytes()
+        assert full.rows is None and full.w_in[untouched].tobytes() == np.zeros((untouched.size, hidden), dtype).tobytes()
+        assert full.w_in[cols].tobytes() == (dense_c.T @ d_pre).tobytes()
 
     @staticmethod
     def _widened(problem):
@@ -292,7 +296,7 @@ class TestOneInputLayerForTwoViews:
             state = type(state).on_buffer(dataclasses.replace(state.config, activation=activation), state.flat)
             if (forward_batch(state, batch, masks=masks).cols is None) != (branch == "dense"):
                 continue
-            got = batch_gradients(state, batch, alpha, tau1, variant, masks=masks)[3]
+            got = batch_gradients(state, batch, alpha, tau1, variant, masks=masks)[3].dense()
             want = duplicated_gradients(state, batch, masks, alpha, tau1, variant)
             # relative to each gradient's largest entry: a sum that cancels
             # can differ by more than 1e-12 of itself (measured: at most
@@ -318,6 +322,17 @@ def test_inverted_dropout_preserves_expected_embedding():
 
 
 class TestCheckpoint:
+    def test_model_json_holds_w_in_as_hidden_by_input(self, tmp_path):
+        # the state's (input, hidden) table is written transposed, and read
+        # back, parsed or from the copy, with every bit
+        state = init_state(EncoderConfig(7, 5, 4, 3), seed=2)
+        path = tmp_path / "model.json"
+        save_checkpoint(state, path)
+        w_in = np.asarray(json.loads(path.read_text())["params"]["w_in"])
+        assert w_in.shape == (5, 7) and w_in.tobytes() == np.ascontiguousarray(state.w_in.T).tobytes()
+        for loaded in (encoder._parse_checkpoint(path), load_checkpoint(path)):
+            assert loaded.w_in.shape == (7, 5) and loaded.flat.tobytes() == state.flat.tobytes()
+
     def test_round_trip_exact(self, tmp_path):
         state = init_state(tiny_config(), seed=11)
         path = tmp_path / "model.json"
@@ -369,3 +384,19 @@ class TestCheckpoint:
         )
         bound = 1.0 / np.sqrt(a.config.input_dim)
         assert np.all(np.abs(a.w_in) <= bound)
+
+    def test_initialization_draws_each_weight_as_out_by_in_and_stores_w_in_transposed(self):
+        # one stream in parameter order, every weight drawn (out, in) and every
+        # bias with its weight's fan-in: w_in (hidden, input), then its table
+        cfg = EncoderConfig(7, 5, 4, 3)
+        rng = make_rng(6)
+        fan_in = {"in": 7, "emb": 5, "clf": 4}
+        draws = {}
+        for name, shape in [("w_in", (5, 7)), ("b_in", (5,)), ("w_emb", (4, 5)), ("b_emb", (4,)), ("w_clf", (3, 4)),
+                            ("b_clf", (3,))]:
+            bound = 1.0 / np.sqrt(fan_in[name[2:]])
+            draws[name] = rng.uniform(-bound, bound, size=shape)
+        state = init_state(cfg, seed=6)
+        assert state.w_in.shape == (7, 5) and state.w_in.tobytes() == np.ascontiguousarray(draws.pop("w_in").T).tobytes()
+        for name, want in draws.items():
+            assert getattr(state, name).tobytes() == want.tobytes(), name

@@ -177,7 +177,9 @@ def test_every_number_the_writers_write_reads_back_as_its_bits(data, n, c, k):
         path = Path(tmp) / "model.json"
         save_checkpoint(state, path)
         params = json.loads(path.read_text(encoding="utf-8"))["params"]
-    assert same_bits(np.concatenate([np.ravel(params[name]) for name, _ in state.param_items()]), state.flat)
+    # model.json holds w_in as (hidden, input), the transpose of the state's table
+    want = np.concatenate([np.ravel(arr.T if name == "w_in" else arr) for name, arr in state.param_items()])
+    assert same_bits(np.concatenate([np.ravel(params[name]) for name, _ in state.param_items()]), want)
 
     y_clf, y_knn, y_final = (data.draw(hnp.arrays(np.float64, (n, c), elements=FINITE)) for _ in range(3))
     sims = data.draw(hnp.arrays(np.float64, (n, k), elements=FINITE))

@@ -22,7 +22,7 @@ from knnmlc import cli, datastore
 from knnmlc.cli import EXIT_OK, main
 from knnmlc.data import DatasetConfig, generate_synthetic, load_jsonl, pack_samples
 from knnmlc.datastore import Datastore, NonFiniteQueryError, build, load, search
-from knnmlc.encoder import EncoderConfig, forward_batch, init_state, load_checkpoint, rowwise_layers, weight_rows
+from knnmlc.encoder import EncoderConfig, forward_batch, init_state, load_checkpoint, rowwise_layers
 from knnmlc.inference import INFERENCE_MODES, InferenceConfig, predict, predict_batch
 from knnmlc.mathops import make_rng, sigmoid, softmax_temp
 import oracles
@@ -140,7 +140,7 @@ def test_query_blocks_give_the_bytes_of_one_block(monkeypatch):
     # the small blocks really were several
     state, store, queries, _ = random_setup(3, 300, 16, 12, 12)
     batch = pack_samples(queries, state.config.input_dim)
-    embeddings = rowwise_layers(state, batch, weight_rows(state, batch.indices.size))
+    embeddings = rowwise_layers(state, batch)
     whole = search(store, embeddings, 30)
     blocks = []
     real_block = datastore._topk_block
@@ -241,7 +241,7 @@ def test_a_zero_norm_query_is_named_by_its_row_and_id():
     state = init_state(EncoderConfig(3, 2, 2, 2, activation="relu", dropout_rate=0.0))
     for _, arr in state.param_items():
         arr[...] = 0.0
-    state.w_in[...] = [[1.0, -1.0, -1.0], [2.0, -1.0, -1.0]]
+    state.w_in[...] = [[1.0, 2.0], [-1.0, -1.0], [-1.0, -1.0]]
     state.w_emb[...] = np.eye(2)
     store = Datastore(keys=[[1.0, 0.0], [0.0, 1.0]], values=[[1, 0], [0, 1]])
     rows = [Sample({0: 1.0}, np.ones(2, dtype=np.int8), "a"), Sample({1: 1.0}, np.ones(2, dtype=np.int8), "b"),

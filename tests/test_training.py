@@ -66,7 +66,10 @@ def moment_views(adam, state):
 
 def ref_adam_step(state, grads, adam, lr, betas=(0.9, 0.999), eps=1e-8):
     """Adam as the textbook expression, one temporary per operation: the
-    oracle of the in-place update."""
+    oracle of the in-place update. Gradients of m touched rows
+    (``grads.rows``, their gradients the first m rows of ``grads.w_in``)
+    update those rows of ``w_in`` and its moments one row at a time, and no
+    other row (lazy Adam)."""
     b1, b2 = betas
     adam.step += 1
     t = adam.step
@@ -74,13 +77,18 @@ def ref_adam_step(state, grads, adam, lr, betas=(0.9, 0.999), eps=1e-8):
     for name, theta in state.param_items():
         g = getattr(grads, name)
         m, v = moments[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        if name == "w_in" and grads.rows is not None:
+            updates = [(theta[r], g[i], m[r], v[r]) for i, r in enumerate(grads.rows)]
+        else:
+            updates = [(theta, g, m, v)]
+        for theta, g, m, v in updates:
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return state
 
 
@@ -108,6 +116,54 @@ class TestAdam:
                 assert arr.tobytes() == ref.tobytes(), (step, name)
                 assert got[name][0].tobytes() == want[name][0].tobytes(), (step, name)
                 assert got[name][1].tobytes() == want[name][1].tobytes(), (step, name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_lazy_update_is_bit_identical_to_the_per_row_expression(self, seed, dtype):
+        # gradients of no row, one, some, all but one and every row of the
+        # 17-row table, every seventh step of every row (rows None), at
+        # several scales; untouched rows keep their parameter and moment bits
+        rng = np.random.default_rng(seed)
+        cfg = EncoderConfig(17, 9, 5, 4, dropout_rate=0.0)
+        state, ref_state = (init_state(cfg, seed=seed).astype(dtype) for _ in range(2))
+        adam, ref_adam = AdamState.zeros_like(state), AdamState.zeros_like(ref_state)
+        for step in range(60):
+            scale = 0.0 if step % 4 == 3 else 10.0 ** rng.integers(-6, 3)
+            grads = ParameterGradients._on_buffer((scale * rng.standard_normal(state.flat.size)).astype(dtype), state.shapes)
+            count = [0, 1, 16, 17, int(rng.integers(2, 16))][step % 5]
+            grads.rows = None if step % 7 == 6 else np.sort(rng.choice(17, count, replace=False))
+            table = state.w_in.copy(), *(a.copy() for a in moment_views(adam, state)["w_in"])
+            adam_step(state, grads, adam, lr=1e-3, betas=(0.85, 0.995), eps=1e-7)
+            ref_adam_step(ref_state, grads, ref_adam, lr=1e-3, betas=(0.85, 0.995), eps=1e-7)
+            assert state.flat.tobytes() == ref_state.flat.tobytes(), step
+            assert adam.m_flat.tobytes() == ref_adam.m_flat.tobytes(), step
+            assert adam.v_flat.tobytes() == ref_adam.v_flat.tobytes(), step
+            if grads.rows is not None:
+                untouched = np.setdiff1d(np.arange(17), grads.rows)
+                for before, after in zip(table, (state.w_in, *moment_views(adam, state)["w_in"])):
+                    assert after[untouched].tobytes() == before[untouched].tobytes(), step
+
+    @pytest.mark.parametrize("case", ["parameter rebound", "gradient rebound", "row out of range", "too many rows"])
+    def test_a_bad_lazy_step_is_refused_by_name_and_updates_nothing(self, case):
+        state = init_state(EncoderConfig(17, 9, 5, 4, dropout_rate=0.0), seed=0)
+        adam = AdamState.zeros_like(state)
+        grads = ParameterGradients._on_buffer(np.ones_like(state.flat), state.shapes)
+        grads.rows = np.array([2, 5, 11])
+        adam_step(state, grads, adam, lr=0.1)
+        before = state.flat.copy(), adam.m_flat.copy(), adam.v_flat.copy()
+        if case == "parameter rebound":
+            state.b_in = state.b_in.copy()
+            message = "parameter b_in was rebound"
+        elif case == "gradient rebound":
+            grads.w_emb = grads.w_emb.copy()
+            message = "gradient w_emb was rebound"
+        else:
+            grads.rows = np.array([2, 17]) if case == "row out of range" else np.arange(18) % 17
+            message = "gradient rows must be at most 17 input rows"
+        with pytest.raises(ValueError, match=message):
+            adam_step(state, grads, adam, lr=0.1)
+        assert (state.flat.tobytes(), adam.m_flat.tobytes(), adam.v_flat.tobytes()) == tuple(a.tobytes() for a in before)
+        assert adam.step == 1
 
     def test_single_step_closed_form(self):
         # from zero moments the bias-corrected update is -lr * g / (|g| + eps)
@@ -327,7 +383,7 @@ class TestTrainer:
         with open(path, "wb") as fh:
             np.savez(fh, header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8), **arrays)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_an_older_version_header_is_rejected(self, tmp_path, version):
         header, arrays, path, train_s, valid_s = self._saved(tmp_path)
         header["version"] = version
@@ -846,7 +902,7 @@ class TestChunkedSteps:
         cfg = TrainConfig(batch_size=32, learning_rate=3e-3, alpha=0.5, max_iters=self.STEPS, seed=6,
                           variant="wscl", eval_every=3)
         monkeypatch.setattr(training, "_CHUNK_BYTES", budget)
-        chunks, _ = self._record_chunks(monkeypatch)
+        chunks, paths = self._record_chunks(monkeypatch)
         whole = Trainer(train_s, valid_s, init_state(ecfg, seed=6), cfg)
         whole.run()
         want = Trainer(train_s, valid_s, init_state(ecfg, seed=6), cfg)
@@ -865,6 +921,8 @@ class TestChunkedSteps:
         # the resumed trainer's first chunk starts at the saved cursor
         assert chunks[0] == min(part._chunk_batches, 6)
         self._assert_same_bits(resumed, whole)
+        # vocabulary 2000 takes the touched-row branch, and its lazy Adam, at every step
+        assert set(paths) == {"dense" if vocab_size == 120 else "touched"}
 
 
 class TestCosineProduct:
